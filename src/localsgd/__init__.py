@@ -58,13 +58,10 @@ from .sync import (
     RecordFlags,
     RunConfig,
     RunTrace,
-    WorkerState,
-    init_worker_states,
     iterations_to_accuracy,
     run_local_sgd,
     run_local_sgd_ensemble,
     run_minibatch_sgd,
-    step_once,
     virtual_average,
 )
 from .theory import (

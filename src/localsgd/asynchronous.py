@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .schedules import TheoremDecayStep, gap, regular_sync_schedule, validate_shift
+from .sync import _index_stream
 
 
 @dataclass(frozen=True)
@@ -152,6 +153,8 @@ def run_async_local_sgd(config, per_worker_syncs, delay, objective,
     block schedules are replayed, with `declared_tau` carrying the plan's
     staleness bound.  After the run the realized staleness is checked
     against the declared tau and a violation aborts with a diagnostic.
+    Sequence k samples the same indices as worker k of `run_local_sgd`,
+    and each step makes one batched oracle call for all K sequences.
     """
     K, T, b = config.K, config.T, config.b
     if len(per_worker_syncs) != K:
@@ -182,8 +185,6 @@ def run_async_local_sgd(config, per_worker_syncs, delay, objective,
             return float(step)
         return float(wall_times[(k, step)])
 
-    rngs = [np.random.Generator(np.random.PCG64(s))
-            for s in np.random.SeedSequence(config.seed).spawn(K)]
     X = np.tile(config.x0, (K, 1))
     base = np.tile(config.x0, (K, 1))   # value each worker last read
     xbar = config.x0.copy()
@@ -209,15 +210,12 @@ def run_async_local_sgd(config, per_worker_syncs, delay, objective,
                 visible.append(w.id)
         return total, tuple(visible)
 
-    for t in range(T):
+    for t, I in enumerate(_index_stream([config.seed], K, objective.n, b, T)):
         if track_second_moment:
             sm = float(objective.second_moment_many(X).max())
             trace.max_second_moment = max(trace.max_second_moment, sm)
         eta = config.steps.eta(t)
-        grads = np.empty_like(X)
-        for k in range(K):
-            idx = rngs[k].integers(0, objective.n, size=b)
-            grads[k] = objective.minibatch_gradient(X[k], idx)
+        grads = objective.minibatch_gradient_many(X, I[0])
         X -= eta * grads
         xbar = xbar - eta * grads.mean(axis=0)
 

@@ -66,10 +66,6 @@ class Dataset:
         """Squared Euclidean norm of every feature row."""
         return np.asarray(self.features.multiply(self.features).sum(axis=1)).ravel()
 
-    def dense_features(self) -> np.ndarray:
-        """Dense (n, d) feature matrix; only sensible for small fixtures."""
-        return self.features.toarray()
-
 
 def parse_libsvm(lines, declared_dimension=None, lam=0.0) -> Dataset:
     """Parse LIBSVM-format text into a Dataset.

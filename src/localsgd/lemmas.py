@@ -142,6 +142,35 @@ def _heldout_G_sq(config, objective, seed, runs):
     return heldout.max_second_moment
 
 
+def _worst_step_report(check, config, dev, constant, G_sq, window, detail):
+    """Per-step deviation check against constant * eta_t^2 G^2 window^2.
+
+    `dev` holds one row of per-step deviations per run.  The report
+    belongs to the step with the smallest margin bound - mean + 3 stderr,
+    ties going to the earliest step.
+    """
+    runs = dev.shape[0]
+    stats = dev.mean(axis=0)
+    stderrs = dev.std(axis=0, ddof=1) / np.sqrt(runs)
+    worst = None
+    for t in range(config.T + 1):
+        eta = config.steps.eta(t)
+        bound_t = constant * eta**2 * G_sq * window**2
+        entry = (bound_t - stats[t] + 3.0 * stderrs[t], t, bound_t)
+        if worst is None or entry < worst:
+            worst = entry
+    _, t_worst, bound_worst = worst
+    return CheckReport(
+        check=check,
+        trials=runs,
+        statistic=float(stats[t_worst]),
+        bound=float(bound_worst),
+        stderr=float(stderrs[t_worst]),
+        worst_step=t_worst,
+        detail=detail,
+    )
+
+
 def check_deviation_bound(config, objective, constants, runs, seed=0) -> CheckReport:
     """Mean squared worker deviation stays below 4 eta_t^2 G^2 H^2.
 
@@ -157,25 +186,8 @@ def check_deviation_bound(config, objective, constants, runs, seed=0) -> CheckRe
     result = run_local_sgd_ensemble(
         config, objective, _run_seeds(seed, runs), record_deviations=True
     )
-    dev = result.deviations  # (runs, T+1)
-    stats = dev.mean(axis=0)
-    stderrs = dev.std(axis=0, ddof=1) / np.sqrt(runs)
-
-    worst = None
-    for t in range(config.T + 1):
-        eta = config.steps.eta(t)
-        bound_t = 4.0 * eta**2 * G_sq * H**2
-        entry = (bound_t - stats[t] + 3.0 * stderrs[t], t, bound_t)
-        if worst is None or entry < worst:
-            worst = entry
-    _, t_worst, bound_worst = worst
-    return CheckReport(
-        check="deviation-bound",
-        trials=runs,
-        statistic=float(stats[t_worst]),
-        bound=float(bound_worst),
-        stderr=float(stderrs[t_worst]),
-        worst_step=t_worst,
+    return _worst_step_report(
+        "deviation-bound", config, result.deviations, 4.0, G_sq, H,
         detail={"G_sq": G_sq, "H": H},
     )
 
@@ -351,8 +363,7 @@ def check_async_deviation(config, delay, objective, constants, runs, seed=0) -> 
         )
         G_sq = max(G_sq, trace.max_second_moment)
 
-    T = config.T
-    dev = np.empty((runs, T + 1))
+    dev = np.empty((runs, config.T + 1))
     worst_staleness = 0
     for r, s in enumerate(seeds):
         trace, log = run_async_local_sgd(replace(config, seed=s), schedules, delay, objective)
@@ -363,23 +374,8 @@ def check_async_deviation(config, delay, objective, constants, runs, seed=0) -> 
             f"realized staleness {worst_staleness} exceeds declared tau={delay.tau}"
         )
 
-    stats = dev.mean(axis=0)
-    stderrs = dev.std(axis=0, ddof=1) / np.sqrt(runs)
-    worst = None
-    for t in range(T + 1):
-        eta = config.steps.eta(t)
-        bound_t = 12.0 * eta**2 * G_sq * (H + delay.tau) ** 2
-        entry = (bound_t - stats[t] + 3.0 * stderrs[t], t, bound_t)
-        if worst is None or entry < worst:
-            worst = entry
-    _, t_worst, bound_worst = worst
-    return CheckReport(
-        check="async-deviation",
-        trials=runs,
-        statistic=float(stats[t_worst]),
-        bound=float(bound_worst),
-        stderr=float(stderrs[t_worst]),
-        worst_step=t_worst,
+    return _worst_step_report(
+        "async-deviation", config, dev, 12.0, G_sq, H + delay.tau,
         detail={"G_sq": G_sq, "H": H, "tau": delay.tau,
                 "worst_staleness": worst_staleness},
     )

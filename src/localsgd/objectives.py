@@ -8,9 +8,11 @@ Two families are provided:
   f_i(x) = (1/2) x^T A x - b_i^T x
 
 Both expose the full gradient, per-component gradients, mini-batch means,
-and vectorized batched variants used by the Monte-Carlo runners.  The
-quadratic has an analytic minimizer and exactly known curvature and noise
-constants, which makes it the fixture of choice for verifying bounds.
+and vectorized batched variants used by the engines.  The logistic oracles
+have one code path on the CSR features for single and stacked points, so
+a batched call equals the single-point calls bitwise.  The quadratic has
+an analytic minimizer and exactly known curvature and noise constants,
+which makes it the fixture of choice for verifying bounds.
 """
 
 from __future__ import annotations
@@ -62,8 +64,15 @@ class ReferenceSolution:
 class LogisticObjective:
     """L2-regularized logistic loss over a sparse Dataset.
 
-    The loss is evaluated through log(1 + e^z) = logaddexp(0, z), which is
-    stable for margins of either sign; a non-finite result raises.
+    Every oracle reads the CSR feature matrix through one of two private
+    passes: `_sample_margins` gathers sampled rows by their indptr ranges
+    (the stochastic gradients), and `_margins` forms all n margins of a
+    stack of points with one A @ X.T product (values, full gradients and
+    gradient moments).  Both accumulate in the order of scipy's CSR
+    products, and per-point dot products go through np.vecdot, so a
+    stacked call returns exactly what the single-point calls return.  The
+    loss is evaluated through log(1 + e^z) = logaddexp(0, z), which is
+    stable for margins of either sign; a non-finite value raises.
     """
 
     kind = "logistic-l2"
@@ -76,139 +85,140 @@ class LogisticObjective:
         self.n = dataset.n
         self.d = dataset.d
         self._A = dataset.features
+        self._At = self._A.T  # CSC view on the same arrays; built once, not per call
         self._b = dataset.labels
         self._row_norms_sq = dataset.row_norms_sq()
-        self._dense = None  # built lazily for the vectorized oracles
 
     def _check_dim(self, x):
         if x.shape[-1] != self.d:
             raise ValueError(f"point has dimension {x.shape[-1]}, expected {self.d}")
 
-    def _margins(self, x):
-        return self._b * (self._A @ x)
+    def _check_index(self, i):
+        if not 0 <= i < self.n:
+            raise IndexError(f"component index {i} out of range [0, {self.n})")
+
+    def _sample_margins(self, X, I):
+        """Margins b_i a_i^T x_p of the rows I[p] (P, b) at the points X (P, d).
+
+        Returns the (P*b,) margins and the gathered entries (sample, point,
+        column, value) in storage order.  bincount sums each sample's
+        products in storage order from 0.0, as the CSR matvec does.
+        """
+        flat = I.ravel()
+        starts = self._A.indptr[flat]
+        lens = self._A.indptr[flat + 1] - starts
+        sample = np.repeat(np.arange(flat.size), lens)
+        pos = np.arange(sample.size) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        cols = self._A.indices[pos]
+        vals = self._A.data[pos]
+        point = sample // I.shape[1]
+        z = np.bincount(sample, weights=vals * X[point, cols], minlength=flat.size)
+        return self._b[flat] * z, (sample, point, cols, vals)
+
+    def _sampled_gradients(self, X, I):
+        """Mean component gradient over the rows I[p] at each point X[p]."""
+        m, (sample, point, cols, vals) = self._sample_margins(X, I)
+        coef = -self._b[I.ravel()] * expit(-m)
+        P, d = X.shape
+        g = np.bincount(point * d + cols, weights=vals * coef[sample], minlength=P * d)
+        return g.reshape(P, d) / I.shape[1] + self.lam * X
+
+    def _margins(self, X):
+        """All n margins at each point of a stack X (P, d), as (P, n)."""
+        # contiguous rows, so that a row mean sums in the order of a single
+        # point's mean
+        return self._b * np.ascontiguousarray((self._A @ X.T).T)
+
+    def _values(self, X):
+        m = self._margins(X)
+        vals = np.mean(np.logaddexp(0.0, -m), axis=-1) + 0.5 * self.lam * np.vecdot(X, X)
+        if not np.isfinite(vals).all():
+            raise FloatingPointError("logistic loss evaluated to a non-finite value")
+        return vals
+
+    def _full_gradient_parts(self, X):
+        """Loss coefficients (P, n) and the data part of the full gradient (P, d)."""
+        coef = -self._b * expit(-self._margins(X))
+        # contiguous rows: np.vecdot on strided rows rounds differently
+        return coef, np.ascontiguousarray((self._At @ coef.T).T) / self.n
+
+    def _second_moments(self, X):
+        coef, mean_part = self._full_gradient_parts(X)
+        second = np.mean(coef**2 * self._row_norms_sq, axis=-1)
+        return (
+            second
+            + 2.0 * self.lam * np.vecdot(X, mean_part)
+            + self.lam**2 * np.vecdot(X, X)
+        )
 
     def value(self, x) -> float:
         self._check_dim(x)
-        m = self._margins(x)
-        val = float(np.mean(np.logaddexp(0.0, -m))) + 0.5 * self.lam * float(x @ x)
-        if not np.isfinite(val):
-            raise FloatingPointError("logistic loss evaluated to a non-finite value")
-        return val
+        return float(self._values(x[None])[0])
 
     def gradient(self, x) -> np.ndarray:
         self._check_dim(x)
-        m = self._margins(x)
-        coef = -self._b * expit(-m)
-        return np.asarray(self._A.T @ coef) / self.n + self.lam * x
+        return self._full_gradient_parts(x[None])[1][0] + self.lam * x
 
     def component_value(self, x, i) -> float:
         self._check_dim(x)
-        if not 0 <= i < self.n:
-            raise IndexError(f"component index {i} out of range [0, {self.n})")
-        row = self._A.getrow(i)
-        m = self._b[i] * float(row.data @ x[row.indices])
+        self._check_index(i)
+        m = self._sample_margins(x[None], np.array([[i]]))[0][0]
         return float(np.logaddexp(0.0, -m)) + 0.5 * self.lam * float(x @ x)
 
     def component_gradient(self, x, i) -> np.ndarray:
         self._check_dim(x)
-        if not 0 <= i < self.n:
-            raise IndexError(f"component index {i} out of range [0, {self.n})")
-        row = self._A.getrow(i)
-        m = self._b[i] * float(row.data @ x[row.indices])
-        coef = -self._b[i] * expit(-m)
-        g = self.lam * np.array(x)
-        g[row.indices] += coef * row.data
-        return g
+        self._check_index(i)
+        return self._sampled_gradients(x[None], np.array([[i]]))[0]
 
     def minibatch_gradient(self, x, idx) -> np.ndarray:
         """Mean of component gradients over index array idx."""
         self._check_dim(x)
-        rows = self._A[idx]
-        m = self._b[idx] * (rows @ x)
-        coef = -self._b[idx] * expit(-m)
-        return np.asarray(rows.T @ coef) / len(idx) + self.lam * x
+        return self._sampled_gradients(x[None], np.asarray(idx).reshape(1, -1))[0]
 
     def component_gradients_at(self, x, idx) -> np.ndarray:
         """Per-component gradients at a single point, stacked (len(idx), d)."""
         self._check_dim(x)
-        dense = self._dense_features()
-        rows = dense[idx]
-        m = self._b[idx] * (rows @ x)
-        coef = -self._b[idx] * expit(-m)
-        return coef[:, None] * rows + self.lam * x
+        idx = np.asarray(idx).reshape(-1, 1)
+        return self._sampled_gradients(np.broadcast_to(x, (len(idx), self.d)), idx)
 
     def minibatch_gradient_many(self, X, I) -> np.ndarray:
         """Vectorized mini-batch means: X (..., d), I (..., b) -> (..., d)."""
-        dense = self._dense_features()
-        rows = dense[I]                                   # (..., b, d)
-        m = self._b[I] * np.einsum("...bd,...d->...b", rows, X)
-        coef = -self._b[I] * expit(-m)
-        return np.einsum("...b,...bd->...d", coef, rows) / I.shape[-1] + self.lam * X
+        self._check_dim(X)
+        G = self._sampled_gradients(X.reshape(-1, self.d), I.reshape(-1, I.shape[-1]))
+        return G.reshape(X.shape)
 
     def value_many(self, X) -> np.ndarray:
         """Full-objective values for a stack of points X (..., d)."""
-        dense = self._dense_features()
-        m = self._b * np.einsum("nd,...d->...n", dense, X)
-        return np.mean(np.logaddexp(0.0, -m), axis=-1) + 0.5 * self.lam * np.sum(
-            X * X, axis=-1
-        )
+        self._check_dim(X)
+        return self._values(X.reshape(-1, self.d)).reshape(X.shape[:-1])
 
     def gradient_many(self, X) -> np.ndarray:
         """Full gradients for a stack of points X (..., d)."""
-        dense = self._dense_features()
-        m = self._b * np.einsum("nd,...d->...n", dense, X)
-        coef = -self._b * expit(-m)
-        return np.einsum("...n,nd->...d", coef, dense) / self.n + self.lam * X
+        self._check_dim(X)
+        _, mean_part = self._full_gradient_parts(X.reshape(-1, self.d))
+        return mean_part.reshape(X.shape) + self.lam * X
 
     def second_moment_many(self, X) -> np.ndarray:
         """E_i ||grad f_i||^2 for a stack of points, exact enumeration."""
-        dense = self._dense_features()
-        m = self._b * np.einsum("nd,...d->...n", dense, X)
-        coef = -self._b * expit(-m)
-        second = np.mean(coef**2 * self._row_norms_sq, axis=-1)
-        mean_part = np.einsum("...n,nd->...d", coef, dense) / self.n
-        return (
-            second
-            + 2.0 * self.lam * np.sum(X * mean_part, axis=-1)
-            + self.lam**2 * np.sum(X * X, axis=-1)
-        )
+        self._check_dim(X)
+        return self._second_moments(X.reshape(-1, self.d)).reshape(X.shape[:-1])
 
     def variance_at(self, x) -> float:
         """Exact E_i ||grad f_i(x) - grad f(x)||^2 by enumeration."""
         self._check_dim(x)
-        m = self._margins(x)
-        coef = -self._b * expit(-m)
+        coef, mean_part = self._full_gradient_parts(x[None])
         # the lam*x part is common to every component and cancels
-        mean_part = np.asarray(self._A.T @ coef) / self.n
         second = float(np.mean(coef**2 * self._row_norms_sq))
-        return second - float(mean_part @ mean_part)
+        return second - float(mean_part[0] @ mean_part[0])
 
     def second_moment_at(self, x) -> float:
         """Exact E_i ||grad f_i(x)||^2 by enumeration."""
         self._check_dim(x)
-        m = self._margins(x)
-        coef = -self._b * expit(-m)
-        mean_part = np.asarray(self._A.T @ coef) / self.n
-        second = float(np.mean(coef**2 * self._row_norms_sq))
-        return (
-            second
-            + 2.0 * self.lam * float(x @ mean_part)
-            + self.lam**2 * float(x @ x)
-        )
+        return float(self._second_moments(x[None])[0])
 
     def curvature(self):
         """Analytic (mu, L): mu = lam, L = lam + max_i ||a_i||^2 / 4."""
         return self.lam, self.lam + float(self._row_norms_sq.max()) / 4.0
-
-    def _dense_features(self):
-        if self._dense is None:
-            if self.n * self.d > 20_000_000:
-                raise MemoryError(
-                    "dense feature cache requested for a large dataset; "
-                    "vectorized oracles are meant for small fixtures"
-                )
-            self._dense = self._A.toarray()
-        return self._dense
 
 
 class QuadraticObjective:

@@ -13,6 +13,13 @@ virtual averaged sequence (the mean of the worker iterates, which evolves
 exactly like SGD driven by the aggregate gradient), the four running
 averages of that sequence, and the mean squared deviation of workers from
 it.
+
+One time-step loop, `_simulate`, advances S seeded runs at once on
+iterates of shape (S, K, d) with one batched oracle call per step;
+`run_local_sgd` is its S=1 case and `run_local_sgd_ensemble` its S-run
+case, so a single run and the matching row of an ensemble agree bitwise.
+Indices come from `_index_stream`, which draws every worker substream in
+chunks of `_CHUNK_STEPS` steps, so memory does not grow with the horizon.
 """
 
 from __future__ import annotations
@@ -23,6 +30,9 @@ import numpy as np
 
 from .averaging import SCHEMES, RunningAverage, ShiftedQuadraticAverage
 from .schedules import SyncSchedule, TheoremDecayStep, validate_shift
+
+_CHUNK_STEPS = 1024  # steps drawn from each worker substream at a time
+_DIVERGED = 1e100    # a run whose iterates reach this magnitude has diverged
 
 
 @dataclass
@@ -57,13 +67,6 @@ class RunConfig:
         self.x0 = np.asarray(self.x0, dtype=np.float64)
 
 
-@dataclass
-class WorkerState:
-    k: int
-    x: np.ndarray
-    rng: np.random.Generator
-
-
 class RunTrace:
     """Recorded quantities of one run; arrays are indexed by step."""
 
@@ -79,7 +82,7 @@ class RunTrace:
         self.iterates = []            # (T+1) entries of (K, d) (if recorded)
         self.comm_rounds = 0
         self.output_average = None    # shift-a weighted average over t < T
-        self.final_averages = {}
+        self.final_averages = {}      # the four running averages (if f values recorded)
         self.final_iterates = None
         self.t_star = None            # set when an accuracy target stopped the run
         self.diverged = False         # iterates left the representable range
@@ -100,51 +103,139 @@ def _spawn_worker_rngs(seed, K):
             for s in np.random.SeedSequence(seed).spawn(K)]
 
 
-def init_worker_states(config, objective):
-    """All workers start at x0 with independent substreams of the seed."""
-    if config.x0.shape[-1] != objective.d:
-        raise ValueError("x0 dimension does not match the objective")
-    rngs = _spawn_worker_rngs(config.seed, config.K)
-    return [WorkerState(k=k, x=config.x0.copy(), rng=rngs[k])
-            for k in range(config.K)]
+def _index_stream(seeds, K, n, b, T):
+    """Component indices (S, K, b) for each step t < T of S seeded runs.
 
-
-def virtual_average(states) -> np.ndarray:
-    """Mean of worker iterates, summed in ascending worker order."""
-    if isinstance(states, np.ndarray):
-        if states.size == 0:
-            raise ValueError("no worker states")
-        return states.mean(axis=0)
-    if not states:
-        raise ValueError("no worker states")
-    return np.mean([s.x for s in states], axis=0)
-
-
-def step_once(states, t, config, objective):
-    """Advance every worker one local step; no averaging.
-
-    Returns (g_t, gbar_t): the aggregate sampled gradient that actually
-    drives the virtual sequence, and its exact conditional mean, the
-    aggregate full gradient at the current worker iterates.
+    Worker k of run r draws from the k-th substream spawned from seeds[r].
+    Chunked draws from a PCG64 stream equal one draw of all T steps, so
+    the indices do not depend on the chunk size.
     """
-    eta = config.steps.eta(t)
-    sampled = []
-    exact = []
-    for state in states:
-        idx = state.rng.integers(0, objective.n, size=config.b)
-        gk = objective.minibatch_gradient(state.x, idx)
-        exact.append(objective.gradient(state.x))
-        sampled.append(gk)
-        state.x = state.x - eta * gk
-    g = np.mean(sampled, axis=0)
-    gbar = np.mean(exact, axis=0)
-    return g, gbar
+    rngs = [_spawn_worker_rngs(seed, K) for seed in seeds]
+    for start in range(0, T, _CHUNK_STEPS):
+        steps = min(_CHUNK_STEPS, T - start)
+        chunk = np.empty((len(seeds), K, steps, b), dtype=np.int64)
+        for r, workers in enumerate(rngs):
+            for k, rng in enumerate(workers):
+                chunk[r, k] = rng.integers(0, n, size=(steps, b))
+        for i in range(steps):
+            yield chunk[:, :, i]
+
+
+def virtual_average(X) -> np.ndarray:
+    """Mean of worker iterates (K, d), summed in ascending worker order."""
+    X = np.asarray(X)
+    if X.size == 0:
+        raise ValueError("no worker iterates")
+    return X.mean(axis=0)
 
 
 def _eval_stride(record, T):
     if record.f_every is not None:
         return max(1, int(record.f_every))
     return max(1, -(-T // 1000))
+
+
+def _simulate(config, objective, seeds, record, *, ref_point=None,
+              track_second_moment=False, target=None, stop=False):
+    """The time-step loop behind both synchronous engines.
+
+    Advances S = len(seeds) runs of `config` together on iterates X of
+    shape (S, K, d) and records what `record` asks for, each row with a
+    leading run axis.  A run whose iterates reach |x| >= 1e100 or turn
+    non-finite is marked diverged and frozen, and a frozen run records NaN
+    from then on.  With function values on, `target` (eps, f_star) records
+    each run's first eps-accurate evaluation step, and `stop` freezes the
+    run there.  The loop ends once every run is frozen; for S=1 that is
+    the early exit of a single run.
+    """
+    if config.x0.shape[-1] != objective.d:
+        raise ValueError("x0 dimension does not match the objective")
+    if isinstance(config.steps, TheoremDecayStep):
+        mu, L = objective.curvature()
+        validate_shift(config.steps, L / mu, config.sync.H)
+
+    S, K, T = len(seeds), config.K, config.T
+    X = np.tile(config.x0, (S, K, 1))
+    stride = _eval_stride(record, T)
+    shift = config.steps.a if isinstance(config.steps, TheoremDecayStep) else 1.0
+    output_avg = ShiftedQuadraticAverage(shift)
+    # the running averages feed the function-value evaluations only
+    averages = {kind: RunningAverage(kind) for kind in SCHEMES} if record.f_values else {}
+    rows = {name: [] for name in ("xbar", "deviations", "iterates", "f_xbar",
+                                  "dist_sq", "noise_sq", "f_values")}
+    run = {"eval_steps": [], "comm_rounds": 0, "max_second_moment": 0.0,
+           "crossed": np.full(S, -1, dtype=np.int64),
+           "diverged": np.zeros(S, dtype=bool)}
+    frozen = np.zeros(S, dtype=bool)
+
+    def append(name, row):
+        row[frozen] = np.nan
+        rows[name].append(row)
+
+    def observe(t, xbar):
+        """Record step t; True once every run is frozen."""
+        for avg in averages.values():
+            avg.update(xbar, t)
+        if record.virtual:
+            append("xbar", xbar.copy())
+        if record.deviations:
+            append("deviations", np.mean(np.sum((X - xbar[:, None, :]) ** 2, axis=2), axis=1))
+        if record.iterates:
+            append("iterates", X.copy())
+        if record.f_virtual:
+            append("f_xbar", objective.value_many(xbar))
+        if ref_point is not None:
+            append("dist_sq", np.sum((xbar - ref_point) ** 2, axis=1))
+        if record.f_values and (
+            t % stride == 0 or t == T or (t >= 1 and config.sync.is_sync(t))
+        ):
+            run["eval_steps"].append(t)
+            f = objective.value_many(np.stack([averages[kind].value for kind in SCHEMES], axis=1))
+            append("f_values", f)
+            if target is not None:
+                hit = (run["crossed"] < 0) & ~frozen & (f.min(axis=1) - target[1] <= target[0])
+                run["crossed"][hit] = t
+                if stop:
+                    frozen[hit] = True
+                    return frozen.all()
+        return False
+
+    xbar = X.mean(axis=1)
+    done = observe(0, xbar)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, I in enumerate(_index_stream(seeds, K, objective.n, config.b, T)):
+            if done:
+                break
+            output_avg.update(xbar, t)
+            if track_second_moment:
+                sm = objective.second_moment_many(X)[~frozen]
+                run["max_second_moment"] = max(run["max_second_moment"], float(sm.max()))
+            eta = config.steps.eta(t)
+            G = objective.minibatch_gradient_many(X, I)
+            if record.noise_norms:
+                diff = G.mean(axis=1) - objective.gradient_many(X).mean(axis=1)
+                append("noise_sq", np.sum(diff**2, axis=1))
+            X_next = X - eta * G
+            # a run whose iterates blow up cannot recover; freeze it before
+            # the objective evaluation overflows
+            if not np.max(np.abs(X_next)) < _DIVERGED:  # NaN fails too
+                blown = ~frozen & ~np.all(np.abs(X_next) < _DIVERGED, axis=(1, 2))
+                run["diverged"] |= blown
+                frozen |= blown
+                if frozen.all():
+                    break
+            if config.sync.is_sync(t + 1):
+                X_next[:] = X_next.mean(axis=1, keepdims=True)
+                run["comm_rounds"] += 1
+            if frozen.any():
+                X_next[frozen] = X[frozen]
+            X = X_next
+            xbar = X.mean(axis=1)
+            done = observe(t + 1, xbar)
+
+    run.update(rows=rows, final_iterates=X, output_average=output_avg.value,
+               final_averages={kind: avg.value for kind, avg in averages.items()})
+    return run
 
 
 def run_local_sgd(config, objective, stop_when=None) -> RunTrace:
@@ -154,80 +245,25 @@ def run_local_sgd(config, objective, stop_when=None) -> RunTrace:
     components with replacement, one independent substream per worker.
     `stop_when`, an (eps, f_star) pair, ends the run early at the first
     function-value evaluation where some tracked average is eps-accurate;
-    the reached step is stored as trace.t_star.
+    the reached step is stored as trace.t_star.  A run that diverges ends
+    at that step with trace.diverged set and its last finite iterates.
     """
-    if config.x0.shape[-1] != objective.d:
-        raise ValueError("x0 dimension does not match the objective")
-    if isinstance(config.steps, TheoremDecayStep):
-        mu, L = objective.curvature()
-        validate_shift(config.steps, L / mu, config.sync.H)
-
-    K, T, b = config.K, config.T, config.b
-    record = config.record
-    rngs = _spawn_worker_rngs(config.seed, K)
-    X = np.tile(config.x0, (K, 1))
+    run = _simulate(config, objective, [config.seed], config.record,
+                    target=stop_when, stop=True)
     trace = RunTrace(config)
-    stride = _eval_stride(record, T)
-
-    shift = config.steps.a if isinstance(config.steps, TheoremDecayStep) else 1.0
-    output_avg = ShiftedQuadraticAverage(shift)
-    averages = {kind: RunningAverage(kind) for kind in SCHEMES}
-
-    def observe(t, xbar):
-        for kind in SCHEMES:
-            averages[kind].update(xbar, t)
-        if record.virtual:
-            trace.xbar.append(xbar)
-        if record.deviations:
-            trace.deviations.append(float(np.mean(np.sum((X - xbar) ** 2, axis=1))))
-        if record.iterates:
-            trace.iterates.append(X.copy())
-        if record.f_virtual:
-            trace.f_xbar.append(objective.value(xbar))
-        due = t % stride == 0 or t == T or (t >= 1 and config.sync.is_sync(t))
-        if record.f_values and due:
-            trace.eval_steps.append(t)
-            best = np.inf
-            for kind in SCHEMES:
-                fval = objective.value(averages[kind].value)
-                trace.f_by_scheme[kind].append(fval)
-                best = min(best, fval)
-            if stop_when is not None and best - stop_when[1] <= stop_when[0]:
-                trace.t_star = t
-                return True
-        return False
-
-    xbar = virtual_average(X)
-    hit = observe(0, xbar)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(T):
-            if hit:
-                break
-            output_avg.update(xbar, t)
-            eta = config.steps.eta(t)
-            G = np.empty_like(X)
-            for k in range(K):
-                idx = rngs[k].integers(0, objective.n, size=b)
-                G[k] = objective.minibatch_gradient(X[k], idx)
-            if record.noise_norms:
-                gbar = np.mean([objective.gradient(X[k]) for k in range(K)], axis=0)
-                diff = G.mean(axis=0) - gbar
-                trace.noise_sq.append(float(diff @ diff))
-            X -= eta * G
-            # a run whose iterates blow up cannot recover; stop before the
-            # objective evaluation overflows
-            if not np.all(np.abs(X) < 1e100):
-                trace.diverged = True
-                break
-            if config.sync.is_sync(t + 1):
-                X[:] = X.mean(axis=0)
-                trace.comm_rounds += 1
-            xbar = virtual_average(X)
-            hit = observe(t + 1, xbar)
-
-    trace.output_average = output_avg.value
-    trace.final_averages = {kind: averages[kind].value for kind in SCHEMES}
-    trace.final_iterates = X
+    for name in ("xbar", "deviations", "iterates", "f_xbar", "noise_sq"):
+        setattr(trace, name, [row[0] for row in run["rows"][name]])
+    trace.eval_steps = run["eval_steps"]
+    for j, kind in enumerate(SCHEMES):
+        trace.f_by_scheme[kind] = [row[0, j] for row in run["rows"]["f_values"]]
+    trace.comm_rounds = run["comm_rounds"]
+    if run["output_average"] is not None:
+        trace.output_average = run["output_average"][0]
+    trace.final_averages = {kind: v[0] for kind, v in run["final_averages"].items()}
+    trace.final_iterates = run["final_iterates"][0]
+    trace.diverged = bool(run["diverged"][0])
+    if run["crossed"][0] >= 0:
+        trace.t_star = int(run["crossed"][0])
     return trace.as_arrays()
 
 
@@ -284,6 +320,7 @@ class EnsembleResult:
         self.f_xbar = None           # (S, T+1)
         self.crossing_step = None    # (S,) first eps-accurate eval step, -1 if never
         self.eval_steps = None
+        self.diverged = None         # (S,) runs stopped by the divergence guard
 
 
 def run_local_sgd_ensemble(
@@ -300,95 +337,31 @@ def run_local_sgd_ensemble(
 ):
     """Run one configuration under many seeds, vectorized across runs.
 
-    Each run r uses the same substream layout as `run_local_sgd` with
-    seed=seeds[r] (per-run, per-worker spawned generators with all T draws
-    taken in one batch), so single runs agree exactly with the scalar
-    engine.  `accuracy_target` is an (eps, f_star) pair enabling the
-    crossing-time recording used by speedup measurements.
+    Run r is the `run_local_sgd` run with seed=seeds[r], advanced by the
+    same loop, so its rows agree bitwise with the single run.  A run that
+    diverges is flagged in `diverged` and reads NaN from then on, its
+    output average and f_output included.  `accuracy_target` is an
+    (eps, f_star) pair enabling the crossing-time recording used by
+    speedup measurements.
     """
-    if config.x0.shape[-1] != objective.d:
-        raise ValueError("x0 dimension does not match the objective")
-    if isinstance(config.steps, TheoremDecayStep):
-        mu, L = objective.curvature()
-        validate_shift(config.steps, L / mu, config.sync.H)
-
-    K, T, b = config.K, config.T, config.b
-    S = len(seeds)
-    n = objective.n
-
-    # Pre-draw all component indices: (S, K, T, b).  Chunked draws from a
-    # PCG64 stream equal one batched draw, which keeps runs coupled to the
-    # scalar engine.
-    idx = np.empty((S, K, T, b), dtype=np.int64)
-    for r, seed in enumerate(seeds):
-        for k, ss in enumerate(np.random.SeedSequence(seed).spawn(K)):
-            idx[r, k] = np.random.Generator(np.random.PCG64(ss)).integers(
-                0, n, size=(T, b)
-            )
-
-    X = np.tile(config.x0, (S, K, 1))
-    shift = config.steps.a if isinstance(config.steps, TheoremDecayStep) else 1.0
-    output_avg = ShiftedQuadraticAverage(shift)
-
+    record = RecordFlags(virtual=False, deviations=record_deviations,
+                         f_values=accuracy_target is not None,
+                         noise_norms=record_noise, f_virtual=record_f_xbar,
+                         f_every=config.record.f_every)
+    run = _simulate(config, objective, seeds, record, ref_point=ref_point,
+                    track_second_moment=track_second_moment,
+                    target=accuracy_target)
     result = EnsembleResult()
-    sync_lookup = config.sync
-    stride = _eval_stride(config.record, T)
-
-    averages = None
-    crossed = None
-    eval_steps = []
-    if accuracy_target is not None:
-        eps, f_star = accuracy_target
-        averages = {kind: RunningAverage(kind) for kind in SCHEMES}
-        crossed = np.full(S, -1, dtype=np.int64)
-
-    buffers = {name: [] for name in ("deviations", "dist_sq", "noise_sq", "f_xbar")}
-
-    def observe(t, xbar):
-        if record_deviations:
-            buffers["deviations"].append(np.mean(np.sum((X - xbar[:, None, :]) ** 2, axis=2), axis=1))
-        if ref_point is not None:
-            buffers["dist_sq"].append(np.sum((xbar - ref_point) ** 2, axis=1))
-        if record_f_xbar:
-            buffers["f_xbar"].append(objective.value_many(xbar))
-        if averages is not None:
-            for kind in SCHEMES:
-                averages[kind].update(xbar, t)
-            if t % stride == 0 or t == T or (t >= 1 and sync_lookup.is_sync(t)):
-                eval_steps.append(t)
-                best = np.minimum.reduce(
-                    [objective.value_many(averages[kind].value) for kind in SCHEMES]
-                )
-                hit = (crossed < 0) & (best - f_star <= eps)
-                crossed[hit] = t
-
-    xbar = X.mean(axis=1)
-    observe(0, xbar)
-    for t in range(T):
-        output_avg.update(xbar, t)
-        if track_second_moment:
-            sm = objective.second_moment_many(X)
-            result.max_second_moment = max(result.max_second_moment, float(sm.max()))
-        eta = config.steps.eta(t)
-        G = objective.minibatch_gradient_many(X, idx[:, :, t, :])
-        if record_noise:
-            gbar = objective.gradient_many(X)
-            diff = G.mean(axis=1) - gbar.mean(axis=1)
-            buffers["noise_sq"].append(np.sum(diff**2, axis=1))
-        X -= eta * G
-        if sync_lookup.is_sync(t + 1):
-            X[:] = X.mean(axis=1, keepdims=True)
-        xbar = X.mean(axis=1)
-        observe(t + 1, xbar)
-
-    result.output_average = output_avg.value
+    result.diverged = run["diverged"]
+    result.output_average = run["output_average"]
     result.f_output = objective.value_many(result.output_average)
-    for name, buf in buffers.items():
-        if buf:
-            setattr(result, name, np.asarray(buf).T)
-    if crossed is not None:
-        result.crossing_step = crossed
-        result.eval_steps = np.asarray(eval_steps)
+    result.output_average[result.diverged] = np.nan
+    result.f_output[result.diverged] = np.nan
+    result.max_second_moment = run["max_second_moment"]
+    for name in ("deviations", "dist_sq", "noise_sq", "f_xbar"):
+        if run["rows"][name]:
+            setattr(result, name, np.asarray(run["rows"][name]).T)
+    if accuracy_target is not None:
+        result.crossing_step = run["crossed"]
+        result.eval_steps = np.asarray(run["eval_steps"])
     return result
-
-

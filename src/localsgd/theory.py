@@ -51,17 +51,7 @@ def theorem1_bound(constants, K, T, H, b, a, r0) -> float:
     _check_positive(K=K, T=T, H=H, b=b)
     if r0 < 0:
         raise ValueError("r0 must be nonnegative")
-    threshold = max(16.0 * constants.kappa, float(H))
-    if not a > threshold:
-        raise ValueError(
-            f"shift a={a} violates a > max(16*kappa, H) = {threshold}"
-        )
-    S_T = sum_of_weights(a, T)
-    mu = constants.mu
-    bias = mu * a**3 * r0 / (2.0 * S_T)
-    variance = 4.0 * T * (T + 2.0 * a) * (constants.sigma_sq / b) / (mu * K * S_T)
-    drift = 256.0 * T * constants.G_sq * H**2 * constants.L / (mu**2 * S_T)
-    return bias + variance + drift
+    return _suboptimality_bound(constants, K, T, b, a, r0, 256.0, H, "H")
 
 
 def theorem2_bound(constants, K, T, H, tau, b, a, r0) -> float:
@@ -74,16 +64,24 @@ def theorem2_bound(constants, K, T, H, tau, b, a, r0) -> float:
     _check_positive(K=K, T=T, H=H, b=b)
     if r0 < 0 or tau < 0:
         raise ValueError("r0 and tau must be nonnegative")
-    threshold = max(16.0 * constants.kappa, float(H + tau))
+    return _suboptimality_bound(constants, K, T, b, a, r0, 768.0, H + tau, "H+tau")
+
+
+def _suboptimality_bound(constants, K, T, b, a, r0, drift_constant, window, window_name):
+    """Bias + variance + drift, the drift being
+    drift_constant T G^2 window^2 L / (mu^2 S_T); requires
+    a > max(16 kappa, window).
+    """
+    threshold = max(16.0 * constants.kappa, float(window))
     if not a > threshold:
         raise ValueError(
-            f"shift a={a} violates a > max(16*kappa, H+tau) = {threshold}"
+            f"shift a={a} violates a > max(16*kappa, {window_name}) = {threshold}"
         )
     S_T = sum_of_weights(a, T)
     mu = constants.mu
     bias = mu * a**3 * r0 / (2.0 * S_T)
     variance = 4.0 * T * (T + 2.0 * a) * (constants.sigma_sq / b) / (mu * K * S_T)
-    drift = 768.0 * T * constants.G_sq * (H + tau) ** 2 * constants.L / (mu**2 * S_T)
+    drift = drift_constant * T * constants.G_sq * window**2 * constants.L / (mu**2 * S_T)
     return bias + variance + drift
 
 

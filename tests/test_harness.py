@@ -206,6 +206,15 @@ def test_run_experiment_outputs(tmp_path):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
+def test_run_experiment_results_are_byte_stable(tmp_path):
+    # results.csv of this sweep as recorded before the scalar and ensemble
+    # engines were merged into one loop; it must stay byte for byte
+    config = small_config(tmp_path, svg=False)
+    run_experiment(config)
+    produced = (Path(config.out_dir) / "results.csv").read_bytes()
+    assert produced == (DATA / "quadratic_sweep_results.csv").read_bytes()
+
+
 def test_run_experiment_unreachable_rows(tmp_path):
     config = small_config(tmp_path, eps_list=[1e-9], epoch_cap=1,
                           K_list=[1], H_list=[1])

@@ -74,6 +74,14 @@ def test_extreme_margins_stay_finite():
     assert obj.value(np.array([1e4])) == pytest.approx(5e3, rel=1e-6)
 
 
+def test_non_finite_values_raise_for_single_and_stacked_points(logistic50):
+    huge = np.full(logistic50.d, 1e200)  # the ridge term overflows
+    with pytest.raises(FloatingPointError):
+        logistic50.value(huge)
+    with pytest.raises(FloatingPointError):
+        logistic50.value_many(np.stack([np.zeros(logistic50.d), huge]))
+
+
 def test_dimension_and_index_errors(logistic50):
     with pytest.raises(ValueError, match="dimension"):
         logistic50.value(np.zeros(3))

@@ -7,13 +7,11 @@ from localsgd import (
     RecordFlags,
     RunConfig,
     TheoremDecayStep,
-    init_worker_states,
     iterations_to_accuracy,
     regular_sync_schedule,
     run_local_sgd,
     run_local_sgd_ensemble,
     run_minibatch_sgd,
-    step_once,
     virtual_average,
 )
 from localsgd.sync import RunTrace
@@ -65,19 +63,10 @@ def test_two_worker_hand_example():
     assert np.all(trace.final_iterates == 0.0)
 
 
-def test_step_once_identity_and_unbiasedness(quad10):
-    obj, _, _ = quad10
-    config = quad_config(quad10, K=3, T=10, H=2, seed=5)
-    states = init_worker_states(config, obj)
-    for t in range(6):
-        before = virtual_average(states)
-        g, gbar = step_once(states, t, config, obj)
-        after = virtual_average(states)
-        drift = np.abs(after - (before - config.steps.eta(t) * g))
-        assert np.max(drift) <= 1e-12
-
+def test_sampled_gradients_are_unbiased(quad10):
     # all workers at a common point: sampled mean over many resamples
     # approaches the exact aggregate gradient (Monte-Carlo oracle)
+    obj, _, _ = quad10
     point = np.full(obj.d, 0.7)
     rng = np.random.default_rng(2024)
     samples = obj.component_gradients_at(point, rng.integers(0, obj.n, size=10_000))
@@ -213,8 +202,8 @@ def test_ensemble_matches_scalar_engine(quad10):
 
 
 def test_ensemble_matches_scalar_engine_on_logistic(logistic50):
-    # the ensemble uses the dense feature path, the scalar engine the CSR
-    # path; they agree to rounding
+    # both engines share one loop and one CSR oracle, so they agree to
+    # rounding (bitwise, as the next test checks)
     mu, L = logistic50.curvature()
     config = RunConfig(
         K=3, T=40, b=2, sync=regular_sync_schedule(40, 4),
@@ -227,6 +216,53 @@ def test_ensemble_matches_scalar_engine_on_logistic(logistic50):
     )
     assert np.allclose(ensemble.deviations[0], single.deviations, atol=1e-12)
     assert np.allclose(ensemble.output_average[0], single.output_average, atol=1e-12)
+
+
+def test_ensemble_equals_scalar_engine_on_logistic_bitwise(logistic50):
+    # both engines run the same loop on the same CSR oracle
+    mu, L = logistic50.curvature()
+    config = RunConfig(
+        K=3, T=40, b=2, sync=regular_sync_schedule(40, 4),
+        steps=TheoremDecayStep(mu=mu, a=max(16.0 * L / mu, 4.0) + 1.0),
+        seed=0, x0=np.zeros(logistic50.d),
+        record=RecordFlags(noise_norms=True, f_virtual=True, f_every=1),
+    )
+    seeds = [42, 7]
+    f_star = logistic50.value(np.zeros(logistic50.d)) - 0.05
+    ensemble = run_local_sgd_ensemble(
+        config, logistic50, seeds, record_deviations=True, record_noise=True,
+        record_f_xbar=True, accuracy_target=(0.01, f_star),
+    )
+    for r, seed in enumerate(seeds):
+        single = run_local_sgd(config.__class__(**{**config.__dict__, "seed": seed}),
+                               logistic50)
+        assert np.array_equal(ensemble.deviations[r], single.deviations)
+        assert np.array_equal(ensemble.noise_sq[r], single.noise_sq)
+        assert np.array_equal(ensemble.f_xbar[r], single.f_xbar)
+        assert np.array_equal(ensemble.output_average[r], single.output_average)
+        expected = iterations_to_accuracy(single, 0.01, f_star)
+        assert ensemble.crossing_step[r] == (-1 if expected is None else expected)
+
+
+def test_ensemble_flags_divergence_like_scalar_engine(quad10):
+    obj, _, _ = quad10
+    seeds = [3, 4, 5]
+    for c, blows_up in ((4.0, True), (1.0 / 256.0, False)):
+        config = RunConfig(
+            K=2, T=60, b=1, sync=regular_sync_schedule(60, 3),
+            steps=ConstantStep(c=c), seed=0, x0=np.zeros(obj.d),
+        )
+        ensemble = run_local_sgd_ensemble(config, obj, seeds, record_deviations=True)
+        for r, seed in enumerate(seeds):
+            single = run_local_sgd(
+                config.__class__(**{**config.__dict__, "seed": seed}), obj)
+            assert single.diverged == blows_up
+            assert bool(ensemble.diverged[r]) == single.diverged
+            # the run records what the single run recorded, then NaN
+            recorded = len(single.deviations)
+            assert np.array_equal(ensemble.deviations[r][:recorded], single.deviations)
+            assert np.all(np.isnan(ensemble.deviations[r][recorded:]))
+            assert np.isnan(ensemble.f_output[r]) == blows_up
 
 
 def test_ensemble_crossing_matches_iterations_to_accuracy(quad10):
