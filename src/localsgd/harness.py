@@ -18,6 +18,13 @@ four tracked averages is eps-accurate), and emits
     speedup.svg          optional hand-rolled line charts (one panel per
                          eps, speedup vs K, one polyline per H)
 
+The adaptive search of a cell (start at c = 1, 1/2, 2; move to the best
+point until its neighbours c/4, c/2, 2c, 4c are all measured) runs in
+rounds.  A round is one batched run, on the cell seed, of the points both
+families' searches visit next; a run leaves the batch once it is
+eps-accurate, diverges, or can no longer change its family's answer, and
+the search is replayed over the measured iteration counts.
+
 Runs are seeded and single-threaded per cell; cells are independent jobs
 executed by a worker pool bounded by the LOCALSGD_THREADS environment
 variable.  Output bytes depend only on the config.
@@ -28,6 +35,7 @@ from __future__ import annotations
 import configparser
 import csv
 import os
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import ceil, log2, sqrt
@@ -44,7 +52,7 @@ from .objectives import (
     make_quadratic,
 )
 from .schedules import ConstantStep, ExperimentDecayStep, regular_sync_schedule
-from .sync import RecordFlags, RunConfig, run_local_sgd
+from .sync import RecordFlags, RunConfig, _simulate, run_local_sgd
 from .theory import speedup
 
 RESULTS_HEADER = [
@@ -277,7 +285,7 @@ def measure_iterations(objective, f_star, K, H, b, eps, seed, step_cap,
 
     One seeded run, stopped at the first qualifying evaluation point
     (function values are checked at every synchronization index plus a
-    fixed subsampling stride).
+    fixed subsampling stride).  A run that diverges never qualifies.
     """
     sched = regular_sync_schedule(step_cap, H)
     config = RunConfig(
@@ -285,67 +293,97 @@ def measure_iterations(objective, f_star, K, H, b, eps, seed, step_cap,
         seed=seed, x0=np.zeros(objective.d),
         record=RecordFlags(virtual=False, deviations=False),
     )
-    try:
-        trace = run_local_sgd(config, objective, stop_when=(eps, f_star))
-    except FloatingPointError:
-        return None  # the objective overflowed before the divergence guard
-    return trace.t_star
+    return run_local_sgd(config, objective, stop_when=(eps, f_star)).t_star
+
+
+PENDING = "pending"  # a grid point whose run is still going
+
+
+def replay_search(lookup, i_min, i_max, now=None):
+    """The adaptive stepsize search of one family, replayed over a t* table.
+
+    `lookup` maps an exponent i in [i_min, i_max] (c = 2^i) to t*, to None
+    (never eps-accurate) or to PENDING (a run still going at step `now`,
+    so its t* exceeds `now`); an exponent not in `lookup` is unmeasured.
+    The search visits 0, -1, 1; while no visited point reaches eps it
+    visits the unvisited point nearest 0 (the negative side first);
+    otherwise it takes the visited point with the smallest (t*, i) and
+    visits its neighbours i-2, i-1, i+1, i+2, and stops once they are all
+    visited.  Returns (i, t*), (None, None) when no point in the window
+    reaches eps, the set of unmeasured points the search visits next, or
+    PENDING while a running point could still change its course: when no
+    visited point has reached eps yet, or when a running point could still
+    beat or tie the best one.  `now` is needed only with PENDING entries.
+    """
+    visited = {i for i in (0, -1, 1) if i_min <= i <= i_max}
+    while True:
+        unmeasured = {i for i in visited if i not in lookup}
+        if unmeasured:
+            return unmeasured
+        known = [i for i in visited if lookup[i] not in (None, PENDING)]
+        running = [i for i in visited if lookup[i] is PENDING]
+        if known:
+            best = min(known, key=lambda i: (lookup[i], i))
+            if any((now + 1, i) < (lookup[best], best) for i in running):
+                return PENDING
+            new = {j for j in (best - 2, best - 1, best + 1, best + 2)
+                   if i_min <= j <= i_max} - visited
+            if not new:
+                return best, lookup[best]
+            visited |= new
+        elif running:
+            return PENDING
+        else:
+            unvisited = [i for i in range(i_min, i_max + 1) if i not in visited]
+            if not unvisited:
+                return None, None
+            visited.add(min(unvisited, key=lambda i: (abs(i), i)))
+
+
+def replay_grid(tables, i_min, i_max):
+    """Winning (family, c, t*) of the search over one t* table per family.
+
+    `tables` maps each family of FAMILIES to a `replay_search` lookup.
+    Families tie-break toward smaller c and then toward the decaying
+    family.  Returns (None, None, None) when no stepsize reaches eps, and
+    PENDING while some family's answer is still open.
+    """
+    candidates = []
+    for f, family in enumerate(FAMILIES):
+        outcome = replay_search(tables[family], i_min, i_max)
+        if not isinstance(outcome, tuple):
+            return PENDING
+        i, t_star = outcome
+        if i is not None:
+            candidates.append((t_star, 2.0**i, f, family))
+    if not candidates:
+        return None, None, None
+    t_star, c, _, family = min(candidates)
+    return family, c, t_star
 
 
 def grid_search_stepsize(objective, f_star, K, H, b, eps, seed, step_cap,
                          i_min=-20, i_max=20):
     """Best stepsize family and c = 2^i for one sweep cell.
 
-    For each family, expands the grid around the incumbent until the four
-    neighbors {c/4, c/2, 2c, 4c} are all evaluated and none improves on
-    it (failing to reach the accuracy counts as worse; equal iteration
-    counts resolve toward smaller c).  Families tie-break toward smaller c
-    and then toward the decaying family.  Returns (family, c, iterations),
-    with (None, None, None) when no stepsize in the window reaches eps.
+    The adaptive search of `replay_search` per family (failing to reach
+    the accuracy counts as worse; equal counts resolve toward smaller c),
+    then the choice between families of `replay_grid`.  The search runs
+    in rounds: each round is one batch of seeded runs on the cell seed,
+    one per point that either family's search visits next, and a run
+    leaves the batch once it is eps-accurate, diverges, or can no longer
+    change its family's answer.  Returns (family, c, iterations), with
+    (None, None, None) when no stepsize in the window reaches eps.  The
+    winner is measured again from scratch as a single run and must
+    reproduce its count.
     """
-
-    def search_family(family):
-        results = {}
-
-        def measure(i):
-            if i not in results:
-                results[i] = measure_iterations(
-                    objective, f_star, K, H, b, eps, seed, step_cap, family, 2.0**i
-                )
-            return results[i]
-
-        for i in (0, -1, 1):
-            if i_min <= i <= i_max:
-                measure(i)
-        while True:
-            finite = {i: t for i, t in results.items() if t is not None}
-            if not finite:
-                untried = [i for i in range(i_min, i_max + 1) if i not in results]
-                if not untried:
-                    return None, None
-                measure(min(untried, key=lambda i: (abs(i), i)))
-                continue
-            best_i = min(finite, key=lambda i: (finite[i], i))
-            neighbors = [j for j in (best_i - 2, best_i - 1, best_i + 1, best_i + 2)
-                         if i_min <= j <= i_max]
-            pending = [j for j in neighbors if j not in results]
-            if pending:
-                for j in pending:
-                    measure(j)
-                continue
-            if all(results[j] is None or results[j] >= finite[best_i]
-                   for j in neighbors):
-                return 2.0**best_i, finite[best_i]
-            # some neighbor strictly improves; loop continues from it
-
-    candidates = []
-    for family in FAMILIES:
-        c, t_star = search_family(family)
-        if c is not None:
-            candidates.append((t_star, c, family != "decaying", family))
-    if not candidates:
+    measured = {family: {} for family in FAMILIES}
+    while points := _next_points(measured, i_min, i_max):
+        _search_round(objective, f_star, K, H, b, eps, seed, step_cap,
+                      i_min, i_max, measured, points)
+    family, c, t_star = replay_grid(measured, i_min, i_max)
+    if family is None:
         return None, None, None
-    t_star, c, _, family = min(candidates)
 
     # guard against state leakage: the winner must reproduce from scratch
     confirm = measure_iterations(objective, f_star, K, H, b, eps, seed,
@@ -355,6 +393,66 @@ def grid_search_stepsize(objective, f_star, K, H, b, eps, seed, step_cap,
             f"grid-search winner did not reproduce: {t_star} vs {confirm}"
         )
     return family, c, t_star
+
+
+def _next_points(measured, i_min, i_max):
+    """The (family, i) points both families' searches visit next."""
+    points = []
+    for family, lookup in measured.items():
+        outcome = replay_search(lookup, i_min, i_max)
+        if isinstance(outcome, set):
+            points += [(family, i) for i in sorted(outcome)]
+    return points
+
+
+def _round_tables(measured, points, crossed, frozen):
+    """`measured` plus the round's points: t*, None once stopped, else PENDING."""
+    tables = {family: dict(lookup) for family, lookup in measured.items()}
+    for r, (family, i) in enumerate(points):
+        tables[family][i] = (int(crossed[r]) if crossed[r] >= 0
+                             else None if frozen[r] else PENDING)
+    return tables
+
+
+def _still_needed(measured, points, crossed, frozen, now, i_min, i_max):
+    """Mask of the round's runs whose family's answer waits on running points.
+
+    A run that is dropped is recorded as None; that is safe because its
+    family's search no longer depends on it.
+    """
+    waiting = {family for family, lookup in _round_tables(measured, points, crossed,
+                                                          frozen).items()
+               if replay_search(lookup, i_min, i_max, now=now) is PENDING}
+    return np.array([family in waiting for family, _ in points])
+
+
+def _search_round(objective, f_star, K, H, b, eps, seed, step_cap,
+                  i_min, i_max, measured, points):
+    """Measure `points`, (family, i) pairs, as one batch into `measured`."""
+    steps = [_family_steps(family, 2.0**i, objective.n) for family, i in points]
+    config = RunConfig(
+        K=K, T=step_cap, b=b, sync=regular_sync_schedule(step_cap, H), steps=steps[0],
+        seed=seed, x0=np.zeros(objective.d),
+        record=RecordFlags(virtual=False, deviations=False),
+    )
+    # the answer changes only when a run stops, or when the step reaches
+    # t*-1 or t* of an earlier round's point (a running point can then no
+    # longer tie or beat it)
+    marks = sorted({m for lookup in measured.values() for t_star in lookup.values()
+                    if t_star is not None for m in (t_star - 1, t_star)})
+    last = {"state": None, "mask": None}
+
+    def keep(t, crossed, frozen):
+        state = (int(frozen.sum()), bisect_right(marks, t))
+        if state != last["state"]:
+            last.update(state=state, mask=_still_needed(measured, points, crossed,
+                                                        frozen, t, i_min, i_max))
+        return last["mask"]
+
+    run = _simulate(config, objective, [seed] * len(points), config.record,
+                    steps=steps, target=(eps, f_star), stop=True, keep=keep)
+    measured.update(_round_tables(measured, points, run["crossed"],
+                                  np.ones(len(points), dtype=bool)))
 
 
 @dataclass
@@ -374,9 +472,7 @@ class ResultRow:
 
     @property
     def comm_rounds(self):
-        if self.iterations is None:
-            return None
-        return len([i for i in range(self.H, self.iterations + 1) if i % self.H == 0])
+        return None if self.iterations is None else self.iterations // self.H
 
     @property
     def wallclock(self):

@@ -18,8 +18,12 @@ One time-step loop, `_simulate`, advances S seeded runs at once on
 iterates of shape (S, K, d) with one batched oracle call per step;
 `run_local_sgd` is its S=1 case and `run_local_sgd_ensemble` its S-run
 case, so a single run and the matching row of an ensemble agree bitwise.
+The stepsize grid search runs it with one schedule per run, and runs
+that stop, diverge or are no longer needed leave the stack, so they cost
+nothing afterwards.
 Indices come from `_index_stream`, which draws every worker substream in
-chunks of `_CHUNK_STEPS` steps, so memory does not grow with the horizon.
+chunks of `_CHUNK_STEPS` steps, so memory does not grow with the horizon;
+runs that share a seed share one draw.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .averaging import SCHEMES, RunningAverage, ShiftedQuadraticAverage
-from .schedules import SyncSchedule, TheoremDecayStep, validate_shift
+from .schedules import SyncSchedule, TheoremDecayStep, stepsize_vector, validate_shift
 
 _CHUNK_STEPS = 1024  # steps drawn from each worker substream at a time
 _DIVERGED = 1e100    # a run whose iterates reach this magnitude has diverged
@@ -135,18 +139,45 @@ def _eval_stride(record, T):
     return max(1, -(-T // 1000))
 
 
-def _simulate(config, objective, seeds, record, *, ref_point=None,
-              track_second_moment=False, target=None, stop=False):
-    """The time-step loop behind both synchronous engines.
+def _worker_mean(X):
+    """Mean over the worker axis of (S, K, d); a single worker is its own mean."""
+    return X[:, 0] if X.shape[1] == 1 else X.mean(axis=1)
+
+
+def _values(objective, Y):
+    """value_many of a stack (A, ..., d); a run whose value is not finite reads NaN.
+
+    A non-finite value raises for the whole stack, so on a raise each run
+    is evaluated on its own and only the failing runs read NaN.
+    """
+    try:
+        f = objective.value_many(Y)
+    except FloatingPointError:
+        if len(Y) == 1:
+            return np.full(Y.shape[:-1], np.nan)
+        return np.concatenate([_values(objective, y[None]) for y in Y])
+    return np.where(np.isfinite(f), f, np.nan)
+
+
+def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
+              track_second_moment=False, target=None, stop=False, keep=None):
+    """The time-step loop behind both synchronous engines and the grid search.
 
     Advances S = len(seeds) runs of `config` together on iterates X of
     shape (S, K, d) and records what `record` asks for, each row with a
-    leading run axis.  A run whose iterates reach |x| >= 1e100 or turn
-    non-finite is marked diverged and frozen, and a frozen run records NaN
-    from then on.  With function values on, `target` (eps, f_star) records
-    each run's first eps-accurate evaluation step, and `stop` freezes the
-    run there.  The loop ends once every run is frozen; for S=1 that is
-    the early exit of a single run.
+    leading run axis.  `steps`, one experiment-family schedule per run,
+    replaces config.steps.  A run whose iterates reach |x| >= 1e100 or
+    turn non-finite, or whose recorded function value is not finite, is
+    marked diverged and frozen.  With function values on, `target`
+    (eps, f_star) records each run's first eps-accurate evaluation step,
+    and `stop` freezes the run there.  `keep(t, crossed, frozen)`, called
+    after each evaluation at step t, returns a mask of the runs still
+    needed; the others are frozen too.  A frozen run keeps the iterates it
+    froze at as its final iterates, records NaN from then on and leaves
+    the stack, so it costs no further oracle work; its output and running
+    averages read NaN unless it is among the last runs to freeze.  The
+    loop ends once every run is frozen; for S=1 that is the early exit of
+    a single run.
     """
     if config.x0.shape[-1] != objective.d:
         raise ValueError("x0 dimension does not match the objective")
@@ -156,8 +187,19 @@ def _simulate(config, objective, seeds, record, *, ref_point=None,
 
     S, K, T = len(seeds), config.K, config.T
     X = np.tile(config.x0, (S, K, 1))
+    final_iterates = np.empty_like(X)
+    active = np.arange(S)         # the runs still in the stack, in run order
+    shared = len(set(seeds)) == 1  # one index stream serves every run
+    if steps is None:
+        eta_of = config.steps.eta
+        shift = config.steps.a if isinstance(config.steps, TheoremDecayStep) else 1.0
+    else:
+        eta_all = stepsize_vector(steps)
+        shift = 1.0
+
+        def eta_of(t):
+            return eta_all(t)[active][:, None, None]
     stride = _eval_stride(record, T)
-    shift = config.steps.a if isinstance(config.steps, TheoremDecayStep) else 1.0
     output_avg = ShiftedQuadraticAverage(shift)
     # the running averages feed the function-value evaluations only
     averages = {kind: RunningAverage(kind) for kind in SCHEMES} if record.f_values else {}
@@ -168,12 +210,31 @@ def _simulate(config, objective, seeds, record, *, ref_point=None,
            "diverged": np.zeros(S, dtype=bool)}
     frozen = np.zeros(S, dtype=bool)
 
+    def unstack(row):
+        """A row over the active runs as a row over all S runs, NaN for the others."""
+        if len(active) == S:
+            return row
+        full = np.full((S,) + row.shape[1:], np.nan)
+        full[active] = row
+        return full
+
     def append(name, row):
-        row[frozen] = np.nan
-        rows[name].append(row)
+        rows[name].append(unstack(row))
+
+    def freeze(local):
+        """Freeze the active runs `local` (a mask); True once every run is frozen."""
+        frozen[active[local]] = True
+        return frozen.all()
+
+    def values(name, Y):
+        """Record f over the stack Y (A, ..., d); a non-finite run diverges."""
+        f = _values(objective, Y)
+        append(name, f)
+        bad = np.isnan(f.reshape(len(f), -1)).any(axis=1)
+        return f, bad
 
     def observe(t, xbar):
-        """Record step t; True once every run is frozen."""
+        """Record step t; returns a mask of the active runs it froze."""
         for avg in averages.values():
             avg.update(xbar, t)
         if record.virtual:
@@ -182,59 +243,91 @@ def _simulate(config, objective, seeds, record, *, ref_point=None,
             append("deviations", np.mean(np.sum((X - xbar[:, None, :]) ** 2, axis=2), axis=1))
         if record.iterates:
             append("iterates", X.copy())
+        bad = np.zeros(len(active), dtype=bool)
         if record.f_virtual:
-            append("f_xbar", objective.value_many(xbar))
+            bad |= values("f_xbar", xbar)[1]
         if ref_point is not None:
             append("dist_sq", np.sum((xbar - ref_point) ** 2, axis=1))
+        out = bad
         if record.f_values and (
             t % stride == 0 or t == T or (t >= 1 and config.sync.is_sync(t))
         ):
             run["eval_steps"].append(t)
-            f = objective.value_many(np.stack([averages[kind].value for kind in SCHEMES], axis=1))
-            append("f_values", f)
+            f, bad_f = values("f_values", np.stack([averages[kind].value for kind in SCHEMES],
+                                                   axis=1))
+            out = bad = bad | bad_f
             if target is not None:
-                hit = (run["crossed"] < 0) & ~frozen & (f.min(axis=1) - target[1] <= target[0])
-                run["crossed"][hit] = t
+                reached = f.min(axis=1) - target[1] <= target[0]
+                hit = ~bad & (run["crossed"][active] < 0) & reached
+                run["crossed"][active[hit]] = t
                 if stop:
-                    frozen[hit] = True
-                    return frozen.all()
-        return False
+                    out = bad | hit
+            if keep is not None:
+                stopped = frozen.copy()
+                stopped[active[out]] = True
+                out = out | ~keep(t, run["crossed"], stopped)[active]
+        run["diverged"][active[bad]] = True
+        return out
 
-    xbar = X.mean(axis=1)
-    done = observe(0, xbar)
+    def shrink(X):
+        """Drop the frozen runs from the stack, X holding their final iterates.
+
+        Returns the mask of the active runs that stay.
+        """
+        nonlocal active
+        out = frozen[active]
+        final_iterates[active[out]] = X[out]
+        stay = ~out
+        active = active[stay]
+        for avg in averages.values():
+            avg.value = avg.value[stay]
+        if output_avg.weighted_sum is not None:
+            output_avg.weighted_sum = output_avg.weighted_sum[stay]
+        return stay
+
+    stream = _index_stream(seeds[:1] if shared else seeds, K, objective.n, config.b, T)
+    xbar = _worker_mean(X)
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, I in enumerate(_index_stream(seeds, K, objective.n, config.b, T)):
-            if done:
+        for t in range(T + 1):
+            newly = observe(t, xbar)
+            if newly.any():
+                if freeze(newly):
+                    break
+                stay = shrink(X)
+                X, xbar = X[stay], xbar[stay]
+            if t == T:
                 break
+            I = next(stream)
+            if len(I) != len(active):
+                I = np.repeat(I, len(active), axis=0) if shared else I[active]
             output_avg.update(xbar, t)
             if track_second_moment:
-                sm = objective.second_moment_many(X)[~frozen]
-                run["max_second_moment"] = max(run["max_second_moment"], float(sm.max()))
-            eta = config.steps.eta(t)
+                run["max_second_moment"] = max(run["max_second_moment"],
+                                               float(objective.second_moment_many(X).max()))
             G = objective.minibatch_gradient_many(X, I)
             if record.noise_norms:
                 diff = G.mean(axis=1) - objective.gradient_many(X).mean(axis=1)
                 append("noise_sq", np.sum(diff**2, axis=1))
-            X_next = X - eta * G
-            # a run whose iterates blow up cannot recover; freeze it before
-            # the objective evaluation overflows
+            X_next = X - eta_of(t) * G
+            # a run whose iterates blow up cannot recover; freeze it at its
+            # last finite iterates before the objective evaluation overflows
             if not np.max(np.abs(X_next)) < _DIVERGED:  # NaN fails too
-                blown = ~frozen & ~np.all(np.abs(X_next) < _DIVERGED, axis=(1, 2))
-                run["diverged"] |= blown
-                frozen |= blown
-                if frozen.all():
+                blown = ~np.all(np.abs(X_next) < _DIVERGED, axis=(1, 2))
+                run["diverged"][active[blown]] = True
+                if freeze(blown):
                     break
+                X_next = X_next[shrink(X)]
             if config.sync.is_sync(t + 1):
-                X_next[:] = X_next.mean(axis=1, keepdims=True)
+                if K > 1:
+                    X_next[:] = X_next.mean(axis=1, keepdims=True)
                 run["comm_rounds"] += 1
-            if frozen.any():
-                X_next[frozen] = X[frozen]
             X = X_next
-            xbar = X.mean(axis=1)
-            done = observe(t + 1, xbar)
+            xbar = _worker_mean(X)
 
-    run.update(rows=rows, final_iterates=X, output_average=output_avg.value,
-               final_averages={kind: avg.value for kind, avg in averages.items()})
+    final_iterates[active] = X
+    run.update(rows=rows, final_iterates=final_iterates,
+               output_average=None if output_avg.value is None else unstack(output_avg.value),
+               final_averages={kind: unstack(avg.value) for kind, avg in averages.items()})
     return run
 
 
@@ -354,9 +447,11 @@ def run_local_sgd_ensemble(
     result = EnsembleResult()
     result.diverged = run["diverged"]
     result.output_average = run["output_average"]
-    result.f_output = objective.value_many(result.output_average)
     result.output_average[result.diverged] = np.nan
-    result.f_output[result.diverged] = np.nan
+    result.f_output = np.full(len(seeds), np.nan)
+    if not result.diverged.all():
+        result.f_output[~result.diverged] = objective.value_many(
+            result.output_average[~result.diverged])
     result.max_second_moment = run["max_second_moment"]
     for name in ("deviations", "dist_sq", "noise_sq", "f_xbar"):
         if run["rows"][name]:

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from localsgd import make_quadratic, speedup
+from localsgd import QuadraticObjective, make_quadratic, speedup
 from localsgd.harness import (
+    FAMILIES,
+    PENDING,
     ConfigError,
     DatasetSpec,
     ExperimentConfig,
@@ -18,9 +20,14 @@ from localsgd.harness import (
     load_experiment_config,
     measure_iterations,
     reference_for,
+    replay_grid,
+    replay_search,
     run_experiment,
     verify_lemmas,
 )
+from localsgd.harness import _next_points, _round_tables, _still_needed
+from localsgd.schedules import ConstantStep, regular_sync_schedule
+from localsgd.sync import RecordFlags, RunConfig, run_local_sgd
 
 DATA = Path(__file__).parent / "data"
 
@@ -179,6 +186,255 @@ def test_grid_search_trivial_accuracy_tie_break():
     assert c == 2.0**-6  # smallest c in the window
 
 
+def sequential_search(measure, i_min, i_max):
+    """The stepsize search as it measured one grid point at a time.
+
+    `measure(family, i)` gives t* of c = 2^i or None.  Kept verbatim in
+    spirit from the one-run-per-point search as an oracle for the replay.
+    """
+
+    def search_family(family):
+        results = {}
+
+        def visit(i):
+            if i not in results:
+                results[i] = measure(family, i)
+            return results[i]
+
+        for i in (0, -1, 1):
+            if i_min <= i <= i_max:
+                visit(i)
+        while True:
+            finite = {i: t for i, t in results.items() if t is not None}
+            if not finite:
+                untried = [i for i in range(i_min, i_max + 1) if i not in results]
+                if not untried:
+                    return None, None
+                visit(min(untried, key=lambda i: (abs(i), i)))
+                continue
+            best_i = min(finite, key=lambda i: (finite[i], i))
+            neighbors = [j for j in (best_i - 2, best_i - 1, best_i + 1, best_i + 2)
+                         if i_min <= j <= i_max]
+            pending = [j for j in neighbors if j not in results]
+            if pending:
+                for j in pending:
+                    visit(j)
+                continue
+            if all(results[j] is None or results[j] >= finite[best_i]
+                   for j in neighbors):
+                return 2.0**best_i, finite[best_i]
+
+    candidates = []
+    for family in FAMILIES:
+        c, t_star = search_family(family)
+        if c is not None:
+            candidates.append((t_star, c, family != "decaying", family))
+    if not candidates:
+        return None, None, None
+    t_star, c, _, family = min(candidates)
+    return family, c, t_star
+
+
+def table_oracle(tables, i_min, i_max):
+    return sequential_search(lambda family, i: tables[family][i], i_min, i_max)
+
+
+def test_replay_keeps_the_local_minimum_of_the_search():
+    # a valley around 0 and a deeper one at 6: the search settles in the
+    # first and never looks at the second
+    window = range(-8, 9)
+    decaying = {i: 50 + 10 * abs(i) for i in window}
+    decaying.update({5: 30, 6: 5, 7: 30})
+    tables = {"decaying": decaying, "constant": {i: None for i in window}}
+    assert replay_search(decaying, -8, 8) == (0, 50)
+    assert replay_grid(tables, -8, 8) == ("decaying", 1.0, 50)
+    assert replay_grid(tables, -8, 8) == table_oracle(tables, -8, 8)
+    assert min(decaying.values()) == 5  # the global minimum is not chosen
+
+
+def test_replay_of_an_unreachable_family_scans_out_from_zero():
+    window = range(-5, 6)
+    unreachable = {i: None for i in window}
+    assert replay_search(unreachable, -5, 5) == (None, None)
+    # the only reachable point is found by the outward scan
+    one_point = {**unreachable, -5: 40}
+    tables = {"decaying": unreachable, "constant": one_point}
+    assert replay_grid(tables, -5, 5) == ("constant", 2.0**-5, 40)
+    assert replay_grid(tables, -5, 5) == table_oracle(tables, -5, 5)
+    assert replay_grid({"decaying": unreachable, "constant": unreachable}, -5, 5) \
+        == (None, None, None)
+
+
+def test_replay_breaks_ties_toward_small_c_then_decaying():
+    window = range(-4, 5)
+    flat = {i: 17 for i in window}
+    assert replay_search(flat, -4, 4) == (-4, 17)  # ties walk down to the edge
+    tables = {"decaying": dict(flat), "constant": dict(flat)}
+    assert replay_grid(tables, -4, 4) == ("decaying", 2.0**-4, 17)
+    assert replay_grid(tables, -4, 4) == table_oracle(tables, -4, 4)
+    # a smaller c wins across families at equal t*
+    tables["constant"][-4] = 17
+    tables["decaying"] = {i: 17 if i >= -1 else 30 for i in window}
+    assert replay_grid(tables, -4, 4) == table_oracle(tables, -4, 4)
+    assert replay_grid(tables, -4, 4)[0] == "constant"
+
+
+def test_replay_of_a_window_without_zero():
+    window = range(2, 9)
+    rising = {i: 10 * i + 5 for i in window}
+    assert replay_search(rising, 2, 8) == (2, 25)
+    falling = {i: 100 - 10 * i for i in window}
+    tables = {"decaying": rising, "constant": falling}
+    assert replay_grid(tables, 2, 8) == ("constant", 2.0**8, 20)
+    assert replay_grid(tables, 2, 8) == table_oracle(tables, 2, 8)
+    below = {i: 3 for i in range(-9, -2)}
+    assert replay_search(below, -9, -3) == (-9, 3)  # starts at -3, ties walk down
+    assert replay_grid({"decaying": below, "constant": below}, -9, -3) == \
+        table_oracle({"decaying": below, "constant": below}, -9, -3)
+
+
+def test_replay_asks_for_the_points_it_visits_next():
+    assert replay_search({}, -20, 20) == {-1, 0, 1}
+    assert replay_search({}, 3, 9) == {3}
+    lookup = {0: None, -1: None, 1: None}
+    assert replay_search(lookup, -20, 20) == {-2}
+    lookup[-2] = 30
+    assert replay_search(lookup, -20, 20) == {-4, -3}
+    lookup.update({-4: 20, -3: 25})
+    assert replay_search(lookup, -20, 20) == {-6, -5}
+    assert replay_grid({"decaying": lookup, "constant": {}}, -20, 20) is PENDING
+
+
+def test_replay_decides_while_other_points_are_pending():
+    window = range(-6, 7)
+    # at step 40, 0 has reached eps and the runs still going have not
+    partial = {i: PENDING for i in window}
+    partial.update({0: 40, 3: None, 4: None})
+    assert replay_search(partial, -6, 6, now=40) == (0, 40)
+    # 0 reached eps at step 40 in an earlier round; -2, still running, can
+    # tie it with a smaller c until its eval at step 40
+    earlier = {0: 40, -1: None, 1: None, -2: PENDING, 2: PENDING}
+    assert replay_search(earlier, -6, 6, now=38) is PENDING
+    assert replay_search(earlier, -6, 6, now=39) is PENDING
+    assert replay_search(earlier, -6, 6, now=40) == (0, 40)
+    # with no visited point known yet, the answer waits on them
+    waiting = {i: PENDING for i in window}
+    waiting[5] = 12
+    assert replay_search(waiting, -6, 6, now=12) is PENDING
+    waiting.update({0: None, -1: None, 1: None})
+    assert replay_search(waiting, -6, 6, now=12) is PENDING  # -2 is next, still running
+
+
+def rounds_over_table(tables, i_min, i_max, horizon):
+    """The round-by-round search over known t*, evaluating at every step."""
+    measured = {family: {} for family in FAMILIES}
+    while points := _next_points(measured, i_min, i_max):
+        truth = np.array([-1 if tables[f][i] is None else tables[f][i] for f, i in points])
+        crossed = np.full(len(points), -1)
+        frozen = np.zeros(len(points), dtype=bool)
+        for now in range(horizon + 1):
+            hit = ~frozen & (truth == now)
+            crossed[hit] = now
+            frozen |= hit
+            frozen |= ~_still_needed(measured, points, crossed, frozen, now, i_min, i_max)
+            if frozen.all():
+                break
+        measured.update(_round_tables(measured, points, crossed,
+                                      np.ones(len(points), dtype=bool)))
+    return replay_grid(measured, i_min, i_max)
+
+
+def test_replay_matches_the_sequential_search_on_random_tables():
+    # a decided replay on a partly measured table gives the answer of the
+    # full table, and the points it asks for are points the one-at-a-time
+    # search measures; the round-by-round search, which drops runs that can
+    # no longer matter, ends with the same answer
+    rng = np.random.default_rng(0)
+    for trial in range(300):
+        i_min = int(rng.integers(-8, 3))
+        i_max = i_min + int(rng.integers(0, 12))
+        window = range(i_min, i_max + 1)
+        tables = {family: {i: (None if rng.random() < 0.35 else int(rng.integers(0, 60)))
+                           for i in window} for family in FAMILIES}
+        visits = set()
+        oracle = sequential_search(
+            lambda family, i: visits.add((family, i)) or tables[family][i], i_min, i_max)
+        assert replay_grid(tables, i_min, i_max) == oracle, trial
+        assert rounds_over_table(tables, i_min, i_max, 60) == oracle, trial
+        now = int(rng.integers(0, 60))
+        for family, lookup in tables.items():
+            partial = {}
+            for i, t in lookup.items():
+                u = rng.random()
+                if u < 0.4:
+                    partial[i] = t
+                elif u < 0.7 and (t is None or t > now):
+                    partial[i] = PENDING
+            outcome = replay_search(partial, i_min, i_max, now=now)
+            if isinstance(outcome, tuple):
+                assert outcome == replay_search(lookup, i_min, i_max), trial
+            elif outcome is not PENDING:
+                assert {(family, i) for i in outcome} <= visits, trial
+
+
+def test_grid_search_freezes_only_the_diverging_points(logistic50):
+    # c up to 2^10 (a step of 32768) diverges on synth50; those points read
+    # unreachable and the cell matches the one-point-at-a-time search
+    f_star = reference_for(logistic50).f_star
+    K, H, b, eps, seed, cap = 2, 2, 1, 0.05, 9, 400
+    args = (logistic50, f_star, K, H, b, eps, seed, cap)
+    config = RunConfig(K=K, T=cap, b=b, sync=regular_sync_schedule(cap, H),
+                       steps=ConstantStep(c=2.0**10), seed=seed,
+                       x0=np.zeros(logistic50.d),
+                       record=RecordFlags(virtual=False, deviations=False))
+    assert run_local_sgd(config, logistic50, stop_when=(eps, f_star)).diverged
+    found = grid_search_stepsize(*args, i_min=-6, i_max=10)
+    assert found[0] is not None
+    expected = sequential_search(
+        lambda family, i: measure_iterations(*args, family, 2.0**i), -6, 10)
+    assert found == expected
+
+
+@pytest.mark.parametrize("K, H, eps, seed, i_min, i_max", [
+    (1, 1, 0.01, 4, -8, 4),
+    (1, 2, 0.02, 3, -20, 20),  # a decaying winner
+    (4, 8, 0.02, 2, -10, 2),
+])
+def test_grid_search_matches_the_one_point_at_a_time_search(logistic50, K, H, eps,
+                                                            seed, i_min, i_max):
+    args = (logistic50, reference_for(logistic50).f_star, K, H, 1, eps, seed, 1000)
+    expected = sequential_search(
+        lambda family, i: measure_iterations(*args, family, 2.0**i), i_min, i_max)
+    assert grid_search_stepsize(*args, i_min=i_min, i_max=i_max) == expected
+
+
+class OverflowingQuadratic(QuadraticObjective):
+    """A quadratic whose value raises past |x| = 5, as an overflow would."""
+
+    def value_many(self, X):
+        if np.max(np.abs(X)) > 5.0:
+            raise FloatingPointError("value overflowed")
+        return super().value_many(X)
+
+
+def test_a_non_finite_value_freezes_only_its_own_run():
+    base, ref, _ = make_quadratic(d=3, mu=1.0, L=2.0, n=8, noise=0.5, seed=4)
+    obj = OverflowingQuadratic(base.hess, base.B)
+    args = (obj, ref.f_star, 2, 2, 1, 0.002, 3, 300)
+    found = grid_search_stepsize(*args, i_min=-6, i_max=4)
+    expected = sequential_search(
+        lambda family, i: measure_iterations(*args, family, 2.0**i), -6, 4)
+    assert found == expected and found[0] is not None
+    # large steps leave |x| <= 5 long before 1e100: the single run is
+    # marked diverged instead of raising
+    config = RunConfig(K=2, T=300, b=1, sync=regular_sync_schedule(300, 2),
+                       steps=ConstantStep(c=2.0**4), seed=3, x0=np.zeros(3),
+                       record=RecordFlags(virtual=False, deviations=False))
+    trace = run_local_sgd(config, obj, stop_when=(0.002, ref.f_star))
+    assert trace.diverged and trace.t_star is None
+    assert np.all(np.abs(trace.final_iterates) < 1e100)
+
+
 def test_run_experiment_outputs(tmp_path):
     config = small_config(tmp_path)
     rows, code = run_experiment(config)
@@ -213,6 +469,20 @@ def test_run_experiment_results_are_byte_stable(tmp_path):
     run_experiment(config)
     produced = (Path(config.out_dir) / "results.csv").read_bytes()
     assert produced == (DATA / "quadratic_sweep_results.csv").read_bytes()
+
+
+def test_logistic_sweep_results_are_byte_stable(tmp_path):
+    # results.csv of a default-window synth50 sweep recorded with the grid
+    # search that ran one seeded run per grid point: t* of 43-290 steps,
+    # winners of both families, and diverging points at large c
+    spec = DatasetSpec(kind="libsvm", path=str(DATA / "synth50.libsvm"))
+    config = ExperimentConfig(
+        dataset=spec, eps_list=[0.005], K_list=[1, 4], H_list=[1, 8],
+        b_list=[1], seed=5, out_dir=str(tmp_path / "out"), svg=False,
+    )
+    run_experiment(config)
+    produced = (Path(config.out_dir) / "results.csv").read_bytes()
+    assert produced == (DATA / "logistic_sweep_results.csv").read_bytes()
 
 
 def test_run_experiment_unreachable_rows(tmp_path):

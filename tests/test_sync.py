@@ -14,7 +14,9 @@ from localsgd import (
     run_minibatch_sgd,
     virtual_average,
 )
-from localsgd.sync import RunTrace
+from localsgd.averaging import SCHEMES
+from localsgd.schedules import ExperimentDecayStep
+from localsgd.sync import RunTrace, _simulate
 
 
 def quad_config(quad10, K, T, H, b=1, seed=0, record=None, a_extra=0.0):
@@ -263,6 +265,38 @@ def test_ensemble_flags_divergence_like_scalar_engine(quad10):
             assert np.array_equal(ensemble.deviations[r][:recorded], single.deviations)
             assert np.all(np.isnan(ensemble.deviations[r][recorded:]))
             assert np.isnan(ensemble.f_output[r]) == blows_up
+
+
+def test_per_run_stepsizes_match_single_runs_bitwise(logistic50):
+    # one batch of runs, each with its own schedule, sheds the runs that
+    # reach eps or diverge; every row equals its single run until then
+    n, d = logistic50.n, logistic50.d
+    steps = ([ExperimentDecayStep(c=2.0**i, n=n) for i in (-6, -1, 3)]
+             + [ConstantStep(c=2.0**i) for i in (-4, -1, 9)])
+    f_star = logistic50.value(np.zeros(d)) - 0.3
+    eps = 0.05
+    config = RunConfig(K=3, T=120, b=2, sync=regular_sync_schedule(120, 4),
+                       steps=steps[0], seed=0, x0=np.zeros(d),
+                       record=RecordFlags(virtual=False, deviations=False))
+    for seeds in ([11] * len(steps), list(range(20, 20 + len(steps)))):
+        run = _simulate(config, logistic50, seeds, config.record, steps=steps,
+                        target=(eps, f_star), stop=True)
+        f_rows = np.asarray(run["rows"]["f_values"])
+        outcomes = set()
+        for r, (schedule, seed) in enumerate(zip(steps, seeds)):
+            single = run_local_sgd(
+                config.__class__(**{**config.__dict__, "steps": schedule, "seed": seed}),
+                logistic50, stop_when=(eps, f_star))
+            assert run["crossed"][r] == (-1 if single.t_star is None else single.t_star)
+            assert run["diverged"][r] == single.diverged
+            assert np.array_equal(run["final_iterates"][r], single.final_iterates)
+            evals = len(single.eval_steps)
+            for j, kind in enumerate(SCHEMES):
+                assert np.array_equal(f_rows[:evals, r, j], single.f_by_scheme[kind])
+            assert np.all(np.isnan(f_rows[evals:, r]))
+            outcomes.add("diverged" if single.diverged
+                         else "unreached" if single.t_star is None else "reached")
+        assert outcomes == {"diverged", "unreached", "reached"}
 
 
 def test_ensemble_crossing_matches_iterations_to_accuracy(quad10):
