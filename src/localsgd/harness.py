@@ -22,7 +22,7 @@ The adaptive search of a cell (start at c = 1, 1/2, 2; move to the best
 point until its neighbours c/4, c/2, 2c, 4c are all measured) runs in
 rounds.  A round is one batched run, on the cell seed, of the points both
 families' searches visit next; a run leaves the batch once it is
-eps-accurate, diverges, or can no longer change its family's answer, and
+eps-accurate, diverges, or can no longer be its family's best point, and
 the search is replayed over the measured iteration counts.
 
 Runs are seeded and single-threaded per cell; cells are independent jobs
@@ -35,7 +35,6 @@ from __future__ import annotations
 import configparser
 import csv
 import os
-from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import ceil, log2, sqrt
@@ -296,43 +295,31 @@ def measure_iterations(objective, f_star, K, H, b, eps, seed, step_cap,
     return run_local_sgd(config, objective, stop_when=(eps, f_star)).t_star
 
 
-PENDING = "pending"  # a grid point whose run is still going
-
-
-def replay_search(lookup, i_min, i_max, now=None):
+def replay_search(lookup, i_min, i_max):
     """The adaptive stepsize search of one family, replayed over a t* table.
 
-    `lookup` maps an exponent i in [i_min, i_max] (c = 2^i) to t*, to None
-    (never eps-accurate) or to PENDING (a run still going at step `now`,
-    so its t* exceeds `now`); an exponent not in `lookup` is unmeasured.
+    `lookup` maps an exponent i in [i_min, i_max] (c = 2^i) to t* or to
+    None (never eps-accurate); an exponent not in `lookup` is unmeasured.
     The search visits 0, -1, 1; while no visited point reaches eps it
     visits the unvisited point nearest 0 (the negative side first);
     otherwise it takes the visited point with the smallest (t*, i) and
     visits its neighbours i-2, i-1, i+1, i+2, and stops once they are all
     visited.  Returns (i, t*), (None, None) when no point in the window
-    reaches eps, the set of unmeasured points the search visits next, or
-    PENDING while a running point could still change its course: when no
-    visited point has reached eps yet, or when a running point could still
-    beat or tie the best one.  `now` is needed only with PENDING entries.
+    reaches eps, or the set of unmeasured points the search visits next.
     """
     visited = {i for i in (0, -1, 1) if i_min <= i <= i_max}
     while True:
-        unmeasured = {i for i in visited if i not in lookup}
+        unmeasured = visited - lookup.keys()
         if unmeasured:
             return unmeasured
-        known = [i for i in visited if lookup[i] not in (None, PENDING)]
-        running = [i for i in visited if lookup[i] is PENDING]
+        known = [i for i in visited if lookup[i] is not None]
         if known:
             best = min(known, key=lambda i: (lookup[i], i))
-            if any((now + 1, i) < (lookup[best], best) for i in running):
-                return PENDING
             new = {j for j in (best - 2, best - 1, best + 1, best + 2)
                    if i_min <= j <= i_max} - visited
             if not new:
                 return best, lookup[best]
             visited |= new
-        elif running:
-            return PENDING
         else:
             unvisited = [i for i in range(i_min, i_max + 1) if i not in visited]
             if not unvisited:
@@ -343,16 +330,16 @@ def replay_search(lookup, i_min, i_max, now=None):
 def replay_grid(tables, i_min, i_max):
     """Winning (family, c, t*) of the search over one t* table per family.
 
-    `tables` maps each family of FAMILIES to a `replay_search` lookup.
-    Families tie-break toward smaller c and then toward the decaying
-    family.  Returns (None, None, None) when no stepsize reaches eps, and
-    PENDING while some family's answer is still open.
+    `tables` maps each family of FAMILIES to a `replay_search` lookup that
+    holds every point its search visits.  Families tie-break toward
+    smaller c and then toward the decaying family.  Returns
+    (None, None, None) when no stepsize reaches eps.
     """
     candidates = []
     for f, family in enumerate(FAMILIES):
         outcome = replay_search(tables[family], i_min, i_max)
-        if not isinstance(outcome, tuple):
-            return PENDING
+        if isinstance(outcome, set):
+            raise ValueError(f"{family} table lacks the points {sorted(outcome)}")
         i, t_star = outcome
         if i is not None:
             candidates.append((t_star, 2.0**i, f, family))
@@ -372,7 +359,7 @@ def grid_search_stepsize(objective, f_star, K, H, b, eps, seed, step_cap,
     in rounds: each round is one batch of seeded runs on the cell seed,
     one per point that either family's search visits next, and a run
     leaves the batch once it is eps-accurate, diverges, or can no longer
-    change its family's answer.  Returns (family, c, iterations), with
+    be its family's best point.  Returns (family, c, iterations), with
     (None, None, None) when no stepsize in the window reaches eps.  The
     winner is measured again from scratch as a single run and must
     reproduce its count.
@@ -380,7 +367,7 @@ def grid_search_stepsize(objective, f_star, K, H, b, eps, seed, step_cap,
     measured = {family: {} for family in FAMILIES}
     while points := _next_points(measured, i_min, i_max):
         _search_round(objective, f_star, K, H, b, eps, seed, step_cap,
-                      i_min, i_max, measured, points)
+                      measured, points)
     family, c, t_star = replay_grid(measured, i_min, i_max)
     if family is None:
         return None, None, None
@@ -405,54 +392,43 @@ def _next_points(measured, i_min, i_max):
     return points
 
 
-def _round_tables(measured, points, crossed, frozen):
-    """`measured` plus the round's points: t*, None once stopped, else PENDING."""
-    tables = {family: dict(lookup) for family, lookup in measured.items()}
-    for r, (family, i) in enumerate(points):
-        tables[family][i] = (int(crossed[r]) if crossed[r] >= 0
-                             else None if frozen[r] else PENDING)
-    return tables
+def _needed(measured, points, t, crossed):
+    """Mask of a round's runs that can still be their family's best point.
 
-
-def _still_needed(measured, points, crossed, frozen, now, i_min, i_max):
-    """Mask of the round's runs whose family's answer waits on running points.
-
-    A run that is dropped is recorded as None; that is safe because its
-    family's search no longer depends on it.
+    `points` are the round's (family, i) pairs and `crossed` their t* so
+    far (-1 if none) at step t.  Every point in `measured` was visited, so
+    once some point of a family has reached eps, a point with a larger
+    (t*, i) is never the best point at any stage of that family's search,
+    and reading None for it changes nothing.  A run still going at step t
+    reaches eps at t+1 at the earliest.
     """
-    waiting = {family for family, lookup in _round_tables(measured, points, crossed,
-                                                          frozen).items()
-               if replay_search(lookup, i_min, i_max, now=now) is PENDING}
-    return np.array([family in waiting for family, _ in points])
+    best = {}
+    reached = [(family, t_star, i) for family, lookup in measured.items()
+               for i, t_star in lookup.items() if t_star is not None]
+    reached += [(family, int(crossed[r]), i)
+                for r, (family, i) in enumerate(points) if crossed[r] >= 0]
+    for family, t_star, i in reached:
+        best[family] = min(best.get(family, (t_star, i)), (t_star, i))
+    return np.array([family not in best or (t + 1, i) < best[family]
+                     for family, i in points])
 
 
-def _search_round(objective, f_star, K, H, b, eps, seed, step_cap,
-                  i_min, i_max, measured, points):
-    """Measure `points`, (family, i) pairs, as one batch into `measured`."""
+def _search_round(objective, f_star, K, H, b, eps, seed, step_cap, measured, points):
+    """Measure `points`, (family, i) pairs, as one batch into `measured`.
+
+    A run leaves the batch once `_needed` drops it and then reads None.
+    """
     steps = [_family_steps(family, 2.0**i, objective.n) for family, i in points]
     config = RunConfig(
         K=K, T=step_cap, b=b, sync=regular_sync_schedule(step_cap, H), steps=steps[0],
         seed=seed, x0=np.zeros(objective.d),
         record=RecordFlags(virtual=False, deviations=False),
     )
-    # the answer changes only when a run stops, or when the step reaches
-    # t*-1 or t* of an earlier round's point (a running point can then no
-    # longer tie or beat it)
-    marks = sorted({m for lookup in measured.values() for t_star in lookup.values()
-                    if t_star is not None for m in (t_star - 1, t_star)})
-    last = {"state": None, "mask": None}
-
-    def keep(t, crossed, frozen):
-        state = (int(frozen.sum()), bisect_right(marks, t))
-        if state != last["state"]:
-            last.update(state=state, mask=_still_needed(measured, points, crossed,
-                                                        frozen, t, i_min, i_max))
-        return last["mask"]
-
     run = _simulate(config, objective, [seed] * len(points), config.record,
-                    steps=steps, target=(eps, f_star), stop=True, keep=keep)
-    measured.update(_round_tables(measured, points, run["crossed"],
-                                  np.ones(len(points), dtype=bool)))
+                    steps=steps, target=(eps, f_star), stop=True,
+                    keep=lambda t, crossed: _needed(measured, points, t, crossed))
+    for (family, i), t_star in zip(points, run["crossed"]):
+        measured[family][i] = int(t_star) if t_star >= 0 else None
 
 
 @dataclass

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 def gap(indices) -> int:
     """Largest difference between consecutive members of a sorted set."""
@@ -131,27 +129,6 @@ StepSchedule = TheoremDecayStep | ConstantStep | ExperimentDecayStep
 def stepsize(t, schedule) -> float:
     """Stepsize eta_t of any schedule kind."""
     return schedule.eta(t)
-
-
-def stepsize_vector(schedules):
-    """eta_t of many experiment-family schedules at once: t -> (S,) array.
-
-    Each family is one vector operation that rounds exactly like its
-    scalar `eta`: 32 c for the constant family and min(cap, (c n) / (t+1))
-    for the decaying one.
-    """
-    if not all(isinstance(s, (ConstantStep, ExperimentDecayStep)) for s in schedules):
-        raise TypeError("per-run stepsizes cover the experiment families only")
-    const = np.array([isinstance(s, ConstantStep) for s in schedules])
-    scale = np.array([32.0 * s.c if isinstance(s, ConstantStep) else s.c * s.n
-                      for s in schedules])
-    cap = np.array([np.inf if isinstance(s, ConstantStep) else s.cap
-                    for s in schedules])
-
-    def eta(t):
-        return np.where(const, scale, np.minimum(cap, scale / (t + 1)))
-
-    return eta
 
 
 def validate_shift(schedule, kappa, window) -> None:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .averaging import SCHEMES, RunningAverage, ShiftedQuadraticAverage
-from .schedules import SyncSchedule, TheoremDecayStep, stepsize_vector, validate_shift
+from .schedules import SyncSchedule, TheoremDecayStep, validate_shift
 
 _CHUNK_STEPS = 1024  # steps drawn from each worker substream at a time
 _DIVERGED = 1e100    # a run whose iterates reach this magnitude has diverged
@@ -165,19 +165,19 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
 
     Advances S = len(seeds) runs of `config` together on iterates X of
     shape (S, K, d) and records what `record` asks for, each row with a
-    leading run axis.  `steps`, one experiment-family schedule per run,
-    replaces config.steps.  A run whose iterates reach |x| >= 1e100 or
+    leading run axis.  `steps`, one schedule per run, replaces the
+    stepsizes of config.steps.  A run whose iterates reach |x| >= 1e100 or
     turn non-finite, or whose recorded function value is not finite, is
     marked diverged and frozen.  With function values on, `target`
     (eps, f_star) records each run's first eps-accurate evaluation step,
-    and `stop` freezes the run there.  `keep(t, crossed, frozen)`, called
-    after each evaluation at step t, returns a mask of the runs still
-    needed; the others are frozen too.  A frozen run keeps the iterates it
-    froze at as its final iterates, records NaN from then on and leaves
-    the stack, so it costs no further oracle work; its output and running
-    averages read NaN unless it is among the last runs to freeze.  The
-    loop ends once every run is frozen; for S=1 that is the early exit of
-    a single run.
+    and `stop` freezes the run there.  `keep(t, crossed)`, called after
+    each evaluation at step t with the crossing steps (-1 if none) of all
+    S runs, returns a mask of the runs still needed; the others are frozen
+    too.  A frozen run keeps the iterates it froze at as its final
+    iterates, records NaN from then on and leaves the stack, so it costs
+    no further oracle work; its output and running averages read NaN
+    unless it is among the last runs to freeze.  The loop ends once every
+    run is frozen; for S=1 that is the early exit of a single run.
     """
     if config.x0.shape[-1] != objective.d:
         raise ValueError("x0 dimension does not match the objective")
@@ -192,13 +192,10 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
     shared = len(set(seeds)) == 1  # one index stream serves every run
     if steps is None:
         eta_of = config.steps.eta
-        shift = config.steps.a if isinstance(config.steps, TheoremDecayStep) else 1.0
     else:
-        eta_all = stepsize_vector(steps)
-        shift = 1.0
-
         def eta_of(t):
-            return eta_all(t)[active][:, None, None]
+            return np.array([steps[r].eta(t) for r in active])[:, None, None]
+    shift = config.steps.a if isinstance(config.steps, TheoremDecayStep) else 1.0
     stride = _eval_stride(record, T)
     output_avg = ShiftedQuadraticAverage(shift)
     # the running averages feed the function-value evaluations only
@@ -263,9 +260,7 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
                 if stop:
                     out = bad | hit
             if keep is not None:
-                stopped = frozen.copy()
-                stopped[active[out]] = True
-                out = out | ~keep(t, run["crossed"], stopped)[active]
+                out = out | ~keep(t, run["crossed"])[active]
         run["diverged"][active[bad]] = True
         return out
 

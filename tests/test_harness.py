@@ -10,7 +10,6 @@ import pytest
 from localsgd import QuadraticObjective, make_quadratic, speedup
 from localsgd.harness import (
     FAMILIES,
-    PENDING,
     ConfigError,
     DatasetSpec,
     ExperimentConfig,
@@ -25,9 +24,9 @@ from localsgd.harness import (
     run_experiment,
     verify_lemmas,
 )
-from localsgd.harness import _next_points, _round_tables, _still_needed
+from localsgd.harness import _family_steps, _needed, _next_points
 from localsgd.schedules import ConstantStep, regular_sync_schedule
-from localsgd.sync import RecordFlags, RunConfig, run_local_sgd
+from localsgd.sync import RecordFlags, RunConfig, _simulate, run_local_sgd
 
 DATA = Path(__file__).parent / "data"
 
@@ -302,53 +301,58 @@ def test_replay_asks_for_the_points_it_visits_next():
     assert replay_search(lookup, -20, 20) == {-4, -3}
     lookup.update({-4: 20, -3: 25})
     assert replay_search(lookup, -20, 20) == {-6, -5}
-    assert replay_grid({"decaying": lookup, "constant": {}}, -20, 20) is PENDING
-
-
-def test_replay_decides_while_other_points_are_pending():
-    window = range(-6, 7)
-    # at step 40, 0 has reached eps and the runs still going have not
-    partial = {i: PENDING for i in window}
-    partial.update({0: 40, 3: None, 4: None})
-    assert replay_search(partial, -6, 6, now=40) == (0, 40)
-    # 0 reached eps at step 40 in an earlier round; -2, still running, can
-    # tie it with a smaller c until its eval at step 40
-    earlier = {0: 40, -1: None, 1: None, -2: PENDING, 2: PENDING}
-    assert replay_search(earlier, -6, 6, now=38) is PENDING
-    assert replay_search(earlier, -6, 6, now=39) is PENDING
-    assert replay_search(earlier, -6, 6, now=40) == (0, 40)
-    # with no visited point known yet, the answer waits on them
-    waiting = {i: PENDING for i in window}
-    waiting[5] = 12
-    assert replay_search(waiting, -6, 6, now=12) is PENDING
-    waiting.update({0: None, -1: None, 1: None})
-    assert replay_search(waiting, -6, 6, now=12) is PENDING  # -2 is next, still running
+    # decided once the best point's neighbours are measured; the rest of
+    # the window stays unmeasured
+    assert replay_search({0: 40, -1: None, 1: None, -2: 50, 2: None}, -20, 20) == (0, 40)
+    with pytest.raises(ValueError, match="decaying table lacks the points \\[-6, -5\\]"):
+        replay_grid({"decaying": lookup, "constant": {}}, -20, 20)
 
 
 def rounds_over_table(tables, i_min, i_max, horizon):
-    """The round-by-round search over known t*, evaluating at every step."""
+    """The round-by-round search over known t*, evaluating at every step.
+
+    A run is dropped, and reads None, once `_needed` no longer keeps it.
+    Returns the answer and the points the rounds measured.
+    """
     measured = {family: {} for family in FAMILIES}
+    asked = []
     while points := _next_points(measured, i_min, i_max):
+        asked += points
         truth = np.array([-1 if tables[f][i] is None else tables[f][i] for f, i in points])
         crossed = np.full(len(points), -1)
         frozen = np.zeros(len(points), dtype=bool)
         for now in range(horizon + 1):
             hit = ~frozen & (truth == now)
             crossed[hit] = now
-            frozen |= hit
-            frozen |= ~_still_needed(measured, points, crossed, frozen, now, i_min, i_max)
+            frozen |= hit | ~_needed(measured, points, now, crossed)
             if frozen.all():
                 break
-        measured.update(_round_tables(measured, points, crossed,
-                                      np.ones(len(points), dtype=bool)))
-    return replay_grid(measured, i_min, i_max)
+        for (family, i), t_star in zip(points, crossed):
+            measured[family][i] = int(t_star) if t_star >= 0 else None
+    return replay_grid(measured, i_min, i_max), asked
+
+
+def test_needed_drops_runs_that_cannot_be_the_best_point():
+    points = [("decaying", -2), ("decaying", 2), ("constant", 0)]
+    earlier = {"decaying": {0: 40, -1: None, 1: None}, "constant": {}}
+    none = np.full(3, -1)
+    # -2 can still tie 0 at step 40 with a smaller c; 2 cannot
+    assert _needed(earlier, points, 38, none).tolist() == [True, True, True]
+    assert _needed(earlier, points, 39, none).tolist() == [True, False, True]
+    assert _needed(earlier, points, 40, none).tolist() == [False, False, True]
+    # once a point of the round reaches eps, its family's other runs end
+    assert _needed(earlier, points, 20, np.array([-1, 15, -1])).tolist() == \
+        [False, False, True]
+    # with nothing reached yet every run of the family is needed
+    unreached = {"decaying": {0: None}, "constant": {0: None}}
+    assert _needed(unreached, points, 10**6, none).all()
 
 
 def test_replay_matches_the_sequential_search_on_random_tables():
-    # a decided replay on a partly measured table gives the answer of the
-    # full table, and the points it asks for are points the one-at-a-time
-    # search measures; the round-by-round search, which drops runs that can
-    # no longer matter, ends with the same answer
+    # the replay of a full table and the round-by-round search both give
+    # the answer of the one-at-a-time search, and the rounds, which drop
+    # runs that can no longer be their family's best point, measure each
+    # point that search measures exactly once
     rng = np.random.default_rng(0)
     for trial in range(300):
         i_min = int(rng.integers(-8, 3))
@@ -360,21 +364,9 @@ def test_replay_matches_the_sequential_search_on_random_tables():
         oracle = sequential_search(
             lambda family, i: visits.add((family, i)) or tables[family][i], i_min, i_max)
         assert replay_grid(tables, i_min, i_max) == oracle, trial
-        assert rounds_over_table(tables, i_min, i_max, 60) == oracle, trial
-        now = int(rng.integers(0, 60))
-        for family, lookup in tables.items():
-            partial = {}
-            for i, t in lookup.items():
-                u = rng.random()
-                if u < 0.4:
-                    partial[i] = t
-                elif u < 0.7 and (t is None or t > now):
-                    partial[i] = PENDING
-            outcome = replay_search(partial, i_min, i_max, now=now)
-            if isinstance(outcome, tuple):
-                assert outcome == replay_search(lookup, i_min, i_max), trial
-            elif outcome is not PENDING:
-                assert {(family, i) for i in outcome} <= visits, trial
+        answer, asked = rounds_over_table(tables, i_min, i_max, 60)
+        assert answer == oracle, trial
+        assert sorted(asked) == sorted(visits), trial
 
 
 def test_grid_search_freezes_only_the_diverging_points(logistic50):
@@ -433,6 +425,14 @@ def test_a_non_finite_value_freezes_only_its_own_run():
     trace = run_local_sgd(config, obj, stop_when=(0.002, ref.f_star))
     assert trace.diverged and trace.t_star is None
     assert np.all(np.abs(trace.final_iterates) < 1e100)
+    # in one batch, the run whose value raises diverges and the winner goes
+    # on to its own t*
+    family, c, t_star = found
+    steps = [ConstantStep(c=2.0**4), _family_steps(family, c, obj.n)]
+    run = _simulate(config, obj, [3, 3], config.record, steps=steps,
+                    target=(0.002, ref.f_star), stop=True)
+    assert run["diverged"].tolist() == [True, False]
+    assert run["crossed"].tolist() == [-1, t_star]
 
 
 def test_run_experiment_outputs(tmp_path):

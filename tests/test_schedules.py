@@ -10,7 +10,7 @@ from localsgd import (
     regular_sync_schedule,
     stepsize,
 )
-from localsgd.schedules import stepsize_vector, validate_shift
+from localsgd.schedules import validate_shift
 
 
 def test_gap_examples():
@@ -95,15 +95,3 @@ def test_validate_shift():
         validate_shift(sched, kappa=4.0, window=65)
     # schedules without a shift pass trivially
     validate_shift(ConstantStep(c=1.0), kappa=1e9, window=10**9)
-
-
-def test_stepsize_vector_rounds_like_the_scalar_schedules():
-    schedules = [ExperimentDecayStep(c=2.0**i, n=n) for i in range(-20, 21, 3)
-                 for n in (1, 50, 49749)]
-    schedules += [ConstantStep(c=2.0**i) for i in range(-20, 21, 3)]
-    schedules += [ExperimentDecayStep(c=0.1, n=7, cap=0.3), ConstantStep(c=1.0 / 3.0)]
-    eta = stepsize_vector(schedules)
-    for t in (0, 1, 2, 7, 99, 1000, 123457):
-        assert eta(t).tolist() == [s.eta(t) for s in schedules]
-    with pytest.raises(TypeError):
-        stepsize_vector([TheoremDecayStep(mu=1.0, a=2.0)])

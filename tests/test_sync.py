@@ -297,6 +297,17 @@ def test_per_run_stepsizes_match_single_runs_bitwise(logistic50):
             outcomes.add("diverged" if single.diverged
                          else "unreached" if single.t_star is None else "reached")
         assert outcomes == {"diverged", "unreached", "reached"}
+    # a run that `keep` drops at the first evaluation leaves the batch at
+    # x0; the runs after it in the stack are unchanged
+    full = _simulate(config, logistic50, seeds, config.record, steps=steps,
+                     target=(eps, f_star), stop=True)
+    kept = _simulate(config, logistic50, seeds, config.record, steps=steps,
+                     target=(eps, f_star), stop=True,
+                     keep=lambda t, crossed: np.arange(len(steps)) > 0)
+    assert kept["crossed"][0] == -1 and not kept["diverged"][0]
+    assert np.array_equal(kept["final_iterates"][0], np.zeros((3, d)))
+    for name in ("crossed", "diverged", "final_iterates"):
+        assert np.array_equal(kept[name][1:], full[name][1:])
 
 
 def test_ensemble_crossing_matches_iterations_to_accuracy(quad10):
