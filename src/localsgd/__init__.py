@@ -52,7 +52,6 @@ from .schedules import (
     TheoremDecayStep,
     gap,
     regular_sync_schedule,
-    stepsize,
 )
 from .sync import (
     RecordFlags,

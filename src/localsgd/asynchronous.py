@@ -12,12 +12,15 @@ delay model:
 * random-bounded(tau): each write draws a lag uniformly from {0, ..., tau}.
 
 A sequence always sees its own writes immediately.  The simulation runs on
-a logical step clock with writes serialized before reads at each step, so
-runs are reproducible and the realized visibility sets are recorded in a
-WriteLog for post-hoc verification.  Heterogeneous worker speeds are
-modeled by assigning H-step blocks of the sequences to physical workers
-(`load_balanced_assignment`) and replaying the resulting wall-clock order
-through the same engine.
+a logical step clock with writes serialized before reads at each step.
+Which writes a read sees depends on the schedules, the delay model and
+the wall times, never on the run seed, so `write_plan` records every
+write and read of a configuration once, in a WriteLog that also serves
+post-hoc verification, and the runs replay it on the synchronous
+time-step loop (`sync._simulate`), many seeds at once.  Heterogeneous
+worker speeds are modeled by assigning H-step blocks of the sequences to
+physical workers (`load_balanced_assignment`) and replaying the resulting
+wall-clock order through the same engine.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schedules import TheoremDecayStep, gap, regular_sync_schedule, validate_shift
-from .sync import _index_stream
+from .schedules import TheoremDecayStep, validate_shift
+from .sync import EnsembleResult, RecordFlags, _simulate
 
 
 @dataclass(frozen=True)
@@ -57,23 +60,38 @@ class WriteEvent:
     start_step: int
     wall: float
     lag: int
-    delta: np.ndarray
 
     @property
     def visible_wall(self) -> float:
         return self.wall + self.lag
 
 
-@dataclass
 class ReadEvent:
-    worker: int
-    step: int
-    wall: float
-    visible_ids: tuple
+    """A read by `worker` at `step` (wall instant `wall`) of the aggregate.
+
+    It sees the first `settled` writes and, of the later ones, those given
+    as `visible_ids` (kept as `pending`), so it holds only the writes still
+    in flight; the `visible_ids` property lists every write it sees.
+    """
+
+    def __init__(self, worker, step, wall, visible_ids, settled=0):
+        self.worker = worker
+        self.step = step
+        self.wall = wall
+        self.settled = settled
+        self.pending = tuple(visible_ids)
+
+    @property
+    def visible_ids(self) -> tuple:
+        """Ids of every write the read sees, ascending."""
+        return tuple(range(self.settled)) + self.pending
 
 
 class WriteLog:
-    """Every write and read of a run, with realized visibility."""
+    """Every write and read of a run, with realized visibility.
+
+    Write ids are positions in `writes`, which is in step order.
+    """
 
     def __init__(self):
         self.writes = []
@@ -85,7 +103,8 @@ class WriteLog:
         Evaluates the same visibility rule the engine used; update index j
         labels the local step whose gradient produced the update.
         """
-        wall = self._read_wall(k, t)
+        wall = next((r.wall for r in self.reads if r.worker == k and r.step == t),
+                    float(t))
         out = set()
         for w in self.writes:
             if w.worker != h or w.step > t:
@@ -94,51 +113,134 @@ class WriteLog:
                 out.update(range(w.start_step, w.step))
         return out
 
-    def _read_wall(self, k, t):
-        for r in self.reads:
-            if r.worker == k and r.step == t:
-                return r.wall
-        return float(t)
-
 
 def measured_delay(log: WriteLog) -> int:
     """Smallest tau' such that every write is visible to all reads tau'
     or more steps after it was issued.
 
-    Scans every (read, earlier write by another worker) pair; a write at
-    step s unseen by a read at step t >= s forces tau' > t - s.  Returns 0
-    when nothing was ever stale.
+    A write by another worker at step s unseen by a read at step t >= s
+    forces tau' > t - s.  Writes are in step order, so each read looks
+    only at its writes from `settled` on, up to the first unseen one.
+    Returns 0 when nothing was ever stale.
     """
     if not log.reads:
         raise ValueError("write log has no recorded reads")
     worst = 0
-    by_id = {w.id: w for w in log.writes}
     for r in log.reads:
-        seen = set(r.visible_ids)
-        for w in by_id.values():
-            if w.worker == r.worker or w.step > r.step or w.id in seen:
-                continue
-            worst = max(worst, r.step - w.step + 1)
+        seen = set(r.pending)
+        for i in range(r.settled, len(log.writes)):
+            w = log.writes[i]
+            if w.step > r.step:
+                break
+            if w.worker != r.worker and w.id not in seen:
+                worst = max(worst, r.step - w.step + 1)
+                break
     return worst
 
 
+def write_plan(K, T, per_worker_syncs, delay, wall_times=None) -> WriteLog:
+    """Every write and read of an asynchronous run of K sequences over T steps.
+
+    At each step the sequences that synchronize there write, in sequence
+    order, then read.  A read sees its own writes and those whose lag has
+    elapsed by its wall instant (the step, or `wall_times[(k, step)]`).
+    The plan does not depend on the run seed.
+    """
+    lag_rng = np.random.default_rng(delay.seed)
+
+    def wall_of(k, step):
+        return float(step if wall_times is None else wall_times[(k, step)])
+
+    syncing = [[k for k in range(K) if per_worker_syncs[k].is_sync(t)]
+               for t in range(T + 1)]
+    # earliest wall instant of any read after step t
+    later = [np.inf] * (T + 2)
+    for t in range(T, 0, -1):
+        later[t] = min([later[t + 1]] + [wall_of(k, t) for k in syncing[t]])
+
+    log = WriteLog()
+    last = [0] * K
+    settled = 0   # every later read sees the writes before this id
+    for t in range(1, T + 1):
+        for k in syncing[t]:
+            # a zero-delay model has tau 0
+            lag = (int(lag_rng.integers(0, delay.tau + 1))
+                   if delay.kind == "random-bounded" else delay.tau)
+            log.writes.append(WriteEvent(id=len(log.writes), worker=k, step=t,
+                                         start_step=last[k], wall=wall_of(k, t), lag=lag))
+            last[k] = t
+        for k in syncing[t]:
+            wall = wall_of(k, t)
+            visible = [w.id for w in log.writes[settled:]
+                       if w.worker == k or w.visible_wall <= wall]
+            log.reads.append(ReadEvent(k, t, wall, visible, settled))
+        while (settled < len(log.writes)
+               and log.writes[settled].visible_wall <= later[t + 1]):
+            settled += 1
+    return log
+
+
+class _Replay:
+    """A write plan replayed on the run stack of `sync._simulate`.
+
+    After step t, each sequence that writes at t adds its update block
+    since its last read, X - base, to the aggregate; each that reads takes
+    x0 plus the blocks / K it sees, added in write-id order: the settled
+    sum, then its pending writes.  So no read scans the whole log.
+    """
+
+    def __init__(self, log, x0, S, K, T):
+        self.K = K
+        self.writes_at = [[] for _ in range(T + 1)]
+        self.reads_at = [[] for _ in range(T + 1)]
+        for w in log.writes:
+            self.writes_at[w.step].append(w)
+        for r in log.reads:
+            self.reads_at[r.step].append(r)
+        self.base = np.tile(x0, (S, K, 1))           # the value each sequence last read
+        self.settled_sum = np.tile(x0, (S, 1))       # x0 plus the settled blocks / K
+        self.settled = 0
+        self.blocks = {}                             # id -> block / K, unsettled writes
+        self.total = np.zeros((S, len(x0)))          # sum of every block written
+        self.rounds = np.zeros(K, dtype=np.int64)    # reads per sequence
+
+    def __call__(self, t, X):
+        for w in self.writes_at[t]:
+            block = X[:, w.worker] - self.base[:, w.worker]
+            self.total += block
+            self.blocks[w.id] = block / self.K
+        for r in self.reads_at[t]:
+            while self.settled < r.settled:
+                self.settled_sum += self.blocks.pop(self.settled)
+                self.settled += 1
+            # one sequence's aggregate telescopes to its own iterate
+            if self.K > 1:
+                value = self.settled_sum.copy()
+                for i in r.pending:
+                    value += self.blocks[i]
+                X[:, r.worker] = value
+            self.base[:, r.worker] = X[:, r.worker]
+            self.rounds[r.worker] += 1
+
+    def keep(self, stay):
+        """Keep only the runs of the stack where `stay` is True."""
+        self.base = self.base[stay]
+        self.settled_sum = self.settled_sum[stay]
+        self.total = self.total[stay]
+        self.blocks = {i: block[stay] for i, block in self.blocks.items()}
+
+
+@dataclass
 class AsyncRunTrace:
     """Recorded quantities of one asynchronous run."""
 
-    def __init__(self, K, T):
-        self.K = K
-        self.T = T
-        self.xbar = []          # virtual averaged sequence (all updates)
-        self.deviations = []
-        self.comm_rounds = np.zeros(K, dtype=np.int64)
-        self.final_iterates = None
-        self.final_aggregate = None
-        self.max_second_moment = 0.0
-
-    def as_arrays(self):
-        self.xbar = np.asarray(self.xbar)
-        self.deviations = np.asarray(self.deviations)
-        return self
+    xbar: np.ndarray             # (T+1, d) virtual averaged sequence (all updates)
+    deviations: np.ndarray       # (T+1,) mean squared distance of sequences to xbar
+    comm_rounds: np.ndarray      # (K,) reads per sequence
+    final_iterates: np.ndarray   # (K, d)
+    final_aggregate: np.ndarray  # (d,) x0 plus every update block / K
+    max_second_moment: float
+    diverged: bool               # iterates left the representable range
 
 
 def run_async_local_sgd(config, per_worker_syncs, delay, objective,
@@ -146,124 +248,67 @@ def run_async_local_sgd(config, per_worker_syncs, delay, objective,
                         track_second_moment=False):
     """Simulate asynchronous local SGD; returns (AsyncRunTrace, WriteLog).
 
-    `per_worker_syncs` gives each sequence its own synchronization index
-    set (each must contain the horizon T).  `wall_times`, when given, maps
-    (worker, sync step) to a wall-clock instant and overrides the logical
-    clock for visibility comparisons; this is how heterogeneous-speed
-    block schedules are replayed, with `declared_tau` carrying the plan's
-    staleness bound.  After the run the realized staleness is checked
-    against the declared tau and a violation aborts with a diagnostic.
-    Sequence k samples the same indices as worker k of `run_local_sgd`,
-    and each step makes one batched oracle call for all K sequences.
+    `per_worker_syncs` gives each sequence its own synchronization
+    schedule (each must end at the horizon T).  `wall_times`, when given,
+    maps (worker, sync step) to a wall-clock instant and overrides the
+    logical clock for visibility comparisons; this is how
+    heterogeneous-speed block schedules are replayed, with `declared_tau`
+    carrying the plan's staleness bound.  The realized staleness of the
+    write plan is checked against the declared tau before any gradient
+    work; a violation aborts with a diagnostic.  Sequence k samples the
+    same indices as worker k of `run_local_sgd`, and a run that diverges
+    stops there with its last finite iterates and `diverged` set.
     """
-    K, T, b = config.K, config.T, config.b
+    K, T = config.K, config.T
     if len(per_worker_syncs) != K:
         raise ValueError("need one synchronization schedule per worker")
     for k, sched in enumerate(per_worker_syncs):
-        if sched.T != T or not sched.is_sync(T):
+        if sched.T != T:
             raise ValueError(f"worker {k} schedule must end at the horizon T")
-    if config.x0.shape[-1] != objective.d:
-        raise ValueError("x0 dimension does not match the objective")
 
     tau = delay.tau if declared_tau is None else int(declared_tau)
-    H = max(gap((0,) + sched.indices) for sched in per_worker_syncs)
     if isinstance(config.steps, TheoremDecayStep):
         mu, L = objective.curvature()
-        validate_shift(config.steps, L / mu, H + tau)
+        validate_shift(config.steps, L / mu, max(s.H for s in per_worker_syncs) + tau)
 
-    lag_rng = np.random.default_rng(delay.seed)
-
-    def draw_lag():
-        if delay.kind == "zero":
-            return 0
-        if delay.kind == "fixed":
-            return delay.tau
-        return int(lag_rng.integers(0, delay.tau + 1))
-
-    def wall_of(k, step):
-        if wall_times is None:
-            return float(step)
-        return float(wall_times[(k, step)])
-
-    X = np.tile(config.x0, (K, 1))
-    base = np.tile(config.x0, (K, 1))   # value each worker last read
-    xbar = config.x0.copy()
-
-    log = WriteLog()
-    trace = AsyncRunTrace(K, T)
-    trace.xbar.append(xbar.copy())
-    trace.deviations.append(float(np.mean(np.sum((X - xbar) ** 2, axis=1))))
-
-    def read_value(k, step):
-        # K=1: the aggregate telescopes to the worker's own iterate, so
-        # return it directly instead of round-tripping through the sums.
-        if K == 1:
-            return X[0].copy(), tuple(w.id for w in log.writes)
-        wall = wall_of(k, step)
-        total = config.x0.copy()
-        visible = []
-        for w in log.writes:
-            if w.step > step:
-                continue
-            if w.worker == k or w.visible_wall <= wall:
-                total += w.delta / K
-                visible.append(w.id)
-        return total, tuple(visible)
-
-    for t, I in enumerate(_index_stream([config.seed], K, objective.n, b, T)):
-        if track_second_moment:
-            sm = float(objective.second_moment_many(X).max())
-            trace.max_second_moment = max(trace.max_second_moment, sm)
-        eta = config.steps.eta(t)
-        grads = objective.minibatch_gradient_many(X, I[0])
-        X -= eta * grads
-        xbar = xbar - eta * grads.mean(axis=0)
-
-        writers = [k for k in range(K) if per_worker_syncs[k].is_sync(t + 1)]
-        for k in writers:
-            start = _last_sync(per_worker_syncs[k], t + 1)
-            log.writes.append(
-                WriteEvent(
-                    id=len(log.writes),
-                    worker=k,
-                    step=t + 1,
-                    start_step=start,
-                    wall=wall_of(k, t + 1),
-                    lag=draw_lag(),
-                    delta=X[k] - base[k],
-                )
-            )
-        for k in writers:
-            value, visible = read_value(k, t + 1)
-            X[k] = value
-            base[k] = value.copy()
-            trace.comm_rounds[k] += 1
-            log.reads.append(
-                ReadEvent(worker=k, step=t + 1, wall=wall_of(k, t + 1), visible_ids=visible)
-            )
-
-        trace.xbar.append(xbar.copy())
-        trace.deviations.append(float(np.mean(np.sum((X - xbar) ** 2, axis=1))))
-
-    trace.final_iterates = X
-    trace.final_aggregate = config.x0 + sum(w.delta for w in log.writes) / K
+    log = write_plan(K, T, per_worker_syncs, delay, wall_times)
     realized = measured_delay(log)
     if realized > tau:
         raise RuntimeError(
             f"delay model violated its declared bound: realized staleness "
             f"{realized} > tau={tau}"
         )
-    return trace.as_arrays(), log
+    replay = _Replay(log, config.x0, 1, K, T)
+    run = _simulate(config, objective, [config.seed], RecordFlags(f_values=False),
+                    exchange=replay, track_second_moment=track_second_moment)
+    trace = AsyncRunTrace(
+        xbar=np.asarray([row[0] for row in run["rows"]["xbar"]]),
+        deviations=np.asarray([row[0] for row in run["rows"]["deviations"]]),
+        comm_rounds=replay.rounds,
+        final_iterates=run["final_iterates"][0],
+        final_aggregate=config.x0 + replay.total[0] / K,
+        max_second_moment=run["max_second_moment"],
+        diverged=bool(run["diverged"][0]),
+    )
+    return trace, log
 
 
-def _last_sync(sched, step):
-    """Largest synchronization index strictly below `step` (0 if none)."""
-    prev = 0
-    for s in sched.indices:
-        if s >= step:
-            break
-        prev = s
-    return prev
+def run_async_ensemble(config, log, objective, seeds, *, track_second_moment=False):
+    """Asynchronous runs of `config`, one per seed, all replaying one plan.
+
+    `log` comes from `write_plan`; its staleness is the caller's to check.
+    Run r agrees bitwise with `run_async_local_sgd` at seed seeds[r].
+    Returns an EnsembleResult with `deviations` (S, T+1), `diverged` and,
+    when tracked, `max_second_moment`.
+    """
+    run = _simulate(config, objective, seeds, RecordFlags(virtual=False, f_values=False),
+                    exchange=_Replay(log, config.x0, len(seeds), config.K, config.T),
+                    track_second_moment=track_second_moment)
+    result = EnsembleResult()
+    result.deviations = np.ascontiguousarray(np.asarray(run["rows"]["deviations"]).T)
+    result.diverged = run["diverged"]
+    result.max_second_moment = run["max_second_moment"]
+    return result
 
 
 @dataclass
@@ -359,10 +404,9 @@ def run_load_balanced(config, speeds, objective):
     if len(speeds) != config.K:
         raise ValueError("need one speed per logical sequence (K of them)")
     plan = load_balanced_assignment(speeds, H, n_blocks=config.T // H)
-    schedules = [regular_sync_schedule(config.T, H) for _ in range(config.K)]
     trace, log = run_async_local_sgd(
         config,
-        schedules,
+        [config.sync] * config.K,
         DelayModel(kind="zero"),
         objective,
         wall_times=plan.wall_times(),

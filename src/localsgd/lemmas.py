@@ -22,13 +22,15 @@ Checks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asynchronous import measured_delay, run_async_local_sgd
+# run_async_local_sgd stays a name of this module, where benchmarks/tracing.py wraps it
+from .asynchronous import (measured_delay, run_async_ensemble,  # noqa: F401
+                           run_async_local_sgd, write_plan)
 from .averaging import sum_of_weights
-from .schedules import TheoremDecayStep
+from .schedules import TheoremDecayStep, validate_shift
 from .sync import run_local_sgd_ensemble
 
 
@@ -343,36 +345,29 @@ def make_equality_builder(mu, A, B, C, a0=1.0, drain=1.0, slack=0.0, slack_seed=
 def check_async_deviation(config, delay, objective, constants, runs, seed=0) -> CheckReport:
     """Deviation bound under delayed writes: 12 eta_t^2 G^2 (H + tau)^2.
 
-    Runs asynchronous simulations with every sequence synchronizing on the
-    run's schedule, verifies the realized staleness never exceeds the
-    declared tau, and compares the per-step mean deviation of sequences
-    from the virtual average against the bound.  G^2 comes from held-out
-    runs of the same configuration.
+    Every sequence synchronizes on the run's schedule.  The write plan of
+    the configuration is built once and its realized staleness checked
+    against the declared tau before any run; then the held-out runs and
+    the tested runs replay it as one batch each.  The per-step mean
+    deviation of sequences from the virtual average is compared against
+    the bound; G^2 comes from the held-out runs.
     """
     H = config.sync.H
     _require_decaying(config, H + delay.tau)
-    schedules = [config.sync] * config.K
-    seeds = _run_seeds(seed, runs)
-
-    n_heldout = max(32, runs // 8)
-    G_sq = 0.0
-    for s in _run_seeds(seed + 0x5EED, n_heldout):
-        trace, _ = run_async_local_sgd(
-            replace(config, seed=s), schedules, delay, objective,
-            track_second_moment=True,
-        )
-        G_sq = max(G_sq, trace.max_second_moment)
-
-    dev = np.empty((runs, config.T + 1))
-    worst_staleness = 0
-    for r, s in enumerate(seeds):
-        trace, log = run_async_local_sgd(replace(config, seed=s), schedules, delay, objective)
-        dev[r] = trace.deviations
-        worst_staleness = max(worst_staleness, measured_delay(log))
+    mu, L = objective.curvature()
+    validate_shift(config.steps, L / mu, H + delay.tau)
+    plan = write_plan(config.K, config.T, [config.sync] * config.K, delay)
+    worst_staleness = measured_delay(plan)
     if worst_staleness > delay.tau:
         raise RuntimeError(
             f"realized staleness {worst_staleness} exceeds declared tau={delay.tau}"
         )
+
+    G_sq = run_async_ensemble(
+        config, plan, objective, _run_seeds(seed + 0x5EED, max(32, runs // 8)),
+        track_second_moment=True,
+    ).max_second_moment
+    dev = run_async_ensemble(config, plan, objective, _run_seeds(seed, runs)).deviations
 
     return _worst_step_report(
         "async-deviation", config, dev, 12.0, G_sq, H + delay.tau,

@@ -1,8 +1,9 @@
 """Synchronization index sets and stepsize schedules.
 
-A sync schedule is a sorted set of steps at which worker iterates are
-averaged; its quality is measured by the gap, the largest distance between
-consecutive indices (with 0 prepended, since all workers start aligned).
+A sync schedule lists the steps at which worker iterates are averaged,
+every H steps and at the horizon; its quality is measured by the gap, the
+largest distance between consecutive indices (with 0 prepended, since all
+workers start aligned).
 Stepsize schedules cover the decaying schedule required by the convergence
 bounds and the two families used in the experiments.
 """
@@ -27,44 +28,31 @@ def gap(indices) -> int:
 
 @dataclass(frozen=True)
 class SyncSchedule:
-    """Synchronization steps for a run of T steps.
+    """Synchronization every H steps and at the horizon: {H, 2H, ...} union {T}.
 
-    The horizon T must itself be a synchronization index, every index lies
-    in [1, T], and the gap of {0} union indices is at most H.
+    The gap of {0} union indices is H.  Membership is arithmetic, so a
+    schedule costs nothing to build at any horizon.
     """
 
     T: int
-    indices: tuple
     H: int
 
     def __post_init__(self):
-        idx = tuple(sorted(set(int(i) for i in self.indices)))
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "_lookup", frozenset(idx))
-        if self.T < 1:
-            raise ValueError("horizon must be >= 1")
-        if not idx or idx[0] < 1 or idx[-1] > self.T:
-            raise ValueError("synchronization indices must lie in [1, T]")
-        if self.T not in self._lookup:
-            raise ValueError("the horizon T must be a synchronization index")
-        if gap((0,) + idx) > self.H:
-            raise ValueError(f"schedule gap exceeds declared bound H={self.H}")
+        if self.H < 1 or self.H > self.T:
+            raise ValueError("require 1 <= H <= T")
 
     def is_sync(self, t) -> bool:
-        return t in self._lookup
+        return 0 < t <= self.T and (t % self.H == 0 or t == self.T)
 
-    def __len__(self):
-        return len(self.indices)
+    @property
+    def indices(self) -> tuple:
+        idx = tuple(range(self.H, self.T + 1, self.H))
+        return idx if idx[-1] == self.T else idx + (self.T,)
 
 
 def regular_sync_schedule(T, H) -> SyncSchedule:
     """Every H steps plus the horizon: {H, 2H, ...} union {T}."""
-    if H < 1 or H > T:
-        raise ValueError("require 1 <= H <= T")
-    idx = list(range(H, T + 1, H))
-    if idx[-1] != T:
-        idx.append(T)
-    return SyncSchedule(T=T, indices=tuple(idx), H=H)
+    return SyncSchedule(T=T, H=H)
 
 
 @dataclass(frozen=True)
@@ -124,11 +112,6 @@ class ExperimentDecayStep:
 
 
 StepSchedule = TheoremDecayStep | ConstantStep | ExperimentDecayStep
-
-
-def stepsize(t, schedule) -> float:
-    """Stepsize eta_t of any schedule kind."""
-    return schedule.eta(t)
 
 
 def validate_shift(schedule, kappa, window) -> None:

@@ -18,9 +18,9 @@ One time-step loop, `_simulate`, advances S seeded runs at once on
 iterates of shape (S, K, d) with one batched oracle call per step;
 `run_local_sgd` is its S=1 case and `run_local_sgd_ensemble` its S-run
 case, so a single run and the matching row of an ensemble agree bitwise.
-The stepsize grid search runs it with one schedule per run, and runs
-that stop, diverge or are no longer needed leave the stack, so they cost
-nothing afterwards.
+Asynchronous runs replay their write plan on it.  The stepsize grid
+search runs it with one schedule per run, and runs that stop, diverge or
+are no longer needed leave the stack, so they cost nothing afterwards.
 Indices come from `_index_stream`, which draws every worker substream in
 chunks of `_CHUNK_STEPS` steps, so memory does not grow with the horizon;
 runs that share a seed share one draw.
@@ -160,8 +160,9 @@ def _values(objective, Y):
 
 
 def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
-              track_second_moment=False, target=None, stop=False, keep=None):
-    """The time-step loop behind both synchronous engines and the grid search.
+              track_second_moment=False, target=None, stop=False, keep=None,
+              exchange=None):
+    """The time-step loop behind every engine: sync, grid search and async.
 
     Advances S = len(seeds) runs of `config` together on iterates X of
     shape (S, K, d) and records what `record` asks for, each row with a
@@ -178,10 +179,16 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
     no further oracle work; its output and running averages read NaN
     unless it is among the last runs to freeze.  The loop ends once every
     run is frozen; for S=1 that is the early exit of a single run.
+
+    At each sync index of config.sync the workers take their mean, which
+    is xbar.  `exchange`, an async write-plan replay, replaces that:
+    exchange(t, X) updates the post-step iterates (A, K, d) in place after
+    every step t, exchange.keep(mask) drops runs, and xbar is the virtual
+    sequence of all updates.  Its caller checks the shift against H + tau.
     """
     if config.x0.shape[-1] != objective.d:
         raise ValueError("x0 dimension does not match the objective")
-    if isinstance(config.steps, TheoremDecayStep):
+    if exchange is None and isinstance(config.steps, TheoremDecayStep):
         mu, L = objective.curvature()
         validate_shift(config.steps, L / mu, config.sync.H)
 
@@ -278,6 +285,8 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
             avg.value = avg.value[stay]
         if output_avg.weighted_sum is not None:
             output_avg.weighted_sum = output_avg.weighted_sum[stay]
+        if exchange is not None:
+            exchange.keep(stay)
         return stay
 
     stream = _index_stream(seeds[:1] if shared else seeds, K, objective.n, config.b, T)
@@ -303,7 +312,8 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
             if record.noise_norms:
                 diff = G.mean(axis=1) - objective.gradient_many(X).mean(axis=1)
                 append("noise_sq", np.sum(diff**2, axis=1))
-            X_next = X - eta_of(t) * G
+            eta = eta_of(t)
+            X_next = X - eta * G
             # a run whose iterates blow up cannot recover; freeze it at its
             # last finite iterates before the objective evaluation overflows
             if not np.max(np.abs(X_next)) < _DIVERGED:  # NaN fails too
@@ -311,13 +321,18 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
                 run["diverged"][active[blown]] = True
                 if freeze(blown):
                     break
-                X_next = X_next[shrink(X)]
-            if config.sync.is_sync(t + 1):
-                if K > 1:
-                    X_next[:] = X_next.mean(axis=1, keepdims=True)
-                run["comm_rounds"] += 1
+                stay = shrink(X)
+                X_next, xbar, G = X_next[stay], xbar[stay], G[stay]
+            if exchange is not None:
+                xbar = xbar - eta * G.mean(axis=1)
+                exchange(t + 1, X_next)
+            else:
+                if config.sync.is_sync(t + 1):
+                    if K > 1:
+                        X_next[:] = X_next.mean(axis=1, keepdims=True)
+                    run["comm_rounds"] += 1
+                xbar = _worker_mean(X_next)
             X = X_next
-            xbar = _worker_mean(X)
 
     final_iterates[active] = X
     run.update(rows=rows, final_iterates=final_iterates,

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from localsgd import (
+    ConstantStep,
     DelayModel,
     RecordFlags,
     RunConfig,
@@ -14,7 +17,8 @@ from localsgd import (
     run_local_sgd,
     run_load_balanced,
 )
-from localsgd.asynchronous import ReadEvent, WriteEvent
+from localsgd.asynchronous import ReadEvent, WriteEvent, run_async_ensemble, write_plan
+from localsgd.sync import _index_stream
 
 
 def async_config(quad10, K, T, H, window, seed=0, b=1):
@@ -64,13 +68,12 @@ def test_fixed_delay_staleness_bounded(quad10):
 def test_measured_delay_hand_built_log():
     # one write lands two steps late; oracle: exhaustive scan over pairs
     log = WriteLog()
-    zero = np.zeros(1)
     log.writes.append(WriteEvent(id=0, worker=0, step=2, start_step=0,
-                                 wall=2.0, lag=2, delta=zero))
+                                 wall=2.0, lag=2))
     log.writes.append(WriteEvent(id=1, worker=1, step=2, start_step=0,
-                                 wall=2.0, lag=0, delta=zero))
+                                 wall=2.0, lag=0))
     log.writes.append(WriteEvent(id=2, worker=1, step=4, start_step=2,
-                                 wall=4.0, lag=0, delta=zero))
+                                 wall=4.0, lag=0))
     log.reads.append(ReadEvent(worker=1, step=2, wall=2.0, visible_ids=(1,)))
     log.reads.append(ReadEvent(worker=0, step=2, wall=2.0, visible_ids=(0, 1)))
     log.reads.append(ReadEvent(worker=1, step=3, wall=3.0, visible_ids=(1,)))
@@ -179,3 +182,114 @@ def test_load_balanced_run_realized_delay(quad10):
     assert plan_used.bound <= 3 * H
     assert measured_delay(log) <= 3 * H
     assert np.max(np.abs(trace.final_aggregate - trace.xbar[-1])) <= 1e-10
+
+
+def full_scan_async(config, per_worker_syncs, delay, objective, wall_times=None):
+    """The asynchronous engine as one scalar step loop whose reads scan the whole log.
+
+    Every read sums x0 and the visible update blocks / K in write order.
+    Returns xbar, deviations, final iterates, final aggregate, reads per
+    worker and the visible ids of every read.
+    """
+    K, T = config.K, config.T
+    lag_rng = np.random.default_rng(delay.seed)
+
+    def wall(k, step):
+        return float(step if wall_times is None else wall_times[(k, step)])
+
+    X = np.tile(config.x0, (K, 1))
+    base, xbar = X.copy(), config.x0.copy()
+    xbars, devs = [xbar.copy()], [float(np.mean(np.sum((X - xbar) ** 2, axis=1)))]
+    writes, reads, rounds = [], [], np.zeros(K, dtype=np.int64)
+    for t, I in enumerate(_index_stream([config.seed], K, objective.n, config.b, T)):
+        eta = config.steps.eta(t)
+        grads = objective.minibatch_gradient_many(X, I[0])
+        X -= eta * grads
+        xbar = xbar - eta * grads.mean(axis=0)
+        syncing = [k for k in range(K) if per_worker_syncs[k].is_sync(t + 1)]
+        for k in syncing:
+            lag = (int(lag_rng.integers(0, delay.tau + 1))
+                   if delay.kind == "random-bounded" else delay.tau)
+            writes.append((k, wall(k, t + 1) + lag, X[k] - base[k]))
+        for k in syncing:
+            if K == 1:
+                value, visible = X[0].copy(), list(range(len(writes)))
+            else:
+                value, visible = config.x0.copy(), []
+                for i, (worker, visible_wall, block) in enumerate(writes):
+                    if worker == k or visible_wall <= wall(k, t + 1):
+                        value += block / K
+                        visible.append(i)
+            X[k] = value
+            base[k] = value.copy()
+            rounds[k] += 1
+            reads.append(tuple(visible))
+        xbars.append(xbar.copy())
+        devs.append(float(np.mean(np.sum((X - xbar) ** 2, axis=1))))
+    aggregate = config.x0 + sum(block for _, _, block in writes) / K
+    return np.asarray(xbars), np.asarray(devs), X, aggregate, rounds, reads
+
+
+@pytest.mark.parametrize("K, per_worker_H, delay, speeds", [
+    (4, (3, 3), DelayModel("zero"), None),
+    (3, (3, 6), DelayModel("fixed", tau=2), None),
+    (4, (6, 3), DelayModel("random-bounded", tau=5, seed=8), None),
+    (1, (3,), DelayModel("fixed", tau=4), None),
+    (1, (6,), DelayModel("random-bounded", tau=3, seed=2), None),
+    (2, (4, 4), DelayModel("zero"), (2.0, 1.0)),
+    (3, (4, 4), DelayModel("zero"), (3.0, 1.0, 1.5)),
+])
+def test_batched_replay_equals_single_runs_bitwise(quad10, K, per_worker_H, delay, speeds):
+    obj, _, _ = quad10
+    T = 48
+    schedules = [regular_sync_schedule(T, per_worker_H[k % len(per_worker_H)])
+                 for k in range(K)]
+    wall_times, tau = None, delay.tau
+    if speeds is not None:
+        plan = load_balanced_assignment(speeds, 4, n_blocks=T // 4)
+        wall_times, tau = plan.wall_times(), plan.bound
+    config = async_config(quad10, K=K, T=T, H=max(per_worker_H),
+                          window=max(per_worker_H) + tau, b=2)
+    seeds = [5, 6, 7, 5]
+    batch = run_async_ensemble(config, write_plan(K, T, schedules, delay, wall_times),
+                               obj, seeds, track_second_moment=True)
+    moments = []
+    for r, seed in enumerate(seeds):
+        single, log = run_async_local_sgd(replace(config, seed=seed), schedules, delay, obj,
+                                          wall_times=wall_times, declared_tau=tau,
+                                          track_second_moment=True)
+        assert np.array_equal(batch.deviations[r], single.deviations)
+        moments.append(single.max_second_moment)
+        # the settled sum plus pending writes adds in the full scan's order
+        xbar, devs, final, aggregate, rounds, reads = full_scan_async(
+            replace(config, seed=seed), schedules, delay, obj, wall_times)
+        for got, want in ((single.xbar, xbar), (single.deviations, devs),
+                          (single.final_iterates, final),
+                          (single.final_aggregate, aggregate),
+                          (single.comm_rounds, rounds)):
+            assert np.array_equal(got, want)
+        assert [read.visible_ids for read in log.reads] == reads
+    assert batch.max_second_moment == max(moments)
+    assert not batch.diverged.any()
+
+
+def test_async_run_flags_divergence_like_the_sync_engine(quad10):
+    obj, _, _ = quad10
+    # at c=0.03 the seeds diverge at different steps, so runs leave the batch
+    T, seeds = 300, [3, 4, 5, 6]
+    schedules = [regular_sync_schedule(T, 3)] * 2
+    delay = DelayModel("fixed", tau=2)
+    plan = write_plan(2, T, schedules, delay)
+    for c, blows_up in ((0.03, True), (1.0 / 256.0, False)):
+        config = RunConfig(K=2, T=T, b=1, sync=schedules[0], steps=ConstantStep(c=c),
+                           seed=0, x0=np.zeros(obj.d))
+        batch = run_async_ensemble(config, plan, obj, seeds)
+        for r, seed in enumerate(seeds):
+            single, _ = run_async_local_sgd(replace(config, seed=seed), schedules, delay, obj)
+            assert single.diverged == bool(batch.diverged[r]) == blows_up
+            assert np.all(np.abs(single.final_iterates) < 1e100)
+            # the run records what the single run recorded, then NaN
+            recorded = len(single.deviations)
+            assert (recorded < T + 1) == blows_up
+            assert np.array_equal(batch.deviations[r][:recorded], single.deviations)
+            assert np.all(np.isnan(batch.deviations[r][recorded:]))

@@ -4,11 +4,9 @@ import pytest
 from localsgd import (
     ConstantStep,
     ExperimentDecayStep,
-    SyncSchedule,
     TheoremDecayStep,
     gap,
     regular_sync_schedule,
-    stepsize,
 )
 from localsgd.schedules import validate_shift
 
@@ -51,20 +49,19 @@ def test_regular_schedule_gap_bound():
         assert gap((0,) + sched.indices) <= H
 
 
-def test_schedule_invariants_enforced():
-    with pytest.raises(ValueError, match="horizon T"):
-        SyncSchedule(T=10, indices=(3, 6), H=4)
-    with pytest.raises(ValueError, match="gap"):
-        SyncSchedule(T=10, indices=(9, 10), H=4)
-    with pytest.raises(ValueError, match="lie in"):
-        SyncSchedule(T=10, indices=(0, 10), H=10)
+def test_schedule_membership_is_its_index_set():
+    for T in range(1, 40):
+        for H in range(1, T + 1):
+            sched = regular_sync_schedule(T, H)
+            members = tuple(t for t in range(-1, T + 3) if sched.is_sync(t))
+            assert members == sched.indices
 
 
 def test_stepsize_values():
-    assert stepsize(0, TheoremDecayStep(mu=1.0, a=32.0)) == 0.125
-    assert stepsize(199, ExperimentDecayStep(c=1.0, n=100)) == 0.5
-    assert stepsize(0, ExperimentDecayStep(c=1.0, n=100)) == 32.0
-    assert stepsize(7, ConstantStep(c=0.25)) == 8.0
+    assert TheoremDecayStep(mu=1.0, a=32.0).eta(0) == 0.125
+    assert ExperimentDecayStep(c=1.0, n=100).eta(199) == 0.5
+    assert ExperimentDecayStep(c=1.0, n=100).eta(0) == 32.0
+    assert ConstantStep(c=0.25).eta(7) == 8.0
     with pytest.raises(ValueError):
         TheoremDecayStep(mu=-1.0, a=32.0)
     with pytest.raises(ValueError):
