@@ -14,8 +14,6 @@ from .averaging import (
     RunningAverage,
     ShiftedQuadraticAverage,
     sum_of_weights,
-    theorem_average,
-    update_running_average,
 )
 from .asynchronous import (
     AssignmentPlan,
@@ -26,7 +24,7 @@ from .asynchronous import (
     run_async_local_sgd,
     run_load_balanced,
 )
-from .data import Dataset, LibsvmFormatError, parse_libsvm, serialize_libsvm, sparse_dot
+from .data import Dataset, LibsvmFormatError, parse_libsvm, serialize_libsvm
 from .lemmas import (
     CheckReport,
     check_async_deviation,
@@ -40,10 +38,7 @@ from .objectives import (
     ProblemConstants,
     QuadraticObjective,
     ReferenceSolution,
-    estimate_constants,
-    logistic_value,
     make_quadratic,
-    stochastic_gradient,
 )
 from .schedules import (
     ConstantStep,
@@ -57,14 +52,11 @@ from .sync import (
     RecordFlags,
     RunConfig,
     RunTrace,
-    iterations_to_accuracy,
     run_local_sgd,
     run_local_sgd_ensemble,
     run_minibatch_sgd,
-    virtual_average,
 )
 from .theory import (
-    CostModel,
     corollary_bound,
     iterations_estimate,
     speedup,

@@ -282,8 +282,8 @@ def run_async_local_sgd(config, per_worker_syncs, delay, objective,
     run = _simulate(config, objective, [config.seed], RecordFlags(f_values=False),
                     exchange=replay, track_second_moment=track_second_moment)
     trace = AsyncRunTrace(
-        xbar=np.asarray([row[0] for row in run["rows"]["xbar"]]),
-        deviations=np.asarray([row[0] for row in run["rows"]["deviations"]]),
+        xbar=run["rows"]["xbar"][:, 0],
+        deviations=run["rows"]["deviations"][:, 0],
         comm_rounds=replay.rounds,
         final_iterates=run["final_iterates"][0],
         final_aggregate=config.x0 + replay.total[0] / K,
@@ -305,7 +305,7 @@ def run_async_ensemble(config, log, objective, seeds, *, track_second_moment=Fal
                     exchange=_Replay(log, config.x0, len(seeds), config.K, config.T),
                     track_second_moment=track_second_moment)
     result = EnsembleResult()
-    result.deviations = np.ascontiguousarray(np.asarray(run["rows"]["deviations"]).T)
+    result.deviations = np.ascontiguousarray(run["rows"]["deviations"].T)
     result.diverged = run["diverged"]
     result.max_second_moment = run["max_second_moment"]
     return result

@@ -82,12 +82,6 @@ class ShiftedQuadraticAverage:
         return self.weighted_sum / self.weight_sum
 
 
-def update_running_average(state, x, t):
-    """Functional spelling of the recursive update; returns the state."""
-    state.update(x, t)
-    return state
-
-
 def sum_of_weights(a, T) -> float:
     """Closed form of S_T = sum_{t<T} (a+t)^2.
 
@@ -100,19 +94,3 @@ def sum_of_weights(a, T) -> float:
         raise ValueError("shift must be >= 1")
     T = float(T)
     return (T / 6.0) * (2.0 * T * T + 6.0 * a * T - 3.0 * T + 6.0 * a * a - 6.0 * a + 1.0)
-
-
-def theorem_average(traces, a) -> np.ndarray:
-    """Doubly weighted output average over per-worker iterate sequences.
-
-    traces is (K, T, d) (or a list of equal-length (T, d) arrays) holding
-    x_t^k for t < T; the result is sum_{k,t} (a+t)^2 x_t^k / (K S_T), which
-    equals the shift-a running average of the per-step worker means.
-    """
-    stack = np.asarray(traces, dtype=np.float64)
-    if stack.ndim != 3:
-        raise ValueError("traces must stack to (K, T, d)")
-    K, T, _ = stack.shape
-    w = (a + np.arange(T, dtype=np.float64)) ** 2
-    total = np.einsum("t,ktd->d", w, stack)
-    return total / (K * sum_of_weights(a, T))

@@ -13,16 +13,19 @@ unreachable-accuracy rows (or an inequality check failed).
 from __future__ import annotations
 
 import argparse
+import configparser
 import sys
 
+from .data import LibsvmFormatError, parse_libsvm
 from .harness import (
     ConfigError,
     THEORY_HEADER,
-    compute_reference_fstar,
     load_experiment_config,
+    reference_for,
     run_experiment,
     verify_lemmas,
 )
+from .objectives import LogisticObjective
 from .theory import speedup
 
 
@@ -85,25 +88,29 @@ def cmd_theory(args):
         ks = _parse_num_list(args.K, int)
         hs = _parse_num_list(args.H, int)
         eps_list = _parse_num_list(args.eps, float)
+        # every row is computed, so every value checked, before any is printed
+        rows = [f"{K},{H},{eps!r},{args.rho!r},{speedup(K, H, eps, args.rho)!r}"
+                for eps in eps_list for K in ks for H in hs]
     except ValueError as exc:
-        raise ConfigError(f"bad numeric list: {exc}")
+        raise ConfigError(f"bad theory argument: {exc}")
     print(",".join(THEORY_HEADER))
-    for eps in eps_list:
-        for K in ks:
-            for H in hs:
-                print(f"{K},{H},{eps!r},{args.rho!r},{speedup(K, H, eps, args.rho)!r}")
+    for row in rows:
+        print(row)
     return 0
 
 
 def cmd_fstar(args):
-    from .data import parse_libsvm
-
+    try:
+        lam = None if args.lam == "auto" else float(args.lam)
+    except ValueError:
+        raise ConfigError(f"--lambda must be a number or auto, got {args.lam!r}")
+    if lam is not None and not lam > 0:
+        raise ConfigError("--lambda must be positive")
     with open(args.dataset, "r", encoding="utf-8") as fh:
         dataset = parse_libsvm(fh)
-    lam = None if args.lam == "auto" else float(args.lam)
-    reference = compute_reference_fstar(dataset, lam=lam, tolerance=args.tolerance)
-    effective_lam = dataset.lam if lam is None else lam
-    print(f"n={dataset.n} d={dataset.d} lambda={effective_lam!r}")
+    objective = LogisticObjective(dataset, lam=lam)
+    reference = reference_for(objective, tolerance=args.tolerance)
+    print(f"n={dataset.n} d={dataset.d} lambda={objective.lam!r}")
     print(f"fstar={reference.f_star!r}")
     return 0
 
@@ -118,10 +125,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError, LibsvmFormatError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

@@ -144,17 +144,3 @@ def serialize_libsvm(dataset: Dataset) -> str:
         feats = " ".join(f"{idx}:{value!r}" for idx, value in pairs)
         out.append(f"{head} {feats}".rstrip())
     return "\n".join(out) + "\n"
-
-
-def sparse_dot(features, x) -> float:
-    """Dot product of a sparse vector [(index, value), ...] with dense x.
-
-    Indices are 1-based; summation runs in ascending index order so the
-    result is deterministic.  Raises IndexError for indices beyond dim(x).
-    """
-    total = 0.0
-    for index, value in features:
-        if index < 1 or index > len(x):
-            raise IndexError(f"feature index {index} out of range for dim {len(x)}")
-        total += value * x[index - 1]
-    return total

@@ -61,6 +61,9 @@ RESULTS_HEADER = [
 THEORY_HEADER = ["K", "H", "eps", "rho", "speedup_model"]
 
 FAMILIES = ("decaying", "constant")
+# verify-lemmas parameters, overridden by the [lemmas] section
+LEMMA_DEFAULTS = {"runs": 1000, "trials": 4000, "K": 4, "H": 4, "T": 64, "b": 1,
+                  "tau": 2, "seed": 0}
 
 
 class ConfigError(ValueError):
@@ -187,18 +190,16 @@ def load_experiment_config(path) -> ExperimentConfig:
     if "lemmas" in parser:
         lem = parser["lemmas"]
         try:
-            config.lemmas = {
-                "runs": lem.getint("runs", 1000),
-                "trials": lem.getint("trials", 4000),
-                "K": lem.getint("K", 4),
-                "H": lem.getint("H", 4),
-                "T": lem.getint("T", 64),
-                "b": lem.getint("b", 1),
-                "tau": lem.getint("tau", 2),
-                "seed": lem.getint("seed", 0),
-            }
+            config.lemmas = {key: lem.getint(key, default)
+                             for key, default in LEMMA_DEFAULTS.items()}
         except ValueError as exc:
             raise ConfigError(f"bad value in [lemmas]: {exc}")
+        for key, low in (("runs", 2), ("trials", 100), ("K", 1), ("H", 1), ("T", 1),
+                         ("b", 1), ("tau", 0)):
+            if config.lemmas[key] < low:
+                raise ConfigError(f"lemmas.{key} must be >= {low}, got {config.lemmas[key]}")
+        if config.lemmas["H"] > config.lemmas["T"]:
+            raise ConfigError("lemmas.H must be <= lemmas.T")
     return config
 
 
@@ -228,26 +229,16 @@ def build_problem(spec: DatasetSpec):
 
 
 def reference_for(objective, tolerance=1e-8, max_iters=200_000) -> ReferenceSolution:
-    """Reference solution of any supported objective."""
+    """Reference solution (x*, f*) of any supported objective.
+
+    Analytic for quadratics.  Otherwise deterministic accelerated
+    full-batch gradient descent from zero with the strongly convex
+    momentum coefficient, run until the full gradient norm is below
+    `tolerance`.  With mu = lam the optimality gap at return is at most
+    tolerance^2 / (2 lam).
+    """
     if isinstance(objective, QuadraticObjective):
         return objective.reference_solution()
-    return _accelerated_descent(objective, tolerance, max_iters)
-
-
-def compute_reference_fstar(dataset, lam=None, tolerance=1e-8,
-                            max_iters=200_000) -> ReferenceSolution:
-    """Numerically determine (x*, f*) of the logistic objective.
-
-    Deterministic accelerated full-batch gradient descent from zero with
-    the strongly convex momentum coefficient, run until the full gradient
-    norm is below `tolerance`.  With mu = lam the optimality gap at return
-    is at most tolerance^2 / (2 lam).
-    """
-    return _accelerated_descent(LogisticObjective(dataset, lam=lam),
-                                tolerance, max_iters)
-
-
-def _accelerated_descent(objective, tolerance, max_iters) -> ReferenceSolution:
     mu, L = objective.curvature()
     if mu <= 0.0:
         raise ValueError("reference computation requires strong convexity (lam > 0)")
@@ -682,11 +673,7 @@ def verify_lemmas(config: ExperimentConfig, out_dir=None):
     )
     from .schedules import TheoremDecayStep
 
-    params = {
-        "runs": 1000, "trials": 4000, "K": 4, "H": 4, "T": 64, "b": 1,
-        "tau": 2, "seed": 0,
-    }
-    params.update(config.lemmas)
+    params = {**LEMMA_DEFAULTS, **config.lemmas}
 
     objective, reference = build_problem(config.dataset)
     mu, L = objective.curvature()

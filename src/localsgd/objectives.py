@@ -301,18 +301,6 @@ class QuadraticObjective:
         )
 
 
-def logistic_value(x, dataset: Dataset, lam) -> float:
-    """Full logistic objective value at x; stable for any margin sign."""
-    return LogisticObjective(dataset, lam=lam).value(np.asarray(x, dtype=np.float64))
-
-
-def stochastic_gradient(x, i, dataset: Dataset, lam) -> np.ndarray:
-    """Gradient of the i-th logistic component (0-based index)."""
-    return LogisticObjective(dataset, lam=lam).component_gradient(
-        np.asarray(x, dtype=np.float64), i
-    )
-
-
 def make_quadratic(d, mu, L, n, noise, seed):
     """Construct the synthetic quadratic fixture with exact constants.
 
@@ -351,40 +339,3 @@ def make_quadratic(d, mu, L, n, noise, seed):
         L=float(L), mu=float(mu), sigma_sq=float(noise) ** 2, G_sq=float(noise) ** 2
     )
     return objective, reference, constants
-
-
-def estimate_constants(objective, sample_points, trials=1, seed=0) -> ProblemConstants:
-    """Estimate (L, mu, sigma^2, G^2) for an objective over sample points.
-
-    sigma^2 and G^2 are the maxima over the points of the per-component
-    gradient variance and second moment; both are computed by exact
-    enumeration when n is small and by sampling `trials` components
-    otherwise.  L and mu come from the analytic formulas of the objective
-    family.
-    """
-    points = [np.asarray(p, dtype=np.float64) for p in sample_points]
-    if not points:
-        raise ValueError("at least one sample point is required")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-
-    exact = objective.n <= 100_000 or isinstance(objective, QuadraticObjective)
-    rng = np.random.default_rng(seed)
-
-    sigma_sq = 0.0
-    g_sq = 0.0
-    for x in points:
-        if exact:
-            var = objective.variance_at(x)
-            second = objective.second_moment_at(x)
-        else:
-            idx = rng.integers(0, objective.n, size=trials)
-            grads = objective.component_gradients_at(x, idx)
-            mean = objective.gradient(x)
-            var = float(np.mean(np.sum((grads - mean) ** 2, axis=1)))
-            second = float(np.mean(np.sum(grads**2, axis=1)))
-        sigma_sq = max(sigma_sq, var)
-        g_sq = max(g_sq, second)
-
-    mu, L = objective.curvature()
-    return ProblemConstants(L=L, mu=mu, sigma_sq=sigma_sq, G_sq=g_sq)

@@ -111,9 +111,6 @@ class ExperimentDecayStep:
         return min(self.cap, self.c * self.n / (t + 1))
 
 
-StepSchedule = TheoremDecayStep | ConstantStep | ExperimentDecayStep
-
-
 def validate_shift(schedule, kappa, window) -> None:
     """Check a > max{16 kappa, window} for a decaying schedule.
 

@@ -71,35 +71,25 @@ class RunConfig:
         self.x0 = np.asarray(self.x0, dtype=np.float64)
 
 
+@dataclass
 class RunTrace:
-    """Recorded quantities of one run; arrays are indexed by step."""
+    """Recorded quantities of one run; arrays are indexed by step.
 
-    def __init__(self, config):
-        self.K = config.K
-        self.T = config.T
-        self.eval_steps = []          # steps at which f values were recorded
-        self.f_by_scheme = {kind: [] for kind in SCHEMES}
-        self.xbar = []                # virtual average per step (if recorded)
-        self.deviations = []
-        self.noise_sq = []            # ||g_t - gbar_t||^2, one entry per step t
-        self.f_xbar = []
-        self.iterates = []            # (T+1) entries of (K, d) (if recorded)
-        self.comm_rounds = 0
-        self.output_average = None    # shift-a weighted average over t < T
-        self.final_averages = {}      # the four running averages (if f values recorded)
-        self.final_iterates = None
-        self.t_star = None            # set when an accuracy target stopped the run
-        self.diverged = False         # iterates left the representable range
+    A quantity that `config.record` leaves off reads None.
+    """
 
-    def as_arrays(self):
-        """Convert list buffers to arrays (idempotent)."""
-        for name in ("xbar", "deviations", "noise_sq", "f_xbar"):
-            setattr(self, name, np.asarray(getattr(self, name)))
-        self.eval_steps = np.asarray(self.eval_steps, dtype=np.int64)
-        self.f_by_scheme = {k: np.asarray(v) for k, v in self.f_by_scheme.items()}
-        if isinstance(self.iterates, list) and self.iterates:
-            self.iterates = np.asarray(self.iterates).transpose(1, 0, 2)
-        return self
+    xbar: np.ndarray | None          # (T+1, d) virtual average per step
+    deviations: np.ndarray | None    # (T+1,) (1/K) sum_k ||xbar_t - x_t^k||^2
+    noise_sq: np.ndarray | None      # (T,) ||g_t - gbar_t||^2
+    f_xbar: np.ndarray | None        # (T+1,) f(xbar_t)
+    iterates: np.ndarray | None      # (K, T+1, d) worker trajectories
+    eval_steps: np.ndarray           # steps at which f values were recorded
+    f_by_scheme: dict                # scheme -> f of its running average per eval step
+    comm_rounds: int
+    output_average: np.ndarray | None  # shift-a weighted average over t < T
+    final_iterates: np.ndarray       # (K, d)
+    t_star: int | None               # set when an accuracy target stopped the run
+    diverged: bool                   # iterates left the representable range
 
 
 def _spawn_worker_rngs(seed, K):
@@ -123,14 +113,6 @@ def _index_stream(seeds, K, n, b, T):
                 chunk[r, k] = rng.integers(0, n, size=(steps, b))
         for i in range(steps):
             yield chunk[:, :, i]
-
-
-def virtual_average(X) -> np.ndarray:
-    """Mean of worker iterates (K, d), summed in ascending worker order."""
-    X = np.asarray(X)
-    if X.size == 0:
-        raise ValueError("no worker iterates")
-    return X.mean(axis=0)
 
 
 def _eval_stride(record, T):
@@ -185,9 +167,14 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
     exchange(t, X) updates the post-step iterates (A, K, d) in place after
     every step t, exchange.keep(mask) drops runs, and xbar is the virtual
     sequence of all updates.  Its caller checks the shift against H + tau.
+
+    Each recorded quantity comes back in run["rows"] as one array with
+    axes (step, run, ...), None if it was not recorded.
     """
     if config.x0.shape[-1] != objective.d:
         raise ValueError("x0 dimension does not match the objective")
+    if target is not None and not target[0] > 0.0:
+        raise ValueError("target accuracy must be positive")
     if exchange is None and isinstance(config.steps, TheoremDecayStep):
         mu, L = objective.curvature()
         validate_shift(config.steps, L / mu, config.sync.H)
@@ -335,9 +322,10 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
             X = X_next
 
     final_iterates[active] = X
-    run.update(rows=rows, final_iterates=final_iterates,
-               output_average=None if output_avg.value is None else unstack(output_avg.value),
-               final_averages={kind: unstack(avg.value) for kind, avg in averages.items()})
+    run.update(rows={name: np.asarray(r) if r else None for name, r in rows.items()},
+               eval_steps=np.asarray(run["eval_steps"], dtype=np.int64),
+               final_iterates=final_iterates,
+               output_average=None if output_avg.value is None else unstack(output_avg.value))
     return run
 
 
@@ -353,21 +341,20 @@ def run_local_sgd(config, objective, stop_when=None) -> RunTrace:
     """
     run = _simulate(config, objective, [config.seed], config.record,
                     target=stop_when, stop=True)
-    trace = RunTrace(config)
-    for name in ("xbar", "deviations", "iterates", "f_xbar", "noise_sq"):
-        setattr(trace, name, [row[0] for row in run["rows"][name]])
-    trace.eval_steps = run["eval_steps"]
-    for j, kind in enumerate(SCHEMES):
-        trace.f_by_scheme[kind] = [row[0, j] for row in run["rows"]["f_values"]]
-    trace.comm_rounds = run["comm_rounds"]
-    if run["output_average"] is not None:
-        trace.output_average = run["output_average"][0]
-    trace.final_averages = {kind: v[0] for kind, v in run["final_averages"].items()}
-    trace.final_iterates = run["final_iterates"][0]
-    trace.diverged = bool(run["diverged"][0])
-    if run["crossed"][0] >= 0:
-        trace.t_star = int(run["crossed"][0])
-    return trace.as_arrays()
+    row = {name: None if r is None else r[:, 0] for name, r in run["rows"].items()}
+    f = row["f_values"]
+    return RunTrace(
+        xbar=row["xbar"], deviations=row["deviations"], noise_sq=row["noise_sq"],
+        f_xbar=row["f_xbar"],
+        iterates=None if row["iterates"] is None else row["iterates"].transpose(1, 0, 2),
+        eval_steps=run["eval_steps"],
+        f_by_scheme={} if f is None else dict(zip(SCHEMES, np.ascontiguousarray(f.T))),
+        comm_rounds=run["comm_rounds"],
+        output_average=None if run["output_average"] is None else run["output_average"][0],
+        final_iterates=run["final_iterates"][0],
+        t_star=int(run["crossed"][0]) if run["crossed"][0] >= 0 else None,
+        diverged=bool(run["diverged"][0]),
+    )
 
 
 def run_minibatch_sgd(config, objective) -> np.ndarray:
@@ -389,25 +376,6 @@ def run_minibatch_sgd(config, objective) -> np.ndarray:
         x = x - config.steps.eta(t) * objective.minibatch_gradient(x, idx)
         path.append(x.copy())
     return np.asarray(path)
-
-
-def iterations_to_accuracy(trace, eps, f_star):
-    """Earliest recorded step at which any tracked average is eps-accurate.
-
-    Scans the recorded evaluation steps in order and returns the first t
-    where min over the four schemes of f(y_t) - f_star <= eps, or None.
-    """
-    if eps <= 0.0:
-        raise ValueError("target accuracy must be positive")
-    steps = trace.eval_steps
-    if len(steps) == 0:
-        raise ValueError("trace has no recorded function values")
-    stacked = np.stack([trace.f_by_scheme[kind] for kind in SCHEMES])
-    best = stacked.min(axis=0)
-    hits = np.nonzero(best - f_star <= eps)[0]
-    if hits.size == 0:
-        return None
-    return int(steps[hits[0]])
 
 
 class EnsembleResult:
@@ -464,9 +432,9 @@ def run_local_sgd_ensemble(
             result.output_average[~result.diverged])
     result.max_second_moment = run["max_second_moment"]
     for name in ("deviations", "dist_sq", "noise_sq", "f_xbar"):
-        if run["rows"][name]:
-            setattr(result, name, np.asarray(run["rows"][name]).T)
+        if run["rows"][name] is not None:
+            setattr(result, name, run["rows"][name].T)
     if accuracy_target is not None:
         result.crossing_step = run["crossed"]
-        result.eval_steps = np.asarray(run["eval_steps"])
+        result.eval_steps = run["eval_steps"]
     return result

@@ -10,24 +10,9 @@ gradient-computation times per exchanged vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import sqrt
 
 from .averaging import sum_of_weights
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Communication-to-computation ratio rho >= 1 and target accuracy."""
-
-    rho: float
-    eps: float
-
-    def __post_init__(self):
-        if self.rho < 1.0:
-            raise ValueError("communication-to-computation ratio must be >= 1")
-        if self.eps < 0.0:
-            raise ValueError("target accuracy must be nonnegative")
 
 
 def _check_positive(**kwargs):

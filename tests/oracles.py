@@ -1,0 +1,77 @@
+"""Formulas that only the tests use, independent of the engines.
+
+A sparse dot product by an index loop, the doubly weighted output average
+of the convergence theorem as an explicit weighted sum, and the noise
+constants of an objective over given points.
+"""
+
+import numpy as np
+
+from localsgd import ProblemConstants, QuadraticObjective, sum_of_weights
+
+
+def sparse_dot(features, x) -> float:
+    """Dot product of a sparse vector [(index, value), ...] with dense x.
+
+    Indices are 1-based; summation runs in ascending index order so the
+    result is deterministic.  Raises IndexError for indices beyond dim(x).
+    """
+    total = 0.0
+    for index, value in features:
+        if index < 1 or index > len(x):
+            raise IndexError(f"feature index {index} out of range for dim {len(x)}")
+        total += value * x[index - 1]
+    return total
+
+
+def theorem_average(traces, a) -> np.ndarray:
+    """Doubly weighted output average over per-worker iterate sequences.
+
+    traces is (K, T, d) (or a list of equal-length (T, d) arrays) holding
+    x_t^k for t < T; the result is sum_{k,t} (a+t)^2 x_t^k / (K S_T), which
+    equals the shift-a running average of the per-step worker means.
+    """
+    stack = np.asarray(traces, dtype=np.float64)
+    if stack.ndim != 3:
+        raise ValueError("traces must stack to (K, T, d)")
+    K, T, _ = stack.shape
+    w = (a + np.arange(T, dtype=np.float64)) ** 2
+    total = np.einsum("t,ktd->d", w, stack)
+    return total / (K * sum_of_weights(a, T))
+
+
+def estimate_constants(objective, sample_points, trials=1, seed=0) -> ProblemConstants:
+    """Estimate (L, mu, sigma^2, G^2) for an objective over sample points.
+
+    sigma^2 and G^2 are the maxima over the points of the per-component
+    gradient variance and second moment; both are computed by exact
+    enumeration when n is small and by sampling `trials` components
+    otherwise.  L and mu come from the analytic formulas of the objective
+    family.
+    """
+    points = [np.asarray(p, dtype=np.float64) for p in sample_points]
+    if not points:
+        raise ValueError("at least one sample point is required")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+
+    exact = objective.n <= 100_000 or isinstance(objective, QuadraticObjective)
+    rng = np.random.default_rng(seed)
+
+    sigma_sq = 0.0
+    g_sq = 0.0
+    for x in points:
+        if exact:
+            var = objective.variance_at(x)
+            second = objective.second_moment_at(x)
+        else:
+            idx = rng.integers(0, objective.n, size=trials)
+            grads = objective.component_gradients_at(x, idx)
+            mean = objective.gradient(x)
+            var = float(np.mean(np.sum((grads - mean) ** 2, axis=1)))
+            second = float(np.mean(np.sum(grads**2, axis=1)))
+        sigma_sq = max(sigma_sq, var)
+        g_sq = max(g_sq, second)
+
+    mu, L = objective.curvature()
+    return ProblemConstants(L=L, mu=mu, sigma_sq=sigma_sq, G_sq=g_sq)

@@ -3,7 +3,8 @@ import io
 import numpy as np
 import pytest
 
-from localsgd import LibsvmFormatError, parse_libsvm, serialize_libsvm, sparse_dot
+from localsgd import LibsvmFormatError, parse_libsvm, serialize_libsvm
+from oracles import sparse_dot
 
 
 def test_parse_basic_line():

@@ -1,0 +1,74 @@
+"""The package names that code outside it uses: the benchmark and the demos.
+
+Neither runs in this suite, so a public name they need could be removed
+without any other test failing.
+"""
+
+import ast
+import importlib
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+CALLERS = sorted((REPO_ROOT / "benchmarks").glob("*.py")) + sorted(
+    (REPO_ROOT / "demos").glob("*.py"))
+
+
+def test_benchmark_tracer_installs():
+    # every attribute the tracer wraps must exist; it runs in a child
+    # process because a failed install leaves its earlier patches in place
+    code = (f"import sys; sys.path[:0] = [{str(REPO_ROOT / 'benchmarks')!r}, "
+            f"{str(REPO_ROOT / 'src')!r}]\n"
+            "from tracing import Tracer\n"
+            "with Tracer().installed():\n    pass\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _dotted(node):
+    """'a.b.c' for a chain of attributes on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id] + parts[::-1])
+
+
+def _references(path):
+    """Every localsgd name `path` imports or reads as localsgd.<module>.<attr>."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("localsgd"):
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name.startswith("localsgd"))
+        elif isinstance(node, ast.Attribute):
+            chain = _dotted(node)
+            if chain is not None and chain.startswith("localsgd."):
+                yield chain
+
+
+def _resolve(dotted):
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        if not hasattr(obj, part):
+            importlib.import_module(".".join(parts[:i]))  # a submodule not yet loaded
+        obj = getattr(obj, part)
+    return obj
+
+
+@pytest.mark.parametrize("path", CALLERS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_names_used_outside_the_package_resolve(path):
+    missing = []
+    for dotted in sorted(set(_references(path))):
+        try:
+            _resolve(dotted)
+        except (ImportError, AttributeError):
+            missing.append(dotted)
+    assert not missing, f"{path.name} uses names the package lacks: {missing}"

@@ -7,14 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from localsgd import QuadraticObjective, make_quadratic, speedup
+from localsgd import LogisticObjective, QuadraticObjective, make_quadratic, speedup
+from localsgd.cli import main
 from localsgd.harness import (
     FAMILIES,
     ConfigError,
     DatasetSpec,
     ExperimentConfig,
     build_problem,
-    compute_reference_fstar,
     grid_search_stepsize,
     load_experiment_config,
     measure_iterations,
@@ -101,6 +101,24 @@ dir = somewhere
         load_experiment_config(tmp_path / "missing.ini")
 
 
+LEMMAS_OK = {"runs": 2, "trials": 100, "K": 1, "H": 4, "T": 4, "b": 1, "tau": 0}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("runs", 1), ("trials", 99), ("K", 0), ("H", 0), ("T", 0), ("b", 0), ("tau", -1),
+    ("H", 5),  # H > T
+])
+def test_lemmas_section_validation(tmp_path, field, value):
+    lemmas = {**LEMMAS_OK, field: value}
+    body = "[dataset]\nkind = quadratic\n\n[sweep]\neps = 1\nK = 1\nH = 1\nb = 1\n\n[lemmas]\n"
+    body += "".join(f"{key} = {v}\n" for key, v in lemmas.items())
+    with pytest.raises(ConfigError, match=f"lemmas.{field}"):
+        load_experiment_config(write_config(tmp_path, body))
+    # the boundary values themselves are accepted
+    body_ok = body.replace(f"{field} = {value}", f"{field} = {LEMMAS_OK[field]}")
+    assert load_experiment_config(write_config(tmp_path, body_ok)).lemmas["runs"] == 2
+
+
 def test_experiment_config_validation(tmp_path):
     with pytest.raises(ConfigError, match="eps"):
         small_config(tmp_path, eps_list=[-0.1])
@@ -119,11 +137,9 @@ def test_reference_for_quadratic_is_analytic():
 
 
 def test_compute_reference_fstar_on_fixture(synth50):
-    reference = compute_reference_fstar(synth50, tolerance=1e-8)
-    assert reference.provenance == "numeric"
-    from localsgd import LogisticObjective
-
     obj = LogisticObjective(synth50)
+    reference = reference_for(obj, tolerance=1e-8)
+    assert reference.provenance == "numeric"
     grad_norm = np.linalg.norm(obj.gradient(reference.x_star))
     assert grad_norm <= 1e-8
     # the optimum improves on the start and on a few random points
@@ -135,7 +151,7 @@ def test_compute_reference_fstar_on_fixture(synth50):
 
 def test_compute_reference_fstar_nonconvergence(synth50):
     with pytest.raises(RuntimeError, match="did not reach"):
-        compute_reference_fstar(synth50, tolerance=1e-14, max_iters=30)
+        reference_for(LogisticObjective(synth50), tolerance=1e-14, max_iters=30)
 
 
 def test_grid_search_finds_deterministic_optimum():
@@ -636,6 +652,42 @@ svg = false
     )
     assert fstar.returncode == 0
     assert "fstar=" in fstar.stdout
+
+
+@pytest.mark.parametrize("case", ["run", "verify-lemmas", "fstar", "no-sections",
+                                  "lambda", "theory-K", "theory-eps"])
+def test_cli_bad_input_is_a_config_error(tmp_path, capsys, case):
+    bad_data = tmp_path / "bad.libsvm"
+    bad_data.write_text("+1 1:1\n+1 oops\n", encoding="utf-8")
+    config = write_config(tmp_path, f"""
+[dataset]
+kind = libsvm
+path = {bad_data}
+
+[sweep]
+eps = 0.05
+K = 1
+H = 1
+b = 1
+
+[output]
+dir = {tmp_path / 'out'}
+""")
+    no_sections = tmp_path / "flat.ini"
+    no_sections.write_text("kind = quadratic\n", encoding="utf-8")
+    argv = {
+        "run": ["run", str(config)],
+        "verify-lemmas": ["verify-lemmas", str(config)],
+        "fstar": ["fstar", str(bad_data)],
+        "no-sections": ["run", str(no_sections)],
+        "lambda": ["fstar", str(DATA / "synth50.libsvm"), "--lambda", "abc"],
+        "theory-K": ["theory", "--K", "0", "--H", "1", "--eps", "0.1"],
+        "theory-eps": ["theory", "--K", "1", "--H", "1", "--eps", "-0.1"],
+    }[case]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: ") and "Traceback" not in err
 
 
 def test_cli_verify_lemmas(tmp_path):

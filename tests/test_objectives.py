@@ -6,16 +6,14 @@ import pytest
 from localsgd import (
     LogisticObjective,
     ProblemConstants,
-    estimate_constants,
-    logistic_value,
     make_quadratic,
     parse_libsvm,
-    stochastic_gradient,
 )
+from oracles import estimate_constants
 
 
 def test_value_at_zero_is_log_two(synth50):
-    assert logistic_value(np.zeros(synth50.d), synth50, 0.37) == pytest.approx(
+    assert LogisticObjective(synth50, lam=0.37).value(np.zeros(synth50.d)) == pytest.approx(
         math.log(2.0), abs=1e-12
     )
 
@@ -24,14 +22,14 @@ def test_single_point_value_matches_scalar_oracle():
     ds = parse_libsvm(["+1 1:1"], declared_dimension=2)
     # f((t, 0)) = log(1 + e^{-t}); high-precision scalar evaluation at t=1
     expected = math.log1p(math.exp(-1.0))
-    assert logistic_value(np.array([1.0, 0.0]), ds, 0.0) == pytest.approx(
+    assert LogisticObjective(ds, lam=0.0).value(np.array([1.0, 0.0])) == pytest.approx(
         expected, abs=1e-12
     )
     assert expected == pytest.approx(0.3132617, abs=5e-8)
 
 
 def test_gradient_at_zero(synth50):
-    g = stochastic_gradient(np.zeros(synth50.d), 4, synth50, 0.0)
+    g = LogisticObjective(synth50, lam=0.0).component_gradient(np.zeros(synth50.d), 4)
     label, pairs = synth50.example(4)
     expected = np.zeros(synth50.d)
     for idx, val in pairs:
@@ -208,7 +206,7 @@ def test_problem_constants_validation():
 
 
 def test_w8a_reference_value(w8a_dataset):
-    from localsgd.harness import compute_reference_fstar
+    from localsgd.harness import reference_for
 
-    reference = compute_reference_fstar(w8a_dataset, tolerance=1e-6)
+    reference = reference_for(LogisticObjective(w8a_dataset), tolerance=1e-6)
     assert reference.f_star == pytest.approx(0.126433176216545, abs=1e-5)

@@ -7,16 +7,14 @@ from localsgd import (
     RecordFlags,
     RunConfig,
     TheoremDecayStep,
-    iterations_to_accuracy,
     regular_sync_schedule,
     run_local_sgd,
     run_local_sgd_ensemble,
     run_minibatch_sgd,
-    virtual_average,
 )
 from localsgd.averaging import SCHEMES
 from localsgd.schedules import ExperimentDecayStep
-from localsgd.sync import RunTrace, _simulate
+from localsgd.sync import _simulate
 
 
 def quad_config(quad10, K, T, H, b=1, seed=0, record=None, a_extra=0.0):
@@ -53,6 +51,19 @@ def test_every_step_sync_equals_coupled_minibatch(quad10):
         assert np.max(np.abs(trace.xbar - baseline)) <= 1e-12
 
 
+def test_quadratic_virtual_average_does_not_depend_on_sync_period(quad10):
+    # one shared diagonal Hessian makes the gradient affine, so the worker
+    # mean of the gradients is the gradient at the worker mean: xbar is the
+    # coupled mini-batch path for every H, although the workers drift apart
+    # between syncs.  So a quadratic H sweep measures no drift.
+    obj, _, _ = quad10
+    for H in (1, 8, 50, 400):
+        config = quad_config(quad10, K=4, T=400, H=H, b=2, seed=3)
+        trace = run_local_sgd(config, obj)
+        assert np.max(np.abs(trace.xbar - run_minibatch_sgd(config, obj))) <= 1e-12
+        assert (trace.deviations.max() > 0.0) == (H > 1)
+
+
 def test_two_worker_hand_example():
     # f_i(x) = x^2/2 on one component: step from 2 with eta=1 lands at 0
     obj = QuadraticObjective([1.0], [[0.0]])
@@ -83,15 +94,6 @@ def test_full_batch_sampling_gives_exact_gradient(quad10):
     x = np.linspace(-1, 1, obj.d)
     g = obj.minibatch_gradient(x, np.arange(obj.n))
     assert np.allclose(g, obj.gradient(x), atol=1e-12)
-
-
-def test_virtual_average_cases(quad10):
-    obj, _, _ = quad10
-    assert virtual_average(np.array([[1.0], [3.0]]))[0] == 2.0
-    v = np.array([0.25, -1.0])
-    assert np.allclose(virtual_average(np.tile(v, (5, 1))), v)
-    with pytest.raises(ValueError):
-        virtual_average([])
 
 
 def test_workers_identical_at_sync_indices(quad10):
@@ -153,29 +155,18 @@ def test_iterations_to_accuracy_scans_recorded_steps(quad10):
                          record=RecordFlags(f_every=1))
     trace = run_local_sgd(config, obj)
     f0 = obj.value(np.zeros(obj.d))
-    assert iterations_to_accuracy(trace, f0 - ref.f_star + 1.0, ref.f_star) == 0
+    assert run_local_sgd(config, obj, stop_when=(f0 - ref.f_star + 1.0, ref.f_star)).t_star == 0
 
     eps = (f0 - ref.f_star) / 4.0
-    got = iterations_to_accuracy(trace, eps, ref.f_star)
-    # linear-scan oracle over the recorded values
+    got = run_local_sgd(config, obj, stop_when=(eps, ref.f_star)).t_star
+    # linear-scan oracle over the values the run records without a target
     best = np.minimum.reduce([trace.f_by_scheme[k] for k in trace.f_by_scheme])
     hits = [int(t) for t, v in zip(trace.eval_steps, best) if v - ref.f_star <= eps]
     assert got == (hits[0] if hits else None)
     assert got is not None
 
     with pytest.raises(ValueError):
-        iterations_to_accuracy(trace, 0.0, ref.f_star)
-
-
-def test_iterations_to_accuracy_synthetic_crossing():
-    trace = RunTrace(type("C", (), {"K": 1, "T": 10})())
-    trace.eval_steps = list(range(11))
-    values = [10.0, 9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.5]
-    for kind in trace.f_by_scheme:
-        trace.f_by_scheme[kind] = list(values)
-    trace.as_arrays()
-    # crossing f - f* <= 4.25 happens strictly between steps 5 and 6
-    assert iterations_to_accuracy(trace, 4.25, 0.0) == 6
+        run_local_sgd(config, obj, stop_when=(0.0, ref.f_star))
 
 
 def test_ensemble_matches_scalar_engine(quad10):
@@ -242,7 +233,8 @@ def test_ensemble_equals_scalar_engine_on_logistic_bitwise(logistic50):
         assert np.array_equal(ensemble.noise_sq[r], single.noise_sq)
         assert np.array_equal(ensemble.f_xbar[r], single.f_xbar)
         assert np.array_equal(ensemble.output_average[r], single.output_average)
-        expected = iterations_to_accuracy(single, 0.01, f_star)
+        expected = run_local_sgd(config.__class__(**{**config.__dict__, "seed": seed}),
+                                 logistic50, stop_when=(0.01, f_star)).t_star
         assert ensemble.crossing_step[r] == (-1 if expected is None else expected)
 
 
@@ -320,10 +312,10 @@ def test_ensemble_crossing_matches_iterations_to_accuracy(quad10):
     ensemble = run_local_sgd_ensemble(config, obj, seeds,
                                       accuracy_target=(eps, ref.f_star))
     for r, seed in enumerate(seeds):
-        single = run_local_sgd(
-            config.__class__(**{**config.__dict__, "seed": seed}), obj
-        )
-        expected = iterations_to_accuracy(single, eps, ref.f_star)
+        expected = run_local_sgd(
+            config.__class__(**{**config.__dict__, "seed": seed}), obj,
+            stop_when=(eps, ref.f_star),
+        ).t_star
         assert ensemble.crossing_step[r] == (-1 if expected is None else expected)
 
 

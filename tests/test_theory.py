@@ -3,7 +3,6 @@ from math import sqrt
 import pytest
 
 from localsgd import (
-    CostModel,
     ProblemConstants,
     corollary_bound,
     iterations_estimate,
@@ -166,11 +165,3 @@ def test_speedup_monotone_in_H_at_zero_eps():
         for rho in (1.0, 25.0):
             values = [speedup(K, H, 0.0, rho) for H in (1, 2, 4, 8, 16, 32)]
             assert all(b > a for a, b in zip(values, values[1:]))
-
-
-def test_cost_model_validation():
-    CostModel(rho=25.0, eps=0.005)
-    with pytest.raises(ValueError):
-        CostModel(rho=0.5, eps=0.005)
-    with pytest.raises(ValueError):
-        CostModel(rho=2.0, eps=-1.0)
