@@ -52,12 +52,11 @@ class DelayModel:
 
 @dataclass
 class WriteEvent:
-    """One atomic aggregation: worker's block of updates [start_step, step)."""
+    """One atomic aggregation: worker's block of updates since its last write."""
 
     id: int
     worker: int
     step: int
-    start_step: int
     wall: float
     lag: int
 
@@ -67,17 +66,16 @@ class WriteEvent:
 
 
 class ReadEvent:
-    """A read by `worker` at `step` (wall instant `wall`) of the aggregate.
+    """A read by `worker` at `step` of the aggregate.
 
     It sees the first `settled` writes and, of the later ones, those given
     as `visible_ids` (kept as `pending`), so it holds only the writes still
     in flight; the `visible_ids` property lists every write it sees.
     """
 
-    def __init__(self, worker, step, wall, visible_ids, settled=0):
+    def __init__(self, worker, step, visible_ids, settled=0):
         self.worker = worker
         self.step = step
-        self.wall = wall
         self.settled = settled
         self.pending = tuple(visible_ids)
 
@@ -96,22 +94,6 @@ class WriteLog:
     def __init__(self):
         self.writes = []
         self.reads = []
-
-    def visible_updates(self, t, k, h):
-        """Update indices of worker h visible to a worker-k read at step t.
-
-        Evaluates the same visibility rule the engine used; update index j
-        labels the local step whose gradient produced the update.
-        """
-        wall = next((r.wall for r in self.reads if r.worker == k and r.step == t),
-                    float(t))
-        out = set()
-        for w in self.writes:
-            if w.worker != h or w.step > t:
-                continue
-            if h == k or w.visible_wall <= wall:
-                out.update(range(w.start_step, w.step))
-        return out
 
 
 def measured_delay(log: WriteLog) -> int:
@@ -138,14 +120,31 @@ def measured_delay(log: WriteLog) -> int:
     return worst
 
 
+def _check_staleness(log, tau) -> int:
+    """Measured staleness of `log`; raises when it exceeds the declared tau."""
+    realized = measured_delay(log)
+    if realized > tau:
+        raise RuntimeError(
+            f"delay model violated its declared bound: realized staleness "
+            f"{realized} > tau={tau}"
+        )
+    return realized
+
+
 def write_plan(K, T, per_worker_syncs, delay, wall_times=None) -> WriteLog:
     """Every write and read of an asynchronous run of K sequences over T steps.
 
     At each step the sequences that synchronize there write, in sequence
     order, then read.  A read sees its own writes and those whose lag has
     elapsed by its wall instant (the step, or `wall_times[(k, step)]`).
+    There is one synchronization schedule per sequence, each ending at T.
     The plan does not depend on the run seed.
     """
+    if len(per_worker_syncs) != K:
+        raise ValueError("need one synchronization schedule per worker")
+    for k, sched in enumerate(per_worker_syncs):
+        if sched.T != T:
+            raise ValueError(f"worker {k} schedule must end at the horizon T")
     lag_rng = np.random.default_rng(delay.seed)
 
     def wall_of(k, step):
@@ -159,7 +158,6 @@ def write_plan(K, T, per_worker_syncs, delay, wall_times=None) -> WriteLog:
         later[t] = min([later[t + 1]] + [wall_of(k, t) for k in syncing[t]])
 
     log = WriteLog()
-    last = [0] * K
     settled = 0   # every later read sees the writes before this id
     for t in range(1, T + 1):
         for k in syncing[t]:
@@ -167,13 +165,12 @@ def write_plan(K, T, per_worker_syncs, delay, wall_times=None) -> WriteLog:
             lag = (int(lag_rng.integers(0, delay.tau + 1))
                    if delay.kind == "random-bounded" else delay.tau)
             log.writes.append(WriteEvent(id=len(log.writes), worker=k, step=t,
-                                         start_step=last[k], wall=wall_of(k, t), lag=lag))
-            last[k] = t
+                                         wall=wall_of(k, t), lag=lag))
         for k in syncing[t]:
             wall = wall_of(k, t)
             visible = [w.id for w in log.writes[settled:]
                        if w.worker == k or w.visible_wall <= wall]
-            log.reads.append(ReadEvent(k, t, wall, visible, settled))
+            log.reads.append(ReadEvent(k, t, visible, settled))
         while (settled < len(log.writes)
                and log.writes[settled].visible_wall <= later[t + 1]):
             settled += 1
@@ -260,24 +257,12 @@ def run_async_local_sgd(config, per_worker_syncs, delay, objective,
     stops there with its last finite iterates and `diverged` set.
     """
     K, T = config.K, config.T
-    if len(per_worker_syncs) != K:
-        raise ValueError("need one synchronization schedule per worker")
-    for k, sched in enumerate(per_worker_syncs):
-        if sched.T != T:
-            raise ValueError(f"worker {k} schedule must end at the horizon T")
-
+    log = write_plan(K, T, per_worker_syncs, delay, wall_times)
     tau = delay.tau if declared_tau is None else int(declared_tau)
     if isinstance(config.steps, TheoremDecayStep):
         mu, L = objective.curvature()
         validate_shift(config.steps, L / mu, max(s.H for s in per_worker_syncs) + tau)
-
-    log = write_plan(K, T, per_worker_syncs, delay, wall_times)
-    realized = measured_delay(log)
-    if realized > tau:
-        raise RuntimeError(
-            f"delay model violated its declared bound: realized staleness "
-            f"{realized} > tau={tau}"
-        )
+    _check_staleness(log, tau)
     replay = _Replay(log, config.x0, 1, K, T)
     run = _simulate(config, objective, [config.seed], RecordFlags(f_values=False),
                     exchange=replay, track_second_moment=track_second_moment)
@@ -296,7 +281,8 @@ def run_async_local_sgd(config, per_worker_syncs, delay, objective,
 def run_async_ensemble(config, log, objective, seeds, *, track_second_moment=False):
     """Asynchronous runs of `config`, one per seed, all replaying one plan.
 
-    `log` comes from `write_plan`; its staleness is the caller's to check.
+    `log` comes from `write_plan`, which checked its schedules; the caller
+    checks its staleness against tau with `_check_staleness` first.
     Run r agrees bitwise with `run_async_local_sgd` at seed seeds[r].
     Returns an EnsembleResult with `deviations` (S, T+1), `diverged` and,
     when tracked, `max_second_moment`.

@@ -37,7 +37,8 @@ import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from math import ceil, log2, sqrt
+from itertools import product
+from math import ceil, isfinite, log2, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -107,12 +108,12 @@ class ExperimentConfig:
                              ("H", self.H_list), ("b", self.b_list)):
             if not values:
                 raise ConfigError(f"sweep list {name!r} must be nonempty")
-        if any(e <= 0 for e in self.eps_list):
-            raise ConfigError("eps values must be positive")
+        if not all(isfinite(e) and e > 0 for e in self.eps_list):
+            raise ConfigError("eps values must be positive and finite")
         if any(v < 1 for v in self.K_list + self.H_list + self.b_list):
             raise ConfigError("K, H and b values must be >= 1")
-        if self.rho < 1:
-            raise ConfigError("cost ratio rho must be >= 1")
+        if not (isfinite(self.rho) and self.rho >= 1):
+            raise ConfigError("cost ratio rho must be finite and >= 1")
         if self.epoch_cap < 1:
             raise ConfigError("epoch_cap must be >= 1")
         if self.i_min > self.i_max:
@@ -208,23 +209,27 @@ def build_problem(spec: DatasetSpec):
 
     The reference solution is analytic for quadratics and computed by
     accelerated full-batch descent for logistic datasets unless the config
-    pins f_star directly.
+    pins f_star directly.  A value the objective or the reference solve
+    rejects raises a ConfigError naming [dataset].
     """
-    if spec.kind == "quadratic":
-        objective, reference, _ = make_quadratic(
-            spec.d, spec.mu, spec.L, spec.n, spec.noise, spec.seed
-        )
-    else:
+    if spec.kind == "libsvm":
         with open(spec.path, "r", encoding="utf-8") as fh:
             dataset = parse_libsvm(fh, declared_dimension=spec.dimension)
-        objective = LogisticObjective(dataset, lam=spec.lam)
-        reference = None
-    if spec.f_star is not None:
-        x_ref = reference.x_star if reference is not None else np.zeros(objective.d)
-        reference = ReferenceSolution(x_star=x_ref, f_star=spec.f_star,
-                                      provenance="numeric")
-    elif reference is None:
-        reference = reference_for(objective, tolerance=spec.fstar_tolerance)
+    try:
+        if spec.kind == "quadratic":
+            objective, reference, _ = make_quadratic(
+                spec.d, spec.mu, spec.L, spec.n, spec.noise, spec.seed
+            )
+        else:
+            objective, reference = LogisticObjective(dataset, lam=spec.lam), None
+        if spec.f_star is not None:
+            x_ref = reference.x_star if reference is not None else np.zeros(objective.d)
+            reference = ReferenceSolution(x_star=x_ref, f_star=spec.f_star,
+                                          provenance="numeric")
+        elif reference is None:
+            reference = reference_for(objective, tolerance=spec.fstar_tolerance)
+    except ValueError as exc:
+        raise ConfigError(f"bad value in [dataset]: {exc}")
     return objective, reference
 
 
@@ -407,7 +412,8 @@ def _needed(measured, points, t, crossed):
 def _search_round(objective, f_star, K, H, b, eps, seed, step_cap, measured, points):
     """Measure `points`, (family, i) pairs, as one batch into `measured`.
 
-    A run leaves the batch once `_needed` drops it and then reads None.
+    `_needed` drops a run once it reaches eps, and then it keeps its t*;
+    a run dropped earlier reads None.
     """
     steps = [_family_steps(family, 2.0**i, objective.n) for family, i in points]
     config = RunConfig(
@@ -416,7 +422,7 @@ def _search_round(objective, f_star, K, H, b, eps, seed, step_cap, measured, poi
         record=RecordFlags(virtual=False, deviations=False),
     )
     run = _simulate(config, objective, [seed] * len(points), config.record,
-                    steps=steps, target=(eps, f_star), stop=True,
+                    steps=steps, target=(eps, f_star),
                     keep=lambda t, crossed: _needed(measured, points, t, crossed))
     for (family, i), t_star in zip(points, run["crossed"]):
         measured[family][i] = int(t_star) if t_star >= 0 else None
@@ -468,31 +474,27 @@ def _cell_seed(master_seed, index):
     return int(np.random.SeedSequence((master_seed, index)).generate_state(1)[0])
 
 
-_problem_cache = {}
+_pool_objective = None  # the sweep's objective in a pool worker
 
 
-def _cached_problem(spec):
-    """Per-process problem cache so pool workers parse a dataset once."""
-    key = (spec.kind, spec.path, spec.lam, spec.dimension, spec.d, spec.mu,
-           spec.L, spec.n, spec.noise, spec.seed, spec.f_star)
-    if key not in _problem_cache:
-        _problem_cache.clear()  # sweeps use one dataset; keep a single entry
-        _problem_cache[key] = build_problem(spec)
-    return _problem_cache[key]
+def _set_pool_objective(objective):
+    global _pool_objective
+    _pool_objective = objective
 
 
-def _sweep_cell(payload):
-    """One sweep cell; top-level so worker pools can pickle it."""
-    objective, _ = _cached_problem(payload["spec"])
+def _sweep_cell(cell, objective=None):
+    """One sweep cell; top-level so worker pools can pickle it.
+
+    `cell` is (f_star, eps, K, H, b, seed, step_cap, rho, i_min, i_max).
+    Without `objective`, the cell runs on the pool worker's objective.
+    """
+    f_star, eps, K, H, b, seed, step_cap, rho, i_min, i_max = cell
     family, c, t_star = grid_search_stepsize(
-        objective, payload["f_star"], payload["K"], payload["H"], payload["b"],
-        payload["eps"], payload["seed"], payload["step_cap"],
-        payload["i_min"], payload["i_max"],
+        _pool_objective if objective is None else objective,
+        f_star, K, H, b, eps, seed, step_cap, i_min, i_max,
     )
-    return ResultRow(
-        K=payload["K"], H=payload["H"], b=payload["b"], eps=payload["eps"],
-        family=family, c=c, iterations=t_star, rho=payload["rho"],
-    )
+    return ResultRow(K=K, H=H, b=b, eps=eps, family=family, c=c, iterations=t_star,
+                     rho=rho)
 
 
 def _pool_size():
@@ -515,35 +517,21 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
     out.mkdir(parents=True, exist_ok=True)
 
     objective, reference = build_problem(config.dataset)
-    spec = config.dataset
-    if spec.f_star is None:
-        # pin the reference value so pool workers do not recompute it
-        spec = DatasetSpec(**{**spec.__dict__, "f_star": reference.f_star})
-
-    payloads = []
+    grid = product(config.eps_list, config.K_list, config.H_list, config.b_list)
     cells = [
-        (eps, K, H, b)
-        for eps in config.eps_list
-        for K in config.K_list
-        for H in config.H_list
-        for b in config.b_list
+        (reference.f_star, eps, K, H, b, _cell_seed(config.seed, index),
+         max(H, ceil(config.epoch_cap * objective.n / (K * b))),
+         config.rho, config.i_min, config.i_max)
+        for index, (eps, K, H, b) in enumerate(grid)
     ]
-    for index, (eps, K, H, b) in enumerate(cells):
-        step_cap = max(H, ceil(config.epoch_cap * objective.n / (K * b)))
-        payloads.append({
-            "spec": spec, "f_star": reference.f_star,
-            "eps": eps, "K": K, "H": H, "b": b,
-            "seed": _cell_seed(config.seed, index),
-            "step_cap": step_cap, "rho": config.rho,
-            "i_min": config.i_min, "i_max": config.i_max,
-        })
 
     workers = _pool_size()
-    if workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, payloads))
+    if workers > 1 and len(cells) > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_pool_objective,
+                                 initargs=(objective,)) as pool:
+            rows = list(pool.map(_sweep_cell, cells))
     else:
-        rows = [_sweep_cell(p) for p in payloads]
+        rows = [_sweep_cell(cell, objective) for cell in cells]
 
     baselines = {
         (row.b, row.eps): row.wallclock

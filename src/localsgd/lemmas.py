@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# run_async_local_sgd stays a name of this module, where benchmarks/tracing.py wraps it
-from .asynchronous import (measured_delay, run_async_ensemble,  # noqa: F401
-                           run_async_local_sgd, write_plan)
+# measured_delay and run_async_local_sgd stay names of this module, where
+# benchmarks/tracing.py wraps them
+from .asynchronous import (_check_staleness, measured_delay,  # noqa: F401
+                           run_async_ensemble, run_async_local_sgd, write_plan)
 from .averaging import sum_of_weights
 from .schedules import TheoremDecayStep, validate_shift
 from .sync import run_local_sgd_ensemble
@@ -125,23 +126,14 @@ def check_variance_reduction(objective, states, trials, seed=0) -> CheckReport:
     )
 
 
-def _require_decaying(config, min_shift):
+def _require_decaying(config):
     if not isinstance(config.steps, TheoremDecayStep):
         raise ValueError("this check requires the decaying stepsize schedule")
-    if config.steps.a < min_shift:
-        raise ValueError(
-            f"stepsize shift a={config.steps.a} is below the required {min_shift}"
-        )
 
 
-def _heldout_G_sq(config, objective, seed, runs):
-    heldout = run_local_sgd_ensemble(
-        config,
-        objective,
-        _run_seeds(seed + 0x5EED, max(32, runs // 8)),
-        track_second_moment=True,
-    )
-    return heldout.max_second_moment
+def _heldout_seeds(seed, runs):
+    """Seeds of the held-out runs that estimate G^2 for `runs` tested runs."""
+    return _run_seeds(seed + 0x5EED, max(32, runs // 8))
 
 
 def _worst_step_report(check, config, dev, constant, G_sq, window, detail):
@@ -182,8 +174,9 @@ def check_deviation_bound(config, objective, constants, runs, seed=0) -> CheckRe
     held-out runs of the same configuration.
     """
     H = config.sync.H
-    _require_decaying(config, H)
-    G_sq = _heldout_G_sq(config, objective, seed, runs)
+    _require_decaying(config)
+    G_sq = run_local_sgd_ensemble(config, objective, _heldout_seeds(seed, runs),
+                                  track_second_moment=True).max_second_moment
 
     result = run_local_sgd_ensemble(
         config, objective, _run_seeds(seed, runs), record_deviations=True
@@ -353,20 +346,14 @@ def check_async_deviation(config, delay, objective, constants, runs, seed=0) -> 
     the bound; G^2 comes from the held-out runs.
     """
     H = config.sync.H
-    _require_decaying(config, H + delay.tau)
+    _require_decaying(config)
     mu, L = objective.curvature()
     validate_shift(config.steps, L / mu, H + delay.tau)
     plan = write_plan(config.K, config.T, [config.sync] * config.K, delay)
-    worst_staleness = measured_delay(plan)
-    if worst_staleness > delay.tau:
-        raise RuntimeError(
-            f"realized staleness {worst_staleness} exceeds declared tau={delay.tau}"
-        )
+    worst_staleness = _check_staleness(plan, delay.tau)
 
-    G_sq = run_async_ensemble(
-        config, plan, objective, _run_seeds(seed + 0x5EED, max(32, runs // 8)),
-        track_second_moment=True,
-    ).max_second_moment
+    G_sq = run_async_ensemble(config, plan, objective, _heldout_seeds(seed, runs),
+                              track_second_moment=True).max_second_moment
     dev = run_async_ensemble(config, plan, objective, _run_seeds(seed, runs)).deviations
 
     return _worst_step_report(

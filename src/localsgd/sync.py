@@ -142,8 +142,7 @@ def _values(objective, Y):
 
 
 def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
-              track_second_moment=False, target=None, stop=False, keep=None,
-              exchange=None):
+              track_second_moment=False, target=None, keep=None, exchange=None):
     """The time-step loop behind every engine: sync, grid search and async.
 
     Advances S = len(seeds) runs of `config` together on iterates X of
@@ -152,15 +151,15 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
     stepsizes of config.steps.  A run whose iterates reach |x| >= 1e100 or
     turn non-finite, or whose recorded function value is not finite, is
     marked diverged and frozen.  With function values on, `target`
-    (eps, f_star) records each run's first eps-accurate evaluation step,
-    and `stop` freezes the run there.  `keep(t, crossed)`, called after
-    each evaluation at step t with the crossing steps (-1 if none) of all
-    S runs, returns a mask of the runs still needed; the others are frozen
-    too.  A frozen run keeps the iterates it froze at as its final
-    iterates, records NaN from then on and leaves the stack, so it costs
-    no further oracle work; its output and running averages read NaN
-    unless it is among the last runs to freeze.  The loop ends once every
-    run is frozen; for S=1 that is the early exit of a single run.
+    (eps, f_star) records each run's first eps-accurate evaluation step.
+    `keep(t, crossed)`, called after each evaluation at step t with the
+    crossing steps (-1 if none) of all S runs, returns a mask of the runs
+    still needed; the others are frozen too, so `crossed < 0` stops each
+    run where it reaches eps.  A frozen run keeps the iterates it froze at
+    as its final iterates, records NaN from then on and leaves the stack,
+    so it costs no further oracle work; its output and running averages
+    read NaN unless it is among the last runs to freeze.  The loop ends
+    once every run is frozen, which for S=1 is a single run's early exit.
 
     At each sync index of config.sync the workers take their mean, which
     is xbar.  `exchange`, an async write-plan replay, replaces that:
@@ -183,7 +182,9 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
     X = np.tile(config.x0, (S, K, 1))
     final_iterates = np.empty_like(X)
     active = np.arange(S)         # the runs still in the stack, in run order
-    shared = len(set(seeds)) == 1  # one index stream serves every run
+    # one index draw per distinct seed; run r takes the draw owner[r]
+    distinct = {}
+    owner = np.array([distinct.setdefault(seed, len(distinct)) for seed in seeds])
     if steps is None:
         eta_of = config.steps.eta
     else:
@@ -251,8 +252,6 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
                 reached = f.min(axis=1) - target[1] <= target[0]
                 hit = ~bad & (run["crossed"][active] < 0) & reached
                 run["crossed"][active[hit]] = t
-                if stop:
-                    out = bad | hit
             if keep is not None:
                 out = out | ~keep(t, run["crossed"])[active]
         run["diverged"][active[bad]] = True
@@ -276,7 +275,7 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
             exchange.keep(stay)
         return stay
 
-    stream = _index_stream(seeds[:1] if shared else seeds, K, objective.n, config.b, T)
+    stream = _index_stream(list(distinct), K, objective.n, config.b, T)
     xbar = _worker_mean(X)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T + 1):
@@ -288,9 +287,7 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
                 X, xbar = X[stay], xbar[stay]
             if t == T:
                 break
-            I = next(stream)
-            if len(I) != len(active):
-                I = np.repeat(I, len(active), axis=0) if shared else I[active]
+            I = next(stream)[owner[active]]
             output_avg.update(xbar, t)
             if track_second_moment:
                 run["max_second_moment"] = max(run["max_second_moment"],
@@ -340,7 +337,7 @@ def run_local_sgd(config, objective, stop_when=None) -> RunTrace:
     at that step with trace.diverged set and its last finite iterates.
     """
     run = _simulate(config, objective, [config.seed], config.record,
-                    target=stop_when, stop=True)
+                    target=stop_when, keep=lambda t, crossed: crossed < 0)
     row = {name: None if r is None else r[:, 0] for name, r in run["rows"].items()}
     f = row["f_values"]
     return RunTrace(

@@ -13,6 +13,7 @@ from __future__ import annotations
 from math import sqrt
 
 from .averaging import sum_of_weights
+from .schedules import TheoremDecayStep, validate_shift
 
 
 def _check_positive(**kwargs):
@@ -36,7 +37,7 @@ def theorem1_bound(constants, K, T, H, b, a, r0) -> float:
     _check_positive(K=K, T=T, H=H, b=b)
     if r0 < 0:
         raise ValueError("r0 must be nonnegative")
-    return _suboptimality_bound(constants, K, T, b, a, r0, 256.0, H, "H")
+    return _suboptimality_bound(constants, K, T, b, a, r0, 256.0, H)
 
 
 def theorem2_bound(constants, K, T, H, tau, b, a, r0) -> float:
@@ -49,19 +50,15 @@ def theorem2_bound(constants, K, T, H, tau, b, a, r0) -> float:
     _check_positive(K=K, T=T, H=H, b=b)
     if r0 < 0 or tau < 0:
         raise ValueError("r0 and tau must be nonnegative")
-    return _suboptimality_bound(constants, K, T, b, a, r0, 768.0, H + tau, "H+tau")
+    return _suboptimality_bound(constants, K, T, b, a, r0, 768.0, H + tau)
 
 
-def _suboptimality_bound(constants, K, T, b, a, r0, drift_constant, window, window_name):
+def _suboptimality_bound(constants, K, T, b, a, r0, drift_constant, window):
     """Bias + variance + drift, the drift being
     drift_constant T G^2 window^2 L / (mu^2 S_T); requires
     a > max(16 kappa, window).
     """
-    threshold = max(16.0 * constants.kappa, float(window))
-    if not a > threshold:
-        raise ValueError(
-            f"shift a={a} violates a > max(16*kappa, {window_name}) = {threshold}"
-        )
+    validate_shift(TheoremDecayStep(mu=constants.mu, a=a), constants.kappa, window)
     S_T = sum_of_weights(a, T)
     mu = constants.mu
     bias = mu * a**3 * r0 / (2.0 * S_T)

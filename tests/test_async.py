@@ -17,7 +17,8 @@ from localsgd import (
     run_local_sgd,
     run_load_balanced,
 )
-from localsgd.asynchronous import ReadEvent, WriteEvent, run_async_ensemble, write_plan
+from localsgd.asynchronous import (ReadEvent, WriteEvent, _check_staleness,
+                                   run_async_ensemble, write_plan)
 from localsgd.sync import _index_stream
 
 
@@ -68,16 +69,13 @@ def test_fixed_delay_staleness_bounded(quad10):
 def test_measured_delay_hand_built_log():
     # one write lands two steps late; oracle: exhaustive scan over pairs
     log = WriteLog()
-    log.writes.append(WriteEvent(id=0, worker=0, step=2, start_step=0,
-                                 wall=2.0, lag=2))
-    log.writes.append(WriteEvent(id=1, worker=1, step=2, start_step=0,
-                                 wall=2.0, lag=0))
-    log.writes.append(WriteEvent(id=2, worker=1, step=4, start_step=2,
-                                 wall=4.0, lag=0))
-    log.reads.append(ReadEvent(worker=1, step=2, wall=2.0, visible_ids=(1,)))
-    log.reads.append(ReadEvent(worker=0, step=2, wall=2.0, visible_ids=(0, 1)))
-    log.reads.append(ReadEvent(worker=1, step=3, wall=3.0, visible_ids=(1,)))
-    log.reads.append(ReadEvent(worker=0, step=4, wall=4.0, visible_ids=(0, 1, 2)))
+    log.writes.append(WriteEvent(id=0, worker=0, step=2, wall=2.0, lag=2))
+    log.writes.append(WriteEvent(id=1, worker=1, step=2, wall=2.0, lag=0))
+    log.writes.append(WriteEvent(id=2, worker=1, step=4, wall=4.0, lag=0))
+    log.reads.append(ReadEvent(worker=1, step=2, visible_ids=(1,)))
+    log.reads.append(ReadEvent(worker=0, step=2, visible_ids=(0, 1)))
+    log.reads.append(ReadEvent(worker=1, step=3, visible_ids=(1,)))
+    log.reads.append(ReadEvent(worker=0, step=4, visible_ids=(0, 1, 2)))
 
     def oracle(log):
         worst = 0
@@ -98,16 +96,14 @@ def test_visibility_sets_are_monotone(quad10):
     _, log = run_async_local_sgd(
         config, schedules, DelayModel("random-bounded", tau=6, seed=11), obj
     )
+    # each sequence's successive reads see nested write sets
     for k in range(3):
-        for h in range(3):
-            prev = set()
-            for t in (4, 8, 16, 24, 40):
-                cur = log.visible_updates(t, k, h)
-                assert prev <= cur
-                prev = cur
+        seen = [set(r.visible_ids) for r in log.reads if r.worker == k]
+        assert len(seen) == 40 // 4
+        assert all(prev <= cur for prev, cur in zip(seen, seen[1:]))
+        assert max(w.step for w in log.writes if w.worker == k) == 40
     # all updates visible at the horizon plus the declared delay window
-    full = set(range(40))
-    assert log.visible_updates(40 + 6, 0, 1) == full
+    assert all(w.visible_wall <= 40 + 6 for w in log.writes)
 
 
 def test_aggregate_equals_virtual_sequence_at_horizon(quad10):
@@ -135,6 +131,21 @@ def test_schedules_must_contain_horizon(quad10):
     bad = regular_sync_schedule(20, 4)
     with pytest.raises(ValueError, match="horizon"):
         run_async_local_sgd(config, [config.sync, bad], DelayModel("zero"), obj)
+
+
+def test_write_plan_checks_its_schedules():
+    sched = regular_sync_schedule(24, 4)
+    with pytest.raises(ValueError, match="one synchronization schedule per worker"):
+        write_plan(3, 24, [sched] * 2, DelayModel("zero"))
+    with pytest.raises(ValueError, match="horizon"):
+        write_plan(2, 24, [sched, regular_sync_schedule(20, 4)], DelayModel("zero"))
+
+
+def test_staleness_check_raises_above_tau_and_returns_the_measured_value():
+    log = write_plan(3, 24, [regular_sync_schedule(24, 4)] * 3, DelayModel("fixed", tau=5))
+    assert _check_staleness(log, 5) == _check_staleness(log, 9) == measured_delay(log) == 5
+    with pytest.raises(RuntimeError, match="declared bound"):
+        _check_staleness(log, 4)
 
 
 def test_heterogeneous_per_worker_schedules(quad10):

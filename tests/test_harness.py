@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from localsgd import LogisticObjective, QuadraticObjective, make_quadratic, speedup
+from localsgd import harness
 from localsgd.cli import main
 from localsgd.harness import (
     FAMILIES,
@@ -126,6 +127,16 @@ def test_experiment_config_validation(tmp_path):
         small_config(tmp_path, K_list=[])
     with pytest.raises(ConfigError, match="rho"):
         small_config(tmp_path, rho=0.5)
+
+
+@pytest.mark.parametrize("field, overrides", [
+    ("eps", {"eps_list": [0.05, float("nan")]}),
+    ("rho", {"rho": float("nan")}),
+    ("rho", {"rho": float("inf")}),
+])
+def test_experiment_config_rejects_non_finite_values(tmp_path, field, overrides):
+    with pytest.raises(ConfigError, match=field):
+        small_config(tmp_path, **overrides)
 
 
 def test_reference_for_quadratic_is_analytic():
@@ -446,7 +457,7 @@ def test_a_non_finite_value_freezes_only_its_own_run():
     family, c, t_star = found
     steps = [ConstantStep(c=2.0**4), _family_steps(family, c, obj.n)]
     run = _simulate(config, obj, [3, 3], config.record, steps=steps,
-                    target=(0.002, ref.f_star), stop=True)
+                    target=(0.002, ref.f_star), keep=lambda t, crossed: crossed < 0)
     assert run["diverged"].tolist() == [True, False]
     assert run["crossed"].tolist() == [-1, t_star]
 
@@ -499,6 +510,31 @@ def test_logistic_sweep_results_are_byte_stable(tmp_path):
     run_experiment(config)
     produced = (Path(config.out_dir) / "results.csv").read_bytes()
     assert produced == (DATA / "logistic_sweep_results.csv").read_bytes()
+
+
+def test_lemma_checks_are_byte_stable(tmp_path):
+    # lemma_checks.csv of verify-lemmas on synth50 with runs 32, T 32 and
+    # seed 0: both deviation checks, their held-out G^2 runs and the async
+    # write plan
+    spec = DatasetSpec(kind="libsvm", path=str(DATA / "synth50.libsvm"))
+    config = ExperimentConfig(dataset=spec, eps_list=[0.005], K_list=[1], H_list=[1],
+                              b_list=[1], lemmas={"runs": 32, "T": 32, "seed": 0})
+    verify_lemmas(config, out_dir=tmp_path)
+    produced = (tmp_path / "lemma_checks.csv").read_bytes()
+    assert produced == (DATA / "lemma_checks_synth50.csv").read_bytes()
+
+
+def test_serial_sweep_builds_its_problem_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_build_problem(spec):
+        calls.append(spec)
+        return build_problem(spec)
+
+    monkeypatch.setenv("LOCALSGD_THREADS", "1")
+    monkeypatch.setattr(harness, "build_problem", counting_build_problem)
+    run_experiment(small_config(tmp_path, svg=False))
+    assert len(calls) == 1
 
 
 def test_run_experiment_unreachable_rows(tmp_path):
@@ -688,6 +724,31 @@ dir = {tmp_path / 'out'}
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("config error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("dataset", [
+    f"kind = libsvm\npath = {DATA / 'synth50.libsvm'}\nlambda = -1\n",
+    f"kind = libsvm\npath = {DATA / 'synth50.libsvm'}\nlambda = 0\n",  # no fstar
+    "kind = quadratic\nmu = 5\nL = 1\n",
+    "kind = quadratic\nd = 0\n",
+], ids=["negative-lambda", "zero-lambda", "mu-above-L", "zero-d"])
+def test_cli_bad_dataset_value_is_a_config_error(tmp_path, capsys, dataset):
+    config = write_config(tmp_path, f"""
+[dataset]
+{dataset}
+[sweep]
+eps = 0.05
+K = 1
+H = 1
+b = 1
+
+[output]
+dir = {tmp_path / 'out'}
+""")
+    assert main(["run", str(config)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: bad value in [dataset]") and "Traceback" not in err
 
 
 def test_cli_verify_lemmas(tmp_path):

@@ -272,7 +272,7 @@ def test_per_run_stepsizes_match_single_runs_bitwise(logistic50):
                        record=RecordFlags(virtual=False, deviations=False))
     for seeds in ([11] * len(steps), list(range(20, 20 + len(steps)))):
         run = _simulate(config, logistic50, seeds, config.record, steps=steps,
-                        target=(eps, f_star), stop=True)
+                        target=(eps, f_star), keep=lambda t, crossed: crossed < 0)
         f_rows = np.asarray(run["rows"]["f_values"])
         outcomes = set()
         for r, (schedule, seed) in enumerate(zip(steps, seeds)):
@@ -292,14 +292,39 @@ def test_per_run_stepsizes_match_single_runs_bitwise(logistic50):
     # a run that `keep` drops at the first evaluation leaves the batch at
     # x0; the runs after it in the stack are unchanged
     full = _simulate(config, logistic50, seeds, config.record, steps=steps,
-                     target=(eps, f_star), stop=True)
+                     target=(eps, f_star), keep=lambda t, crossed: crossed < 0)
     kept = _simulate(config, logistic50, seeds, config.record, steps=steps,
-                     target=(eps, f_star), stop=True,
-                     keep=lambda t, crossed: np.arange(len(steps)) > 0)
+                     target=(eps, f_star),
+                     keep=lambda t, crossed: (np.arange(len(steps)) > 0) & (crossed < 0))
     assert kept["crossed"][0] == -1 and not kept["diverged"][0]
     assert np.array_equal(kept["final_iterates"][0], np.zeros((3, d)))
     for name in ("crossed", "diverged", "final_iterates"):
         assert np.array_equal(kept[name][1:], full[name][1:])
+
+
+def test_repeated_seeds_match_single_runs_bitwise(logistic50):
+    # seeds 5 and 6 are drawn once each and shared by two runs; run 0
+    # diverges and leaves the stack early, run 1 stops at its t*
+    n, d = logistic50.n, logistic50.d
+    steps = [ConstantStep(c=512.0), ExperimentDecayStep(c=0.5, n=n),
+             ExperimentDecayStep(c=0.5, n=n), ConstantStep(c=0.0625)]
+    seeds = [5, 6, 5, 6]
+    target = (0.05, logistic50.value(np.zeros(d)) - 0.3)
+    config = RunConfig(K=3, T=120, b=2, sync=regular_sync_schedule(120, 4),
+                       steps=steps[0], seed=0, x0=np.zeros(d))
+    run = _simulate(config, logistic50, seeds, config.record, steps=steps, target=target,
+                    keep=lambda t, crossed: crossed < 0)
+    assert run["diverged"].tolist() == [True, False, False, False]
+    assert run["crossed"].tolist() == [-1, 118, -1, -1]
+    for r, (schedule, seed) in enumerate(zip(steps, seeds)):
+        single = run_local_sgd(
+            config.__class__(**{**config.__dict__, "steps": schedule, "seed": seed}),
+            logistic50, stop_when=target)
+        rows = len(single.xbar)
+        assert np.array_equal(run["rows"]["xbar"][:rows, r], single.xbar)
+        assert np.array_equal(run["rows"]["deviations"][:rows, r], single.deviations)
+        assert np.all(np.isnan(run["rows"]["xbar"][rows:, r]))
+        assert np.array_equal(run["final_iterates"][r], single.final_iterates)
 
 
 def test_ensemble_crossing_matches_iterations_to_accuracy(quad10):
