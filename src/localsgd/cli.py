@@ -108,8 +108,11 @@ def cmd_fstar(args):
         raise ConfigError("--lambda must be positive")
     with open(args.dataset, "r", encoding="utf-8") as fh:
         dataset = parse_libsvm(fh)
-    objective = LogisticObjective(dataset, lam=lam)
-    reference = reference_for(objective, tolerance=args.tolerance)
+    try:
+        objective = LogisticObjective(dataset, lam=lam)
+        reference = reference_for(objective, tolerance=args.tolerance)
+    except (ValueError, RuntimeError) as exc:
+        raise ConfigError(f"bad fstar argument: {exc}")
     print(f"n={dataset.n} d={dataset.d} lambda={objective.lam!r}")
     print(f"fstar={reference.f_star!r}")
     return 0

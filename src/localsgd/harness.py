@@ -160,7 +160,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         if ds.get("fstar"):
             spec.f_star = ds.getfloat("fstar")
         spec.fstar_tolerance = ds.getfloat("fstar_tolerance", spec.fstar_tolerance)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         raise ConfigError(f"bad value in [dataset]: {exc}")
 
     if "sweep" not in parser:
@@ -207,10 +207,11 @@ def load_experiment_config(path) -> ExperimentConfig:
 def build_problem(spec: DatasetSpec):
     """Materialize (objective, reference) for a dataset spec.
 
-    The reference solution is analytic for quadratics and computed by
-    accelerated full-batch descent for logistic datasets unless the config
-    pins f_star directly.  A value the objective or the reference solve
-    rejects raises a ConfigError naming [dataset].
+    The reference solution is analytic for quadratics and computed by a
+    truncated Newton-CG solve (Hessian-vector products only, O(n + d)
+    memory) for logistic datasets unless the config pins f_star directly.
+    A value the objective or the reference solve rejects, and a tolerance
+    the solve cannot reach, raise a ConfigError naming [dataset].
     """
     if spec.kind == "libsvm":
         with open(spec.path, "r", encoding="utf-8") as fh:
@@ -228,44 +229,85 @@ def build_problem(spec: DatasetSpec):
                                           provenance="numeric")
         elif reference is None:
             reference = reference_for(objective, tolerance=spec.fstar_tolerance)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         raise ConfigError(f"bad value in [dataset]: {exc}")
     return objective, reference
+
+
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 30
 
 
 def reference_for(objective, tolerance=1e-8, max_iters=200_000) -> ReferenceSolution:
     """Reference solution (x*, f*) of any supported objective.
 
-    Analytic for quadratics.  Otherwise deterministic accelerated
-    full-batch gradient descent from zero with the strongly convex
-    momentum coefficient, run until the full gradient norm is below
-    `tolerance`.  With mu = lam the optimality gap at return is at most
-    tolerance^2 / (2 lam).
+    Analytic for quadratics.  Otherwise a truncated Newton-CG solve from
+    zero, run until the full gradient norm is at most `tolerance`; with
+    mu = lam the optimality gap at return is at most tolerance^2 / (2 lam).
+    `max_iters` counts Newton (outer) iterations.  Each one solves
+    H p = -g by conjugate gradients to a residual of min(1/2, sqrt|g|) |g|,
+    through Hessian-vector products only, so memory stays O(n + d), and
+    then halves the step from 1 until the Armijo condition holds.  When no
+    halving within the cap meets it, or a step lowers neither f nor the
+    gradient norm, the iterate sits at the rounding floor and the solve
+    raises instead of spinning.
     """
+    if not (isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"reference tolerance must be finite and positive, got {tolerance}")
     if isinstance(objective, QuadraticObjective):
         return objective.reference_solution()
-    mu, L = objective.curvature()
-    if mu <= 0.0:
+    if objective.lam <= 0.0:
         raise ValueError("reference computation requires strong convexity (lam > 0)")
-    beta = (sqrt(L) - sqrt(mu)) / (sqrt(L) + sqrt(mu))
     x = np.zeros(objective.d)
-    y = x.copy()
-    check_every = 25
-    for it in range(1, max_iters + 1):
-        g = objective.gradient(y)
-        x_new = y - g / L
-        y = x_new + beta * (x_new - x)
-        x = x_new
-        if it % check_every == 0:
-            gnorm = float(np.linalg.norm(objective.gradient(x)))
-            if gnorm <= tolerance:
-                return ReferenceSolution(
-                    x_star=x, f_star=objective.value(x), provenance="numeric"
-                )
+    f = objective.value(x)
+    g = objective.gradient(x)
+    for it in range(max_iters + 1):
+        gnorm = float(np.linalg.norm(g))
+        if gnorm <= tolerance:
+            return ReferenceSolution(x_star=x, f_star=f, provenance="numeric")
+        if it == max_iters:
+            break
+        p = _newton_cg(objective.hessian_product(x), g, min(0.5, sqrt(gnorm)) * gnorm)
+        slope = float(g @ p)
+        step = 1.0
+        for _ in range(_MAX_HALVINGS):
+            x_new = x + step * p
+            f_new = objective.value(x_new)
+            if f_new <= f + _ARMIJO * step * slope:
+                break
+            step *= 0.5
+        else:
+            break
+        g_new = objective.gradient(x_new)
+        if not (f_new < f or np.linalg.norm(g_new) < gnorm):
+            break  # the rounding floor: the step lowered neither f nor |g|
+        x, f, g = x_new, f_new, g_new
     raise RuntimeError(
-        f"reference solve did not reach gradient norm {tolerance} "
-        f"within {max_iters} iterations"
+        f"reference solve did not reach gradient norm {tolerance}: "
+        f"norm {gnorm:.3e} after {it} of at most {max_iters} Newton iterations"
     )
+
+
+def _newton_cg(hess, g, residual_tol):
+    """Conjugate gradients on hess(p) = -g from p = 0, to |residual| <= residual_tol.
+
+    Every iterate is a descent direction, so the search stops after at most
+    2d products even when rounding keeps the residual above the target.
+    """
+    p = np.zeros_like(g)
+    r = -g
+    direction = r.copy()
+    rr = float(r @ r)
+    for _ in range(2 * g.size):
+        if sqrt(rr) <= residual_tol:
+            break
+        hd = hess(direction)
+        alpha = rr / float(direction @ hd)
+        p += alpha * direction
+        r -= alpha * hd
+        rr, rr_old = float(r @ r), rr
+        direction = r + (rr / rr_old) * direction
+    return p
 
 
 def _family_steps(family, c, n):

@@ -18,6 +18,7 @@ which makes it the fixture of choice for verifying bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 from scipy.special import expit
@@ -80,8 +81,8 @@ class LogisticObjective:
     def __init__(self, dataset: Dataset, lam=None):
         self.dataset = dataset
         self.lam = dataset.lam if lam is None else float(lam)
-        if self.lam < 0.0:
-            raise ValueError("regularization must be nonnegative")
+        if not (isfinite(self.lam) and self.lam >= 0.0):
+            raise ValueError(f"regularization must be finite and nonnegative, got {self.lam}")
         self.n = dataset.n
         self.d = dataset.d
         self._A = dataset.features
@@ -158,6 +159,18 @@ class LogisticObjective:
     def gradient(self, x) -> np.ndarray:
         self._check_dim(x)
         return self._full_gradient_parts(x[None])[1][0] + self.lam * x
+
+    def hessian_product(self, x):
+        """The map v -> H(x) v of the full Hessian at x.
+
+        One margins pass gives the curvature weights s = sigma(m) sigma(-m);
+        each product is then (1/n) A^T (s * A v) + lam v, one CSR and one
+        CSC matvec, so no d x d matrix is ever formed.
+        """
+        self._check_dim(x)
+        m = self._margins(x[None])[0]
+        s = expit(m) * expit(-m)
+        return lambda v: self._At @ (s * (self._A @ v)) / self.n + self.lam * v
 
     def component_value(self, x, i) -> float:
         self._check_dim(x)

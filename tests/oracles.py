@@ -1,13 +1,21 @@
 """Formulas that only the tests use, independent of the engines.
 
 A sparse dot product by an index loop, the doubly weighted output average
-of the convergence theorem as an explicit weighted sum, and the noise
-constants of an objective over given points.
+of the convergence theorem as an explicit weighted sum, the noise
+constants of an objective over given points, and a first-order reference
+solve to check the Newton solve of the harness against.
 """
+
+from math import sqrt
 
 import numpy as np
 
-from localsgd import ProblemConstants, QuadraticObjective, sum_of_weights
+from localsgd import (
+    ProblemConstants,
+    QuadraticObjective,
+    ReferenceSolution,
+    sum_of_weights,
+)
 
 
 def sparse_dot(features, x) -> float:
@@ -75,3 +83,35 @@ def estimate_constants(objective, sample_points, trials=1, seed=0) -> ProblemCon
 
     mu, L = objective.curvature()
     return ProblemConstants(L=L, mu=mu, sigma_sq=sigma_sq, G_sq=g_sq)
+
+
+def accelerated_reference(objective, tolerance=1e-8, max_iters=200_000) -> ReferenceSolution:
+    """Reference solution of a strongly convex objective by accelerated descent.
+
+    Deterministic accelerated full-batch gradient descent from zero with
+    step 1/L and the strongly convex momentum coefficient, run until the
+    full gradient norm (checked every 25 steps) is below `tolerance`.  With
+    mu = lam the optimality gap at return is at most tolerance^2 / (2 lam).
+    """
+    mu, L = objective.curvature()
+    if mu <= 0.0:
+        raise ValueError("reference computation requires strong convexity (lam > 0)")
+    beta = (sqrt(L) - sqrt(mu)) / (sqrt(L) + sqrt(mu))
+    x = np.zeros(objective.d)
+    y = x.copy()
+    check_every = 25
+    for it in range(1, max_iters + 1):
+        g = objective.gradient(y)
+        x_new = y - g / L
+        y = x_new + beta * (x_new - x)
+        x = x_new
+        if it % check_every == 0:
+            gnorm = float(np.linalg.norm(objective.gradient(x)))
+            if gnorm <= tolerance:
+                return ReferenceSolution(
+                    x_star=x, f_star=objective.value(x), provenance="numeric"
+                )
+    raise RuntimeError(
+        f"reference solve did not reach gradient norm {tolerance} "
+        f"within {max_iters} iterations"
+    )

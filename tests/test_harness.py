@@ -6,8 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from localsgd import LogisticObjective, QuadraticObjective, make_quadratic, speedup
+from localsgd import Dataset, LogisticObjective, QuadraticObjective, make_quadratic, speedup
 from localsgd import harness
 from localsgd.cli import main
 from localsgd.harness import (
@@ -28,6 +29,7 @@ from localsgd.harness import (
 from localsgd.harness import _family_steps, _needed, _next_points
 from localsgd.schedules import ConstantStep, regular_sync_schedule
 from localsgd.sync import RecordFlags, RunConfig, _simulate, run_local_sgd
+from oracles import accelerated_reference
 
 DATA = Path(__file__).parent / "data"
 
@@ -162,7 +164,46 @@ def test_compute_reference_fstar_on_fixture(synth50):
 
 def test_compute_reference_fstar_nonconvergence(synth50):
     with pytest.raises(RuntimeError, match="did not reach"):
-        reference_for(LogisticObjective(synth50), tolerance=1e-14, max_iters=30)
+        reference_for(LogisticObjective(synth50), tolerance=1e-14, max_iters=1)
+
+
+def random_sparse_logistic(n=3000, d=60, density=0.08, seed=17):
+    """A seeded sparse logistic problem whose labels depend on the features."""
+    rng = np.random.default_rng(seed)
+    features = sp.random(n, d, density=density, format="csr", random_state=rng)
+    scores = features @ rng.standard_normal(d) + 0.5 * rng.standard_normal(n)
+    labels = np.where(scores > np.median(scores), 1.0, -1.0)
+    return LogisticObjective(Dataset(labels=labels, features=features))
+
+
+@pytest.mark.parametrize("tolerance", [1e-4, 1e-8, 1e-10])
+@pytest.mark.parametrize("problem", ["synth50", "random-sparse"])
+def test_newton_reference_matches_accelerated_descent(synth50, problem, tolerance):
+    obj = LogisticObjective(synth50) if problem == "synth50" else random_sparse_logistic()
+    newton = reference_for(obj, tolerance=tolerance)
+    first_order = accelerated_reference(obj, tolerance=tolerance)
+    assert np.linalg.norm(obj.gradient(newton.x_star)) <= tolerance
+    assert newton.f_star == obj.value(newton.x_star)
+    # both values lie within tol^2 / (2 lam) above f*, up to the rounding
+    # of the values themselves
+    gap = tolerance**2 / (2.0 * obj.lam) + 4 * np.spacing(first_order.f_star)
+    assert abs(newton.f_star - first_order.f_star) <= gap
+
+
+def test_reference_below_the_rounding_floor_fails_fast(synth50):
+    obj = LogisticObjective(synth50)
+    calls = []
+    gradient = obj.gradient
+    obj.gradient = lambda x: calls.append(1) or gradient(x)
+    with pytest.raises(RuntimeError, match="did not reach"):
+        reference_for(obj, tolerance=1e-300)
+    assert len(calls) < 50
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1e-8, float("nan"), float("inf")])
+def test_reference_rejects_a_bad_tolerance(synth50, tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        reference_for(LogisticObjective(synth50), tolerance=tolerance)
 
 
 def test_grid_search_finds_deterministic_optimum():
@@ -691,7 +732,8 @@ svg = false
 
 
 @pytest.mark.parametrize("case", ["run", "verify-lemmas", "fstar", "no-sections",
-                                  "lambda", "theory-K", "theory-eps"])
+                                  "lambda", "zero-tolerance", "nan-tolerance",
+                                  "unreachable-tolerance", "theory-K", "theory-eps"])
 def test_cli_bad_input_is_a_config_error(tmp_path, capsys, case):
     bad_data = tmp_path / "bad.libsvm"
     bad_data.write_text("+1 1:1\n+1 oops\n", encoding="utf-8")
@@ -717,6 +759,10 @@ dir = {tmp_path / 'out'}
         "fstar": ["fstar", str(bad_data)],
         "no-sections": ["run", str(no_sections)],
         "lambda": ["fstar", str(DATA / "synth50.libsvm"), "--lambda", "abc"],
+        "zero-tolerance": ["fstar", str(DATA / "synth50.libsvm"), "--tolerance", "0"],
+        "nan-tolerance": ["fstar", str(DATA / "synth50.libsvm"), "--tolerance", "nan"],
+        "unreachable-tolerance": ["fstar", str(DATA / "synth50.libsvm"),
+                                  "--tolerance", "1e-300"],
         "theory-K": ["theory", "--K", "0", "--H", "1", "--eps", "0.1"],
         "theory-eps": ["theory", "--K", "1", "--H", "1", "--eps", "-0.1"],
     }[case]
@@ -729,9 +775,13 @@ dir = {tmp_path / 'out'}
 @pytest.mark.parametrize("dataset", [
     f"kind = libsvm\npath = {DATA / 'synth50.libsvm'}\nlambda = -1\n",
     f"kind = libsvm\npath = {DATA / 'synth50.libsvm'}\nlambda = 0\n",  # no fstar
+    f"kind = libsvm\npath = {DATA / 'synth50.libsvm'}\nlambda = nan\n",
+    f"kind = libsvm\npath = {DATA / 'synth50.libsvm'}\nfstar_tolerance = 0\n",
+    f"kind = libsvm\npath = {DATA / 'synth50.libsvm'}\nfstar_tolerance = 1e-300\n",
     "kind = quadratic\nmu = 5\nL = 1\n",
     "kind = quadratic\nd = 0\n",
-], ids=["negative-lambda", "zero-lambda", "mu-above-L", "zero-d"])
+], ids=["negative-lambda", "zero-lambda", "nan-lambda", "zero-tolerance",
+        "unreachable-tolerance", "mu-above-L", "zero-d"])
 def test_cli_bad_dataset_value_is_a_config_error(tmp_path, capsys, dataset):
     config = write_config(tmp_path, f"""
 [dataset]

@@ -54,6 +54,26 @@ def test_component_gradient_matches_finite_differences(logistic50):
         assert np.linalg.norm(fd - g) / denom <= 1e-6
 
 
+def test_hessian_product_is_symmetric_and_matches_gradient_differences(logistic50):
+    rng = np.random.default_rng(23)
+    obj = logistic50
+    for _ in range(5):
+        x = rng.standard_normal(obj.d)
+        u, v = rng.standard_normal((2, obj.d))
+        hess = obj.hessian_product(x)
+        Hu, Hv = hess(u), hess(v)
+        assert abs(u @ Hv - v @ Hu) <= 1e-14 * np.linalg.norm(u) * np.linalg.norm(Hv)
+        h = 1e-5
+        fd = (obj.gradient(x + h * v) - obj.gradient(x - h * v)) / (2 * h)
+        assert np.linalg.norm(fd - Hv) <= 1e-7 * np.linalg.norm(Hv)
+
+
+@pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+def test_logistic_rejects_a_bad_lambda(synth50, lam):
+    with pytest.raises(ValueError, match="regularization"):
+        LogisticObjective(synth50, lam=lam)
+
+
 def test_mean_of_components_is_full_gradient(logistic50):
     rng = np.random.default_rng(5)
     x = rng.standard_normal(logistic50.d)
