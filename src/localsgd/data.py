@@ -8,7 +8,7 @@ full-batch operations are single sparse matvecs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,12 +30,10 @@ class Dataset:
 
     labels: (n,) array of +-1.0
     features: (n, d) CSR matrix, 0-based column indices
-    lam: default ridge regularization, 1/n unless overridden
     """
 
     labels: np.ndarray
     features: sp.csr_matrix
-    lam: float = field(default=0.0)
 
     def __post_init__(self):
         if self.features.shape[0] != self.labels.shape[0]:
@@ -44,8 +42,6 @@ class Dataset:
             raise ValueError("dataset must contain at least one example")
         if not np.all(np.abs(self.labels) == 1.0):
             raise ValueError("labels must be +-1")
-        if self.lam == 0.0:
-            self.lam = 1.0 / self.n
         self.labels.setflags(write=False)
 
     @property
@@ -67,7 +63,7 @@ class Dataset:
         return np.asarray(self.features.multiply(self.features).sum(axis=1)).ravel()
 
 
-def parse_libsvm(lines, declared_dimension=None, lam=0.0) -> Dataset:
+def parse_libsvm(lines, declared_dimension=None) -> Dataset:
     """Parse LIBSVM-format text into a Dataset.
 
     `lines` is any iterable of strings (an open file works).  The feature
@@ -132,7 +128,7 @@ def parse_libsvm(lines, declared_dimension=None, lam=0.0) -> Dataset:
          np.array(indptr, dtype=np.int64)),
         shape=(len(labels), d),
     )
-    return Dataset(labels=np.array(labels, dtype=np.float64), features=features, lam=lam)
+    return Dataset(labels=np.array(labels, dtype=np.float64), features=features)
 
 
 def serialize_libsvm(dataset: Dataset) -> str:

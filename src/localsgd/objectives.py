@@ -7,18 +7,17 @@ Two families are provided:
 * a synthetic strongly convex quadratic with shared diagonal curvature,
   f_i(x) = (1/2) x^T A x - b_i^T x
 
-Both expose the full gradient, per-component gradients, mini-batch means,
-and vectorized batched variants used by the engines.  The logistic oracles
-have one code path on the CSR features for single and stacked points, so
-a batched call equals the single-point calls bitwise.  The quadratic has
-an analytic minimizer and exactly known curvature and noise constants,
+Both expose values, full and mini-batch gradients, and gradient moments,
+for one point or a stack of points.  Each family computes a quantity once,
+on a stack; a single-point oracle is a row of that stack.  The quadratic
+has an analytic minimizer and exactly known curvature and noise constants,
 which makes it the fixture of choice for verifying bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 
 import numpy as np
 from scipy.special import expit
@@ -62,33 +61,14 @@ class ReferenceSolution:
     provenance: str  # "analytic" | "numeric"
 
 
-class LogisticObjective:
-    """L2-regularized logistic loss over a sparse Dataset.
+class _Oracles:
+    """The public oracles, written once over four passes on a flat (P, d) stack.
 
-    Every oracle reads the CSR feature matrix through one of two private
-    passes: `_sample_margins` gathers sampled rows by their indptr ranges
-    (the stochastic gradients), and `_margins` forms all n margins of a
-    stack of points with one A @ X.T product (values, full gradients and
-    gradient moments).  Both accumulate in the order of scipy's CSR
-    products, and per-point dot products go through np.vecdot, so a
-    stacked call returns exactly what the single-point calls return.  The
-    loss is evaluated through log(1 + e^z) = logaddexp(0, z), which is
-    stable for margins of either sign; a non-finite value raises.
+    A subclass computes `_values`, `_gradients`, `_sampled_gradients(X, I)`
+    and `_second_moments`, each row from that row alone.  Every single-point
+    oracle is its stacked oracle at x[None] (or at a broadcast x), so it
+    equals that row bitwise.  A non-finite value raises FloatingPointError.
     """
-
-    kind = "logistic-l2"
-
-    def __init__(self, dataset: Dataset, lam=None):
-        self.dataset = dataset
-        self.lam = dataset.lam if lam is None else float(lam)
-        if not (isfinite(self.lam) and self.lam >= 0.0):
-            raise ValueError(f"regularization must be finite and nonnegative, got {self.lam}")
-        self.n = dataset.n
-        self.d = dataset.d
-        self._A = dataset.features
-        self._At = self._A.T  # CSC view on the same arrays; built once, not per call
-        self._b = dataset.labels
-        self._row_norms_sq = dataset.row_norms_sq()
 
     def _check_dim(self, x):
         if x.shape[-1] != self.d:
@@ -97,6 +77,80 @@ class LogisticObjective:
     def _check_index(self, i):
         if not 0 <= i < self.n:
             raise IndexError(f"component index {i} out of range [0, {self.n})")
+
+    def value_many(self, X) -> np.ndarray:
+        """Full-objective values for a stack of points X (..., d)."""
+        self._check_dim(X)
+        vals = self._values(X.reshape(-1, self.d))
+        if not np.isfinite(vals).all():
+            raise FloatingPointError("objective evaluated to a non-finite value")
+        return vals.reshape(X.shape[:-1])
+
+    def gradient_many(self, X) -> np.ndarray:
+        """Full gradients for a stack of points X (..., d)."""
+        self._check_dim(X)
+        return self._gradients(X.reshape(-1, self.d)).reshape(X.shape)
+
+    def minibatch_gradient_many(self, X, I) -> np.ndarray:
+        """Vectorized mini-batch means: X (..., d), I (..., b) -> (..., d)."""
+        self._check_dim(X)
+        G = self._sampled_gradients(X.reshape(-1, self.d), I.reshape(-1, I.shape[-1]))
+        return G.reshape(X.shape)
+
+    def second_moment_many(self, X) -> np.ndarray:
+        """E_i ||grad f_i||^2 for a stack of points, exact enumeration."""
+        self._check_dim(X)
+        return self._second_moments(X.reshape(-1, self.d)).reshape(X.shape[:-1])
+
+    def value(self, x) -> float:
+        return float(self.value_many(x[None])[0])
+
+    def gradient(self, x) -> np.ndarray:
+        return self.gradient_many(x[None])[0]
+
+    def minibatch_gradient(self, x, idx) -> np.ndarray:
+        """Mean of component gradients over index array idx."""
+        return self.minibatch_gradient_many(x[None], np.asarray(idx).reshape(1, -1))[0]
+
+    def component_gradient(self, x, i) -> np.ndarray:
+        self._check_index(i)
+        return self.minibatch_gradient_many(x[None], np.array([[i]]))[0]
+
+    def component_gradients_at(self, x, idx) -> np.ndarray:
+        """Per-component gradients at a single point, stacked (len(idx), d)."""
+        self._check_dim(x)
+        idx = np.asarray(idx).reshape(-1, 1)
+        return self.minibatch_gradient_many(np.broadcast_to(x, (len(idx), self.d)), idx)
+
+    def second_moment_at(self, x) -> float:
+        """Exact E_i ||grad f_i(x)||^2 by enumeration."""
+        return float(self.second_moment_many(x[None])[0])
+
+
+class LogisticObjective(_Oracles):
+    """L2-regularized logistic loss over a sparse Dataset; lam defaults to 1/n.
+
+    Every oracle reads the CSR feature matrix through one of two private
+    passes: `_sample_margins` gathers sampled rows by their indptr ranges
+    (the stochastic gradients), and `_margins` forms all n margins of a
+    stack of points with one A @ X.T product (values, full gradients and
+    gradient moments).  Both accumulate in the order of scipy's CSR
+    products, and per-point dot products go through np.vecdot, so each row
+    of a stack is computed as on its own.  The loss is evaluated as
+    logaddexp(0, z) = log(1 + e^z), stable for margins of either sign.
+    """
+
+    def __init__(self, dataset: Dataset, lam=None):
+        self.dataset = dataset
+        self.lam = 1.0 / dataset.n if lam is None else float(lam)
+        if not (isfinite(self.lam) and self.lam >= 0.0):
+            raise ValueError(f"regularization must be finite and nonnegative, got {self.lam}")
+        self.n = dataset.n
+        self.d = dataset.d
+        self._A = dataset.features
+        self._At = self._A.T  # CSC view on the same arrays; built once, not per call
+        self._b = dataset.labels
+        self._row_norms_sq = dataset.row_norms_sq()
 
     def _sample_margins(self, X, I):
         """Margins b_i a_i^T x_p of the rows I[p] (P, b) at the points X (P, d).
@@ -132,16 +186,16 @@ class LogisticObjective:
 
     def _values(self, X):
         m = self._margins(X)
-        vals = np.mean(np.logaddexp(0.0, -m), axis=-1) + 0.5 * self.lam * np.vecdot(X, X)
-        if not np.isfinite(vals).all():
-            raise FloatingPointError("logistic loss evaluated to a non-finite value")
-        return vals
+        return np.mean(np.logaddexp(0.0, -m), axis=-1) + 0.5 * self.lam * np.vecdot(X, X)
 
     def _full_gradient_parts(self, X):
         """Loss coefficients (P, n) and the data part of the full gradient (P, d)."""
         coef = -self._b * expit(-self._margins(X))
         # contiguous rows: np.vecdot on strided rows rounds differently
         return coef, np.ascontiguousarray((self._At @ coef.T).T) / self.n
+
+    def _gradients(self, X):
+        return self._full_gradient_parts(X)[1] + self.lam * X
 
     def _second_moments(self, X):
         coef, mean_part = self._full_gradient_parts(X)
@@ -151,14 +205,6 @@ class LogisticObjective:
             + 2.0 * self.lam * np.vecdot(X, mean_part)
             + self.lam**2 * np.vecdot(X, X)
         )
-
-    def value(self, x) -> float:
-        self._check_dim(x)
-        return float(self._values(x[None])[0])
-
-    def gradient(self, x) -> np.ndarray:
-        self._check_dim(x)
-        return self._full_gradient_parts(x[None])[1][0] + self.lam * x
 
     def hessian_product(self, x):
         """The map v -> H(x) v of the full Hessian at x.
@@ -178,44 +224,6 @@ class LogisticObjective:
         m = self._sample_margins(x[None], np.array([[i]]))[0][0]
         return float(np.logaddexp(0.0, -m)) + 0.5 * self.lam * float(x @ x)
 
-    def component_gradient(self, x, i) -> np.ndarray:
-        self._check_dim(x)
-        self._check_index(i)
-        return self._sampled_gradients(x[None], np.array([[i]]))[0]
-
-    def minibatch_gradient(self, x, idx) -> np.ndarray:
-        """Mean of component gradients over index array idx."""
-        self._check_dim(x)
-        return self._sampled_gradients(x[None], np.asarray(idx).reshape(1, -1))[0]
-
-    def component_gradients_at(self, x, idx) -> np.ndarray:
-        """Per-component gradients at a single point, stacked (len(idx), d)."""
-        self._check_dim(x)
-        idx = np.asarray(idx).reshape(-1, 1)
-        return self._sampled_gradients(np.broadcast_to(x, (len(idx), self.d)), idx)
-
-    def minibatch_gradient_many(self, X, I) -> np.ndarray:
-        """Vectorized mini-batch means: X (..., d), I (..., b) -> (..., d)."""
-        self._check_dim(X)
-        G = self._sampled_gradients(X.reshape(-1, self.d), I.reshape(-1, I.shape[-1]))
-        return G.reshape(X.shape)
-
-    def value_many(self, X) -> np.ndarray:
-        """Full-objective values for a stack of points X (..., d)."""
-        self._check_dim(X)
-        return self._values(X.reshape(-1, self.d)).reshape(X.shape[:-1])
-
-    def gradient_many(self, X) -> np.ndarray:
-        """Full gradients for a stack of points X (..., d)."""
-        self._check_dim(X)
-        _, mean_part = self._full_gradient_parts(X.reshape(-1, self.d))
-        return mean_part.reshape(X.shape) + self.lam * X
-
-    def second_moment_many(self, X) -> np.ndarray:
-        """E_i ||grad f_i||^2 for a stack of points, exact enumeration."""
-        self._check_dim(X)
-        return self._second_moments(X.reshape(-1, self.d)).reshape(X.shape[:-1])
-
     def variance_at(self, x) -> float:
         """Exact E_i ||grad f_i(x) - grad f(x)||^2 by enumeration."""
         self._check_dim(x)
@@ -224,25 +232,21 @@ class LogisticObjective:
         second = float(np.mean(coef**2 * self._row_norms_sq))
         return second - float(mean_part[0] @ mean_part[0])
 
-    def second_moment_at(self, x) -> float:
-        """Exact E_i ||grad f_i(x)||^2 by enumeration."""
-        self._check_dim(x)
-        return float(self._second_moments(x[None])[0])
-
     def curvature(self):
         """Analytic (mu, L): mu = lam, L = lam + max_i ||a_i||^2 / 4."""
         return self.lam, self.lam + float(self._row_norms_sq.max()) / 4.0
 
 
-class QuadraticObjective:
+class QuadraticObjective(_Oracles):
     """Synthetic quadratic with shared diagonal Hessian and noisy linear terms.
 
     f_i(x) = (1/2) x^T diag(h) x - b_i^T x.  The component gradients differ
     from the mean only through b_i, so the gradient variance is the same at
-    every point and is known exactly.
+    every point and is known exactly; it is exactly 0 when all b_i are
+    equal.  Per-point dot products go through np.vecdot, whose rounding of
+    a row does not depend on how many rows the stack has.
     """
 
-    kind = "synthetic-quadratic"
     lam = 0.0
 
     def __init__(self, hessian_diag, linear_terms):
@@ -252,57 +256,31 @@ class QuadraticObjective:
         self.d = self.hess.shape[0]
         if self.B.shape[1] != self.d:
             raise ValueError("linear terms do not match Hessian dimension")
-        self.b_mean = self.B.mean(axis=0)
+        # the mean of equal rows can round away from the row itself
+        self.b_mean = self.B[0] if (self.B == self.B[0]).all() else self.B.mean(axis=0)
         deltas = self.B - self.b_mean
         self.sigma_sq = float(np.mean(np.sum(deltas**2, axis=1)))
 
-    def _check_dim(self, x):
-        if x.shape[-1] != self.d:
-            raise ValueError(f"point has dimension {x.shape[-1]}, expected {self.d}")
+    def _values(self, X):
+        return 0.5 * np.sum(X * self.hess * X, axis=-1) - np.vecdot(X, self.b_mean)
 
-    def value(self, x) -> float:
-        self._check_dim(x)
-        return 0.5 * float(x @ (self.hess * x)) - float(self.b_mean @ x)
+    def _gradients(self, X):
+        return self.hess * X - self.b_mean
 
-    def gradient(self, x) -> np.ndarray:
-        self._check_dim(x)
-        return self.hess * x - self.b_mean
+    def _sampled_gradients(self, X, I):
+        return self.hess * X - self.B[I].mean(axis=-2)
+
+    def _second_moments(self, X):
+        return np.sum(self._gradients(X) ** 2, axis=-1) + self.sigma_sq
 
     def component_value(self, x, i) -> float:
         self._check_dim(x)
+        self._check_index(i)
         return 0.5 * float(x @ (self.hess * x)) - float(self.B[i] @ x)
 
-    def component_gradient(self, x, i) -> np.ndarray:
-        self._check_dim(x)
-        return self.hess * x - self.B[i]
-
-    def minibatch_gradient(self, x, idx) -> np.ndarray:
-        self._check_dim(x)
-        return self.hess * x - self.B[idx].mean(axis=0)
-
-    def component_gradients_at(self, x, idx) -> np.ndarray:
-        self._check_dim(x)
-        return self.hess * x - self.B[idx]
-
-    def minibatch_gradient_many(self, X, I) -> np.ndarray:
-        return self.hess * X - self.B[I].mean(axis=-2)
-
-    def value_many(self, X) -> np.ndarray:
-        return 0.5 * np.sum(X * self.hess * X, axis=-1) - X @ self.b_mean
-
-    def gradient_many(self, X) -> np.ndarray:
-        return self.hess * X - self.b_mean
-
-    def second_moment_many(self, X) -> np.ndarray:
-        g = self.hess * X - self.b_mean
-        return np.sum(g**2, axis=-1) + self.sigma_sq
-
     def variance_at(self, x) -> float:
+        self._check_dim(x)
         return self.sigma_sq
-
-    def second_moment_at(self, x) -> float:
-        g = self.gradient(x)
-        return float(g @ g) + self.sigma_sq
 
     def curvature(self):
         return float(self.hess.min()), float(self.hess.max())
@@ -320,12 +298,16 @@ def make_quadratic(d, mu, L, n, noise, seed):
     The Hessian is diagonal with spectrum spread linearly over [mu, L]
     (both endpoints attained), the linear terms b_i are centered so their
     mean is exact, and the perturbations are rescaled so that the gradient
-    variance equals noise^2 exactly.  Returns the objective, its analytic
-    minimizer, and the exact constants (G_sq reported at the minimizer,
-    where the second moment equals the variance).
+    variance equals noise^2 exactly (noise = 0 gives equal rows and a
+    variance of exactly 0).  Requires finite 0 < mu <= L and a finite
+    noise >= 0.  Returns the objective, its analytic minimizer, and the
+    exact constants (G_sq reported at the minimizer, where the second
+    moment equals the variance).
     """
-    if not (0.0 < mu <= L):
-        raise ValueError("require 0 < mu <= L")
+    if not (0.0 < mu <= L < inf):
+        raise ValueError("require finite 0 < mu <= L")
+    if not (0.0 <= noise < inf):
+        raise ValueError(f"noise must be finite and nonnegative, got {noise}")
     if d < 1 or n < 1:
         raise ValueError("require d >= 1 and n >= 1")
     if d == 1 and mu != L:

@@ -10,7 +10,7 @@ gradient-computation times per exchanged vector.
 
 from __future__ import annotations
 
-from math import sqrt
+from math import isfinite, sqrt
 
 from .averaging import sum_of_weights
 from .schedules import TheoremDecayStep, validate_shift
@@ -18,8 +18,8 @@ from .schedules import TheoremDecayStep, validate_shift
 
 def _check_positive(**kwargs):
     for name, value in kwargs.items():
-        if value <= 0:
-            raise ValueError(f"{name} must be positive, got {value}")
+        if not (isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def theorem1_bound(constants, K, T, H, b, a, r0) -> float:
@@ -113,8 +113,8 @@ def speedup(K, H, eps, rho) -> float:
     each, rho gradient-times per vector.
     """
     _check_positive(K=K, H=H, rho=rho)
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
+    if not (isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     accuracy_one = 0.5 + 0.5 * sqrt(1.0 + eps * (1.0 + H + H**2))
     accuracy_k = 0.5 + 0.5 * sqrt(1.0 + eps * (1.0 + H + H**2 * K))
     comm_factor = 1.0 + 2.0 * rho * (K - 1.0) / H

@@ -10,6 +10,15 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="session")
+def cli_env():
+    """Environment for `python -m localsgd` child processes: this checkout's
+    src leads PYTHONPATH, so they import the package under test without an
+    install."""
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
+@pytest.fixture(scope="session")
 def synth50():
     with open(DATA_DIR / "synth50.libsvm", "r", encoding="utf-8") as fh:
         return parse_libsvm(fh)

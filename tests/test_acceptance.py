@@ -334,7 +334,7 @@ def test_criterion_8_averaging_equivalence():
 
 
 def test_criterion_9_parser_fixture_half(synth50):
-    f0 = LogisticObjective(synth50, lam=synth50.lam).value(np.zeros(synth50.d))
+    f0 = LogisticObjective(synth50).value(np.zeros(synth50.d))
     ln2_ok = abs(f0 - math.log(2.0)) <= 1e-9
 
     errors_ok = True
@@ -361,7 +361,7 @@ def test_criterion_9_parser_fixture_half(synth50):
 
 
 def test_criterion_9_w8a_half(w8a_dataset):
-    f0 = LogisticObjective(w8a_dataset, lam=w8a_dataset.lam).value(np.zeros(w8a_dataset.d))
+    f0 = LogisticObjective(w8a_dataset).value(np.zeros(w8a_dataset.d))
     report(
         "criterion 9 (w8a half): parses to n=49749, d=300 with f(0)=ln 2",
         w8a_dataset.n == 49749 and w8a_dataset.d == 300
@@ -373,7 +373,7 @@ def test_criterion_9_w8a_half(w8a_dataset):
 # 10. CLI determinism ------------------------------------------------------
 
 
-def test_criterion_10_cli_determinism(tmp_path):
+def test_criterion_10_cli_determinism(tmp_path, cli_env):
     config = tmp_path / "exp.ini"
     config.write_text(f"""
 [dataset]
@@ -405,7 +405,7 @@ svg = true
         proc = subprocess.run(
             [sys.executable, "-m", "localsgd", "run", str(config),
              "--out", str(tmp_path / attempt)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=cli_env,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append((tmp_path / attempt / "results.csv").read_bytes())

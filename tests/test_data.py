@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from localsgd import LibsvmFormatError, parse_libsvm, serialize_libsvm
+from localsgd import LibsvmFormatError, LogisticObjective, parse_libsvm, serialize_libsvm
 from oracles import sparse_dot
 
 
@@ -62,7 +62,7 @@ def test_empty_input_rejected():
 
 
 def test_default_regularization_is_one_over_n(synth50):
-    assert synth50.lam == 1.0 / synth50.n
+    assert LogisticObjective(synth50).lam == 1.0 / synth50.n
 
 
 def test_round_trip(synth50):

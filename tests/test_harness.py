@@ -663,7 +663,7 @@ def test_verify_lemmas_entry_point(tmp_path):
     assert (tmp_path / "elsewhere" / "lemma_checks.csv").exists()
 
 
-def test_cli_round_trip(tmp_path):
+def test_cli_round_trip(tmp_path, cli_env):
     config_path = write_config(tmp_path, f"""
 [dataset]
 kind = quadratic
@@ -690,7 +690,7 @@ svg = false
 """)
     proc = subprocess.run(
         [sys.executable, "-m", "localsgd", "run", str(config_path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=cli_env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "cli_out" / "results.csv").exists()
@@ -699,7 +699,7 @@ svg = false
     theory = subprocess.run(
         [sys.executable, "-m", "localsgd", "theory", "--K", "1,2",
          "--H", "1,4", "--eps", "0.001", "--rho", "25"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=cli_env,
     )
     assert theory.returncode == 0
     lines = theory.stdout.strip().splitlines()
@@ -710,7 +710,7 @@ svg = false
     at_zero = subprocess.run(
         [sys.executable, "-m", "localsgd", "theory", "--K", "4", "--H", "2",
          "--eps", "0", "--rho", "25"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=cli_env,
     )
     assert at_zero.returncode == 0
     value = float(at_zero.stdout.strip().splitlines()[1].split(",")[-1])
@@ -718,14 +718,14 @@ svg = false
 
     bad = subprocess.run(
         [sys.executable, "-m", "localsgd", "run", str(tmp_path / "nope.ini")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=cli_env,
     )
     assert bad.returncode == 1
 
     fstar = subprocess.run(
         [sys.executable, "-m", "localsgd", "fstar", str(DATA / "synth50.libsvm"),
          "--tolerance", "1e-6"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=cli_env,
     )
     assert fstar.returncode == 0
     assert "fstar=" in fstar.stdout
@@ -733,7 +733,9 @@ svg = false
 
 @pytest.mark.parametrize("case", ["run", "verify-lemmas", "fstar", "no-sections",
                                   "lambda", "zero-tolerance", "nan-tolerance",
-                                  "unreachable-tolerance", "theory-K", "theory-eps"])
+                                  "unreachable-tolerance", "theory-K", "theory-eps",
+                                  "theory-rho-nan", "theory-rho-inf", "theory-eps-nan",
+                                  "theory-eps-inf"])
 def test_cli_bad_input_is_a_config_error(tmp_path, capsys, case):
     bad_data = tmp_path / "bad.libsvm"
     bad_data.write_text("+1 1:1\n+1 oops\n", encoding="utf-8")
@@ -765,6 +767,10 @@ dir = {tmp_path / 'out'}
                                   "--tolerance", "1e-300"],
         "theory-K": ["theory", "--K", "0", "--H", "1", "--eps", "0.1"],
         "theory-eps": ["theory", "--K", "1", "--H", "1", "--eps", "-0.1"],
+        "theory-rho-nan": ["theory", "--K", "2", "--H", "1", "--eps", "0.1", "--rho", "nan"],
+        "theory-rho-inf": ["theory", "--K", "2", "--H", "1", "--eps", "0.1", "--rho", "inf"],
+        "theory-eps-nan": ["theory", "--K", "2", "--H", "1", "--eps", "nan"],
+        "theory-eps-inf": ["theory", "--K", "2", "--H", "1", "--eps", "inf"],
     }[case]
     assert main(argv) == 1
     out, err = capsys.readouterr()
@@ -801,7 +807,7 @@ dir = {tmp_path / 'out'}
     assert err.startswith("config error: bad value in [dataset]") and "Traceback" not in err
 
 
-def test_cli_verify_lemmas(tmp_path):
+def test_cli_verify_lemmas(tmp_path, cli_env):
     config_path = write_config(tmp_path, f"""
 [dataset]
 kind = quadratic
@@ -833,7 +839,7 @@ dir = {tmp_path / 'lem_out'}
 """)
     proc = subprocess.run(
         [sys.executable, "-m", "localsgd", "verify-lemmas", str(config_path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=cli_env,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("[PASS]") == 5

@@ -41,6 +41,16 @@ def test_variance_reduction_noise_free():
     assert report.passed
 
 
+def test_variance_reduction_passes_on_the_default_noise_free_quadratic():
+    # the default quadratic's 64 equal linear terms: a mean that rounds away
+    # from the row would leave every component the same nonzero deviation
+    obj, _, _ = make_quadratic(d=10, mu=1.0, L=4.0, n=64, noise=0.0, seed=7)
+    states = [np.full(10, float(k)) for k in range(4)]
+    report = check_variance_reduction(obj, states, trials=200, seed=0)
+    assert report.statistic == 0.0
+    assert report.passed
+
+
 def test_variance_reduction_single_worker(quad10):
     obj, _, _ = quad10
     report = check_variance_reduction(obj, [np.zeros(obj.d)], trials=2000, seed=1)

@@ -92,12 +92,62 @@ def test_extreme_margins_stay_finite():
     assert obj.value(np.array([1e4])) == pytest.approx(5e3, rel=1e-6)
 
 
-def test_non_finite_values_raise_for_single_and_stacked_points(logistic50):
-    huge = np.full(logistic50.d, 1e200)  # the ridge term overflows
+def _objective(request, name):
+    fixture = request.getfixturevalue(name)
+    return fixture[0] if name == "quad10" else fixture
+
+
+@pytest.mark.parametrize("name", ["logistic50", "quad10"])
+def test_non_finite_values_raise_for_single_and_stacked_points(request, name):
+    obj = _objective(request, name)
+    huge = np.full(obj.d, 1e200)  # the squared norm overflows
     with pytest.raises(FloatingPointError):
-        logistic50.value(huge)
+        obj.value(huge)
     with pytest.raises(FloatingPointError):
-        logistic50.value_many(np.stack([np.zeros(logistic50.d), huge]))
+        obj.value_many(np.stack([np.zeros(obj.d), huge]))
+
+
+@pytest.mark.parametrize("lead", [(1,), (7,), (3, 4)])
+@pytest.mark.parametrize("name", ["logistic50", "quad10"])
+def test_single_point_oracles_are_rows_of_the_stacked_oracles(request, name, lead):
+    obj = _objective(request, name)
+    rng = np.random.default_rng(31)
+    X = rng.standard_normal(lead + (obj.d,))
+    I = rng.integers(0, obj.n, size=lead + (3,))
+    values, grads = obj.value_many(X), obj.gradient_many(X)
+    batches, moments = obj.minibatch_gradient_many(X, I), obj.second_moment_many(X)
+    singles = [obj.minibatch_gradient_many(X, I[..., j:j + 1]) for j in range(3)]
+    for p in np.ndindex(*lead):
+        x = X[p]
+        assert obj.value(x) == values[p]
+        assert np.array_equal(obj.gradient(x), grads[p])
+        assert np.array_equal(obj.minibatch_gradient(x, I[p]), batches[p])
+        assert obj.second_moment_at(x) == moments[p]
+        per_component = obj.component_gradients_at(x, I[p])
+        for j in range(3):
+            assert np.array_equal(obj.component_gradient(x, int(I[p][j])), singles[j][p])
+            assert np.array_equal(per_component[j], singles[j][p])
+
+
+def test_quadratic_value_at_the_minimizer_is_f_star_in_a_stack(quad10):
+    obj, ref, _ = quad10
+    stack = np.broadcast_to(ref.x_star, (2, 4, obj.d))
+    assert np.all(obj.value_many(stack) - ref.f_star == 0.0)
+
+
+def test_quadratic_dimension_and_index_errors(quad10):
+    obj = quad10[0]
+    wrong = np.zeros((3, 2, 1))
+    for oracle in (obj.value_many, obj.gradient_many, obj.second_moment_many, obj.variance_at):
+        with pytest.raises(ValueError, match="dimension"):
+            oracle(wrong)
+    with pytest.raises(ValueError, match="dimension"):
+        obj.minibatch_gradient_many(wrong, np.zeros((3, 2, 1), dtype=np.int64))
+    for i in (-1, obj.n):
+        with pytest.raises(IndexError):
+            obj.component_gradient(np.zeros(obj.d), i)
+        with pytest.raises(IndexError):
+            obj.component_value(np.zeros(obj.d), i)
 
 
 def test_dimension_and_index_errors(logistic50):
@@ -139,6 +189,21 @@ def test_make_quadratic_spectrum_and_noise():
 def test_make_quadratic_noiseless_variance():
     obj, _, _ = make_quadratic(d=3, mu=1.0, L=2.0, n=8, noise=0.0, seed=1)
     assert obj.variance_at(np.ones(3)) <= 1e-12
+
+
+def test_make_quadratic_noiseless_variance_is_exactly_zero():
+    obj, _, const = make_quadratic(d=10, mu=1.0, L=4.0, n=64, noise=0.0, seed=7)
+    assert obj.sigma_sq == 0.0 == const.sigma_sq
+    assert np.array_equal(obj.component_gradient(np.ones(10), 5), obj.gradient(np.ones(10)))
+
+
+@pytest.mark.parametrize("bad", [dict(noise=float("nan")), dict(noise=-1.0),
+                                 dict(noise=float("inf")), dict(L=float("inf")),
+                                 dict(mu=float("nan")), dict(L=float("nan"))])
+def test_make_quadratic_rejects_non_finite_constants(bad):
+    args = dict(d=4, mu=1.0, L=2.0, n=8, noise=0.5, seed=0)
+    with pytest.raises(ValueError):
+        make_quadratic(**{**args, **bad})
 
 
 def test_make_quadratic_rejects_bad_args():
