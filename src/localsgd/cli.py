@@ -91,7 +91,7 @@ def cmd_theory(args):
         # every row is computed, so every value checked, before any is printed
         rows = [f"{K},{H},{eps!r},{args.rho!r},{speedup(K, H, eps, args.rho)!r}"
                 for eps in eps_list for K in ks for H in hs]
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad theory argument: {exc}")
     print(",".join(THEORY_HEADER))
     for row in rows:

@@ -322,13 +322,16 @@ def measure_iterations(objective, f_star, K, H, b, eps, seed, step_cap,
 
     One seeded run, stopped at the first qualifying evaluation point
     (function values are checked at every synchronization index plus a
-    fixed subsampling stride).  A run that diverges never qualifies.
+    fixed subsampling stride).  A run that diverges never qualifies.  The
+    run records no function values, so `sync._simulate` screens its
+    checks: one that convexity proves cannot reach eps is skipped, and t*
+    is the same as with every value computed.
     """
     sched = regular_sync_schedule(step_cap, H)
     config = RunConfig(
         K=K, T=step_cap, b=b, sync=sched, steps=_family_steps(family, c, objective.n),
         seed=seed, x0=np.zeros(objective.d),
-        record=RecordFlags(virtual=False, deviations=False),
+        record=RecordFlags(virtual=False, deviations=False, f_values=False),
     )
     return run_local_sgd(config, objective, stop_when=(eps, f_star)).t_star
 
@@ -461,7 +464,7 @@ def _search_round(objective, f_star, K, H, b, eps, seed, step_cap, measured, poi
     config = RunConfig(
         K=K, T=step_cap, b=b, sync=regular_sync_schedule(step_cap, H), steps=steps[0],
         seed=seed, x0=np.zeros(objective.d),
-        record=RecordFlags(virtual=False, deviations=False),
+        record=RecordFlags(virtual=False, deviations=False, f_values=False),
     )
     run = _simulate(config, objective, [seed] * len(points), config.record,
                     steps=steps, target=(eps, f_star),

@@ -65,9 +65,11 @@ class _Oracles:
     """The public oracles, written once over four passes on a flat (P, d) stack.
 
     A subclass computes `_values`, `_gradients`, `_sampled_gradients(X, I)`
-    and `_second_moments`, each row from that row alone.  Every single-point
-    oracle is its stacked oracle at x[None] (or at a broadcast x), so it
-    equals that row bitwise.  A non-finite value raises FloatingPointError.
+    and `_second_moments`, each row from that row alone, and may share one
+    pass between values and gradients in `_values_and_gradients`.  Every
+    single-point oracle is its stacked oracle at x[None] (or at a broadcast
+    x), so it equals that row bitwise.  A non-finite value raises
+    FloatingPointError.
     """
 
     def _check_dim(self, x):
@@ -90,6 +92,17 @@ class _Oracles:
         """Full gradients for a stack of points X (..., d)."""
         self._check_dim(X)
         return self._gradients(X.reshape(-1, self.d)).reshape(X.shape)
+
+    def value_and_gradient_many(self, X):
+        """(value_many(X), gradient_many(X)) of a stack X (..., d), bitwise."""
+        self._check_dim(X)
+        vals, grads = self._values_and_gradients(X.reshape(-1, self.d))
+        if not np.isfinite(vals).all():
+            raise FloatingPointError("objective evaluated to a non-finite value")
+        return vals.reshape(X.shape[:-1]), grads.reshape(X.shape)
+
+    def _values_and_gradients(self, X):
+        return self._values(X), self._gradients(X)
 
     def minibatch_gradient_many(self, X, I) -> np.ndarray:
         """Vectorized mini-batch means: X (..., d), I (..., b) -> (..., d)."""
@@ -184,18 +197,22 @@ class LogisticObjective(_Oracles):
         # point's mean
         return self._b * np.ascontiguousarray((self._A @ X.T).T)
 
-    def _values(self, X):
-        m = self._margins(X)
+    def _values(self, X, m=None):
+        m = self._margins(X) if m is None else m
         return np.mean(np.logaddexp(0.0, -m), axis=-1) + 0.5 * self.lam * np.vecdot(X, X)
 
-    def _full_gradient_parts(self, X):
+    def _full_gradient_parts(self, X, m=None):
         """Loss coefficients (P, n) and the data part of the full gradient (P, d)."""
-        coef = -self._b * expit(-self._margins(X))
+        coef = -self._b * expit(-(self._margins(X) if m is None else m))
         # contiguous rows: np.vecdot on strided rows rounds differently
         return coef, np.ascontiguousarray((self._At @ coef.T).T) / self.n
 
-    def _gradients(self, X):
-        return self._full_gradient_parts(X)[1] + self.lam * X
+    def _gradients(self, X, m=None):
+        return self._full_gradient_parts(X, m)[1] + self.lam * X
+
+    def _values_and_gradients(self, X):
+        m = self._margins(X)  # one pass shared by both
+        return self._values(X, m), self._gradients(X, m)
 
     def _second_moments(self, X):
         coef, mean_part = self._full_gradient_parts(X)

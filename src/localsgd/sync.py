@@ -45,7 +45,9 @@ class RecordFlags:
 
     virtual: bool = True         # virtual average per step
     deviations: bool = True      # (1/K) sum_k ||xbar - x_k||^2 per step
-    f_values: bool = True        # objective value of the four running averages
+    # objective value of the four running averages; with it off, a run
+    # with an accuracy target still checks them, screened by convexity
+    f_values: bool = True
     iterates: bool = False       # full (K, T+1, d) worker trajectories
     noise_norms: bool = False    # ||g_t - gbar_t||^2 per step (costs K full gradients)
     f_virtual: bool = False      # f(xbar_t) per step
@@ -141,6 +143,38 @@ def _values(objective, Y):
     return np.where(np.isfinite(f), f, np.nan)
 
 
+def _values_and_gradients(objective, Y):
+    """value_and_gradient_many of a stack; non-finite values read NaN as in `_values`."""
+    try:
+        return objective.value_and_gradient_many(Y)
+    except FloatingPointError:
+        return _values(objective, Y), objective.gradient_many(Y)
+
+
+def _certified_miss(f_z, slope, dist_sq, mu, eps, f_star):
+    """Mask of the points y that convexity proves to be more than eps above f_star.
+
+    f_z = f(z), slope = grad f(z)^T (y - z) and dist_sq = ||y - z||^2 at an
+    anchor z.  mu-strong convexity (mu = 0 is always valid) gives
+    f(y) >= lb = f_z + slope + (mu/2) dist_sq, so lb - f_star > eps means y
+    misses eps.  A NaN anchor value certifies nothing.
+
+    The crossing test reads the computed f(y), so the rule must also hold
+    after rounding.  Each of f(y), f(z), grad f(z) and lb is a float64 sum
+    of at most max(n, d) terms, whose rounding error is at most about
+    max(n, d) 2^-53 of the terms' total magnitude: 5.5e-12 at n = 5e4.  The
+    terms of a value (losses and the ridge term) are nonnegative, so that
+    total is |f|, and near the boundary |f(y)| <= |f_star| + eps.  The
+    margin of 1e-9 times these magnitudes is ~180x that error at n = 5e4,
+    so it also covers terms of a margin or a dot product that cancel by
+    that factor.  A point at lb - f_star = eps (1 + 1e-12) is not screened.
+    """
+    curvature = 0.5 * mu * dist_sq
+    lb = f_z + slope + curvature
+    margin = 1e-9 * (eps + abs(f_star) + np.abs(f_z) + np.abs(slope) + curvature)
+    return lb - f_star > eps + margin
+
+
 def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
               track_second_moment=False, target=None, keep=None, exchange=None):
     """The time-step loop behind every engine: sync, grid search and async.
@@ -150,8 +184,16 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
     leading run axis.  `steps`, one schedule per run, replaces the
     stepsizes of config.steps.  A run whose iterates reach |x| >= 1e100 or
     turn non-finite, or whose recorded function value is not finite, is
-    marked diverged and frozen.  With function values on, `target`
-    (eps, f_star) records each run's first eps-accurate evaluation step.
+    marked diverged and frozen.  `target` (eps, f_star) records each run's
+    first eps-accurate evaluation step.  A target-only run, one that does
+    not record function values, is screened: each (run, scheme) keeps an
+    anchor z, the last average evaluated exactly, with f(z) and grad f(z)
+    from one pass, and an evaluation whose convexity lower bound from z is
+    certified above eps (`_certified_miss`) is skipped and reads +inf.
+    Every crossing step is the same as with all values evaluated; a skipped
+    evaluation cannot see a non-finite value, which the iterate guard keeps
+    away.  run["points_evaluated"] and run["points_screened"] count the
+    (run, scheme) points of every evaluation step.
     `keep(t, crossed)`, called after each evaluation at step t with the
     crossing steps (-1 if none) of all S runs, returns a mask of the runs
     still needed; the others are frozen too, so `crossed < 0` stops each
@@ -194,10 +236,15 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
     stride = _eval_stride(record, T)
     output_avg = ShiftedQuadraticAverage(shift)
     # the running averages feed the function-value evaluations only
-    averages = {kind: RunningAverage(kind) for kind in SCHEMES} if record.f_values else {}
+    averages = ({kind: RunningAverage(kind) for kind in SCHEMES}
+                if record.f_values or target is not None else {})
+    screen = target is not None and not record.f_values
+    mu = objective.curvature()[0] if screen else 0.0
+    anchor = {}  # z, f(z), grad f(z) per (active run, scheme) once screening
     rows = {name: [] for name in ("xbar", "deviations", "iterates", "f_xbar",
                                   "dist_sq", "noise_sq", "f_values")}
     run = {"eval_steps": [], "comm_rounds": 0, "max_second_moment": 0.0,
+           "points_evaluated": 0, "points_screened": 0,
            "crossed": np.full(S, -1, dtype=np.int64),
            "diverged": np.zeros(S, dtype=bool)}
     frozen = np.zeros(S, dtype=bool)
@@ -218,12 +265,38 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
         frozen[active[local]] = True
         return frozen.all()
 
-    def values(name, Y):
-        """Record f over the stack Y (A, ..., d); a non-finite run diverges."""
-        f = _values(objective, Y)
-        append(name, f)
-        bad = np.isnan(f.reshape(len(f), -1)).any(axis=1)
-        return f, bad
+    def evaluate():
+        """f of the four running averages (A, 4); a screened point reads +inf.
+
+        Returns f and a mask of the active runs with a non-finite value.
+        """
+        Y = np.stack([averages[kind].value for kind in SCHEMES], axis=1)
+        points = len(Y) * len(SCHEMES)
+        evaluated = points
+        if anchor:
+            D = Y - anchor["z"]
+            need = ~_certified_miss(anchor["f"], np.vecdot(anchor["g"], D),
+                                    np.vecdot(D, D), mu, *target)
+            evaluated = int(need.sum())
+        run["points_evaluated"] += evaluated
+        run["points_screened"] += points - evaluated
+        if evaluated == points:
+            if screen:
+                f, g = _values_and_gradients(objective, Y)
+                anchor.update(z=Y, f=f, g=g)
+            else:
+                f = _values(objective, Y)
+        else:
+            # only target-only runs screen; re-anchor the points evaluated
+            f = np.full(need.shape, np.inf)
+            if evaluated:
+                Y = Y[need]
+                f_need, g = _values_and_gradients(objective, Y)
+                f[need] = anchor["f"][need] = f_need
+                anchor["z"][need], anchor["g"][need] = Y, g
+        if record.f_values:
+            append("f_values", f)
+        return f, np.isnan(f).any(axis=1)
 
     def observe(t, xbar):
         """Record step t; returns a mask of the active runs it froze."""
@@ -237,16 +310,15 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
             append("iterates", X.copy())
         bad = np.zeros(len(active), dtype=bool)
         if record.f_virtual:
-            bad |= values("f_xbar", xbar)[1]
+            f = _values(objective, xbar)
+            append("f_xbar", f)
+            bad |= np.isnan(f)
         if ref_point is not None:
             append("dist_sq", np.sum((xbar - ref_point) ** 2, axis=1))
         out = bad
-        if record.f_values and (
-            t % stride == 0 or t == T or (t >= 1 and config.sync.is_sync(t))
-        ):
+        if averages and (t % stride == 0 or t == T or (t >= 1 and config.sync.is_sync(t))):
             run["eval_steps"].append(t)
-            f, bad_f = values("f_values", np.stack([averages[kind].value for kind in SCHEMES],
-                                                   axis=1))
+            f, bad_f = evaluate()
             out = bad = bad | bad_f
             if target is not None:
                 reached = f.min(axis=1) - target[1] <= target[0]
@@ -269,6 +341,8 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
         active = active[stay]
         for avg in averages.values():
             avg.value = avg.value[stay]
+        for key in anchor:
+            anchor[key] = anchor[key][stay]
         if output_avg.weighted_sum is not None:
             output_avg.weighted_sum = output_avg.weighted_sum[stay]
         if exchange is not None:

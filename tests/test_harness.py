@@ -476,6 +476,11 @@ class OverflowingQuadratic(QuadraticObjective):
             raise FloatingPointError("value overflowed")
         return super().value_many(X)
 
+    def value_and_gradient_many(self, X):
+        if np.max(np.abs(X)) > 5.0:
+            raise FloatingPointError("value overflowed")
+        return super().value_and_gradient_many(X)
+
 
 def test_a_non_finite_value_freezes_only_its_own_run():
     base, ref, _ = make_quadratic(d=3, mu=1.0, L=2.0, n=8, noise=0.5, seed=4)
@@ -501,6 +506,102 @@ def test_a_non_finite_value_freezes_only_its_own_run():
                     target=(0.002, ref.f_star), keep=lambda t, crossed: crossed < 0)
     assert run["diverged"].tolist() == [True, False]
     assert run["crossed"].tolist() == [-1, t_star]
+
+
+def recorded_t_star(objective, f_star, K, H, b, eps, seed, step_cap, family, c):
+    """t* of `measure_iterations`' run, with every function value recorded."""
+    config = RunConfig(K=K, T=step_cap, b=b, sync=regular_sync_schedule(step_cap, H),
+                       steps=_family_steps(family, c, objective.n), seed=seed,
+                       x0=np.zeros(objective.d))
+    return run_local_sgd(config, objective, stop_when=(eps, f_star)).t_star
+
+
+def assert_screening_keeps_every_t_star(objective, f_star, cells, exponents):
+    """measure_iterations, a target-only run, equals the recorded run at every point."""
+    outcomes = set()
+    for K, H, b, eps, seed, step_cap in cells:
+        for family in FAMILIES:
+            for i in exponents:
+                args = (objective, f_star, K, H, b, eps, seed, step_cap, family, 2.0**i)
+                t_star = measure_iterations(*args)
+                assert t_star == recorded_t_star(*args), (K, H, family, i)
+                outcomes.add(t_star is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("K", [1, 4])
+@pytest.mark.parametrize("H", [1, 16])
+def test_screened_t_star_equals_recorded_t_star_on_synth50(logistic50, K, H):
+    f_star = reference_for(logistic50).f_star
+    cells = [(K, H, 1, 0.05, 21, max(H, 100 // K)), (K, H, 1, 0.01, 22, 400)]
+    assert_screening_keeps_every_t_star(logistic50, f_star, cells, range(-6, 3))
+
+
+def test_screened_t_star_equals_recorded_t_star_on_quad10(quad10):
+    obj, ref, _ = quad10
+    cells = [(K, H, 2, eps, 5, 300) for K, H in ((1, 1), (4, 8)) for eps in (0.5, 0.01)]
+    assert_screening_keeps_every_t_star(obj, ref.f_star, cells, range(-8, 2))
+
+
+def test_screened_t_star_equals_recorded_t_star_on_a_w8a_shaped_slice():
+    # the first 2000 rows of the benchmark's generated set: sparse binary
+    # features, 3% positive labels, lambda = 1/n
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    try:
+        import w8a_shaped
+    finally:
+        sys.path.pop(0)
+    labels, rows = w8a_shaped.generate_rows(801)
+    labels, rows = labels[:2000].copy(), rows[:2000]
+    indptr = np.concatenate([[0], np.cumsum([len(row) for row in rows])])
+    features = sp.csr_matrix((np.ones(indptr[-1]), np.concatenate(rows), indptr),
+                             shape=(len(rows), w8a_shaped.N_FEATURES))
+    objective = LogisticObjective(Dataset(labels=labels, features=features))
+    f_star = reference_for(objective).f_star
+    cells = [(4, 4, 4, 0.07, 5, 250), (1, 1, 4, 0.07, 6, 150)]
+    assert_screening_keeps_every_t_star(objective, f_star, cells, (-6, -3, -1, 1))
+
+
+def test_a_diverging_point_reads_none_screened_and_recorded(logistic50):
+    f_star = reference_for(logistic50).f_star
+    args = (logistic50, f_star, 2, 2, 1, 0.05, 9, 400, "constant", 2.0**10)
+    config = RunConfig(K=2, T=400, b=1, sync=regular_sync_schedule(400, 2),
+                       steps=ConstantStep(c=2.0**10), seed=9, x0=np.zeros(logistic50.d))
+    assert run_local_sgd(config, logistic50, stop_when=(0.05, f_star)).diverged
+    assert measure_iterations(*args) is None and recorded_t_star(*args) is None
+
+
+@pytest.mark.parametrize("K, H, eps, seed", [(1, 1, 0.01, 4), (4, 16, 0.05, 8)])
+def test_screened_search_rounds_equal_recorded_rounds(logistic50, K, H, eps, seed):
+    # every round of the grid search, screened and with every value
+    # recorded, gives the same t*, the same `_needed` drops (a dropped
+    # run's final iterates are those of its drop step) and the same winner
+    f_star = reference_for(logistic50).f_star
+    i_min, i_max, cap = -8, 4, 400
+    measured = {family: {} for family in FAMILIES}
+    screened_points = 0
+    while points := _next_points(measured, i_min, i_max):
+        steps = [_family_steps(family, 2.0**i, logistic50.n) for family, i in points]
+        runs = []
+        for f_values in (False, True):
+            record = RecordFlags(virtual=False, deviations=False, f_values=f_values)
+            config = RunConfig(K=K, T=cap, b=1, sync=regular_sync_schedule(cap, H),
+                               steps=steps[0], seed=seed, x0=np.zeros(logistic50.d),
+                               record=record)
+            runs.append(_simulate(
+                config, logistic50, [seed] * len(points), record, steps=steps,
+                target=(eps, f_star),
+                keep=lambda t, crossed: _needed(measured, points, t, crossed)))
+        screened, recorded = runs
+        for name in ("crossed", "diverged", "final_iterates"):
+            assert np.array_equal(screened[name], recorded[name])
+        screened_points += screened["points_screened"]
+        for (family, i), t_star in zip(points, screened["crossed"]):
+            measured[family][i] = int(t_star) if t_star >= 0 else None
+    assert screened_points > 0
+    winner = grid_search_stepsize(logistic50, f_star, K, H, 1, eps, seed, cap,
+                                  i_min=i_min, i_max=i_max)
+    assert replay_grid(measured, i_min, i_max) == winner
 
 
 def test_run_experiment_outputs(tmp_path):
@@ -735,7 +836,7 @@ svg = false
                                   "lambda", "zero-tolerance", "nan-tolerance",
                                   "unreachable-tolerance", "theory-K", "theory-eps",
                                   "theory-rho-nan", "theory-rho-inf", "theory-eps-nan",
-                                  "theory-eps-inf"])
+                                  "theory-eps-inf", "theory-K-overflow"])
 def test_cli_bad_input_is_a_config_error(tmp_path, capsys, case):
     bad_data = tmp_path / "bad.libsvm"
     bad_data.write_text("+1 1:1\n+1 oops\n", encoding="utf-8")
@@ -771,11 +872,15 @@ dir = {tmp_path / 'out'}
         "theory-rho-inf": ["theory", "--K", "2", "--H", "1", "--eps", "0.1", "--rho", "inf"],
         "theory-eps-nan": ["theory", "--K", "2", "--H", "1", "--eps", "nan"],
         "theory-eps-inf": ["theory", "--K", "2", "--H", "1", "--eps", "inf"],
+        # an int too large for a float raises OverflowError, not ValueError
+        "theory-K-overflow": ["theory", "--K", "9" * 401, "--H", "1", "--eps", "0.1"],
     }[case]
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("config error: ") and "Traceback" not in err
+    if case.startswith("theory"):
+        assert err.startswith("config error: bad theory argument: ")
 
 
 @pytest.mark.parametrize("dataset", [

@@ -105,6 +105,9 @@ def test_non_finite_values_raise_for_single_and_stacked_points(request, name):
         obj.value(huge)
     with pytest.raises(FloatingPointError):
         obj.value_many(np.stack([np.zeros(obj.d), huge]))
+    for stack in (huge[None], np.stack([np.zeros(obj.d), huge])):
+        with pytest.raises(FloatingPointError):
+            obj.value_and_gradient_many(stack)
 
 
 @pytest.mark.parametrize("lead", [(1,), (7,), (3, 4)])
@@ -117,10 +120,14 @@ def test_single_point_oracles_are_rows_of_the_stacked_oracles(request, name, lea
     values, grads = obj.value_many(X), obj.gradient_many(X)
     batches, moments = obj.minibatch_gradient_many(X, I), obj.second_moment_many(X)
     singles = [obj.minibatch_gradient_many(X, I[..., j:j + 1]) for j in range(3)]
+    both = obj.value_and_gradient_many(X)  # one pass for values and gradients
+    assert np.array_equal(both[0], values) and np.array_equal(both[1], grads)
     for p in np.ndindex(*lead):
         x = X[p]
         assert obj.value(x) == values[p]
         assert np.array_equal(obj.gradient(x), grads[p])
+        one_value, one_grad = obj.value_and_gradient_many(x[None])
+        assert one_value[0] == values[p] and np.array_equal(one_grad[0], grads[p])
         assert np.array_equal(obj.minibatch_gradient(x, I[p]), batches[p])
         assert obj.second_moment_at(x) == moments[p]
         per_component = obj.component_gradients_at(x, I[p])
@@ -138,7 +145,8 @@ def test_quadratic_value_at_the_minimizer_is_f_star_in_a_stack(quad10):
 def test_quadratic_dimension_and_index_errors(quad10):
     obj = quad10[0]
     wrong = np.zeros((3, 2, 1))
-    for oracle in (obj.value_many, obj.gradient_many, obj.second_moment_many, obj.variance_at):
+    for oracle in (obj.value_many, obj.gradient_many, obj.value_and_gradient_many,
+                   obj.second_moment_many, obj.variance_at):
         with pytest.raises(ValueError, match="dimension"):
             oracle(wrong)
     with pytest.raises(ValueError, match="dimension"):
@@ -153,6 +161,8 @@ def test_quadratic_dimension_and_index_errors(quad10):
 def test_dimension_and_index_errors(logistic50):
     with pytest.raises(ValueError, match="dimension"):
         logistic50.value(np.zeros(3))
+    with pytest.raises(ValueError, match="dimension"):
+        logistic50.value_and_gradient_many(np.zeros((2, 3)))
     with pytest.raises(IndexError):
         logistic50.component_gradient(np.zeros(logistic50.d), logistic50.n)
 

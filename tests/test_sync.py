@@ -13,8 +13,9 @@ from localsgd import (
     run_minibatch_sgd,
 )
 from localsgd.averaging import SCHEMES
+from localsgd.harness import reference_for
 from localsgd.schedules import ExperimentDecayStep
-from localsgd.sync import _simulate
+from localsgd.sync import _certified_miss, _simulate
 
 
 def quad_config(quad10, K, T, H, b=1, seed=0, record=None, a_extra=0.0):
@@ -342,6 +343,60 @@ def test_ensemble_crossing_matches_iterations_to_accuracy(quad10):
             stop_when=(eps, ref.f_star),
         ).t_star
         assert ensemble.crossing_step[r] == (-1 if expected is None else expected)
+
+
+def test_certified_miss_boundary():
+    # a point exactly at eps, or within the rounding margin above it, is
+    # evaluated; one clearly above eps is screened
+    eps, zero = 0.05, np.zeros(4)
+    f_z = np.array([eps, eps * (1.0 + 1e-12), eps * (1.0 + 1e-6), np.nan])
+    assert _certified_miss(f_z, zero, zero, 0.0, eps, 0.0).tolist() == \
+        [False, False, True, False]
+    # the bound adds the slope and the curvature term, (mu/2) ||y - z||^2;
+    # with eps = 2^-4 every sum below is exact
+    eps = 2.0**-4
+    f_z = np.array([2.0**-5, 2.0**-5 * (1.0 + 1e-6), 2.0**-3, 2.0**-3])
+    slope = np.array([2.0**-6, 2.0**-6, -2.0**-4, -2.0**-4 - 2.0**-6])
+    dist_sq = np.array([2.0**-5, 2.0**-5, 0.0, 2.0**-5])
+    assert _certified_miss(f_z, slope, dist_sq, 1.0, eps, 0.0).tolist() == \
+        [False, True, False, False]
+    # a mu that is too small only weakens the bound
+    assert not _certified_miss(f_z, slope, dist_sq, 0.0, eps, 0.0)[1]
+    # f_star shifts the bound; lb - f_star = eps(1 + 1e-12) is still evaluated
+    f_star = -0.5
+    assert _certified_miss(np.array([f_star + eps * (1.0 + 1e-12), f_star + 2 * eps]),
+                           np.zeros(2), np.zeros(2), 0.0, eps, f_star).tolist() == \
+        [False, True]
+
+
+def test_screening_counts_every_point_of_every_evaluation(logistic50):
+    # a target-only batch screens some points; evaluated plus screened is
+    # four points per active run at every evaluation step, and the batch
+    # stops and ends exactly as the batch that records every value
+    n, d = logistic50.n, logistic50.d
+    steps = ([ExperimentDecayStep(c=2.0**i, n=n) for i in (-3, 0)]
+             + [ConstantStep(c=2.0**i) for i in (-5, -2, 1)])
+    target, T = (0.02, reference_for(logistic50).f_star), 150
+    runs = []
+    for f_values in (False, True):
+        config = RunConfig(K=2, T=T, b=1, sync=regular_sync_schedule(T, 1),
+                           steps=steps[0], seed=0, x0=np.zeros(d),
+                           record=RecordFlags(virtual=False, deviations=False,
+                                              f_values=f_values))
+        runs.append(_simulate(config, logistic50, [4] * len(steps), config.record,
+                              steps=steps, target=target,
+                              keep=lambda t, crossed: crossed < 0))
+    screened, recorded = runs
+    assert not screened["diverged"].any()
+    last = np.where(screened["crossed"] >= 0, screened["crossed"], T)
+    points = 4 * sum(int(np.sum(screened["eval_steps"] <= t)) for t in last)
+    assert screened["points_evaluated"] + screened["points_screened"] == points
+    assert screened["points_screened"] > screened["points_evaluated"] > 0
+    assert screened["rows"]["f_values"] is None
+    assert (recorded["points_evaluated"], recorded["points_screened"]) == (points, 0)
+    assert (screened["crossed"] >= 0).any() and (screened["crossed"] < 0).any()
+    for name in ("crossed", "diverged", "eval_steps", "final_iterates"):
+        assert np.array_equal(screened[name], recorded[name])
 
 
 def test_config_validation(quad10):
