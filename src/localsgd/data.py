@@ -8,6 +8,7 @@ full-batch operations are single sparse matvecs.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,10 +73,11 @@ def parse_libsvm(lines, declared_dimension=None) -> Dataset:
     for malformed tokens, labels outside {+-1}, non-increasing indices, or
     indices above the declared dimension.
     """
-    labels = []
-    indptr = [0]
-    col_indices = []
-    values = []
+    # typed buffers hold 8 bytes per entry, a list ~4x that in float objects
+    labels = array("d")
+    indptr = array("q", [0])
+    col_indices = array("q")
+    values = array("d")
     max_index = 0
 
     for lineno, raw in enumerate(lines, start=1):
@@ -123,12 +125,12 @@ def parse_libsvm(lines, declared_dimension=None) -> Dataset:
 
     d = declared_dimension if declared_dimension is not None else max_index
     features = sp.csr_matrix(
-        (np.array(values, dtype=np.float64),
-         np.array(col_indices, dtype=np.int64),
-         np.array(indptr, dtype=np.int64)),
+        (np.frombuffer(values, dtype=np.float64),
+         np.frombuffer(col_indices, dtype=np.int64),
+         np.frombuffer(indptr, dtype=np.int64)),
         shape=(len(labels), d),
     )
-    return Dataset(labels=np.array(labels, dtype=np.float64), features=features)
+    return Dataset(labels=np.frombuffer(labels, dtype=np.float64), features=features)
 
 
 def serialize_libsvm(dataset: Dataset) -> str:

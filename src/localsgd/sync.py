@@ -175,6 +175,20 @@ def _certified_miss(f_z, slope, dist_sq, mu, eps, f_star):
     return lb - f_star > eps + margin
 
 
+def _certified_by_any(Y, z, f_z, g_z, mu, eps, f_star):
+    """Mask (A, P) of the points Y (A, P, d) that some anchor of their run certifies.
+
+    Run r has the anchors z[r] (Q, d), with values f_z[r] (Q,) and
+    gradients g_z[r] (Q, d).  Each anchor's convexity bound is a valid
+    lower bound on f(y), and so is their maximum (Kelley's cutting-plane
+    model), so y is screened when `_certified_miss` holds for any one
+    (anchor, point) pair.  All A x P x Q pairs are tested in one pass.
+    """
+    D = Y[:, :, None, :] - z[:, None, :, :]
+    return _certified_miss(f_z[:, None, :], np.vecdot(g_z[:, None, :, :], D),
+                           np.vecdot(D, D), mu, eps, f_star).any(axis=2)
+
+
 def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
               track_second_moment=False, target=None, keep=None, exchange=None):
     """The time-step loop behind every engine: sync, grid search and async.
@@ -188,12 +202,16 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
     first eps-accurate evaluation step.  A target-only run, one that does
     not record function values, is screened: each (run, scheme) keeps an
     anchor z, the last average evaluated exactly, with f(z) and grad f(z)
-    from one pass, and an evaluation whose convexity lower bound from z is
-    certified above eps (`_certified_miss`) is skipped and reads +inf.
-    Every crossing step is the same as with all values evaluated; a skipped
-    evaluation cannot see a non-finite value, which the iterate guard keeps
-    away.  run["points_evaluated"] and run["points_screened"] count the
-    (run, scheme) points of every evaluation step.
+    from one pass, and an evaluation whose convexity lower bound from any
+    of its run's four anchors is certified above eps (`_certified_by_any`)
+    is skipped and reads +inf; a point evaluated becomes its own new
+    anchor.  Every crossing step is the same as with all values evaluated;
+    a skipped evaluation cannot see a non-finite value, which the iterate
+    guard keeps away.  At t = 0 every average is xbar_0, which is
+    evaluated once for all (run, scheme) points, recorded or screened.
+    run["points_evaluated"] and run["points_screened"] count the (run,
+    scheme) points of every evaluation step, a point with an exact value
+    as evaluated.
     `keep(t, crossed)`, called after each evaluation at step t with the
     crossing steps (-1 if none) of all S runs, returns a mask of the runs
     still needed; the others are frozen too, so `crossed < 0` stops each
@@ -265,8 +283,8 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
         frozen[active[local]] = True
         return frozen.all()
 
-    def evaluate():
-        """f of the four running averages (A, 4); a screened point reads +inf.
+    def evaluate(t):
+        """f of the four running averages (A, 4) at step t; a screened point reads +inf.
 
         Returns f and a mask of the active runs with a non-finite value.
         """
@@ -274,13 +292,22 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
         points = len(Y) * len(SCHEMES)
         evaluated = points
         if anchor:
-            D = Y - anchor["z"]
-            need = ~_certified_miss(anchor["f"], np.vecdot(anchor["g"], D),
-                                    np.vecdot(D, D), mu, *target)
+            need = ~_certified_by_any(Y, anchor["z"], anchor["f"], anchor["g"],
+                                      mu, *target)
             evaluated = int(need.sum())
         run["points_evaluated"] += evaluated
         run["points_screened"] += points - evaluated
-        if evaluated == points:
+        if t == 0:
+            # every row of Y is xbar_0, so one pass gives every value; the
+            # copies are writable, since re-anchoring writes into them
+            def spread(a):
+                return np.broadcast_to(a, Y.shape[:2] + a.shape[2:]).copy()
+            if screen:
+                f, g = map(spread, _values_and_gradients(objective, Y[:1, :1]))
+                anchor.update(z=Y, f=f, g=g)
+            else:
+                f = spread(_values(objective, Y[:1, :1]))
+        elif evaluated == points:
             if screen:
                 f, g = _values_and_gradients(objective, Y)
                 anchor.update(z=Y, f=f, g=g)
@@ -318,7 +345,7 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
         out = bad
         if averages and (t % stride == 0 or t == T or (t >= 1 and config.sync.is_sync(t))):
             run["eval_steps"].append(t)
-            f, bad_f = evaluate()
+            f, bad_f = evaluate(t)
             out = bad = bad | bad_f
             if target is not None:
                 reached = f.min(axis=1) - target[1] <= target[0]

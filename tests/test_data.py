@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -59,6 +60,24 @@ def test_index_above_declared_dimension():
 def test_empty_input_rejected():
     with pytest.raises(LibsvmFormatError, match="no examples"):
         parse_libsvm(["", "   ", "# only comments"])
+
+
+def test_parsed_synth50_arrays_are_pinned(synth50):
+    # the parser's buffers must give the same CSR arrays and labels, byte
+    # for byte and dtype for dtype, as every fixture was computed from
+    features = synth50.features
+    expected = {
+        "data": ("float64", "25d235e3adc4aaa30688cf51ec33d95650d5ad60d1a2e6b052169cd5c030f10e"),
+        "indices": ("int32", "d9e5b2d6339069ee5fc4e24c2145d051d2b8edfb8dd035b5bbd9182c537c726d"),
+        "indptr": ("int32", "340b37ffe2ff2bc68cac10b40ec588e3e1ab94b8ceb4ddf429dcb8666594a20d"),
+        "labels": ("float64", "84c152386ebd5c4a5fef508ef795e46fa3586ae5143ec416f6ffef8247011b20"),
+    }
+    arrays = {"data": features.data, "indices": features.indices,
+              "indptr": features.indptr, "labels": synth50.labels}
+    for name, array in arrays.items():
+        assert (str(array.dtype), hashlib.sha256(array.tobytes()).hexdigest()) == \
+            expected[name], name
+    assert features.shape == (50, 10) and not synth50.labels.flags.writeable
 
 
 def test_default_regularization_is_one_over_n(synth50):

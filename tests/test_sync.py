@@ -15,7 +15,7 @@ from localsgd import (
 from localsgd.averaging import SCHEMES
 from localsgd.harness import reference_for
 from localsgd.schedules import ExperimentDecayStep
-from localsgd.sync import _certified_miss, _simulate
+from localsgd.sync import _certified_by_any, _certified_miss, _simulate
 
 
 def quad_config(quad10, K, T, H, b=1, seed=0, record=None, a_extra=0.0):
@@ -367,6 +367,89 @@ def test_certified_miss_boundary():
     assert _certified_miss(np.array([f_star + eps * (1.0 + 1e-12), f_star + 2 * eps]),
                            np.zeros(2), np.zeros(2), 0.0, eps, f_star).tolist() == \
         [False, True]
+
+
+def test_any_anchor_of_the_run_certifies_a_point():
+    # run 0: each point sits at its own anchor, whose value eps/2 certifies
+    # nothing, but the last anchor's slope lifts the bound at the first three
+    # points above eps (a NaN anchor vetoes nothing); run 1 has the same
+    # points and flat anchors, so no anchor of run 0 may screen its points.
+    # With eps = 2^-4 every sum below is exact.
+    eps = 2.0**-4
+    Y = np.array([[0.0], [0.25], [0.5], [0.75]])[None].repeat(2, axis=0)
+    z = Y.copy()
+    f_z = np.array([[eps / 2, np.nan, eps / 2, eps / 2], [eps / 2] * 4])
+    g_z = np.zeros((2, 4, 1))
+    g_z[0, 3] = -0.5  # lb at point p: eps/2 + (0.75 - y_p) / 2
+    screened = _certified_by_any(Y, z, f_z, g_z, 0.0, eps, 0.0)
+    assert screened.tolist() == [[True, True, True, False], [False] * 4]
+    # the own anchor alone (the diagonal) certifies none of them
+    own = _certified_miss(f_z, np.vecdot(g_z, Y - z), np.zeros((2, 4)), 0.0, eps, 0.0)
+    assert not own.any()
+    # every pair agrees with `_certified_miss` on that pair alone
+    for r, p, q in np.ndindex(2, 4, 4):
+        D = Y[r, p] - z[r, q]
+        pair = _certified_miss(f_z[r, q], g_z[r, q] @ D, D @ D, 0.0, eps, 0.0)
+        assert not pair or screened[r, p]
+    # a point at lb - f_star = eps (1 + 1e-12) under all four anchors is
+    # evaluated, and at eps (1 + 1e-6) it is screened
+    f_star = -0.5
+    z = np.array([[[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [2.0, -1.0]]])
+    Y = z[:, ::-1].copy()
+    for rel, expected in ((1e-12, False), (1e-6, True)):
+        f_z = np.full((1, 4), f_star + eps * (1.0 + rel))
+        mask = _certified_by_any(Y, z, f_z, np.zeros((1, 4, 2)), 0.0, eps, f_star)
+        assert mask.tolist() == [[expected] * 4]
+
+
+def _count_value_passes(monkeypatch, objective):
+    """Record the points of every value pass the objective instance makes."""
+    calls = []
+    for name in ("value_many", "value_and_gradient_many"):
+        oracle = getattr(objective, name)
+
+        def counted(X, oracle=oracle, name=name):
+            calls.append((name, int(np.prod(X.shape[:-1]))))
+            return oracle(X)
+        monkeypatch.setattr(objective, name, counted)
+    return calls
+
+
+def test_start_point_is_evaluated_once(monkeypatch, logistic50):
+    # at t = 0 all six runs and four schemes sit at x0: one pass on one point
+    n, d = logistic50.n, logistic50.d
+    steps = ([ExperimentDecayStep(c=2.0**i, n=n) for i in (-3, 0, 1)]
+             + [ConstantStep(c=2.0**i) for i in (-5, -2, 1)])
+    T = 150
+    config = RunConfig(K=4, T=T, b=1, sync=regular_sync_schedule(T, 1),
+                       steps=steps[0], seed=0, x0=np.zeros(d),
+                       record=RecordFlags(virtual=False, deviations=False,
+                                          f_values=False))
+    target = (0.02, reference_for(logistic50).f_star)
+    calls = _count_value_passes(monkeypatch, logistic50)
+    run = _simulate(config, logistic50, list(range(6)), config.record, steps=steps,
+                    target=target, keep=lambda t, crossed: np.zeros(6, dtype=bool))
+    assert list(run["eval_steps"]) == [0]
+    assert calls == [("value_and_gradient_many", 1)]
+    assert (run["points_evaluated"], run["points_screened"]) == (24, 0)
+
+
+def test_recorded_values_at_the_start_equal_the_value_at_x0(monkeypatch, logistic50, quad10):
+    # x0 is dyadic, so the mean of K copies of it is x0 itself
+    for objective in (logistic50, quad10[0]):
+        d = objective.d
+        x0 = np.random.default_rng(3).integers(-8, 8, size=d) / 16.0
+        T = 8
+        config = RunConfig(K=4, T=T, b=1, sync=regular_sync_schedule(T, 2),
+                           steps=ConstantStep(c=2.0**-4), seed=0, x0=x0,
+                           record=RecordFlags(virtual=False, deviations=False))
+        calls = _count_value_passes(monkeypatch, objective)
+        run = _simulate(config, objective, list(range(6)), config.record)
+        assert calls[0] == ("value_many", 1)
+        f0 = run["rows"]["f_values"][0]
+        assert f0.shape == (6, 4)
+        assert f0.tobytes() == np.full((6, 4), objective.value(x0)).tobytes()
+        monkeypatch.undo()
 
 
 def test_screening_counts_every_point_of_every_evaluation(logistic50):
