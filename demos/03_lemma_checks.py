@@ -7,69 +7,14 @@ simulations, measure the left-hand side, compare against the closed-form
 right-hand side at three standard errors.
 """
 
-import numpy as np
-
-from localsgd import (
-    DelayModel,
-    ProblemConstants,
-    RecordFlags,
-    RunConfig,
-    TheoremDecayStep,
-    check_async_deviation,
-    check_deviation_bound,
-    check_perturbed_inequality,
-    check_recursion_lemma,
-    check_variance_reduction,
-    make_quadratic,
-    regular_sync_schedule,
-    run_local_sgd,
-)
-from localsgd.lemmas import make_equality_builder
+from localsgd import lemma_suite, make_quadratic
+from localsgd.harness import LEMMA_DEFAULTS
 
 objective, reference, _ = make_quadratic(d=10, mu=1.0, L=4.0, n=64, noise=1.0, seed=7)
-mu, L = objective.curvature()
-kappa = L / mu
-x0 = np.zeros(objective.d)
-constants = ProblemConstants(
-    L=L, mu=mu, sigma_sq=objective.variance_at(x0),
-    G_sq=objective.second_moment_at(x0),
-)
 
-K, H, T, tau = 4, 4, 64, 2
-
-
-def config(window):
-    return RunConfig(
-        K=K, T=T, b=1, sync=regular_sync_schedule(T, H),
-        steps=TheoremDecayStep(mu=mu, a=max(16.0 * kappa, float(window)) + 1.0),
-        seed=0, x0=x0, record=RecordFlags(virtual=False, f_values=False),
-    )
-
-
-# distinct worker states one step before a synchronization
-warm = run_local_sgd(
-    RunConfig(K=K, T=2 * H, b=1, sync=regular_sync_schedule(2 * H, H),
-              steps=TheoremDecayStep(mu=mu, a=max(16.0 * kappa, H) + 1.0),
-              seed=0, x0=x0, record=RecordFlags(iterates=True)),
-    objective,
-)
-states = warm.iterates[:, 2 * H - 1, :]
-
-print("running five checks (1000 seeds / 4000 resamples each)...\n")
-reports = [
-    check_variance_reduction(objective, states, trials=4000),
-    check_deviation_bound(config(H), objective, constants, runs=1000),
-    check_perturbed_inequality(config(H), objective, reference, constants, runs=1000),
-    check_recursion_lemma(
-        a=max(16.0 * kappa, H) + 1.0, mu=mu, A=0.5,
-        B=constants.sigma_sq / K, C=8.0 * constants.G_sq * H**2 * L, T=T,
-        sequence_builder=make_equality_builder(
-            mu, 0.5, constants.sigma_sq / K, 8.0 * constants.G_sq * H**2 * L
-        ),
-    ),
-    check_async_deviation(config(H + tau), DelayModel("fixed", tau=tau),
-                          objective, constants, runs=1000),
-]
+print(f"running five checks ({LEMMA_DEFAULTS['runs']} seeds / "
+      f"{LEMMA_DEFAULTS['trials']} resamples each)...\n")
+reports = lemma_suite(objective, reference, **LEMMA_DEFAULTS)
 for report in reports:
     print(report)
 

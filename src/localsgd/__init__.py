@@ -32,6 +32,7 @@ from .lemmas import (
     check_perturbed_inequality,
     check_recursion_lemma,
     check_variance_reduction,
+    lemma_suite,
 )
 from .objectives import (
     LogisticObjective,

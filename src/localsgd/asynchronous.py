@@ -25,11 +25,12 @@ wall-clock order through the same engine.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schedules import TheoremDecayStep, validate_shift
+from .schedules import validate_shift
 from .sync import EnsembleResult, RecordFlags, _simulate
 
 
@@ -129,6 +130,21 @@ def _check_staleness(log, tau) -> int:
             f"{realized} > tau={tau}"
         )
     return realized
+
+
+def _checked_plan(config, per_worker_syncs, delay, objective, wall_times=None,
+                  declared_tau=None):
+    """The write plan of an asynchronous run of `config`, checked before any run.
+
+    Writes the plan, checks a decaying schedule's shift against the longest
+    sync interval plus tau, then the plan's realized staleness against tau:
+    `declared_tau`, or the delay model's.  Returns (plan, realized staleness).
+    """
+    log = write_plan(config.K, config.T, per_worker_syncs, delay, wall_times)
+    tau = delay.tau if declared_tau is None else int(declared_tau)
+    mu, L = objective.curvature()
+    validate_shift(config.steps, L / mu, max(s.H for s in per_worker_syncs) + tau)
+    return log, _check_staleness(log, tau)
 
 
 def write_plan(K, T, per_worker_syncs, delay, wall_times=None) -> WriteLog:
@@ -256,14 +272,10 @@ def run_async_local_sgd(config, per_worker_syncs, delay, objective,
     same indices as worker k of `run_local_sgd`, and a run that diverges
     stops there with its last finite iterates and `diverged` set.
     """
-    K, T = config.K, config.T
-    log = write_plan(K, T, per_worker_syncs, delay, wall_times)
-    tau = delay.tau if declared_tau is None else int(declared_tau)
-    if isinstance(config.steps, TheoremDecayStep):
-        mu, L = objective.curvature()
-        validate_shift(config.steps, L / mu, max(s.H for s in per_worker_syncs) + tau)
-    _check_staleness(log, tau)
-    replay = _Replay(log, config.x0, 1, K, T)
+    K = config.K
+    log, _ = _checked_plan(config, per_worker_syncs, delay, objective, wall_times,
+                           declared_tau)
+    replay = _Replay(log, config.x0, 1, K, config.T)
     run = _simulate(config, objective, [config.seed], RecordFlags(f_values=False),
                     exchange=replay, track_second_moment=track_second_moment)
     trace = AsyncRunTrace(
@@ -281,8 +293,8 @@ def run_async_local_sgd(config, per_worker_syncs, delay, objective,
 def run_async_ensemble(config, log, objective, seeds, *, track_second_moment=False):
     """Asynchronous runs of `config`, one per seed, all replaying one plan.
 
-    `log` comes from `write_plan`, which checked its schedules; the caller
-    checks its staleness against tau with `_check_staleness` first.
+    `log` comes from `_checked_plan`, which checked its schedules, the
+    shift and its staleness.
     Run r agrees bitwise with `run_async_local_sgd` at seed seeds[r].
     Returns an EnsembleResult with `deviations` (S, T+1), `diverged` and,
     when tracked, `max_second_moment`.
@@ -366,15 +378,17 @@ def load_balanced_assignment(speeds, H, n_blocks=4) -> AssignmentPlan:
         seq_ready[seq] = end
         remaining -= 1
 
-    # staleness bound: when a block lands, how far ahead is the leader?
-    completions = [((block + 1) * H, end) for _seq, block, _w, _start, end in entries]
-    bound = H
-    for seq, block, _w, _start, end in entries:
-        lead = max(s for s, e in completions if e <= end)
-        bound = max(bound, lead - block * H)
-    plan = AssignmentPlan(speeds=speeds, H=H, n_blocks=n_blocks, entries=entries)
-    plan.bound = int(bound)
-    return plan
+    # staleness bound: when a block lands, how far ahead is the leader?  The
+    # leader at wall instant w is the furthest step of a block ending by w:
+    # a running max over the completions in order of their ends
+    ends, leads = [], []
+    for end, step in sorted((end, (block + 1) * H) for _s, block, _w, _st, end in entries):
+        ends.append(end)
+        leads.append(max(step, leads[-1]) if leads else step)
+    bound = max([H] + [leads[bisect_right(ends, end) - 1] - block * H
+                       for _seq, block, _w, _start, end in entries])
+    return AssignmentPlan(speeds=speeds, H=H, n_blocks=n_blocks, entries=entries,
+                          bound=int(bound))
 
 
 def run_load_balanced(config, speeds, objective):

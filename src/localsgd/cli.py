@@ -1,10 +1,12 @@
-"""Command-line entry points.
+"""Command-line entry points, each a thin call into the harness.
 
     localsgd run <config> [--out DIR]       run the configured sweep
     localsgd verify-lemmas <config>         run the inequality checks
     localsgd theory --K .. --H .. --eps .. --rho ..
-                                            print the speedup model as CSV
-    localsgd fstar <dataset> [--lambda ..]  reference optimum of a dataset
+                                            print the speedup model as CSV,
+                                            the rows of speedup_theory.csv
+    localsgd fstar <dataset> [--lambda ..]  reference optimum of a LIBSVM
+                                            dataset, from build_problem
 
 Exit codes: 0 success, 1 configuration error, 2 when a sweep contains
 unreachable-accuracy rows (or an inequality check failed).
@@ -16,21 +18,18 @@ import argparse
 import configparser
 import sys
 
-from .data import LibsvmFormatError, parse_libsvm
+from .data import LibsvmFormatError
 from .harness import (
-    ConfigError,
     THEORY_HEADER,
+    ConfigError,
+    DatasetSpec,
+    _parse_list,
+    build_problem,
     load_experiment_config,
-    reference_for,
     run_experiment,
+    theory_rows,
     verify_lemmas,
 )
-from .objectives import LogisticObjective
-from .theory import speedup
-
-
-def _parse_num_list(raw, cast):
-    return [cast(tok) for tok in raw.split(",") if tok.strip()]
 
 
 def build_parser():
@@ -85,17 +84,14 @@ def cmd_verify_lemmas(args):
 
 def cmd_theory(args):
     try:
-        ks = _parse_num_list(args.K, int)
-        hs = _parse_num_list(args.H, int)
-        eps_list = _parse_num_list(args.eps, float)
         # every row is computed, so every value checked, before any is printed
-        rows = [f"{K},{H},{eps!r},{args.rho!r},{speedup(K, H, eps, args.rho)!r}"
-                for eps in eps_list for K in ks for H in hs]
+        rows = theory_rows(_parse_list(args.eps, float, "--eps"),
+                           _parse_list(args.K, int, "--K"),
+                           _parse_list(args.H, int, "--H"), args.rho)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad theory argument: {exc}")
-    print(",".join(THEORY_HEADER))
-    for row in rows:
-        print(row)
+    for row in [THEORY_HEADER] + rows:
+        print(",".join(row))
     return 0
 
 
@@ -104,16 +100,9 @@ def cmd_fstar(args):
         lam = None if args.lam == "auto" else float(args.lam)
     except ValueError:
         raise ConfigError(f"--lambda must be a number or auto, got {args.lam!r}")
-    if lam is not None and not lam > 0:
-        raise ConfigError("--lambda must be positive")
-    with open(args.dataset, "r", encoding="utf-8") as fh:
-        dataset = parse_libsvm(fh)
-    try:
-        objective = LogisticObjective(dataset, lam=lam)
-        reference = reference_for(objective, tolerance=args.tolerance)
-    except (ValueError, RuntimeError) as exc:
-        raise ConfigError(f"bad fstar argument: {exc}")
-    print(f"n={dataset.n} d={dataset.d} lambda={objective.lam!r}")
+    objective, reference = build_problem(DatasetSpec(
+        kind="libsvm", path=args.dataset, lam=lam, fstar_tolerance=args.tolerance))
+    print(f"n={objective.n} d={objective.d} lambda={objective.lam!r}")
     print(f"fstar={reference.f_star!r}")
     return 0
 

@@ -44,9 +44,9 @@ from pathlib import Path
 import numpy as np
 
 from .data import parse_libsvm
+from .lemmas import lemma_suite
 from .objectives import (
     LogisticObjective,
-    ProblemConstants,
     QuadraticObjective,
     ReferenceSolution,
     make_quadratic,
@@ -316,6 +316,15 @@ def _family_steps(family, c, n):
     return ConstantStep(c=c)
 
 
+def _cell_config(objective, K, H, b, seed, step_cap, steps):
+    """A target-only run of a sweep cell: no trace but the accuracy checks."""
+    return RunConfig(
+        K=K, T=step_cap, b=b, sync=regular_sync_schedule(step_cap, H), steps=steps,
+        seed=seed, x0=np.zeros(objective.d),
+        record=RecordFlags(virtual=False, deviations=False, f_values=False),
+    )
+
+
 def measure_iterations(objective, f_star, K, H, b, eps, seed, step_cap,
                        family, c):
     """Iterations until some tracked average is eps-accurate; None if never.
@@ -327,12 +336,8 @@ def measure_iterations(objective, f_star, K, H, b, eps, seed, step_cap,
     checks: one that convexity proves cannot reach eps is skipped, and t*
     is the same as with every value computed.
     """
-    sched = regular_sync_schedule(step_cap, H)
-    config = RunConfig(
-        K=K, T=step_cap, b=b, sync=sched, steps=_family_steps(family, c, objective.n),
-        seed=seed, x0=np.zeros(objective.d),
-        record=RecordFlags(virtual=False, deviations=False, f_values=False),
-    )
+    config = _cell_config(objective, K, H, b, seed, step_cap,
+                          _family_steps(family, c, objective.n))
     return run_local_sgd(config, objective, stop_when=(eps, f_star)).t_star
 
 
@@ -461,11 +466,7 @@ def _search_round(objective, f_star, K, H, b, eps, seed, step_cap, measured, poi
     a run dropped earlier reads None.
     """
     steps = [_family_steps(family, 2.0**i, objective.n) for family, i in points]
-    config = RunConfig(
-        K=K, T=step_cap, b=b, sync=regular_sync_schedule(step_cap, H), steps=steps[0],
-        seed=seed, x0=np.zeros(objective.d),
-        record=RecordFlags(virtual=False, deviations=False, f_values=False),
-    )
+    config = _cell_config(objective, K, H, b, seed, step_cap, steps[0])
     run = _simulate(config, objective, [seed] * len(points), config.record,
                     steps=steps, target=(eps, f_star),
                     keep=lambda t, crossed: _needed(measured, points, t, crossed))
@@ -583,28 +584,29 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
         for row in rows
         if row.K == 1 and row.H == 1 and row.wallclock is not None
     }
-    with open(out / "results.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULTS_HEADER)
-        for row in rows:
-            writer.writerow(row.csv_fields(baselines.get((row.b, row.eps))))
-
-    with open(out / "speedup_theory.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(THEORY_HEADER)
-        for eps in config.eps_list:
-            for K in config.K_list:
-                for H in config.H_list:
-                    writer.writerow([
-                        str(K), str(H), repr(eps), repr(config.rho),
-                        repr(speedup(K, H, eps, config.rho)),
-                    ])
+    _write_csv(out / "results.csv", RESULTS_HEADER,
+               [row.csv_fields(baselines.get((row.b, row.eps))) for row in rows])
+    _write_csv(out / "speedup_theory.csv", THEORY_HEADER,
+               theory_rows(config.eps_list, config.K_list, config.H_list, config.rho))
 
     if config.svg:
         write_speedup_svg(out / "speedup.svg", rows, baselines, config)
 
     exit_code = 2 if any(row.iterations is None for row in rows) else 0
     return rows, exit_code
+
+
+def theory_rows(eps_list, K_list, H_list, rho):
+    """Fields of the speedup model's rows over a grid, as in speedup_theory.csv."""
+    return [[str(K), str(H), repr(eps), repr(rho), repr(speedup(K, H, eps, rho))]
+            for eps in eps_list for K in K_list for H in H_list]
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # -- hand-rolled SVG ---------------------------------------------------------
@@ -689,88 +691,17 @@ LEMMA_HEADER = ["check", "trials", "statistic", "bound", "margin", "stderr", "pa
 
 
 def verify_lemmas(config: ExperimentConfig, out_dir=None):
-    """Run the five inequality checks on the configured fixture.
+    """Run the five inequality checks of `lemmas.lemma_suite` on the configured fixture.
 
     Returns the list of CheckReports and writes lemma_checks.csv; check
     parameters come from the [lemmas] section (with defaults matching the
     standard fixtures).
     """
-    from .asynchronous import DelayModel
-    from .lemmas import (
-        check_async_deviation,
-        check_deviation_bound,
-        check_perturbed_inequality,
-        check_recursion_lemma,
-        check_variance_reduction,
-        make_equality_builder,
-    )
-    from .schedules import TheoremDecayStep
-
-    params = {**LEMMA_DEFAULTS, **config.lemmas}
-
     objective, reference = build_problem(config.dataset)
-    mu, L = objective.curvature()
-    x0 = np.zeros(objective.d)
-    constants = ProblemConstants(
-        L=L, mu=mu,
-        sigma_sq=objective.variance_at(x0),
-        G_sq=objective.second_moment_at(x0),
-    )
-    kappa = L / mu
-    K, H, T, b = params["K"], params["H"], params["T"], params["b"]
-    tau, seed, runs = params["tau"], params["seed"], params["runs"]
-
-    def run_config(shift_window):
-        return RunConfig(
-            K=K, T=T, b=b, sync=regular_sync_schedule(T, H),
-            steps=TheoremDecayStep(mu=mu, a=max(16.0 * kappa, float(shift_window)) + 1.0),
-            seed=seed, x0=x0,
-            record=RecordFlags(virtual=False, f_values=False),
-        )
-
-    warm_T = max(2 * H, 8)
-    warm = run_local_sgd(
-        RunConfig(K=K, T=warm_T, b=b,
-                  sync=regular_sync_schedule(warm_T, H),
-                  steps=TheoremDecayStep(mu=mu, a=max(16.0 * kappa, H) + 1.0),
-                  seed=seed, x0=x0,
-                  record=RecordFlags(iterates=True, f_values=False)),
-        objective,
-    )
-    # worker iterates one step before the final synchronization, so the
-    # states are genuinely distinct when H > 1
-    states = warm.iterates[:, warm_T - 1, :]
-    reports = [
-        check_variance_reduction(objective, states,
-                                 trials=params["trials"], seed=seed),
-        check_deviation_bound(run_config(H), objective, constants, runs, seed=seed),
-        check_perturbed_inequality(run_config(H), objective, reference,
-                                   constants, runs, seed=seed),
-        check_recursion_lemma(
-            a=max(16.0 * kappa, H) + 1.0, mu=mu, A=0.5,
-            B=constants.sigma_sq / K,
-            C=8.0 * constants.G_sq * H**2 * L,
-            T=T,
-            sequence_builder=make_equality_builder(
-                mu, 0.5, constants.sigma_sq / K, 8.0 * constants.G_sq * H**2 * L
-            ),
-        ),
-        check_async_deviation(run_config(H + tau),
-                              DelayModel("fixed", tau=tau, seed=seed),
-                              objective, constants, runs, seed=seed),
-    ]
-
+    reports = lemma_suite(objective, reference, **{**LEMMA_DEFAULTS, **config.lemmas})
     if out_dir is not None or config.out_dir:
         out = Path(out_dir if out_dir is not None else config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "lemma_checks.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(LEMMA_HEADER)
-            for report in reports:
-                row = report.row()
-                writer.writerow([
-                    row["check"], str(row["trials"]), repr(row["statistic"]),
-                    repr(row["bound"]), repr(row["margin"]), repr(row["stderr"]),
-                    str(row["passed"]),
-                ])
+        _write_csv(out / "lemma_checks.csv", LEMMA_HEADER,
+                   [report.csv_fields() for report in reports])
     return reports

@@ -22,17 +22,20 @@ Checks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 # measured_delay and run_async_local_sgd stay names of this module, where
 # benchmarks/tracing.py wraps them
-from .asynchronous import (_check_staleness, measured_delay,  # noqa: F401
-                           run_async_ensemble, run_async_local_sgd, write_plan)
+from .asynchronous import (DelayModel, _checked_plan, measured_delay,  # noqa: F401
+                           run_async_ensemble, run_async_local_sgd)
 from .averaging import sum_of_weights
-from .schedules import TheoremDecayStep, validate_shift
-from .sync import run_local_sgd_ensemble
+from .objectives import ProblemConstants
+from .schedules import TheoremDecayStep, regular_sync_schedule
+from .sync import RecordFlags, RunConfig, run_local_sgd, run_local_sgd_ensemble
+
+_PERTURBED_POINTS = 64  # steps the perturbed-step check tests, evenly spaced
 
 
 @dataclass
@@ -60,16 +63,10 @@ class CheckReport:
     def passed(self) -> bool:
         return self.statistic <= self.bound + 3.0 * self.stderr
 
-    def row(self) -> dict:
-        return {
-            "check": self.check,
-            "trials": self.trials,
-            "statistic": self.statistic,
-            "bound": self.bound,
-            "margin": self.margin,
-            "stderr": self.stderr,
-            "passed": int(self.passed),
-        }
+    def csv_fields(self) -> list:
+        """The report's row of lemma_checks.csv."""
+        return [self.check, str(self.trials), repr(self.statistic), repr(self.bound),
+                repr(self.margin), repr(self.stderr), str(int(self.passed))]
 
     def __str__(self):
         verdict = "PASS" if self.passed else "FAIL"
@@ -165,7 +162,7 @@ def _worst_step_report(check, config, dev, constant, G_sq, window, detail):
     )
 
 
-def check_deviation_bound(config, objective, constants, runs, seed=0) -> CheckReport:
+def check_deviation_bound(config, objective, runs, seed=0) -> CheckReport:
     """Mean squared worker deviation stays below 4 eta_t^2 G^2 H^2.
 
     Runs `runs` seeded simulations, averages (1/K) sum_k ||xbar_t - x_t^k||^2
@@ -187,9 +184,8 @@ def check_deviation_bound(config, objective, constants, runs, seed=0) -> CheckRe
     )
 
 
-def check_perturbed_inequality(
-    config, objective, reference, constants, runs, seed=0, max_points=64
-) -> CheckReport:
+def check_perturbed_inequality(config, objective, reference, constants, runs,
+                               seed=0) -> CheckReport:
     """Per-step descent inequality of the averaged sequence.
 
     For each checked step t the Monte-Carlo means of both sides are
@@ -219,7 +215,7 @@ def check_perturbed_inequality(
     f_star = reference.f_star
 
     T = config.T
-    points = np.unique(np.linspace(0, T - 1, min(T, max_points), dtype=np.int64))
+    points = np.unique(np.linspace(0, T - 1, min(T, _PERTURBED_POINTS), dtype=np.int64))
     worst = None
     for t in points:
         eta = config.steps.eta(int(t))
@@ -335,7 +331,7 @@ def make_equality_builder(mu, A, B, C, a0=1.0, drain=1.0, slack=0.0, slack_seed=
     return build
 
 
-def check_async_deviation(config, delay, objective, constants, runs, seed=0) -> CheckReport:
+def check_async_deviation(config, delay, objective, runs, seed=0) -> CheckReport:
     """Deviation bound under delayed writes: 12 eta_t^2 G^2 (H + tau)^2.
 
     Every sequence synchronizes on the run's schedule.  The write plan of
@@ -347,10 +343,8 @@ def check_async_deviation(config, delay, objective, constants, runs, seed=0) -> 
     """
     H = config.sync.H
     _require_decaying(config)
-    mu, L = objective.curvature()
-    validate_shift(config.steps, L / mu, H + delay.tau)
-    plan = write_plan(config.K, config.T, [config.sync] * config.K, delay)
-    worst_staleness = _check_staleness(plan, delay.tau)
+    plan, worst_staleness = _checked_plan(config, [config.sync] * config.K, delay,
+                                          objective)
 
     G_sq = run_async_ensemble(config, plan, objective, _heldout_seeds(seed, runs),
                               track_second_moment=True).max_second_moment
@@ -361,3 +355,48 @@ def check_async_deviation(config, delay, objective, constants, runs, seed=0) -> 
         detail={"G_sq": G_sq, "H": H, "tau": delay.tau,
                 "worst_staleness": worst_staleness},
     )
+
+
+def lemma_suite(objective, reference, *, K, H, T, b, tau, seed, runs, trials):
+    """The five checks on one fixture, as `localsgd verify-lemmas` runs them.
+
+    The constants are taken at x0 = 0.  Every run uses the decaying
+    schedule with shift max(16 kappa, window) + 1, the window being H, or
+    H + tau for the async check.  Variance reduction resamples at the
+    worker states of a warm-up run one step before its last
+    synchronization (horizon max(2H, 8)), so the states are distinct when
+    H > 1.  The recursion takes A = 1/2, B = sigma^2 / K and
+    C = 8 G^2 H^2 L.  Returns the five CheckReports.
+    """
+    mu, L = objective.curvature()
+    kappa = L / mu
+    x0 = np.zeros(objective.d)
+    constants = ProblemConstants(L=L, mu=mu, sigma_sq=objective.variance_at(x0),
+                                 G_sq=objective.second_moment_at(x0))
+
+    def shift(window):
+        return max(16.0 * kappa, float(window)) + 1.0
+
+    def config(window):
+        return RunConfig(
+            K=K, T=T, b=b, sync=regular_sync_schedule(T, H),
+            steps=TheoremDecayStep(mu=mu, a=shift(window)), seed=seed, x0=x0,
+            record=RecordFlags(virtual=False, f_values=False),
+        )
+
+    warm_T = max(2 * H, 8)
+    warm = run_local_sgd(replace(config(H), T=warm_T, sync=regular_sync_schedule(warm_T, H),
+                                 record=RecordFlags(iterates=True, f_values=False)),
+                         objective)
+    B, C = constants.sigma_sq / K, 8.0 * constants.G_sq * H**2 * L
+    return [
+        check_variance_reduction(objective, warm.iterates[:, warm_T - 1, :],
+                                 trials=trials, seed=seed),
+        check_deviation_bound(config(H), objective, runs, seed=seed),
+        check_perturbed_inequality(config(H), objective, reference, constants, runs,
+                                   seed=seed),
+        check_recursion_lemma(a=shift(H), mu=mu, A=0.5, B=B, C=C, T=T,
+                              sequence_builder=make_equality_builder(mu, 0.5, B, C)),
+        check_async_deviation(config(H + tau), DelayModel("fixed", tau=tau, seed=seed),
+                              objective, runs, seed=seed),
+    ]

@@ -83,7 +83,8 @@ class _Oracles:
     def value_many(self, X) -> np.ndarray:
         """Full-objective values for a stack of points X (..., d)."""
         self._check_dim(X)
-        vals = self._values(X.reshape(-1, self.d))
+        with np.errstate(over="ignore", invalid="ignore"):  # the raise reports it
+            vals = self._values(X.reshape(-1, self.d))
         if not np.isfinite(vals).all():
             raise FloatingPointError("objective evaluated to a non-finite value")
         return vals.reshape(X.shape[:-1])
@@ -96,7 +97,8 @@ class _Oracles:
     def value_and_gradient_many(self, X):
         """(value_many(X), gradient_many(X)) of a stack X (..., d), bitwise."""
         self._check_dim(X)
-        vals, grads = self._values_and_gradients(X.reshape(-1, self.d))
+        with np.errstate(over="ignore", invalid="ignore"):  # the raise reports it
+            vals, grads = self._values_and_gradients(X.reshape(-1, self.d))
         if not np.isfinite(vals).all():
             raise FloatingPointError("objective evaluated to a non-finite value")
         return vals.reshape(X.shape[:-1]), grads.reshape(X.shape)

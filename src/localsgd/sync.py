@@ -265,7 +265,6 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
            "points_evaluated": 0, "points_screened": 0,
            "crossed": np.full(S, -1, dtype=np.int64),
            "diverged": np.zeros(S, dtype=bool)}
-    frozen = np.zeros(S, dtype=bool)
 
     def unstack(row):
         """A row over the active runs as a row over all S runs, NaN for the others."""
@@ -277,11 +276,6 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
 
     def append(name, row):
         rows[name].append(unstack(row))
-
-    def freeze(local):
-        """Freeze the active runs `local` (a mask); True once every run is frozen."""
-        frozen[active[local]] = True
-        return frozen.all()
 
     def evaluate(t):
         """f of the four running averages (A, 4) at step t; a screened point reads +inf.
@@ -356,13 +350,16 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
         run["diverged"][active[bad]] = True
         return out
 
-    def shrink(X):
-        """Drop the frozen runs from the stack, X holding their final iterates.
+    def drop(out, X, *arrays):
+        """Freeze the active runs `out` (a mask) at their iterates in X.
 
-        Returns the mask of the active runs that stay.
+        Returns None once every run is frozen.  Otherwise drops them from
+        the stack and returns `arrays`, each a per-run array over the
+        active runs or a scalar, without them.
         """
         nonlocal active
-        out = frozen[active]
+        if out.all():
+            return None
         final_iterates[active[out]] = X[out]
         stay = ~out
         active = active[stay]
@@ -374,7 +371,7 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
             output_avg.weighted_sum = output_avg.weighted_sum[stay]
         if exchange is not None:
             exchange.keep(stay)
-        return stay
+        return [a[stay] if isinstance(a, np.ndarray) else a for a in arrays]
 
     stream = _index_stream(list(distinct), K, objective.n, config.b, T)
     xbar = _worker_mean(X)
@@ -382,10 +379,9 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
         for t in range(T + 1):
             newly = observe(t, xbar)
             if newly.any():
-                if freeze(newly):
+                if (kept := drop(newly, X, X, xbar)) is None:
                     break
-                stay = shrink(X)
-                X, xbar = X[stay], xbar[stay]
+                X, xbar = kept
             if t == T:
                 break
             I = next(stream)[owner[active]]
@@ -404,10 +400,9 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
             if not np.max(np.abs(X_next)) < _DIVERGED:  # NaN fails too
                 blown = ~np.all(np.abs(X_next) < _DIVERGED, axis=(1, 2))
                 run["diverged"][active[blown]] = True
-                if freeze(blown):
+                if (kept := drop(blown, X, X_next, xbar, G, eta)) is None:
                     break
-                stay = shrink(X)
-                X_next, xbar, G = X_next[stay], xbar[stay], G[stay]
+                X_next, xbar, G, eta = kept
             if exchange is not None:
                 xbar = xbar - eta * G.mean(axis=1)
                 exchange(t + 1, X_next)

@@ -2,8 +2,9 @@
 
 A sparse dot product by an index loop, the doubly weighted output average
 of the convergence theorem as an explicit weighted sum, the noise
-constants of an objective over given points, and a first-order reference
-solve to check the Newton solve of the harness against.
+constants of an objective over given points, a first-order reference
+solve to check the Newton solve of the harness against, and the staleness
+bound of a block schedule by a scan over all pairs of blocks.
 """
 
 from math import sqrt
@@ -115,3 +116,18 @@ def accelerated_reference(objective, tolerance=1e-8, max_iters=200_000) -> Refer
         f"reference solve did not reach gradient norm {tolerance} "
         f"within {max_iters} iterations"
     )
+
+
+def assignment_bound(entries, H) -> int:
+    """Staleness bound of a block schedule, one scan of all blocks per block.
+
+    `entries` are (seq, block, worker, start, end).  When a block lands,
+    the leader is the furthest step of any block that has ended by then;
+    the bound is the largest lead over a block's first step, at least H.
+    """
+    completions = [((block + 1) * H, end) for _seq, block, _w, _start, end in entries]
+    bound = H
+    for _seq, block, _w, _start, end in entries:
+        lead = max(s for s, e in completions if e <= end)
+        bound = max(bound, lead - block * H)
+    return bound

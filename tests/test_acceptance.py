@@ -23,11 +23,7 @@ from localsgd import (
     RunningAverage,
     ShiftedQuadraticAverage,
     TheoremDecayStep,
-    check_async_deviation,
-    check_deviation_bound,
-    check_perturbed_inequality,
-    check_recursion_lemma,
-    check_variance_reduction,
+    lemma_suite,
     parse_libsvm,
     regular_sync_schedule,
     run_async_local_sgd,
@@ -39,8 +35,7 @@ from localsgd import (
     theorem1_bound,
 )
 from localsgd.data import LibsvmFormatError
-from localsgd.harness import reference_for
-from localsgd.lemmas import make_equality_builder
+from localsgd.harness import LEMMA_DEFAULTS, reference_for
 
 DATA = Path(__file__).parent / "data"
 
@@ -123,46 +118,8 @@ def test_criterion_3_async_degenerations(quad10):
 # 4. lemma suite ----------------------------------------------------------
 
 
-def _lemma_suite(objective, reference, label, seed, tau=2):
-    mu, L = objective.curvature()
-    kappa = L / mu
-    x0 = np.zeros(objective.d)
-    constants = ProblemConstants(
-        L=L, mu=mu, sigma_sq=objective.variance_at(x0),
-        G_sq=objective.second_moment_at(x0),
-    )
-    K, H, T = 4, 4, 64
-
-    def config(window):
-        return RunConfig(
-            K=K, T=T, b=1, sync=regular_sync_schedule(T, H),
-            steps=TheoremDecayStep(mu=mu, a=max(16.0 * kappa, float(window)) + 1.0),
-            seed=seed, x0=x0, record=RecordFlags(virtual=False, f_values=False),
-        )
-
-    warm = run_local_sgd(
-        RunConfig(K=K, T=2 * H, b=1, sync=regular_sync_schedule(2 * H, H),
-                  steps=TheoremDecayStep(mu=mu, a=max(16.0 * kappa, H) + 1.0),
-                  seed=seed, x0=x0, record=RecordFlags(iterates=True)),
-        objective,
-    )
-    states = warm.iterates[:, 2 * H - 1, :]
-
-    reports = [
-        check_variance_reduction(objective, states, trials=4000, seed=seed),
-        check_deviation_bound(config(H), objective, constants, runs=1000, seed=seed),
-        check_perturbed_inequality(config(H), objective, reference, constants,
-                                   runs=1000, seed=seed),
-        check_recursion_lemma(
-            a=max(16.0 * kappa, H) + 1.0, mu=mu, A=0.5,
-            B=constants.sigma_sq / K, C=8.0 * constants.G_sq * H**2 * L, T=T,
-            sequence_builder=make_equality_builder(
-                mu, 0.5, constants.sigma_sq / K, 8.0 * constants.G_sq * H**2 * L
-            ),
-        ),
-        check_async_deviation(config(H + tau), DelayModel("fixed", tau=tau, seed=seed),
-                              objective, constants, runs=1000, seed=seed),
-    ]
+def _lemma_suite(objective, reference, label, seed):
+    reports = lemma_suite(objective, reference, **{**LEMMA_DEFAULTS, "seed": seed})
     for rep in reports:
         print(f"    {label}: {rep}")
     return reports

@@ -19,7 +19,9 @@ from localsgd import (
 )
 from localsgd.asynchronous import (ReadEvent, WriteEvent, _check_staleness,
                                    run_async_ensemble, write_plan)
+from localsgd.lemmas import check_async_deviation
 from localsgd.sync import _index_stream
+from oracles import assignment_bound
 
 
 def async_config(quad10, K, T, H, window, seed=0, b=1):
@@ -180,6 +182,18 @@ def test_load_balancing_plans():
         load_balanced_assignment([1.0, -1.0], H=2)
 
 
+def test_load_balancing_bound_equals_the_scan_over_all_blocks():
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        K = int(rng.integers(1, 6))
+        # small integer speeds make blocks end at the same instant
+        speeds = (rng.integers(1, 4, size=K) if rng.random() < 0.5
+                  else rng.uniform(0.2, 3.0, size=K))
+        H, n_blocks = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+        plan = load_balanced_assignment(speeds, H, n_blocks)
+        assert plan.bound == assignment_bound(plan.entries, H)
+
+
 def test_load_balanced_run_realized_delay(quad10):
     obj, _, _ = quad10
     H = 4
@@ -304,3 +318,41 @@ def test_async_run_flags_divergence_like_the_sync_engine(quad10):
             assert (recorded < T + 1) == blows_up
             assert np.array_equal(batch.deviations[r][:recorded], single.deviations)
             assert np.all(np.isnan(batch.deviations[r][recorded:]))
+
+
+class GradientCounter:
+    """An objective that counts the calls to its gradient oracles."""
+
+    def __init__(self, objective):
+        self.objective = objective
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(self.objective, name)
+        if "gradient" not in name:
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+        return counted
+
+
+def test_async_entry_points_check_the_shift_before_any_gradient(quad10):
+    obj, _, _ = quad10
+    # kappa = 4, so a = 65 > 16 kappa; only a window H + tau >= 65 rejects it
+    config = RunConfig(K=2, T=24, b=1, sync=regular_sync_schedule(24, 4),
+                       steps=TheoremDecayStep(mu=1.0, a=65.0), seed=0, x0=np.zeros(obj.d))
+    schedules = [config.sync] * 2
+    for tau, rejected in ((61, True), (60, False)):
+        delay = DelayModel("fixed", tau=tau)
+        for run in (lambda o: run_async_local_sgd(config, schedules, delay, o),
+                    lambda o: check_async_deviation(config, delay, o, runs=4)):
+            counter = GradientCounter(obj)
+            if rejected:
+                with pytest.raises(ValueError, match="shift a=65.0"):
+                    run(counter)
+                assert counter.calls == 0
+            else:
+                run(counter)
+                assert counter.calls > 0

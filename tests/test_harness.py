@@ -797,15 +797,14 @@ svg = false
     assert (tmp_path / "cli_out" / "results.csv").exists()
     assert not (tmp_path / "cli_out" / "speedup.svg").exists()
 
+    # the speedup model over the sweep's grid and rho prints speedup_theory.csv
     theory = subprocess.run(
         [sys.executable, "-m", "localsgd", "theory", "--K", "1,2",
-         "--H", "1,4", "--eps", "0.001", "--rho", "25"],
+         "--H", "1,2", "--eps", "0.05", "--rho", "25"],
         capture_output=True, text=True, env=cli_env,
     )
     assert theory.returncode == 0
-    lines = theory.stdout.strip().splitlines()
-    assert lines[0] == "K,H,eps,rho,speedup_model"
-    assert len(lines) == 5
+    assert theory.stdout == (tmp_path / "cli_out" / "speedup_theory.csv").read_text()
 
     # zero target accuracy is the closed-form regime
     at_zero = subprocess.run(
@@ -829,11 +828,14 @@ svg = false
         capture_output=True, text=True, env=cli_env,
     )
     assert fstar.returncode == 0
-    assert "fstar=" in fstar.stdout
+    _, reference = build_problem(DatasetSpec(kind="libsvm", path=str(DATA / "synth50.libsvm"),
+                                             fstar_tolerance=1e-6))
+    assert fstar.stdout.splitlines()[-1] == f"fstar={reference.f_star!r}"
 
 
 @pytest.mark.parametrize("case", ["run", "verify-lemmas", "fstar", "no-sections",
-                                  "lambda", "zero-tolerance", "nan-tolerance",
+                                  "lambda", "zero-lambda", "negative-lambda",
+                                  "zero-tolerance", "nan-tolerance",
                                   "unreachable-tolerance", "theory-K", "theory-eps",
                                   "theory-rho-nan", "theory-rho-inf", "theory-eps-nan",
                                   "theory-eps-inf", "theory-K-overflow"])
@@ -862,6 +864,8 @@ dir = {tmp_path / 'out'}
         "fstar": ["fstar", str(bad_data)],
         "no-sections": ["run", str(no_sections)],
         "lambda": ["fstar", str(DATA / "synth50.libsvm"), "--lambda", "abc"],
+        "zero-lambda": ["fstar", str(DATA / "synth50.libsvm"), "--lambda", "0"],
+        "negative-lambda": ["fstar", str(DATA / "synth50.libsvm"), "--lambda", "-1"],
         "zero-tolerance": ["fstar", str(DATA / "synth50.libsvm"), "--tolerance", "0"],
         "nan-tolerance": ["fstar", str(DATA / "synth50.libsvm"), "--tolerance", "nan"],
         "unreachable-tolerance": ["fstar", str(DATA / "synth50.libsvm"),

@@ -94,7 +94,7 @@ def test_variance_reduction_rejects_few_trials(quad10):
 def test_deviation_bound_quadratic(quad10):
     obj, _, const = quad10
     config = theorem_config(obj, const, K=2, T=48, H=4)
-    report = check_deviation_bound(config, obj, const, runs=1000, seed=0)
+    report = check_deviation_bound(config, obj, runs=1000, seed=0)
     assert report.passed
     assert report.margin > 0
 
@@ -106,7 +106,7 @@ def test_deviation_zero_at_sync_and_for_every_step_schedule(quad10):
 
     result = run_local_sgd_ensemble(config, obj, [1, 2, 3], record_deviations=True)
     assert np.max(result.deviations) <= 1e-24  # H=1: synchronized every step
-    report = check_deviation_bound(config, obj, const, runs=200, seed=1)
+    report = check_deviation_bound(config, obj, runs=200, seed=1)
     assert report.statistic == 0.0
     assert report.passed
 
@@ -118,7 +118,7 @@ def test_deviation_bound_requires_decaying_steps(quad10):
 
     config.steps = ConstantStep(c=0.001)
     with pytest.raises(ValueError, match="decaying"):
-        check_deviation_bound(config, obj, const, runs=100)
+        check_deviation_bound(config, obj, runs=100)
 
 
 # --- perturbed step inequality ------------------------------------------
@@ -222,8 +222,7 @@ def test_recursion_detects_violations():
 def test_async_deviation_zero_delay_matches_loose_sync_bound(quad10):
     obj, _, const = quad10
     config = theorem_config(obj, const, K=2, T=32, H=4, window=4)
-    report = check_async_deviation(config, DelayModel("zero"), obj, const,
-                                   runs=300, seed=0)
+    report = check_async_deviation(config, DelayModel("zero"), obj, runs=300, seed=0)
     assert report.passed
     assert report.detail["worst_staleness"] == 0
 
@@ -231,7 +230,7 @@ def test_async_deviation_zero_delay_matches_loose_sync_bound(quad10):
 def test_async_deviation_single_worker(quad10):
     obj, _, const = quad10
     config = theorem_config(obj, const, K=1, T=24, H=4, window=6)
-    report = check_async_deviation(config, DelayModel("fixed", tau=2), obj, const,
+    report = check_async_deviation(config, DelayModel("fixed", tau=2), obj,
                                    runs=150, seed=1)
     assert report.statistic == 0.0
     assert report.passed
@@ -240,7 +239,7 @@ def test_async_deviation_single_worker(quad10):
 def test_async_deviation_fixed_delay(quad10):
     obj, _, const = quad10
     config = theorem_config(obj, const, K=2, T=48, H=4, window=6)
-    report = check_async_deviation(config, DelayModel("fixed", tau=2), obj, const,
+    report = check_async_deviation(config, DelayModel("fixed", tau=2), obj,
                                    runs=1000, seed=2)
     assert report.passed
     assert report.margin > 0
@@ -252,8 +251,8 @@ def test_async_deviation_fixed_delay(quad10):
 def test_reports_reproduce_bit_for_bit(quad10):
     obj, ref, const = quad10
     config = theorem_config(obj, const, K=2, T=24, H=4)
-    first = check_deviation_bound(config, obj, const, runs=150, seed=9)
-    second = check_deviation_bound(config, obj, const, runs=150, seed=9)
+    first = check_deviation_bound(config, obj, runs=150, seed=9)
+    second = check_deviation_bound(config, obj, runs=150, seed=9)
     assert (first.statistic, first.bound, first.stderr, first.worst_step) == \
         (second.statistic, second.bound, second.stderr, second.worst_step)
 
