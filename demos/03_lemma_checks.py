@@ -8,13 +8,13 @@ right-hand side at three standard errors.
 """
 
 from localsgd import lemma_suite, make_quadratic
-from localsgd.harness import LEMMA_DEFAULTS
+from localsgd.lemmas import LEMMA_DEFAULTS
 
 objective, reference, _ = make_quadratic(d=10, mu=1.0, L=4.0, n=64, noise=1.0, seed=7)
 
 print(f"running five checks ({LEMMA_DEFAULTS['runs']} seeds / "
       f"{LEMMA_DEFAULTS['trials']} resamples each)...\n")
-reports = lemma_suite(objective, reference, **LEMMA_DEFAULTS)
+reports = lemma_suite(objective, reference)
 for report in reports:
     print(report)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schedules import validate_shift
+from .schedules import TheoremDecayStep, validate_shift
 from .sync import EnsembleResult, RecordFlags, _simulate
 
 
@@ -142,8 +142,10 @@ def _checked_plan(config, per_worker_syncs, delay, objective, wall_times=None,
     """
     log = write_plan(config.K, config.T, per_worker_syncs, delay, wall_times)
     tau = delay.tau if declared_tau is None else int(declared_tau)
-    mu, L = objective.curvature()
-    validate_shift(config.steps, L / mu, max(s.H for s in per_worker_syncs) + tau)
+    if isinstance(config.steps, TheoremDecayStep):
+        mu, L = objective.curvature()
+        validate_shift(config.steps, L / mu,
+                       max(s.H for s in per_worker_syncs) + tau)
     return log, _check_staleness(log, tau)
 
 

@@ -83,11 +83,11 @@ def cmd_verify_lemmas(args):
 
 
 def cmd_theory(args):
+    grid = (_parse_list(args.eps, float, "--eps"), _parse_list(args.K, int, "--K"),
+            _parse_list(args.H, int, "--H"))
     try:
         # every row is computed, so every value checked, before any is printed
-        rows = theory_rows(_parse_list(args.eps, float, "--eps"),
-                           _parse_list(args.K, int, "--K"),
-                           _parse_list(args.H, int, "--H"), args.rho)
+        rows = theory_rows(*grid, args.rho)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad theory argument: {exc}")
     for row in [THEORY_HEADER] + rows:

@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import parse_libsvm
-from .lemmas import lemma_suite
+from .lemmas import LEMMA_DEFAULTS, lemma_suite
 from .objectives import (
     LogisticObjective,
     QuadraticObjective,
@@ -62,9 +62,6 @@ RESULTS_HEADER = [
 THEORY_HEADER = ["K", "H", "eps", "rho", "speedup_model"]
 
 FAMILIES = ("decaying", "constant")
-# verify-lemmas parameters, overridden by the [lemmas] section
-LEMMA_DEFAULTS = {"runs": 1000, "trials": 4000, "K": 4, "H": 4, "T": 64, "b": 1,
-                  "tau": 2, "seed": 0}
 
 
 class ConfigError(ValueError):
@@ -698,7 +695,7 @@ def verify_lemmas(config: ExperimentConfig, out_dir=None):
     standard fixtures).
     """
     objective, reference = build_problem(config.dataset)
-    reports = lemma_suite(objective, reference, **{**LEMMA_DEFAULTS, **config.lemmas})
+    reports = lemma_suite(objective, reference, **config.lemmas)
     if out_dir is not None or config.out_dir:
         out = Path(out_dir if out_dir is not None else config.out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -22,10 +22,12 @@ Checks:
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import sync
 # measured_delay and run_async_local_sgd stay names of this module, where
 # benchmarks/tracing.py wraps them
 from .asynchronous import (DelayModel, _checked_plan, measured_delay,  # noqa: F401
@@ -33,7 +35,7 @@ from .asynchronous import (DelayModel, _checked_plan, measured_delay,  # noqa: F
 from .averaging import sum_of_weights
 from .objectives import ProblemConstants
 from .schedules import TheoremDecayStep, regular_sync_schedule
-from .sync import RecordFlags, RunConfig, run_local_sgd, run_local_sgd_ensemble
+from .sync import RecordFlags, RunConfig, run_local_sgd_ensemble
 
 _PERTURBED_POINTS = 64  # steps the perturbed-step check tests, evenly spaced
 
@@ -357,7 +359,8 @@ def check_async_deviation(config, delay, objective, runs, seed=0) -> CheckReport
     )
 
 
-def lemma_suite(objective, reference, *, K, H, T, b, tau, seed, runs, trials):
+def lemma_suite(objective, reference, *, runs=1000, trials=4000, K=4, H=4, T=64, b=1,
+                tau=2, seed=0):
     """The five checks on one fixture, as `localsgd verify-lemmas` runs them.
 
     The constants are taken at x0 = 0.  Every run uses the decaying
@@ -385,9 +388,9 @@ def lemma_suite(objective, reference, *, K, H, T, b, tau, seed, runs, trials):
         )
 
     warm_T = max(2 * H, 8)
-    warm = run_local_sgd(replace(config(H), T=warm_T, sync=regular_sync_schedule(warm_T, H),
-                                 record=RecordFlags(iterates=True, f_values=False)),
-                         objective)
+    warm = sync.run_local_sgd(replace(config(H), T=warm_T, sync=regular_sync_schedule(warm_T, H),
+                                      record=RecordFlags(iterates=True, f_values=False)),
+                              objective)
     B, C = constants.sigma_sq / K, 8.0 * constants.G_sq * H**2 * L
     return [
         check_variance_reduction(objective, warm.iterates[:, warm_T - 1, :],
@@ -400,3 +403,9 @@ def lemma_suite(objective, reference, *, K, H, T, b, tau, seed, runs, trials):
         check_async_deviation(config(H + tau), DelayModel("fixed", tau=tau, seed=seed),
                               objective, runs, seed=seed),
     ]
+
+
+# the fixture's parameters and their defaults, which a config's [lemmas] section overrides
+LEMMA_DEFAULTS = {name: param.default
+                  for name, param in inspect.signature(lemma_suite).parameters.items()
+                  if param.kind is inspect.Parameter.KEYWORD_ONLY}

@@ -35,7 +35,7 @@ from localsgd import (
     theorem1_bound,
 )
 from localsgd.data import LibsvmFormatError
-from localsgd.harness import LEMMA_DEFAULTS, reference_for
+from localsgd.harness import reference_for
 
 DATA = Path(__file__).parent / "data"
 
@@ -119,7 +119,7 @@ def test_criterion_3_async_degenerations(quad10):
 
 
 def _lemma_suite(objective, reference, label, seed):
-    reports = lemma_suite(objective, reference, **{**LEMMA_DEFAULTS, "seed": seed})
+    reports = lemma_suite(objective, reference, seed=seed)
     for rep in reports:
         print(f"    {label}: {rep}")
     return reports

@@ -6,6 +6,7 @@ import pytest
 from localsgd import (
     ConstantStep,
     DelayModel,
+    LogisticObjective,
     RecordFlags,
     RunConfig,
     TheoremDecayStep,
@@ -356,3 +357,14 @@ def test_async_entry_points_check_the_shift_before_any_gradient(quad10):
             else:
                 run(counter)
                 assert counter.calls > 0
+
+
+def test_async_entry_points_run_a_constant_step_on_an_unregularized_objective(synth50):
+    # mu = 0 here, so kappa is undefined; only a decaying schedule needs it
+    obj = LogisticObjective(synth50, lam=0.0)
+    config = RunConfig(K=2, T=8, b=1, sync=regular_sync_schedule(8, 4),
+                       steps=ConstantStep(c=0.1), seed=0, x0=np.zeros(obj.d))
+    trace, _ = run_async_local_sgd(config, [config.sync] * 2, DelayModel("fixed", tau=1), obj)
+    assert np.all(np.isfinite(trace.xbar)) and not trace.diverged
+    trace, _, _ = run_load_balanced(config, [2.0, 1.0], obj)
+    assert np.all(np.isfinite(trace.xbar)) and not trace.diverged

@@ -838,7 +838,7 @@ svg = false
                                   "zero-tolerance", "nan-tolerance",
                                   "unreachable-tolerance", "theory-K", "theory-eps",
                                   "theory-rho-nan", "theory-rho-inf", "theory-eps-nan",
-                                  "theory-eps-inf", "theory-K-overflow"])
+                                  "theory-eps-inf", "theory-K-overflow", "theory-K-text"])
 def test_cli_bad_input_is_a_config_error(tmp_path, capsys, case):
     bad_data = tmp_path / "bad.libsvm"
     bad_data.write_text("+1 1:1\n+1 oops\n", encoding="utf-8")
@@ -878,12 +878,15 @@ dir = {tmp_path / 'out'}
         "theory-eps-inf": ["theory", "--K", "2", "--H", "1", "--eps", "inf"],
         # an int too large for a float raises OverflowError, not ValueError
         "theory-K-overflow": ["theory", "--K", "9" * 401, "--H", "1", "--eps", "0.1"],
+        "theory-K-text": ["theory", "--K", "abc", "--H", "1", "--eps", "0.1"],
     }[case]
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("config error: ") and "Traceback" not in err
-    if case.startswith("theory"):
+    if case == "theory-K-text":
+        assert err == "config error: cannot parse list '--K': 'abc'\n"
+    elif case.startswith("theory"):
         assert err.startswith("config error: bad theory argument: ")
 
 
