@@ -26,11 +26,11 @@ wall-clock order through the same engine.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .schedules import TheoremDecayStep, validate_shift
+from .schedules import validate_shift
 from .sync import EnsembleResult, RecordFlags, _simulate
 
 
@@ -142,10 +142,8 @@ def _checked_plan(config, per_worker_syncs, delay, objective, wall_times=None,
     """
     log = write_plan(config.K, config.T, per_worker_syncs, delay, wall_times)
     tau = delay.tau if declared_tau is None else int(declared_tau)
-    if isinstance(config.steps, TheoremDecayStep):
-        mu, L = objective.curvature()
-        validate_shift(config.steps, L / mu,
-                       max(s.H for s in per_worker_syncs) + tau)
+    validate_shift(config.steps, objective.curvature(),
+                   max(s.H for s in per_worker_syncs) + tau)
     return log, _check_staleness(log, tau)
 
 
@@ -278,8 +276,9 @@ def run_async_local_sgd(config, per_worker_syncs, delay, objective,
     log, _ = _checked_plan(config, per_worker_syncs, delay, objective, wall_times,
                            declared_tau)
     replay = _Replay(log, config.x0, 1, K, config.T)
-    run = _simulate(config, objective, [config.seed], RecordFlags(f_values=False),
-                    exchange=replay, track_second_moment=track_second_moment)
+    run = _simulate(replace(config, record=RecordFlags(f_values=False)), objective,
+                    [config.seed], exchange=replay,
+                    track_second_moment=track_second_moment)
     trace = AsyncRunTrace(
         xbar=run["rows"]["xbar"][:, 0],
         deviations=run["rows"]["deviations"][:, 0],
@@ -301,7 +300,8 @@ def run_async_ensemble(config, log, objective, seeds, *, track_second_moment=Fal
     Returns an EnsembleResult with `deviations` (S, T+1), `diverged` and,
     when tracked, `max_second_moment`.
     """
-    run = _simulate(config, objective, seeds, RecordFlags(virtual=False, f_values=False),
+    run = _simulate(replace(config, record=RecordFlags(virtual=False, f_values=False)),
+                    objective, seeds,
                     exchange=_Replay(log, config.x0, len(seeds), config.K, config.T),
                     track_second_moment=track_second_moment)
     result = EnsembleResult()

@@ -23,9 +23,11 @@ from .harness import (
     THEORY_HEADER,
     ConfigError,
     DatasetSpec,
+    ExperimentConfig,
     _parse_list,
     build_problem,
     load_experiment_config,
+    parse_lambda,
     run_experiment,
     theory_rows,
     verify_lemmas,
@@ -52,14 +54,14 @@ def build_parser():
     p_theory.add_argument("--K", required=True, help="comma-separated worker counts")
     p_theory.add_argument("--H", required=True, help="comma-separated sync intervals")
     p_theory.add_argument("--eps", required=True, help="comma-separated accuracies")
-    p_theory.add_argument("--rho", type=float, default=25.0,
+    p_theory.add_argument("--rho", type=float, default=ExperimentConfig.rho,
                           help="communication-to-computation ratio")
 
     p_fstar = sub.add_parser("fstar", help="compute the reference optimum")
     p_fstar.add_argument("dataset", help="path to a LIBSVM file")
-    p_fstar.add_argument("--lambda", dest="lam", default="auto",
-                         help="ridge coefficient (default 1/n)")
-    p_fstar.add_argument("--tolerance", type=float, default=1e-8,
+    p_fstar.add_argument("--lambda", dest="lam",
+                         help="ridge coefficient, a number or auto (default 1/n)")
+    p_fstar.add_argument("--tolerance", type=float, default=DatasetSpec.fstar_tolerance,
                          help="gradient norm stopping tolerance")
     return parser
 
@@ -96,10 +98,7 @@ def cmd_theory(args):
 
 
 def cmd_fstar(args):
-    try:
-        lam = None if args.lam == "auto" else float(args.lam)
-    except ValueError:
-        raise ConfigError(f"--lambda must be a number or auto, got {args.lam!r}")
+    lam = DatasetSpec.lam if args.lam is None else parse_lambda(args.lam)
     objective, reference = build_problem(DatasetSpec(
         kind="libsvm", path=args.dataset, lam=lam, fstar_tolerance=args.tolerance))
     print(f"n={objective.n} d={objective.d} lambda={objective.lam!r}")

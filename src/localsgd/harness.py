@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import parse_libsvm
-from .lemmas import LEMMA_DEFAULTS, lemma_suite
+from .lemmas import LEMMA_DEFAULTS, LEMMA_HEADER, lemma_suite
 from .objectives import (
     LogisticObjective,
     QuadraticObjective,
@@ -53,7 +53,7 @@ from .objectives import (
 )
 from .schedules import ConstantStep, ExperimentDecayStep, regular_sync_schedule
 from .sync import RecordFlags, RunConfig, _simulate, run_local_sgd
-from .theory import speedup
+from .theory import speedup, step_cost
 
 RESULTS_HEADER = [
     "K", "H", "b", "eps", "family", "c",
@@ -84,6 +84,10 @@ class DatasetSpec:
     fstar_tolerance: float = 1e-8
 
 
+# every c = 2^i with i in this window of grid exponents is a positive finite float
+_GRID_MIN, _GRID_MAX = -1074, 1023
+
+
 @dataclass
 class ExperimentConfig:
     dataset: DatasetSpec
@@ -98,7 +102,7 @@ class ExperimentConfig:
     i_max: int = 20
     out_dir: str = "results"
     svg: bool = True
-    lemmas: dict = field(default_factory=dict)
+    lemmas: dict = field(default_factory=dict)  # lemma_suite keywords; the rest default
 
     def __post_init__(self):
         for name, values in (("eps", self.eps_list), ("K", self.K_list),
@@ -115,6 +119,17 @@ class ExperimentConfig:
             raise ConfigError("epoch_cap must be >= 1")
         if self.i_min > self.i_max:
             raise ConfigError("grid window is empty (i_min > i_max)")
+        if self.i_min < _GRID_MIN or self.i_max > _GRID_MAX:
+            raise ConfigError(f"grid window [{self.i_min}, {self.i_max}] must lie within "
+                              f"[{_GRID_MIN}, {_GRID_MAX}], where every c = 2^i is "
+                              f"positive and finite")
+        lemmas = {**LEMMA_DEFAULTS, **self.lemmas}
+        for key, low in (("runs", 2), ("trials", 100), ("K", 1), ("H", 1), ("T", 1),
+                         ("b", 1), ("tau", 0)):
+            if lemmas[key] < low:
+                raise ConfigError(f"lemmas.{key} must be >= {low}, got {lemmas[key]}")
+        if lemmas["H"] > lemmas["T"]:
+            raise ConfigError("lemmas.H must be <= lemmas.T")
 
 
 def _parse_list(raw, cast, field_name):
@@ -124,81 +139,101 @@ def _parse_list(raw, cast, field_name):
         raise ConfigError(f"cannot parse list {field_name!r}: {raw!r}")
 
 
+def parse_lambda(raw):
+    """A ridge coefficient as `lambda` or `--lambda` gives it: a number, or auto (1/n)."""
+    if raw == "auto":
+        return None
+    try:
+        return float(raw)
+    except ValueError:
+        raise ConfigError(f"lambda must be a number or auto, got {raw!r}")
+
+
+def _optional(cast):
+    """`cast`, reading an empty value as unset."""
+    return lambda raw: cast(raw) if raw else None
+
+
+def _boolean(raw):
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"Not a boolean: {raw}")
+
+
+# (section, key) -> (field, parse).  Keys are lower case, as configparser
+# reads them.  [dataset] fills a DatasetSpec, [lemmas] the lemma_suite
+# keywords and the others an ExperimentConfig, which hold every default.
+_KEYS = {
+    ("dataset", "kind"): ("kind", str),
+    ("dataset", "path"): ("path", str),
+    ("dataset", "lambda"): ("lam", parse_lambda),
+    ("dataset", "dimension"): ("dimension", _optional(int)),
+    ("dataset", "d"): ("d", int),
+    ("dataset", "mu"): ("mu", float),
+    ("dataset", "l"): ("L", float),
+    ("dataset", "n"): ("n", int),
+    ("dataset", "noise"): ("noise", float),
+    ("dataset", "seed"): ("seed", int),
+    ("dataset", "fstar"): ("f_star", _optional(float)),
+    ("dataset", "fstar_tolerance"): ("fstar_tolerance", float),
+    ("sweep", "eps"): ("eps_list", lambda raw: _parse_list(raw, float, "sweep.eps")),
+    ("sweep", "k"): ("K_list", lambda raw: _parse_list(raw, int, "sweep.K")),
+    ("sweep", "h"): ("H_list", lambda raw: _parse_list(raw, int, "sweep.H")),
+    ("sweep", "b"): ("b_list", lambda raw: _parse_list(raw, int, "sweep.b")),
+    ("cost", "rho"): ("rho", float),
+    ("run", "seed"): ("seed", int),
+    ("run", "epoch_cap"): ("epoch_cap", int),
+    ("grid", "i_min"): ("i_min", int),
+    ("grid", "i_max"): ("i_max", int),
+    ("output", "dir"): ("out_dir", str),
+    ("output", "svg"): ("svg", _boolean),
+    **{("lemmas", name.lower()): (name, int) for name in LEMMA_DEFAULTS},
+}
+
+
 def load_experiment_config(path) -> ExperimentConfig:
-    """Parse the INI experiment config; raises ConfigError with the field."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
-    if not read:
+    """Parse the INI experiment config; raises ConfigError with the field.
+
+    A section or key that `_KEYS` lacks is an error, [DEFAULT] included.
+    """
+    # no section is special, so [DEFAULT] is checked like any other
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                       default_section="")
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file {path}")
+
+    values = {section: {} for section, _ in _KEYS}
+    for section in parser.sections():
+        if section not in values:
+            raise ConfigError(f"unknown section [{section}]")
+        for key, raw in parser[section].items():
+            if (section, key) not in _KEYS:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+            name, parse = _KEYS[section, key]
+            try:
+                values[section][name] = parse(raw)
+            except ConfigError:
+                raise
+            except ValueError as exc:
+                raise ConfigError(f"bad value in [{section}]: {exc}")
 
     if "dataset" not in parser:
         raise ConfigError("missing [dataset] section")
-    ds = parser["dataset"]
-    kind = ds.get("kind", "").strip()
+    dataset = values.pop("dataset")
+    kind = dataset.get("kind", "")
     if kind not in ("libsvm", "quadratic"):
         raise ConfigError(f"dataset.kind must be libsvm or quadratic, got {kind!r}")
-    spec = DatasetSpec(kind=kind)
-    try:
-        if kind == "libsvm":
-            spec.path = ds.get("path")
-            if not spec.path:
-                raise ConfigError("dataset.path is required for libsvm datasets")
-            lam_raw = ds.get("lambda", "auto").strip()
-            spec.lam = None if lam_raw == "auto" else float(lam_raw)
-            if ds.get("dimension"):
-                spec.dimension = ds.getint("dimension")
-        else:
-            spec.d = ds.getint("d", spec.d)
-            spec.mu = ds.getfloat("mu", spec.mu)
-            spec.L = ds.getfloat("L", spec.L)
-            spec.n = ds.getint("n", spec.n)
-            spec.noise = ds.getfloat("noise", spec.noise)
-            spec.seed = ds.getint("seed", spec.seed)
-        if ds.get("fstar"):
-            spec.f_star = ds.getfloat("fstar")
-        spec.fstar_tolerance = ds.getfloat("fstar_tolerance", spec.fstar_tolerance)
-    except (ValueError, RuntimeError) as exc:
-        raise ConfigError(f"bad value in [dataset]: {exc}")
-
+    if kind == "libsvm" and not dataset.get("path"):
+        raise ConfigError("dataset.path is required for libsvm datasets")
     if "sweep" not in parser:
         raise ConfigError("missing [sweep] section")
-    sweep = parser["sweep"]
     for key in ("eps", "K", "H", "b"):
-        if key not in sweep:
+        if key not in parser["sweep"]:
             raise ConfigError(f"missing sweep.{key}")
-
-    try:
-        config = ExperimentConfig(
-            dataset=spec,
-            eps_list=_parse_list(sweep["eps"], float, "sweep.eps"),
-            K_list=_parse_list(sweep["K"], int, "sweep.K"),
-            H_list=_parse_list(sweep["H"], int, "sweep.H"),
-            b_list=_parse_list(sweep["b"], int, "sweep.b"),
-            rho=parser.getfloat("cost", "rho", fallback=25.0),
-            seed=parser.getint("run", "seed", fallback=1),
-            epoch_cap=parser.getint("run", "epoch_cap", fallback=200),
-            i_min=parser.getint("grid", "i_min", fallback=-20),
-            i_max=parser.getint("grid", "i_max", fallback=20),
-            out_dir=parser.get("output", "dir", fallback="results"),
-            svg=parser.getboolean("output", "svg", fallback=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad config value: {exc}")
-
-    if "lemmas" in parser:
-        lem = parser["lemmas"]
-        try:
-            config.lemmas = {key: lem.getint(key, default)
-                             for key, default in LEMMA_DEFAULTS.items()}
-        except ValueError as exc:
-            raise ConfigError(f"bad value in [lemmas]: {exc}")
-        for key, low in (("runs", 2), ("trials", 100), ("K", 1), ("H", 1), ("T", 1),
-                         ("b", 1), ("tau", 0)):
-            if config.lemmas[key] < low:
-                raise ConfigError(f"lemmas.{key} must be >= {low}, got {config.lemmas[key]}")
-        if config.lemmas["H"] > config.lemmas["T"]:
-            raise ConfigError("lemmas.H must be <= lemmas.T")
-    return config
+    lemmas = values.pop("lemmas")
+    settings = {name: value for section in values.values() for name, value in section.items()}
+    return ExperimentConfig(dataset=DatasetSpec(**dataset), lemmas=lemmas, **settings)
 
 
 def build_problem(spec: DatasetSpec):
@@ -235,7 +270,8 @@ _ARMIJO = 1e-4
 _MAX_HALVINGS = 30
 
 
-def reference_for(objective, tolerance=1e-8, max_iters=200_000) -> ReferenceSolution:
+def reference_for(objective, tolerance=DatasetSpec.fstar_tolerance,
+                  max_iters=200_000) -> ReferenceSolution:
     """Reference solution (x*, f*) of any supported objective.
 
     Analytic for quadratics.  Otherwise a truncated Newton-CG solve from
@@ -393,7 +429,7 @@ def replay_grid(tables, i_min, i_max):
 
 
 def grid_search_stepsize(objective, f_star, K, H, b, eps, seed, step_cap,
-                         i_min=-20, i_max=20):
+                         i_min=ExperimentConfig.i_min, i_max=ExperimentConfig.i_max):
     """Best stepsize family and c = 2^i for one sweep cell.
 
     The adaptive search of `replay_search` per family (failing to reach
@@ -464,8 +500,8 @@ def _search_round(objective, f_star, K, H, b, eps, seed, step_cap, measured, poi
     """
     steps = [_family_steps(family, 2.0**i, objective.n) for family, i in points]
     config = _cell_config(objective, K, H, b, seed, step_cap, steps[0])
-    run = _simulate(config, objective, [seed] * len(points), config.record,
-                    steps=steps, target=(eps, f_star),
+    run = _simulate(config, objective, [seed] * len(points), steps=steps,
+                    target=(eps, f_star),
                     keep=lambda t, crossed: _needed(measured, points, t, crossed))
     for (family, i), t_star in zip(points, run["crossed"]):
         measured[family][i] = int(t_star) if t_star >= 0 else None
@@ -494,7 +530,7 @@ class ResultRow:
     def wallclock(self):
         if self.iterations is None:
             return None
-        return self.iterations * (1.0 + 2.0 * self.rho * (self.K - 1) / self.H)
+        return self.iterations * step_cost(self.K, self.H, self.rho)
 
     def csv_fields(self, baseline_wallclock):
         measured = ""
@@ -683,8 +719,6 @@ def write_speedup_svg(path, rows, baselines, config):
 
 
 # -- lemma verification entry point ------------------------------------------
-
-LEMMA_HEADER = ["check", "trials", "statistic", "bound", "margin", "stderr", "passed"]
 
 
 def verify_lemmas(config: ExperimentConfig, out_dir=None):

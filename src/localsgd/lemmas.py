@@ -33,11 +33,14 @@ from . import sync
 from .asynchronous import (DelayModel, _checked_plan, measured_delay,  # noqa: F401
                            run_async_ensemble, run_async_local_sgd)
 from .averaging import sum_of_weights
-from .objectives import ProblemConstants
 from .schedules import TheoremDecayStep, regular_sync_schedule
 from .sync import RecordFlags, RunConfig, run_local_sgd_ensemble
 
 _PERTURBED_POINTS = 64  # steps the perturbed-step check tests, evenly spaced
+
+
+# the columns of lemma_checks.csv, one row per `CheckReport.csv_fields`
+LEMMA_HEADER = ["check", "trials", "statistic", "bound", "margin", "stderr", "passed"]
 
 
 @dataclass
@@ -186,8 +189,7 @@ def check_deviation_bound(config, objective, runs, seed=0) -> CheckReport:
     )
 
 
-def check_perturbed_inequality(config, objective, reference, constants, runs,
-                               seed=0) -> CheckReport:
+def check_perturbed_inequality(config, objective, reference, runs, seed=0) -> CheckReport:
     """Per-step descent inequality of the averaged sequence.
 
     For each checked step t the Monte-Carlo means of both sides are
@@ -198,10 +200,11 @@ def check_perturbed_inequality(config, objective, reference, constants, runs,
                                      - eta_t / 2 E (f(xbar_t) - f*)
                                      + 2 eta_t L dev_t
 
-    using a paired one-sided test at 3 standard errors of the difference.
-    Requires eta_0 <= 1/(4L).
+    using a paired one-sided test at 3 standard errors of the difference,
+    with (mu, L) from `objective.curvature()`.  Requires eta_0 <= 1/(4L).
     """
-    if config.steps.eta(0) > 1.0 / (4.0 * constants.L):
+    mu, L = objective.curvature()
+    if config.steps.eta(0) > 1.0 / (4.0 * L):
         raise ValueError("stepsize too large: eta_0 must be <= 1/(4L)")
 
     result = run_local_sgd_ensemble(
@@ -213,7 +216,6 @@ def check_perturbed_inequality(config, objective, reference, constants, runs,
         record_noise=True,
         record_f_xbar=True,
     )
-    mu, L = constants.mu, constants.L
     f_star = reference.f_star
 
     T = config.T
@@ -374,8 +376,8 @@ def lemma_suite(objective, reference, *, runs=1000, trials=4000, K=4, H=4, T=64,
     mu, L = objective.curvature()
     kappa = L / mu
     x0 = np.zeros(objective.d)
-    constants = ProblemConstants(L=L, mu=mu, sigma_sq=objective.variance_at(x0),
-                                 G_sq=objective.second_moment_at(x0))
+    B = objective.variance_at(x0) / K
+    C = 8.0 * objective.second_moment_at(x0) * H**2 * L
 
     def shift(window):
         return max(16.0 * kappa, float(window)) + 1.0
@@ -391,13 +393,11 @@ def lemma_suite(objective, reference, *, runs=1000, trials=4000, K=4, H=4, T=64,
     warm = sync.run_local_sgd(replace(config(H), T=warm_T, sync=regular_sync_schedule(warm_T, H),
                                       record=RecordFlags(iterates=True, f_values=False)),
                               objective)
-    B, C = constants.sigma_sq / K, 8.0 * constants.G_sq * H**2 * L
     return [
         check_variance_reduction(objective, warm.iterates[:, warm_T - 1, :],
                                  trials=trials, seed=seed),
         check_deviation_bound(config(H), objective, runs, seed=seed),
-        check_perturbed_inequality(config(H), objective, reference, constants, runs,
-                                   seed=seed),
+        check_perturbed_inequality(config(H), objective, reference, runs, seed=seed),
         check_recursion_lemma(a=shift(H), mu=mu, A=0.5, B=B, C=C, T=T,
                               sequence_builder=make_equality_builder(mu, 0.5, B, C)),
         check_async_deviation(config(H + tau), DelayModel("fixed", tau=tau, seed=seed),

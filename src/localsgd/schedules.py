@@ -10,7 +10,7 @@ bounds and the two families used in the experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def gap(indices) -> int:
@@ -95,32 +95,35 @@ class ConstantStep:
 
 @dataclass(frozen=True)
 class ExperimentDecayStep:
-    """eta_t = min(cap, c n / (t + 1)), the decaying experiment family."""
+    """eta_t = min(32, c n / (t + 1)), the decaying experiment family, capped at a fixed 32."""
 
     c: float
     n: int
-    cap: float = field(default=32.0)
 
     def __post_init__(self):
-        if self.c <= 0.0 or self.n < 1 or self.cap <= 0.0:
-            raise ValueError("c, n and cap must be positive")
+        if self.c <= 0.0 or self.n < 1:
+            raise ValueError("c and n must be positive")
 
     def eta(self, t) -> float:
         if t < 0:
             raise ValueError("step index must be >= 0")
-        return min(self.cap, self.c * self.n / (t + 1))
+        return min(32.0, self.c * self.n / (t + 1))
 
 
-def validate_shift(schedule, kappa, window) -> None:
-    """Check a > max{16 kappa, window} for a decaying schedule.
+def validate_shift(steps, curvature, window) -> None:
+    """Check a > max{16 kappa, window} when `steps` has a shift a.
 
-    `window` is H for synchronous runs and H + tau when reads may be
-    delayed by up to tau steps.  Schedules without a shift pass trivially.
+    Only a TheoremDecayStep has one, and only for it is kappa = L / mu
+    formed from `curvature`, the pair (mu, L); an unregularized objective
+    has mu = 0.  `window` is H for synchronous runs and H + tau when reads
+    may be delayed by up to tau steps.
     """
-    if isinstance(schedule, TheoremDecayStep):
+    if isinstance(steps, TheoremDecayStep):
+        mu, L = curvature
+        kappa = L / mu
         threshold = max(16.0 * kappa, float(window))
-        if not schedule.a > threshold:
+        if not steps.a > threshold:
             raise ValueError(
-                f"shift a={schedule.a} must exceed max(16*kappa, window)="
+                f"shift a={steps.a} must exceed max(16*kappa, window)="
                 f"{threshold} (kappa={kappa}, window={window})"
             )

@@ -28,7 +28,7 @@ runs that share a seed share one draw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -189,13 +189,13 @@ def _certified_by_any(Y, z, f_z, g_z, mu, eps, f_star):
                            np.vecdot(D, D), mu, eps, f_star).any(axis=2)
 
 
-def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
+def _simulate(config, objective, seeds, *, steps=None, ref_point=None,
               track_second_moment=False, target=None, keep=None, exchange=None):
     """The time-step loop behind every engine: sync, grid search and async.
 
     Advances S = len(seeds) runs of `config` together on iterates X of
-    shape (S, K, d) and records what `record` asks for, each row with a
-    leading run axis.  `steps`, one schedule per run, replaces the
+    shape (S, K, d) and records what `config.record` asks for, each row
+    with a leading run axis.  `steps`, one schedule per run, replaces the
     stepsizes of config.steps.  A run whose iterates reach |x| >= 1e100 or
     turn non-finite, or whose recorded function value is not finite, is
     marked diverged and frozen.  `target` (eps, f_star) records each run's
@@ -234,11 +234,10 @@ def _simulate(config, objective, seeds, record, *, steps=None, ref_point=None,
         raise ValueError("x0 dimension does not match the objective")
     if target is not None and not target[0] > 0.0:
         raise ValueError("target accuracy must be positive")
-    if exchange is None and isinstance(config.steps, TheoremDecayStep):
-        mu, L = objective.curvature()
-        validate_shift(config.steps, L / mu, config.sync.H)
+    if exchange is None:
+        validate_shift(config.steps, objective.curvature(), config.sync.H)
 
-    S, K, T = len(seeds), config.K, config.T
+    S, K, T, record = len(seeds), config.K, config.T, config.record
     X = np.tile(config.x0, (S, K, 1))
     final_iterates = np.empty_like(X)
     active = np.arange(S)         # the runs still in the stack, in run order
@@ -432,8 +431,8 @@ def run_local_sgd(config, objective, stop_when=None) -> RunTrace:
     the reached step is stored as trace.t_star.  A run that diverges ends
     at that step with trace.diverged set and its last finite iterates.
     """
-    run = _simulate(config, objective, [config.seed], config.record,
-                    target=stop_when, keep=lambda t, crossed: crossed < 0)
+    run = _simulate(config, objective, [config.seed], target=stop_when,
+                    keep=lambda t, crossed: crossed < 0)
     row = {name: None if r is None else r[:, 0] for name, r in run["rows"].items()}
     f = row["f_values"]
     return RunTrace(
@@ -482,8 +481,6 @@ class EnsembleResult:
         self.dist_sq = None          # (S, T+1) squared distance of xbar to ref
         self.noise_sq = None         # (S, T)
         self.f_xbar = None           # (S, T+1)
-        self.crossing_step = None    # (S,) first eps-accurate eval step, -1 if never
-        self.eval_steps = None
         self.diverged = None         # (S,) runs stopped by the divergence guard
 
 
@@ -497,24 +494,19 @@ def run_local_sgd_ensemble(
     record_deviations=False,
     record_noise=False,
     record_f_xbar=False,
-    accuracy_target=None,
 ):
     """Run one configuration under many seeds, vectorized across runs.
 
     Run r is the `run_local_sgd` run with seed=seeds[r], advanced by the
     same loop, so its rows agree bitwise with the single run.  A run that
     diverges is flagged in `diverged` and reads NaN from then on, its
-    output average and f_output included.  `accuracy_target` is an
-    (eps, f_star) pair enabling the crossing-time recording used by
-    speedup measurements.
+    output average and f_output included.  The runs record what the
+    `record_*` flags ask for, not `config.record`.
     """
-    record = RecordFlags(virtual=False, deviations=record_deviations,
-                         f_values=accuracy_target is not None,
-                         noise_norms=record_noise, f_virtual=record_f_xbar,
-                         f_every=config.record.f_every)
-    run = _simulate(config, objective, seeds, record, ref_point=ref_point,
-                    track_second_moment=track_second_moment,
-                    target=accuracy_target)
+    record = RecordFlags(virtual=False, deviations=record_deviations, f_values=False,
+                         noise_norms=record_noise, f_virtual=record_f_xbar)
+    run = _simulate(replace(config, record=record), objective, seeds, ref_point=ref_point,
+                    track_second_moment=track_second_moment)
     result = EnsembleResult()
     result.diverged = run["diverged"]
     result.output_average = run["output_average"]
@@ -527,7 +519,4 @@ def run_local_sgd_ensemble(
     for name in ("deviations", "dist_sq", "noise_sq", "f_xbar"):
         if run["rows"][name] is not None:
             setattr(result, name, run["rows"][name].T)
-    if accuracy_target is not None:
-        result.crossing_step = run["crossed"]
-        result.eval_steps = run["eval_steps"]
     return result

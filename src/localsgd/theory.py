@@ -58,7 +58,8 @@ def _suboptimality_bound(constants, K, T, b, a, r0, drift_constant, window):
     drift_constant T G^2 window^2 L / (mu^2 S_T); requires
     a > max(16 kappa, window).
     """
-    validate_shift(TheoremDecayStep(mu=constants.mu, a=a), constants.kappa, window)
+    validate_shift(TheoremDecayStep(mu=constants.mu, a=a), (constants.mu, constants.L),
+                   window)
     S_T = sum_of_weights(a, T)
     mu = constants.mu
     bias = mu * a**3 * r0 / (2.0 * S_T)
@@ -100,6 +101,15 @@ def iterations_estimate(eps, H, K) -> float:
     return (0.5 + 0.5 * sqrt(1.0 + eps * (1.0 + H + H**2 * K))) / (K * eps)
 
 
+def step_cost(K, H, rho) -> float:
+    """Wall-clock of one step in gradient-computation times: 1 + 2 rho (K - 1) / H.
+
+    Each of the T/H communication rounds exchanges 2(K-1) vectors at rho
+    gradient-times per vector.
+    """
+    return 1.0 + 2.0 * rho * (K - 1) / H
+
+
 def speedup(K, H, eps, rho) -> float:
     """Modeled speedup over single-worker SGD under communication cost rho.
 
@@ -109,13 +119,11 @@ def speedup(K, H, eps, rho) -> float:
     The accuracy factor A is normalized against its single-worker value so
     that one worker always scores exactly 1; at eps = 0 both factors are 1
     and the expression reduces to K / (1 + 2 rho (K - 1) / H).  The second
-    factor prices T/H communication rounds at 2(K-1) exchanged vectors
-    each, rho gradient-times per vector.
+    factor is `step_cost`.
     """
     _check_positive(K=K, H=H, rho=rho)
     if not (isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     accuracy_one = 0.5 + 0.5 * sqrt(1.0 + eps * (1.0 + H + H**2))
     accuracy_k = 0.5 + 0.5 * sqrt(1.0 + eps * (1.0 + H + H**2 * K))
-    comm_factor = 1.0 + 2.0 * rho * (K - 1.0) / H
-    return K * accuracy_one / (accuracy_k * comm_factor)
+    return K * accuracy_one / (accuracy_k * step_cost(K, H, rho))

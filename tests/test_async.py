@@ -17,6 +17,7 @@ from localsgd import (
     run_async_local_sgd,
     run_local_sgd,
     run_load_balanced,
+    theorem1_bound,
 )
 from localsgd.asynchronous import (ReadEvent, WriteEvent, _check_staleness,
                                    run_async_ensemble, write_plan)
@@ -357,6 +358,23 @@ def test_async_entry_points_check_the_shift_before_any_gradient(quad10):
             else:
                 run(counter)
                 assert counter.calls > 0
+
+
+def test_every_shift_check_rejects_a_shift_with_one_message(quad10):
+    # kappa = 4 and H = 4, so a = 64 misses a > max(16 kappa, H) by a hair
+    obj, _, const = quad10
+    config = RunConfig(K=2, T=8, b=1, sync=regular_sync_schedule(8, 4),
+                       steps=TheoremDecayStep(mu=const.mu, a=64.0), seed=0,
+                       x0=np.zeros(obj.d))
+    messages = set()
+    for check in (lambda: theorem1_bound(const, K=2, T=8, H=4, b=1, a=64.0, r0=1.0),
+                  lambda: run_local_sgd(config, obj),
+                  lambda: run_async_local_sgd(config, [config.sync] * 2,
+                                              DelayModel("zero"), obj)):
+        with pytest.raises(ValueError, match="shift a=64.0") as rejected:
+            check()
+        messages.add(str(rejected.value))
+    assert len(messages) == 1
 
 
 def test_async_entry_points_run_a_constant_step_on_an_unregularized_objective(synth50):

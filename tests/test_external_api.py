@@ -1,11 +1,12 @@
 """The package names that code outside it uses: the benchmark and the demos.
 
-Neither runs in this suite, so a public name they need could be removed
-without any other test failing.
+Neither runs in this suite, so a public name they need, or a parameter
+they pass, could be removed without any other test failing.
 """
 
 import ast
 import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -72,3 +73,38 @@ def test_names_used_outside_the_package_resolve(path):
         except (ImportError, AttributeError):
             missing.append(dotted)
     assert not missing, f"{path.name} uses names the package lacks: {missing}"
+
+
+def _calls(path):
+    """(callee, positional count, keyword names) of each call `path` makes to a localsgd name.
+
+    The callee is a name imported from localsgd or a localsgd.<module>.<attr>
+    chain.  A call that unpacks *args or **kwargs is left out, since its
+    arguments cannot be counted.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name: f"{node.module}.{alias.name}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("localsgd")
+                for alias in node.names}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        chain = _dotted(node.func)
+        callee = imported.get(chain, chain if (chain or "").startswith("localsgd.") else None)
+        if callee is None or any(isinstance(arg, ast.Starred) for arg in node.args) \
+                or any(kw.arg is None for kw in node.keywords):
+            continue
+        yield callee, len(node.args), [kw.arg for kw in node.keywords]
+
+
+@pytest.mark.parametrize("path", CALLERS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_calls_from_outside_the_package_bind(path):
+    unbound = []
+    for callee, positional, keywords in _calls(path):
+        try:
+            inspect.signature(_resolve(callee)).bind_partial(
+                *[None] * positional, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            unbound.append(f"{callee}: {exc}")
+    assert not unbound, f"{path.name} passes arguments the package does not take: {unbound}"

@@ -141,6 +141,26 @@ def test_experiment_config_rejects_non_finite_values(tmp_path, field, overrides)
         small_config(tmp_path, **overrides)
 
 
+@pytest.mark.parametrize("i_min, i_max, accepted", [
+    (-1074, 20, True), (-1075, 20, False), (-1080, 20, False),
+    (-20, 1023, True), (-20, 1024, False), (-20, 1030, False),
+])
+def test_grid_window_keeps_every_stepsize_positive_and_finite(tmp_path, i_min, i_max,
+                                                              accepted):
+    if accepted:
+        small_config(tmp_path, i_min=i_min, i_max=i_max)
+    else:
+        with pytest.raises(ConfigError, match="grid window"):
+            small_config(tmp_path, i_min=i_min, i_max=i_max)
+
+
+def test_config_without_optional_sections_takes_the_dataclass_defaults(tmp_path):
+    cfg = load_experiment_config(write_config(
+        tmp_path, "[dataset]\nkind = quadratic\n\n[sweep]\neps = 0.1\nK = 1\nH = 1\nb = 1\n"))
+    assert cfg == ExperimentConfig(dataset=DatasetSpec(kind="quadratic"), eps_list=[0.1],
+                                   K_list=[1], H_list=[1], b_list=[1])
+
+
 def test_reference_for_quadratic_is_analytic():
     obj, ref, _ = make_quadratic(d=1, mu=2.0, L=2.0, n=1, noise=0.0, seed=0)
     got = reference_for(obj)
@@ -502,7 +522,7 @@ def test_a_non_finite_value_freezes_only_its_own_run():
     # on to its own t*
     family, c, t_star = found
     steps = [ConstantStep(c=2.0**4), _family_steps(family, c, obj.n)]
-    run = _simulate(config, obj, [3, 3], config.record, steps=steps,
+    run = _simulate(config, obj, [3, 3], steps=steps,
                     target=(0.002, ref.f_star), keep=lambda t, crossed: crossed < 0)
     assert run["diverged"].tolist() == [True, False]
     assert run["crossed"].tolist() == [-1, t_star]
@@ -589,7 +609,7 @@ def test_screened_search_rounds_equal_recorded_rounds(logistic50, K, H, eps, see
                                steps=steps[0], seed=seed, x0=np.zeros(logistic50.d),
                                record=record)
             runs.append(_simulate(
-                config, logistic50, [seed] * len(points), record, steps=steps,
+                config, logistic50, [seed] * len(points), steps=steps,
                 target=(eps, f_star),
                 keep=lambda t, crossed: _needed(measured, points, t, crossed)))
         screened, recorded = runs
@@ -888,6 +908,57 @@ dir = {tmp_path / 'out'}
         assert err == "config error: cannot parse list '--K': 'abc'\n"
     elif case.startswith("theory"):
         assert err.startswith("config error: bad theory argument: ")
+
+
+@pytest.mark.parametrize("extra, error", [
+    ("[run]\nepoch_caps = 50\n", "unknown key 'epoch_caps' in [run]"),
+    ("lamda = 0.1\n", "unknown key 'lamda' in [dataset]"),
+    ("[grdi]\n", "unknown section [grdi]"),
+    ("[DEFAULT]\nseed = 3\n", "unknown section [DEFAULT]"),
+    ("[grid]\ni_min = -1080\n", "grid window [-1080, 20] must lie within [-1074, 1023]"),
+    ("[grid]\ni_max = 1030\n", "grid window [-20, 1030] must lie within [-1074, 1023]"),
+], ids=["key", "dataset-key", "section", "default-section", "i-min", "i-max"])
+def test_cli_rejects_settings_that_nothing_reads(tmp_path, capsys, extra, error):
+    # `extra` without a section header lands in [dataset]
+    body = ("[sweep]\neps = 0.05\nK = 1\nH = 1\nb = 1\n\n"
+            f"[dataset]\nkind = libsvm\npath = {DATA / 'synth50.libsvm'}\n{extra}")
+    assert main(["run", str(write_config(tmp_path, body)),
+                 "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"config error: {error}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_lambda_errors_match_the_config_reader(tmp_path, capsys):
+    config = write_config(tmp_path, f"""
+[dataset]
+kind = libsvm
+path = {DATA / 'synth50.libsvm'}
+lambda = abc
+
+[sweep]
+eps = 0.05
+K = 1
+H = 1
+b = 1
+""")
+    assert main(["run", str(config)]) == 1
+    from_config = capsys.readouterr().err
+    assert main(["fstar", str(DATA / "synth50.libsvm"), "--lambda", "abc"]) == 1
+    assert capsys.readouterr().err == from_config == \
+        "config error: lambda must be a number or auto, got 'abc'\n"
+
+
+def test_cli_defaults_are_the_dataclass_defaults(capsys):
+    grid = ["--K", "1,4", "--H", "2", "--eps", "0.01"]
+    assert main(["theory", *grid]) == 0
+    default = capsys.readouterr().out
+    assert main(["theory", *grid, "--rho", repr(ExperimentConfig.rho)]) == 0
+    assert capsys.readouterr().out == default
+    path = str(DATA / "synth50.libsvm")
+    assert main(["fstar", path]) == 0
+    _, reference = build_problem(DatasetSpec(kind="libsvm", path=path))
+    assert capsys.readouterr().out.splitlines()[-1] == f"fstar={reference.f_star!r}"
 
 
 @pytest.mark.parametrize("dataset", [

@@ -129,7 +129,7 @@ def test_perturbed_inequality_deterministic_contraction():
     # contraction ||x_{t+1}-x*||^2 <= (1-mu eta)||x_t-x*||^2 - eta/2 (f-f*)
     obj, ref, const = make_quadratic(d=3, mu=1.0, L=2.0, n=1, noise=0.0, seed=5)
     config = theorem_config(obj, const, K=1, T=32, H=1)
-    report = check_perturbed_inequality(config, obj, ref, const, runs=100, seed=0)
+    report = check_perturbed_inequality(config, obj, ref, runs=100, seed=0)
     assert report.passed
 
     # direct closed-form verification of the same reduction
@@ -145,7 +145,7 @@ def test_perturbed_inequality_deterministic_contraction():
 def test_perturbed_inequality_noise_free_with_drift(quad10):
     obj, ref, const = make_quadratic(d=10, mu=1.0, L=4.0, n=16, noise=0.0, seed=9)
     config = theorem_config(obj, const, K=4, T=40, H=5)
-    report = check_perturbed_inequality(config, obj, ref, const, runs=100, seed=3)
+    report = check_perturbed_inequality(config, obj, ref, runs=100, seed=3)
     assert report.passed
 
 
@@ -159,8 +159,7 @@ def test_perturbed_inequality_logistic_fixture(logistic50):
         seed=0, x0=np.zeros(logistic50.d),
         record=RecordFlags(virtual=False, f_values=False),
     )
-    report = check_perturbed_inequality(config, logistic50, ref, const,
-                                        runs=1000, seed=0)
+    report = check_perturbed_inequality(config, logistic50, ref, runs=1000, seed=0)
     assert report.passed
 
 
@@ -173,7 +172,7 @@ def test_perturbed_inequality_rejects_large_steps(quad10):
 
     big.steps = ConstantStep(c=1.0)  # eta = 32 >> 1/(4L)
     with pytest.raises(ValueError, match="stepsize too large"):
-        check_perturbed_inequality(big, obj, ref, const, runs=100)
+        check_perturbed_inequality(big, obj, ref, runs=100)
 
 
 # --- weighted recursion --------------------------------------------------

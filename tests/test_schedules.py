@@ -85,10 +85,10 @@ def test_initial_stepsize_under_smoothness_cap():
 
 def test_validate_shift():
     sched = TheoremDecayStep(mu=1.0, a=65.0)
-    validate_shift(sched, kappa=4.0, window=8)
+    validate_shift(sched, (1.0, 4.0), window=8)
     with pytest.raises(ValueError, match="16\\*kappa"):
-        validate_shift(sched, kappa=5.0, window=8)
+        validate_shift(sched, (1.0, 5.0), window=8)
     with pytest.raises(ValueError, match="window"):
-        validate_shift(sched, kappa=4.0, window=65)
-    # schedules without a shift pass trivially
-    validate_shift(ConstantStep(c=1.0), kappa=1e9, window=10**9)
+        validate_shift(sched, (1.0, 4.0), window=65)
+    # schedules without a shift pass trivially, without forming kappa
+    validate_shift(ConstantStep(c=1.0), (0.0, 1e9), window=10**9)
