@@ -357,28 +357,24 @@ def load_balanced_assignment(speeds, H, n_blocks=4) -> AssignmentPlan:
 
     worker_free = [0.0] * K
     next_block = [0] * K      # per sequence
-    seq_ready = [0.0] * K     # wall when the sequence's last block finished
+    # wall when the sequence's last block finished, inf once it has no block left
+    seq_ready = [0.0] * K
     entries = []
 
-    remaining = K * n_blocks
-    while remaining:
-        # pick the (worker, sequence) pair that can start earliest
-        best = None
-        for w in range(K):
-            for seq in range(K):
-                if next_block[seq] >= n_blocks:
-                    continue
-                start = max(worker_free[w], seq_ready[seq])
-                key = (start, next_block[seq], seq, w)
-                if best is None or key < best[0]:
-                    best = (key, w, seq, start)
-        _, w, seq, start = best
+    for _ in range(K * n_blocks):
+        # pick the (worker, sequence) pair with the smallest key (start,
+        # next_block[seq], seq, worker).  The earliest start is the later
+        # of the earliest free worker and the earliest ready sequence, and
+        # every worker free by then can start every sequence ready by then
+        # at that instant, so one pass over each finds the pair
+        start = max(min(worker_free), min(seq_ready))
+        _, seq = min((next_block[s], s) for s in range(K) if seq_ready[s] <= start)
+        w = next(w for w in range(K) if worker_free[w] <= start)
         end = start + H / speeds[w]
         entries.append((seq, next_block[seq], w, start, end))
         next_block[seq] += 1
         worker_free[w] = end
-        seq_ready[seq] = end
-        remaining -= 1
+        seq_ready[seq] = end if next_block[seq] < n_blocks else float("inf")
 
     # staleness bound: when a block lands, how far ahead is the leader?  The
     # leader at wall instant w is the furthest step of a block ending by w:

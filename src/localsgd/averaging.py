@@ -19,6 +19,29 @@ import numpy as np
 
 SCHEMES = ("last", "uniform", "linear", "quadratic")
 
+# The recursions of the averaging schemes after the first: at step t >= 1,
+# y_t = x_t * x_num / x_den + y_{t-1} * y_num / y_den, each in this order of
+# operations, with (x_num, x_den, y_num, y_den) as given here (scalars for a
+# scalar t, elementwise for an array of steps).  Multiplying and dividing by
+# 1.0 are exact.  The last scheme is the iterate itself, y_t = x_t.
+RECURSIONS = {
+    "uniform": lambda t: (1.0, t + 1.0, t / (t + 1.0), 1.0),
+    "linear": lambda t: (2.0, 2.0 + t, t / (t + 2.0), 1.0),
+    "quadratic": lambda t: (6.0 * (t + 1.0), (t + 2.0) * (2.0 * t + 3.0),
+                            t * (1.0 + 2.0 * t), 6.0 + 7.0 * t + 2.0 * t**2),
+}
+
+
+def recursion_weights(steps):
+    """The RECURSIONS coefficients at an array of steps, as one array (4, len(steps), 3).
+
+    Axis 0 is (x_num, x_den, y_num, y_den) and axis 2 the schemes of
+    RECURSIONS in SCHEMES order; each entry equals RECURSIONS at a scalar t.
+    """
+    t = np.asarray(steps, dtype=np.float64)
+    return np.stack([np.stack(np.broadcast_arrays(*part), axis=-1)
+                     for part in zip(*(RECURSIONS[kind](t) for kind in SCHEMES[1:]))])
+
 
 class RunningAverage:
     """Recursive weighted average over a stream x_0, x_1, ... of vectors."""
@@ -35,20 +58,11 @@ class RunningAverage:
         if t != self.t + 1:
             raise ValueError(f"out-of-order update: expected t={self.t + 1}, got {t}")
         self.t = t
-        if t == 0:
+        if t == 0 or self.kind == "last":
             self.value = np.array(x, dtype=np.float64)
-            return self.value
-        if self.kind == "last":
-            self.value = np.array(x, dtype=np.float64)
-        elif self.kind == "uniform":
-            self.value = x / (t + 1.0) + self.value * (t / (t + 1.0))
-        elif self.kind == "linear":
-            self.value = 2.0 * x / (2.0 + t) + self.value * (t / (t + 2.0))
-        else:  # quadratic, shift-1 weights
-            self.value = (
-                6.0 * (t + 1.0) * x / ((t + 2.0) * (2.0 * t + 3.0))
-                + self.value * (t * (1.0 + 2.0 * t)) / (6.0 + 7.0 * t + 2.0 * t**2)
-            )
+        else:
+            x_num, x_den, y_num, y_den = RECURSIONS[self.kind](t)
+            self.value = x * x_num / x_den + self.value * y_num / y_den
         return self.value
 
 

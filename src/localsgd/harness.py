@@ -192,10 +192,18 @@ _KEYS = {
 }
 
 
+# the [dataset] keys that each kind reads
+_DATASET_KEYS = {
+    "libsvm": {"kind", "path", "lambda", "dimension", "fstar", "fstar_tolerance"},
+    "quadratic": {"kind", "d", "mu", "l", "n", "noise", "seed", "fstar"},
+}
+
+
 def load_experiment_config(path) -> ExperimentConfig:
     """Parse the INI experiment config; raises ConfigError with the field.
 
-    A section or key that `_KEYS` lacks is an error, [DEFAULT] included.
+    A section or key that `_KEYS` lacks is an error, [DEFAULT] included,
+    and so is a [dataset] key that its kind does not read.
     """
     # no section is special, so [DEFAULT] is checked like any other
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
@@ -222,8 +230,11 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError("missing [dataset] section")
     dataset = values.pop("dataset")
     kind = dataset.get("kind", "")
-    if kind not in ("libsvm", "quadratic"):
+    if kind not in _DATASET_KEYS:
         raise ConfigError(f"dataset.kind must be libsvm or quadratic, got {kind!r}")
+    for key in parser["dataset"]:
+        if key not in _DATASET_KEYS[kind]:
+            raise ConfigError(f"key {key!r} in [dataset] does not apply to kind {kind}")
     if kind == "libsvm" and not dataset.get("path"):
         raise ConfigError("dataset.path is required for libsvm datasets")
     if "sweep" not in parser:
@@ -481,6 +492,17 @@ def _needed(measured, points, t, crossed):
     and reading None for it changes nothing.  A run still going at step t
     reaches eps at t+1 at the earliest.
     """
+    return t < _drop_limits(measured, points, crossed)
+
+
+def _drop_limits(measured, points, crossed):
+    """The steps (P,) at which `_needed` starts to drop each of a round's runs.
+
+    With (t*, i) the best point so far of run r's family, r is needed at
+    step t while (t + 1, i_r) < (t*, i), that is while t < t* - 1 + [i_r <
+    i]; a family with no point at eps keeps its runs (limit +inf).  The
+    limits change only when a run crosses.
+    """
     best = {}
     reached = [(family, t_star, i) for family, lookup in measured.items()
                for i, t_star in lookup.items() if t_star is not None]
@@ -488,21 +510,31 @@ def _needed(measured, points, t, crossed):
                 for r, (family, i) in enumerate(points) if crossed[r] >= 0]
     for family, t_star, i in reached:
         best[family] = min(best.get(family, (t_star, i)), (t_star, i))
-    return np.array([family not in best or (t + 1, i) < best[family]
-                     for family, i in points])
+    return np.array([np.inf if family not in best
+                     else best[family][0] - 1 + (i < best[family][1])
+                     for family, i in points], dtype=np.float64)
 
 
 def _search_round(objective, f_star, K, H, b, eps, seed, step_cap, measured, points):
     """Measure `points`, (family, i) pairs, as one batch into `measured`.
 
     `_needed` drops a run once it reaches eps, and then it keeps its t*;
-    a run dropped earlier reads None.
+    a run dropped earlier reads None.  Its limits are recomputed only
+    when a run crosses: crossing steps are set once, so the count of
+    crossed runs tells.
     """
     steps = [_family_steps(family, 2.0**i, objective.n) for family, i in points]
     config = _cell_config(objective, K, H, b, seed, step_cap, steps[0])
+    limits, crossings = None, -1
+
+    def keep(t, crossed):
+        nonlocal limits, crossings
+        if (now := int(np.count_nonzero(crossed >= 0))) != crossings:
+            limits, crossings = _drop_limits(measured, points, crossed), now
+        return t < limits
+
     run = _simulate(config, objective, [seed] * len(points), steps=steps,
-                    target=(eps, f_star),
-                    keep=lambda t, crossed: _needed(measured, points, t, crossed))
+                    target=(eps, f_star), keep=keep)
     for (family, i), t_star in zip(points, run["crossed"]):
         measured[family][i] = int(t_star) if t_star >= 0 else None
 

@@ -64,12 +64,16 @@ class ReferenceSolution:
 class _Oracles:
     """The public oracles, written once over four passes on a flat (P, d) stack.
 
-    A subclass computes `_values`, `_gradients`, `_sampled_gradients(X, I)`
-    and `_second_moments`, each row from that row alone, and may share one
-    pass between values and gradients in `_values_and_gradients`.  Every
-    single-point oracle is its stacked oracle at x[None] (or at a broadcast
-    x), so it equals that row bitwise.  A non-finite value raises
-    FloatingPointError.
+    A subclass computes `_values`, `_gradients`, `_second_moments` and the
+    sampled gradients, each row from that row alone, and may share one pass
+    between values and gradients in `_values_and_gradients`.  A sampled
+    gradient is split in two: `_sample_plans(I)` does the work that depends
+    only on the indices I of a block of steps, once for the block, and
+    `_planned_gradients(X, plan)` the work of one step at the points X;
+    `row_entries` is the mean number of entries a sampled row gathers.
+    `minibatch_gradient_many` is a one-step block.  Every single-point
+    oracle is its stacked oracle at x[None] (or at a broadcast x), so it
+    equals that row bitwise.  A non-finite value raises FloatingPointError.
     """
 
     def _check_dim(self, x):
@@ -108,9 +112,21 @@ class _Oracles:
 
     def minibatch_gradient_many(self, X, I) -> np.ndarray:
         """Vectorized mini-batch means: X (..., d), I (..., b) -> (..., d)."""
+        return self.planned_gradient_many(X, self.sample_plans(I[None])[0])
+
+    def sample_plans(self, I, max_entries=None) -> list:
+        """Plans of the mini-batch gradients of a block of steps I (B, ..., b).
+
+        Step s samples the rows I[s], one (b,) row per point.  Returns one
+        plan per leading step, as many as hold at most `max_entries`
+        gathered entries in all (every step when None), and at least one.
+        """
+        return self._sample_plans(I.reshape(len(I), -1, I.shape[-1]), max_entries)
+
+    def planned_gradient_many(self, X, plan) -> np.ndarray:
+        """minibatch_gradient_many(X, I), bitwise, from the plan of I (..., b)."""
         self._check_dim(X)
-        G = self._sampled_gradients(X.reshape(-1, self.d), I.reshape(-1, I.shape[-1]))
-        return G.reshape(X.shape)
+        return self._planned_gradients(X.reshape(-1, self.d), plan).reshape(X.shape)
 
     def second_moment_many(self, X) -> np.ndarray:
         """E_i ||grad f_i||^2 for a stack of points, exact enumeration."""
@@ -146,7 +162,7 @@ class LogisticObjective(_Oracles):
     """L2-regularized logistic loss over a sparse Dataset; lam defaults to 1/n.
 
     Every oracle reads the CSR feature matrix through one of two private
-    passes: `_sample_margins` gathers sampled rows by their indptr ranges
+    passes: `_sample_plans` gathers sampled rows by their indptr ranges
     (the stochastic gradients), and `_margins` forms all n margins of a
     stack of points with one A @ X.T product (values, full gradients and
     gradient moments).  Both accumulate in the order of scipy's CSR
@@ -166,32 +182,54 @@ class LogisticObjective(_Oracles):
         self._At = self._A.T  # CSC view on the same arrays; built once, not per call
         self._b = dataset.labels
         self._row_norms_sq = dataset.row_norms_sq()
+        self.row_entries = self._A.nnz / self.n
 
-    def _sample_margins(self, X, I):
-        """Margins b_i a_i^T x_p of the rows I[p] (P, b) at the points X (P, d).
+    def _sample_plans(self, I, max_entries):
+        """The gathers of the sampled rows I (B, P, b), one plan per step.
 
-        Returns the (P*b,) margins and the gathered entries (sample, point,
-        column, value) in storage order.  bincount sums each sample's
-        products in storage order from 0.0, as the CSR matvec does.
+        A step's plan is (key, vals, sample, labels): the entries of its
+        P*b sampled rows in storage order, as flat positions point*d +
+        column of a (P, d) stack, their values and the sample each one
+        belongs to, and the labels of the samples.  Only the leading steps
+        whose entries fit `max_entries` are planned, and at least one.
         """
+        B, P, b = I.shape
+        per_step = P * b
         flat = I.ravel()
         starts = self._A.indptr[flat]
         lens = self._A.indptr[flat + 1] - starts
-        sample = np.repeat(np.arange(flat.size), lens)
-        pos = np.arange(sample.size) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
-        cols = self._A.indices[pos]
+        ends = np.cumsum(lens)
+        if max_entries is not None:
+            B = max(1, int(np.searchsorted(ends[per_step - 1::per_step], max_entries,
+                                           side="right")))
+            flat, starts, lens, ends = (a[:B * per_step] for a in (flat, starts, lens, ends))
+        # each entry's sample, numbered within its step
+        sample = np.repeat(np.tile(np.arange(per_step), B), lens)
+        pos = np.arange(sample.size) + np.repeat(starts - (ends - lens), lens)
+        key = sample // b * self.d + self._A.indices[pos]
         vals = self._A.data[pos]
-        point = sample // I.shape[1]
-        z = np.bincount(sample, weights=vals * X[point, cols], minlength=flat.size)
-        return self._b[flat] * z, (sample, point, cols, vals)
+        labels = self._b[flat]
+        bounds = np.concatenate(([0], ends[per_step - 1::per_step])).tolist()
+        return [(key[lo:hi], vals[lo:hi], sample[lo:hi], labels[s * per_step:(s + 1) * per_step])
+                for s, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
 
-    def _sampled_gradients(self, X, I):
-        """Mean component gradient over the rows I[p] at each point X[p]."""
-        m, (sample, point, cols, vals) = self._sample_margins(X, I)
-        coef = -self._b[I.ravel()] * expit(-m)
+    def _planned_margins(self, X, plan):
+        """Margins b_i a_i^T x_p (P*b,) of the planned samples at the points X (P, d).
+
+        bincount sums each sample's products in storage order from 0.0, as
+        the CSR matvec does.
+        """
+        key, vals, sample, labels = plan
+        return labels * np.bincount(sample, weights=vals * X.reshape(-1)[key],
+                                    minlength=labels.size)
+
+    def _planned_gradients(self, X, plan):
+        """Mean component gradient over each point's planned samples."""
+        key, vals, sample, labels = plan
+        coef = -labels * expit(-self._planned_margins(X, plan))
         P, d = X.shape
-        g = np.bincount(point * d + cols, weights=vals * coef[sample], minlength=P * d)
-        return g.reshape(P, d) / I.shape[1] + self.lam * X
+        g = np.bincount(key, weights=vals * coef[sample], minlength=P * d)
+        return g.reshape(P, d) / (labels.size // P) + self.lam * X
 
     def _margins(self, X):
         """All n margins at each point of a stack X (P, d), as (P, n)."""
@@ -240,7 +278,7 @@ class LogisticObjective(_Oracles):
     def component_value(self, x, i) -> float:
         self._check_dim(x)
         self._check_index(i)
-        m = self._sample_margins(x[None], np.array([[i]]))[0][0]
+        m = self._planned_margins(x[None], self._sample_plans(np.array([[[i]]]), None)[0])[0]
         return float(np.logaddexp(0.0, -m)) + 0.5 * self.lam * float(x @ x)
 
     def variance_at(self, x) -> float:
@@ -273,6 +311,7 @@ class QuadraticObjective(_Oracles):
         self.B = np.atleast_2d(np.asarray(linear_terms, dtype=np.float64))
         self.n = self.B.shape[0]
         self.d = self.hess.shape[0]
+        self.row_entries = self.d
         if self.B.shape[1] != self.d:
             raise ValueError("linear terms do not match Hessian dimension")
         # the mean of equal rows can round away from the row itself
@@ -286,7 +325,12 @@ class QuadraticObjective(_Oracles):
     def _gradients(self, X):
         return self.hess * X - self.b_mean
 
-    def _sampled_gradients(self, X, I):
+    def _sample_plans(self, I, max_entries):
+        # a step's plan is its index rows; each gathers a row of B, d entries
+        steps = len(I) if max_entries is None else max(1, max_entries // (I[0].size * self.d))
+        return list(I[:steps])
+
+    def _planned_gradients(self, X, I):
         return self.hess * X - self.B[I].mean(axis=-2)
 
     def _second_moments(self, X):

@@ -21,9 +21,10 @@ case, so a single run and the matching row of an ensemble agree bitwise.
 Asynchronous runs replay their write plan on it.  The stepsize grid
 search runs it with one schedule per run, and runs that stop, diverge or
 are no longer needed leave the stack, so they cost nothing afterwards.
-Indices come from `_index_stream`, which draws every worker substream in
+Indices come from `_index_chunks`, which draws every worker substream in
 chunks of `_CHUNK_STEPS` steps, so memory does not grow with the horizon;
-runs that share a seed share one draw.
+runs that share a seed share one draw.  The gathers of the sampled
+gradients are planned from them for a block of steps at a time.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .averaging import SCHEMES, RunningAverage, ShiftedQuadraticAverage
+from .averaging import SCHEMES, ShiftedQuadraticAverage, recursion_weights
 from .schedules import SyncSchedule, TheoremDecayStep, validate_shift
 
-_CHUNK_STEPS = 1024  # steps drawn from each worker substream at a time
-_DIVERGED = 1e100    # a run whose iterates reach this magnitude has diverged
+_CHUNK_STEPS = 1024        # steps drawn from each worker substream at a time
+_BLOCK_ENTRIES = 1 << 15   # gathered entries of one block of gradient plans, at most
+_DIVERGED = 1e100          # a run whose iterates reach this magnitude has diverged
 
 
 @dataclass
@@ -88,7 +90,7 @@ class RunTrace:
     eval_steps: np.ndarray           # steps at which f values were recorded
     f_by_scheme: dict                # scheme -> f of its running average per eval step
     comm_rounds: int
-    output_average: np.ndarray | None  # shift-a weighted average over t < T
+    output_average: np.ndarray | None  # shift-a weighted average over t < T; None if target-only
     final_iterates: np.ndarray       # (K, d)
     t_star: int | None               # set when an accuracy target stopped the run
     diverged: bool                   # iterates left the representable range
@@ -99,8 +101,9 @@ def _spawn_worker_rngs(seed, K):
             for s in np.random.SeedSequence(seed).spawn(K)]
 
 
-def _index_stream(seeds, K, n, b, T):
-    """Component indices (S, K, b) for each step t < T of S seeded runs.
+def _index_chunks(seeds, K, n, b, T):
+    """Component indices (S, K, steps, b) of S seeded runs, for the steps t < T
+    in chunks of `_CHUNK_STEPS` steps.
 
     Worker k of run r draws from the k-th substream spawned from seeds[r].
     Chunked draws from a PCG64 stream equal one draw of all T steps, so
@@ -113,8 +116,7 @@ def _index_stream(seeds, K, n, b, T):
         for r, workers in enumerate(rngs):
             for k, rng in enumerate(workers):
                 chunk[r, k] = rng.integers(0, n, size=(steps, b))
-        for i in range(steps):
-            yield chunk[:, :, i]
+        yield chunk
 
 
 def _eval_stride(record, T):
@@ -207,11 +209,14 @@ def _simulate(config, objective, seeds, *, steps=None, ref_point=None,
     is skipped and reads +inf; a point evaluated becomes its own new
     anchor.  Every crossing step is the same as with all values evaluated;
     a skipped evaluation cannot see a non-finite value, which the iterate
-    guard keeps away.  At t = 0 every average is xbar_0, which is
-    evaluated once for all (run, scheme) points, recorded or screened.
-    run["points_evaluated"] and run["points_screened"] count the (run,
-    scheme) points of every evaluation step, a point with an exact value
-    as evaluated.
+    guard keeps away, and a step whose points are all skipped cannot cross,
+    so it does no value arithmetic at all.  At t = 0 every average is
+    xbar_0, which is evaluated once for all (run, scheme) points, recorded
+    or screened.  run["points_evaluated"] and run["points_screened"] count
+    the (run, scheme) points of every evaluation step, a point with an
+    exact value as evaluated.  A target-only run reads nothing of the
+    shifted output average, so it does not keep one and
+    run["output_average"] is None.
     `keep(t, crossed)`, called after each evaluation at step t with the
     crossing steps (-1 if none) of all S runs, returns a mask of the runs
     still needed; the others are frozen too, so `crossed < 0` stops each
@@ -226,6 +231,17 @@ def _simulate(config, objective, seeds, *, steps=None, ref_point=None,
     exchange(t, X) updates the post-step iterates (A, K, d) in place after
     every step t, exchange.keep(mask) drops runs, and xbar is the virtual
     sequence of all updates.  Its caller checks the shift against H + tau.
+
+    Work that depends only on the step or on the indices is done ahead,
+    for many steps at once.  The sampled gradients are planned
+    (`objective.sample_plans`) for a block of steps of the active (run,
+    worker) rows: a block is as long as the steps before it, so a run that
+    stops early wastes little of one, and it holds at most
+    `_BLOCK_ENTRIES` gathered entries, about as many steps as rows of
+    `objective.row_entries` entries fill; a drop re-plans the rest of the
+    block.  The four running averages are one (A, 4, d) array, updated
+    with the coefficients of `averaging.RECURSIONS` computed for
+    `_CHUNK_STEPS` steps at a time.
 
     Each recorded quantity comes back in run["rows"] as one array with
     axes (step, run, ...), None if it was not recorded.
@@ -251,11 +267,13 @@ def _simulate(config, objective, seeds, *, steps=None, ref_point=None,
             return np.array([steps[r].eta(t) for r in active])[:, None, None]
     shift = config.steps.a if isinstance(config.steps, TheoremDecayStep) else 1.0
     stride = _eval_stride(record, T)
-    output_avg = ShiftedQuadraticAverage(shift)
-    # the running averages feed the function-value evaluations only
-    averages = ({kind: RunningAverage(kind) for kind in SCHEMES}
-                if record.f_values or target is not None else {})
     screen = target is not None and not record.f_values
+    output_avg = None if screen else ShiftedQuadraticAverage(shift)
+    # the running averages (A, 4, d) of SCHEMES feed the function-value
+    # evaluations only; `weights` holds the coefficients of the steps from
+    # weights_start on
+    track_averages = record.f_values or target is not None
+    Y, weights, weights_start = None, None, 0
     mu = objective.curvature()[0] if screen else 0.0
     anchor = {}  # z, f(z), grad f(z) per (active run, scheme) once screening
     rows = {name: [] for name in ("xbar", "deviations", "iterates", "f_xbar",
@@ -264,6 +282,11 @@ def _simulate(config, objective, seeds, *, steps=None, ref_point=None,
            "points_evaluated": 0, "points_screened": 0,
            "crossed": np.full(S, -1, dtype=np.int64),
            "diverged": np.zeros(S, dtype=bool)}
+    chunks = _index_chunks(list(distinct), K, objective.n, config.b, T)
+    chunk, chunk_start = next(chunks), 0
+    # the gradient plans of the steps plan_start.. of the active rows; the
+    # block ends at plan_end, and None asks for the rest of it again
+    plans, plan_start, plan_end = None, 0, 0
 
     def unstack(row):
         """A row over the active runs as a row over all S runs, NaN for the others."""
@@ -276,18 +299,44 @@ def _simulate(config, objective, seeds, *, steps=None, ref_point=None,
     def append(name, row):
         rows[name].append(unstack(row))
 
+    def plan(t):
+        """Plan the sampled gradients of the active rows from step t to the block end."""
+        nonlocal chunk, chunk_start, plans, plan_start, plan_end
+        if t == plan_end:
+            if t == chunk_start + chunk.shape[2]:
+                chunk, chunk_start = next(chunks), t
+            per_step = len(active) * K * config.b * objective.row_entries
+            plan_end = min(chunk_start + chunk.shape[2],
+                           t + max(1, min(t, int(_BLOCK_ENTRIES // per_step))))
+        I = chunk[owner[active], :, t - chunk_start:plan_end - chunk_start]
+        plans = objective.sample_plans(np.moveaxis(I, 2, 0), _BLOCK_ENTRIES)
+        plan_start, plan_end = t, t + len(plans)
+
+    def average(xbar, t):
+        """Fold xbar_t into the running averages Y."""
+        nonlocal Y, weights, weights_start
+        if t == 0:
+            Y = np.repeat(xbar[:, None], len(SCHEMES), axis=1)
+            return
+        if weights is None or t - weights_start == weights.shape[1]:
+            weights_start = t
+            weights = recursion_weights(np.arange(t, min(t + _CHUNK_STEPS, T + 1)))[..., None]
+        x_num, x_den, y_num, y_den = weights[:, t - weights_start]
+        x = xbar[:, None]
+        Y = np.concatenate((x, x * x_num / x_den + Y[:, 1:] * y_num / y_den), axis=1)
+
     def evaluate(t):
         """f of the four running averages (A, 4) at step t; a screened point reads +inf.
 
-        Returns f and a mask of the active runs with a non-finite value.
+        Returns f and a mask of the active runs with a non-finite value, or
+        None when screening evaluates no point at t > 0.
         """
-        Y = np.stack([averages[kind].value for kind in SCHEMES], axis=1)
-        points = len(Y) * len(SCHEMES)
+        points = Y.shape[0] * Y.shape[1]
         evaluated = points
         if anchor:
             need = ~_certified_by_any(Y, anchor["z"], anchor["f"], anchor["g"],
                                       mu, *target)
-            evaluated = int(need.sum())
+            evaluated = int(np.count_nonzero(need))
         run["points_evaluated"] += evaluated
         run["points_screened"] += points - evaluated
         if t == 0:
@@ -300,6 +349,8 @@ def _simulate(config, objective, seeds, *, steps=None, ref_point=None,
                 anchor.update(z=Y, f=f, g=g)
             else:
                 f = spread(_values(objective, Y[:1, :1]))
+        elif evaluated == 0:
+            return None
         elif evaluated == points:
             if screen:
                 f, g = _values_and_gradients(objective, Y)
@@ -309,19 +360,18 @@ def _simulate(config, objective, seeds, *, steps=None, ref_point=None,
         else:
             # only target-only runs screen; re-anchor the points evaluated
             f = np.full(need.shape, np.inf)
-            if evaluated:
-                Y = Y[need]
-                f_need, g = _values_and_gradients(objective, Y)
-                f[need] = anchor["f"][need] = f_need
-                anchor["z"][need], anchor["g"][need] = Y, g
+            Y_need = Y[need]
+            f_need, g = _values_and_gradients(objective, Y_need)
+            f[need] = anchor["f"][need] = f_need
+            anchor["z"][need], anchor["g"][need] = Y_need, g
         if record.f_values:
             append("f_values", f)
         return f, np.isnan(f).any(axis=1)
 
     def observe(t, xbar):
         """Record step t; returns a mask of the active runs it froze."""
-        for avg in averages.values():
-            avg.update(xbar, t)
+        if track_averages:
+            average(xbar, t)
         if record.virtual:
             append("xbar", xbar.copy())
         if record.deviations:
@@ -336,14 +386,16 @@ def _simulate(config, objective, seeds, *, steps=None, ref_point=None,
         if ref_point is not None:
             append("dist_sq", np.sum((xbar - ref_point) ** 2, axis=1))
         out = bad
-        if averages and (t % stride == 0 or t == T or (t >= 1 and config.sync.is_sync(t))):
+        if track_averages and (t % stride == 0 or t == T or (t >= 1 and config.sync.is_sync(t))):
             run["eval_steps"].append(t)
-            f, bad_f = evaluate(t)
-            out = bad = bad | bad_f
-            if target is not None:
-                reached = f.min(axis=1) - target[1] <= target[0]
-                hit = ~bad & (run["crossed"][active] < 0) & reached
-                run["crossed"][active[hit]] = t
+            checked = evaluate(t)
+            if checked is not None:
+                f, bad_f = checked
+                out = bad = bad | bad_f
+                if target is not None:
+                    reached = f.min(axis=1) - target[1] <= target[0]
+                    hit = ~bad & (run["crossed"][active] < 0) & reached
+                    run["crossed"][active[hit]] = t
             if keep is not None:
                 out = out | ~keep(t, run["crossed"])[active]
         run["diverged"][active[bad]] = True
@@ -356,23 +408,23 @@ def _simulate(config, objective, seeds, *, steps=None, ref_point=None,
         the stack and returns `arrays`, each a per-run array over the
         active runs or a scalar, without them.
         """
-        nonlocal active
+        nonlocal active, Y, plans
         if out.all():
             return None
         final_iterates[active[out]] = X[out]
         stay = ~out
         active = active[stay]
-        for avg in averages.values():
-            avg.value = avg.value[stay]
+        plans = None
+        if Y is not None:
+            Y = Y[stay]
         for key in anchor:
             anchor[key] = anchor[key][stay]
-        if output_avg.weighted_sum is not None:
+        if output_avg is not None and output_avg.weighted_sum is not None:
             output_avg.weighted_sum = output_avg.weighted_sum[stay]
         if exchange is not None:
             exchange.keep(stay)
         return [a[stay] if isinstance(a, np.ndarray) else a for a in arrays]
 
-    stream = _index_stream(list(distinct), K, objective.n, config.b, T)
     xbar = _worker_mean(X)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T + 1):
@@ -383,12 +435,14 @@ def _simulate(config, objective, seeds, *, steps=None, ref_point=None,
                 X, xbar = kept
             if t == T:
                 break
-            I = next(stream)[owner[active]]
-            output_avg.update(xbar, t)
+            if plans is None or t == plan_end:
+                plan(t)
+            if output_avg is not None:
+                output_avg.update(xbar, t)
             if track_second_moment:
                 run["max_second_moment"] = max(run["max_second_moment"],
                                                float(objective.second_moment_many(X).max()))
-            G = objective.minibatch_gradient_many(X, I)
+            G = objective.planned_gradient_many(X, plans[t - plan_start])
             if record.noise_norms:
                 diff = G.mean(axis=1) - objective.gradient_many(X).mean(axis=1)
                 append("noise_sq", np.sum(diff**2, axis=1))
@@ -417,7 +471,8 @@ def _simulate(config, objective, seeds, *, steps=None, ref_point=None,
     run.update(rows={name: np.asarray(r) if r else None for name, r in rows.items()},
                eval_steps=np.asarray(run["eval_steps"], dtype=np.int64),
                final_iterates=final_iterates,
-               output_average=None if output_avg.value is None else unstack(output_avg.value))
+               output_average=None if output_avg is None or output_avg.value is None
+               else unstack(output_avg.value))
     return run
 
 

@@ -3,8 +3,9 @@
 A sparse dot product by an index loop, the doubly weighted output average
 of the convergence theorem as an explicit weighted sum, the noise
 constants of an objective over given points, a first-order reference
-solve to check the Newton solve of the harness against, and the staleness
-bound of a block schedule by a scan over all pairs of blocks.
+solve to check the Newton solve of the harness against, and the block
+schedule of the load balancer and its staleness bound by scans over all
+pairs.
 """
 
 from math import sqrt
@@ -131,3 +132,49 @@ def assignment_bound(entries, H) -> int:
         lead = max(s for s, e in completions if e <= end)
         bound = max(bound, lead - block * H)
     return bound
+
+
+def assignment_entries(speeds, H, n_blocks) -> list:
+    """Entries of the greedy block schedule, by a scan over all (worker, sequence) pairs.
+
+    Each pick is the pair with the smallest (start, next block of the
+    sequence, sequence, worker), started at max(worker free, sequence
+    ready) and run for H / speed.
+    """
+    K = len(speeds)
+    worker_free, seq_ready = [0.0] * K, [0.0] * K
+    next_block = [0] * K
+    entries = []
+    for _ in range(K * n_blocks):
+        best = None
+        for w in range(K):
+            for seq in range(K):
+                if next_block[seq] >= n_blocks:
+                    continue
+                start = max(worker_free[w], seq_ready[seq])
+                key = (start, next_block[seq], seq, w)
+                if best is None or key < best[0]:
+                    best = (key, w, seq, start)
+        _, w, seq, start = best
+        end = start + H / float(speeds[w])
+        entries.append((seq, next_block[seq], w, start, end))
+        next_block[seq] += 1
+        worker_free[w] = seq_ready[seq] = end
+    return entries
+
+
+def needed_by_comparison(measured, points, t, crossed) -> np.ndarray:
+    """Mask of a grid-search round's runs that can still be their family's best point.
+
+    Compares each run's earliest possible (t + 1, i) with its family's best
+    (t*, i) so far, over the measured points and the runs that crossed.
+    """
+    best = {}
+    reached = [(family, t_star, i) for family, lookup in measured.items()
+               for i, t_star in lookup.items() if t_star is not None]
+    reached += [(family, int(crossed[r]), i)
+                for r, (family, i) in enumerate(points) if crossed[r] >= 0]
+    for family, t_star, i in reached:
+        best[family] = min(best.get(family, (t_star, i)), (t_star, i))
+    return np.array([family not in best or (t + 1, i) < best[family]
+                     for family, i in points])

@@ -19,11 +19,12 @@ from localsgd import (
     run_load_balanced,
     theorem1_bound,
 )
-from localsgd.asynchronous import (ReadEvent, WriteEvent, _check_staleness,
+from localsgd import sync
+from localsgd.asynchronous import (ReadEvent, WriteEvent, _check_staleness, _Replay,
                                    run_async_ensemble, write_plan)
 from localsgd.lemmas import check_async_deviation
-from localsgd.sync import _index_stream
-from oracles import assignment_bound
+from localsgd.sync import _index_chunks
+from oracles import assignment_bound, assignment_entries
 
 
 def async_config(quad10, K, T, H, window, seed=0, b=1):
@@ -196,6 +197,21 @@ def test_load_balancing_bound_equals_the_scan_over_all_blocks():
         assert plan.bound == assignment_bound(plan.entries, H)
 
 
+def test_load_balancing_picks_equal_the_scan_over_all_pairs():
+    rng = np.random.default_rng(1)
+    for trial in range(300):
+        K = int(rng.integers(1, 7))
+        # integer speeds make blocks end at the same instant, so keys tie
+        speeds = (rng.integers(1, 4, size=K) if trial % 2
+                  else rng.uniform(0.2, 3.0, size=K))
+        H, n_blocks = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+        plan = load_balanced_assignment(speeds, H, n_blocks)
+        expected = assignment_entries(speeds, H, n_blocks)
+        assert plan.entries == expected
+        assert all(type(a) is type(b) for got, want in zip(plan.entries, expected)
+                   for a, b in zip(got, want))
+
+
 def test_load_balanced_run_realized_delay(quad10):
     obj, _, _ = quad10
     H = 4
@@ -228,7 +244,10 @@ def full_scan_async(config, per_worker_syncs, delay, objective, wall_times=None)
     base, xbar = X.copy(), config.x0.copy()
     xbars, devs = [xbar.copy()], [float(np.mean(np.sum((X - xbar) ** 2, axis=1)))]
     writes, reads, rounds = [], [], np.zeros(K, dtype=np.int64)
-    for t, I in enumerate(_index_stream([config.seed], K, objective.n, config.b, T)):
+    indices = (chunk[:, :, i] for chunk in _index_chunks([config.seed], K, objective.n,
+                                                          config.b, T)
+               for i in range(chunk.shape[2]))
+    for t, I in enumerate(indices):
         eta = config.steps.eta(t)
         grads = objective.minibatch_gradient_many(X, I[0])
         X -= eta * grads
@@ -298,6 +317,29 @@ def test_batched_replay_equals_single_runs_bitwise(quad10, K, per_worker_H, dela
         assert [read.visible_ids for read in log.reads] == reads
     assert batch.max_second_moment == max(moments)
     assert not batch.diverged.any()
+
+
+def test_block_planned_replay_equals_the_full_scan(monkeypatch, logistic50):
+    # runs share and differ in seeds and leave the stack inside blocks and
+    # chunks; the rows before each run's drop equal its scalar replay
+    monkeypatch.setattr(sync, "_CHUNK_STEPS", 16)
+    K, T, b = 3, 40, 2
+    schedules = [regular_sync_schedule(T, 3), regular_sync_schedule(T, 4),
+                 regular_sync_schedule(T, 3)]
+    delay = DelayModel("random-bounded", tau=3, seed=4)
+    seeds, stops = [5, 6, 5, 8], [6, 40, 19, 11]
+    config = RunConfig(K=K, T=T, b=b, sync=schedules[1], steps=ConstantStep(c=2.0**-5),
+                       seed=0, x0=np.zeros(logistic50.d))
+    run = sync._simulate(config, logistic50, seeds,
+                         exchange=_Replay(write_plan(K, T, schedules, delay), config.x0,
+                                          len(seeds), K, T),
+                         keep=lambda t, crossed: t < np.array(stops))
+    for r, (seed, stop) in enumerate(zip(seeds, stops)):
+        xbar, devs, *_ = full_scan_async(replace(config, seed=seed), schedules, delay,
+                                         logistic50)
+        assert run["rows"]["xbar"][:stop + 1, r].tobytes() == xbar[:stop + 1].tobytes()
+        assert run["rows"]["deviations"][:stop + 1, r].tobytes() == devs[:stop + 1].tobytes()
+        assert np.isnan(run["rows"]["xbar"][stop + 1:, r]).all()
 
 
 def test_async_run_flags_divergence_like_the_sync_engine(quad10):

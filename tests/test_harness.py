@@ -26,10 +26,10 @@ from localsgd.harness import (
     run_experiment,
     verify_lemmas,
 )
-from localsgd.harness import _family_steps, _needed, _next_points
+from localsgd.harness import _drop_limits, _family_steps, _needed, _next_points
 from localsgd.schedules import ConstantStep, regular_sync_schedule
 from localsgd.sync import RecordFlags, RunConfig, _simulate, run_local_sgd
-from oracles import accelerated_reference
+from oracles import accelerated_reference, needed_by_comparison
 
 DATA = Path(__file__).parent / "data"
 
@@ -434,6 +434,48 @@ def test_needed_drops_runs_that_cannot_be_the_best_point():
     # with nothing reached yet every run of the family is needed
     unreached = {"decaying": {0: None}, "constant": {0: None}}
     assert _needed(unreached, points, 10**6, none).all()
+
+
+def test_drop_limits_equal_the_needed_comparison_on_random_tables():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        measured = {family: {int(i): (None if rng.random() < 0.3 else int(rng.integers(1, 60)))
+                             for i in rng.choice(np.arange(-6, 7), size=rng.integers(0, 6),
+                                                 replace=False)}
+                    for family in ("decaying", "constant")}
+        points = [(str(rng.choice(["decaying", "constant"])), int(rng.integers(-8, 9)))
+                  for _ in range(rng.integers(1, 7))]
+        crossed = np.where(rng.random(len(points)) < 0.4,
+                           rng.integers(0, 60, size=len(points)), -1)
+        limits = _drop_limits(measured, points, crossed)
+        for t in range(70):
+            expected = needed_by_comparison(measured, points, t, crossed)
+            assert (t < limits).tolist() == expected.tolist()
+            assert _needed(measured, points, t, crossed).tolist() == expected.tolist()
+
+
+def test_grid_rounds_screen_and_evaluate_the_same_points(monkeypatch, logistic50):
+    # the counts and crossings of every round of three fixed cells, as the
+    # engine gave them before its per-step work was planned in blocks
+    expected = {
+        (1, 1): [(44, 956, [-1, 23, -1, -1]), (24, 172, [-1, 24]), (28, 124, [18, 18])],
+        (4, 1): [(51, 173, [-1, 12, 14, -1]), (28, 64, [10, -1, 5]), (19, 85, [-1, 9, -1])],
+        (4, 16): [(41, 335, [-1, 20, -1, -1]), (26, 146, [-1, 21]), (13, 35, [-1, 5])],
+    }
+    rounds = []
+
+    def counted(*args, **kwargs):
+        run = _simulate(*args, **kwargs)
+        rounds.append((run["points_evaluated"], run["points_screened"],
+                       run["crossed"].tolist()))
+        return run
+    f_star = harness.reference_for(logistic50).f_star
+    monkeypatch.setattr(harness, "_simulate", counted)
+    for (K, H), want in expected.items():
+        rounds.clear()
+        step_cap = max(H, -(-2 * logistic50.n // K))
+        harness.grid_search_stepsize(logistic50, f_star, K, H, 1, 0.05, 7, step_cap, -4, 0)
+        assert rounds == want
 
 
 def test_replay_matches_the_sequential_search_on_random_tables():
@@ -926,6 +968,25 @@ def test_cli_rejects_settings_that_nothing_reads(tmp_path, capsys, extra, error)
                  "--out", str(tmp_path / "out")]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"config error: {error}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("libsvm", "d = 5"), ("libsvm", "mu = 1.0"), ("libsvm", "L = 4.0"),
+    ("libsvm", "n = 16"), ("libsvm", "noise = 0.1"), ("libsvm", "seed = 3"),
+    ("quadratic", f"path = {DATA / 'synth50.libsvm'}"), ("quadratic", "lambda = 0.1"),
+    ("quadratic", "dimension = 10"), ("quadratic", "fstar_tolerance = 1e-6"),
+])
+def test_cli_rejects_dataset_keys_of_the_other_kind(tmp_path, capsys, kind, key):
+    path = f"path = {DATA / 'synth50.libsvm'}\n" if kind == "libsvm" else ""
+    body = ("[sweep]\neps = 0.05\nK = 1\nH = 1\nb = 1\n\n"
+            f"[dataset]\nkind = {kind}\n{path}{key}\n")
+    assert main(["run", str(write_config(tmp_path, body)),
+                 "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    name = key.split(" =")[0].lower()
+    assert out == "" and err == (f"config error: key {name!r} in [dataset] does not "
+                                 f"apply to kind {kind}\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -13,10 +13,11 @@ from localsgd import (
     run_local_sgd_ensemble,
     run_minibatch_sgd,
 )
-from localsgd.averaging import SCHEMES
+from localsgd import sync
+from localsgd.averaging import SCHEMES, RunningAverage
 from localsgd.harness import reference_for
 from localsgd.schedules import ExperimentDecayStep
-from localsgd.sync import _certified_by_any, _certified_miss, _simulate
+from localsgd.sync import _certified_by_any, _certified_miss, _index_chunks, _simulate
 
 
 def quad_config(quad10, K, T, H, b=1, seed=0, record=None, a_extra=0.0):
@@ -321,6 +322,107 @@ def test_repeated_seeds_match_single_runs_bitwise(logistic50):
         assert np.array_equal(run["rows"]["deviations"][:rows, r], single.deviations)
         assert np.all(np.isnan(run["rows"]["xbar"][rows:, r]))
         assert np.array_equal(run["final_iterates"][r], single.final_iterates)
+
+
+def _serial_iterates(config, objective, seed, schedule, stop):
+    """A run's iterates after `stop` steps, one minibatch_gradient_many call per step."""
+    X = np.tile(config.x0, (config.K, 1))
+    indices = (chunk[0, :, i] for chunk in _index_chunks([seed], config.K, objective.n,
+                                                          config.b, config.T)
+               for i in range(chunk.shape[2]))
+    for t, I in zip(range(stop), indices):
+        X = X - schedule.eta(t) * objective.minibatch_gradient_many(X, I)
+        if config.sync.is_sync(t + 1) and config.K > 1:
+            X[:] = X.mean(axis=0, keepdims=True)
+    return X
+
+
+@pytest.mark.parametrize("K, b", [(1, 1), (1, 3), (4, 1), (4, 3)])
+@pytest.mark.parametrize("cap", [None, 1000], ids=["default-cap", "small-cap"])
+def test_block_planned_steps_equal_minibatch_gradients(monkeypatch, logistic50, quad10,
+                                                       K, b, cap):
+    # runs leave the stack inside the blocks [4, 8), [8, 16) and [16, 32),
+    # and in a chunk of 16 steps; a small cap cuts blocks by their entries
+    monkeypatch.setattr(sync, "_CHUNK_STEPS", 16)
+    if cap is not None:
+        monkeypatch.setattr(sync, "_BLOCK_ENTRIES", cap)
+    T, seeds, stops = 40, [7, 7, 3, 7, 9], [5, 13, 40, 27, 40]
+    for objective in (logistic50, quad10[0]):
+        steps = [ConstantStep(c=2.0**i) for i in (-5, -4, -6, -3, -5)]
+        config = RunConfig(K=K, T=T, b=b, sync=regular_sync_schedule(T, 3), steps=steps[0],
+                           seed=0, x0=np.zeros(objective.d),
+                           record=RecordFlags(virtual=False, deviations=False))
+        run = _simulate(config, objective, seeds, steps=steps,
+                        keep=lambda t, crossed: t < np.array(stops))
+        assert not run["diverged"].any()
+        for r, (seed, schedule, stop) in enumerate(zip(seeds, steps, stops)):
+            want = _serial_iterates(config, objective, seed, schedule, stop)
+            assert run["final_iterates"][r].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("row_entries", [None, 1.0], ids=["mean-rows", "underestimate"])
+def test_blocks_hold_at_most_their_cap_of_entries(monkeypatch, logistic50, row_entries):
+    # blocks are as long as the steps before them and hold at most the cap,
+    # also when the mean row length the engine sizes them by is too small
+    monkeypatch.setattr(sync, "_BLOCK_ENTRIES", 700)
+    if row_entries is not None:
+        monkeypatch.setattr(logistic50, "row_entries", row_entries)
+    blocks = []
+    plan = logistic50.sample_plans
+
+    def recorded(I, max_entries=None):
+        plans = plan(I, max_entries)
+        blocks.append((len(I), len(plans), max_entries, sum(len(p[0]) for p in plans)))
+        return plans
+    monkeypatch.setattr(logistic50, "sample_plans", recorded)
+    T = 300
+    config = RunConfig(K=4, T=T, b=3, sync=regular_sync_schedule(T, 4),
+                       steps=ConstantStep(c=2.0**-5), seed=0, x0=np.zeros(logistic50.d),
+                       record=RecordFlags(virtual=False, deviations=False, f_values=False))
+    _simulate(config, logistic50, [1, 2])
+    assert sum(planned for _, planned, _, _ in blocks) == T
+    start = 0
+    for asked, planned, cap, entries in blocks:
+        assert cap == 700 and planned <= asked <= max(1, start)
+        assert planned == 1 or entries <= cap
+        start += planned
+    assert any(planned > 1 for _, planned, _, _ in blocks)
+    if row_entries is not None:
+        assert any(planned < asked for asked, planned, _, _ in blocks)
+
+
+def test_a_plan_holds_the_longest_run_of_steps_within_its_cap(logistic50):
+    I = np.random.default_rng(2).integers(0, logistic50.n, size=(30, 8, 3))
+    sizes = [len(p[0]) for p in logistic50.sample_plans(I)]
+    for cap in (0, sizes[0], sizes[0] + sizes[1] - 1, 400, sum(sizes)):
+        planned = logistic50.sample_plans(I, cap)
+        fits = int(np.sum(np.cumsum(sizes) <= cap))
+        assert len(planned) == max(1, fits)
+        for p, whole in zip(planned, logistic50.sample_plans(I)):
+            assert all(np.array_equal(a, c) for a, c in zip(p, whole))
+
+
+def test_fused_averages_equal_running_averages_per_scheme(monkeypatch, quad10):
+    # every evaluation reads the (1, 4, d) averages of the run; compare them
+    # with one RunningAverage per scheme fed the recorded xbar
+    objective = quad10[0]
+    T = 5000
+    config = quad_config(quad10, K=2, T=T, H=3,
+                         record=RecordFlags(deviations=False, f_every=1))
+    seen = []
+    value_many = objective.value_many
+
+    def recorded(Y):
+        seen.append(Y.copy())
+        return value_many(Y)
+    monkeypatch.setattr(objective, "value_many", recorded)
+    trace = run_local_sgd(config, objective)
+    assert len(seen) == T + 1 and trace.eval_steps.tolist() == list(range(T + 1))
+    running = [RunningAverage(kind) for kind in SCHEMES]
+    for t, x in enumerate(trace.xbar):
+        want = np.stack([avg.update(x, t) for avg in running])
+        got = seen[t][0, :1].repeat(4, axis=0) if t == 0 else seen[t][0]
+        assert got.tobytes() == want.tobytes()
 
 
 def test_certified_miss_boundary():
