@@ -16,11 +16,11 @@ from localsgd import (
     ProblemConstants,
     RecordFlags,
     RunConfig,
-    TheoremDecayStep,
     make_quadratic,
     regular_sync_schedule,
     run_local_sgd_ensemble,
     theorem1_bound,
+    theorem_steps,
 )
 
 objective, reference, constants = make_quadratic(
@@ -37,10 +37,9 @@ seeds = list(range(50))
 print(f"\nT={T}, H={H}, averaging every H steps, {len(seeds)} seeds per row")
 print(f"{'K':>3} {'mean f-gap':>12} {'bound':>12} {'gap*K':>12}")
 for K in (1, 2, 4, 8):
-    a = max(16.0 * constants.kappa, H) + 1.0
+    steps = theorem_steps((constants.mu, constants.L), H)
     config = RunConfig(
-        K=K, T=T, b=1, sync=regular_sync_schedule(T, H),
-        steps=TheoremDecayStep(mu=constants.mu, a=a), seed=0,
+        K=K, T=T, b=1, sync=regular_sync_schedule(T, H), steps=steps, seed=0,
         x0=np.zeros(objective.d),
         record=RecordFlags(virtual=False, f_values=False),
     )
@@ -51,7 +50,7 @@ for K in (1, 2, 4, 8):
         L=constants.L, mu=constants.mu, sigma_sq=constants.sigma_sq,
         G_sq=result.max_second_moment,
     )
-    bound = theorem1_bound(measured, K, T, H, 1, a, r0)
+    bound = theorem1_bound(measured, K, T, H, 1, steps.a, r0)
     print(f"{K:>3} {gap:>12.3e} {bound:>12.3e} {gap * K:>12.3e}")
 
 print("\ngap*K is roughly constant: K workers are K times as fast, while")

@@ -13,7 +13,6 @@ import numpy as np
 from localsgd import (
     DelayModel,
     RunConfig,
-    TheoremDecayStep,
     load_balanced_assignment,
     make_quadratic,
     measured_delay,
@@ -21,6 +20,7 @@ from localsgd import (
     run_async_local_sgd,
     run_load_balanced,
     run_local_sgd,
+    theorem_steps,
 )
 
 objective, reference, constants = make_quadratic(
@@ -32,8 +32,7 @@ K, T, H = 4, 48, 4
 def config(window, seed=3):
     return RunConfig(
         K=K, T=T, b=1, sync=regular_sync_schedule(T, H),
-        steps=TheoremDecayStep(mu=constants.mu,
-                               a=max(16.0 * constants.kappa, float(window)) + 1.0),
+        steps=theorem_steps((constants.mu, constants.L), window),
         seed=seed, x0=np.zeros(objective.d),
     )
 
@@ -67,7 +66,7 @@ for speeds in ((1.0, 1.0), (2.0, 1.0), (3.0, 1.0)):
 
 cfg2 = RunConfig(
     K=2, T=24, b=1, sync=regular_sync_schedule(24, H),
-    steps=TheoremDecayStep(mu=constants.mu, a=max(16.0 * constants.kappa, 3 * H) + 1.0),
+    steps=theorem_steps((constants.mu, constants.L), 3 * H),
     seed=5, x0=np.zeros(objective.d),
 )
 trace, log, plan = run_load_balanced(cfg2, [2.0, 1.0], objective)

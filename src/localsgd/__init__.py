@@ -48,6 +48,7 @@ from .schedules import (
     TheoremDecayStep,
     gap,
     regular_sync_schedule,
+    theorem_steps,
 )
 from .sync import (
     RecordFlags,

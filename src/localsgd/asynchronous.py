@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .schedules import validate_shift
-from .sync import EnsembleResult, RecordFlags, _simulate
+from .sync import RecordFlags, _ensemble_result, _simulate
 
 
 @dataclass(frozen=True)
@@ -297,18 +297,14 @@ def run_async_ensemble(config, log, objective, seeds, *, track_second_moment=Fal
     `log` comes from `_checked_plan`, which checked its schedules, the
     shift and its staleness.
     Run r agrees bitwise with `run_async_local_sgd` at seed seeds[r].
-    Returns an EnsembleResult with `deviations` (S, T+1), `diverged` and,
-    when tracked, `max_second_moment`.
+    Returns the EnsembleResult of the sync ensemble, with `deviations`
+    recorded and the output average of the virtual sequence.
     """
     run = _simulate(replace(config, record=RecordFlags(virtual=False, f_values=False)),
                     objective, seeds,
                     exchange=_Replay(log, config.x0, len(seeds), config.K, config.T),
                     track_second_moment=track_second_moment)
-    result = EnsembleResult()
-    result.deviations = np.ascontiguousarray(run["rows"]["deviations"].T)
-    result.diverged = run["diverged"]
-    result.max_second_moment = run["max_second_moment"]
-    return result
+    return _ensemble_result(run, objective)
 
 
 @dataclass

@@ -53,7 +53,7 @@ from .objectives import (
 )
 from .schedules import ConstantStep, ExperimentDecayStep, regular_sync_schedule
 from .sync import RecordFlags, RunConfig, _simulate, run_local_sgd
-from .theory import speedup, step_cost
+from .theory import check_cost_ratio, speedup, step_cost
 
 RESULTS_HEADER = [
     "K", "H", "b", "eps", "family", "c",
@@ -113,8 +113,10 @@ class ExperimentConfig:
             raise ConfigError("eps values must be positive and finite")
         if any(v < 1 for v in self.K_list + self.H_list + self.b_list):
             raise ConfigError("K, H and b values must be >= 1")
-        if not (isfinite(self.rho) and self.rho >= 1):
-            raise ConfigError("cost ratio rho must be finite and >= 1")
+        try:
+            check_cost_ratio(self.rho)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
         if self.epoch_cap < 1:
             raise ConfigError("epoch_cap must be >= 1")
         if self.i_min > self.i_max:
@@ -279,16 +281,16 @@ def build_problem(spec: DatasetSpec):
 
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 30
+_MAX_NEWTON_ITERS = 200_000
 
 
-def reference_for(objective, tolerance=DatasetSpec.fstar_tolerance,
-                  max_iters=200_000) -> ReferenceSolution:
+def reference_for(objective, tolerance=DatasetSpec.fstar_tolerance) -> ReferenceSolution:
     """Reference solution (x*, f*) of any supported objective.
 
     Analytic for quadratics.  Otherwise a truncated Newton-CG solve from
     zero, run until the full gradient norm is at most `tolerance`; with
     mu = lam the optimality gap at return is at most tolerance^2 / (2 lam).
-    `max_iters` counts Newton (outer) iterations.  Each one solves
+    `_MAX_NEWTON_ITERS` caps the Newton (outer) iterations.  Each one solves
     H p = -g by conjugate gradients to a residual of min(1/2, sqrt|g|) |g|,
     through Hessian-vector products only, so memory stays O(n + d), and
     then halves the step from 1 until the Armijo condition holds.  When no
@@ -305,11 +307,11 @@ def reference_for(objective, tolerance=DatasetSpec.fstar_tolerance,
     x = np.zeros(objective.d)
     f = objective.value(x)
     g = objective.gradient(x)
-    for it in range(max_iters + 1):
+    for it in range(_MAX_NEWTON_ITERS + 1):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tolerance:
             return ReferenceSolution(x_star=x, f_star=f, provenance="numeric")
-        if it == max_iters:
+        if it == _MAX_NEWTON_ITERS:
             break
         p = _newton_cg(objective.hessian_product(x), g, min(0.5, sqrt(gnorm)) * gnorm)
         slope = float(g @ p)
@@ -328,7 +330,7 @@ def reference_for(objective, tolerance=DatasetSpec.fstar_tolerance,
         x, f, g = x_new, f_new, g_new
     raise RuntimeError(
         f"reference solve did not reach gradient norm {tolerance}: "
-        f"norm {gnorm:.3e} after {it} of at most {max_iters} Newton iterations"
+        f"norm {gnorm:.3e} after {it} of at most {_MAX_NEWTON_ITERS} Newton iterations"
     )
 
 
@@ -482,21 +484,17 @@ def _next_points(measured, i_min, i_max):
     return points
 
 
-def _needed(measured, points, t, crossed):
-    """Mask of a round's runs that can still be their family's best point.
+def _drop_limits(measured, points, crossed):
+    """The steps (P,) from which each of a round's runs is no longer needed.
 
     `points` are the round's (family, i) pairs and `crossed` their t* so
-    far (-1 if none) at step t.  Every point in `measured` was visited, so
-    once some point of a family has reached eps, a point with a larger
-    (t*, i) is never the best point at any stage of that family's search,
-    and reading None for it changes nothing.  A run still going at step t
-    reaches eps at t+1 at the earliest.
-    """
-    return t < _drop_limits(measured, points, crossed)
-
-
-def _drop_limits(measured, points, crossed):
-    """The steps (P,) at which `_needed` starts to drop each of a round's runs.
+    far (-1 if none).  A run is needed at step t while it can still be its
+    family's best point, that is while t < its limit.  Every point in
+    `measured` was visited, so once some point of a family has reached
+    eps, a point with a larger (t*, i) is never the best point at any
+    stage of that family's search, and reading None for it changes
+    nothing.  A run still going at step t reaches eps at t+1 at the
+    earliest.
 
     With (t*, i) the best point so far of run r's family, r is needed at
     step t while (t + 1, i_r) < (t*, i), that is while t < t* - 1 + [i_r <
@@ -518,10 +516,10 @@ def _drop_limits(measured, points, crossed):
 def _search_round(objective, f_star, K, H, b, eps, seed, step_cap, measured, points):
     """Measure `points`, (family, i) pairs, as one batch into `measured`.
 
-    `_needed` drops a run once it reaches eps, and then it keeps its t*;
-    a run dropped earlier reads None.  Its limits are recomputed only
-    when a run crosses: crossing steps are set once, so the count of
-    crossed runs tells.
+    A run is dropped once it reaches eps, and then it keeps its t*, or
+    once `_drop_limits` finds it no longer needed, and then it reads None.
+    The limits are recomputed only when a run crosses: crossing steps are
+    set once, so the count of crossed runs tells.
     """
     steps = [_family_steps(family, 2.0**i, objective.n) for family, i in points]
     config = _cell_config(objective, K, H, b, seed, step_cap, steps[0])

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from . import sync
 from .asynchronous import (DelayModel, _checked_plan, measured_delay,  # noqa: F401
                            run_async_ensemble, run_async_local_sgd)
 from .averaging import sum_of_weights
-from .schedules import TheoremDecayStep, regular_sync_schedule
+from .schedules import TheoremDecayStep, regular_sync_schedule, theorem_steps
 from .sync import RecordFlags, RunConfig, run_local_sgd_ensemble
 
 _PERTURBED_POINTS = 64  # steps the perturbed-step check tests, evenly spaced
@@ -128,43 +129,46 @@ def check_variance_reduction(objective, states, trials, seed=0) -> CheckReport:
     )
 
 
-def _require_decaying(config):
-    if not isinstance(config.steps, TheoremDecayStep):
-        raise ValueError("this check requires the decaying stepsize schedule")
-
-
 def _heldout_seeds(seed, runs):
     """Seeds of the held-out runs that estimate G^2 for `runs` tested runs."""
     return _run_seeds(seed + 0x5EED, max(32, runs // 8))
 
 
-def _worst_step_report(check, config, dev, constant, G_sq, window, detail):
+def _tightest_step(samples, bounds):
+    """The step of the smallest margin bound - mean + 3 stderr, ties going
+    to the earliest; returns (index, mean, stderr) of that step.
+
+    `samples` holds one row per run and one column per step, `bounds` one
+    bound per step.  Each step's runs are reduced as one contiguous row in
+    run order, whatever the memory layout of `samples`, so a report does
+    not depend on how an engine stored its rows.  A NaN margin, where some
+    run diverged, counts as the tightest, so the report fails there.
+    """
+    per_step = np.ascontiguousarray(samples.T)
+    means = per_step.mean(axis=1)
+    stderrs = per_step.std(axis=1, ddof=1) / np.sqrt(per_step.shape[1])
+    i = int(np.argmin(bounds - means + 3.0 * stderrs))
+    return i, float(means[i]), float(stderrs[i])
+
+
+def _deviation_check(check, config, ensemble, constant, window, runs, seed, detail):
     """Per-step deviation check against constant * eta_t^2 G^2 window^2.
 
-    `dev` holds one row of per-step deviations per run.  The report
-    belongs to the step with the smallest margin bound - mean + 3 stderr,
-    ties going to the earliest step.
+    `ensemble(seeds, track_second_moment=...)` is the engine's ensemble
+    runner for `config`, recording deviations.  G^2 comes from held-out
+    runs; the mean deviation of the tested runs is compared with the bound
+    at every step, and the report belongs to the tightest step.
     """
-    runs = dev.shape[0]
-    stats = dev.mean(axis=0)
-    stderrs = dev.std(axis=0, ddof=1) / np.sqrt(runs)
-    worst = None
-    for t in range(config.T + 1):
-        eta = config.steps.eta(t)
-        bound_t = constant * eta**2 * G_sq * window**2
-        entry = (bound_t - stats[t] + 3.0 * stderrs[t], t, bound_t)
-        if worst is None or entry < worst:
-            worst = entry
-    _, t_worst, bound_worst = worst
-    return CheckReport(
-        check=check,
-        trials=runs,
-        statistic=float(stats[t_worst]),
-        bound=float(bound_worst),
-        stderr=float(stderrs[t_worst]),
-        worst_step=t_worst,
-        detail=detail,
-    )
+    if not isinstance(config.steps, TheoremDecayStep):
+        raise ValueError("this check requires the decaying stepsize schedule")
+    G_sq = ensemble(_heldout_seeds(seed, runs), track_second_moment=True).max_second_moment
+    dev = ensemble(_run_seeds(seed, runs)).deviations
+    # Python floats: eta**2 of a float is C pow, which numpy's square is not
+    bounds = np.array([constant * config.steps.eta(t)**2 * G_sq * window**2
+                       for t in range(config.T + 1)])
+    t, statistic, stderr = _tightest_step(dev, bounds)
+    return CheckReport(check=check, trials=runs, statistic=statistic, bound=float(bounds[t]),
+                       stderr=stderr, worst_step=t, detail={"G_sq": G_sq, **detail})
 
 
 def check_deviation_bound(config, objective, runs, seed=0) -> CheckReport:
@@ -176,17 +180,9 @@ def check_deviation_bound(config, objective, runs, seed=0) -> CheckReport:
     held-out runs of the same configuration.
     """
     H = config.sync.H
-    _require_decaying(config)
-    G_sq = run_local_sgd_ensemble(config, objective, _heldout_seeds(seed, runs),
-                                  track_second_moment=True).max_second_moment
-
-    result = run_local_sgd_ensemble(
-        config, objective, _run_seeds(seed, runs), record_deviations=True
-    )
-    return _worst_step_report(
-        "deviation-bound", config, result.deviations, 4.0, G_sq, H,
-        detail={"G_sq": G_sq, "H": H},
-    )
+    # called as (config, objective, seeds), which benchmarks/tracing.py reads
+    ensemble = partial(run_local_sgd_ensemble, config, objective, record_deviations=True)
+    return _deviation_check("deviation-bound", config, ensemble, 4.0, H, runs, seed, {"H": H})
 
 
 def check_perturbed_inequality(config, objective, reference, runs, seed=0) -> CheckReport:
@@ -216,34 +212,25 @@ def check_perturbed_inequality(config, objective, reference, runs, seed=0) -> Ch
         record_noise=True,
         record_f_xbar=True,
     )
-    f_star = reference.f_star
-
     T = config.T
     points = np.unique(np.linspace(0, T - 1, min(T, _PERTURBED_POINTS), dtype=np.int64))
-    worst = None
-    for t in points:
-        eta = config.steps.eta(int(t))
-        lhs = result.dist_sq[:, t + 1]
-        rhs = (
-            (1.0 - mu * eta) * result.dist_sq[:, t]
-            + eta**2 * result.noise_sq[:, t]
-            - 0.5 * eta * (result.f_xbar[:, t] - f_star)
-            + 2.0 * eta * L * result.deviations[:, t]
-        )
-        diff = lhs - rhs
-        mean_diff = float(diff.mean())
-        stderr = float(diff.std(ddof=1) / np.sqrt(runs))
-        entry = (3.0 * stderr - mean_diff, int(t), float(lhs.mean()), float(rhs.mean()), stderr)
-        if worst is None or entry[0] < worst[0]:
-            worst = entry
-    _, t_worst, lhs_mean, rhs_mean, stderr = worst
+    eta = np.array([config.steps.eta(int(t)) for t in points])
+    eta_sq = np.array([config.steps.eta(int(t))**2 for t in points])  # C pow, as above
+    lhs = result.dist_sq[:, points + 1]
+    rhs = (
+        (1.0 - mu * eta) * result.dist_sq[:, points]
+        + eta_sq * result.noise_sq[:, points]
+        - 0.5 * eta * (result.f_xbar[:, points] - reference.f_star)
+        + 2.0 * eta * L * result.deviations[:, points]
+    )
+    i, _, stderr = _tightest_step(lhs - rhs, np.zeros(len(points)))
     return CheckReport(
         check="perturbed-step",
         trials=runs,
-        statistic=lhs_mean,
-        bound=rhs_mean,
+        statistic=float(lhs[:, i].mean()),
+        bound=float(rhs[:, i].mean()),
         stderr=stderr,
-        worst_step=t_worst,
+        worst_step=int(points[i]),
         detail={"checked_points": len(points)},
     )
 
@@ -300,36 +287,26 @@ def check_recursion_lemma(a, mu, A, B, C, T, sequence_builder) -> CheckReport:
     )
 
 
-def make_equality_builder(mu, A, B, C, a0=1.0, drain=1.0, slack=0.0, slack_seed=0):
-    """Builder driving the per-step recursion at (or just below) equality.
+def make_equality_builder(mu, A, B, C):
+    """Builder driving the per-step recursion at equality from a_0 = 1.
 
-    At every step the error term e_t drains a share `drain` in (0, 1] of
-    the contracted a_t, and the next value is
+    At every step the error term e_t drains the whole contracted a_t, and
+    the next value is
 
-        a_{t+1} = [(1 - mu eta_t) a_t - eta_t A e_t + eta_t^2 B
-                   + eta_t^3 C] * (1 - s_t)
+        a_{t+1} = (1 - mu eta_t) a_t - eta_t A e_t + eta_t^2 B + eta_t^3 C
 
-    with s_t = 0 at equality or s_t drawn uniformly from [0, slack] to
-    exercise the recursion with nonnegative slack.  All sequence values
-    stay nonnegative.
+    so all sequence values stay nonnegative.
     """
-    if not 0.0 < drain <= 1.0:
-        raise ValueError("drain must be in (0, 1]")
-    if not 0.0 <= slack < 1.0:
-        raise ValueError("slack must be in [0, 1)")
 
     def build(T, eta):
-        rng = np.random.default_rng(slack_seed)
         a_seq = np.empty(T + 1)
         e_seq = np.empty(T)
-        a_seq[0] = a0
+        a_seq[0] = 1.0
         for t in range(T):
             contracted = (1.0 - mu * eta[t]) * a_seq[t]
             inflow = eta[t] ** 2 * B + eta[t] ** 3 * C
-            e_seq[t] = drain * contracted / (eta[t] * A)
-            allowed = contracted - eta[t] * A * e_seq[t] + inflow
-            s = slack * rng.random() if slack else 0.0
-            a_seq[t + 1] = allowed * (1.0 - s)
+            e_seq[t] = contracted / (eta[t] * A)
+            a_seq[t + 1] = contracted - eta[t] * A * e_seq[t] + inflow
         return a_seq, e_seq
 
     return build
@@ -346,19 +323,12 @@ def check_async_deviation(config, delay, objective, runs, seed=0) -> CheckReport
     the bound; G^2 comes from the held-out runs.
     """
     H = config.sync.H
-    _require_decaying(config)
     plan, worst_staleness = _checked_plan(config, [config.sync] * config.K, delay,
                                           objective)
-
-    G_sq = run_async_ensemble(config, plan, objective, _heldout_seeds(seed, runs),
-                              track_second_moment=True).max_second_moment
-    dev = run_async_ensemble(config, plan, objective, _run_seeds(seed, runs)).deviations
-
-    return _worst_step_report(
-        "async-deviation", config, dev, 12.0, G_sq, H + delay.tau,
-        detail={"G_sq": G_sq, "H": H, "tau": delay.tau,
-                "worst_staleness": worst_staleness},
-    )
+    ensemble = partial(run_async_ensemble, config, plan, objective)
+    return _deviation_check("async-deviation", config, ensemble, 12.0, H + delay.tau,
+                            runs, seed, {"H": H, "tau": delay.tau,
+                                         "worst_staleness": worst_staleness})
 
 
 def lemma_suite(objective, reference, *, runs=1000, trials=4000, K=4, H=4, T=64, b=1,
@@ -366,39 +336,36 @@ def lemma_suite(objective, reference, *, runs=1000, trials=4000, K=4, H=4, T=64,
     """The five checks on one fixture, as `localsgd verify-lemmas` runs them.
 
     The constants are taken at x0 = 0.  Every run uses the decaying
-    schedule with shift max(16 kappa, window) + 1, the window being H, or
-    H + tau for the async check.  Variance reduction resamples at the
+    schedule of `theorem_steps`, shift max(16 kappa, window) + 1, the
+    window being H, or H + tau for the async check.  Variance reduction resamples at the
     worker states of a warm-up run one step before its last
     synchronization (horizon max(2H, 8)), so the states are distinct when
     H > 1.  The recursion takes A = 1/2, B = sigma^2 / K and
     C = 8 G^2 H^2 L.  Returns the five CheckReports.
     """
     mu, L = objective.curvature()
-    kappa = L / mu
     x0 = np.zeros(objective.d)
     B = objective.variance_at(x0) / K
     C = 8.0 * objective.second_moment_at(x0) * H**2 * L
 
-    def shift(window):
-        return max(16.0 * kappa, float(window)) + 1.0
-
     def config(window):
         return RunConfig(
             K=K, T=T, b=b, sync=regular_sync_schedule(T, H),
-            steps=TheoremDecayStep(mu=mu, a=shift(window)), seed=seed, x0=x0,
+            steps=theorem_steps((mu, L), window), seed=seed, x0=x0,
             record=RecordFlags(virtual=False, f_values=False),
         )
 
+    synchronous = config(H)
     warm_T = max(2 * H, 8)
-    warm = sync.run_local_sgd(replace(config(H), T=warm_T, sync=regular_sync_schedule(warm_T, H),
+    warm = sync.run_local_sgd(replace(synchronous, T=warm_T, sync=regular_sync_schedule(warm_T, H),
                                       record=RecordFlags(iterates=True, f_values=False)),
                               objective)
     return [
         check_variance_reduction(objective, warm.iterates[:, warm_T - 1, :],
                                  trials=trials, seed=seed),
-        check_deviation_bound(config(H), objective, runs, seed=seed),
-        check_perturbed_inequality(config(H), objective, reference, runs, seed=seed),
-        check_recursion_lemma(a=shift(H), mu=mu, A=0.5, B=B, C=C, T=T,
+        check_deviation_bound(synchronous, objective, runs, seed=seed),
+        check_perturbed_inequality(synchronous, objective, reference, runs, seed=seed),
+        check_recursion_lemma(a=synchronous.steps.a, mu=mu, A=0.5, B=B, C=C, T=T,
                               sequence_builder=make_equality_builder(mu, 0.5, B, C)),
         check_async_deviation(config(H + tau), DelayModel("fixed", tau=tau, seed=seed),
                               objective, runs, seed=seed),

@@ -110,6 +110,11 @@ class ExperimentDecayStep:
         return min(32.0, self.c * self.n / (t + 1))
 
 
+def _shift_threshold(curvature, window) -> float:
+    """max{16 kappa, window}, kappa = L / mu from `curvature`, the pair (mu, L)."""
+    return max(16.0 * (curvature[1] / curvature[0]), float(window))
+
+
 def validate_shift(steps, curvature, window) -> None:
     """Check a > max{16 kappa, window} when `steps` has a shift a.
 
@@ -119,11 +124,16 @@ def validate_shift(steps, curvature, window) -> None:
     may be delayed by up to tau steps.
     """
     if isinstance(steps, TheoremDecayStep):
-        mu, L = curvature
-        kappa = L / mu
-        threshold = max(16.0 * kappa, float(window))
+        threshold = _shift_threshold(curvature, window)
         if not steps.a > threshold:
             raise ValueError(
                 f"shift a={steps.a} must exceed max(16*kappa, window)="
-                f"{threshold} (kappa={kappa}, window={window})"
+                f"{threshold} (kappa={curvature[1] / curvature[0]}, window={window})"
             )
+
+
+def theorem_steps(curvature, window) -> TheoremDecayStep:
+    """The decaying schedule the bounds are evaluated at, for `curvature` (mu, L):
+    shift a = max{16 kappa, window} + 1, one above the threshold of `validate_shift`.
+    """
+    return TheoremDecayStep(mu=curvature[0], a=_shift_threshold(curvature, window) + 1.0)

@@ -30,6 +30,7 @@ gradients are planned from them for a block of steps at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -525,18 +526,40 @@ def run_minibatch_sgd(config, objective) -> np.ndarray:
     return np.asarray(path)
 
 
+@dataclass
 class EnsembleResult:
-    """Aggregate statistics over many seeded runs of the same configuration."""
+    """Aggregate statistics over many seeded runs of one configuration.
 
-    def __init__(self):
-        self.output_average = None   # (S, d)
-        self.f_output = None         # (S,)
-        self.max_second_moment = 0.0
-        self.deviations = None       # (S, T+1)
-        self.dist_sq = None          # (S, T+1) squared distance of xbar to ref
-        self.noise_sq = None         # (S, T)
-        self.f_xbar = None           # (S, T+1)
-        self.diverged = None         # (S,) runs stopped by the divergence guard
+    A row not recorded reads None.  A run that diverged reads NaN from
+    then on, its output average and f_output included.
+    """
+
+    objective: object = field(repr=False)
+    diverged: np.ndarray             # (S,) runs stopped by the divergence guard
+    max_second_moment: float         # 0.0 unless tracked
+    output_average: np.ndarray       # (S, d) shift-a weighted average over t < T
+    deviations: np.ndarray | None    # (S, T+1)
+    dist_sq: np.ndarray | None       # (S, T+1) squared distance of xbar to ref
+    noise_sq: np.ndarray | None      # (S, T)
+    f_xbar: np.ndarray | None        # (S, T+1)
+
+    @cached_property
+    def f_output(self) -> np.ndarray:
+        """(S,) f of each output average, from one value pass on first read."""
+        f = np.full(len(self.diverged), np.nan)
+        if not self.diverged.all():
+            f[~self.diverged] = self.objective.value_many(self.output_average[~self.diverged])
+        return f
+
+
+def _ensemble_result(run, objective) -> EnsembleResult:
+    """The EnsembleResult of the run dict of an ensemble `_simulate`, sync or async."""
+    output_average = run["output_average"]
+    output_average[run["diverged"]] = np.nan
+    return EnsembleResult(
+        objective, run["diverged"], run["max_second_moment"], output_average,
+        **{name: None if run["rows"][name] is None else run["rows"][name].T
+           for name in ("deviations", "dist_sq", "noise_sq", "f_xbar")})
 
 
 def run_local_sgd_ensemble(
@@ -553,25 +576,11 @@ def run_local_sgd_ensemble(
     """Run one configuration under many seeds, vectorized across runs.
 
     Run r is the `run_local_sgd` run with seed=seeds[r], advanced by the
-    same loop, so its rows agree bitwise with the single run.  A run that
-    diverges is flagged in `diverged` and reads NaN from then on, its
-    output average and f_output included.  The runs record what the
-    `record_*` flags ask for, not `config.record`.
+    same loop, so its rows agree bitwise with the single run.  The runs
+    record what the `record_*` flags ask for, not `config.record`.
     """
     record = RecordFlags(virtual=False, deviations=record_deviations, f_values=False,
                          noise_norms=record_noise, f_virtual=record_f_xbar)
     run = _simulate(replace(config, record=record), objective, seeds, ref_point=ref_point,
                     track_second_moment=track_second_moment)
-    result = EnsembleResult()
-    result.diverged = run["diverged"]
-    result.output_average = run["output_average"]
-    result.output_average[result.diverged] = np.nan
-    result.f_output = np.full(len(seeds), np.nan)
-    if not result.diverged.all():
-        result.f_output[~result.diverged] = objective.value_many(
-            result.output_average[~result.diverged])
-    result.max_second_moment = run["max_second_moment"]
-    for name in ("deviations", "dist_sq", "noise_sq", "f_xbar"):
-        if run["rows"][name] is not None:
-            setattr(result, name, run["rows"][name].T)
-    return result
+    return _ensemble_result(run, objective)

@@ -90,15 +90,20 @@ def corollary_bound(constants, K, T, H, b) -> float:
     return variance + drift
 
 
+def _accuracy_factor(eps, H, K) -> float:
+    """A(K) = 1/2 + 1/2 sqrt(1 + eps (1 + H + H^2 K)), the accuracy factor of the model."""
+    return 0.5 + 0.5 * sqrt(1.0 + eps * (1.0 + H + H**2 * K))
+
+
 def iterations_estimate(eps, H, K) -> float:
     """Rough model of the steps needed to reach accuracy eps:
 
-        T(eps, H, K) = (1/(K eps)) (1/2 + 1/2 sqrt(1 + eps (1 + H + H^2 K)))
+        T(eps, H, K) = A(K) / (K eps)
 
-    A planning device, not a guarantee.
+    with A the accuracy factor.  A planning device, not a guarantee.
     """
     _check_positive(eps=eps, H=H, K=K)
-    return (0.5 + 0.5 * sqrt(1.0 + eps * (1.0 + H + H**2 * K))) / (K * eps)
+    return _accuracy_factor(eps, H, K) / (K * eps)
 
 
 def step_cost(K, H, rho) -> float:
@@ -108,6 +113,12 @@ def step_cost(K, H, rho) -> float:
     gradient-times per vector.
     """
     return 1.0 + 2.0 * rho * (K - 1) / H
+
+
+def check_cost_ratio(rho) -> None:
+    """Reject a cost ratio rho (gradient times per exchanged vector) unless finite and >= 1."""
+    if not (isfinite(rho) and rho >= 1):
+        raise ValueError(f"cost ratio rho must be finite and >= 1, got {rho}")
 
 
 def speedup(K, H, eps, rho) -> float:
@@ -121,9 +132,8 @@ def speedup(K, H, eps, rho) -> float:
     and the expression reduces to K / (1 + 2 rho (K - 1) / H).  The second
     factor is `step_cost`.
     """
-    _check_positive(K=K, H=H, rho=rho)
+    _check_positive(K=K, H=H)
+    check_cost_ratio(rho)
     if not (isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be finite and nonnegative, got {eps}")
-    accuracy_one = 0.5 + 0.5 * sqrt(1.0 + eps * (1.0 + H + H**2))
-    accuracy_k = 0.5 + 0.5 * sqrt(1.0 + eps * (1.0 + H + H**2 * K))
-    return K * accuracy_one / (accuracy_k * step_cost(K, H, rho))
+    return K * _accuracy_factor(eps, H, 1) / (_accuracy_factor(eps, H, K) * step_cost(K, H, rho))

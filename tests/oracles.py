@@ -5,7 +5,8 @@ of the convergence theorem as an explicit weighted sum, the noise
 constants of an objective over given points, a first-order reference
 solve to check the Newton solve of the harness against, and the block
 schedule of the load balancer and its staleness bound by scans over all
-pairs.
+pairs, and the tightest step of the perturbed-step inequality by a loop
+over its checked steps.
 """
 
 from math import sqrt
@@ -178,3 +179,27 @@ def needed_by_comparison(measured, points, t, crossed) -> np.ndarray:
         best[family] = min(best.get(family, (t_star, i)), (t_star, i))
     return np.array([family not in best or (t + 1, i) < best[family]
                      for family, i in points])
+
+
+def perturbed_by_loop(result, steps, points, mu, L, f_star):
+    """(step, lhs mean, rhs mean, stderr) of the perturbed-step inequality
+    at its tightest checked step, one step at a time.
+
+    `result` is the EnsembleResult of the tested runs.  Each step's
+    per-run difference lhs - rhs is a row of its own; the tightest step
+    has the smallest 3 stderr - mean difference, ties to the earliest.
+    """
+    runs = result.dist_sq.shape[0]
+    worst = None
+    for t in points:
+        eta = steps.eta(int(t))
+        lhs = result.dist_sq[:, t + 1]
+        rhs = ((1.0 - mu * eta) * result.dist_sq[:, t] + eta**2 * result.noise_sq[:, t]
+               - 0.5 * eta * (result.f_xbar[:, t] - f_star)
+               + 2.0 * eta * L * result.deviations[:, t])
+        diff = lhs - rhs
+        stderr = float(diff.std(ddof=1) / np.sqrt(runs))
+        margin = 3.0 * stderr - float(diff.mean())
+        if worst is None or margin < worst[0]:
+            worst = (margin, int(t), float(lhs.mean()), float(rhs.mean()), stderr)
+    return worst[1:]

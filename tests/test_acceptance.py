@@ -22,7 +22,6 @@ from localsgd import (
     RunConfig,
     RunningAverage,
     ShiftedQuadraticAverage,
-    TheoremDecayStep,
     lemma_suite,
     parse_libsvm,
     regular_sync_schedule,
@@ -33,6 +32,7 @@ from localsgd import (
     speedup,
     sum_of_weights,
     theorem1_bound,
+    theorem_steps,
 )
 from localsgd.data import LibsvmFormatError
 from localsgd.harness import reference_for
@@ -72,7 +72,7 @@ def test_criterion_2_every_step_sync_equals_minibatch(synth50):
         T = 150
         config = RunConfig(
             K=K, T=T, b=b, sync=regular_sync_schedule(T, 1),
-            steps=TheoremDecayStep(mu=mu, a=max(16.0 * L / mu, 1.0) + 1.0),
+            steps=theorem_steps((mu, L), 1),
             seed=11, x0=np.zeros(objective.d), record=RecordFlags(),
         )
         trace = run_local_sgd(config, objective)
@@ -90,7 +90,7 @@ def test_criterion_3_async_degenerations(quad10):
     T, K, H = 80, 4, 5
     config = RunConfig(
         K=K, T=T, b=1, sync=regular_sync_schedule(T, H),
-        steps=TheoremDecayStep(mu=const.mu, a=max(16.0 * const.kappa, H) + 1.0),
+        steps=theorem_steps((const.mu, const.L), H),
         seed=31, x0=np.zeros(objective.d),
     )
     sync_trace = run_local_sgd(config, objective)
@@ -157,10 +157,10 @@ def test_criterion_5_bound_validity(quad10):
     for K in (1, 2, 4, 8):
         for T in (1000, 10000):
             for H in sorted({1, 4, math.isqrt(T // K)}):
-                a = max(16.0 * const.kappa, H) + 1.0
+                steps = theorem_steps((const.mu, const.L), H)
                 config = RunConfig(
                     K=K, T=T, b=1, sync=regular_sync_schedule(T, H),
-                    steps=TheoremDecayStep(mu=const.mu, a=a), seed=0,
+                    steps=steps, seed=0,
                     x0=np.zeros(objective.d),
                     record=RecordFlags(virtual=False, f_values=False),
                 )
@@ -173,7 +173,7 @@ def test_criterion_5_bound_validity(quad10):
                     L=const.L, mu=const.mu, sigma_sq=const.sigma_sq,
                     G_sq=result.max_second_moment,
                 )
-                bound = theorem1_bound(measured, K, T, H, 1, a, r0)
+                bound = theorem1_bound(measured, K, T, H, 1, steps.a, r0)
                 entry = (bound - (mean + 3 * stderr), (K, T, H), mean, bound)
                 if worst is None or entry < worst:
                     worst = entry
@@ -200,7 +200,7 @@ def test_criterion_6_linear_speedup(quad10):
     def measure(K, H):
         config = RunConfig(
             K=K, T=cap, b=1, sync=regular_sync_schedule(cap, H),
-            steps=TheoremDecayStep(mu=const.mu, a=max(16.0 * const.kappa, H) + 1.0),
+            steps=theorem_steps((const.mu, const.L), H),
             seed=seed, x0=np.zeros(objective.d),
             record=RecordFlags(virtual=False, deviations=False, f_every=1),
         )

@@ -9,6 +9,7 @@ from localsgd import (
     LogisticObjective,
     RecordFlags,
     RunConfig,
+    ShiftedQuadraticAverage,
     TheoremDecayStep,
     WriteLog,
     load_balanced_assignment,
@@ -18,6 +19,7 @@ from localsgd import (
     run_local_sgd,
     run_load_balanced,
     theorem1_bound,
+    theorem_steps,
 )
 from localsgd import sync
 from localsgd.asynchronous import (ReadEvent, WriteEvent, _check_staleness, _Replay,
@@ -29,8 +31,8 @@ from oracles import assignment_bound, assignment_entries
 
 def async_config(quad10, K, T, H, window, seed=0, b=1):
     obj, ref, const = quad10
-    steps = TheoremDecayStep(mu=const.mu, a=max(16.0 * const.kappa, window) + 1.0)
-    return RunConfig(K=K, T=T, b=b, sync=regular_sync_schedule(T, H), steps=steps,
+    return RunConfig(K=K, T=T, b=b, sync=regular_sync_schedule(T, H),
+                     steps=theorem_steps((const.mu, const.L), window),
                      seed=seed, x0=np.zeros(obj.d))
 
 
@@ -218,7 +220,7 @@ def test_load_balanced_run_realized_delay(quad10):
     plan = load_balanced_assignment([2.0, 1.0], H=H, n_blocks=6)
     config = RunConfig(
         K=2, T=24, b=1, sync=regular_sync_schedule(24, H),
-        steps=TheoremDecayStep(mu=1.0, a=max(16.0 * 4.0, H + plan.bound) + 1.0),
+        steps=theorem_steps((1.0, 4.0), H + plan.bound),
         seed=21, x0=np.zeros(obj.d),
     )
     trace, log, plan_used = run_load_balanced(config, [2.0, 1.0], obj)
@@ -362,6 +364,8 @@ def test_async_run_flags_divergence_like_the_sync_engine(quad10):
             assert (recorded < T + 1) == blows_up
             assert np.array_equal(batch.deviations[r][:recorded], single.deviations)
             assert np.all(np.isnan(batch.deviations[r][recorded:]))
+            assert np.isnan(batch.output_average[r]).all() == blows_up
+            assert np.isnan(batch.f_output[r]) == blows_up
 
 
 class GradientCounter:
@@ -428,3 +432,23 @@ def test_async_entry_points_run_a_constant_step_on_an_unregularized_objective(sy
     assert np.all(np.isfinite(trace.xbar)) and not trace.diverged
     trace, _, _ = run_load_balanced(config, [2.0, 1.0], obj)
     assert np.all(np.isfinite(trace.xbar)) and not trace.diverged
+
+
+def test_async_ensemble_result_equals_single_runs_bitwise(quad10):
+    # the ensemble result of both engines: the async one also keeps each
+    # run's output average, the shift-a average of its virtual sequence
+    obj, _, _ = quad10
+    K, T = 3, 40
+    schedules = [regular_sync_schedule(T, 4)] * K
+    delay = DelayModel("random-bounded", tau=3, seed=6)
+    config = async_config(quad10, K=K, T=T, H=4, window=7, b=2)
+    seeds = [8, 9, 8]
+    batch = run_async_ensemble(config, write_plan(K, T, schedules, delay), obj, seeds)
+    for r, seed in enumerate(seeds):
+        single, _ = run_async_local_sgd(replace(config, seed=seed), schedules, delay, obj)
+        assert batch.deviations[r].tobytes() == single.deviations.tobytes()
+        average = ShiftedQuadraticAverage(config.steps.a)
+        for t in range(T):
+            average.update(single.xbar[t], t)
+        assert batch.output_average[r].tobytes() == average.value.tobytes()
+    assert np.array_equal(batch.f_output, obj.value_many(batch.output_average))

@@ -26,7 +26,7 @@ from localsgd.harness import (
     run_experiment,
     verify_lemmas,
 )
-from localsgd.harness import _drop_limits, _family_steps, _needed, _next_points
+from localsgd.harness import _drop_limits, _family_steps, _next_points
 from localsgd.schedules import ConstantStep, regular_sync_schedule
 from localsgd.sync import RecordFlags, RunConfig, _simulate, run_local_sgd
 from oracles import accelerated_reference, needed_by_comparison
@@ -182,9 +182,10 @@ def test_compute_reference_fstar_on_fixture(synth50):
         assert reference.f_star <= obj.value(rng.standard_normal(obj.d))
 
 
-def test_compute_reference_fstar_nonconvergence(synth50):
-    with pytest.raises(RuntimeError, match="did not reach"):
-        reference_for(LogisticObjective(synth50), tolerance=1e-14, max_iters=1)
+def test_compute_reference_fstar_nonconvergence(monkeypatch, synth50):
+    monkeypatch.setattr(harness, "_MAX_NEWTON_ITERS", 1)
+    with pytest.raises(RuntimeError, match="did not reach .* of at most 1 Newton"):
+        reference_for(LogisticObjective(synth50), tolerance=1e-14)
 
 
 def random_sparse_logistic(n=3000, d=60, density=0.08, seed=17):
@@ -399,7 +400,7 @@ def test_replay_asks_for_the_points_it_visits_next():
 def rounds_over_table(tables, i_min, i_max, horizon):
     """The round-by-round search over known t*, evaluating at every step.
 
-    A run is dropped, and reads None, once `_needed` no longer keeps it.
+    A run is dropped, and reads None, from the step `_drop_limits` gives it.
     Returns the answer and the points the rounds measured.
     """
     measured = {family: {} for family in FAMILIES}
@@ -412,7 +413,7 @@ def rounds_over_table(tables, i_min, i_max, horizon):
         for now in range(horizon + 1):
             hit = ~frozen & (truth == now)
             crossed[hit] = now
-            frozen |= hit | ~_needed(measured, points, now, crossed)
+            frozen |= hit | ~(now < _drop_limits(measured, points, crossed))
             if frozen.all():
                 break
         for (family, i), t_star in zip(points, crossed):
@@ -424,16 +425,20 @@ def test_needed_drops_runs_that_cannot_be_the_best_point():
     points = [("decaying", -2), ("decaying", 2), ("constant", 0)]
     earlier = {"decaying": {0: 40, -1: None, 1: None}, "constant": {}}
     none = np.full(3, -1)
+
+    def needed(measured, points, t, crossed):
+        return t < _drop_limits(measured, points, crossed)
+
     # -2 can still tie 0 at step 40 with a smaller c; 2 cannot
-    assert _needed(earlier, points, 38, none).tolist() == [True, True, True]
-    assert _needed(earlier, points, 39, none).tolist() == [True, False, True]
-    assert _needed(earlier, points, 40, none).tolist() == [False, False, True]
+    assert needed(earlier, points, 38, none).tolist() == [True, True, True]
+    assert needed(earlier, points, 39, none).tolist() == [True, False, True]
+    assert needed(earlier, points, 40, none).tolist() == [False, False, True]
     # once a point of the round reaches eps, its family's other runs end
-    assert _needed(earlier, points, 20, np.array([-1, 15, -1])).tolist() == \
+    assert needed(earlier, points, 20, np.array([-1, 15, -1])).tolist() == \
         [False, False, True]
     # with nothing reached yet every run of the family is needed
     unreached = {"decaying": {0: None}, "constant": {0: None}}
-    assert _needed(unreached, points, 10**6, none).all()
+    assert needed(unreached, points, 10**6, none).all()
 
 
 def test_drop_limits_equal_the_needed_comparison_on_random_tables():
@@ -451,7 +456,6 @@ def test_drop_limits_equal_the_needed_comparison_on_random_tables():
         for t in range(70):
             expected = needed_by_comparison(measured, points, t, crossed)
             assert (t < limits).tolist() == expected.tolist()
-            assert _needed(measured, points, t, crossed).tolist() == expected.tolist()
 
 
 def test_grid_rounds_screen_and_evaluate_the_same_points(monkeypatch, logistic50):
@@ -636,7 +640,7 @@ def test_a_diverging_point_reads_none_screened_and_recorded(logistic50):
 @pytest.mark.parametrize("K, H, eps, seed", [(1, 1, 0.01, 4), (4, 16, 0.05, 8)])
 def test_screened_search_rounds_equal_recorded_rounds(logistic50, K, H, eps, seed):
     # every round of the grid search, screened and with every value
-    # recorded, gives the same t*, the same `_needed` drops (a dropped
+    # recorded, gives the same t*, the same `_drop_limits` drops (a dropped
     # run's final iterates are those of its drop step) and the same winner
     f_star = reference_for(logistic50).f_star
     i_min, i_max, cap = -8, 4, 400
@@ -653,7 +657,7 @@ def test_screened_search_rounds_equal_recorded_rounds(logistic50, K, H, eps, see
             runs.append(_simulate(
                 config, logistic50, [seed] * len(points), steps=steps,
                 target=(eps, f_star),
-                keep=lambda t, crossed: _needed(measured, points, t, crossed)))
+                keep=lambda t, crossed: t < _drop_limits(measured, points, crossed)))
         screened, recorded = runs
         for name in ("crossed", "diverged", "final_iterates"):
             assert np.array_equal(screened[name], recorded[name])
@@ -899,7 +903,8 @@ svg = false
                                   "lambda", "zero-lambda", "negative-lambda",
                                   "zero-tolerance", "nan-tolerance",
                                   "unreachable-tolerance", "theory-K", "theory-eps",
-                                  "theory-rho-nan", "theory-rho-inf", "theory-eps-nan",
+                                  "theory-rho-nan", "theory-rho-inf", "theory-rho-half",
+                                  "theory-eps-nan",
                                   "theory-eps-inf", "theory-K-overflow", "theory-K-text"])
 def test_cli_bad_input_is_a_config_error(tmp_path, capsys, case):
     bad_data = tmp_path / "bad.libsvm"
@@ -936,6 +941,8 @@ dir = {tmp_path / 'out'}
         "theory-eps": ["theory", "--K", "1", "--H", "1", "--eps", "-0.1"],
         "theory-rho-nan": ["theory", "--K", "2", "--H", "1", "--eps", "0.1", "--rho", "nan"],
         "theory-rho-inf": ["theory", "--K", "2", "--H", "1", "--eps", "0.1", "--rho", "inf"],
+        # the rule of a config's rho: finite and >= 1
+        "theory-rho-half": ["theory", "--K", "2", "--H", "1", "--eps", "0.1", "--rho", "0.5"],
         "theory-eps-nan": ["theory", "--K", "2", "--H", "1", "--eps", "nan"],
         "theory-eps-inf": ["theory", "--K", "2", "--H", "1", "--eps", "inf"],
         # an int too large for a float raises OverflowError, not ValueError

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from localsgd import (
+    CheckReport,
     DelayModel,
     ProblemConstants,
     RecordFlags,
     RunConfig,
-    TheoremDecayStep,
     check_async_deviation,
     check_deviation_bound,
     check_perturbed_inequality,
@@ -16,16 +16,20 @@ from localsgd import (
     check_variance_reduction,
     make_quadratic,
     regular_sync_schedule,
+    run_local_sgd_ensemble,
+    theorem_steps,
 )
+from localsgd import lemmas
 from localsgd.harness import reference_for
-from localsgd.lemmas import make_equality_builder
+from localsgd.lemmas import _PERTURBED_POINTS, _run_seeds, _tightest_step, make_equality_builder
+from oracles import perturbed_by_loop
 
 
 def theorem_config(obj, const, K, T, H, window=None, seed=0, b=1):
-    a = max(16.0 * const.kappa, float(window if window is not None else H)) + 1.0
     return RunConfig(
         K=K, T=T, b=b, sync=regular_sync_schedule(T, H),
-        steps=TheoremDecayStep(mu=const.mu, a=a), seed=seed, x0=np.zeros(obj.d),
+        steps=theorem_steps((const.mu, const.L), H if window is None else window),
+        seed=seed, x0=np.zeros(obj.d),
         record=RecordFlags(virtual=False, f_values=False),
     )
 
@@ -102,8 +106,6 @@ def test_deviation_bound_quadratic(quad10):
 def test_deviation_zero_at_sync_and_for_every_step_schedule(quad10):
     obj, _, const = quad10
     config = theorem_config(obj, const, K=4, T=24, H=1)
-    from localsgd.sync import run_local_sgd_ensemble
-
     result = run_local_sgd_ensemble(config, obj, [1, 2, 3], record_deviations=True)
     assert np.max(result.deviations) <= 1e-24  # H=1: synchronized every step
     report = check_deviation_bound(config, obj, runs=200, seed=1)
@@ -155,7 +157,7 @@ def test_perturbed_inequality_logistic_fixture(logistic50):
     ref = reference_for(logistic50, tolerance=1e-10)
     config = RunConfig(
         K=4, T=48, b=1, sync=regular_sync_schedule(48, 4),
-        steps=TheoremDecayStep(mu=mu, a=max(16.0 * L / mu, 4.0) + 1.0),
+        steps=theorem_steps((mu, L), 4),
         seed=0, x0=np.zeros(logistic50.d),
         record=RecordFlags(virtual=False, f_values=False),
     )
@@ -163,10 +165,42 @@ def test_perturbed_inequality_logistic_fixture(logistic50):
     assert report.passed
 
 
+@pytest.mark.parametrize("fixture, T, runs", [("logistic50", 48, 300), ("quad10", 100, 200)])
+def test_perturbed_inequality_equals_the_loop_over_its_steps(request, fixture, T, runs):
+    # one vectorized pass over the checked steps is bitwise the per-step
+    # loop; at T = 100 it checks 64 of the steps
+    obj = request.getfixturevalue(fixture)
+    if fixture == "quad10":
+        obj = obj[0]
+    ref = reference_for(obj, tolerance=1e-10)
+    mu, L = obj.curvature()
+    config = RunConfig(K=4, T=T, b=1, sync=regular_sync_schedule(T, 4),
+                       steps=theorem_steps((mu, L), 4), seed=0, x0=np.zeros(obj.d),
+                       record=RecordFlags(virtual=False, f_values=False))
+    report = check_perturbed_inequality(config, obj, ref, runs=runs, seed=5)
+    result = run_local_sgd_ensemble(config, obj, _run_seeds(5, runs), ref_point=ref.x_star,
+                                    record_deviations=True, record_noise=True,
+                                    record_f_xbar=True)
+    points = np.unique(np.linspace(0, T - 1, min(T, _PERTURBED_POINTS), dtype=np.int64))
+    assert (report.worst_step, report.statistic, report.bound, report.stderr) == \
+        perturbed_by_loop(result, config.steps, points, mu, L, ref.f_star)
+
+
+def test_tightest_step_takes_the_earliest_tie_and_fails_on_nan():
+    samples = np.array([[1.0, 2.0, 1.0, 0.0], [1.0, 2.0, 1.0, 0.0]])
+    # margins 1, 0, 0, 2: the tie at steps 1 and 2 goes to step 1
+    assert _tightest_step(samples, np.array([2.0, 2.0, 1.0, 2.0])) == (1, 2.0, 0.0)
+    # a run that diverged reads NaN, and its step is the one reported
+    samples[1, 3] = np.nan
+    step, mean, _ = _tightest_step(samples, np.array([2.0, 2.0, 1.0, 2.0]))
+    assert step == 3 and np.isnan(mean)
+    report = CheckReport("deviation-bound", 2, mean, 2.0, 0.0, worst_step=step)
+    assert not report.passed
+
+
 def test_perturbed_inequality_rejects_large_steps(quad10):
     obj, ref, const = quad10
     config = theorem_config(obj, const, K=2, T=16, H=2)
-    config.steps = TheoremDecayStep(mu=const.mu, a=max(16 * const.kappa, 2) + 1)
     big = RunConfig(**{**config.__dict__, "steps": None})
     from localsgd import ConstantStep
 
@@ -188,7 +222,7 @@ def test_recursion_zero_error_terms():
 
 
 def test_recursion_equality_builder():
-    builder = make_equality_builder(mu=1.0, A=1.0, B=0.0, C=0.0, a0=1.0)
+    builder = make_equality_builder(mu=1.0, A=1.0, B=0.0, C=0.0)
     report = check_recursion_lemma(a=17.0, mu=1.0, A=1.0, B=0.0, C=0.0, T=200,
                                    sequence_builder=builder)
     assert report.passed
@@ -196,11 +230,28 @@ def test_recursion_equality_builder():
 
 
 def test_recursion_with_inflow_and_slack():
+    mu, A, B, C = 0.5, 0.5, 2.0, 5.0
+
+    def builder(slack):
+        # from a_0 = 2 each step drains 90% of the contracted a_t and keeps a
+        # share s_t ~ U[0, slack] of the allowed next value below equality
+        def build(T, eta):
+            rng = np.random.default_rng(4)
+            a_seq, e_seq = np.empty(T + 1), np.empty(T)
+            a_seq[0] = 2.0
+            for t in range(T):
+                contracted = (1.0 - mu * eta[t]) * a_seq[t]
+                e_seq[t] = 0.9 * contracted / (eta[t] * A)
+                allowed = contracted - eta[t] * A * e_seq[t] \
+                    + eta[t] ** 2 * B + eta[t] ** 3 * C
+                s = slack * rng.random() if slack else 0.0
+                a_seq[t + 1] = allowed * (1.0 - s)
+            return a_seq, e_seq
+        return build
+
     for slack in (0.0, 0.3):
-        builder = make_equality_builder(mu=0.5, A=0.5, B=2.0, C=5.0, a0=2.0,
-                                        drain=0.9, slack=slack, slack_seed=4)
-        report = check_recursion_lemma(a=40.0, mu=0.5, A=0.5, B=2.0, C=5.0,
-                                       T=300, sequence_builder=builder)
+        report = check_recursion_lemma(a=40.0, mu=mu, A=A, B=B, C=C,
+                                       T=300, sequence_builder=builder(slack))
         assert report.passed
 
 
@@ -259,3 +310,70 @@ def test_reports_reproduce_bit_for_bit(quad10):
     va = check_variance_reduction(obj, states, trials=500, seed=4)
     vb = check_variance_reduction(obj, states, trials=500, seed=4)
     assert (va.statistic, va.stderr) == (vb.statistic, vb.stderr)
+
+
+# --- one ensemble result, one deviation check -----------------------------
+
+
+@pytest.mark.parametrize("runner, check", [
+    ("run_local_sgd_ensemble",
+     lambda config, obj: check_deviation_bound(config, obj, runs=200, seed=2)),
+    ("run_async_ensemble",
+     lambda config, obj: check_async_deviation(config, DelayModel("fixed", tau=2), obj,
+                                               runs=200, seed=2)),
+])
+def test_deviation_report_does_not_depend_on_the_row_layout(monkeypatch, logistic50, runner,
+                                                            check):
+    # the same deviations laid out C- or F-ordered reduce in one order; on
+    # logistic50 the tightest step is not a sync step, where all read 0
+    config = RunConfig(K=4, T=24, b=1, sync=regular_sync_schedule(24, 6),
+                       steps=theorem_steps(logistic50.curvature(), 8), seed=0,
+                       x0=np.zeros(logistic50.d),
+                       record=RecordFlags(virtual=False, f_values=False))
+    engine = getattr(lemmas, runner)
+    reports = []
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        def laid_out(*args, layout=layout, **kwargs):
+            result = engine(*args, **kwargs)
+            result.deviations = layout(result.deviations)
+            return result
+        monkeypatch.setattr(lemmas, runner, laid_out)
+        report = check(config, logistic50)
+        reports.append((report.statistic, report.bound, report.stderr, report.worst_step))
+    assert reports[0][0] > 0.0
+    assert reports[0] == reports[1]
+
+
+class ValueCounter:
+    """Counts the value passes of an objective class while installed."""
+
+    def __init__(self, monkeypatch, objective):
+        self.calls = 0
+        original = type(objective).value_many
+
+        def counted(this, *args, **kwargs):
+            self.calls += 1
+            return original(this, *args, **kwargs)
+        monkeypatch.setattr(type(objective), "value_many", counted)
+
+
+def test_deviation_check_makes_no_value_pass(monkeypatch, quad10):
+    # no deviation check reads the output values of its ensembles
+    obj, _, const = quad10
+    counter = ValueCounter(monkeypatch, obj)
+    check_deviation_bound(theorem_config(obj, const, K=2, T=24, H=4), obj, runs=50)
+    check_async_deviation(theorem_config(obj, const, K=2, T=24, H=4, window=6),
+                          DelayModel("fixed", tau=2), obj, runs=50)
+    assert counter.calls == 0
+
+
+def test_f_output_is_one_value_pass_on_first_read(monkeypatch, quad10):
+    obj, ref, const = quad10
+    result = run_local_sgd_ensemble(theorem_config(obj, const, K=2, T=24, H=4), obj,
+                                    [4, 5, 6])
+    counter = ValueCounter(monkeypatch, obj)
+    first = result.f_output
+    assert result.f_output is first
+    assert counter.calls == 1
+    assert np.array_equal(first, obj.value_many(result.output_average))
+    assert np.all(first >= ref.f_star)

@@ -267,13 +267,13 @@ def test_variance_below_second_moment(logistic50, quad10):
 def test_estimate_constants_over_recorded_trajectory(quad10):
     # the run records its iterates; constants scoped to the visited points
     # bound the noise at every visited point
-    from localsgd import (RecordFlags, RunConfig, TheoremDecayStep,
-                          regular_sync_schedule, run_local_sgd)
+    from localsgd import (RecordFlags, RunConfig, regular_sync_schedule, run_local_sgd,
+                          theorem_steps)
 
     obj, _, const = quad10
     config = RunConfig(
         K=2, T=40, b=1, sync=regular_sync_schedule(40, 4),
-        steps=TheoremDecayStep(mu=const.mu, a=16.0 * const.kappa + 1.0),
+        steps=theorem_steps((const.mu, const.L), 4),
         seed=5, x0=np.zeros(obj.d), record=RecordFlags(iterates=True),
     )
     trace = run_local_sgd(config, obj)

@@ -12,6 +12,7 @@ from localsgd import (
     run_local_sgd,
     run_local_sgd_ensemble,
     run_minibatch_sgd,
+    theorem_steps,
 )
 from localsgd import sync
 from localsgd.averaging import SCHEMES, RunningAverage
@@ -22,7 +23,8 @@ from localsgd.sync import _certified_by_any, _certified_miss, _index_chunks, _si
 
 def quad_config(quad10, K, T, H, b=1, seed=0, record=None, a_extra=0.0):
     obj, ref, const = quad10
-    steps = TheoremDecayStep(mu=const.mu, a=max(16.0 * const.kappa, H) + 1.0 + a_extra)
+    steps = TheoremDecayStep(mu=const.mu,
+                             a=theorem_steps((const.mu, const.L), H).a + a_extra)
     return RunConfig(
         K=K, T=T, b=b, sync=regular_sync_schedule(T, H), steps=steps, seed=seed,
         x0=np.zeros(obj.d), record=record or RecordFlags(iterates=True),
@@ -203,8 +205,8 @@ def test_ensemble_matches_scalar_engine_on_logistic(logistic50):
     mu, L = logistic50.curvature()
     config = RunConfig(
         K=3, T=40, b=2, sync=regular_sync_schedule(40, 4),
-        steps=TheoremDecayStep(mu=mu, a=max(16.0 * L / mu, 4.0) + 1.0),
-        seed=0, x0=np.zeros(logistic50.d), record=RecordFlags(iterates=True),
+        steps=theorem_steps((mu, L), 4), seed=0, x0=np.zeros(logistic50.d),
+        record=RecordFlags(iterates=True),
     )
     ensemble = run_local_sgd_ensemble(config, logistic50, [42], record_deviations=True)
     single = run_local_sgd(
@@ -219,8 +221,7 @@ def test_ensemble_equals_scalar_engine_on_logistic_bitwise(logistic50):
     mu, L = logistic50.curvature()
     config = RunConfig(
         K=3, T=40, b=2, sync=regular_sync_schedule(40, 4),
-        steps=TheoremDecayStep(mu=mu, a=max(16.0 * L / mu, 4.0) + 1.0),
-        seed=0, x0=np.zeros(logistic50.d),
+        steps=theorem_steps((mu, L), 4), seed=0, x0=np.zeros(logistic50.d),
         record=RecordFlags(noise_norms=True, f_virtual=True, f_every=1),
     )
     seeds = [42, 7]

@@ -165,3 +165,24 @@ def test_speedup_monotone_in_H_at_zero_eps():
         for rho in (1.0, 25.0):
             values = [speedup(K, H, 0.0, rho) for H in (1, 2, 4, 8, 16, 32)]
             assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def test_speedup_and_estimate_equal_their_written_out_formulas_bitwise():
+    # the accuracy factor is stated once; both models keep their old rounding
+    for eps in (0.0, 1e-3, 0.1, 0.7):
+        for H in (1, 3, 16, 2.5):
+            for K in (1, 2, 7, 32):
+                accuracy_one = 0.5 + 0.5 * sqrt(1.0 + eps * (1.0 + H + H**2))
+                accuracy_k = 0.5 + 0.5 * sqrt(1.0 + eps * (1.0 + H + H**2 * K))
+                cost = 1.0 + 2.0 * 25.0 * (K - 1) / H
+                assert speedup(K, H, eps, 25.0) == K * accuracy_one / (accuracy_k * cost)
+                if eps > 0.0:
+                    assert iterations_estimate(eps, H, K) == accuracy_k / (K * eps)
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.0, -1.0, float("nan"), float("inf")])
+def test_speedup_takes_the_config_rule_for_rho(rho):
+    # one rule for rho, finite and >= 1, in the model and in a config
+    with pytest.raises(ValueError, match="cost ratio rho must be finite and >= 1"):
+        speedup(2, 1, 0.1, rho)
+    assert speedup(2, 1, 0.1, 1.0) > 0.0
