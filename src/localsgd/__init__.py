@@ -24,7 +24,7 @@ from .asynchronous import (
     run_async_local_sgd,
     run_load_balanced,
 )
-from .data import Dataset, LibsvmFormatError, parse_libsvm, serialize_libsvm
+from .data import Dataset, LibsvmFormatError, parse_libsvm
 from .lemmas import (
     CheckReport,
     check_async_deviation,

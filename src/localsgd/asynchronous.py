@@ -17,16 +17,19 @@ Which writes a read sees depends on the schedules, the delay model and
 the wall times, never on the run seed, so `write_plan` records every
 write and read of a configuration once, in a WriteLog that also serves
 post-hoc verification, and the runs replay it on the synchronous
-time-step loop (`sync._simulate`), many seeds at once.  Heterogeneous
-worker speeds are modeled by assigning H-step blocks of the sequences to
-physical workers (`load_balanced_assignment`) and replaying the resulting
-wall-clock order through the same engine.
+time-step loop (`sync._simulate`), many seeds at once.  A read sees a
+prefix of the write log plus its extras, the later writes already in
+flight to it.  Heterogeneous worker speeds are modeled by assigning H-step
+blocks of the sequences to physical workers (`load_balanced_assignment`)
+and replaying the resulting wall-clock order through the same engine.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -51,45 +54,17 @@ class DelayModel:
             raise ValueError("zero-delay model must declare tau=0")
 
 
-@dataclass
-class WriteEvent:
-    """One atomic aggregation: worker's block of updates since its last write."""
-
-    id: int
-    worker: int
-    step: int
-    wall: float
-    lag: int
-
-    @property
-    def visible_wall(self) -> float:
-        return self.wall + self.lag
-
-
-class ReadEvent:
-    """A read by `worker` at `step` of the aggregate.
-
-    It sees the first `settled` writes and, of the later ones, those given
-    as `visible_ids` (kept as `pending`), so it holds only the writes still
-    in flight; the `visible_ids` property lists every write it sees.
-    """
-
-    def __init__(self, worker, step, visible_ids, settled=0):
-        self.worker = worker
-        self.step = step
-        self.settled = settled
-        self.pending = tuple(visible_ids)
-
-    @property
-    def visible_ids(self) -> tuple:
-        """Ids of every write the read sees, ascending."""
-        return tuple(range(self.settled)) + self.pending
+Write = namedtuple("Write", "worker step wall lag")
+Read = namedtuple("Read", "worker step prefix extras")
 
 
 class WriteLog:
     """Every write and read of a run, with realized visibility.
 
-    Write ids are positions in `writes`, which is in step order.
+    A write (worker, step, wall, lag) lands at wall + lag; its id is its
+    position in `writes`, which is in step order.  A read (worker, step,
+    prefix, extras) sees the writes [0, prefix) and the ascending ids in
+    `extras`, the later writes already in flight to it.
     """
 
     def __init__(self):
@@ -101,23 +76,17 @@ def measured_delay(log: WriteLog) -> int:
     """Smallest tau' such that every write is visible to all reads tau'
     or more steps after it was issued.
 
-    A write by another worker at step s unseen by a read at step t >= s
-    forces tau' > t - s.  Writes are in step order, so each read looks
-    only at its writes from `settled` on, up to the first unseen one.
-    Returns 0 when nothing was ever stale.
+    A write at step s unseen by a read at step t >= s forces tau' > t - s.
+    Writes are in step order, so the oldest write a read misses is the one
+    at its prefix, and another sequence's, since a sequence sees its own
+    writes.  Returns 0 when nothing was ever stale.
     """
     if not log.reads:
         raise ValueError("write log has no recorded reads")
     worst = 0
     for r in log.reads:
-        seen = set(r.pending)
-        for i in range(r.settled, len(log.writes)):
-            w = log.writes[i]
-            if w.step > r.step:
-                break
-            if w.worker != r.worker and w.id not in seen:
-                worst = max(worst, r.step - w.step + 1)
-                break
+        if r.prefix < len(log.writes) and log.writes[r.prefix].step <= r.step:
+            worst = max(worst, r.step - log.writes[r.prefix].step + 1)
     return worst
 
 
@@ -153,8 +122,11 @@ def write_plan(K, T, per_worker_syncs, delay, wall_times=None) -> WriteLog:
     At each step the sequences that synchronize there write, in sequence
     order, then read.  A read sees its own writes and those whose lag has
     elapsed by its wall instant (the step, or `wall_times[(k, step)]`).
-    There is one synchronization schedule per sequence, each ending at T.
-    The plan does not depend on the run seed.
+    There is one synchronization schedule per sequence, each ending at T,
+    and a sequence's wall instants must not decrease.  So its reads see
+    nested sets, and each read's prefix and extras come from a scan that
+    starts at the sequence's previous prefix.  The plan does not depend on
+    the run seed.
     """
     if len(per_worker_syncs) != K:
         raise ValueError("need one synchronization schedule per worker")
@@ -166,30 +138,29 @@ def write_plan(K, T, per_worker_syncs, delay, wall_times=None) -> WriteLog:
     def wall_of(k, step):
         return float(step if wall_times is None else wall_times[(k, step)])
 
-    syncing = [[k for k in range(K) if per_worker_syncs[k].is_sync(t)]
-               for t in range(T + 1)]
-    # earliest wall instant of any read after step t
-    later = [np.inf] * (T + 2)
-    for t in range(T, 0, -1):
-        later[t] = min([later[t + 1]] + [wall_of(k, t) for k in syncing[t]])
-
     log = WriteLog()
-    settled = 0   # every later read sees the writes before this id
+    prefix = [0] * K                   # each sequence's prefix at its last read
+    last_wall = [-np.inf] * K
     for t in range(1, T + 1):
-        for k in syncing[t]:
+        syncing = [k for k in range(K) if per_worker_syncs[k].is_sync(t)]
+        for k in syncing:
             # a zero-delay model has tau 0
             lag = (int(lag_rng.integers(0, delay.tau + 1))
                    if delay.kind == "random-bounded" else delay.tau)
-            log.writes.append(WriteEvent(id=len(log.writes), worker=k, step=t,
-                                         wall=wall_of(k, t), lag=lag))
-        for k in syncing[t]:
+            log.writes.append(Write(k, t, wall_of(k, t), lag))
+        for k in syncing:
             wall = wall_of(k, t)
-            visible = [w.id for w in log.writes[settled:]
-                       if w.worker == k or w.visible_wall <= wall]
-            log.reads.append(ReadEvent(k, t, visible, settled))
-        while (settled < len(log.writes)
-               and log.writes[settled].visible_wall <= later[t + 1]):
-            settled += 1
+            if wall < last_wall[k]:
+                raise ValueError(f"the wall instants of sequence {k} decrease at step {t}")
+            last_wall[k] = wall
+            seen = [i for i, w in enumerate(log.writes[prefix[k]:], prefix[k])
+                    if w.worker == k or w.wall + w.lag <= wall]
+            # the seen ids that continue the prefix extend it
+            run = 0
+            while run < len(seen) and seen[run] == prefix[k] + run:
+                run += 1
+            prefix[k] += run
+            log.reads.append(Read(k, t, prefix[k], tuple(seen[run:])))
     return log
 
 
@@ -198,38 +169,48 @@ class _Replay:
 
     After step t, each sequence that writes at t adds its update block
     since its last read, X - base, to the aggregate; each that reads takes
-    x0 plus the blocks / K it sees, added in write-id order: the settled
-    sum, then its pending writes.  So no read scans the whole log.
+    x0 plus the blocks / K it sees, added in write-id order.  The blocks
+    before the smallest prefix of the reads still to come are folded into
+    one sum; a read adds the rest of its prefix, then its extras, to a copy
+    of it.  So no read scans the whole log.
+
+    Every schedule ends at T, so the plan of K sequences over T steps ends
+    with the writes of sequences 0..K-1 at step T; a plan that does not is
+    one of another run and is rejected.
     """
 
     def __init__(self, log, x0, S, K, T):
+        if [(w.worker, w.step) for w in log.writes[-K:]] != [(k, T) for k in range(K)]:
+            raise ValueError(f"the write plan is not one of K={K} sequences over T={T} steps")
         self.K = K
         self.writes_at = [[] for _ in range(T + 1)]
         self.reads_at = [[] for _ in range(T + 1)]
-        for w in log.writes:
-            self.writes_at[w.step].append(w)
-        for r in log.reads:
-            self.reads_at[r.step].append(r)
+        for i, w in enumerate(log.writes):
+            self.writes_at[w.step].append((i, w.worker))
+        # every read from this one on sees the writes before `fold`
+        folds = list(accumulate(reversed([r.prefix for r in log.reads]), min))[::-1]
+        for r, fold in zip(log.reads, folds):
+            self.reads_at[r.step].append((r, fold))
         self.base = np.tile(x0, (S, K, 1))           # the value each sequence last read
-        self.settled_sum = np.tile(x0, (S, 1))       # x0 plus the settled blocks / K
-        self.settled = 0
-        self.blocks = {}                             # id -> block / K, unsettled writes
+        self.folded_sum = np.tile(x0, (S, 1))        # x0 plus the folded blocks / K
+        self.folded = 0
+        self.blocks = {}                             # id -> block / K, unfolded writes
         self.total = np.zeros((S, len(x0)))          # sum of every block written
         self.rounds = np.zeros(K, dtype=np.int64)    # reads per sequence
 
     def __call__(self, t, X):
-        for w in self.writes_at[t]:
-            block = X[:, w.worker] - self.base[:, w.worker]
+        for i, k in self.writes_at[t]:
+            block = X[:, k] - self.base[:, k]
             self.total += block
-            self.blocks[w.id] = block / self.K
-        for r in self.reads_at[t]:
-            while self.settled < r.settled:
-                self.settled_sum += self.blocks.pop(self.settled)
-                self.settled += 1
+            self.blocks[i] = block / self.K
+        for r, fold in self.reads_at[t]:
+            while self.folded < fold:
+                self.folded_sum += self.blocks.pop(self.folded)
+                self.folded += 1
             # one sequence's aggregate telescopes to its own iterate
             if self.K > 1:
-                value = self.settled_sum.copy()
-                for i in r.pending:
+                value = self.folded_sum.copy()
+                for i in chain(range(self.folded, r.prefix), r.extras):
                     value += self.blocks[i]
                 X[:, r.worker] = value
             self.base[:, r.worker] = X[:, r.worker]
@@ -238,7 +219,7 @@ class _Replay:
     def keep(self, stay):
         """Keep only the runs of the stack where `stay` is True."""
         self.base = self.base[stay]
-        self.settled_sum = self.settled_sum[stay]
+        self.folded_sum = self.folded_sum[stay]
         self.total = self.total[stay]
         self.blocks = {i: block[stay] for i, block in self.blocks.items()}
 

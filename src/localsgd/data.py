@@ -53,12 +53,6 @@ class Dataset:
     def d(self) -> int:
         return self.features.shape[1]
 
-    def example(self, i):
-        """Example i as (label, [(index, value), ...]) with 1-based indices."""
-        row = self.features.getrow(i)
-        pairs = [(int(j) + 1, float(v)) for j, v in zip(row.indices, row.data)]
-        return float(self.labels[i]), pairs
-
     def row_norms_sq(self) -> np.ndarray:
         """Squared Euclidean norm of every feature row."""
         return np.asarray(self.features.multiply(self.features).sum(axis=1)).ravel()
@@ -132,13 +126,3 @@ def parse_libsvm(lines, declared_dimension=None) -> Dataset:
     )
     return Dataset(labels=np.frombuffer(labels, dtype=np.float64), features=features)
 
-
-def serialize_libsvm(dataset: Dataset) -> str:
-    """Render a Dataset back to LIBSVM text; parse(serialize(ds)) == ds."""
-    out = []
-    for i in range(dataset.n):
-        label, pairs = dataset.example(i)
-        head = "+1" if label > 0 else "-1"
-        feats = " ".join(f"{idx}:{value!r}" for idx, value in pairs)
-        out.append(f"{head} {feats}".rstrip())
-    return "\n".join(out) + "\n"

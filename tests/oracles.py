@@ -1,7 +1,8 @@
 """Formulas that only the tests use, independent of the engines.
 
-A sparse dot product by an index loop, the doubly weighted output average
-of the convergence theorem as an explicit weighted sum, the noise
+A dataset's examples as (label, pairs) and its LIBSVM text, a sparse dot
+product by an index loop, the doubly weighted output average of the
+convergence theorem as an explicit weighted sum, the noise
 constants of an objective over given points, a first-order reference
 solve to check the Newton solve of the harness against, and the block
 schedule of the load balancer and its staleness bound by scans over all
@@ -19,6 +20,24 @@ from localsgd import (
     ReferenceSolution,
     sum_of_weights,
 )
+
+
+def example(dataset, i):
+    """Example i of `dataset` as (label, [(index, value), ...]) with 1-based indices."""
+    row = dataset.features.getrow(i)
+    pairs = [(int(j) + 1, float(v)) for j, v in zip(row.indices, row.data)]
+    return float(dataset.labels[i]), pairs
+
+
+def serialize_libsvm(dataset) -> str:
+    """Render a Dataset back to LIBSVM text; parse(serialize(ds)) == ds."""
+    out = []
+    for i in range(dataset.n):
+        label, pairs = example(dataset, i)
+        head = "+1" if label > 0 else "-1"
+        feats = " ".join(f"{idx}:{value!r}" for idx, value in pairs)
+        out.append(f"{head} {feats}".rstrip())
+    return "\n".join(out) + "\n"
 
 
 def sparse_dot(features, x) -> float:

@@ -22,7 +22,7 @@ from localsgd import (
     theorem_steps,
 )
 from localsgd import sync
-from localsgd.asynchronous import (ReadEvent, WriteEvent, _check_staleness, _Replay,
+from localsgd.asynchronous import (Read, Write, _check_staleness, _Replay,
                                    run_async_ensemble, write_plan)
 from localsgd.lemmas import check_async_deviation
 from localsgd.sync import _index_chunks
@@ -73,27 +73,55 @@ def test_fixed_delay_staleness_bounded(quad10):
     assert measured_delay(log) <= 5
 
 
+def visible_ids(read):
+    """Ids of every write `read` sees, ascending."""
+    return tuple(range(read.prefix)) + read.extras
+
+
+def pair_scan_delay(log):
+    """The realized staleness of `log` by an exhaustive scan over (read, write) pairs."""
+    worst = 0
+    for r in log.reads:
+        for i, w in enumerate(log.writes):
+            if w.worker == r.worker or w.step > r.step or i in visible_ids(r):
+                continue
+            worst = max(worst, r.step - w.step + 1)
+    return worst
+
+
 def test_measured_delay_hand_built_log():
-    # one write lands two steps late; oracle: exhaustive scan over pairs
+    # one write lands two steps late
     log = WriteLog()
-    log.writes.append(WriteEvent(id=0, worker=0, step=2, wall=2.0, lag=2))
-    log.writes.append(WriteEvent(id=1, worker=1, step=2, wall=2.0, lag=0))
-    log.writes.append(WriteEvent(id=2, worker=1, step=4, wall=4.0, lag=0))
-    log.reads.append(ReadEvent(worker=1, step=2, visible_ids=(1,)))
-    log.reads.append(ReadEvent(worker=0, step=2, visible_ids=(0, 1)))
-    log.reads.append(ReadEvent(worker=1, step=3, visible_ids=(1,)))
-    log.reads.append(ReadEvent(worker=0, step=4, visible_ids=(0, 1, 2)))
+    log.writes.append(Write(worker=0, step=2, wall=2.0, lag=2))
+    log.writes.append(Write(worker=1, step=2, wall=2.0, lag=0))
+    log.writes.append(Write(worker=1, step=4, wall=4.0, lag=0))
+    log.reads.append(Read(worker=1, step=2, prefix=0, extras=(1,)))
+    log.reads.append(Read(worker=0, step=2, prefix=2, extras=()))
+    log.reads.append(Read(worker=1, step=3, prefix=0, extras=(1,)))
+    log.reads.append(Read(worker=0, step=4, prefix=3, extras=()))
+    assert measured_delay(log) == pair_scan_delay(log) == 2
 
-    def oracle(log):
-        worst = 0
-        for r in log.reads:
-            for w in log.writes:
-                if w.worker == r.worker or w.step > r.step or w.id in r.visible_ids:
-                    continue
-                worst = max(worst, r.step - w.step + 1)
-        return worst
 
-    assert measured_delay(log) == oracle(log) == 2
+@pytest.mark.parametrize("K, per_worker_H, delay, speeds", [
+    (3, (4,), DelayModel("fixed", tau=5), None),
+    (4, (2,), DelayModel("fixed", tau=7), None),
+    (3, (4,), DelayModel("random-bounded", tau=6, seed=11), None),
+    (4, (1,), DelayModel("random-bounded", tau=9, seed=3), None),
+    (3, (2, 5, 3), DelayModel("fixed", tau=3), None),
+    (4, (6, 1), DelayModel("random-bounded", tau=4, seed=8), None),
+    (2, (4,), DelayModel("zero"), (2.0, 1.0)),
+    (3, (4,), DelayModel("zero"), (3.0, 1.0, 1.5)),
+    (4, (2,), DelayModel("zero"), (0.5, 2.0, 1.0, 4.0)),
+])
+def test_measured_delay_equals_the_pair_scan_on_plans(K, per_worker_H, delay, speeds):
+    T = 48
+    schedules = [regular_sync_schedule(T, per_worker_H[k % len(per_worker_H)])
+                 for k in range(K)]
+    wall_times = (None if speeds is None else
+                  load_balanced_assignment(speeds, per_worker_H[0], T // per_worker_H[0])
+                  .wall_times())
+    log = write_plan(K, T, schedules, delay, wall_times)
+    assert measured_delay(log) == pair_scan_delay(log)
 
 
 def test_visibility_sets_are_monotone(quad10):
@@ -105,12 +133,12 @@ def test_visibility_sets_are_monotone(quad10):
     )
     # each sequence's successive reads see nested write sets
     for k in range(3):
-        seen = [set(r.visible_ids) for r in log.reads if r.worker == k]
+        seen = [set(visible_ids(r)) for r in log.reads if r.worker == k]
         assert len(seen) == 40 // 4
         assert all(prev <= cur for prev, cur in zip(seen, seen[1:]))
         assert max(w.step for w in log.writes if w.worker == k) == 40
     # all updates visible at the horizon plus the declared delay window
-    assert all(w.visible_wall <= 40 + 6 for w in log.writes)
+    assert all(w.wall + w.lag <= 40 + 6 for w in log.writes)
 
 
 def test_aggregate_equals_virtual_sequence_at_horizon(quad10):
@@ -146,6 +174,32 @@ def test_write_plan_checks_its_schedules():
         write_plan(3, 24, [sched] * 2, DelayModel("zero"))
     with pytest.raises(ValueError, match="horizon"):
         write_plan(2, 24, [sched, regular_sync_schedule(20, 4)], DelayModel("zero"))
+
+
+def test_write_plan_rejects_a_decreasing_wall_of_one_sequence():
+    T, H = 24, 4
+    schedules = [regular_sync_schedule(T, H)] * 3
+    wall_times = load_balanced_assignment([3.0, 1.0, 1.5], H, T // H).wall_times()
+    wall_times[(1, 2 * H)] = wall_times[(1, H)] - 0.5
+    with pytest.raises(ValueError, match="wall instants of sequence 1 decrease at step 8"):
+        write_plan(3, T, schedules, DelayModel("zero"), wall_times)
+
+
+def test_async_ensemble_rejects_a_plan_of_another_run(quad10):
+    # a plan for another horizon or another number of sequences would
+    # replay wrong rows, or end in an IndexError
+    obj, _, _ = quad10
+    K, T = 3, 48
+    config = async_config(quad10, K=K, T=T, H=4, window=6, b=1)
+    delay = DelayModel("fixed", tau=2)
+    for other_K, other_T in ((K, 24), (2, T), (4, T)):
+        plan = write_plan(other_K, other_T, [regular_sync_schedule(other_T, 4)] * other_K,
+                          delay)
+        with pytest.raises(ValueError, match="write plan is not one of K=3 sequences "
+                                             "over T=48 steps"):
+            run_async_ensemble(config, plan, obj, [1, 2])
+    plan = write_plan(K, T, [regular_sync_schedule(T, 4)] * K, delay)
+    assert run_async_ensemble(config, plan, obj, [1, 2]).deviations.shape == (2, T + 1)
 
 
 def test_staleness_check_raises_above_tau_and_returns_the_measured_value():
@@ -308,7 +362,8 @@ def test_batched_replay_equals_single_runs_bitwise(quad10, K, per_worker_H, dela
                                           track_second_moment=True)
         assert np.array_equal(batch.deviations[r], single.deviations)
         moments.append(single.max_second_moment)
-        # the settled sum plus pending writes adds in the full scan's order
+        # the folded sum, the rest of the prefix and the extras add in the
+        # full scan's order
         xbar, devs, final, aggregate, rounds, reads = full_scan_async(
             replace(config, seed=seed), schedules, delay, obj, wall_times)
         for got, want in ((single.xbar, xbar), (single.deviations, devs),
@@ -316,7 +371,7 @@ def test_batched_replay_equals_single_runs_bitwise(quad10, K, per_worker_H, dela
                           (single.final_aggregate, aggregate),
                           (single.comm_rounds, rounds)):
             assert np.array_equal(got, want)
-        assert [read.visible_ids for read in log.reads] == reads
+        assert [visible_ids(read) for read in log.reads] == reads
     assert batch.max_second_moment == max(moments)
     assert not batch.diverged.any()
 

@@ -4,15 +4,15 @@ import io
 import numpy as np
 import pytest
 
-from localsgd import LibsvmFormatError, LogisticObjective, parse_libsvm, serialize_libsvm
-from oracles import sparse_dot
+from localsgd import LibsvmFormatError, LogisticObjective, parse_libsvm
+from oracles import example, serialize_libsvm, sparse_dot
 
 
 def test_parse_basic_line():
     ds = parse_libsvm(["+1 3:1 11:0.5"])
     assert ds.n == 1
     assert ds.d == 11
-    label, pairs = ds.example(0)
+    label, pairs = example(ds, 0)
     assert label == 1.0
     assert pairs == [(3, 1.0), (11, 0.5)]
 

@@ -1,7 +1,8 @@
 """The package names that code outside it uses: the benchmark and the demos.
 
 Neither runs in this suite, so a public name they need, or a parameter
-they pass, could be removed without any other test failing.
+they pass, could be removed without any other test failing.  Conversely,
+every name the package exports needs a caller outside the tests.
 """
 
 import ast
@@ -108,3 +109,38 @@ def test_calls_from_outside_the_package_bind(path):
         except TypeError as exc:
             unbound.append(f"{callee}: {exc}")
     assert not unbound, f"{path.name} passes arguments the package does not take: {unbound}"
+
+
+# exported names that only the tests call, each with the reason it stays
+TEST_ONLY_EXPORTS = {
+    "run_minibatch_sgd": "criterion 2's independent reference for every-step sync",
+    "theorem2_bound": "the paper's asynchronous bound, to be compared with async runs",
+    "corollary_bound": "the paper's corollary, a closed form the package evaluates",
+}
+
+
+def _exported_names():
+    tree = ast.parse((REPO_ROOT / "src" / "localsgd" / "__init__.py").read_text(encoding="utf-8"))
+    return {alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _names_read(path):
+    """Every name `path` reads, imports or reads as an attribute."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    # the package's modules (the CLI among them), the demos and the benchmark
+    package = [p for p in sorted((REPO_ROOT / "src" / "localsgd").glob("*.py"))
+               if p.name != "__init__.py"]
+    called = {name for path in package + CALLERS for name in _names_read(path)}
+    exported = _exported_names()
+    assert set(TEST_ONLY_EXPORTS) <= exported
+    assert sorted(exported - called) == sorted(TEST_ONLY_EXPORTS)

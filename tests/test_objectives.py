@@ -9,7 +9,7 @@ from localsgd import (
     make_quadratic,
     parse_libsvm,
 )
-from oracles import estimate_constants
+from oracles import estimate_constants, example
 
 
 def test_value_at_zero_is_log_two(synth50):
@@ -30,7 +30,7 @@ def test_single_point_value_matches_scalar_oracle():
 
 def test_gradient_at_zero(synth50):
     g = LogisticObjective(synth50, lam=0.0).component_gradient(np.zeros(synth50.d), 4)
-    label, pairs = synth50.example(4)
+    label, pairs = example(synth50, 4)
     expected = np.zeros(synth50.d)
     for idx, val in pairs:
         expected[idx - 1] = -label * val / 2.0
