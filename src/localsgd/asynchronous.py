@@ -16,12 +16,13 @@ a logical step clock with writes serialized before reads at each step.
 Which writes a read sees depends on the schedules, the delay model and
 the wall times, never on the run seed, so `write_plan` records every
 write and read of a configuration once, in a WriteLog that also serves
-post-hoc verification, and the runs replay it on the synchronous
-time-step loop (`sync._simulate`), many seeds at once.  A read sees a
-prefix of the write log plus its extras, the later writes already in
-flight to it.  Heterogeneous worker speeds are modeled by assigning H-step
-blocks of the sequences to physical workers (`load_balanced_assignment`)
-and replaying the resulting wall-clock order through the same engine.
+post-hoc verification.  A read sees a prefix of the write log plus its
+extras, the later writes already in flight to it.  Every run, one seed or
+many, writes, checks and replays its own plan in one function on the
+synchronous time-step loop (`sync._simulate`), so no plan crosses the API.
+Heterogeneous worker speeds are modeled by assigning H-step blocks of the
+sequences to physical workers (`load_balanced_assignment`) and replaying
+the resulting wall-clock order through the same function.
 """
 
 from __future__ import annotations
@@ -90,32 +91,6 @@ def measured_delay(log: WriteLog) -> int:
     return worst
 
 
-def _check_staleness(log, tau) -> int:
-    """Measured staleness of `log`; raises when it exceeds the declared tau."""
-    realized = measured_delay(log)
-    if realized > tau:
-        raise RuntimeError(
-            f"delay model violated its declared bound: realized staleness "
-            f"{realized} > tau={tau}"
-        )
-    return realized
-
-
-def _checked_plan(config, per_worker_syncs, delay, objective, wall_times=None,
-                  declared_tau=None):
-    """The write plan of an asynchronous run of `config`, checked before any run.
-
-    Writes the plan, checks a decaying schedule's shift against the longest
-    sync interval plus tau, then the plan's realized staleness against tau:
-    `declared_tau`, or the delay model's.  Returns (plan, realized staleness).
-    """
-    log = write_plan(config.K, config.T, per_worker_syncs, delay, wall_times)
-    tau = delay.tau if declared_tau is None else int(declared_tau)
-    validate_shift(config.steps, objective.curvature(),
-                   max(s.H for s in per_worker_syncs) + tau)
-    return log, _check_staleness(log, tau)
-
-
 def write_plan(K, T, per_worker_syncs, delay, wall_times=None) -> WriteLog:
     """Every write and read of an asynchronous run of K sequences over T steps.
 
@@ -173,15 +148,9 @@ class _Replay:
     before the smallest prefix of the reads still to come are folded into
     one sum; a read adds the rest of its prefix, then its extras, to a copy
     of it.  So no read scans the whole log.
-
-    Every schedule ends at T, so the plan of K sequences over T steps ends
-    with the writes of sequences 0..K-1 at step T; a plan that does not is
-    one of another run and is rejected.
     """
 
     def __init__(self, log, x0, S, K, T):
-        if [(w.worker, w.step) for w in log.writes[-K:]] != [(k, T) for k in range(K)]:
-            raise ValueError(f"the write plan is not one of K={K} sequences over T={T} steps")
         self.K = K
         self.writes_at = [[] for _ in range(T + 1)]
         self.reads_at = [[] for _ in range(T + 1)]
@@ -233,59 +202,80 @@ class AsyncRunTrace:
     comm_rounds: np.ndarray      # (K,) reads per sequence
     final_iterates: np.ndarray   # (K, d)
     final_aggregate: np.ndarray  # (d,) x0 plus every update block / K
-    max_second_moment: float
     diverged: bool               # iterates left the representable range
 
 
-def run_async_local_sgd(config, per_worker_syncs, delay, objective,
-                        wall_times=None, declared_tau=None,
-                        track_second_moment=False):
+def _replayed(config, per_worker_syncs, delay, objective, seeds, *, virtual,
+              track_second_moment=False, wall_times=None, declared_tau=None):
+    """Every asynchronous run: writes the plan of `config`, checks it, and
+    replays it once per seed.
+
+    Before any gradient work, checks a decaying schedule's shift against
+    the longest sync interval plus tau, then the plan's realized staleness
+    against tau: `declared_tau`, or the delay model's.  The runs record
+    deviations, and the virtual sequence if `virtual`.  Returns the run
+    dict, with the plan's `staleness`, the reads per sequence
+    (`comm_rounds`) and each run's `final_aggregate`, and the plan.
+    """
+    log = write_plan(config.K, config.T, per_worker_syncs, delay, wall_times)
+    tau = delay.tau if declared_tau is None else int(declared_tau)
+    validate_shift(config.steps, objective.curvature(),
+                   max(s.H for s in per_worker_syncs) + tau)
+    staleness = measured_delay(log)
+    if staleness > tau:
+        raise RuntimeError(
+            f"delay model violated its declared bound: realized staleness "
+            f"{staleness} > tau={tau}"
+        )
+    replay = _Replay(log, config.x0, len(seeds), config.K, config.T)
+    run = _simulate(replace(config, record=RecordFlags(virtual=virtual, f_values=False)),
+                    objective, seeds, exchange=replay,
+                    track_second_moment=track_second_moment)
+    run.update(staleness=staleness, comm_rounds=replay.rounds,
+               final_aggregate=config.x0 + replay.total / config.K)
+    return run, log
+
+
+def _trace(run) -> AsyncRunTrace:
+    """The AsyncRunTrace of the one run of a `_replayed` run dict."""
+    return AsyncRunTrace(
+        xbar=run["rows"]["xbar"][:, 0],
+        deviations=run["rows"]["deviations"][:, 0],
+        comm_rounds=run["comm_rounds"],
+        final_iterates=run["final_iterates"][0],
+        final_aggregate=run["final_aggregate"][0],
+        diverged=bool(run["diverged"][0]),
+    )
+
+
+def run_async_local_sgd(config, per_worker_syncs, delay, objective):
     """Simulate asynchronous local SGD; returns (AsyncRunTrace, WriteLog).
 
     `per_worker_syncs` gives each sequence its own synchronization
-    schedule (each must end at the horizon T).  `wall_times`, when given,
-    maps (worker, sync step) to a wall-clock instant and overrides the
-    logical clock for visibility comparisons; this is how
-    heterogeneous-speed block schedules are replayed, with `declared_tau`
-    carrying the plan's staleness bound.  The realized staleness of the
-    write plan is checked against the declared tau before any gradient
-    work; a violation aborts with a diagnostic.  Sequence k samples the
-    same indices as worker k of `run_local_sgd`, and a run that diverges
-    stops there with its last finite iterates and `diverged` set.
+    schedule (each must end at the horizon T).  The realized staleness of
+    the write plan is checked against the delay model's tau before any
+    gradient work; a violation aborts with a diagnostic.  Sequence k
+    samples the same indices as worker k of `run_local_sgd`, and a run
+    that diverges stops there with its last finite iterates and
+    `diverged` set.
     """
-    K = config.K
-    log, _ = _checked_plan(config, per_worker_syncs, delay, objective, wall_times,
-                           declared_tau)
-    replay = _Replay(log, config.x0, 1, K, config.T)
-    run = _simulate(replace(config, record=RecordFlags(f_values=False)), objective,
-                    [config.seed], exchange=replay,
-                    track_second_moment=track_second_moment)
-    trace = AsyncRunTrace(
-        xbar=run["rows"]["xbar"][:, 0],
-        deviations=run["rows"]["deviations"][:, 0],
-        comm_rounds=replay.rounds,
-        final_iterates=run["final_iterates"][0],
-        final_aggregate=config.x0 + replay.total[0] / K,
-        max_second_moment=run["max_second_moment"],
-        diverged=bool(run["diverged"][0]),
-    )
-    return trace, log
+    run, log = _replayed(config, per_worker_syncs, delay, objective, [config.seed],
+                         virtual=True)
+    return _trace(run), log
 
 
-def run_async_ensemble(config, log, objective, seeds, *, track_second_moment=False):
-    """Asynchronous runs of `config`, one per seed, all replaying one plan.
+def run_async_ensemble(config, per_worker_syncs, delay, objective, seeds, *,
+                       track_second_moment=False):
+    """Asynchronous runs of `config`, one per seed, all replaying the plan
+    that `run_async_local_sgd` writes and checks for the same inputs.
 
-    `log` comes from `_checked_plan`, which checked its schedules, the
-    shift and its staleness.
     Run r agrees bitwise with `run_async_local_sgd` at seed seeds[r].
-    Returns the EnsembleResult of the sync ensemble, with `deviations`
-    recorded and the output average of the virtual sequence.
+    Returns the EnsembleResult of the sync ensemble, with `deviations`,
+    the output average of the virtual sequence and the plan's `staleness`.
     """
-    run = _simulate(replace(config, record=RecordFlags(virtual=False, f_values=False)),
-                    objective, seeds,
-                    exchange=_Replay(log, config.x0, len(seeds), config.K, config.T),
-                    track_second_moment=track_second_moment)
-    return _ensemble_result(run, objective)
+    run, _ = _replayed(config, per_worker_syncs, delay, objective, seeds, virtual=False,
+                       track_second_moment=track_second_moment)
+    return _ensemble_result(run, objective, run["staleness"])
 
 
 @dataclass
@@ -379,12 +369,7 @@ def run_load_balanced(config, speeds, objective):
     if len(speeds) != config.K:
         raise ValueError("need one speed per logical sequence (K of them)")
     plan = load_balanced_assignment(speeds, H, n_blocks=config.T // H)
-    trace, log = run_async_local_sgd(
-        config,
-        [config.sync] * config.K,
-        DelayModel(kind="zero"),
-        objective,
-        wall_times=plan.wall_times(),
-        declared_tau=plan.bound,
-    )
-    return trace, log, plan
+    run, log = _replayed(config, [config.sync] * config.K, DelayModel(kind="zero"),
+                         objective, [config.seed], virtual=True,
+                         wall_times=plan.wall_times(), declared_tau=plan.bound)
+    return _trace(run), log, plan

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,8 +65,8 @@ def parse_libsvm(lines, declared_dimension=None) -> Dataset:
     `lines` is any iterable of strings (an open file works).  The feature
     dimension is `declared_dimension` when given, otherwise the largest
     index seen.  Raises LibsvmFormatError with the offending line number
-    for malformed tokens, labels outside {+-1}, non-increasing indices, or
-    indices above the declared dimension.
+    for malformed tokens, non-finite values, labels outside {+-1},
+    non-increasing indices, or indices above the declared dimension.
     """
     # typed buffers hold 8 bytes per entry, a list ~4x that in float objects
     labels = array("d")
@@ -96,6 +97,8 @@ def parse_libsvm(lines, declared_dimension=None) -> Dataset:
                 value = float(val_str)
             except ValueError:
                 raise LibsvmFormatError(f"malformed token {token!r}", lineno)
+            if not isfinite(value):
+                raise LibsvmFormatError(f"non-finite value in token {token!r}", lineno)
             if index < 1:
                 raise LibsvmFormatError(f"index {index} must be >= 1", lineno)
             if index <= prev_index:

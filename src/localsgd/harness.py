@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import parse_libsvm
-from .lemmas import LEMMA_DEFAULTS, LEMMA_HEADER, lemma_suite
+from .lemmas import LEMMA_DEFAULTS, LEMMA_HEADER, lemma_suite, validate_fixture
 from .objectives import (
     LogisticObjective,
     QuadraticObjective,
@@ -125,13 +125,10 @@ class ExperimentConfig:
             raise ConfigError(f"grid window [{self.i_min}, {self.i_max}] must lie within "
                               f"[{_GRID_MIN}, {_GRID_MAX}], where every c = 2^i is "
                               f"positive and finite")
-        lemmas = {**LEMMA_DEFAULTS, **self.lemmas}
-        for key, low in (("runs", 2), ("trials", 100), ("K", 1), ("H", 1), ("T", 1),
-                         ("b", 1), ("tau", 0)):
-            if lemmas[key] < low:
-                raise ConfigError(f"lemmas.{key} must be >= {low}, got {lemmas[key]}")
-        if lemmas["H"] > lemmas["T"]:
-            raise ConfigError("lemmas.H must be <= lemmas.T")
+        try:
+            validate_fixture({**LEMMA_DEFAULTS, **self.lemmas})
+        except ValueError as exc:
+            raise ConfigError(f"lemmas.{exc}")
 
 
 def _parse_list(raw, cast, field_name):

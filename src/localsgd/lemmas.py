@@ -31,7 +31,7 @@ import numpy as np
 from . import sync
 # measured_delay and run_async_local_sgd stay names of this module, where
 # benchmarks/tracing.py wraps them
-from .asynchronous import (DelayModel, _checked_plan, measured_delay,  # noqa: F401
+from .asynchronous import (DelayModel, measured_delay,  # noqa: F401
                            run_async_ensemble, run_async_local_sgd)
 from .averaging import sum_of_weights
 from .schedules import TheoremDecayStep, regular_sync_schedule, theorem_steps
@@ -157,18 +157,20 @@ def _deviation_check(check, config, ensemble, constant, window, runs, seed, deta
     `ensemble(seeds, track_second_moment=...)` is the engine's ensemble
     runner for `config`, recording deviations.  G^2 comes from held-out
     runs; the mean deviation of the tested runs is compared with the bound
-    at every step, and the report belongs to the tightest step.
+    at every step, and the report belongs to the tightest step.  The
+    detail's `worst_staleness` is the tested runs' realized staleness.
     """
     if not isinstance(config.steps, TheoremDecayStep):
         raise ValueError("this check requires the decaying stepsize schedule")
     G_sq = ensemble(_heldout_seeds(seed, runs), track_second_moment=True).max_second_moment
-    dev = ensemble(_run_seeds(seed, runs)).deviations
+    tested = ensemble(_run_seeds(seed, runs))
     # Python floats: eta**2 of a float is C pow, which numpy's square is not
     bounds = np.array([constant * config.steps.eta(t)**2 * G_sq * window**2
                        for t in range(config.T + 1)])
-    t, statistic, stderr = _tightest_step(dev, bounds)
+    t, statistic, stderr = _tightest_step(tested.deviations, bounds)
     return CheckReport(check=check, trials=runs, statistic=statistic, bound=float(bounds[t]),
-                       stderr=stderr, worst_step=t, detail={"G_sq": G_sq, **detail})
+                       stderr=stderr, worst_step=t,
+                       detail={"G_sq": G_sq, "worst_staleness": tested.staleness, **detail})
 
 
 def check_deviation_bound(config, objective, runs, seed=0) -> CheckReport:
@@ -315,20 +317,28 @@ def make_equality_builder(mu, A, B, C):
 def check_async_deviation(config, delay, objective, runs, seed=0) -> CheckReport:
     """Deviation bound under delayed writes: 12 eta_t^2 G^2 (H + tau)^2.
 
-    Every sequence synchronizes on the run's schedule.  The write plan of
-    the configuration is built once and its realized staleness checked
-    against the declared tau before any run; then the held-out runs and
-    the tested runs replay it as one batch each.  The per-step mean
-    deviation of sequences from the virtual average is compared against
-    the bound; G^2 comes from the held-out runs.
+    Every sequence synchronizes on the run's schedule.  The held-out runs
+    and the tested runs are one `run_async_ensemble` batch each, which
+    writes the plan of the configuration and checks its realized
+    staleness against the declared tau before any gradient work.  The
+    per-step mean deviation of sequences from the virtual average is
+    compared against the bound; G^2 comes from the held-out runs.
     """
     H = config.sync.H
-    plan, worst_staleness = _checked_plan(config, [config.sync] * config.K, delay,
-                                          objective)
-    ensemble = partial(run_async_ensemble, config, plan, objective)
+    ensemble = partial(run_async_ensemble, config, [config.sync] * config.K, delay,
+                       objective)
     return _deviation_check("async-deviation", config, ensemble, 12.0, H + delay.tau,
-                            runs, seed, {"H": H, "tau": delay.tau,
-                                         "worst_staleness": worst_staleness})
+                            runs, seed, {"H": H, "tau": delay.tau})
+
+
+def validate_fixture(params):
+    """Raise ValueError unless the lemma_suite parameters `params` are in range."""
+    for key, low in (("runs", 2), ("trials", 100), ("K", 1), ("H", 1), ("T", 1),
+                     ("b", 1), ("tau", 0)):
+        if params[key] < low:
+            raise ValueError(f"{key} must be >= {low}, got {params[key]}")
+    if params["H"] > params["T"]:
+        raise ValueError("H must be <= T")
 
 
 def lemma_suite(objective, reference, *, runs=1000, trials=4000, K=4, H=4, T=64, b=1,
@@ -341,8 +351,10 @@ def lemma_suite(objective, reference, *, runs=1000, trials=4000, K=4, H=4, T=64,
     worker states of a warm-up run one step before its last
     synchronization (horizon max(2H, 8)), so the states are distinct when
     H > 1.  The recursion takes A = 1/2, B = sigma^2 / K and
-    C = 8 G^2 H^2 L.  Returns the five CheckReports.
+    C = 8 G^2 H^2 L.  Returns the five CheckReports.  Parameters out of
+    range (`validate_fixture`) raise ValueError before any run.
     """
+    validate_fixture(dict(runs=runs, trials=trials, K=K, H=H, T=T, b=b, tau=tau))
     mu, L = objective.curvature()
     x0 = np.zeros(objective.d)
     B = objective.variance_at(x0) / K

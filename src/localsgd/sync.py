@@ -44,7 +44,7 @@ _DIVERGED = 1e100          # a run whose iterates reach this magnitude has diver
 
 @dataclass
 class RecordFlags:
-    """What a run should trace; heavier recordings are off by default."""
+    """What a run should trace; the heavier recordings, from `iterates` on, are off."""
 
     virtual: bool = True         # virtual average per step
     deviations: bool = True      # (1/K) sum_k ||xbar - x_k||^2 per step
@@ -537,6 +537,7 @@ class EnsembleResult:
     objective: object = field(repr=False)
     diverged: np.ndarray             # (S,) runs stopped by the divergence guard
     max_second_moment: float         # 0.0 unless tracked
+    staleness: int                   # realized staleness of the async write plan; 0 for sync
     output_average: np.ndarray       # (S, d) shift-a weighted average over t < T
     deviations: np.ndarray | None    # (S, T+1)
     dist_sq: np.ndarray | None       # (S, T+1) squared distance of xbar to ref
@@ -552,12 +553,12 @@ class EnsembleResult:
         return f
 
 
-def _ensemble_result(run, objective) -> EnsembleResult:
+def _ensemble_result(run, objective, staleness=0) -> EnsembleResult:
     """The EnsembleResult of the run dict of an ensemble `_simulate`, sync or async."""
     output_average = run["output_average"]
     output_average[run["diverged"]] = np.nan
     return EnsembleResult(
-        objective, run["diverged"], run["max_second_moment"], output_average,
+        objective, run["diverged"], run["max_second_moment"], staleness, output_average,
         **{name: None if run["rows"][name] is None else run["rows"][name].T
            for name in ("deviations", "dist_sq", "noise_sq", "f_xbar")})
 

@@ -6,8 +6,8 @@ convergence theorem as an explicit weighted sum, the noise
 constants of an objective over given points, a first-order reference
 solve to check the Newton solve of the harness against, and the block
 schedule of the load balancer and its staleness bound by scans over all
-pairs, and the tightest step of the perturbed-step inequality by a loop
-over its checked steps.
+pairs, the tightest step of the perturbed-step inequality by a loop over
+its checked steps, and an objective that counts its gradient calls.
 """
 
 from math import sqrt
@@ -222,3 +222,21 @@ def perturbed_by_loop(result, steps, points, mu, L, f_star):
         if worst is None or margin < worst[0]:
             worst = (margin, int(t), float(lhs.mean()), float(rhs.mean()), stderr)
     return worst[1:]
+
+
+class GradientCounter:
+    """An objective that counts the calls to its gradient oracles."""
+
+    def __init__(self, objective):
+        self.objective = objective
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(self.objective, name)
+        if "gradient" not in name:
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+        return counted

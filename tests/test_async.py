@@ -22,11 +22,11 @@ from localsgd import (
     theorem_steps,
 )
 from localsgd import sync
-from localsgd.asynchronous import (Read, Write, _check_staleness, _Replay,
-                                   run_async_ensemble, write_plan)
+from localsgd.asynchronous import (Read, Write, _replayed, _Replay, run_async_ensemble,
+                                   write_plan)
 from localsgd.lemmas import check_async_deviation
-from localsgd.sync import _index_chunks
-from oracles import assignment_bound, assignment_entries
+from localsgd.sync import _ensemble_result, _index_chunks, run_local_sgd_ensemble
+from oracles import GradientCounter, assignment_bound, assignment_entries
 
 
 def async_config(quad10, K, T, H, window, seed=0, b=1):
@@ -155,9 +155,12 @@ def test_declared_bound_violation_aborts(quad10):
     obj, _, _ = quad10
     config = async_config(quad10, K=3, T=24, H=4, window=9, seed=4)
     schedules = [config.sync] * 3
+    # only a load-balanced run declares a tau of its own, through the one path
+    counter = GradientCounter(obj)
     with pytest.raises(RuntimeError, match="declared bound"):
-        run_async_local_sgd(config, schedules, DelayModel("fixed", tau=5), obj,
-                            declared_tau=2)
+        _replayed(config, schedules, DelayModel("fixed", tau=5), counter, [config.seed],
+                  virtual=True, declared_tau=2)
+    assert counter.calls == 0
 
 
 def test_schedules_must_contain_horizon(quad10):
@@ -185,28 +188,29 @@ def test_write_plan_rejects_a_decreasing_wall_of_one_sequence():
         write_plan(3, T, schedules, DelayModel("zero"), wall_times)
 
 
-def test_async_ensemble_rejects_a_plan_of_another_run(quad10):
-    # a plan for another horizon or another number of sequences would
-    # replay wrong rows, or end in an IndexError
+def test_staleness_check_raises_above_tau_and_returns_the_measured_value(quad10):
     obj, _, _ = quad10
-    K, T = 3, 48
-    config = async_config(quad10, K=K, T=T, H=4, window=6, b=1)
-    delay = DelayModel("fixed", tau=2)
-    for other_K, other_T in ((K, 24), (2, T), (4, T)):
-        plan = write_plan(other_K, other_T, [regular_sync_schedule(other_T, 4)] * other_K,
-                          delay)
-        with pytest.raises(ValueError, match="write plan is not one of K=3 sequences "
-                                             "over T=48 steps"):
-            run_async_ensemble(config, plan, obj, [1, 2])
-    plan = write_plan(K, T, [regular_sync_schedule(T, 4)] * K, delay)
-    assert run_async_ensemble(config, plan, obj, [1, 2]).deviations.shape == (2, T + 1)
-
-
-def test_staleness_check_raises_above_tau_and_returns_the_measured_value():
-    log = write_plan(3, 24, [regular_sync_schedule(24, 4)] * 3, DelayModel("fixed", tau=5))
-    assert _check_staleness(log, 5) == _check_staleness(log, 9) == measured_delay(log) == 5
+    config = async_config(quad10, K=3, T=24, H=4, window=4)
+    schedules, delay = [config.sync] * 3, DelayModel("fixed", tau=5)
+    log = write_plan(3, 24, schedules, delay)
+    for tau in (5, 9):
+        run, _ = _replayed(config, schedules, delay, obj, [1, 2], virtual=False,
+                           declared_tau=tau)
+        assert run["staleness"] == measured_delay(log) == 5
     with pytest.raises(RuntimeError, match="declared bound"):
-        _check_staleness(log, 4)
+        _replayed(config, schedules, delay, obj, [1, 2], virtual=False, declared_tau=4)
+
+
+@pytest.mark.parametrize("delay", [DelayModel("fixed", tau=3),
+                                   DelayModel("random-bounded", tau=6, seed=11),
+                                   DelayModel("zero")])
+def test_ensemble_staleness_is_the_measured_delay_of_the_plan(quad10, delay):
+    obj, _, _ = quad10
+    config = async_config(quad10, K=3, T=48, H=4, window=4 + delay.tau)
+    schedules = [config.sync] * 3
+    batch = run_async_ensemble(config, schedules, delay, obj, [1, 2])
+    assert batch.staleness == measured_delay(write_plan(3, 48, schedules, delay))
+    assert run_local_sgd_ensemble(config, obj, [1, 2]).staleness == 0
 
 
 def test_heterogeneous_per_worker_schedules(quad10):
@@ -340,6 +344,10 @@ def full_scan_async(config, per_worker_syncs, delay, objective, wall_times=None)
     (1, (6,), DelayModel("random-bounded", tau=3, seed=2), None),
     (2, (4, 4), DelayModel("zero"), (2.0, 1.0)),
     (3, (4, 4), DelayModel("zero"), (3.0, 1.0, 1.5)),
+    # H and tau apart at the same K and T: each batch replays its own plan
+    (3, (2,), DelayModel("fixed", tau=2), None),
+    (3, (8,), DelayModel("fixed", tau=2), None),
+    (3, (4,), DelayModel("zero"), None),
 ])
 def test_batched_replay_equals_single_runs_bitwise(quad10, K, per_worker_H, delay, speeds):
     obj, _, _ = quad10
@@ -352,16 +360,33 @@ def test_batched_replay_equals_single_runs_bitwise(quad10, K, per_worker_H, dela
         wall_times, tau = plan.wall_times(), plan.bound
     config = async_config(quad10, K=K, T=T, H=max(per_worker_H),
                           window=max(per_worker_H) + tau, b=2)
+
+    def ensemble(seeds):
+        if speeds is None:
+            return run_async_ensemble(config, schedules, delay, obj, seeds,
+                                      track_second_moment=True)
+        # no public runner batches a load-balanced plan; the one path of
+        # every async run does
+        run, _ = _replayed(config, schedules, delay, obj, seeds, virtual=False,
+                           track_second_moment=True, wall_times=wall_times,
+                           declared_tau=tau)
+        return _ensemble_result(run, obj, run["staleness"])
+
+    def single_run(seeded):
+        if speeds is None:
+            return run_async_local_sgd(seeded, schedules, delay, obj)
+        return run_load_balanced(seeded, speeds, obj)[:2]
+
     seeds = [5, 6, 7, 5]
-    batch = run_async_ensemble(config, write_plan(K, T, schedules, delay, wall_times),
-                               obj, seeds, track_second_moment=True)
+    batch = ensemble(seeds)
     moments = []
     for r, seed in enumerate(seeds):
-        single, log = run_async_local_sgd(replace(config, seed=seed), schedules, delay, obj,
-                                          wall_times=wall_times, declared_tau=tau,
-                                          track_second_moment=True)
+        single, log = single_run(replace(config, seed=seed))
         assert np.array_equal(batch.deviations[r], single.deviations)
-        moments.append(single.max_second_moment)
+        # a one-seed batch is the single run too, and tracks its second moment
+        alone = ensemble([seed])
+        assert np.array_equal(alone.deviations[0], single.deviations)
+        moments.append(alone.max_second_moment)
         # the folded sum, the rest of the prefix and the extras add in the
         # full scan's order
         xbar, devs, final, aggregate, rounds, reads = full_scan_async(
@@ -405,11 +430,10 @@ def test_async_run_flags_divergence_like_the_sync_engine(quad10):
     T, seeds = 300, [3, 4, 5, 6]
     schedules = [regular_sync_schedule(T, 3)] * 2
     delay = DelayModel("fixed", tau=2)
-    plan = write_plan(2, T, schedules, delay)
     for c, blows_up in ((0.03, True), (1.0 / 256.0, False)):
         config = RunConfig(K=2, T=T, b=1, sync=schedules[0], steps=ConstantStep(c=c),
                            seed=0, x0=np.zeros(obj.d))
-        batch = run_async_ensemble(config, plan, obj, seeds)
+        batch = run_async_ensemble(config, schedules, delay, obj, seeds)
         for r, seed in enumerate(seeds):
             single, _ = run_async_local_sgd(replace(config, seed=seed), schedules, delay, obj)
             assert single.diverged == bool(batch.diverged[r]) == blows_up
@@ -423,24 +447,6 @@ def test_async_run_flags_divergence_like_the_sync_engine(quad10):
             assert np.isnan(batch.f_output[r]) == blows_up
 
 
-class GradientCounter:
-    """An objective that counts the calls to its gradient oracles."""
-
-    def __init__(self, objective):
-        self.objective = objective
-        self.calls = 0
-
-    def __getattr__(self, name):
-        attr = getattr(self.objective, name)
-        if "gradient" not in name:
-            return attr
-
-        def counted(*args, **kwargs):
-            self.calls += 1
-            return attr(*args, **kwargs)
-        return counted
-
-
 def test_async_entry_points_check_the_shift_before_any_gradient(quad10):
     obj, _, _ = quad10
     # kappa = 4, so a = 65 > 16 kappa; only a window H + tau >= 65 rejects it
@@ -450,6 +456,7 @@ def test_async_entry_points_check_the_shift_before_any_gradient(quad10):
     for tau, rejected in ((61, True), (60, False)):
         delay = DelayModel("fixed", tau=tau)
         for run in (lambda o: run_async_local_sgd(config, schedules, delay, o),
+                    lambda o: run_async_ensemble(config, schedules, delay, o, [1, 2]),
                     lambda o: check_async_deviation(config, delay, o, runs=4)):
             counter = GradientCounter(obj)
             if rejected:
@@ -498,7 +505,7 @@ def test_async_ensemble_result_equals_single_runs_bitwise(quad10):
     delay = DelayModel("random-bounded", tau=3, seed=6)
     config = async_config(quad10, K=K, T=T, H=4, window=7, b=2)
     seeds = [8, 9, 8]
-    batch = run_async_ensemble(config, write_plan(K, T, schedules, delay), obj, seeds)
+    batch = run_async_ensemble(config, schedules, delay, obj, seeds)
     for r, seed in enumerate(seeds):
         single, _ = run_async_local_sgd(replace(config, seed=seed), schedules, delay, obj)
         assert batch.deviations[r].tobytes() == single.deviations.tobytes()

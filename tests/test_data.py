@@ -52,6 +52,14 @@ def test_malformed_tokens_report_line():
         parse_libsvm(["spam 1:1"])
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_values_report_line(token):
+    with pytest.raises(LibsvmFormatError, match=f"line 1: non-finite value in token '1:{token}'"):
+        parse_libsvm([f"1 1:{token}"])
+    with pytest.raises(LibsvmFormatError, match="line 2: non-finite"):
+        parse_libsvm(["-1 2:0.5", f"+1 1:1 3:{token}"])
+
+
 def test_index_above_declared_dimension():
     with pytest.raises(LibsvmFormatError, match="line 1.*exceeds"):
         parse_libsvm(["+1 9:1"], declared_dimension=5)

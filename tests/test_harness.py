@@ -1017,6 +1017,17 @@ b = 1
         "config error: lambda must be a number or auto, got 'abc'\n"
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+def test_cli_fstar_rejects_a_non_finite_feature_value(tmp_path, capsys, token):
+    # the value would parse into the CSR and fail the reference solve
+    path = tmp_path / "bad.libsvm"
+    path.write_text(f"1 1:{token}\n", encoding="utf-8")
+    assert main(["fstar", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: line 1: non-finite value in token '1:{token}'\n"
+
+
 def test_cli_defaults_are_the_dataclass_defaults(capsys):
     grid = ["--K", "1,4", "--H", "2", "--eps", "0.01"]
     assert main(["theory", *grid]) == 0

@@ -14,6 +14,7 @@ from localsgd import (
     check_perturbed_inequality,
     check_recursion_lemma,
     check_variance_reduction,
+    lemma_suite,
     make_quadratic,
     regular_sync_schedule,
     run_local_sgd_ensemble,
@@ -22,7 +23,7 @@ from localsgd import (
 from localsgd import lemmas
 from localsgd.harness import reference_for
 from localsgd.lemmas import _PERTURBED_POINTS, _run_seeds, _tightest_step, make_equality_builder
-from oracles import perturbed_by_loop
+from oracles import GradientCounter, perturbed_by_loop
 
 
 def theorem_config(obj, const, K, T, H, window=None, seed=0, b=1):
@@ -377,3 +378,34 @@ def test_f_output_is_one_value_pass_on_first_read(monkeypatch, quad10):
     assert counter.calls == 1
     assert np.array_equal(first, obj.value_many(result.output_average))
     assert np.all(first >= ref.f_star)
+
+
+# --- the fixture's parameter rule ------------------------------------------
+
+
+FIXTURE_LOWEST = {"runs": 2, "trials": 100, "K": 1, "H": 4, "T": 4, "b": 1, "tau": 0}
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("runs", 1, "runs must be >= 2, got 1"), ("trials", 99, "trials must be >= 100, got 99"),
+    ("K", 0, "K must be >= 1, got 0"), ("H", 0, "H must be >= 1, got 0"),
+    ("T", 0, "T must be >= 1, got 0"), ("b", 0, "b must be >= 1, got 0"),
+    ("tau", -1, "tau must be >= 0, got -1"), ("H", 5, "H must be <= T"),
+])
+def test_lemma_suite_rejects_an_out_of_range_parameter_before_any_gradient(quad10, field,
+                                                                           value, message):
+    obj, ref, _ = quad10
+    counter = GradientCounter(obj)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        lemma_suite(counter, ref, **{**FIXTURE_LOWEST, field: value})
+    assert counter.calls == 0
+
+
+def test_lemma_suite_accepts_the_lowest_parameters(quad10):
+    obj, ref, _ = quad10
+    counter = GradientCounter(obj)
+    reports = lemma_suite(counter, ref, **FIXTURE_LOWEST)
+    assert [r.check for r in reports] == ["variance-reduction", "deviation-bound",
+                                          "perturbed-step", "weighted-recursion",
+                                          "async-deviation"]
+    assert counter.calls > 0
