@@ -29,13 +29,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate, chain
+from numbers import Integral
 
 import numpy as np
 
 from .schedules import validate_shift
-from .sync import RecordFlags, _ensemble_result, _simulate
+from .sync import RunTrace, _ensemble_result, _row_zero, _simulate
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,8 @@ class DelayModel:
     def __post_init__(self):
         if self.kind not in ("zero", "fixed", "random-bounded"):
             raise ValueError(f"unknown delay model {self.kind!r}")
+        if isinstance(self.tau, bool) or not isinstance(self.tau, Integral):
+            raise ValueError(f"tau must be an integer, got {self.tau!r}")
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
         if self.kind == "zero" and self.tau != 0:
@@ -194,18 +197,14 @@ class _Replay:
 
 
 @dataclass
-class AsyncRunTrace:
-    """Recorded quantities of one asynchronous run."""
+class AsyncRunTrace(RunTrace):
+    """The `RunTrace` of one asynchronous run, whose xbar is the virtual
+    sequence of all updates, plus the shared aggregate."""
 
-    xbar: np.ndarray             # (T+1, d) virtual averaged sequence (all updates)
-    deviations: np.ndarray       # (T+1,) mean squared distance of sequences to xbar
-    comm_rounds: np.ndarray      # (K,) reads per sequence
-    final_iterates: np.ndarray   # (K, d)
     final_aggregate: np.ndarray  # (d,) x0 plus every update block / K
-    diverged: bool               # iterates left the representable range
 
 
-def _replayed(config, per_worker_syncs, delay, objective, seeds, *, virtual,
+def _replayed(config, per_worker_syncs, delay, objective, seeds, *,
               track_second_moment=False, wall_times=None, declared_tau=None):
     """Every asynchronous run: writes the plan of `config`, checks it, and
     replays it once per seed.
@@ -213,9 +212,9 @@ def _replayed(config, per_worker_syncs, delay, objective, seeds, *, virtual,
     Before any gradient work, checks a decaying schedule's shift against
     the longest sync interval plus tau, then the plan's realized staleness
     against tau: `declared_tau`, or the delay model's.  The runs record
-    deviations, and the virtual sequence if `virtual`.  Returns the run
-    dict, with the plan's `staleness`, the reads per sequence
-    (`comm_rounds`) and each run's `final_aggregate`, and the plan.
+    what `config.record` asks for.  Returns the run dict, with the plan's
+    `staleness`, the reads per sequence (`comm_rounds`) and each run's
+    `final_aggregate`, and the plan.
     """
     log = write_plan(config.K, config.T, per_worker_syncs, delay, wall_times)
     tau = delay.tau if declared_tau is None else int(declared_tau)
@@ -228,40 +227,26 @@ def _replayed(config, per_worker_syncs, delay, objective, seeds, *, virtual,
             f"{staleness} > tau={tau}"
         )
     replay = _Replay(log, config.x0, len(seeds), config.K, config.T)
-    run = _simulate(replace(config, record=RecordFlags(virtual=virtual, f_values=False)),
-                    objective, seeds, exchange=replay,
+    run = _simulate(config, objective, seeds, exchange=replay,
                     track_second_moment=track_second_moment)
     run.update(staleness=staleness, comm_rounds=replay.rounds,
                final_aggregate=config.x0 + replay.total / config.K)
     return run, log
 
 
-def _trace(run) -> AsyncRunTrace:
-    """The AsyncRunTrace of the one run of a `_replayed` run dict."""
-    return AsyncRunTrace(
-        xbar=run["rows"]["xbar"][:, 0],
-        deviations=run["rows"]["deviations"][:, 0],
-        comm_rounds=run["comm_rounds"],
-        final_iterates=run["final_iterates"][0],
-        final_aggregate=run["final_aggregate"][0],
-        diverged=bool(run["diverged"][0]),
-    )
-
-
 def run_async_local_sgd(config, per_worker_syncs, delay, objective):
     """Simulate asynchronous local SGD; returns (AsyncRunTrace, WriteLog).
 
-    `per_worker_syncs` gives each sequence its own synchronization
-    schedule (each must end at the horizon T).  The realized staleness of
-    the write plan is checked against the delay model's tau before any
-    gradient work; a violation aborts with a diagnostic.  Sequence k
-    samples the same indices as worker k of `run_local_sgd`, and a run
-    that diverges stops there with its last finite iterates and
-    `diverged` set.
+    The run records what `config.record` asks for.  `per_worker_syncs`
+    gives each sequence its own synchronization schedule (each must end
+    at the horizon T).  The realized staleness of the write plan is
+    checked against the delay model's tau before any gradient work; a
+    violation aborts with a diagnostic.  Sequence k samples the same
+    indices as worker k of `run_local_sgd`, and a run that diverges stops
+    there with its last finite iterates and `diverged` set.
     """
-    run, log = _replayed(config, per_worker_syncs, delay, objective, [config.seed],
-                         virtual=True)
-    return _trace(run), log
+    run, log = _replayed(config, per_worker_syncs, delay, objective, [config.seed])
+    return _row_zero(run, AsyncRunTrace, final_aggregate=run["final_aggregate"][0]), log
 
 
 def run_async_ensemble(config, per_worker_syncs, delay, objective, seeds, *,
@@ -269,11 +254,12 @@ def run_async_ensemble(config, per_worker_syncs, delay, objective, seeds, *,
     """Asynchronous runs of `config`, one per seed, all replaying the plan
     that `run_async_local_sgd` writes and checks for the same inputs.
 
-    Run r agrees bitwise with `run_async_local_sgd` at seed seeds[r].
-    Returns the EnsembleResult of the sync ensemble, with `deviations`,
-    the output average of the virtual sequence and the plan's `staleness`.
+    Run r records what `config.record` asks for and agrees bitwise with
+    `run_async_local_sgd` at seed seeds[r].  Returns the EnsembleResult of
+    the sync ensemble, with the output average of the virtual sequence
+    and the plan's `staleness`.
     """
-    run, _ = _replayed(config, per_worker_syncs, delay, objective, seeds, virtual=False,
+    run, _ = _replayed(config, per_worker_syncs, delay, objective, seeds,
                        track_second_moment=track_second_moment)
     return _ensemble_result(run, objective, run["staleness"])
 
@@ -370,6 +356,6 @@ def run_load_balanced(config, speeds, objective):
         raise ValueError("need one speed per logical sequence (K of them)")
     plan = load_balanced_assignment(speeds, H, n_blocks=config.T // H)
     run, log = _replayed(config, [config.sync] * config.K, DelayModel(kind="zero"),
-                         objective, [config.seed], virtual=True,
-                         wall_times=plan.wall_times(), declared_tau=plan.bound)
-    return _trace(run), log, plan
+                         objective, [config.seed], wall_times=plan.wall_times(),
+                         declared_tau=plan.bound)
+    return _row_zero(run, AsyncRunTrace, final_aggregate=run["final_aggregate"][0]), log, plan

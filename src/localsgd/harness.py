@@ -253,11 +253,17 @@ def build_problem(spec: DatasetSpec):
     truncated Newton-CG solve (Hessian-vector products only, O(n + d)
     memory) for logistic datasets unless the config pins f_star directly.
     A value the objective or the reference solve rejects, and a tolerance
-    the solve cannot reach, raise a ConfigError naming [dataset].
+    the solve cannot reach, raise a ConfigError naming [dataset], and so
+    does a dataset file that cannot be read as UTF-8 text.
     """
     if spec.kind == "libsvm":
-        with open(spec.path, "r", encoding="utf-8") as fh:
-            dataset = parse_libsvm(fh, declared_dimension=spec.dimension)
+        try:
+            with open(spec.path, "r", encoding="utf-8") as fh:
+                dataset = parse_libsvm(fh, declared_dimension=spec.dimension)
+        except OSError as exc:  # a missing file, a directory, no permission
+            raise ConfigError(str(exc)) from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"dataset {spec.path!r} is not UTF-8 text: {exc}") from None
     try:
         if spec.kind == "quadratic":
             objective, reference, _ = make_quadratic(
@@ -364,7 +370,7 @@ def _cell_config(objective, K, H, b, seed, step_cap, steps):
     return RunConfig(
         K=K, T=step_cap, b=b, sync=regular_sync_schedule(step_cap, H), steps=steps,
         seed=seed, x0=np.zeros(objective.d),
-        record=RecordFlags(virtual=False, deviations=False, f_values=False),
+        record=RecordFlags(virtual=False, f_values=False),
     )
 
 

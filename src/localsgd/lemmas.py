@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -151,19 +150,22 @@ def _tightest_step(samples, bounds):
     return i, float(means[i]), float(stderrs[i])
 
 
-def _deviation_check(check, config, ensemble, constant, window, runs, seed, detail):
+def _deviation_check(check, config, ensemble, args, constant, window, runs, seed, detail):
     """Per-step deviation check against constant * eta_t^2 G^2 window^2.
 
-    `ensemble(seeds, track_second_moment=...)` is the engine's ensemble
-    runner for `config`, recording deviations.  G^2 comes from held-out
-    runs; the mean deviation of the tested runs is compared with the bound
-    at every step, and the report belongs to the tightest step.  The
-    detail's `worst_staleness` is the tested runs' realized staleness.
+    `ensemble(config, *args, seeds, track_second_moment=...)` is the
+    engine's ensemble runner; the check adds deviations to what `config`
+    records.  G^2 comes from held-out runs; the mean deviation of the
+    tested runs is compared with the bound at every step, and the report
+    belongs to the tightest step.  The detail's `worst_staleness` is the
+    tested runs' realized staleness.
     """
     if not isinstance(config.steps, TheoremDecayStep):
         raise ValueError("this check requires the decaying stepsize schedule")
-    G_sq = ensemble(_heldout_seeds(seed, runs), track_second_moment=True).max_second_moment
-    tested = ensemble(_run_seeds(seed, runs))
+    config = replace(config, record=replace(config.record, deviations=True))
+    G_sq = ensemble(config, *args, _heldout_seeds(seed, runs),
+                    track_second_moment=True).max_second_moment
+    tested = ensemble(config, *args, _run_seeds(seed, runs))
     # Python floats: eta**2 of a float is C pow, which numpy's square is not
     bounds = np.array([constant * config.steps.eta(t)**2 * G_sq * window**2
                        for t in range(config.T + 1)])
@@ -183,8 +185,8 @@ def check_deviation_bound(config, objective, runs, seed=0) -> CheckReport:
     """
     H = config.sync.H
     # called as (config, objective, seeds), which benchmarks/tracing.py reads
-    ensemble = partial(run_local_sgd_ensemble, config, objective, record_deviations=True)
-    return _deviation_check("deviation-bound", config, ensemble, 4.0, H, runs, seed, {"H": H})
+    return _deviation_check("deviation-bound", config, run_local_sgd_ensemble, (objective,),
+                            4.0, H, runs, seed, {"H": H})
 
 
 def check_perturbed_inequality(config, objective, reference, runs, seed=0) -> CheckReport:
@@ -200,20 +202,16 @@ def check_perturbed_inequality(config, objective, reference, runs, seed=0) -> Ch
 
     using a paired one-sided test at 3 standard errors of the difference,
     with (mu, L) from `objective.curvature()`.  Requires eta_0 <= 1/(4L).
+    The check adds deviations, noise norms and f(xbar_t) to what `config`
+    records.
     """
     mu, L = objective.curvature()
     if config.steps.eta(0) > 1.0 / (4.0 * L):
         raise ValueError("stepsize too large: eta_0 must be <= 1/(4L)")
 
-    result = run_local_sgd_ensemble(
-        config,
-        objective,
-        _run_seeds(seed, runs),
-        ref_point=reference.x_star,
-        record_deviations=True,
-        record_noise=True,
-        record_f_xbar=True,
-    )
+    record = replace(config.record, deviations=True, noise_norms=True, f_virtual=True)
+    result = run_local_sgd_ensemble(replace(config, record=record), objective,
+                                    _run_seeds(seed, runs), ref_point=reference.x_star)
     T = config.T
     points = np.unique(np.linspace(0, T - 1, min(T, _PERTURBED_POINTS), dtype=np.int64))
     eta = np.array([config.steps.eta(int(t)) for t in points])
@@ -325,9 +323,8 @@ def check_async_deviation(config, delay, objective, runs, seed=0) -> CheckReport
     compared against the bound; G^2 comes from the held-out runs.
     """
     H = config.sync.H
-    ensemble = partial(run_async_ensemble, config, [config.sync] * config.K, delay,
-                       objective)
-    return _deviation_check("async-deviation", config, ensemble, 12.0, H + delay.tau,
+    return _deviation_check("async-deviation", config, run_async_ensemble,
+                            ([config.sync] * config.K, delay, objective), 12.0, H + delay.tau,
                             runs, seed, {"H": H, "tau": delay.tau})
 
 

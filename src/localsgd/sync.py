@@ -8,11 +8,11 @@ with batch size K*b; averaging only at the horizon is one-shot averaging.
 
 Each worker draws from its own random substream spawned from the master
 seed, so runs are reproducible and the every-step schedule is coupled
-sample-for-sample with the mini-batch baseline.  The trace records the
-virtual averaged sequence (the mean of the worker iterates, which evolves
-exactly like SGD driven by the aggregate gradient), the four running
-averages of that sequence, and the mean squared deviation of workers from
-it.
+sample-for-sample with the mini-batch baseline.  A run records what
+`config.record` asks for, among it the virtual averaged sequence (the
+mean of the worker iterates, which evolves exactly like SGD driven by the
+aggregate gradient), the four running averages of that sequence, and the
+mean squared deviation of workers from it.
 
 One time-step loop, `_simulate`, advances S seeded runs at once on
 iterates of shape (S, K, d) with one batched oracle call per step;
@@ -29,8 +29,9 @@ gradients are planned from them for a block of steps at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -44,10 +45,12 @@ _DIVERGED = 1e100          # a run whose iterates reach this magnitude has diver
 
 @dataclass
 class RecordFlags:
-    """What a run should trace; the heavier recordings, from `iterates` on, are off."""
+    """What a run records, read by every engine entry point, sync or async,
+    single run or ensemble; a row left off reads None.  Only `virtual` and
+    `f_values` are on by default."""
 
     virtual: bool = True         # virtual average per step
-    deviations: bool = True      # (1/K) sum_k ||xbar - x_k||^2 per step
+    deviations: bool = False     # (1/K) sum_k ||xbar - x_k||^2 per step
     # objective value of the four running averages; with it off, a run
     # with an accuracy target still checks them, screened by convexity
     f_values: bool = True
@@ -55,6 +58,12 @@ class RecordFlags:
     noise_norms: bool = False    # ||g_t - gbar_t||^2 per step (costs K full gradients)
     f_virtual: bool = False      # f(xbar_t) per step
     f_every: int | None = None   # extra evaluation stride; default ceil(T/1000)
+
+    def __post_init__(self):
+        f_every = self.f_every
+        if f_every is not None and (isinstance(f_every, bool) or not isinstance(f_every, Integral)
+                                    or f_every < 1):
+            raise ValueError(f"f_every must be None or an integer >= 1, got {f_every!r}")
 
 
 @dataclass
@@ -89,8 +98,8 @@ class RunTrace:
     f_xbar: np.ndarray | None        # (T+1,) f(xbar_t)
     iterates: np.ndarray | None      # (K, T+1, d) worker trajectories
     eval_steps: np.ndarray           # steps at which f values were recorded
-    f_by_scheme: dict                # scheme -> f of its running average per eval step
-    comm_rounds: int
+    f_by_scheme: dict | None         # scheme -> f of its running average per eval step
+    comm_rounds: int                 # sync rounds; an async run's is (K,) reads per sequence
     output_average: np.ndarray | None  # shift-a weighted average over t < T; None if target-only
     final_iterates: np.ndarray       # (K, d)
     t_star: int | None               # set when an accuracy target stopped the run
@@ -118,12 +127,6 @@ def _index_chunks(seeds, K, n, b, T):
             for k, rng in enumerate(workers):
                 chunk[r, k] = rng.integers(0, n, size=(steps, b))
         yield chunk
-
-
-def _eval_stride(record, T):
-    if record.f_every is not None:
-        return max(1, int(record.f_every))
-    return max(1, -(-T // 1000))
 
 
 def _worker_mean(X):
@@ -267,7 +270,7 @@ def _simulate(config, objective, seeds, *, steps=None, ref_point=None,
         def eta_of(t):
             return np.array([steps[r].eta(t) for r in active])[:, None, None]
     shift = config.steps.a if isinstance(config.steps, TheoremDecayStep) else 1.0
-    stride = _eval_stride(record, T)
+    stride = -(-T // 1000) if record.f_every is None else record.f_every
     screen = target is not None and not record.f_values
     output_avg = None if screen else ShiftedQuadraticAverage(shift)
     # the running averages (A, 4, d) of SCHEMES feed the function-value
@@ -477,6 +480,33 @@ def _simulate(config, objective, seeds, *, steps=None, ref_point=None,
     return run
 
 
+def _rows(run, runs=slice(None)):
+    """The recorded rows of `runs` (a slice, or one index) of a `_simulate`
+    run dict, each named and laid out as its `RunTrace` field, run axis
+    first for a slice: xbar (S, T+1, d), iterates (S, K, T+1, d), and
+    f_by_scheme maps each scheme to (S, evals).  A row not recorded is None.
+    """
+    rows = {name: None if row is None else np.moveaxis(row, 0, 1 + (name == "iterates"))[runs]
+            for name, row in run["rows"].items()}
+    f = rows.pop("f_values")
+    rows["f_by_scheme"] = None if f is None else dict(
+        zip(SCHEMES, np.ascontiguousarray(np.moveaxis(f, -1, 0))))
+    return rows
+
+
+def _row_zero(run, trace=RunTrace, **fields):
+    """Run 0 of a `_simulate` run dict as a `trace`: the single-run trace of
+    the sync and async engines.  `fields` are the trace class's own."""
+    rows = _rows(run, 0)
+    del rows["dist_sq"]  # only an ensemble measures a distance to a point
+    crossed = int(run["crossed"][0])
+    return trace(
+        **rows, eval_steps=run["eval_steps"], comm_rounds=run["comm_rounds"],
+        output_average=None if run["output_average"] is None else run["output_average"][0],
+        final_iterates=run["final_iterates"][0], t_star=crossed if crossed >= 0 else None,
+        diverged=bool(run["diverged"][0]), **fields)
+
+
 def run_local_sgd(config, objective, stop_when=None) -> RunTrace:
     """Run synchronous local SGD and record the configured trace.
 
@@ -487,22 +517,8 @@ def run_local_sgd(config, objective, stop_when=None) -> RunTrace:
     the reached step is stored as trace.t_star.  A run that diverges ends
     at that step with trace.diverged set and its last finite iterates.
     """
-    run = _simulate(config, objective, [config.seed], target=stop_when,
-                    keep=lambda t, crossed: crossed < 0)
-    row = {name: None if r is None else r[:, 0] for name, r in run["rows"].items()}
-    f = row["f_values"]
-    return RunTrace(
-        xbar=row["xbar"], deviations=row["deviations"], noise_sq=row["noise_sq"],
-        f_xbar=row["f_xbar"],
-        iterates=None if row["iterates"] is None else row["iterates"].transpose(1, 0, 2),
-        eval_steps=run["eval_steps"],
-        f_by_scheme={} if f is None else dict(zip(SCHEMES, np.ascontiguousarray(f.T))),
-        comm_rounds=run["comm_rounds"],
-        output_average=None if run["output_average"] is None else run["output_average"][0],
-        final_iterates=run["final_iterates"][0],
-        t_star=int(run["crossed"][0]) if run["crossed"][0] >= 0 else None,
-        diverged=bool(run["diverged"][0]),
-    )
+    return _row_zero(_simulate(config, objective, [config.seed], target=stop_when,
+                               keep=lambda t, crossed: crossed < 0))
 
 
 def run_minibatch_sgd(config, objective) -> np.ndarray:
@@ -530,8 +546,9 @@ def run_minibatch_sgd(config, objective) -> np.ndarray:
 class EnsembleResult:
     """Aggregate statistics over many seeded runs of one configuration.
 
-    A row not recorded reads None.  A run that diverged reads NaN from
-    then on, its output average and f_output included.
+    Row r of each row that `config.record` asks for is run r's `RunTrace`
+    field; a row not recorded reads None.  A run that diverged reads NaN
+    from then on, its output average and f_output included.
     """
 
     objective: object = field(repr=False)
@@ -539,10 +556,14 @@ class EnsembleResult:
     max_second_moment: float         # 0.0 unless tracked
     staleness: int                   # realized staleness of the async write plan; 0 for sync
     output_average: np.ndarray       # (S, d) shift-a weighted average over t < T
+    eval_steps: np.ndarray           # steps of the f_by_scheme values, shared by every run
+    xbar: np.ndarray | None          # (S, T+1, d)
     deviations: np.ndarray | None    # (S, T+1)
-    dist_sq: np.ndarray | None       # (S, T+1) squared distance of xbar to ref
     noise_sq: np.ndarray | None      # (S, T)
     f_xbar: np.ndarray | None        # (S, T+1)
+    iterates: np.ndarray | None      # (S, K, T+1, d)
+    f_by_scheme: dict | None         # scheme -> (S, evals)
+    dist_sq: np.ndarray | None       # (S, T+1) squared distance of xbar to ref
 
     @cached_property
     def f_output(self) -> np.ndarray:
@@ -557,31 +578,19 @@ def _ensemble_result(run, objective, staleness=0) -> EnsembleResult:
     """The EnsembleResult of the run dict of an ensemble `_simulate`, sync or async."""
     output_average = run["output_average"]
     output_average[run["diverged"]] = np.nan
-    return EnsembleResult(
-        objective, run["diverged"], run["max_second_moment"], staleness, output_average,
-        **{name: None if run["rows"][name] is None else run["rows"][name].T
-           for name in ("deviations", "dist_sq", "noise_sq", "f_xbar")})
+    return EnsembleResult(objective, run["diverged"], run["max_second_moment"], staleness,
+                          output_average, run["eval_steps"], **_rows(run))
 
 
-def run_local_sgd_ensemble(
-    config,
-    objective,
-    seeds,
-    *,
-    ref_point=None,
-    track_second_moment=False,
-    record_deviations=False,
-    record_noise=False,
-    record_f_xbar=False,
-):
+def run_local_sgd_ensemble(config, objective, seeds, *, ref_point=None,
+                           track_second_moment=False):
     """Run one configuration under many seeds, vectorized across runs.
 
     Run r is the `run_local_sgd` run with seed=seeds[r], advanced by the
-    same loop, so its rows agree bitwise with the single run.  The runs
-    record what the `record_*` flags ask for, not `config.record`.
+    same loop: it records what `config.record` asks for, and its rows
+    agree bitwise with the single run's trace.  `ref_point` adds dist_sq,
+    and `track_second_moment` the largest E_i ||grad f_i||^2 at any iterate.
     """
-    record = RecordFlags(virtual=False, deviations=record_deviations, f_values=False,
-                         noise_norms=record_noise, f_virtual=record_f_xbar)
-    run = _simulate(replace(config, record=record), objective, seeds, ref_point=ref_point,
+    run = _simulate(config, objective, seeds, ref_point=ref_point,
                     track_second_moment=track_second_moment)
     return _ensemble_result(run, objective)

@@ -33,7 +33,7 @@ def async_config(quad10, K, T, H, window, seed=0, b=1):
     obj, ref, const = quad10
     return RunConfig(K=K, T=T, b=b, sync=regular_sync_schedule(T, H),
                      steps=theorem_steps((const.mu, const.L), window),
-                     seed=seed, x0=np.zeros(obj.d))
+                     seed=seed, x0=np.zeros(obj.d), record=RecordFlags(deviations=True))
 
 
 def test_zero_delay_aligned_matches_synchronous(quad10):
@@ -159,7 +159,7 @@ def test_declared_bound_violation_aborts(quad10):
     counter = GradientCounter(obj)
     with pytest.raises(RuntimeError, match="declared bound"):
         _replayed(config, schedules, DelayModel("fixed", tau=5), counter, [config.seed],
-                  virtual=True, declared_tau=2)
+                  declared_tau=2)
     assert counter.calls == 0
 
 
@@ -194,11 +194,10 @@ def test_staleness_check_raises_above_tau_and_returns_the_measured_value(quad10)
     schedules, delay = [config.sync] * 3, DelayModel("fixed", tau=5)
     log = write_plan(3, 24, schedules, delay)
     for tau in (5, 9):
-        run, _ = _replayed(config, schedules, delay, obj, [1, 2], virtual=False,
-                           declared_tau=tau)
+        run, _ = _replayed(config, schedules, delay, obj, [1, 2], declared_tau=tau)
         assert run["staleness"] == measured_delay(log) == 5
     with pytest.raises(RuntimeError, match="declared bound"):
-        _replayed(config, schedules, delay, obj, [1, 2], virtual=False, declared_tau=4)
+        _replayed(config, schedules, delay, obj, [1, 2], declared_tau=4)
 
 
 @pytest.mark.parametrize("delay", [DelayModel("fixed", tau=3),
@@ -367,7 +366,7 @@ def test_batched_replay_equals_single_runs_bitwise(quad10, K, per_worker_H, dela
                                       track_second_moment=True)
         # no public runner batches a load-balanced plan; the one path of
         # every async run does
-        run, _ = _replayed(config, schedules, delay, obj, seeds, virtual=False,
+        run, _ = _replayed(config, schedules, delay, obj, seeds,
                            track_second_moment=True, wall_times=wall_times,
                            declared_tau=tau)
         return _ensemble_result(run, obj, run["staleness"])
@@ -411,7 +410,7 @@ def test_block_planned_replay_equals_the_full_scan(monkeypatch, logistic50):
     delay = DelayModel("random-bounded", tau=3, seed=4)
     seeds, stops = [5, 6, 5, 8], [6, 40, 19, 11]
     config = RunConfig(K=K, T=T, b=b, sync=schedules[1], steps=ConstantStep(c=2.0**-5),
-                       seed=0, x0=np.zeros(logistic50.d))
+                       seed=0, x0=np.zeros(logistic50.d), record=RecordFlags(deviations=True))
     run = sync._simulate(config, logistic50, seeds,
                          exchange=_Replay(write_plan(K, T, schedules, delay), config.x0,
                                           len(seeds), K, T),
@@ -432,7 +431,7 @@ def test_async_run_flags_divergence_like_the_sync_engine(quad10):
     delay = DelayModel("fixed", tau=2)
     for c, blows_up in ((0.03, True), (1.0 / 256.0, False)):
         config = RunConfig(K=2, T=T, b=1, sync=schedules[0], steps=ConstantStep(c=c),
-                           seed=0, x0=np.zeros(obj.d))
+                           seed=0, x0=np.zeros(obj.d), record=RecordFlags(deviations=True))
         batch = run_async_ensemble(config, schedules, delay, obj, seeds)
         for r, seed in enumerate(seeds):
             single, _ = run_async_local_sgd(replace(config, seed=seed), schedules, delay, obj)
@@ -514,3 +513,74 @@ def test_async_ensemble_result_equals_single_runs_bitwise(quad10):
             average.update(single.xbar[t], t)
         assert batch.output_average[r].tobytes() == average.value.tobytes()
     assert np.array_equal(batch.f_output, obj.value_many(batch.output_average))
+
+
+@pytest.mark.parametrize("kind", ["fixed", "random-bounded"])
+@pytest.mark.parametrize("tau", [2.5, 2.0, True, "2"])
+def test_delay_model_rejects_a_tau_that_is_not_an_integer(kind, tau):
+    # a fractional tau would fail mid-run (fixed) or widen the shift check (random-bounded)
+    with pytest.raises(ValueError, match="tau must be an integer"):
+        DelayModel(kind, tau=tau)
+    assert DelayModel(kind, tau=np.int64(2)).tau == 2
+
+
+# each RecordFlags row and the trace field it fills
+RECORDED_ROWS = {"virtual": "xbar", "deviations": "deviations", "f_values": "f_by_scheme",
+                 "iterates": "iterates", "noise_norms": "noise_sq", "f_virtual": "f_xbar"}
+
+
+def same_bytes(got, want):
+    """Bitwise equality of two rows: arrays, or dicts of arrays by scheme."""
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(same_bytes(got[k], want[k]) for k in want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("flag", [None, *RECORDED_ROWS])
+@pytest.mark.parametrize("engine", ["run_local_sgd", "run_local_sgd_ensemble",
+                                    "run_async_local_sgd", "run_async_ensemble",
+                                    "run_load_balanced"])
+def test_every_engine_records_what_config_record_asks_for(logistic50, engine, flag):
+    # a row is there if and only if config.record asks for it, and row r of
+    # an ensemble's row is bitwise the one-seed run's field
+    record = RecordFlags(virtual=False, f_values=False)
+    if flag is not None:
+        record = replace(record, **{flag: True})
+    config = RunConfig(K=2, T=24, b=2, sync=regular_sync_schedule(24, 4),
+                       steps=ConstantStep(c=2.0**-4), seed=0, x0=np.zeros(logistic50.d),
+                       record=record)
+    schedules, delay, seeds = [config.sync] * 2, DelayModel("fixed", tau=2), [3, 4, 3]
+    single = {
+        "run_local_sgd": lambda c: run_local_sgd(c, logistic50),
+        "run_async_local_sgd": lambda c: run_async_local_sgd(c, schedules, delay,
+                                                             logistic50)[0],
+        "run_load_balanced": lambda c: run_load_balanced(c, [2.0, 1.0], logistic50)[0],
+    }
+    ensembles = {
+        "run_local_sgd_ensemble": (
+            "run_local_sgd", lambda c: run_local_sgd_ensemble(c, logistic50, seeds)),
+        "run_async_ensemble": (
+            "run_async_local_sgd",
+            lambda c: run_async_ensemble(c, schedules, delay, logistic50, seeds)),
+    }
+    if engine in single:
+        result, traces = None, [single[engine](config)]
+    else:
+        one_seed, ensemble = ensembles[engine]
+        result = ensemble(config)
+        traces = [single[one_seed](replace(config, seed=seed)) for seed in seeds]
+        assert not result.diverged.any()
+    for r, trace in enumerate(traces):
+        if result is not None:
+            assert np.array_equal(result.eval_steps, trace.eval_steps)
+        for row_flag, name in RECORDED_ROWS.items():
+            asked = row_flag == flag
+            assert (getattr(trace, name) is not None) == asked, name
+            if result is None:
+                continue
+            rows = getattr(result, name)
+            assert (rows is not None) == asked, name
+            if asked:
+                row = ({scheme: f[r] for scheme, f in rows.items()} if name == "f_by_scheme"
+                       else rows[r])
+                assert same_bytes(row, getattr(trace, name)), (name, r)

@@ -1028,6 +1028,43 @@ def test_cli_fstar_rejects_a_non_finite_feature_value(tmp_path, capsys, token):
     assert err == f"config error: line 1: non-finite value in token '1:{token}'\n"
 
 
+def test_cli_fstar_reports_a_dataset_path_that_is_a_directory(tmp_path, capsys):
+    assert main(["fstar", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+    # run and verify-lemmas read the dataset through the same path
+    config = write_config(tmp_path, f"""
+[dataset]
+kind = libsvm
+path = {tmp_path}
+
+[sweep]
+eps = 0.05
+K = 1
+H = 1
+b = 1
+""")
+    for command in ("run", "verify-lemmas"):
+        assert main([command, str(config), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", err)
+
+
+def test_cli_fstar_reports_a_dataset_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.libsvm"
+    path.write_bytes(b"1 1:0.5\n-1 2:0.25 # caf\xe9\n")
+    assert main(["fstar", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"config error: dataset {str(path)!r} is not UTF-8 text: 'utf-8' codec "
+                   f"can't decode byte 0xe9 in position 23: invalid continuation byte\n")
+    # a missing file keeps its message
+    missing = str(tmp_path / "missing.libsvm")
+    assert main(["fstar", missing]) == 1
+    assert capsys.readouterr().err == \
+        f"config error: [Errno 2] No such file or directory: {missing!r}\n"
+
+
 def test_cli_defaults_are_the_dataclass_defaults(capsys):
     grid = ["--K", "1,4", "--H", "2", "--eps", "0.01"]
     assert main(["theory", *grid]) == 0

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,7 +108,8 @@ def test_deviation_bound_quadratic(quad10):
 def test_deviation_zero_at_sync_and_for_every_step_schedule(quad10):
     obj, _, const = quad10
     config = theorem_config(obj, const, K=4, T=24, H=1)
-    result = run_local_sgd_ensemble(config, obj, [1, 2, 3], record_deviations=True)
+    record = replace(config.record, deviations=True)
+    result = run_local_sgd_ensemble(replace(config, record=record), obj, [1, 2, 3])
     assert np.max(result.deviations) <= 1e-24  # H=1: synchronized every step
     report = check_deviation_bound(config, obj, runs=200, seed=1)
     assert report.statistic == 0.0
@@ -179,9 +181,9 @@ def test_perturbed_inequality_equals_the_loop_over_its_steps(request, fixture, T
                        steps=theorem_steps((mu, L), 4), seed=0, x0=np.zeros(obj.d),
                        record=RecordFlags(virtual=False, f_values=False))
     report = check_perturbed_inequality(config, obj, ref, runs=runs, seed=5)
-    result = run_local_sgd_ensemble(config, obj, _run_seeds(5, runs), ref_point=ref.x_star,
-                                    record_deviations=True, record_noise=True,
-                                    record_f_xbar=True)
+    record = replace(config.record, deviations=True, noise_norms=True, f_virtual=True)
+    result = run_local_sgd_ensemble(replace(config, record=record), obj, _run_seeds(5, runs),
+                                    ref_point=ref.x_star)
     points = np.unique(np.linspace(0, T - 1, min(T, _PERTURBED_POINTS), dtype=np.int64))
     assert (report.worst_step, report.statistic, report.bound, report.stderr) == \
         perturbed_by_loop(result, config.steps, points, mu, L, ref.f_star)

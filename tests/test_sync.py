@@ -27,7 +27,7 @@ def quad_config(quad10, K, T, H, b=1, seed=0, record=None, a_extra=0.0):
                              a=theorem_steps((const.mu, const.L), H).a + a_extra)
     return RunConfig(
         K=K, T=T, b=b, sync=regular_sync_schedule(T, H), steps=steps, seed=seed,
-        x0=np.zeros(obj.d), record=record or RecordFlags(iterates=True),
+        x0=np.zeros(obj.d), record=record or RecordFlags(iterates=True, deviations=True),
     )
 
 
@@ -176,17 +176,18 @@ def test_iterations_to_accuracy_scans_recorded_steps(quad10):
 
 def test_ensemble_matches_scalar_engine(quad10):
     obj, ref, _ = quad10
-    config = quad_config(quad10, K=4, T=30, H=3, seed=0)
+    config = quad_config(quad10, K=4, T=30, H=3, seed=0,
+                         record=RecordFlags(virtual=False, deviations=True, f_values=False,
+                                            noise_norms=True, f_virtual=True))
     seeds = [11, 222, 3333]
     ensemble = run_local_sgd_ensemble(
         config, obj, seeds, ref_point=ref.x_star,
-        record_deviations=True, record_noise=True, record_f_xbar=True,
         track_second_moment=True,
     )
     for r, seed in enumerate(seeds):
         single = run_local_sgd(
             config.__class__(**{**config.__dict__, "seed": seed,
-                                "record": RecordFlags(iterates=True,
+                                "record": RecordFlags(iterates=True, deviations=True,
                                                       noise_norms=True,
                                                       f_virtual=True)}),
             obj,
@@ -206,9 +207,9 @@ def test_ensemble_matches_scalar_engine_on_logistic(logistic50):
     config = RunConfig(
         K=3, T=40, b=2, sync=regular_sync_schedule(40, 4),
         steps=theorem_steps((mu, L), 4), seed=0, x0=np.zeros(logistic50.d),
-        record=RecordFlags(iterates=True),
+        record=RecordFlags(iterates=True, deviations=True),
     )
-    ensemble = run_local_sgd_ensemble(config, logistic50, [42], record_deviations=True)
+    ensemble = run_local_sgd_ensemble(config, logistic50, [42])
     single = run_local_sgd(
         config.__class__(**{**config.__dict__, "seed": 42}), logistic50
     )
@@ -222,11 +223,10 @@ def test_ensemble_equals_scalar_engine_on_logistic_bitwise(logistic50):
     config = RunConfig(
         K=3, T=40, b=2, sync=regular_sync_schedule(40, 4),
         steps=theorem_steps((mu, L), 4), seed=0, x0=np.zeros(logistic50.d),
-        record=RecordFlags(noise_norms=True, f_virtual=True, f_every=1),
+        record=RecordFlags(deviations=True, noise_norms=True, f_virtual=True, f_every=1),
     )
     seeds = [42, 7]
-    ensemble = run_local_sgd_ensemble(config, logistic50, seeds, record_deviations=True,
-                                      record_noise=True, record_f_xbar=True)
+    ensemble = run_local_sgd_ensemble(config, logistic50, seeds)
     for r, seed in enumerate(seeds):
         single = run_local_sgd(config.__class__(**{**config.__dict__, "seed": seed}),
                                logistic50)
@@ -243,8 +243,9 @@ def test_ensemble_flags_divergence_like_scalar_engine(quad10):
         config = RunConfig(
             K=2, T=60, b=1, sync=regular_sync_schedule(60, 3),
             steps=ConstantStep(c=c), seed=0, x0=np.zeros(obj.d),
+            record=RecordFlags(deviations=True),
         )
-        ensemble = run_local_sgd_ensemble(config, obj, seeds, record_deviations=True)
+        ensemble = run_local_sgd_ensemble(config, obj, seeds)
         for r, seed in enumerate(seeds):
             single = run_local_sgd(
                 config.__class__(**{**config.__dict__, "seed": seed}), obj)
@@ -309,7 +310,8 @@ def test_repeated_seeds_match_single_runs_bitwise(logistic50):
     seeds = [5, 6, 5, 6]
     target = (0.05, logistic50.value(np.zeros(d)) - 0.3)
     config = RunConfig(K=3, T=120, b=2, sync=regular_sync_schedule(120, 4),
-                       steps=steps[0], seed=0, x0=np.zeros(d))
+                       steps=steps[0], seed=0, x0=np.zeros(d),
+                       record=RecordFlags(deviations=True))
     run = _simulate(config, logistic50, seeds, steps=steps, target=target,
                     keep=lambda t, crossed: crossed < 0)
     assert run["diverged"].tolist() == [True, False, False, False]
@@ -594,3 +596,12 @@ def test_dimension_mismatch(quad10):
     config.x0 = np.zeros(3)
     with pytest.raises(ValueError, match="dimension"):
         run_local_sgd(config, obj)
+
+
+@pytest.mark.parametrize("f_every", [0, -3, 2.7, 2.0, True, "2"])
+def test_record_flags_reject_an_f_every_that_is_not_a_positive_integer(f_every):
+    # no stride is rounded or clamped: 0 is not read as 1, nor 2.7 as 2
+    with pytest.raises(ValueError, match="f_every must be None or an integer >= 1"):
+        RecordFlags(f_every=f_every)
+    for ok in (None, 1, 7, np.int64(3)):
+        assert RecordFlags(f_every=ok).f_every == ok
