@@ -46,7 +46,6 @@ from .schedules import (
     ExperimentDecayStep,
     SyncSchedule,
     TheoremDecayStep,
-    gap,
     regular_sync_schedule,
     theorem_steps,
 )

@@ -207,8 +207,11 @@ def load_experiment_config(path) -> ExperimentConfig:
     # no section is special, so [DEFAULT] is checked like any other
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
                                        default_section="")
-    if not parser.read(path):
-        raise ConfigError(f"cannot read config file {path}")
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file {path}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {str(path)!r} is not UTF-8 text: {exc}") from None
 
     values = {section: {} for section, _ in _KEYS}
     for section in parser.sections():
@@ -619,16 +622,29 @@ def _pool_size():
     return min(os.cpu_count() or 1, 4)
 
 
+def _output_dir(path):
+    """Create the output directory `path`; one that cannot be made is a ConfigError.
+
+    Callers build the problem first and run after, so a config error
+    leaves no directory behind and a bad directory costs no run.
+    """
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from None
+    return out
+
+
 def run_experiment(config: ExperimentConfig, out_dir=None):
     """Execute the full sweep; returns (rows, exit_code) and writes outputs.
 
     Exit code 0 on success, 2 when some cells never reached their target
     accuracy within the step cap (those rows are marked unreachable).
     """
-    out = Path(out_dir if out_dir is not None else config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     objective, reference = build_problem(config.dataset)
+    workers = _pool_size()
+    out = _output_dir(out_dir if out_dir is not None else config.out_dir)
     grid = product(config.eps_list, config.K_list, config.H_list, config.b_list)
     cells = [
         (reference.f_star, eps, K, H, b, _cell_seed(config.seed, index),
@@ -637,7 +653,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
         for index, (eps, K, H, b) in enumerate(grid)
     ]
 
-    workers = _pool_size()
     if workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_set_pool_objective,
                                  initargs=(objective,)) as pool:
@@ -762,10 +777,11 @@ def verify_lemmas(config: ExperimentConfig, out_dir=None):
     standard fixtures).
     """
     objective, reference = build_problem(config.dataset)
-    reports = lemma_suite(objective, reference, **config.lemmas)
+    out = None
     if out_dir is not None or config.out_dir:
-        out = Path(out_dir if out_dir is not None else config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _output_dir(out_dir if out_dir is not None else config.out_dir)
+    reports = lemma_suite(objective, reference, **config.lemmas)
+    if out is not None:
         _write_csv(out / "lemma_checks.csv", LEMMA_HEADER,
                    [report.csv_fields() for report in reports])
     return reports

@@ -13,19 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-def gap(indices) -> int:
-    """Largest difference between consecutive members of a sorted set."""
-    seq = list(indices)
-    if len(seq) < 2:
-        raise ValueError("gap requires at least two indices")
-    widest = 0
-    for prev, cur in zip(seq, seq[1:]):
-        if cur < prev:
-            raise ValueError("indices must be sorted ascending")
-        widest = max(widest, cur - prev)
-    return widest
-
-
 @dataclass(frozen=True)
 class SyncSchedule:
     """Synchronization every H steps and at the horizon: {H, 2H, ...} union {T}.

@@ -134,27 +134,19 @@ def _worker_mean(X):
     return X[:, 0] if X.shape[1] == 1 else X.mean(axis=1)
 
 
-def _values(objective, Y):
-    """value_many of a stack (A, ..., d); a run whose value is not finite reads NaN.
+def _values(objective, Y, gradients=False):
+    """value_many of a flat stack Y (P, d), or with `gradients` value_and_gradient_many.
 
-    A non-finite value raises for the whole stack, so on a raise each run
-    is evaluated on its own and only the failing runs read NaN.
+    A non-finite value raises for the whole stack, so on a raise each point
+    is evaluated on its own and only the failing points read NaN.
     """
     try:
-        f = objective.value_many(Y)
+        return objective.value_and_gradient_many(Y) if gradients else objective.value_many(Y)
     except FloatingPointError:
-        if len(Y) == 1:
-            return np.full(Y.shape[:-1], np.nan)
-        return np.concatenate([_values(objective, y[None]) for y in Y])
-    return np.where(np.isfinite(f), f, np.nan)
-
-
-def _values_and_gradients(objective, Y):
-    """value_and_gradient_many of a stack; non-finite values read NaN as in `_values`."""
-    try:
-        return objective.value_and_gradient_many(Y)
-    except FloatingPointError:
-        return _values(objective, Y), objective.gradient_many(Y)
+        f = np.full(len(Y), np.nan)
+        if len(Y) > 1:
+            f = np.concatenate([_values(objective, y[None]) for y in Y])
+        return (f, objective.gradient_many(Y)) if gradients else f
 
 
 def _certified_miss(f_z, slope, dist_sq, mu, eps, f_star):
@@ -203,24 +195,26 @@ def _simulate(config, objective, seeds, *, steps=None, ref_point=None,
     shape (S, K, d) and records what `config.record` asks for, each row
     with a leading run axis.  `steps`, one schedule per run, replaces the
     stepsizes of config.steps.  A run whose iterates reach |x| >= 1e100 or
-    turn non-finite, or whose recorded function value is not finite, is
-    marked diverged and frozen.  `target` (eps, f_star) records each run's
-    first eps-accurate evaluation step.  A target-only run, one that does
-    not record function values, is screened: each (run, scheme) keeps an
-    anchor z, the last average evaluated exactly, with f(z) and grad f(z)
-    from one pass, and an evaluation whose convexity lower bound from any
-    of its run's four anchors is certified above eps (`_certified_by_any`)
-    is skipped and reads +inf; a point evaluated becomes its own new
-    anchor.  Every crossing step is the same as with all values evaluated;
-    a skipped evaluation cannot see a non-finite value, which the iterate
-    guard keeps away, and a step whose points are all skipped cannot cross,
-    so it does no value arithmetic at all.  At t = 0 every average is
-    xbar_0, which is evaluated once for all (run, scheme) points, recorded
-    or screened.  run["points_evaluated"] and run["points_screened"] count
-    the (run, scheme) points of every evaluation step, a point with an
-    exact value as evaluated.  A target-only run reads nothing of the
-    shifted output average, so it does not keep one and
-    run["output_average"] is None.
+    turn non-finite, or one of whose function values is not finite, is
+    marked diverged and frozen; only the (run, scheme) values that are not
+    finite read NaN.  `target` (eps, f_star) records each run's first
+    eps-accurate evaluation step.  Every evaluation takes one path: the
+    (run, scheme) points to evaluate go through one stacked pass, and the
+    others read +inf.  At t = 0 every average is xbar_0, which is evaluated
+    once for all of them.  A target-only run, one that does not record
+    function values, is screened: each (run, scheme) keeps an anchor z,
+    the last average evaluated exactly, with f(z) and grad f(z) from one
+    pass, and only the points that no convexity lower bound from their
+    run's four anchors certifies above eps (`_certified_by_any`) are
+    evaluated; each becomes its own new anchor.  Every crossing step is the
+    same as with all values evaluated; a skipped evaluation cannot see a
+    non-finite value, which the iterate guard keeps away, and a step whose
+    points are all skipped cannot cross, so it does no value arithmetic at
+    all.  run["points_evaluated"] and run["points_screened"] count the
+    (run, scheme) points of every evaluation step, a point with an exact
+    value as evaluated.  A target-only run reads nothing of the shifted
+    output average, so it does not keep one and run["output_average"] is
+    None.
     `keep(t, crossed)`, called after each evaluation at step t with the
     crossing steps (-1 if none) of all S runs, returns a mask of the runs
     still needed; the others are frozen too, so `crossed < 0` stops each
@@ -279,7 +273,11 @@ def _simulate(config, objective, seeds, *, steps=None, ref_point=None,
     track_averages = record.f_values or target is not None
     Y, weights, weights_start = None, None, 0
     mu = objective.curvature()[0] if screen else 0.0
-    anchor = {}  # z, f(z), grad f(z) per (active run, scheme) once screening
+    # z, f(z), grad f(z) per (active run, scheme) when screening; f(z) = NaN
+    # certifies nothing, so every point is evaluated until it has an anchor
+    shape = (S, len(SCHEMES), objective.d)
+    anchor = dict(z=np.zeros(shape), f=np.full(shape[:2], np.nan),
+                  g=np.zeros(shape)) if screen else {}
     rows = {name: [] for name in ("xbar", "deviations", "iterates", "f_xbar",
                                   "dist_sq", "noise_sq", "f_values")}
     run = {"eval_steps": [], "comm_rounds": 0, "max_second_moment": 0.0,
@@ -330,44 +328,28 @@ def _simulate(config, objective, seeds, *, steps=None, ref_point=None,
         Y = np.concatenate((x, x * x_num / x_den + Y[:, 1:] * y_num / y_den), axis=1)
 
     def evaluate(t):
-        """f of the four running averages (A, 4) at step t; a screened point reads +inf.
+        """f of the four running averages (A, 4) at step t; a point not evaluated reads +inf.
 
-        Returns f and a mask of the active runs with a non-finite value, or
-        None when screening evaluates no point at t > 0.
+        Returns f and a mask of the active runs with a NaN value, or None
+        when screening evaluates no point.
         """
-        points = Y.shape[0] * Y.shape[1]
-        evaluated = points
-        if anchor:
-            need = ~_certified_by_any(Y, anchor["z"], anchor["f"], anchor["g"],
-                                      mu, *target)
-            evaluated = int(np.count_nonzero(need))
-        run["points_evaluated"] += evaluated
-        run["points_screened"] += points - evaluated
-        if t == 0:
-            # every row of Y is xbar_0, so one pass gives every value; the
-            # copies are writable, since re-anchoring writes into them
-            def spread(a):
-                return np.broadcast_to(a, Y.shape[:2] + a.shape[2:]).copy()
-            if screen:
-                f, g = map(spread, _values_and_gradients(objective, Y[:1, :1]))
-                anchor.update(z=Y, f=f, g=g)
-            else:
-                f = spread(_values(objective, Y[:1, :1]))
-        elif evaluated == 0:
-            return None
-        elif evaluated == points:
-            if screen:
-                f, g = _values_and_gradients(objective, Y)
-                anchor.update(z=Y, f=f, g=g)
-            else:
-                f = _values(objective, Y)
+        if screen:
+            need = ~_certified_by_any(Y, anchor["z"], anchor["f"], anchor["g"], mu, *target)
         else:
-            # only target-only runs screen; re-anchor the points evaluated
-            f = np.full(need.shape, np.inf)
-            Y_need = Y[need]
-            f_need, g = _values_and_gradients(objective, Y_need)
-            f[need] = anchor["f"][need] = f_need
-            anchor["z"][need], anchor["g"][need] = Y_need, g
+            need = np.ones(Y.shape[:2], dtype=bool)
+        evaluated = int(np.count_nonzero(need))
+        run["points_evaluated"] += evaluated
+        run["points_screened"] += need.size - evaluated
+        if evaluated == 0:
+            return None
+        # at t = 0 every average is xbar_0, so its one value is every point's
+        points = Y[:1, 0] if t == 0 else Y[need]
+        f = np.full(need.shape, np.inf)
+        if screen:
+            f[need], anchor["g"][need] = _values(objective, points, gradients=True)
+            anchor["z"][need], anchor["f"][need] = points, f[need]
+        else:
+            f[need] = _values(objective, points)
         if record.f_values:
             append("f_values", f)
         return f, np.isnan(f).any(axis=1)

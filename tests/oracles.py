@@ -7,7 +7,8 @@ constants of an objective over given points, a first-order reference
 solve to check the Newton solve of the harness against, and the block
 schedule of the load balancer and its staleness bound by scans over all
 pairs, the tightest step of the perturbed-step inequality by a loop over
-its checked steps, and an objective that counts its gradient calls.
+its checked steps, an objective that counts its gradient calls, and the
+gap of a sync index set.
 """
 
 from math import sqrt
@@ -240,3 +241,16 @@ class GradientCounter:
             self.calls += 1
             return attr(*args, **kwargs)
         return counted
+
+
+def gap(indices) -> int:
+    """Largest difference between consecutive members of a sorted set."""
+    seq = list(indices)
+    if len(seq) < 2:
+        raise ValueError("gap requires at least two indices")
+    widest = 0
+    for prev, cur in zip(seq, seq[1:]):
+        if cur < prev:
+            raise ValueError("indices must be sorted ascending")
+        widest = max(widest, cur - prev)
+    return widest

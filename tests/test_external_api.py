@@ -125,22 +125,40 @@ def _exported_names():
             if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
-def _names_read(path):
-    """Every name `path` reads, imports or reads as an attribute."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
+def _package_reads(path, inside):
+    """Every name `path` reads that resolves to the package.
+
+    Those are the names it imports from localsgd (inside the package, from
+    a sibling module), the attributes of a chain on localsgd or on a name
+    imported from it, and, `inside` the package, the names its own module
+    defines at top level and reads.  A local variable that only shares an
+    exported name is not a reference.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    heads = {"localsgd"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level if inside else (node.module or "").startswith("localsgd")):
+            for alias in node.names:
+                heads.add(alias.asname or alias.name)
+                yield alias.name
+    own = {node.name for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))} if inside else set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in own and isinstance(node.ctx, ast.Load):
             yield node.id
         elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.ImportFrom):
-            yield from (alias.name for alias in node.names)
+            chain = _dotted(node)
+            if chain is not None and chain.split(".")[0] in heads:
+                yield from chain.split(".")[1:]
 
 
 def test_every_exported_name_has_a_caller_outside_the_tests():
     # the package's modules (the CLI among them), the demos and the benchmark
     package = [p for p in sorted((REPO_ROOT / "src" / "localsgd").glob("*.py"))
                if p.name != "__init__.py"]
-    called = {name for path in package + CALLERS for name in _names_read(path)}
+    called = {name for path in package for name in _package_reads(path, inside=True)}
+    called |= {name for path in CALLERS for name in _package_reads(path, inside=False)}
     exported = _exported_names()
     assert set(TEST_ONLY_EXPORTS) <= exported
     assert sorted(exported - called) == sorted(TEST_ONLY_EXPORTS)

@@ -1065,6 +1065,52 @@ def test_cli_fstar_reports_a_dataset_that_is_not_utf8(tmp_path, capsys):
         f"config error: [Errno 2] No such file or directory: {missing!r}\n"
 
 
+QUADRATIC_CONFIG = "[dataset]\nkind = quadratic\n\n[sweep]\neps = 0.05\nK = 1\nH = 1\nb = 1\n"
+
+
+def test_cli_reports_a_config_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(b"[dataset]\nkind = quadratic ; caf\xe9\n")
+    before = sorted(tmp_path.iterdir())
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == ("", (
+        f"config error: config file {str(path)!r} is not UTF-8 text: 'utf-8' codec "
+        f"can't decode byte 0xe9 in position 32: invalid continuation byte\n"))
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["run", "verify-lemmas"])
+def test_cli_out_under_a_regular_file_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                        command):
+    # the output directory is made after the problem is built and before
+    # anything runs
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the output directory was made")
+    monkeypatch.setattr(harness, "lemma_suite", never)
+    monkeypatch.setattr(harness, "_sweep_cell", never)
+    config = write_config(tmp_path, QUADRATIC_CONFIG)
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    out = blocker / "out"
+    before = sorted(tmp_path.iterdir())
+    assert main([command, str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", (f"config error: cannot create output directory: "
+                                        f"[Errno 20] Not a directory: {str(out)!r}\n"))
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["run", "verify-lemmas"])
+def test_cli_unreadable_dataset_leaves_no_output_directory(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing.libsvm")
+    config = write_config(tmp_path, QUADRATIC_CONFIG.replace(
+        "kind = quadratic", f"kind = libsvm\npath = {missing}"))
+    before = sorted(tmp_path.iterdir())
+    assert main([command, str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == (
+        "", f"config error: [Errno 2] No such file or directory: {missing!r}\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_cli_defaults_are_the_dataclass_defaults(capsys):
     grid = ["--K", "1,4", "--H", "2", "--eps", "0.01"]
     assert main(["theory", *grid]) == 0

@@ -5,10 +5,10 @@ from localsgd import (
     ConstantStep,
     ExperimentDecayStep,
     TheoremDecayStep,
-    gap,
     regular_sync_schedule,
 )
 from localsgd.schedules import validate_shift
+from oracles import gap
 
 
 def test_gap_examples():

@@ -406,8 +406,9 @@ def test_a_plan_holds_the_longest_run_of_steps_within_its_cap(logistic50):
 
 
 def test_fused_averages_equal_running_averages_per_scheme(monkeypatch, quad10):
-    # every evaluation reads the (1, 4, d) averages of the run; compare them
-    # with one RunningAverage per scheme fed the recorded xbar
+    # every evaluation reads the flat (4, d) averages of the run, and the
+    # (1, d) start point at t = 0; compare them with one RunningAverage per
+    # scheme fed the recorded xbar
     objective = quad10[0]
     T = 5000
     config = quad_config(quad10, K=2, T=T, H=3,
@@ -424,7 +425,7 @@ def test_fused_averages_equal_running_averages_per_scheme(monkeypatch, quad10):
     running = [RunningAverage(kind) for kind in SCHEMES]
     for t, x in enumerate(trace.xbar):
         want = np.stack([avg.update(x, t) for avg in running])
-        got = seen[t][0, :1].repeat(4, axis=0) if t == 0 else seen[t][0]
+        got = seen[t].repeat(4, axis=0) if t == 0 else seen[t]
         assert got.tobytes() == want.tobytes()
 
 
@@ -563,6 +564,48 @@ def test_screening_counts_every_point_of_every_evaluation(logistic50):
     assert (screened["crossed"] >= 0).any() and (screened["crossed"] < 0).any()
     for name in ("crossed", "diverged", "eval_steps", "final_iterates"):
         assert np.array_equal(screened[name], recorded[name])
+
+
+class ThresholdQuadratic(QuadraticObjective):
+    """A quadratic whose value raises for a stack holding a point past x = c."""
+
+    c = 3.905
+
+    def value_many(self, X):
+        if np.max(X) > self.c:
+            raise FloatingPointError("value overflowed")
+        return super().value_many(X)
+
+    def value_and_gradient_many(self, X):
+        if np.max(X) > self.c:
+            raise FloatingPointError("value overflowed")
+        return super().value_and_gradient_many(X)
+
+
+def test_a_non_finite_value_reads_nan_at_its_own_point():
+    # f(x) = x^2/2 - 4x from x0 = 0 at step 0.1: xbar_t = 4 (1 - 0.9^t)
+    # passes c at t = 36, when the last iterate is within eps of f_star and
+    # the three averages, which lag it, are still below c and outside eps
+    obj = ThresholdQuadratic([1.0], [[4.0]])
+    f_star, eps, t_fail = -8.0, 0.5 * (4.0 - ThresholdQuadratic.c) ** 2, 36
+    traces = []
+    for f_values in (True, False):
+        config = RunConfig(K=1, T=100, b=1, sync=regular_sync_schedule(100, 1),
+                           steps=ConstantStep(c=0.1 / 32), seed=0, x0=np.zeros(1),
+                           record=RecordFlags(f_values=f_values, f_every=1))
+        traces.append(run_local_sgd(config, obj, stop_when=(eps, f_star)))
+    recorded, screened = traces
+    assert recorded.xbar[t_fail - 1, 0] < ThresholdQuadratic.c < recorded.xbar[t_fail, 0]
+    # only the failing scheme reads NaN, and the run diverges and freezes there
+    row = [recorded.f_by_scheme[s][-1] for s in SCHEMES]
+    assert np.isnan(row[0]) and np.all(np.isfinite(row[1:]))
+    assert recorded.diverged and recorded.t_star is None
+    assert recorded.eval_steps[-1] == t_fail
+    assert np.array_equal(recorded.final_iterates, recorded.xbar[-1:])
+    # screening evaluates the failing point too, so it stops at the same step
+    assert screened.diverged and screened.t_star is None
+    assert screened.eval_steps[-1] == t_fail
+    assert np.array_equal(screened.final_iterates, recorded.final_iterates)
 
 
 def test_config_validation(quad10):
