@@ -31,6 +31,7 @@ from .harness import (
     run_experiment,
     theory_rows,
     verify_lemmas,
+    with_output_dir,
 )
 
 
@@ -67,18 +68,17 @@ def build_parser():
 
 
 def cmd_run(args):
-    config = load_experiment_config(args.config)
-    rows, code = run_experiment(config, out_dir=args.out)
-    out = args.out if args.out is not None else config.out_dir
+    config = with_output_dir(load_experiment_config(args.config), args.out)
+    rows, code = run_experiment(config)
     unreachable = sum(1 for row in rows if row.iterations is None)
-    print(f"wrote {len(rows)} rows to {out}/results.csv"
+    print(f"wrote {len(rows)} rows to {config.out_dir}/results.csv"
           + (f" ({unreachable} unreachable)" if unreachable else ""))
     return code
 
 
 def cmd_verify_lemmas(args):
-    config = load_experiment_config(args.config)
-    reports = verify_lemmas(config, out_dir=args.out)
+    config = with_output_dir(load_experiment_config(args.config), args.out)
+    reports = verify_lemmas(config)
     for report in reports:
         print(report)
     return 0 if all(r.passed for r in reports) else 2

@@ -36,7 +36,7 @@ import configparser
 import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 from math import ceil, isfinite, log2, sqrt
 from pathlib import Path
@@ -117,6 +117,8 @@ class ExperimentConfig:
             check_cost_ratio(self.rho)
         except ValueError as exc:
             raise ConfigError(str(exc))
+        if self.seed < 0:
+            raise ConfigError(f"[run] seed must be >= 0, got {self.seed}")
         if self.epoch_cap < 1:
             raise ConfigError("epoch_cap must be >= 1")
         if self.i_min > self.i_max:
@@ -129,6 +131,8 @@ class ExperimentConfig:
             validate_fixture({**LEMMA_DEFAULTS, **self.lemmas})
         except ValueError as exc:
             raise ConfigError(f"lemmas.{exc}")
+        if not self.out_dir:
+            raise ConfigError("[output] dir must not be empty")
 
 
 def _parse_list(raw, cast, field_name):
@@ -622,13 +626,19 @@ def _pool_size():
     return min(os.cpu_count() or 1, 4)
 
 
-def _output_dir(path):
-    """Create the output directory `path`; one that cannot be made is a ConfigError.
+def with_output_dir(config, out_dir):
+    """`config` with `out_dir`, unless None, as its [output] dir and checked as that key
+    is: the one rule for where `run_experiment` and `verify_lemmas` write."""
+    return config if out_dir is None else replace(config, out_dir=str(out_dir))
+
+
+def _output_dir(config):
+    """Create the config's output directory; one that cannot be made is a ConfigError.
 
     Callers build the problem first and run after, so a config error
     leaves no directory behind and a bad directory costs no run.
     """
-    out = Path(path)
+    out = Path(config.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -642,9 +652,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
     Exit code 0 on success, 2 when some cells never reached their target
     accuracy within the step cap (those rows are marked unreachable).
     """
+    config = with_output_dir(config, out_dir)
     objective, reference = build_problem(config.dataset)
     workers = _pool_size()
-    out = _output_dir(out_dir if out_dir is not None else config.out_dir)
+    out = _output_dir(config)
     grid = product(config.eps_list, config.K_list, config.H_list, config.b_list)
     cells = [
         (reference.f_star, eps, K, H, b, _cell_seed(config.seed, index),
@@ -776,12 +787,10 @@ def verify_lemmas(config: ExperimentConfig, out_dir=None):
     parameters come from the [lemmas] section (with defaults matching the
     standard fixtures).
     """
+    config = with_output_dir(config, out_dir)
     objective, reference = build_problem(config.dataset)
-    out = None
-    if out_dir is not None or config.out_dir:
-        out = _output_dir(out_dir if out_dir is not None else config.out_dir)
+    out = _output_dir(config)
     reports = lemma_suite(objective, reference, **config.lemmas)
-    if out is not None:
-        _write_csv(out / "lemma_checks.csv", LEMMA_HEADER,
-                   [report.csv_fields() for report in reports])
+    _write_csv(out / "lemma_checks.csv", LEMMA_HEADER,
+               [report.csv_fields() for report in reports])
     return reports

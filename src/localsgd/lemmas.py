@@ -202,25 +202,30 @@ def check_perturbed_inequality(config, objective, reference, runs, seed=0) -> Ch
 
     using a paired one-sided test at 3 standard errors of the difference,
     with (mu, L) from `objective.curvature()`.  Requires eta_0 <= 1/(4L).
-    The check adds deviations, noise norms and f(xbar_t) to what `config`
-    records.
+    The check adds xbar, deviations and noise norms to what `config`
+    records.  From xbar it computes ||xbar_t - x*||^2 at the checked steps
+    t and t + 1, and f(xbar_t) in one stacked pass under the engine's
+    per-point NaN rule (`sync._values`), so a run reads NaN from where it
+    froze and a point whose value is not finite reads NaN on its own.
     """
     mu, L = objective.curvature()
     if config.steps.eta(0) > 1.0 / (4.0 * L):
         raise ValueError("stepsize too large: eta_0 must be <= 1/(4L)")
 
-    record = replace(config.record, deviations=True, noise_norms=True, f_virtual=True)
+    record = replace(config.record, virtual=True, deviations=True, noise_norms=True)
     result = run_local_sgd_ensemble(replace(config, record=record), objective,
-                                    _run_seeds(seed, runs), ref_point=reference.x_star)
+                                    _run_seeds(seed, runs))
     T = config.T
     points = np.unique(np.linspace(0, T - 1, min(T, _PERTURBED_POINTS), dtype=np.int64))
+    xbar = result.xbar[:, points]
+    values = sync._values(objective, xbar.reshape(-1, objective.d)).reshape(xbar.shape[:2])
     eta = np.array([config.steps.eta(int(t)) for t in points])
     eta_sq = np.array([config.steps.eta(int(t))**2 for t in points])  # C pow, as above
-    lhs = result.dist_sq[:, points + 1]
+    lhs = np.sum((result.xbar[:, points + 1] - reference.x_star) ** 2, axis=-1)
     rhs = (
-        (1.0 - mu * eta) * result.dist_sq[:, points]
+        (1.0 - mu * eta) * np.sum((xbar - reference.x_star) ** 2, axis=-1)
         + eta_sq * result.noise_sq[:, points]
-        - 0.5 * eta * (result.f_xbar[:, points] - reference.f_star)
+        - 0.5 * eta * (values - reference.f_star)
         + 2.0 * eta * L * result.deviations[:, points]
     )
     i, _, stderr = _tightest_step(lhs - rhs, np.zeros(len(points)))
@@ -331,7 +336,7 @@ def check_async_deviation(config, delay, objective, runs, seed=0) -> CheckReport
 def validate_fixture(params):
     """Raise ValueError unless the lemma_suite parameters `params` are in range."""
     for key, low in (("runs", 2), ("trials", 100), ("K", 1), ("H", 1), ("T", 1),
-                     ("b", 1), ("tau", 0)):
+                     ("b", 1), ("tau", 0), ("seed", 0)):
         if params[key] < low:
             raise ValueError(f"{key} must be >= {low}, got {params[key]}")
     if params["H"] > params["T"]:
@@ -351,7 +356,7 @@ def lemma_suite(objective, reference, *, runs=1000, trials=4000, K=4, H=4, T=64,
     C = 8 G^2 H^2 L.  Returns the five CheckReports.  Parameters out of
     range (`validate_fixture`) raise ValueError before any run.
     """
-    validate_fixture(dict(runs=runs, trials=trials, K=K, H=H, T=T, b=b, tau=tau))
+    validate_fixture(dict(runs=runs, trials=trials, K=K, H=H, T=T, b=b, tau=tau, seed=seed))
     mu, L = objective.curvature()
     x0 = np.zeros(objective.d)
     B = objective.variance_at(x0) / K

@@ -47,7 +47,8 @@ _DIVERGED = 1e100          # a run whose iterates reach this magnitude has diver
 class RecordFlags:
     """What a run records, read by every engine entry point, sync or async,
     single run or ensemble; a row left off reads None.  Only `virtual` and
-    `f_values` are on by default."""
+    `f_values` are on by default.  A statistic of the states, such as
+    f(xbar_t), is for its reader to compute from the recorded rows."""
 
     virtual: bool = True         # virtual average per step
     deviations: bool = False     # (1/K) sum_k ||xbar - x_k||^2 per step
@@ -56,7 +57,6 @@ class RecordFlags:
     f_values: bool = True
     iterates: bool = False       # full (K, T+1, d) worker trajectories
     noise_norms: bool = False    # ||g_t - gbar_t||^2 per step (costs K full gradients)
-    f_virtual: bool = False      # f(xbar_t) per step
     f_every: int | None = None   # extra evaluation stride; default ceil(T/1000)
 
     def __post_init__(self):
@@ -95,7 +95,6 @@ class RunTrace:
     xbar: np.ndarray | None          # (T+1, d) virtual average per step
     deviations: np.ndarray | None    # (T+1,) (1/K) sum_k ||xbar_t - x_t^k||^2
     noise_sq: np.ndarray | None      # (T,) ||g_t - gbar_t||^2
-    f_xbar: np.ndarray | None        # (T+1,) f(xbar_t)
     iterates: np.ndarray | None      # (K, T+1, d) worker trajectories
     eval_steps: np.ndarray           # steps at which f values were recorded
     f_by_scheme: dict | None         # scheme -> f of its running average per eval step
@@ -149,12 +148,12 @@ def _values(objective, Y, gradients=False):
         return (f, objective.gradient_many(Y)) if gradients else f
 
 
-def _certified_miss(f_z, slope, dist_sq, mu, eps, f_star):
+def _certified_miss(f_z, slope, sq_dist, mu, eps, f_star):
     """Mask of the points y that convexity proves to be more than eps above f_star.
 
-    f_z = f(z), slope = grad f(z)^T (y - z) and dist_sq = ||y - z||^2 at an
+    f_z = f(z), slope = grad f(z)^T (y - z) and sq_dist = ||y - z||^2 at an
     anchor z.  mu-strong convexity (mu = 0 is always valid) gives
-    f(y) >= lb = f_z + slope + (mu/2) dist_sq, so lb - f_star > eps means y
+    f(y) >= lb = f_z + slope + (mu/2) sq_dist, so lb - f_star > eps means y
     misses eps.  A NaN anchor value certifies nothing.
 
     The crossing test reads the computed f(y), so the rule must also hold
@@ -167,7 +166,7 @@ def _certified_miss(f_z, slope, dist_sq, mu, eps, f_star):
     so it also covers terms of a margin or a dot product that cancel by
     that factor.  A point at lb - f_star = eps (1 + 1e-12) is not screened.
     """
-    curvature = 0.5 * mu * dist_sq
+    curvature = 0.5 * mu * sq_dist
     lb = f_z + slope + curvature
     margin = 1e-9 * (eps + abs(f_star) + np.abs(f_z) + np.abs(slope) + curvature)
     return lb - f_star > eps + margin
@@ -187,8 +186,8 @@ def _certified_by_any(Y, z, f_z, g_z, mu, eps, f_star):
                            np.vecdot(D, D), mu, eps, f_star).any(axis=2)
 
 
-def _simulate(config, objective, seeds, *, steps=None, ref_point=None,
-              track_second_moment=False, target=None, keep=None, exchange=None):
+def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False,
+              target=None, keep=None, exchange=None):
     """The time-step loop behind every engine: sync, grid search and async.
 
     Advances S = len(seeds) runs of `config` together on iterates X of
@@ -278,8 +277,7 @@ def _simulate(config, objective, seeds, *, steps=None, ref_point=None,
     shape = (S, len(SCHEMES), objective.d)
     anchor = dict(z=np.zeros(shape), f=np.full(shape[:2], np.nan),
                   g=np.zeros(shape)) if screen else {}
-    rows = {name: [] for name in ("xbar", "deviations", "iterates", "f_xbar",
-                                  "dist_sq", "noise_sq", "f_values")}
+    rows = {name: [] for name in ("xbar", "deviations", "iterates", "noise_sq", "f_values")}
     run = {"eval_steps": [], "comm_rounds": 0, "max_second_moment": 0.0,
            "points_evaluated": 0, "points_screened": 0,
            "crossed": np.full(S, -1, dtype=np.int64),
@@ -364,20 +362,13 @@ def _simulate(config, objective, seeds, *, steps=None, ref_point=None,
             append("deviations", np.mean(np.sum((X - xbar[:, None, :]) ** 2, axis=2), axis=1))
         if record.iterates:
             append("iterates", X.copy())
-        bad = np.zeros(len(active), dtype=bool)
-        if record.f_virtual:
-            f = _values(objective, xbar)
-            append("f_xbar", f)
-            bad |= np.isnan(f)
-        if ref_point is not None:
-            append("dist_sq", np.sum((xbar - ref_point) ** 2, axis=1))
-        out = bad
+        out = bad = np.zeros(len(active), dtype=bool)
         if track_averages and (t % stride == 0 or t == T or (t >= 1 and config.sync.is_sync(t))):
             run["eval_steps"].append(t)
             checked = evaluate(t)
             if checked is not None:
-                f, bad_f = checked
-                out = bad = bad | bad_f
+                f, bad = checked
+                out = bad
                 if target is not None:
                     reached = f.min(axis=1) - target[1] <= target[0]
                     hit = ~bad & (run["crossed"][active] < 0) & reached
@@ -479,11 +470,9 @@ def _rows(run, runs=slice(None)):
 def _row_zero(run, trace=RunTrace, **fields):
     """Run 0 of a `_simulate` run dict as a `trace`: the single-run trace of
     the sync and async engines.  `fields` are the trace class's own."""
-    rows = _rows(run, 0)
-    del rows["dist_sq"]  # only an ensemble measures a distance to a point
     crossed = int(run["crossed"][0])
     return trace(
-        **rows, eval_steps=run["eval_steps"], comm_rounds=run["comm_rounds"],
+        **_rows(run, 0), eval_steps=run["eval_steps"], comm_rounds=run["comm_rounds"],
         output_average=None if run["output_average"] is None else run["output_average"][0],
         final_iterates=run["final_iterates"][0], t_star=crossed if crossed >= 0 else None,
         diverged=bool(run["diverged"][0]), **fields)
@@ -542,10 +531,8 @@ class EnsembleResult:
     xbar: np.ndarray | None          # (S, T+1, d)
     deviations: np.ndarray | None    # (S, T+1)
     noise_sq: np.ndarray | None      # (S, T)
-    f_xbar: np.ndarray | None        # (S, T+1)
     iterates: np.ndarray | None      # (S, K, T+1, d)
     f_by_scheme: dict | None         # scheme -> (S, evals)
-    dist_sq: np.ndarray | None       # (S, T+1) squared distance of xbar to ref
 
     @cached_property
     def f_output(self) -> np.ndarray:
@@ -564,15 +551,13 @@ def _ensemble_result(run, objective, staleness=0) -> EnsembleResult:
                           output_average, run["eval_steps"], **_rows(run))
 
 
-def run_local_sgd_ensemble(config, objective, seeds, *, ref_point=None,
-                           track_second_moment=False):
+def run_local_sgd_ensemble(config, objective, seeds, *, track_second_moment=False):
     """Run one configuration under many seeds, vectorized across runs.
 
     Run r is the `run_local_sgd` run with seed=seeds[r], advanced by the
     same loop: it records what `config.record` asks for, and its rows
-    agree bitwise with the single run's trace.  `ref_point` adds dist_sq,
-    and `track_second_moment` the largest E_i ||grad f_i||^2 at any iterate.
+    agree bitwise with the single run's trace.  `track_second_moment`
+    adds the largest E_i ||grad f_i||^2 at any iterate.
     """
-    run = _simulate(config, objective, seeds, ref_point=ref_point,
-                    track_second_moment=track_second_moment)
+    run = _simulate(config, objective, seeds, track_second_moment=track_second_moment)
     return _ensemble_result(run, objective)

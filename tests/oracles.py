@@ -7,10 +7,11 @@ constants of an objective over given points, a first-order reference
 solve to check the Newton solve of the harness against, and the block
 schedule of the load balancer and its staleness bound by scans over all
 pairs, the tightest step of the perturbed-step inequality by a loop over
-its checked steps, an objective that counts its gradient calls, and the
+its checked steps, an objective that counts its oracle calls, and the
 gap of a sync index set.
 """
 
+from collections import Counter
 from math import sqrt
 
 import numpy as np
@@ -201,21 +202,25 @@ def needed_by_comparison(measured, points, t, crossed) -> np.ndarray:
                      for family, i in points])
 
 
-def perturbed_by_loop(result, steps, points, mu, L, f_star):
+def perturbed_by_loop(result, objective, reference, steps, points, mu, L):
     """(step, lhs mean, rhs mean, stderr) of the perturbed-step inequality
     at its tightest checked step, one step at a time.
 
-    `result` is the EnsembleResult of the tested runs.  Each step's
-    per-run difference lhs - rhs is a row of its own; the tightest step
-    has the smallest 3 stderr - mean difference, ties to the earliest.
+    `result` is the EnsembleResult of the tested runs, with xbar recorded.
+    Each checked step's f(xbar_t) is its own value pass over the runs,
+    and its distances to x* are computed from xbar_t and xbar_{t+1}.  Each
+    step's per-run difference lhs - rhs is a row of its own; the tightest
+    step has the smallest 3 stderr - mean difference, ties to the earliest.
     """
-    runs = result.dist_sq.shape[0]
+    runs = result.xbar.shape[0]
     worst = None
     for t in points:
         eta = steps.eta(int(t))
-        lhs = result.dist_sq[:, t + 1]
-        rhs = ((1.0 - mu * eta) * result.dist_sq[:, t] + eta**2 * result.noise_sq[:, t]
-               - 0.5 * eta * (result.f_xbar[:, t] - f_star)
+        dist_t = np.sum((result.xbar[:, t] - reference.x_star) ** 2, axis=1)
+        lhs = np.sum((result.xbar[:, t + 1] - reference.x_star) ** 2, axis=1)
+        f_t = objective.value_many(result.xbar[:, t])
+        rhs = ((1.0 - mu * eta) * dist_t + eta**2 * result.noise_sq[:, t]
+               - 0.5 * eta * (f_t - reference.f_star)
                + 2.0 * eta * L * result.deviations[:, t])
         diff = lhs - rhs
         stderr = float(diff.std(ddof=1) / np.sqrt(runs))
@@ -226,19 +231,27 @@ def perturbed_by_loop(result, steps, points, mu, L, f_star):
 
 
 class GradientCounter:
-    """An objective that counts the calls to its gradient oracles."""
+    """An objective that counts the calls to its value and gradient oracles.
+
+    `counts` maps each oracle name to its calls, and `calls` is the
+    number of gradient oracle calls.
+    """
 
     def __init__(self, objective):
         self.objective = objective
-        self.calls = 0
+        self.counts = Counter()
+
+    @property
+    def calls(self):
+        return sum(n for name, n in self.counts.items() if "gradient" in name)
 
     def __getattr__(self, name):
         attr = getattr(self.objective, name)
-        if "gradient" not in name:
+        if "gradient" not in name and "value" not in name:
             return attr
 
         def counted(*args, **kwargs):
-            self.calls += 1
+            self.counts[name] += 1
             return attr(*args, **kwargs)
         return counted
 

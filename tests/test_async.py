@@ -100,6 +100,10 @@ def test_measured_delay_hand_built_log():
     log.reads.append(Read(worker=1, step=3, prefix=0, extras=(1,)))
     log.reads.append(Read(worker=0, step=4, prefix=3, extras=()))
     assert measured_delay(log) == pair_scan_delay(log) == 2
+    # a log without reads has no delay to measure
+    log.reads.clear()
+    with pytest.raises(ValueError, match="^write log has no recorded reads$"):
+        measured_delay(log)
 
 
 @pytest.mark.parametrize("K, per_worker_H, delay, speeds", [
@@ -242,6 +246,9 @@ def test_load_balancing_plans():
 
     with pytest.raises(ValueError):
         load_balanced_assignment([1.0, -1.0], H=2)
+    for H, n_blocks in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="^H and n_blocks must be >= 1$"):
+            load_balanced_assignment([1.0, 1.0], H=H, n_blocks=n_blocks)
 
 
 def test_load_balancing_bound_equals_the_scan_over_all_blocks():
@@ -284,6 +291,12 @@ def test_load_balanced_run_realized_delay(quad10):
     assert plan_used.bound <= 3 * H
     assert measured_delay(log) <= 3 * H
     assert np.max(np.abs(trace.final_aggregate - trace.xbar[-1])) <= 1e-10
+
+    with pytest.raises(ValueError, match="^load-balanced runs need T divisible by H$"):
+        run_load_balanced(replace(config, T=22, sync=regular_sync_schedule(22, H)),
+                          [2.0, 1.0], obj)
+    with pytest.raises(ValueError, match=r"^need one speed per logical sequence \(K of them\)$"):
+        run_load_balanced(config, [2.0, 1.0, 1.0], obj)
 
 
 def full_scan_async(config, per_worker_syncs, delay, objective, wall_times=None):
@@ -515,6 +528,16 @@ def test_async_ensemble_result_equals_single_runs_bitwise(quad10):
     assert np.array_equal(batch.f_output, obj.value_many(batch.output_average))
 
 
+@pytest.mark.parametrize("kind, tau, message", [
+    ("lagged", 1, "unknown delay model 'lagged'"),
+    ("fixed", -1, "tau must be nonnegative"),
+    ("zero", 2, "zero-delay model must declare tau=0"),
+])
+def test_delay_model_rejects_an_unknown_kind_or_a_tau_out_of_range(kind, tau, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DelayModel(kind, tau=tau)
+
+
 @pytest.mark.parametrize("kind", ["fixed", "random-bounded"])
 @pytest.mark.parametrize("tau", [2.5, 2.0, True, "2"])
 def test_delay_model_rejects_a_tau_that_is_not_an_integer(kind, tau):
@@ -526,7 +549,7 @@ def test_delay_model_rejects_a_tau_that_is_not_an_integer(kind, tau):
 
 # each RecordFlags row and the trace field it fills
 RECORDED_ROWS = {"virtual": "xbar", "deviations": "deviations", "f_values": "f_by_scheme",
-                 "iterates": "iterates", "noise_norms": "noise_sq", "f_virtual": "f_xbar"}
+                 "iterates": "iterates", "noise_norms": "noise_sq"}
 
 
 def same_bytes(got, want):

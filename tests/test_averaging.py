@@ -91,10 +91,17 @@ def test_average_stays_in_convex_hull():
 
 
 def test_out_of_order_updates_rejected():
-    avg = RunningAverage("uniform")
-    avg.update(np.zeros(2), 0)
-    with pytest.raises(ValueError, match="out-of-order"):
-        avg.update(np.zeros(2), 2)
+    for avg in (RunningAverage("uniform"), ShiftedQuadraticAverage(2.0)):
+        avg.update(np.zeros(2), 0)
+        with pytest.raises(ValueError, match="^out-of-order update: expected t=1, got 2$"):
+            avg.update(np.zeros(2), 2)
+
+
+def test_averages_reject_an_unknown_scheme_and_a_shift_below_one():
+    with pytest.raises(ValueError, match="^unknown averaging scheme 'median'$"):
+        RunningAverage("median")
+    with pytest.raises(ValueError, match="^shift must be >= 1$"):
+        ShiftedQuadraticAverage(0.5)
 
 
 def test_sum_of_weights_examples():

@@ -3,8 +3,9 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from localsgd import LibsvmFormatError, LogisticObjective, parse_libsvm
+from localsgd import Dataset, LibsvmFormatError, LogisticObjective, parse_libsvm
 from oracles import example, serialize_libsvm, sparse_dot
 
 
@@ -50,6 +51,18 @@ def test_malformed_tokens_report_line():
         parse_libsvm(["2 1:1"])
     with pytest.raises(LibsvmFormatError, match="label"):
         parse_libsvm(["spam 1:1"])
+    with pytest.raises(LibsvmFormatError, match="^line 1: index 0 must be >= 1$"):
+        parse_libsvm(["+1 0:1"])
+
+
+def test_dataset_checks_its_arrays():
+    features = sp.csr_matrix(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="^label count does not match feature rows$"):
+        Dataset(np.array([1.0]), features)
+    with pytest.raises(ValueError, match="^dataset must contain at least one example$"):
+        Dataset(np.zeros(0), sp.csr_matrix((0, 3)))
+    with pytest.raises(ValueError, match=r"^labels must be \+-1$"):
+        Dataset(np.array([1.0, 0.5]), features)
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -104,12 +105,12 @@ dir = somewhere
         load_experiment_config(tmp_path / "missing.ini")
 
 
-LEMMAS_OK = {"runs": 2, "trials": 100, "K": 1, "H": 4, "T": 4, "b": 1, "tau": 0}
+LEMMAS_OK = {"runs": 2, "trials": 100, "K": 1, "H": 4, "T": 4, "b": 1, "tau": 0, "seed": 0}
 
 
 @pytest.mark.parametrize("field, value", [
     ("runs", 1), ("trials", 99), ("K", 0), ("H", 0), ("T", 0), ("b", 0), ("tau", -1),
-    ("H", 5),  # H > T
+    ("seed", -1), ("H", 5),  # H > T
 ])
 def test_lemmas_section_validation(tmp_path, field, value):
     lemmas = {**LEMMAS_OK, field: value}
@@ -138,6 +139,20 @@ def test_experiment_config_validation(tmp_path):
 ])
 def test_experiment_config_rejects_non_finite_values(tmp_path, field, overrides):
     with pytest.raises(ConfigError, match=field):
+        small_config(tmp_path, **overrides)
+
+
+@pytest.mark.parametrize("overrides, error", [
+    ({"K_list": [1, 0]}, "K, H and b values must be >= 1"),
+    ({"H_list": [0]}, "K, H and b values must be >= 1"),
+    ({"b_list": [0]}, "K, H and b values must be >= 1"),
+    ({"epoch_cap": 0}, "epoch_cap must be >= 1"),
+    ({"i_min": 3, "i_max": 2}, "grid window is empty (i_min > i_max)"),
+    ({"seed": -1}, "[run] seed must be >= 0, got -1"),
+    ({"out_dir": ""}, "[output] dir must not be empty"),
+], ids=["K", "H", "b", "epoch_cap", "grid", "seed", "out_dir"])
+def test_experiment_config_rejects_values_out_of_range(tmp_path, overrides, error):
+    with pytest.raises(ConfigError, match=f"^{re.escape(error)}$"):
         small_config(tmp_path, **overrides)
 
 
@@ -1066,6 +1081,55 @@ def test_cli_fstar_reports_a_dataset_that_is_not_utf8(tmp_path, capsys):
 
 
 QUADRATIC_CONFIG = "[dataset]\nkind = quadratic\n\n[sweep]\neps = 0.05\nK = 1\nH = 1\nb = 1\n"
+
+
+@pytest.mark.parametrize("body, error", [
+    (QUADRATIC_CONFIG + "[output]\nsvg = maybe\n", "bad value in [output]: Not a boolean: maybe"),
+    (QUADRATIC_CONFIG + "[run]\nseed = x\n",
+     "bad value in [run]: invalid literal for int() with base 10: 'x'"),
+    ("[dataset]\nkind = quadratic\n", "missing [sweep] section"),
+], ids=["svg", "seed", "no-sweep"])
+def test_config_reader_rejects_a_bad_value_or_a_missing_sweep(tmp_path, body, error):
+    with pytest.raises(ConfigError, match=f"^{re.escape(error)}$"):
+        load_experiment_config(write_config(tmp_path, body))
+
+
+@pytest.mark.parametrize("command", ["run", "verify-lemmas"])
+@pytest.mark.parametrize("extra, args, error", [
+    ("[run]\nseed = -1\n", [], "[run] seed must be >= 0, got -1"),
+    ("[lemmas]\nseed = -1\n", [], "lemmas.seed must be >= 0, got -1"),
+    ("[output]\ndir =\n", [], "[output] dir must not be empty"),
+    ("", ["--out", ""], "[output] dir must not be empty"),
+], ids=["run-seed", "lemmas-seed", "empty-dir", "empty-out"])
+def test_cli_rejects_a_negative_seed_and_an_empty_output_dir(tmp_path, capsys, monkeypatch,
+                                                             command, extra, args, error):
+    # the config is rejected as it is read, so no directory is made, not
+    # even the current one's results/
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, QUADRATIC_CONFIG + extra)
+    before = sorted(tmp_path.iterdir())
+    assert main([command, str(config), *args]) == 1
+    assert capsys.readouterr() == ("", f"config error: {error}\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_cli_run_prints_the_directory_it_wrote(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, QUADRATIC_CONFIG + "[output]\ndir = configured\nsvg = no\n")
+    for args, out in (([], "configured"), (["--out", "override"], "override")):
+        assert main(["run", str(config), *args]) == 0
+        assert capsys.readouterr() == (f"wrote 1 rows to {out}/results.csv\n", "")
+        assert (tmp_path / out / "results.csv").is_file()
+
+
+def test_cli_rejects_a_thread_count_that_is_not_an_integer(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LOCALSGD_THREADS", "two")
+    config = write_config(tmp_path, QUADRATIC_CONFIG)
+    before = sorted(tmp_path.iterdir())
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == (
+        "", "config error: LOCALSGD_THREADS must be an integer, got 'two'\n")
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_cli_reports_a_config_file_that_is_not_utf8(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -181,12 +182,26 @@ def test_perturbed_inequality_equals_the_loop_over_its_steps(request, fixture, T
                        steps=theorem_steps((mu, L), 4), seed=0, x0=np.zeros(obj.d),
                        record=RecordFlags(virtual=False, f_values=False))
     report = check_perturbed_inequality(config, obj, ref, runs=runs, seed=5)
-    record = replace(config.record, deviations=True, noise_norms=True, f_virtual=True)
-    result = run_local_sgd_ensemble(replace(config, record=record), obj, _run_seeds(5, runs),
-                                    ref_point=ref.x_star)
+    record = replace(config.record, virtual=True, deviations=True, noise_norms=True)
+    result = run_local_sgd_ensemble(replace(config, record=record), obj, _run_seeds(5, runs))
     points = np.unique(np.linspace(0, T - 1, min(T, _PERTURBED_POINTS), dtype=np.int64))
     assert (report.worst_step, report.statistic, report.bound, report.stderr) == \
-        perturbed_by_loop(result, config.steps, points, mu, L, ref.f_star)
+        perturbed_by_loop(result, obj, ref, config.steps, points, mu, L)
+
+
+def test_perturbed_inequality_makes_one_value_pass(quad10):
+    # f(xbar_t) at every checked step comes from one stacked pass over the
+    # recorded virtual averages, not from a pass per step of the loop
+    obj, ref, _ = quad10
+    mu, L = obj.curvature()
+    config = RunConfig(K=4, T=100, b=1, sync=regular_sync_schedule(100, 4),
+                       steps=theorem_steps((mu, L), 4), seed=0, x0=np.zeros(obj.d),
+                       record=RecordFlags(virtual=False, f_values=False))
+    counter = GradientCounter(obj)
+    report = check_perturbed_inequality(config, counter, ref, runs=20, seed=5)
+    assert report.detail["checked_points"] == _PERTURBED_POINTS
+    assert counter.counts["value_many"] == 1
+    assert counter.counts["gradient_many"] == config.T
 
 
 def test_tightest_step_takes_the_earliest_tie_and_fails_on_nan():
@@ -267,6 +282,21 @@ def test_recursion_detects_violations():
     with pytest.raises(ValueError, match="t=0"):
         check_recursion_lemma(a=17.0, mu=1.0, A=1.0, B=0.0, C=0.0, T=10,
                               sequence_builder=cheating)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(A=0.0), "require A > 0, B, C >= 0, mu > 0, a > 1"),
+    (dict(a=1.0), "require A > 0, B, C >= 0, mu > 0, a > 1"),
+    (dict(sequence_builder=lambda T, eta: (np.zeros(T), np.zeros(T))),
+     "builder must return sequences of lengths T+1 and T"),
+    (dict(sequence_builder=lambda T, eta: (np.zeros(T + 1), np.full(T, -1.0))),
+     "sequences must be nonnegative"),
+], ids=["A", "a", "lengths", "negative"])
+def test_recursion_rejects_bad_arguments(overrides, message):
+    args = dict(a=17.0, mu=1.0, A=1.0, B=0.0, C=0.0, T=10,
+                sequence_builder=lambda T, eta: (np.zeros(T + 1), np.zeros(T)))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_recursion_lemma(**{**args, **overrides})
 
 
 # --- asynchronous deviation ----------------------------------------------
@@ -392,7 +422,8 @@ FIXTURE_LOWEST = {"runs": 2, "trials": 100, "K": 1, "H": 4, "T": 4, "b": 1, "tau
     ("runs", 1, "runs must be >= 2, got 1"), ("trials", 99, "trials must be >= 100, got 99"),
     ("K", 0, "K must be >= 1, got 0"), ("H", 0, "H must be >= 1, got 0"),
     ("T", 0, "T must be >= 1, got 0"), ("b", 0, "b must be >= 1, got 0"),
-    ("tau", -1, "tau must be >= 0, got -1"), ("H", 5, "H must be <= T"),
+    ("tau", -1, "tau must be >= 0, got -1"), ("seed", -1, "seed must be >= 0, got -1"),
+    ("H", 5, "H must be <= T"),
 ])
 def test_lemma_suite_rejects_an_out_of_range_parameter_before_any_gradient(quad10, field,
                                                                            value, message):

@@ -6,6 +6,7 @@ import pytest
 from localsgd import (
     LogisticObjective,
     ProblemConstants,
+    QuadraticObjective,
     make_quadratic,
     parse_libsvm,
 )
@@ -156,6 +157,18 @@ def test_quadratic_dimension_and_index_errors(quad10):
             obj.component_gradient(np.zeros(obj.d), i)
         with pytest.raises(IndexError):
             obj.component_value(np.zeros(obj.d), i)
+    with pytest.raises(ValueError, match="^linear terms do not match Hessian dimension$"):
+        QuadraticObjective(np.ones(3), np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("name", ["logistic50", "quad10"])
+def test_component_values_average_to_the_value(request, name):
+    obj = request.getfixturevalue(name)
+    if name == "quad10":
+        obj = obj[0]
+    x = np.linspace(-1.0, 1.0, obj.d)
+    mean = np.mean([obj.component_value(x, i) for i in range(obj.n)])
+    assert mean == pytest.approx(obj.value(x), rel=1e-12)
 
 
 def test_dimension_and_index_errors(logistic50):
@@ -296,6 +309,9 @@ def test_problem_constants_validation():
         ProblemConstants(L=1.0, mu=2.0, sigma_sq=0.0, G_sq=0.0)
     with pytest.raises(ValueError):
         ProblemConstants(L=1.0, mu=0.0, sigma_sq=0.0, G_sq=0.0)
+    for sigma_sq, G_sq in ((-1.0, 0.0), (0.0, -1.0)):
+        with pytest.raises(ValueError, match="^noise bounds must be nonnegative$"):
+            ProblemConstants(L=1.0, mu=1.0, sigma_sq=sigma_sq, G_sq=G_sq)
     const = ProblemConstants(L=4.0, mu=1.0, sigma_sq=1.0, G_sq=2.0)
     assert const.kappa == 4.0
 

@@ -66,6 +66,13 @@ def test_stepsize_values():
         TheoremDecayStep(mu=-1.0, a=32.0)
     with pytest.raises(ValueError):
         ConstantStep(c=0.0)
+    for c, n in ((0.0, 100), (1.0, 0)):
+        with pytest.raises(ValueError, match="^c and n must be positive$"):
+            ExperimentDecayStep(c=c, n=n)
+    for steps in (TheoremDecayStep(mu=1.0, a=32.0), ConstantStep(c=0.25),
+                  ExperimentDecayStep(c=1.0, n=100)):
+        with pytest.raises(ValueError, match="^step index must be >= 0$"):
+            steps.eta(-1)
 
 
 def test_decay_halving_window():

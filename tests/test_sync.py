@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,8 @@ def test_every_step_sync_equals_coupled_minibatch(quad10):
         trace = run_local_sgd(config, obj)
         baseline = run_minibatch_sgd(config, obj)
         assert np.max(np.abs(trace.xbar - baseline)) <= 1e-12
+    with pytest.raises(ValueError, match="^x0 dimension does not match the objective$"):
+        run_minibatch_sgd(replace(config, x0=np.zeros(obj.d + 1)), obj)
 
 
 def test_quadratic_virtual_average_does_not_depend_on_sync_period(quad10):
@@ -175,29 +179,25 @@ def test_iterations_to_accuracy_scans_recorded_steps(quad10):
 
 
 def test_ensemble_matches_scalar_engine(quad10):
-    obj, ref, _ = quad10
+    obj, _, _ = quad10
     config = quad_config(quad10, K=4, T=30, H=3, seed=0,
                          record=RecordFlags(virtual=False, deviations=True, f_values=False,
-                                            noise_norms=True, f_virtual=True))
+                                            noise_norms=True))
     seeds = [11, 222, 3333]
     ensemble = run_local_sgd_ensemble(
-        config, obj, seeds, ref_point=ref.x_star,
+        config, obj, seeds,
         track_second_moment=True,
     )
     for r, seed in enumerate(seeds):
         single = run_local_sgd(
             config.__class__(**{**config.__dict__, "seed": seed,
                                 "record": RecordFlags(iterates=True, deviations=True,
-                                                      noise_norms=True,
-                                                      f_virtual=True)}),
+                                                      noise_norms=True)}),
             obj,
         )
         assert np.array_equal(ensemble.deviations[r], single.deviations)
         assert np.array_equal(ensemble.output_average[r], single.output_average)
         assert np.allclose(ensemble.noise_sq[r], single.noise_sq, atol=1e-15)
-        assert np.allclose(ensemble.f_xbar[r], single.f_xbar, atol=1e-15)
-        dist = np.sum((single.xbar - ref.x_star) ** 2, axis=1)
-        assert np.allclose(ensemble.dist_sq[r], dist, atol=1e-15)
 
 
 def test_ensemble_matches_scalar_engine_on_logistic(logistic50):
@@ -223,7 +223,7 @@ def test_ensemble_equals_scalar_engine_on_logistic_bitwise(logistic50):
     config = RunConfig(
         K=3, T=40, b=2, sync=regular_sync_schedule(40, 4),
         steps=theorem_steps((mu, L), 4), seed=0, x0=np.zeros(logistic50.d),
-        record=RecordFlags(deviations=True, noise_norms=True, f_virtual=True, f_every=1),
+        record=RecordFlags(deviations=True, noise_norms=True, f_every=1),
     )
     seeds = [42, 7]
     ensemble = run_local_sgd_ensemble(config, logistic50, seeds)
@@ -232,7 +232,6 @@ def test_ensemble_equals_scalar_engine_on_logistic_bitwise(logistic50):
                                logistic50)
         assert np.array_equal(ensemble.deviations[r], single.deviations)
         assert np.array_equal(ensemble.noise_sq[r], single.noise_sq)
-        assert np.array_equal(ensemble.f_xbar[r], single.f_xbar)
         assert np.array_equal(ensemble.output_average[r], single.output_average)
 
 

@@ -65,6 +65,11 @@ def test_theorem1_bound_precondition_errors():
         theorem1_bound(const, K=1, T=10, H=1, b=1, a=32.0, r0=1.0)
     with pytest.raises(ValueError, match="positive"):
         theorem1_bound(const, K=0, T=10, H=1, b=1, a=33.0, r0=1.0)
+    with pytest.raises(ValueError, match="^r0 must be nonnegative$"):
+        theorem1_bound(const, K=1, T=10, H=1, b=1, a=33.0, r0=-1.0)
+    for r0, tau in ((-1.0, 0), (1.0, -1)):
+        with pytest.raises(ValueError, match="^r0 and tau must be nonnegative$"):
+            theorem2_bound(const, K=1, T=10, H=1, tau=tau, b=1, a=33.0, r0=r0)
 
 
 def test_theorem2_reduces_to_theorem1():
