@@ -303,10 +303,11 @@ def reference_for(objective, tolerance=DatasetSpec.fstar_tolerance) -> Reference
     `_MAX_NEWTON_ITERS` caps the Newton (outer) iterations.  Each one solves
     H p = -g by conjugate gradients to a residual of min(1/2, sqrt|g|) |g|,
     through Hessian-vector products only, so memory stays O(n + d), and
-    then halves the step from 1 until the Armijo condition holds.  When no
-    halving within the cap meets it, or a step lowers neither f nor the
-    gradient norm, the iterate sits at the rounding floor and the solve
-    raises instead of spinning.
+    then halves the step from 1 until the Armijo condition holds, which a
+    trial value that is not finite (NaN) fails.  When no halving within
+    the cap meets it, or a step lowers neither f nor the gradient norm, the
+    iterate sits at the rounding floor and the solve raises instead of
+    spinning.
     """
     if not (isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"reference tolerance must be finite and positive, got {tolerance}")

@@ -154,18 +154,18 @@ def _deviation_check(check, config, ensemble, args, constant, window, runs, seed
     """Per-step deviation check against constant * eta_t^2 G^2 window^2.
 
     `ensemble(config, *args, seeds, track_second_moment=...)` is the
-    engine's ensemble runner; the check adds deviations to what `config`
-    records.  G^2 comes from held-out runs; the mean deviation of the
-    tested runs is compared with the bound at every step, and the report
+    engine's ensemble runner.  G^2 comes from held-out runs of `config`;
+    the tested runs add deviations to what it records.  Their mean
+    deviation is compared with the bound at every step, and the report
     belongs to the tightest step.  The detail's `worst_staleness` is the
     tested runs' realized staleness.
     """
     if not isinstance(config.steps, TheoremDecayStep):
         raise ValueError("this check requires the decaying stepsize schedule")
-    config = replace(config, record=replace(config.record, deviations=True))
     G_sq = ensemble(config, *args, _heldout_seeds(seed, runs),
                     track_second_moment=True).max_second_moment
-    tested = ensemble(config, *args, _run_seeds(seed, runs))
+    tested = ensemble(replace(config, record=replace(config.record, deviations=True)), *args,
+                      _run_seeds(seed, runs))
     # Python floats: eta**2 of a float is C pow, which numpy's square is not
     bounds = np.array([constant * config.steps.eta(t)**2 * G_sq * window**2
                        for t in range(config.T + 1)])
@@ -204,9 +204,9 @@ def check_perturbed_inequality(config, objective, reference, runs, seed=0) -> Ch
     with (mu, L) from `objective.curvature()`.  Requires eta_0 <= 1/(4L).
     The check adds xbar, deviations and noise norms to what `config`
     records.  From xbar it computes ||xbar_t - x*||^2 at the checked steps
-    t and t + 1, and f(xbar_t) in one stacked pass under the engine's
-    per-point NaN rule (`sync._values`), so a run reads NaN from where it
-    froze and a point whose value is not finite reads NaN on its own.
+    t and t + 1, and f(xbar_t) in one stacked pass, so a run reads NaN
+    from where it froze and a point whose value is not finite reads NaN on
+    its own.
     """
     mu, L = objective.curvature()
     if config.steps.eta(0) > 1.0 / (4.0 * L):
@@ -218,7 +218,7 @@ def check_perturbed_inequality(config, objective, reference, runs, seed=0) -> Ch
     T = config.T
     points = np.unique(np.linspace(0, T - 1, min(T, _PERTURBED_POINTS), dtype=np.int64))
     xbar = result.xbar[:, points]
-    values = sync._values(objective, xbar.reshape(-1, objective.d)).reshape(xbar.shape[:2])
+    values = objective.value_many(xbar)
     eta = np.array([config.steps.eta(int(t)) for t in points])
     eta_sq = np.array([config.steps.eta(int(t))**2 for t in points])  # C pow, as above
     lhs = np.sum((result.xbar[:, points + 1] - reference.x_star) ** 2, axis=-1)

@@ -73,7 +73,8 @@ class _Oracles:
     `row_entries` is the mean number of entries a sampled row gathers.
     `minibatch_gradient_many` is a one-step block.  Every single-point
     oracle is its stacked oracle at x[None] (or at a broadcast x), so it
-    equals that row bitwise.  A non-finite value raises FloatingPointError.
+    equals that row bitwise.  A value that is not finite reads NaN at its
+    own row, and every other row of the stack keeps its value.
     """
 
     def _check_dim(self, x):
@@ -87,11 +88,9 @@ class _Oracles:
     def value_many(self, X) -> np.ndarray:
         """Full-objective values for a stack of points X (..., d)."""
         self._check_dim(X)
-        with np.errstate(over="ignore", invalid="ignore"):  # the raise reports it
+        with np.errstate(over="ignore", invalid="ignore"):  # such a row reads NaN
             vals = self._values(X.reshape(-1, self.d))
-        if not np.isfinite(vals).all():
-            raise FloatingPointError("objective evaluated to a non-finite value")
-        return vals.reshape(X.shape[:-1])
+        return np.where(np.isfinite(vals), vals, np.nan).reshape(X.shape[:-1])
 
     def gradient_many(self, X) -> np.ndarray:
         """Full gradients for a stack of points X (..., d)."""
@@ -101,10 +100,9 @@ class _Oracles:
     def value_and_gradient_many(self, X):
         """(value_many(X), gradient_many(X)) of a stack X (..., d), bitwise."""
         self._check_dim(X)
-        with np.errstate(over="ignore", invalid="ignore"):  # the raise reports it
+        with np.errstate(over="ignore", invalid="ignore"):  # such a row reads NaN
             vals, grads = self._values_and_gradients(X.reshape(-1, self.d))
-        if not np.isfinite(vals).all():
-            raise FloatingPointError("objective evaluated to a non-finite value")
+        vals = np.where(np.isfinite(vals), vals, np.nan)
         return vals.reshape(X.shape[:-1]), grads.reshape(X.shape)
 
     def _values_and_gradients(self, X):

@@ -133,21 +133,6 @@ def _worker_mean(X):
     return X[:, 0] if X.shape[1] == 1 else X.mean(axis=1)
 
 
-def _values(objective, Y, gradients=False):
-    """value_many of a flat stack Y (P, d), or with `gradients` value_and_gradient_many.
-
-    A non-finite value raises for the whole stack, so on a raise each point
-    is evaluated on its own and only the failing points read NaN.
-    """
-    try:
-        return objective.value_and_gradient_many(Y) if gradients else objective.value_many(Y)
-    except FloatingPointError:
-        f = np.full(len(Y), np.nan)
-        if len(Y) > 1:
-            f = np.concatenate([_values(objective, y[None]) for y in Y])
-        return (f, objective.gradient_many(Y)) if gradients else f
-
-
 def _certified_miss(f_z, slope, sq_dist, mu, eps, f_star):
     """Mask of the points y that convexity proves to be more than eps above f_star.
 
@@ -344,10 +329,10 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
         points = Y[:1, 0] if t == 0 else Y[need]
         f = np.full(need.shape, np.inf)
         if screen:
-            f[need], anchor["g"][need] = _values(objective, points, gradients=True)
+            f[need], anchor["g"][need] = objective.value_and_gradient_many(points)
             anchor["z"][need], anchor["f"][need] = points, f[need]
         else:
-            f[need] = _values(objective, points)
+            f[need] = objective.value_many(points)
         if record.f_values:
             append("f_values", f)
         return f, np.isnan(f).any(axis=1)
@@ -518,7 +503,9 @@ class EnsembleResult:
     """Aggregate statistics over many seeded runs of one configuration.
 
     Row r of each row that `config.record` asks for is run r's `RunTrace`
-    field; a row not recorded reads None.  A run that diverged reads NaN
+    field, and a row not recorded reads None.  A per-step row has its full
+    length even when every run froze before T, while eval_steps and
+    f_by_scheme end where the loop did.  A run that diverged reads NaN
     from then on, its output average and f_output included.
     """
 
@@ -536,17 +523,27 @@ class EnsembleResult:
 
     @cached_property
     def f_output(self) -> np.ndarray:
-        """(S,) f of each output average, from one value pass on first read."""
-        f = np.full(len(self.diverged), np.nan)
-        if not self.diverged.all():
-            f[~self.diverged] = self.objective.value_many(self.output_average[~self.diverged])
-        return f
+        """(S,) f of each output average, from one value pass on first read;
+        a diverged run's average reads NaN, and so does its value."""
+        return self.objective.value_many(self.output_average)
 
 
-def _ensemble_result(run, objective, staleness=0) -> EnsembleResult:
-    """The EnsembleResult of the run dict of an ensemble `_simulate`, sync or async."""
+def _ensemble_result(run, objective, T, staleness=0) -> EnsembleResult:
+    """The EnsembleResult of the run dict of an ensemble `_simulate`, sync or async.
+
+    The loop ends where the last run froze, so each per-step row is padded
+    with NaN to its T+1 states (T noise norms).
+    """
     output_average = run["output_average"]
+    if output_average is None:  # every run froze at t = 0, before any update
+        output_average = np.full((len(run["diverged"]), objective.d), np.nan)
     output_average[run["diverged"]] = np.nan
+    rows = run["rows"]
+    for name in ("xbar", "deviations", "iterates", "noise_sq"):
+        row, steps = rows[name], T if name == "noise_sq" else T + 1
+        if row is not None and len(row) < steps:
+            pad = np.full((steps - len(row),) + row.shape[1:], np.nan)
+            rows[name] = np.concatenate((row, pad))
     return EnsembleResult(objective, run["diverged"], run["max_second_moment"], staleness,
                           output_average, run["eval_steps"], **_rows(run))
 
@@ -560,4 +557,4 @@ def run_local_sgd_ensemble(config, objective, seeds, *, track_second_moment=Fals
     adds the largest E_i ||grad f_i||^2 at any iterate.
     """
     run = _simulate(config, objective, seeds, track_second_moment=track_second_moment)
-    return _ensemble_result(run, objective)
+    return _ensemble_result(run, objective, config.T)

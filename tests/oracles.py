@@ -7,8 +7,9 @@ constants of an objective over given points, a first-order reference
 solve to check the Newton solve of the harness against, and the block
 schedule of the load balancer and its staleness bound by scans over all
 pairs, the tightest step of the perturbed-step inequality by a loop over
-its checked steps, an objective that counts its oracle calls, and the
-gap of a sync index set.
+its checked steps, an objective that counts its oracle calls, a
+quadratic whose value overflows past a threshold, and the gap of a sync
+index set.
 """
 
 from collections import Counter
@@ -254,6 +255,17 @@ class GradientCounter:
             self.counts[name] += 1
             return attr(*args, **kwargs)
         return counted
+
+
+class ThresholdQuadratic(QuadraticObjective):
+    """A quadratic whose value overflows to inf at a point with a coordinate past c."""
+
+    def __init__(self, hessian_diag, linear_terms, c):
+        super().__init__(hessian_diag, linear_terms)
+        self.c = c
+
+    def _values(self, X):
+        return np.where(np.max(X, axis=-1) > self.c, np.inf, super()._values(X))
 
 
 def gap(indices) -> int:

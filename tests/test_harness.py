@@ -203,6 +203,23 @@ def test_compute_reference_fstar_nonconvergence(monkeypatch, synth50):
         reference_for(LogisticObjective(synth50), tolerance=1e-14)
 
 
+def _nan_off_zero(monkeypatch):
+    """Make every logistic value NaN except at x = 0."""
+    values = LogisticObjective._values
+
+    def nan_off_zero(self, X, m=None):
+        return np.where(np.any(X != 0.0, axis=-1), np.nan, values(self, X, m))
+    monkeypatch.setattr(LogisticObjective, "_values", nan_off_zero)
+
+
+def test_reference_solve_halves_past_a_non_finite_value(monkeypatch, synth50):
+    # every trial step reads NaN, fails the Armijo test and is halved until
+    # the halvings run out
+    _nan_off_zero(monkeypatch)
+    with pytest.raises(RuntimeError, match="did not reach .* after 0 of at most"):
+        reference_for(LogisticObjective(synth50))
+
+
 def random_sparse_logistic(n=3000, d=60, density=0.08, seed=17):
     """A seeded sparse logistic problem whose labels depend on the features."""
     rng = np.random.default_rng(seed)
@@ -550,17 +567,10 @@ def test_grid_search_matches_the_one_point_at_a_time_search(logistic50, K, H, ep
 
 
 class OverflowingQuadratic(QuadraticObjective):
-    """A quadratic whose value raises past |x| = 5, as an overflow would."""
+    """A quadratic whose value overflows to inf past |x| = 5."""
 
-    def value_many(self, X):
-        if np.max(np.abs(X)) > 5.0:
-            raise FloatingPointError("value overflowed")
-        return super().value_many(X)
-
-    def value_and_gradient_many(self, X):
-        if np.max(np.abs(X)) > 5.0:
-            raise FloatingPointError("value overflowed")
-        return super().value_and_gradient_many(X)
+    def _values(self, X):
+        return np.where(np.max(np.abs(X), axis=-1) > 5.0, np.inf, super()._values(X))
 
 
 def test_a_non_finite_value_freezes_only_its_own_run():
@@ -1041,6 +1051,15 @@ def test_cli_fstar_rejects_a_non_finite_feature_value(tmp_path, capsys, token):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"config error: line 1: non-finite value in token '1:{token}'\n"
+
+
+def test_cli_fstar_reports_a_reference_solve_past_a_non_finite_value(monkeypatch, capsys):
+    _nan_off_zero(monkeypatch)
+    assert main(["fstar", str(DATA / "synth50.libsvm")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: bad value in [dataset]: reference solve did not reach")
 
 
 def test_cli_fstar_reports_a_dataset_path_that_is_a_directory(tmp_path, capsys):

@@ -23,9 +23,10 @@ from localsgd import (
     theorem_steps,
 )
 from localsgd import lemmas
+from localsgd.asynchronous import run_async_ensemble
 from localsgd.harness import reference_for
 from localsgd.lemmas import _PERTURBED_POINTS, _run_seeds, _tightest_step, make_equality_builder
-from oracles import GradientCounter, perturbed_by_loop
+from oracles import GradientCounter, ThresholdQuadratic, perturbed_by_loop
 
 
 def theorem_config(obj, const, K, T, H, window=None, seed=0, b=1):
@@ -204,6 +205,91 @@ def test_perturbed_inequality_makes_one_value_pass(quad10):
     assert counter.counts["gradient_many"] == config.T
 
 
+def threshold_quad10(quad10, above):
+    """quad10 with values that overflow past x*'s largest coordinate plus `above`."""
+    obj, ref, const = quad10
+    return ThresholdQuadratic(obj.hess, obj.B, ref.x_star.max() + above), ref, const
+
+
+def test_perturbed_inequality_makes_one_value_pass_after_runs_froze(monkeypatch, quad10):
+    # the runs whose averages pass c freeze and their xbar reads NaN from
+    # then on; f(xbar_t) is still one pass over every run and checked step
+    obj, ref, const = threshold_quad10(quad10, 0.02)
+    config = replace(theorem_config(obj, const, K=4, T=64, H=4), record=RecordFlags())
+    calls, results = [], []
+    value_many = obj.value_many
+
+    def counted(X):
+        calls.append(X.shape)
+        return value_many(X)
+
+    def ensemble(*args, **kwargs):
+        results.append(run_local_sgd_ensemble(*args, **kwargs))
+        calls.clear()  # the value passes of the loop itself
+        return results[-1]
+    monkeypatch.setattr(obj, "value_many", counted)
+    monkeypatch.setattr(lemmas, "run_local_sgd_ensemble", ensemble)
+    report = check_perturbed_inequality(config, obj, ref, runs=40, seed=5)
+    frozen = results[0].diverged
+    assert frozen.any() and not frozen.all()
+    assert calls == [(40, 64, obj.d)]
+    assert not report.passed
+
+
+@pytest.mark.parametrize("engine", ["sync", "async"])
+def test_an_ensemble_whose_runs_all_freeze_keeps_its_rows_and_fails_its_checks(quad10,
+                                                                               engine):
+    # every run passes c before T; the per-step rows keep their full length
+    # and read NaN after the last freeze, and each Monte-Carlo check fails
+    # at the first step where a run reads NaN
+    obj, ref, const = threshold_quad10(quad10, -0.2)
+    K, T, H, tau, runs, seed = 4, 64, 4, 2, 20, 3
+    config = replace(theorem_config(obj, const, K, T, H, window=H + tau),
+                     record=RecordFlags(deviations=True, iterates=True, noise_norms=True))
+    delay = DelayModel("fixed", tau=tau)
+    seeds = _run_seeds(seed, runs)
+    if engine == "sync":
+        result = run_local_sgd_ensemble(config, obj, seeds)
+        report = check_deviation_bound(config, obj, runs, seed=seed)
+    else:
+        result = run_async_ensemble(config, [config.sync] * K, delay, obj, seeds)
+        report = check_async_deviation(config, delay, obj, runs, seed=seed)
+    last = int(result.eval_steps[-1])
+    assert result.diverged.all() and last < T
+    assert result.xbar.shape == (runs, T + 1, obj.d)
+    assert result.iterates.shape == (runs, K, T + 1, obj.d)
+    assert result.deviations.shape == (runs, T + 1) and result.noise_sq.shape == (runs, T)
+    assert np.isnan(result.xbar[:, last + 1:]).all() and np.isnan(result.noise_sq[:, last:]).all()
+    assert np.isnan(result.iterates[:, :, last + 1:]).all()
+    assert all(f.shape == (runs, last + 1) for f in result.f_by_scheme.values())
+    first = int(np.isnan(result.deviations).any(axis=0).argmax())
+    assert 0 < first <= last + 1
+    assert not report.passed and np.isnan(report.statistic) and report.worst_step == first
+    if engine == "sync":
+        report = check_perturbed_inequality(config, obj, ref, runs, seed=seed)
+        first = int(np.isnan(result.xbar[:, 1:]).any(axis=(0, 2)).argmax())
+        assert not report.passed and np.isnan(report.statistic) and report.worst_step == first
+
+
+@pytest.mark.parametrize("engine", ["sync", "async"])
+def test_an_ensemble_whose_runs_all_freeze_at_the_start_reads_nan(quad10, engine):
+    # f(x0) is not finite, so every run freezes before its first update
+    base, _, const = quad10
+    obj = ThresholdQuadratic(base.hess, base.B, c=-1.0)
+    K, T, runs = 2, 8, 3
+    config = replace(theorem_config(obj, const, K, T, H=2, window=4),
+                     record=RecordFlags(deviations=True))
+    if engine == "sync":
+        result = run_local_sgd_ensemble(config, obj, list(range(runs)))
+    else:
+        result = run_async_ensemble(config, [config.sync] * K, DelayModel("fixed", tau=2), obj,
+                                    list(range(runs)))
+    assert result.diverged.all() and result.eval_steps.tolist() == [0]
+    assert result.xbar.shape == (runs, T + 1, obj.d) and np.isnan(result.xbar[:, 1:]).all()
+    assert result.deviations.shape == (runs, T + 1)
+    assert np.isnan(result.output_average).all() and np.isnan(result.f_output).all()
+
+
 def test_tightest_step_takes_the_earliest_tie_and_fails_on_nan():
     samples = np.array([[1.0, 2.0, 1.0, 0.0], [1.0, 2.0, 1.0, 0.0]])
     # margins 1, 0, 0, 2: the tie at steps 1 and 2 goes to step 1
@@ -375,6 +461,32 @@ def test_deviation_report_does_not_depend_on_the_row_layout(monkeypatch, logisti
         reports.append((report.statistic, report.bound, report.stderr, report.worst_step))
     assert reports[0][0] > 0.0
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("runner, check", [
+    ("run_local_sgd_ensemble",
+     lambda config, obj: check_deviation_bound(config, obj, runs=50, seed=2)),
+    ("run_async_ensemble",
+     lambda config, obj: check_async_deviation(config, DelayModel("fixed", tau=2), obj,
+                                               runs=50, seed=2)),
+])
+def test_held_out_runs_record_only_what_the_caller_asked_for(monkeypatch, quad10, runner,
+                                                             check):
+    # deviations are recorded by the tested runs only; G^2 is the held-out
+    # runs' largest second moment either way
+    obj, _, const = quad10
+    config = theorem_config(obj, const, K=2, T=24, H=4, window=6)
+    engine = getattr(lemmas, runner)
+    seen = []
+
+    def captured(config, *args, **kwargs):
+        seen.append((config, kwargs))
+        return engine(config, *args, **kwargs)
+    monkeypatch.setattr(lemmas, runner, captured)
+    report = check(config, obj)
+    assert seen == [(config, {"track_second_moment": True}),
+                    (replace(config, record=replace(config.record, deviations=True)), {})]
+    assert report.detail["G_sq"] > 0.0
 
 
 class ValueCounter:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,16 +100,24 @@ def _objective(request, name):
 
 
 @pytest.mark.parametrize("name", ["logistic50", "quad10"])
-def test_non_finite_values_raise_for_single_and_stacked_points(request, name):
+def test_a_non_finite_value_reads_nan_at_its_own_row(request, name):
     obj = _objective(request, name)
-    huge = np.full(obj.d, 1e200)  # the squared norm overflows
-    with pytest.raises(FloatingPointError):
-        obj.value(huge)
-    with pytest.raises(FloatingPointError):
-        obj.value_many(np.stack([np.zeros(obj.d), huge]))
-    for stack in (huge[None], np.stack([np.zeros(obj.d), huge])):
-        with pytest.raises(FloatingPointError):
-            obj.value_and_gradient_many(stack)
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((5, obj.d))
+    X[1] = np.nan
+    X[3] = 1e200  # the squared norm overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning escapes the oracles
+        values = obj.value_many(X)
+        both, grads = obj.value_and_gradient_many(X)
+        singles = [obj.value(x) for x in X]
+        single_grads = [obj.gradient(x) for x in X]
+    for p in range(len(X)):
+        if p in (1, 3):
+            assert np.isnan(values[p]) and np.isnan(both[p]) and math.isnan(singles[p])
+        else:
+            assert values[p] == both[p] == singles[p] and np.isfinite(values[p])
+            assert np.array_equal(grads[p], single_grads[p])
 
 
 @pytest.mark.parametrize("lead", [(1,), (7,), (3, 4)])

@@ -21,6 +21,7 @@ from localsgd.averaging import SCHEMES, RunningAverage
 from localsgd.harness import reference_for
 from localsgd.schedules import ExperimentDecayStep
 from localsgd.sync import _certified_by_any, _certified_miss, _index_chunks, _simulate
+from oracles import ThresholdQuadratic
 
 
 def quad_config(quad10, K, T, H, b=1, seed=0, record=None, a_extra=0.0):
@@ -565,36 +566,27 @@ def test_screening_counts_every_point_of_every_evaluation(logistic50):
         assert np.array_equal(screened[name], recorded[name])
 
 
-class ThresholdQuadratic(QuadraticObjective):
-    """A quadratic whose value raises for a stack holding a point past x = c."""
-
-    c = 3.905
-
-    def value_many(self, X):
-        if np.max(X) > self.c:
-            raise FloatingPointError("value overflowed")
-        return super().value_many(X)
-
-    def value_and_gradient_many(self, X):
-        if np.max(X) > self.c:
-            raise FloatingPointError("value overflowed")
-        return super().value_and_gradient_many(X)
-
-
-def test_a_non_finite_value_reads_nan_at_its_own_point():
+def test_a_non_finite_value_reads_nan_at_its_own_point(monkeypatch):
     # f(x) = x^2/2 - 4x from x0 = 0 at step 0.1: xbar_t = 4 (1 - 0.9^t)
     # passes c at t = 36, when the last iterate is within eps of f_star and
     # the three averages, which lag it, are still below c and outside eps
-    obj = ThresholdQuadratic([1.0], [[4.0]])
-    f_star, eps, t_fail = -8.0, 0.5 * (4.0 - ThresholdQuadratic.c) ** 2, 36
-    traces = []
+    obj = ThresholdQuadratic([1.0], [[4.0]], c=3.905)
+    f_star, eps, t_fail = -8.0, 0.5 * (4.0 - obj.c) ** 2, 36
+    traces, passes = [], []
     for f_values in (True, False):
         config = RunConfig(K=1, T=100, b=1, sync=regular_sync_schedule(100, 1),
                            steps=ConstantStep(c=0.1 / 32), seed=0, x0=np.zeros(1),
                            record=RecordFlags(f_values=f_values, f_every=1))
+        passes.append(_count_value_passes(monkeypatch, obj))
         traces.append(run_local_sgd(config, obj, stop_when=(eps, f_star)))
+        monkeypatch.undo()
     recorded, screened = traces
-    assert recorded.xbar[t_fail - 1, 0] < ThresholdQuadratic.c < recorded.xbar[t_fail, 0]
+    # the step whose last iterate is past c, like every other evaluation,
+    # is one stacked pass over its points
+    assert passes[0] == [("value_many", 1)] + [("value_many", 4)] * t_fail
+    assert {name for name, _ in passes[1]} == {"value_and_gradient_many"}
+    assert len(passes[1]) <= len(screened.eval_steps)
+    assert recorded.xbar[t_fail - 1, 0] < obj.c < recorded.xbar[t_fail, 0]
     # only the failing scheme reads NaN, and the run diverges and freezes there
     row = [recorded.f_by_scheme[s][-1] for s in SCHEMES]
     assert np.isnan(row[0]) and np.all(np.isfinite(row[1:]))
