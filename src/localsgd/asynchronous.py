@@ -261,7 +261,7 @@ def run_async_ensemble(config, per_worker_syncs, delay, objective, seeds, *,
     """
     run, _ = _replayed(config, per_worker_syncs, delay, objective, seeds,
                        track_second_moment=track_second_moment)
-    return _ensemble_result(run, objective, config.T, run["staleness"])
+    return _ensemble_result(run, objective, run["staleness"])
 
 
 @dataclass

@@ -38,7 +38,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product
-from math import ceil, isfinite, log2, sqrt
+from math import ceil, inf, isfinite, log2, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -573,11 +573,15 @@ class ResultRow:
             return None
         return self.iterations * step_cost(self.K, self.H, self.rho)
 
+    def measured_speedup(self, baseline_wallclock):
+        """baseline_wallclock / wallclock, inf at a zero wall clock; None
+        when either is missing."""
+        if self.wallclock is None or baseline_wallclock is None:
+            return None
+        return baseline_wallclock / self.wallclock if self.wallclock > 0 else inf
+
     def csv_fields(self, baseline_wallclock):
-        measured = ""
-        if self.wallclock is not None and baseline_wallclock is not None:
-            measured = repr(baseline_wallclock / self.wallclock) \
-                if self.wallclock > 0 else "inf"
+        measured = self.measured_speedup(baseline_wallclock)
         return [
             str(self.K), str(self.H), str(self.b), repr(self.eps),
             self.family or "unreachable",
@@ -586,7 +590,7 @@ class ResultRow:
             "" if self.grad_evals is None else str(self.grad_evals),
             "" if self.comm_rounds is None else str(self.comm_rounds),
             "" if self.wallclock is None else repr(self.wallclock),
-            measured,
+            "" if measured is None else repr(measured),
         ]
 
 
@@ -726,12 +730,10 @@ def write_speedup_svg(path, rows, baselines, config):
         y0 = margin
         series = {}
         for row in rows:
-            if row.eps != eps or row.wallclock is None:
-                continue
-            base = baselines.get((row.b, row.eps))
-            if base is None or row.wallclock == 0:
-                continue
-            series.setdefault(row.H, []).append((row.K, base / row.wallclock))
+            measured = row.measured_speedup(baselines.get((row.b, row.eps)))
+            # a row at a zero wall clock, whose speedup is inf, has no point
+            if row.eps == eps and measured is not None and isfinite(measured):
+                series.setdefault(row.H, []).append((row.K, measured))
         ks = sorted({k for pts in series.values() for k, _ in pts}) or [1]
         top = max((s for pts in series.values() for _, s in pts), default=1.0)
         top = max(top, 1.0) * 1.1

@@ -37,6 +37,7 @@ from .schedules import TheoremDecayStep, regular_sync_schedule, theorem_steps
 from .sync import RecordFlags, RunConfig, run_local_sgd_ensemble
 
 _PERTURBED_POINTS = 64  # steps the perturbed-step check tests, evenly spaced
+_Z = 3.0                # standard errors of slack in every one-sided test
 
 
 # the columns of lemma_checks.csv, one row per `CheckReport.csv_fields`
@@ -48,7 +49,7 @@ class CheckReport:
     """Outcome of one inequality check.
 
     `passed` is derived from the stored numbers: statistic <= bound +
-    3 * stderr.  `margin` is bound - statistic.  worst_step marks where
+    _Z * stderr, at _Z = 3.  `margin` is bound - statistic.  worst_step marks where
     the margin was tightest for per-step checks.
     """
 
@@ -66,7 +67,7 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return self.statistic <= self.bound + 3.0 * self.stderr
+        return self.statistic <= self.bound + _Z * self.stderr
 
     def csv_fields(self) -> list:
         """The report's row of lemma_checks.csv."""
@@ -134,7 +135,7 @@ def _heldout_seeds(seed, runs):
 
 
 def _tightest_step(samples, bounds):
-    """The step of the smallest margin bound - mean + 3 stderr, ties going
+    """The step of the smallest margin bound - mean + _Z stderr, ties going
     to the earliest; returns (index, mean, stderr) of that step.
 
     `samples` holds one row per run and one column per step, `bounds` one
@@ -146,7 +147,7 @@ def _tightest_step(samples, bounds):
     per_step = np.ascontiguousarray(samples.T)
     means = per_step.mean(axis=1)
     stderrs = per_step.std(axis=1, ddof=1) / np.sqrt(per_step.shape[1])
-    i = int(np.argmin(bounds - means + 3.0 * stderrs))
+    i = int(np.argmin(bounds - means + _Z * stderrs))
     return i, float(means[i]), float(stderrs[i])
 
 

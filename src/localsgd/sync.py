@@ -89,7 +89,11 @@ class RunConfig:
 class RunTrace:
     """Recorded quantities of one run; arrays are indexed by step.
 
-    A quantity that `config.record` leaves off reads None.
+    A quantity that `config.record` leaves off reads None.  A per-step row
+    has its full length also when the run stopped early, and reads NaN
+    from the step where the run froze, while eval_steps and f_by_scheme
+    end there; the output average is then over the steps before it, and a
+    diverged run's reads NaN.
     """
 
     xbar: np.ndarray | None          # (T+1, d) virtual average per step
@@ -197,16 +201,16 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
     all.  run["points_evaluated"] and run["points_screened"] count the
     (run, scheme) points of every evaluation step, a point with an exact
     value as evaluated.  A target-only run reads nothing of the shifted
-    output average, so it does not keep one and run["output_average"] is
-    None.
+    output average, so it does not keep one.
     `keep(t, crossed)`, called after each evaluation at step t with the
     crossing steps (-1 if none) of all S runs, returns a mask of the runs
     still needed; the others are frozen too, so `crossed < 0` stops each
     run where it reaches eps.  A frozen run keeps the iterates it froze at
-    as its final iterates, records NaN from then on and leaves the stack,
-    so it costs no further oracle work; its output and running averages
-    read NaN unless it is among the last runs to freeze.  The loop ends
-    once every run is frozen, which for S=1 is a single run's early exit.
+    as its final iterates and the output average of the steps it ran,
+    records NaN from then on and leaves the stack, so it costs no further
+    oracle work.  A diverged run's output average reads NaN.  The loop
+    ends once every run is frozen, which for S=1 is a single run's early
+    exit; eval_steps and f_by_scheme end there too.
 
     At each sync index of config.sync the workers take their mean, which
     is xbar.  `exchange`, an async write-plan replay, replaces that:
@@ -225,8 +229,12 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
     with the coefficients of `averaging.RECURSIONS` computed for
     `_CHUNK_STEPS` steps at a time.
 
-    Each recorded quantity comes back in run["rows"] as one array with
-    axes (step, run, ...), None if it was not recorded.
+    run["rows"] holds, by the name of its `EnsembleResult` field, each
+    per-step row that config.record asks for and the output averages,
+    each allocated once, NaN, in that field's layout and written in place
+    for the active runs; a row not kept is None.  run["f_by_scheme"] maps
+    each scheme to (S, evaluations).  Run r's `RunTrace` rows are row r of
+    these, alone or in a batch.
     """
     if config.x0.shape[-1] != objective.d:
         raise ValueError("x0 dimension does not match the objective")
@@ -259,10 +267,28 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
     mu = objective.curvature()[0] if screen else 0.0
     # z, f(z), grad f(z) per (active run, scheme) when screening; f(z) = NaN
     # certifies nothing, so every point is evaluated until it has an anchor
-    shape = (S, len(SCHEMES), objective.d)
+    d = objective.d
+    shape = (S, len(SCHEMES), d)
     anchor = dict(z=np.zeros(shape), f=np.full(shape[:2], np.nan),
                   g=np.zeros(shape)) if screen else {}
-    rows = {name: [] for name in ("xbar", "deviations", "iterates", "noise_sq", "f_values")}
+
+    def is_eval(t):
+        """Whether step t evaluates the averages: every stride-th step and sync index."""
+        return t % stride == 0 or config.sync.is_sync(t)
+
+    # every row kept, what config.record asks for and the output averages,
+    # is allocated once in its EnsembleResult layout, NaN until its run
+    # writes it; the f values are (scheme, run, evaluation)
+    layouts = {"xbar": (record.virtual, (S, T + 1, d)),
+               "deviations": (record.deviations, (S, T + 1)),
+               "noise_sq": (record.noise_norms, (S, T)),
+               "iterates": (record.iterates, (S, K, T + 1, d)),
+               "output_average": (not screen, (S, d))}
+    rows = {name: np.full(shape, np.nan) if asked else None
+            for name, (asked, shape) in layouts.items()}
+    output = rows["output_average"]
+    f_rows = np.full((len(SCHEMES), S, sum(map(is_eval, range(T + 1)))), np.nan) \
+        if record.f_values else None
     run = {"eval_steps": [], "comm_rounds": 0, "max_second_moment": 0.0,
            "points_evaluated": 0, "points_screened": 0,
            "crossed": np.full(S, -1, dtype=np.int64),
@@ -272,17 +298,6 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
     # the gradient plans of the steps plan_start.. of the active rows; the
     # block ends at plan_end, and None asks for the rest of it again
     plans, plan_start, plan_end = None, 0, 0
-
-    def unstack(row):
-        """A row over the active runs as a row over all S runs, NaN for the others."""
-        if len(active) == S:
-            return row
-        full = np.full((S,) + row.shape[1:], np.nan)
-        full[active] = row
-        return full
-
-    def append(name, row):
-        rows[name].append(unstack(row))
 
     def plan(t):
         """Plan the sampled gradients of the active rows from step t to the block end."""
@@ -334,7 +349,7 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
         else:
             f[need] = objective.value_many(points)
         if record.f_values:
-            append("f_values", f)
+            f_rows[:, active, len(run["eval_steps"]) - 1] = f.T
         return f, np.isnan(f).any(axis=1)
 
     def observe(t, xbar):
@@ -342,13 +357,14 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
         if track_averages:
             average(xbar, t)
         if record.virtual:
-            append("xbar", xbar.copy())
+            rows["xbar"][active, t] = xbar
         if record.deviations:
-            append("deviations", np.mean(np.sum((X - xbar[:, None, :]) ** 2, axis=2), axis=1))
+            rows["deviations"][active, t] = np.mean(np.sum((X - xbar[:, None, :]) ** 2, axis=2),
+                                                    axis=1)
         if record.iterates:
-            append("iterates", X.copy())
+            rows["iterates"][active, :, t] = X
         out = bad = np.zeros(len(active), dtype=bool)
-        if track_averages and (t % stride == 0 or t == T or (t >= 1 and config.sync.is_sync(t))):
+        if track_averages and is_eval(t):
             run["eval_steps"].append(t)
             checked = evaluate(t)
             if checked is not None:
@@ -364,25 +380,27 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
         return out
 
     def drop(out, X, *arrays):
-        """Freeze the active runs `out` (a mask) at their iterates in X.
+        """Freeze the active runs `out` (a mask) at their iterates in X and
+        the output averages of their steps so far.
 
         Returns None once every run is frozen.  Otherwise drops them from
         the stack and returns `arrays`, each a per-run array over the
         active runs or a scalar, without them.
         """
         nonlocal active, Y, plans
-        if out.all():
-            return None
         final_iterates[active[out]] = X[out]
         stay = ~out
+        if output_avg is not None and output_avg.weighted_sum is not None:
+            output[active[out]] = output_avg.value[out]
+            output_avg.weighted_sum = output_avg.weighted_sum[stay]
+        if out.all():
+            return None
         active = active[stay]
         plans = None
         if Y is not None:
             Y = Y[stay]
         for key in anchor:
             anchor[key] = anchor[key][stay]
-        if output_avg is not None and output_avg.weighted_sum is not None:
-            output_avg.weighted_sum = output_avg.weighted_sum[stay]
         if exchange is not None:
             exchange.keep(stay)
         return [a[stay] if isinstance(a, np.ndarray) else a for a in arrays]
@@ -390,13 +408,11 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
     xbar = _worker_mean(X)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T + 1):
-            newly = observe(t, xbar)
+            newly = observe(t, xbar) | (t == T)  # every run leaves at T
             if newly.any():
                 if (kept := drop(newly, X, X, xbar)) is None:
                     break
                 X, xbar = kept
-            if t == T:
-                break
             if plans is None or t == plan_end:
                 plan(t)
             if output_avg is not None:
@@ -407,7 +423,7 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
             G = objective.planned_gradient_many(X, plans[t - plan_start])
             if record.noise_norms:
                 diff = G.mean(axis=1) - objective.gradient_many(X).mean(axis=1)
-                append("noise_sq", np.sum(diff**2, axis=1))
+                rows["noise_sq"][active, t] = np.sum(diff**2, axis=1)
             eta = eta_of(t)
             X_next = X - eta * G
             # a run whose iterates blow up cannot recover; freeze it at its
@@ -429,36 +445,23 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
                 xbar = _worker_mean(X_next)
             X = X_next
 
-    final_iterates[active] = X
-    run.update(rows={name: np.asarray(r) if r else None for name, r in rows.items()},
+    if output is not None:
+        output[run["diverged"]] = np.nan
+    run.update(rows=rows, f_by_scheme=None if f_rows is None
+               else dict(zip(SCHEMES, f_rows[:, :, :len(run["eval_steps"])])),
                eval_steps=np.asarray(run["eval_steps"], dtype=np.int64),
-               final_iterates=final_iterates,
-               output_average=None if output_avg is None or output_avg.value is None
-               else unstack(output_avg.value))
+               final_iterates=final_iterates)
     return run
-
-
-def _rows(run, runs=slice(None)):
-    """The recorded rows of `runs` (a slice, or one index) of a `_simulate`
-    run dict, each named and laid out as its `RunTrace` field, run axis
-    first for a slice: xbar (S, T+1, d), iterates (S, K, T+1, d), and
-    f_by_scheme maps each scheme to (S, evals).  A row not recorded is None.
-    """
-    rows = {name: None if row is None else np.moveaxis(row, 0, 1 + (name == "iterates"))[runs]
-            for name, row in run["rows"].items()}
-    f = rows.pop("f_values")
-    rows["f_by_scheme"] = None if f is None else dict(
-        zip(SCHEMES, np.ascontiguousarray(np.moveaxis(f, -1, 0))))
-    return rows
 
 
 def _row_zero(run, trace=RunTrace, **fields):
     """Run 0 of a `_simulate` run dict as a `trace`: the single-run trace of
     the sync and async engines.  `fields` are the trace class's own."""
-    crossed = int(run["crossed"][0])
+    crossed, f = int(run["crossed"][0]), run["f_by_scheme"]
     return trace(
-        **_rows(run, 0), eval_steps=run["eval_steps"], comm_rounds=run["comm_rounds"],
-        output_average=None if run["output_average"] is None else run["output_average"][0],
+        **{name: None if row is None else row[0] for name, row in run["rows"].items()},
+        f_by_scheme=None if f is None else {scheme: row[0] for scheme, row in f.items()},
+        eval_steps=run["eval_steps"], comm_rounds=run["comm_rounds"],
         final_iterates=run["final_iterates"][0], t_star=crossed if crossed >= 0 else None,
         diverged=bool(run["diverged"][0]), **fields)
 
@@ -471,7 +474,8 @@ def run_local_sgd(config, objective, stop_when=None) -> RunTrace:
     `stop_when`, an (eps, f_star) pair, ends the run early at the first
     function-value evaluation where some tracked average is eps-accurate;
     the reached step is stored as trace.t_star.  A run that diverges ends
-    at that step with trace.diverged set and its last finite iterates.
+    at that step with trace.diverged set and its last finite iterates;
+    either way its per-step rows read NaN from there.
     """
     return _row_zero(_simulate(config, objective, [config.seed], target=stop_when,
                                keep=lambda t, crossed: crossed < 0))
@@ -503,10 +507,11 @@ class EnsembleResult:
     """Aggregate statistics over many seeded runs of one configuration.
 
     Row r of each row that `config.record` asks for is run r's `RunTrace`
-    field, and a row not recorded reads None.  A per-step row has its full
-    length even when every run froze before T, while eval_steps and
-    f_by_scheme end where the loop did.  A run that diverged reads NaN
-    from then on, its output average and f_output included.
+    field, and a row not recorded reads None.  Every per-step row has its
+    full length, while eval_steps and f_by_scheme end where the loop did,
+    so run r's f values are the first len(trace.eval_steps) of its row.
+    A run reads NaN from the step where it froze, and a diverged run's
+    output average and f_output read NaN.
     """
 
     objective: object = field(repr=False)
@@ -528,24 +533,11 @@ class EnsembleResult:
         return self.objective.value_many(self.output_average)
 
 
-def _ensemble_result(run, objective, T, staleness=0) -> EnsembleResult:
-    """The EnsembleResult of the run dict of an ensemble `_simulate`, sync or async.
-
-    The loop ends where the last run froze, so each per-step row is padded
-    with NaN to its T+1 states (T noise norms).
-    """
-    output_average = run["output_average"]
-    if output_average is None:  # every run froze at t = 0, before any update
-        output_average = np.full((len(run["diverged"]), objective.d), np.nan)
-    output_average[run["diverged"]] = np.nan
-    rows = run["rows"]
-    for name in ("xbar", "deviations", "iterates", "noise_sq"):
-        row, steps = rows[name], T if name == "noise_sq" else T + 1
-        if row is not None and len(row) < steps:
-            pad = np.full((steps - len(row),) + row.shape[1:], np.nan)
-            rows[name] = np.concatenate((row, pad))
+def _ensemble_result(run, objective, staleness=0) -> EnsembleResult:
+    """The EnsembleResult of the run dict of an ensemble `_simulate`, sync or async."""
     return EnsembleResult(objective, run["diverged"], run["max_second_moment"], staleness,
-                          output_average, run["eval_steps"], **_rows(run))
+                          eval_steps=run["eval_steps"], f_by_scheme=run["f_by_scheme"],
+                          **run["rows"])
 
 
 def run_local_sgd_ensemble(config, objective, seeds, *, track_second_moment=False):
@@ -557,4 +549,4 @@ def run_local_sgd_ensemble(config, objective, seeds, *, track_second_moment=Fals
     adds the largest E_i ||grad f_i||^2 at any iterate.
     """
     run = _simulate(config, objective, seeds, track_second_moment=track_second_moment)
-    return _ensemble_result(run, objective, config.T)
+    return _ensemble_result(run, objective)

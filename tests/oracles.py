@@ -8,8 +8,8 @@ solve to check the Newton solve of the harness against, and the block
 schedule of the load balancer and its staleness bound by scans over all
 pairs, the tightest step of the perturbed-step inequality by a loop over
 its checked steps, an objective that counts its oracle calls, a
-quadratic whose value overflows past a threshold, and the gap of a sync
-index set.
+quadratic whose value overflows past a threshold, the gap of a sync
+index set, and the steps a run recorded in a per-step row.
 """
 
 from collections import Counter
@@ -266,6 +266,13 @@ class ThresholdQuadratic(QuadraticObjective):
 
     def _values(self, X):
         return np.where(np.max(X, axis=-1) > self.c, np.inf, super()._values(X))
+
+
+def recorded_steps(row) -> int:
+    """The steps a run recorded in a per-step row with the step axis first:
+    the row reads NaN from the step where its run froze."""
+    frozen = np.isnan(row).reshape(len(row), -1).any(axis=1)
+    return int(frozen.argmax()) if frozen.any() else len(row)
 
 
 def gap(indices) -> int:

@@ -24,9 +24,11 @@ from localsgd import (
 from localsgd import sync
 from localsgd.asynchronous import (Read, Write, _replayed, _Replay, run_async_ensemble,
                                    write_plan)
+from localsgd.averaging import SCHEMES
 from localsgd.lemmas import check_async_deviation
-from localsgd.sync import _ensemble_result, _index_chunks, run_local_sgd_ensemble
-from oracles import GradientCounter, assignment_bound, assignment_entries
+from localsgd.sync import _ensemble_result, _index_chunks, _simulate, run_local_sgd_ensemble
+from oracles import (GradientCounter, ThresholdQuadratic, assignment_bound, assignment_entries,
+                     recorded_steps)
 
 
 def async_config(quad10, K, T, H, window, seed=0, b=1):
@@ -382,7 +384,7 @@ def test_batched_replay_equals_single_runs_bitwise(quad10, K, per_worker_H, dela
         run, _ = _replayed(config, schedules, delay, obj, seeds,
                            track_second_moment=True, wall_times=wall_times,
                            declared_tau=tau)
-        return _ensemble_result(run, obj, run["staleness"])
+        return _ensemble_result(run, obj, staleness=run["staleness"])
 
     def single_run(seeded):
         if speeds is None:
@@ -394,6 +396,7 @@ def test_batched_replay_equals_single_runs_bitwise(quad10, K, per_worker_H, dela
     moments = []
     for r, seed in enumerate(seeds):
         single, log = single_run(replace(config, seed=seed))
+        assert batch.staleness == measured_delay(log)
         assert np.array_equal(batch.deviations[r], single.deviations)
         # a one-seed batch is the single run too, and tracks its second moment
         alone = ensemble([seed])
@@ -431,9 +434,10 @@ def test_block_planned_replay_equals_the_full_scan(monkeypatch, logistic50):
     for r, (seed, stop) in enumerate(zip(seeds, stops)):
         xbar, devs, *_ = full_scan_async(replace(config, seed=seed), schedules, delay,
                                          logistic50)
-        assert run["rows"]["xbar"][:stop + 1, r].tobytes() == xbar[:stop + 1].tobytes()
-        assert run["rows"]["deviations"][:stop + 1, r].tobytes() == devs[:stop + 1].tobytes()
-        assert np.isnan(run["rows"]["xbar"][stop + 1:, r]).all()
+        assert run["rows"]["xbar"][r, :stop + 1].tobytes() == xbar[:stop + 1].tobytes()
+        assert run["rows"]["deviations"][r, :stop + 1].tobytes() == devs[:stop + 1].tobytes()
+        assert np.isnan(run["rows"]["xbar"][r, stop + 1:]).all()
+        assert np.isnan(run["rows"]["deviations"][r, stop + 1:]).all()
 
 
 def test_async_run_flags_divergence_like_the_sync_engine(quad10):
@@ -450,11 +454,15 @@ def test_async_run_flags_divergence_like_the_sync_engine(quad10):
             single, _ = run_async_local_sgd(replace(config, seed=seed), schedules, delay, obj)
             assert single.diverged == bool(batch.diverged[r]) == blows_up
             assert np.all(np.abs(single.final_iterates) < 1e100)
-            # the run records what the single run recorded, then NaN
-            recorded = len(single.deviations)
+            # both record up to the step where the run froze, then NaN
+            recorded = recorded_steps(single.deviations)
             assert (recorded < T + 1) == blows_up
-            assert np.array_equal(batch.deviations[r][:recorded], single.deviations)
+            assert np.array_equal(batch.deviations[r][:recorded], single.deviations[:recorded])
+            assert np.array_equal(batch.deviations[r], single.deviations, equal_nan=True)
             assert np.all(np.isnan(batch.deviations[r][recorded:]))
+            # a diverged run's output average reads NaN, alone and in a batch
+            assert np.array_equal(batch.output_average[r], single.output_average,
+                                  equal_nan=True)
             assert np.isnan(batch.output_average[r]).all() == blows_up
             assert np.isnan(batch.f_output[r]) == blows_up
 
@@ -607,3 +615,62 @@ def test_every_engine_records_what_config_record_asks_for(logistic50, engine, fl
                 row = ({scheme: f[r] for scheme, f in rows.items()} if name == "f_by_scheme"
                        else rows[r])
                 assert same_bytes(row, getattr(trace, name)), (name, r)
+
+
+@pytest.mark.parametrize("runner, scenario", [
+    (runner, scenario) for runner in ("sync", "async", "simulate")
+    for scenario in ("completes", "diverges", "target", "frozen")
+    if scenario != "target" or runner == "simulate"])
+def test_row_r_of_a_batch_is_the_one_seed_run(quad10, runner, scenario):
+    # a run that completes, diverges at its own step, stops at its own t*
+    # or freezes at t = 0: each recorded row has its documented shape, and
+    # row r of the batch equals the one-seed run, NaN where both are NaN
+    obj, ref, const = quad10
+    K, T, H, tau, seeds = 2, 48, 4, 2, [3, 4, 3, 5]
+    if scenario == "frozen":  # f(x0) is not finite
+        obj = ThresholdQuadratic(obj.hess, obj.B, c=-1.0)
+    steps = (ConstantStep(c=4.0) if scenario == "diverges"
+             else theorem_steps((const.mu, const.L), H + tau))
+    config = RunConfig(K=K, T=T, b=1, sync=regular_sync_schedule(T, H), steps=steps, seed=0,
+                       x0=np.zeros(obj.d),
+                       record=RecordFlags(deviations=True, iterates=True, noise_norms=True))
+    schedules, delay = [config.sync] * K, DelayModel("fixed", tau=tau)
+    target = (0.05 if scenario == "target" else 1e-12, ref.f_star)
+    seeded = [replace(config, seed=seed) for seed in seeds]
+    if runner == "sync":
+        batch = vars(run_local_sgd_ensemble(config, obj, seeds))
+        traces = [run_local_sgd(c, obj) for c in seeded]
+    elif runner == "async":
+        batch = vars(run_async_ensemble(config, schedules, delay, obj, seeds))
+        traces = [run_async_local_sgd(c, schedules, delay, obj)[0] for c in seeded]
+    else:
+        run = _simulate(config, obj, seeds, target=target, keep=lambda t, crossed: crossed < 0)
+        batch = {**run, **run["rows"]}
+        traces = [run_local_sgd(c, obj, stop_when=target) for c in seeded]
+    shapes = {"xbar": (T + 1, obj.d), "deviations": (T + 1,), "noise_sq": (T,),
+              "iterates": (K, T + 1, obj.d), "output_average": (obj.d,)}
+    stops = []
+    for r, single in enumerate(traces):
+        assert bool(batch["diverged"][r]) == single.diverged
+        for name, shape in shapes.items():
+            assert getattr(single, name).shape == shape, name
+            assert batch[name].shape == (len(seeds),) + shape, name
+            assert np.array_equal(batch[name][r], getattr(single, name), equal_nan=True), name
+        # the f values end where each loop did: the batch's row may run
+        # longer, NaN after the steps of this run
+        evals = len(single.eval_steps)
+        assert np.array_equal(batch["eval_steps"][:evals], single.eval_steps)
+        for kind in SCHEMES:
+            assert single.f_by_scheme[kind].shape == (evals,)
+            f_row = batch["f_by_scheme"][kind]
+            assert f_row.shape == (len(seeds), len(batch["eval_steps"]))
+            assert np.array_equal(f_row[r, :evals], single.f_by_scheme[kind], equal_nan=True)
+            assert np.isnan(f_row[r, evals:]).all()
+        stops.append((recorded_steps(single.xbar), single.diverged, single.t_star))
+    recorded, diverged, t_star = zip(*stops)
+    assert {
+        "completes": set(recorded) == {T + 1} and not any(diverged),
+        "diverges": all(diverged) and len(set(recorded)) > 1 and max(recorded) <= T,
+        "target": set(t_star) == {17, 16, 19} and recorded == (18, 17, 18, 20),
+        "frozen": all(diverged) and set(recorded) == {1},
+    }[scenario]

@@ -19,6 +19,8 @@ from localsgd import (
     lemma_suite,
     make_quadratic,
     regular_sync_schedule,
+    run_async_local_sgd,
+    run_local_sgd,
     run_local_sgd_ensemble,
     theorem_steps,
 )
@@ -273,21 +275,31 @@ def test_an_ensemble_whose_runs_all_freeze_keeps_its_rows_and_fails_its_checks(q
 
 @pytest.mark.parametrize("engine", ["sync", "async"])
 def test_an_ensemble_whose_runs_all_freeze_at_the_start_reads_nan(quad10, engine):
-    # f(x0) is not finite, so every run freezes before its first update
-    base, _, const = quad10
+    # f(x0) is not finite, so every run freezes before its first update and
+    # records no noise norm: its noise row is T NaN entries, alone and in a
+    # batch, and the perturbed-step check reads it and fails at t = 0
+    base, ref, const = quad10
     obj = ThresholdQuadratic(base.hess, base.B, c=-1.0)
     K, T, runs = 2, 8, 3
     config = replace(theorem_config(obj, const, K, T, H=2, window=4),
-                     record=RecordFlags(deviations=True))
+                     record=RecordFlags(deviations=True, noise_norms=True))
+    schedules, delay = [config.sync] * K, DelayModel("fixed", tau=2)
     if engine == "sync":
+        single = run_local_sgd(config, obj)
         result = run_local_sgd_ensemble(config, obj, list(range(runs)))
     else:
-        result = run_async_ensemble(config, [config.sync] * K, DelayModel("fixed", tau=2), obj,
-                                    list(range(runs)))
+        single, _ = run_async_local_sgd(config, schedules, delay, obj)
+        result = run_async_ensemble(config, schedules, delay, obj, list(range(runs)))
     assert result.diverged.all() and result.eval_steps.tolist() == [0]
     assert result.xbar.shape == (runs, T + 1, obj.d) and np.isnan(result.xbar[:, 1:]).all()
     assert result.deviations.shape == (runs, T + 1)
     assert np.isnan(result.output_average).all() and np.isnan(result.f_output).all()
+    assert single.diverged and single.noise_sq.shape == (T,)
+    assert result.noise_sq.shape == (runs, T)
+    assert np.isnan(single.noise_sq).all() and np.isnan(result.noise_sq).all()
+    if engine == "sync":
+        report = check_perturbed_inequality(config, obj, ref, runs)
+        assert not report.passed and report.worst_step == 0 and np.isnan(report.statistic)
 
 
 def test_tightest_step_takes_the_earliest_tie_and_fails_on_nan():

@@ -21,7 +21,7 @@ from localsgd.averaging import SCHEMES, RunningAverage
 from localsgd.harness import reference_for
 from localsgd.schedules import ExperimentDecayStep
 from localsgd.sync import _certified_by_any, _certified_miss, _index_chunks, _simulate
-from oracles import ThresholdQuadratic
+from oracles import ThresholdQuadratic, recorded_steps
 
 
 def quad_config(quad10, K, T, H, b=1, seed=0, record=None, a_extra=0.0):
@@ -251,10 +251,17 @@ def test_ensemble_flags_divergence_like_scalar_engine(quad10):
                 config.__class__(**{**config.__dict__, "seed": seed}), obj)
             assert single.diverged == blows_up
             assert bool(ensemble.diverged[r]) == single.diverged
-            # the run records what the single run recorded, then NaN
-            recorded = len(single.deviations)
-            assert np.array_equal(ensemble.deviations[r][:recorded], single.deviations)
+            # both record up to the step where the run froze, then NaN
+            recorded = recorded_steps(single.deviations)
+            assert (recorded < config.T + 1) == blows_up
+            assert np.array_equal(ensemble.deviations[r][:recorded],
+                                  single.deviations[:recorded])
+            assert np.array_equal(ensemble.deviations[r], single.deviations, equal_nan=True)
             assert np.all(np.isnan(ensemble.deviations[r][recorded:]))
+            # a diverged run's output average reads NaN, alone and in a batch
+            assert np.array_equal(ensemble.output_average[r], single.output_average,
+                                  equal_nan=True)
+            assert np.isnan(single.output_average).all() == blows_up
             assert np.isnan(ensemble.f_output[r]) == blows_up
 
 
@@ -272,7 +279,6 @@ def test_per_run_stepsizes_match_single_runs_bitwise(logistic50):
     for seeds in ([11] * len(steps), list(range(20, 20 + len(steps)))):
         run = _simulate(config, logistic50, seeds, steps=steps,
                         target=(eps, f_star), keep=lambda t, crossed: crossed < 0)
-        f_rows = np.asarray(run["rows"]["f_values"])
         outcomes = set()
         for r, (schedule, seed) in enumerate(zip(steps, seeds)):
             single = run_local_sgd(
@@ -282,9 +288,10 @@ def test_per_run_stepsizes_match_single_runs_bitwise(logistic50):
             assert run["diverged"][r] == single.diverged
             assert np.array_equal(run["final_iterates"][r], single.final_iterates)
             evals = len(single.eval_steps)
-            for j, kind in enumerate(SCHEMES):
-                assert np.array_equal(f_rows[:evals, r, j], single.f_by_scheme[kind])
-            assert np.all(np.isnan(f_rows[evals:, r]))
+            for kind in SCHEMES:
+                f_row = run["f_by_scheme"][kind][r]
+                assert np.array_equal(f_row[:evals], single.f_by_scheme[kind])
+                assert np.all(np.isnan(f_row[evals:]))
             outcomes.add("diverged" if single.diverged
                          else "unreached" if single.t_star is None else "reached")
         assert outcomes == {"diverged", "unreached", "reached"}
@@ -316,14 +323,22 @@ def test_repeated_seeds_match_single_runs_bitwise(logistic50):
                     keep=lambda t, crossed: crossed < 0)
     assert run["diverged"].tolist() == [True, False, False, False]
     assert run["crossed"].tolist() == [-1, 118, -1, -1]
-    for r, (schedule, seed) in enumerate(zip(steps, seeds)):
+    # run 0 records the steps before its blow-up, run 1 the steps up to its
+    # t*, and the others every step
+    for r, (schedule, seed, rows) in enumerate(zip(steps, seeds, [40, 119, 121, 121])):
         single = run_local_sgd(
             config.__class__(**{**config.__dict__, "steps": schedule, "seed": seed}),
             logistic50, stop_when=target)
-        rows = len(single.xbar)
-        assert np.array_equal(run["rows"]["xbar"][:rows, r], single.xbar)
-        assert np.array_equal(run["rows"]["deviations"][:rows, r], single.deviations)
-        assert np.all(np.isnan(run["rows"]["xbar"][rows:, r]))
+        # the batch row and the single run's full-length row alike record
+        # up to the run's stop step and read NaN from there
+        assert recorded_steps(single.xbar) == rows
+        assert np.array_equal(run["rows"]["xbar"][r, :rows], single.xbar[:rows])
+        assert np.array_equal(run["rows"]["deviations"][r, :rows], single.deviations[:rows])
+        assert np.all(np.isnan(run["rows"]["xbar"][r, rows:]))
+        for name in ("xbar", "deviations"):
+            assert np.array_equal(run["rows"][name][r], getattr(single, name), equal_nan=True)
+        assert np.array_equal(run["rows"]["output_average"][r], single.output_average,
+                              equal_nan=True)
         assert np.array_equal(run["final_iterates"][r], single.final_iterates)
 
 
@@ -530,7 +545,7 @@ def test_recorded_values_at_the_start_equal_the_value_at_x0(monkeypatch, logisti
         calls = _count_value_passes(monkeypatch, objective)
         run = _simulate(config, objective, list(range(6)))
         assert calls[0] == ("value_many", 1)
-        f0 = run["rows"]["f_values"][0]
+        f0 = np.stack([run["f_by_scheme"][kind][:, 0] for kind in SCHEMES], axis=1)
         assert f0.shape == (6, 4)
         assert f0.tobytes() == np.full((6, 4), objective.value(x0)).tobytes()
         monkeypatch.undo()
@@ -559,7 +574,7 @@ def test_screening_counts_every_point_of_every_evaluation(logistic50):
     points = 4 * sum(int(np.sum(screened["eval_steps"] <= t)) for t in last)
     assert screened["points_evaluated"] + screened["points_screened"] == points
     assert screened["points_screened"] > screened["points_evaluated"] > 0
-    assert screened["rows"]["f_values"] is None
+    assert screened["f_by_scheme"] is None
     assert (recorded["points_evaluated"], recorded["points_screened"]) == (points, 0)
     assert (screened["crossed"] >= 0).any() and (screened["crossed"] < 0).any()
     for name in ("crossed", "diverged", "eval_steps", "final_iterates"):
@@ -592,7 +607,8 @@ def test_a_non_finite_value_reads_nan_at_its_own_point(monkeypatch):
     assert np.isnan(row[0]) and np.all(np.isfinite(row[1:]))
     assert recorded.diverged and recorded.t_star is None
     assert recorded.eval_steps[-1] == t_fail
-    assert np.array_equal(recorded.final_iterates, recorded.xbar[-1:])
+    assert np.array_equal(recorded.final_iterates, recorded.xbar[t_fail:t_fail + 1])
+    assert np.isnan(recorded.xbar[t_fail + 1:]).all()
     # screening evaluates the failing point too, so it stops at the same step
     assert screened.diverged and screened.t_star is None
     assert screened.eval_steps[-1] == t_fail
