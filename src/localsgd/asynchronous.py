@@ -29,14 +29,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain
 from numbers import Integral
 
 import numpy as np
 
 from .schedules import validate_shift
-from .sync import RunTrace, _ensemble_result, _row_zero, _simulate
+from .sync import _row_zero, _simulate
 
 
 @dataclass(frozen=True)
@@ -168,6 +168,8 @@ class _Replay:
         self.folded = 0
         self.blocks = {}                             # id -> block / K, unfolded writes
         self.total = np.zeros((S, len(x0)))          # sum of every block written
+        self.runs = np.arange(S)                     # the runs still in the stack
+        self.totals = np.zeros((S, len(x0)))         # each run's total, once it left
         self.rounds = np.zeros(K, dtype=np.int64)    # reads per sequence
 
     def __call__(self, t, X):
@@ -190,18 +192,11 @@ class _Replay:
 
     def keep(self, stay):
         """Keep only the runs of the stack where `stay` is True."""
+        self.totals[self.runs[~stay]] = self.total[~stay]
+        self.runs, self.total = self.runs[stay], self.total[stay]
         self.base = self.base[stay]
         self.folded_sum = self.folded_sum[stay]
-        self.total = self.total[stay]
         self.blocks = {i: block[stay] for i, block in self.blocks.items()}
-
-
-@dataclass
-class AsyncRunTrace(RunTrace):
-    """The `RunTrace` of one asynchronous run, whose xbar is the virtual
-    sequence of all updates, plus the shared aggregate."""
-
-    final_aggregate: np.ndarray  # (d,) x0 plus every update block / K
 
 
 def _replayed(config, per_worker_syncs, delay, objective, seeds, *,
@@ -212,9 +207,10 @@ def _replayed(config, per_worker_syncs, delay, objective, seeds, *,
     Before any gradient work, checks a decaying schedule's shift against
     the longest sync interval plus tau, then the plan's realized staleness
     against tau: `declared_tau`, or the delay model's.  The runs record
-    what `config.record` asks for.  Returns the run dict, with the plan's
-    `staleness`, the reads per sequence (`comm_rounds`) and each run's
-    `final_aggregate`, and the plan.
+    what `config.record` asks for, and their xbar is the virtual sequence
+    of all updates.  Returns the loop's `EnsembleResult`, with the plan's
+    `staleness`, the reads per sequence as `comm_rounds` and each run's
+    shared aggregate as `final_aggregate`, and the plan.
     """
     log = write_plan(config.K, config.T, per_worker_syncs, delay, wall_times)
     tau = delay.tau if declared_tau is None else int(declared_tau)
@@ -227,26 +223,27 @@ def _replayed(config, per_worker_syncs, delay, objective, seeds, *,
             f"{staleness} > tau={tau}"
         )
     replay = _Replay(log, config.x0, len(seeds), config.K, config.T)
-    run = _simulate(config, objective, seeds, exchange=replay,
-                    track_second_moment=track_second_moment)
-    run.update(staleness=staleness, comm_rounds=replay.rounds,
-               final_aggregate=config.x0 + replay.total / config.K)
-    return run, log
+    result = _simulate(config, objective, seeds, exchange=replay,
+                       track_second_moment=track_second_moment)
+    return replace(result, staleness=staleness, comm_rounds=replay.rounds,
+                   final_aggregate=config.x0 + replay.totals / config.K), log
 
 
 def run_async_local_sgd(config, per_worker_syncs, delay, objective):
-    """Simulate asynchronous local SGD; returns (AsyncRunTrace, WriteLog).
+    """Simulate asynchronous local SGD; returns (RunTrace, WriteLog).
 
-    The run records what `config.record` asks for.  `per_worker_syncs`
-    gives each sequence its own synchronization schedule (each must end
-    at the horizon T).  The realized staleness of the write plan is
-    checked against the delay model's tau before any gradient work; a
-    violation aborts with a diagnostic.  Sequence k samples the same
-    indices as worker k of `run_local_sgd`, and a run that diverges stops
-    there with its last finite iterates and `diverged` set.
+    The run records what `config.record` asks for; its trace's
+    `comm_rounds` counts each sequence's reads, and `final_aggregate` is
+    the shared aggregate.  `per_worker_syncs` gives each sequence its own
+    synchronization schedule (each must end at the horizon T).  The
+    realized staleness of the write plan is checked against the delay
+    model's tau before any gradient work; a violation aborts with a
+    diagnostic.  Sequence k samples the same indices as worker k of
+    `run_local_sgd`, and a run that diverges stops there with its last
+    finite iterates and `diverged` set.
     """
-    run, log = _replayed(config, per_worker_syncs, delay, objective, [config.seed])
-    return _row_zero(run, AsyncRunTrace, final_aggregate=run["final_aggregate"][0]), log
+    result, log = _replayed(config, per_worker_syncs, delay, objective, [config.seed])
+    return _row_zero(result), log
 
 
 def run_async_ensemble(config, per_worker_syncs, delay, objective, seeds, *,
@@ -255,13 +252,12 @@ def run_async_ensemble(config, per_worker_syncs, delay, objective, seeds, *,
     that `run_async_local_sgd` writes and checks for the same inputs.
 
     Run r records what `config.record` asks for and agrees bitwise with
-    `run_async_local_sgd` at seed seeds[r].  Returns the EnsembleResult of
-    the sync ensemble, with the output average of the virtual sequence
-    and the plan's `staleness`.
+    `run_async_local_sgd` at seed seeds[r].  Returns the `EnsembleResult`
+    of `_replayed`: the output average of the virtual sequence, the
+    plan's `staleness` and each run's `final_aggregate`.
     """
-    run, _ = _replayed(config, per_worker_syncs, delay, objective, seeds,
-                       track_second_moment=track_second_moment)
-    return _ensemble_result(run, objective, run["staleness"])
+    return _replayed(config, per_worker_syncs, delay, objective, seeds,
+                     track_second_moment=track_second_moment)[0]
 
 
 @dataclass
@@ -355,7 +351,7 @@ def run_load_balanced(config, speeds, objective):
     if len(speeds) != config.K:
         raise ValueError("need one speed per logical sequence (K of them)")
     plan = load_balanced_assignment(speeds, H, n_blocks=config.T // H)
-    run, log = _replayed(config, [config.sync] * config.K, DelayModel(kind="zero"),
-                         objective, [config.seed], wall_times=plan.wall_times(),
-                         declared_tau=plan.bound)
-    return _row_zero(run, AsyncRunTrace, final_aggregate=run["final_aggregate"][0]), log, plan
+    result, log = _replayed(config, [config.sync] * config.K, DelayModel(kind="zero"),
+                            objective, [config.seed], wall_times=plan.wall_times(),
+                            declared_tau=plan.bound)
+    return _row_zero(result), log, plan

@@ -542,9 +542,9 @@ def _search_round(objective, f_star, K, H, b, eps, seed, step_cap, measured, poi
             limits, crossings = _drop_limits(measured, points, crossed), now
         return t < limits
 
-    run = _simulate(config, objective, [seed] * len(points), steps=steps,
-                    target=(eps, f_star), keep=keep)
-    for (family, i), t_star in zip(points, run["crossed"]):
+    result = _simulate(config, objective, [seed] * len(points), steps=steps,
+                       target=(eps, f_star), keep=keep)
+    for (family, i), t_star in zip(points, result.crossed):
         measured[family][i] = int(t_star) if t_star >= 0 else None
 
 

@@ -85,7 +85,9 @@ class CheckReport:
 
 
 def _run_seeds(seed, count):
-    """Deterministic per-run integer seeds derived from a master seed."""
+    """Deterministic per-run integer seeds derived from a master seed, two or more."""
+    if count < 2:
+        raise ValueError(f"runs must be >= 2, got {count}")
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)]
 
 
@@ -163,10 +165,10 @@ def _deviation_check(check, config, ensemble, args, constant, window, runs, seed
     """
     if not isinstance(config.steps, TheoremDecayStep):
         raise ValueError("this check requires the decaying stepsize schedule")
+    seeds = _run_seeds(seed, runs)
     G_sq = ensemble(config, *args, _heldout_seeds(seed, runs),
                     track_second_moment=True).max_second_moment
-    tested = ensemble(replace(config, record=replace(config.record, deviations=True)), *args,
-                      _run_seeds(seed, runs))
+    tested = ensemble(replace(config, record=replace(config.record, deviations=True)), *args, seeds)
     # Python floats: eta**2 of a float is C pow, which numpy's square is not
     bounds = np.array([constant * config.steps.eta(t)**2 * G_sq * window**2
                        for t in range(config.T + 1)])

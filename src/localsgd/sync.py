@@ -87,7 +87,8 @@ class RunConfig:
 
 @dataclass
 class RunTrace:
-    """Recorded quantities of one run; arrays are indexed by step.
+    """Recorded quantities of one run, sync or async: row 0 of its
+    `EnsembleResult`, with arrays indexed by step.
 
     A quantity that `config.record` leaves off reads None.  A per-step row
     has its full length also when the run stopped early, and reads NaN
@@ -107,6 +108,45 @@ class RunTrace:
     final_iterates: np.ndarray       # (K, d)
     t_star: int | None               # set when an accuracy target stopped the run
     diverged: bool                   # iterates left the representable range
+    final_aggregate: np.ndarray | None = None  # (d,) async shared aggregate; None for sync
+
+
+@dataclass
+class EnsembleResult:
+    """What the time-step loop, `_simulate`, records for S seeded runs of one
+    configuration, for every engine; its counters cover the whole loop.
+
+    Row r of each row that `config.record` asks for is run r's `RunTrace`
+    field, and a row not recorded reads None.  Every per-step row has its
+    full length, while eval_steps and f_by_scheme end where the loop did,
+    so run r's f values are the first len(trace.eval_steps) of its row.
+    A run reads NaN from the step where it froze, and a diverged run's
+    output average and f_output read NaN.
+    """
+
+    objective: object = field(repr=False)
+    diverged: np.ndarray             # (S,) runs stopped by the divergence guard
+    max_second_moment: float         # 0.0 unless tracked
+    output_average: np.ndarray | None  # (S, d) the RunTrace average; None if target-only
+    eval_steps: np.ndarray           # steps of the f_by_scheme values, shared by every run
+    xbar: np.ndarray | None          # (S, T+1, d)
+    deviations: np.ndarray | None    # (S, T+1)
+    noise_sq: np.ndarray | None      # (S, T)
+    iterates: np.ndarray | None      # (S, K, T+1, d)
+    f_by_scheme: dict | None         # scheme -> (S, evals)
+    crossed: np.ndarray              # (S,) first eps-accurate evaluation step, -1 if none
+    final_iterates: np.ndarray       # (S, K, d)
+    comm_rounds: int | np.ndarray    # sync rounds; async: (K,) reads per sequence
+    points_evaluated: int            # (run, scheme) points of evaluation steps with an exact value
+    points_screened: int             # (run, scheme) points of evaluation steps certified above eps
+    final_aggregate: np.ndarray | None = None  # (S, d) async shared aggregate; None for sync
+    staleness: int = 0               # realized staleness of the async write plan
+
+    @cached_property
+    def f_output(self) -> np.ndarray:
+        """(S,) f of each output average, from one value pass on first read;
+        a diverged run's average reads NaN, and so does its value."""
+        return self.objective.value_many(self.output_average)
 
 
 def _spawn_worker_rngs(seed, K):
@@ -198,10 +238,10 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
     same as with all values evaluated; a skipped evaluation cannot see a
     non-finite value, which the iterate guard keeps away, and a step whose
     points are all skipped cannot cross, so it does no value arithmetic at
-    all.  run["points_evaluated"] and run["points_screened"] count the
-    (run, scheme) points of every evaluation step, a point with an exact
-    value as evaluated.  A target-only run reads nothing of the shifted
-    output average, so it does not keep one.
+    all.  points_evaluated and points_screened count the (run, scheme)
+    points of every evaluation step, a point with an exact value as
+    evaluated.  A target-only run reads nothing of the shifted output
+    average, so it does not keep one.
     `keep(t, crossed)`, called after each evaluation at step t with the
     crossing steps (-1 if none) of all S runs, returns a mask of the runs
     still needed; the others are frozen too, so `crossed < 0` stops each
@@ -229,13 +269,14 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
     with the coefficients of `averaging.RECURSIONS` computed for
     `_CHUNK_STEPS` steps at a time.
 
-    run["rows"] holds, by the name of its `EnsembleResult` field, each
-    per-step row that config.record asks for and the output averages,
-    each allocated once, NaN, in that field's layout and written in place
-    for the active runs; a row not kept is None.  run["f_by_scheme"] maps
-    each scheme to (S, evaluations).  Run r's `RunTrace` rows are row r of
-    these, alone or in a batch.
+    Returns the `EnsembleResult` of the S runs, at least one.  Each row
+    it keeps, what config.record asks for and the output averages, is
+    allocated once, NaN, in its field's layout and written in place for
+    the active runs; a row not kept is None.  Run r's `RunTrace` is row r
+    of it, alone or in a batch.
     """
+    if not len(seeds):
+        raise ValueError("need at least one seed")
     if config.x0.shape[-1] != objective.d:
         raise ValueError("x0 dimension does not match the objective")
     if target is not None and not target[0] > 0.0:
@@ -286,13 +327,11 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
                "output_average": (not screen, (S, d))}
     rows = {name: np.full(shape, np.nan) if asked else None
             for name, (asked, shape) in layouts.items()}
-    output = rows["output_average"]
     f_rows = np.full((len(SCHEMES), S, sum(map(is_eval, range(T + 1)))), np.nan) \
         if record.f_values else None
-    run = {"eval_steps": [], "comm_rounds": 0, "max_second_moment": 0.0,
-           "points_evaluated": 0, "points_screened": 0,
-           "crossed": np.full(S, -1, dtype=np.int64),
-           "diverged": np.zeros(S, dtype=bool)}
+    eval_steps, comm_rounds, max_second_moment = [], 0, 0.0
+    points_evaluated = points_screened = 0
+    crossed, diverged = np.full(S, -1, dtype=np.int64), np.zeros(S, dtype=bool)
     chunks = _index_chunks(list(distinct), K, objective.n, config.b, T)
     chunk, chunk_start = next(chunks), 0
     # the gradient plans of the steps plan_start.. of the active rows; the
@@ -331,13 +370,14 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
         Returns f and a mask of the active runs with a NaN value, or None
         when screening evaluates no point.
         """
+        nonlocal points_evaluated, points_screened
         if screen:
             need = ~_certified_by_any(Y, anchor["z"], anchor["f"], anchor["g"], mu, *target)
         else:
             need = np.ones(Y.shape[:2], dtype=bool)
         evaluated = int(np.count_nonzero(need))
-        run["points_evaluated"] += evaluated
-        run["points_screened"] += need.size - evaluated
+        points_evaluated += evaluated
+        points_screened += need.size - evaluated
         if evaluated == 0:
             return None
         # at t = 0 every average is xbar_0, so its one value is every point's
@@ -349,7 +389,7 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
         else:
             f[need] = objective.value_many(points)
         if record.f_values:
-            f_rows[:, active, len(run["eval_steps"]) - 1] = f.T
+            f_rows[:, active, len(eval_steps) - 1] = f.T
         return f, np.isnan(f).any(axis=1)
 
     def observe(t, xbar):
@@ -365,18 +405,18 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
             rows["iterates"][active, :, t] = X
         out = bad = np.zeros(len(active), dtype=bool)
         if track_averages and is_eval(t):
-            run["eval_steps"].append(t)
+            eval_steps.append(t)
             checked = evaluate(t)
             if checked is not None:
                 f, bad = checked
                 out = bad
                 if target is not None:
                     reached = f.min(axis=1) - target[1] <= target[0]
-                    hit = ~bad & (run["crossed"][active] < 0) & reached
-                    run["crossed"][active[hit]] = t
+                    hit = ~bad & (crossed[active] < 0) & reached
+                    crossed[active[hit]] = t
             if keep is not None:
-                out = out | ~keep(t, run["crossed"])[active]
-        run["diverged"][active[bad]] = True
+                out = out | ~keep(t, crossed)[active]
+        diverged[active[bad]] = True
         return out
 
     def drop(out, X, *arrays):
@@ -391,8 +431,10 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
         final_iterates[active[out]] = X[out]
         stay = ~out
         if output_avg is not None and output_avg.weighted_sum is not None:
-            output[active[out]] = output_avg.value[out]
+            rows["output_average"][active[out]] = output_avg.value[out]
             output_avg.weighted_sum = output_avg.weighted_sum[stay]
+        if exchange is not None:
+            exchange.keep(stay)
         if out.all():
             return None
         active = active[stay]
@@ -401,8 +443,6 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
             Y = Y[stay]
         for key in anchor:
             anchor[key] = anchor[key][stay]
-        if exchange is not None:
-            exchange.keep(stay)
         return [a[stay] if isinstance(a, np.ndarray) else a for a in arrays]
 
     xbar = _worker_mean(X)
@@ -418,8 +458,8 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
             if output_avg is not None:
                 output_avg.update(xbar, t)
             if track_second_moment:
-                run["max_second_moment"] = max(run["max_second_moment"],
-                                               float(objective.second_moment_many(X).max()))
+                max_second_moment = max(max_second_moment,
+                                        float(objective.second_moment_many(X).max()))
             G = objective.planned_gradient_many(X, plans[t - plan_start])
             if record.noise_norms:
                 diff = G.mean(axis=1) - objective.gradient_many(X).mean(axis=1)
@@ -430,7 +470,7 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
             # last finite iterates before the objective evaluation overflows
             if not np.max(np.abs(X_next)) < _DIVERGED:  # NaN fails too
                 blown = ~np.all(np.abs(X_next) < _DIVERGED, axis=(1, 2))
-                run["diverged"][active[blown]] = True
+                diverged[active[blown]] = True
                 if (kept := drop(blown, X, X_next, xbar, G, eta)) is None:
                     break
                 X_next, xbar, G, eta = kept
@@ -441,29 +481,30 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
                 if config.sync.is_sync(t + 1):
                     if K > 1:
                         X_next[:] = X_next.mean(axis=1, keepdims=True)
-                    run["comm_rounds"] += 1
+                    comm_rounds += 1
                 xbar = _worker_mean(X_next)
             X = X_next
 
-    if output is not None:
-        output[run["diverged"]] = np.nan
-    run.update(rows=rows, f_by_scheme=None if f_rows is None
-               else dict(zip(SCHEMES, f_rows[:, :, :len(run["eval_steps"])])),
-               eval_steps=np.asarray(run["eval_steps"], dtype=np.int64),
-               final_iterates=final_iterates)
-    return run
+    if rows["output_average"] is not None:
+        rows["output_average"][diverged] = np.nan
+    return EnsembleResult(
+        objective, diverged, max_second_moment, eval_steps=np.asarray(eval_steps, dtype=np.int64),
+        f_by_scheme=None if f_rows is None
+        else dict(zip(SCHEMES, f_rows[:, :, :len(eval_steps)])),
+        crossed=crossed, final_iterates=final_iterates, comm_rounds=comm_rounds,
+        points_evaluated=points_evaluated, points_screened=points_screened, **rows)
 
 
-def _row_zero(run, trace=RunTrace, **fields):
-    """Run 0 of a `_simulate` run dict as a `trace`: the single-run trace of
-    the sync and async engines.  `fields` are the trace class's own."""
-    crossed, f = int(run["crossed"][0]), run["f_by_scheme"]
-    return trace(
-        **{name: None if row is None else row[0] for name, row in run["rows"].items()},
-        f_by_scheme=None if f is None else {scheme: row[0] for scheme, row in f.items()},
-        eval_steps=run["eval_steps"], comm_rounds=run["comm_rounds"],
-        final_iterates=run["final_iterates"][0], t_star=crossed if crossed >= 0 else None,
-        diverged=bool(run["diverged"][0]), **fields)
+def _row_zero(result):
+    """Run 0 of an `EnsembleResult`: the `RunTrace` of every single run, sync or async."""
+    rows = {name: None if (row := getattr(result, name)) is None else row[0]
+            for name in ("xbar", "deviations", "noise_sq", "iterates", "output_average",
+                         "final_iterates", "final_aggregate")}
+    crossed, f = int(result.crossed[0]), result.f_by_scheme
+    return RunTrace(
+        **rows, f_by_scheme=None if f is None else {scheme: row[0] for scheme, row in f.items()},
+        eval_steps=result.eval_steps, comm_rounds=result.comm_rounds,
+        t_star=crossed if crossed >= 0 else None, diverged=bool(result.diverged[0]))
 
 
 def run_local_sgd(config, objective, stop_when=None) -> RunTrace:
@@ -502,44 +543,6 @@ def run_minibatch_sgd(config, objective) -> np.ndarray:
     return np.asarray(path)
 
 
-@dataclass
-class EnsembleResult:
-    """Aggregate statistics over many seeded runs of one configuration.
-
-    Row r of each row that `config.record` asks for is run r's `RunTrace`
-    field, and a row not recorded reads None.  Every per-step row has its
-    full length, while eval_steps and f_by_scheme end where the loop did,
-    so run r's f values are the first len(trace.eval_steps) of its row.
-    A run reads NaN from the step where it froze, and a diverged run's
-    output average and f_output read NaN.
-    """
-
-    objective: object = field(repr=False)
-    diverged: np.ndarray             # (S,) runs stopped by the divergence guard
-    max_second_moment: float         # 0.0 unless tracked
-    staleness: int                   # realized staleness of the async write plan; 0 for sync
-    output_average: np.ndarray       # (S, d) shift-a weighted average over t < T
-    eval_steps: np.ndarray           # steps of the f_by_scheme values, shared by every run
-    xbar: np.ndarray | None          # (S, T+1, d)
-    deviations: np.ndarray | None    # (S, T+1)
-    noise_sq: np.ndarray | None      # (S, T)
-    iterates: np.ndarray | None      # (S, K, T+1, d)
-    f_by_scheme: dict | None         # scheme -> (S, evals)
-
-    @cached_property
-    def f_output(self) -> np.ndarray:
-        """(S,) f of each output average, from one value pass on first read;
-        a diverged run's average reads NaN, and so does its value."""
-        return self.objective.value_many(self.output_average)
-
-
-def _ensemble_result(run, objective, staleness=0) -> EnsembleResult:
-    """The EnsembleResult of the run dict of an ensemble `_simulate`, sync or async."""
-    return EnsembleResult(objective, run["diverged"], run["max_second_moment"], staleness,
-                          eval_steps=run["eval_steps"], f_by_scheme=run["f_by_scheme"],
-                          **run["rows"])
-
-
 def run_local_sgd_ensemble(config, objective, seeds, *, track_second_moment=False):
     """Run one configuration under many seeds, vectorized across runs.
 
@@ -548,5 +551,4 @@ def run_local_sgd_ensemble(config, objective, seeds, *, track_second_moment=Fals
     agree bitwise with the single run's trace.  `track_second_moment`
     adds the largest E_i ||grad f_i||^2 at any iterate.
     """
-    run = _simulate(config, objective, seeds, track_second_moment=track_second_moment)
-    return _ensemble_result(run, objective)
+    return _simulate(config, objective, seeds, track_second_moment=track_second_moment)

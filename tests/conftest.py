@@ -35,6 +35,28 @@ def quad10():
     return make_quadratic(d=10, mu=1.0, L=4.0, n=64, noise=1.0, seed=7)
 
 
+@pytest.fixture(autouse=True)
+def _no_oracle_left_on_a_session_objective(request):
+    """After each test, no session-scoped objective it used holds an
+    instance attribute that hides a method of its class.
+
+    `monkeypatch.setattr(objective, name, ...)` undoes itself by storing
+    the bound method on the instance, which hides a later class-level
+    patch in another test; patch an instance with
+    `monkeypatch.setitem(vars(objective), name, ...)`.
+    """
+    yield
+    for name in ("logistic50", "quad10"):
+        if name in request.fixturenames:
+            value = request.getfixturevalue(name)
+            objective = value[0] if name == "quad10" else value
+            hidden = [attr for attr in vars(objective)
+                      if callable(getattr(type(objective), attr, None))]
+            for attr in hidden:  # so that only the test that left them fails
+                del vars(objective)[attr]
+            assert not hidden, f"{name} keeps instance attributes {hidden} after the test"
+
+
 def w8a_location():
     """Path to the w8a dataset if it has been fetched, else None."""
     candidates = [os.environ.get("LOCALSGD_W8A", "")]

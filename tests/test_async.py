@@ -26,7 +26,7 @@ from localsgd.asynchronous import (Read, Write, _replayed, _Replay, run_async_en
                                    write_plan)
 from localsgd.averaging import SCHEMES
 from localsgd.lemmas import check_async_deviation
-from localsgd.sync import _ensemble_result, _index_chunks, _simulate, run_local_sgd_ensemble
+from localsgd.sync import _index_chunks, _simulate, run_local_sgd_ensemble
 from oracles import (GradientCounter, ThresholdQuadratic, assignment_bound, assignment_entries,
                      recorded_steps)
 
@@ -200,8 +200,8 @@ def test_staleness_check_raises_above_tau_and_returns_the_measured_value(quad10)
     schedules, delay = [config.sync] * 3, DelayModel("fixed", tau=5)
     log = write_plan(3, 24, schedules, delay)
     for tau in (5, 9):
-        run, _ = _replayed(config, schedules, delay, obj, [1, 2], declared_tau=tau)
-        assert run["staleness"] == measured_delay(log) == 5
+        result, _ = _replayed(config, schedules, delay, obj, [1, 2], declared_tau=tau)
+        assert result.staleness == measured_delay(log) == 5
     with pytest.raises(RuntimeError, match="declared bound"):
         _replayed(config, schedules, delay, obj, [1, 2], declared_tau=4)
 
@@ -381,10 +381,8 @@ def test_batched_replay_equals_single_runs_bitwise(quad10, K, per_worker_H, dela
                                       track_second_moment=True)
         # no public runner batches a load-balanced plan; the one path of
         # every async run does
-        run, _ = _replayed(config, schedules, delay, obj, seeds,
-                           track_second_moment=True, wall_times=wall_times,
-                           declared_tau=tau)
-        return _ensemble_result(run, obj, staleness=run["staleness"])
+        return _replayed(config, schedules, delay, obj, seeds, track_second_moment=True,
+                         wall_times=wall_times, declared_tau=tau)[0]
 
     def single_run(seeded):
         if speeds is None:
@@ -427,17 +425,17 @@ def test_block_planned_replay_equals_the_full_scan(monkeypatch, logistic50):
     seeds, stops = [5, 6, 5, 8], [6, 40, 19, 11]
     config = RunConfig(K=K, T=T, b=b, sync=schedules[1], steps=ConstantStep(c=2.0**-5),
                        seed=0, x0=np.zeros(logistic50.d), record=RecordFlags(deviations=True))
-    run = sync._simulate(config, logistic50, seeds,
-                         exchange=_Replay(write_plan(K, T, schedules, delay), config.x0,
-                                          len(seeds), K, T),
-                         keep=lambda t, crossed: t < np.array(stops))
+    result = sync._simulate(config, logistic50, seeds,
+                            exchange=_Replay(write_plan(K, T, schedules, delay), config.x0,
+                                             len(seeds), K, T),
+                            keep=lambda t, crossed: t < np.array(stops))
     for r, (seed, stop) in enumerate(zip(seeds, stops)):
         xbar, devs, *_ = full_scan_async(replace(config, seed=seed), schedules, delay,
                                          logistic50)
-        assert run["rows"]["xbar"][r, :stop + 1].tobytes() == xbar[:stop + 1].tobytes()
-        assert run["rows"]["deviations"][r, :stop + 1].tobytes() == devs[:stop + 1].tobytes()
-        assert np.isnan(run["rows"]["xbar"][r, stop + 1:]).all()
-        assert np.isnan(run["rows"]["deviations"][r, stop + 1:]).all()
+        assert result.xbar[r, :stop + 1].tobytes() == xbar[:stop + 1].tobytes()
+        assert result.deviations[r, :stop + 1].tobytes() == devs[:stop + 1].tobytes()
+        assert np.isnan(result.xbar[r, stop + 1:]).all()
+        assert np.isnan(result.deviations[r, stop + 1:]).all()
 
 
 def test_async_run_flags_divergence_like_the_sync_engine(quad10):
@@ -503,6 +501,20 @@ def test_every_shift_check_rejects_a_shift_with_one_message(quad10):
             check()
         messages.add(str(rejected.value))
     assert len(messages) == 1
+
+
+def test_an_ensemble_of_no_runs_is_rejected_before_any_oracle_call(quad10):
+    # an empty seed list used to end in a ZeroDivisionError from the block
+    # sizing of the loop, after a value pass on no points
+    obj, _, _ = quad10
+    config = async_config(quad10, K=2, T=8, H=4, window=6)
+    counter = GradientCounter(obj)
+    for run in (lambda: run_local_sgd_ensemble(config, counter, []),
+                lambda: run_async_ensemble(config, [config.sync] * 2, DelayModel("fixed", tau=2),
+                                           counter, [])):
+        with pytest.raises(ValueError, match="at least one seed"):
+            run()
+    assert not counter.counts
 
 
 def test_async_entry_points_run_a_constant_step_on_an_unregularized_objective(synth50):
@@ -644,14 +656,22 @@ def test_row_r_of_a_batch_is_the_one_seed_run(quad10, runner, scenario):
         batch = vars(run_async_ensemble(config, schedules, delay, obj, seeds))
         traces = [run_async_local_sgd(c, schedules, delay, obj)[0] for c in seeded]
     else:
-        run = _simulate(config, obj, seeds, target=target, keep=lambda t, crossed: crossed < 0)
-        batch = {**run, **run["rows"]}
+        batch = vars(_simulate(config, obj, seeds, target=target,
+                               keep=lambda t, crossed: crossed < 0))
         traces = [run_local_sgd(c, obj, stop_when=target) for c in seeded]
     shapes = {"xbar": (T + 1, obj.d), "deviations": (T + 1,), "noise_sq": (T,),
               "iterates": (K, T + 1, obj.d), "output_average": (obj.d,)}
     stops = []
     for r, single in enumerate(traces):
         assert bool(batch["diverged"][r]) == single.diverged
+        assert batch["crossed"][r] == (-1 if single.t_star is None else single.t_star)
+        assert single.final_iterates.shape == (K, obj.d)
+        assert np.array_equal(batch["final_iterates"][r], single.final_iterates)
+        if runner == "async":  # the shared aggregate as the run left the stack
+            assert single.final_aggregate.shape == (obj.d,)
+            assert np.array_equal(batch["final_aggregate"][r], single.final_aggregate)
+        else:
+            assert batch["final_aggregate"] is None and single.final_aggregate is None
         for name, shape in shapes.items():
             assert getattr(single, name).shape == shape, name
             assert batch[name].shape == (len(seeds),) + shape, name

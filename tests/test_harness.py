@@ -501,10 +501,10 @@ def test_grid_rounds_screen_and_evaluate_the_same_points(monkeypatch, logistic50
     rounds = []
 
     def counted(*args, **kwargs):
-        run = _simulate(*args, **kwargs)
-        rounds.append((run["points_evaluated"], run["points_screened"],
-                       run["crossed"].tolist()))
-        return run
+        result = _simulate(*args, **kwargs)
+        rounds.append((result.points_evaluated, result.points_screened,
+                       result.crossed.tolist()))
+        return result
     f_star = harness.reference_for(logistic50).f_star
     monkeypatch.setattr(harness, "_simulate", counted)
     for (K, H), want in expected.items():
@@ -593,10 +593,10 @@ def test_a_non_finite_value_freezes_only_its_own_run():
     # on to its own t*
     family, c, t_star = found
     steps = [ConstantStep(c=2.0**4), _family_steps(family, c, obj.n)]
-    run = _simulate(config, obj, [3, 3], steps=steps,
-                    target=(0.002, ref.f_star), keep=lambda t, crossed: crossed < 0)
-    assert run["diverged"].tolist() == [True, False]
-    assert run["crossed"].tolist() == [-1, t_star]
+    result = _simulate(config, obj, [3, 3], steps=steps,
+                       target=(0.002, ref.f_star), keep=lambda t, crossed: crossed < 0)
+    assert result.diverged.tolist() == [True, False]
+    assert result.crossed.tolist() == [-1, t_star]
 
 
 def recorded_t_star(objective, f_star, K, H, b, eps, seed, step_cap, family, c):
@@ -685,9 +685,9 @@ def test_screened_search_rounds_equal_recorded_rounds(logistic50, K, H, eps, see
                 keep=lambda t, crossed: t < _drop_limits(measured, points, crossed)))
         screened, recorded = runs
         for name in ("crossed", "diverged", "final_iterates"):
-            assert np.array_equal(screened[name], recorded[name])
-        screened_points += screened["points_screened"]
-        for (family, i), t_star in zip(points, screened["crossed"]):
+            assert np.array_equal(getattr(screened, name), getattr(recorded, name))
+        screened_points += screened.points_screened
+        for (family, i), t_star in zip(points, screened.crossed):
             measured[family][i] = int(t_star) if t_star >= 0 else None
     assert screened_points > 0
     winner = grid_search_stepsize(logistic50, f_star, K, H, 1, eps, seed, cap,

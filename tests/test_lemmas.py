@@ -130,6 +130,24 @@ def test_deviation_bound_requires_decaying_steps(quad10):
         check_deviation_bound(config, obj, runs=100)
 
 
+@pytest.mark.parametrize("runs", [0, 1])
+@pytest.mark.parametrize("check", ["deviation-bound", "perturbed-step", "async-deviation"])
+def test_statistical_checks_need_two_runs_before_any_oracle_call(quad10, check, runs):
+    # a standard error needs two runs, the rule validate_fixture states for
+    # the suite; no runs used to raise ZeroDivisionError, and one run a
+    # failing report with a NaN standard error
+    obj, ref, const = quad10
+    counter = GradientCounter(obj)
+    config = theorem_config(obj, const, K=2, T=16, H=4, window=6)
+    run = {"deviation-bound": lambda: check_deviation_bound(config, counter, runs),
+           "perturbed-step": lambda: check_perturbed_inequality(config, counter, ref, runs),
+           "async-deviation": lambda: check_async_deviation(
+               config, DelayModel("fixed", tau=2), counter, runs)}[check]
+    with pytest.raises(ValueError, match=f"runs must be >= 2, got {runs}"):
+        run()
+    assert not counter.counts
+
+
 # --- perturbed step inequality ------------------------------------------
 
 

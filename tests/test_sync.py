@@ -284,12 +284,12 @@ def test_per_run_stepsizes_match_single_runs_bitwise(logistic50):
             single = run_local_sgd(
                 config.__class__(**{**config.__dict__, "steps": schedule, "seed": seed}),
                 logistic50, stop_when=(eps, f_star))
-            assert run["crossed"][r] == (-1 if single.t_star is None else single.t_star)
-            assert run["diverged"][r] == single.diverged
-            assert np.array_equal(run["final_iterates"][r], single.final_iterates)
+            assert run.crossed[r] == (-1 if single.t_star is None else single.t_star)
+            assert run.diverged[r] == single.diverged
+            assert np.array_equal(run.final_iterates[r], single.final_iterates)
             evals = len(single.eval_steps)
             for kind in SCHEMES:
-                f_row = run["f_by_scheme"][kind][r]
+                f_row = run.f_by_scheme[kind][r]
                 assert np.array_equal(f_row[:evals], single.f_by_scheme[kind])
                 assert np.all(np.isnan(f_row[evals:]))
             outcomes.add("diverged" if single.diverged
@@ -302,10 +302,10 @@ def test_per_run_stepsizes_match_single_runs_bitwise(logistic50):
     kept = _simulate(config, logistic50, seeds, steps=steps,
                      target=(eps, f_star),
                      keep=lambda t, crossed: (np.arange(len(steps)) > 0) & (crossed < 0))
-    assert kept["crossed"][0] == -1 and not kept["diverged"][0]
-    assert np.array_equal(kept["final_iterates"][0], np.zeros((3, d)))
+    assert kept.crossed[0] == -1 and not kept.diverged[0]
+    assert np.array_equal(kept.final_iterates[0], np.zeros((3, d)))
     for name in ("crossed", "diverged", "final_iterates"):
-        assert np.array_equal(kept[name][1:], full[name][1:])
+        assert np.array_equal(getattr(kept, name)[1:], getattr(full, name)[1:])
 
 
 def test_repeated_seeds_match_single_runs_bitwise(logistic50):
@@ -321,8 +321,8 @@ def test_repeated_seeds_match_single_runs_bitwise(logistic50):
                        record=RecordFlags(deviations=True))
     run = _simulate(config, logistic50, seeds, steps=steps, target=target,
                     keep=lambda t, crossed: crossed < 0)
-    assert run["diverged"].tolist() == [True, False, False, False]
-    assert run["crossed"].tolist() == [-1, 118, -1, -1]
+    assert run.diverged.tolist() == [True, False, False, False]
+    assert run.crossed.tolist() == [-1, 118, -1, -1]
     # run 0 records the steps before its blow-up, run 1 the steps up to its
     # t*, and the others every step
     for r, (schedule, seed, rows) in enumerate(zip(steps, seeds, [40, 119, 121, 121])):
@@ -332,14 +332,14 @@ def test_repeated_seeds_match_single_runs_bitwise(logistic50):
         # the batch row and the single run's full-length row alike record
         # up to the run's stop step and read NaN from there
         assert recorded_steps(single.xbar) == rows
-        assert np.array_equal(run["rows"]["xbar"][r, :rows], single.xbar[:rows])
-        assert np.array_equal(run["rows"]["deviations"][r, :rows], single.deviations[:rows])
-        assert np.all(np.isnan(run["rows"]["xbar"][r, rows:]))
+        assert np.array_equal(run.xbar[r, :rows], single.xbar[:rows])
+        assert np.array_equal(run.deviations[r, :rows], single.deviations[:rows])
+        assert np.all(np.isnan(run.xbar[r, rows:]))
         for name in ("xbar", "deviations"):
-            assert np.array_equal(run["rows"][name][r], getattr(single, name), equal_nan=True)
-        assert np.array_equal(run["rows"]["output_average"][r], single.output_average,
+            assert np.array_equal(getattr(run, name)[r], getattr(single, name), equal_nan=True)
+        assert np.array_equal(run.output_average[r], single.output_average,
                               equal_nan=True)
-        assert np.array_equal(run["final_iterates"][r], single.final_iterates)
+        assert np.array_equal(run.final_iterates[r], single.final_iterates)
 
 
 def _serial_iterates(config, objective, seed, schedule, stop):
@@ -372,10 +372,10 @@ def test_block_planned_steps_equal_minibatch_gradients(monkeypatch, logistic50, 
                            record=RecordFlags(virtual=False, deviations=False))
         run = _simulate(config, objective, seeds, steps=steps,
                         keep=lambda t, crossed: t < np.array(stops))
-        assert not run["diverged"].any()
+        assert not run.diverged.any()
         for r, (seed, schedule, stop) in enumerate(zip(seeds, steps, stops)):
             want = _serial_iterates(config, objective, seed, schedule, stop)
-            assert run["final_iterates"][r].tobytes() == want.tobytes()
+            assert run.final_iterates[r].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("row_entries", [None, 1.0], ids=["mean-rows", "underestimate"])
@@ -392,7 +392,7 @@ def test_blocks_hold_at_most_their_cap_of_entries(monkeypatch, logistic50, row_e
         plans = plan(I, max_entries)
         blocks.append((len(I), len(plans), max_entries, sum(len(p[0]) for p in plans)))
         return plans
-    monkeypatch.setattr(logistic50, "sample_plans", recorded)
+    monkeypatch.setitem(vars(logistic50), "sample_plans", recorded)
     T = 300
     config = RunConfig(K=4, T=T, b=3, sync=regular_sync_schedule(T, 4),
                        steps=ConstantStep(c=2.0**-5), seed=0, x0=np.zeros(logistic50.d),
@@ -434,7 +434,7 @@ def test_fused_averages_equal_running_averages_per_scheme(monkeypatch, quad10):
     def recorded(Y):
         seen.append(Y.copy())
         return value_many(Y)
-    monkeypatch.setattr(objective, "value_many", recorded)
+    monkeypatch.setitem(vars(objective), "value_many", recorded)
     trace = run_local_sgd(config, objective)
     assert len(seen) == T + 1 and trace.eval_steps.tolist() == list(range(T + 1))
     running = [RunningAverage(kind) for kind in SCHEMES]
@@ -510,7 +510,7 @@ def _count_value_passes(monkeypatch, objective):
         def counted(X, oracle=oracle, name=name):
             calls.append((name, int(np.prod(X.shape[:-1]))))
             return oracle(X)
-        monkeypatch.setattr(objective, name, counted)
+        monkeypatch.setitem(vars(objective), name, counted)
     return calls
 
 
@@ -528,9 +528,9 @@ def test_start_point_is_evaluated_once(monkeypatch, logistic50):
     calls = _count_value_passes(monkeypatch, logistic50)
     run = _simulate(config, logistic50, list(range(6)), steps=steps,
                     target=target, keep=lambda t, crossed: np.zeros(6, dtype=bool))
-    assert list(run["eval_steps"]) == [0]
+    assert list(run.eval_steps) == [0]
     assert calls == [("value_and_gradient_many", 1)]
-    assert (run["points_evaluated"], run["points_screened"]) == (24, 0)
+    assert (run.points_evaluated, run.points_screened) == (24, 0)
 
 
 def test_recorded_values_at_the_start_equal_the_value_at_x0(monkeypatch, logistic50, quad10):
@@ -545,7 +545,7 @@ def test_recorded_values_at_the_start_equal_the_value_at_x0(monkeypatch, logisti
         calls = _count_value_passes(monkeypatch, objective)
         run = _simulate(config, objective, list(range(6)))
         assert calls[0] == ("value_many", 1)
-        f0 = np.stack([run["f_by_scheme"][kind][:, 0] for kind in SCHEMES], axis=1)
+        f0 = np.stack([run.f_by_scheme[kind][:, 0] for kind in SCHEMES], axis=1)
         assert f0.shape == (6, 4)
         assert f0.tobytes() == np.full((6, 4), objective.value(x0)).tobytes()
         monkeypatch.undo()
@@ -569,16 +569,16 @@ def test_screening_counts_every_point_of_every_evaluation(logistic50):
                               steps=steps, target=target,
                               keep=lambda t, crossed: crossed < 0))
     screened, recorded = runs
-    assert not screened["diverged"].any()
-    last = np.where(screened["crossed"] >= 0, screened["crossed"], T)
-    points = 4 * sum(int(np.sum(screened["eval_steps"] <= t)) for t in last)
-    assert screened["points_evaluated"] + screened["points_screened"] == points
-    assert screened["points_screened"] > screened["points_evaluated"] > 0
-    assert screened["f_by_scheme"] is None
-    assert (recorded["points_evaluated"], recorded["points_screened"]) == (points, 0)
-    assert (screened["crossed"] >= 0).any() and (screened["crossed"] < 0).any()
+    assert not screened.diverged.any()
+    last = np.where(screened.crossed >= 0, screened.crossed, T)
+    points = 4 * sum(int(np.sum(screened.eval_steps <= t)) for t in last)
+    assert screened.points_evaluated + screened.points_screened == points
+    assert screened.points_screened > screened.points_evaluated > 0
+    assert screened.f_by_scheme is None
+    assert (recorded.points_evaluated, recorded.points_screened) == (points, 0)
+    assert (screened.crossed >= 0).any() and (screened.crossed < 0).any()
     for name in ("crossed", "diverged", "eval_steps", "final_iterates"):
-        assert np.array_equal(screened[name], recorded[name])
+        assert np.array_equal(getattr(screened, name), getattr(recorded, name))
 
 
 def test_a_non_finite_value_reads_nan_at_its_own_point(monkeypatch):
