@@ -60,7 +60,7 @@ for speeds in ((1.0, 1.0), (2.0, 1.0), (3.0, 1.0)):
     for seq, block, worker, _start, _end in plan.entries:
         owners.setdefault(seq, []).append(worker)
     print(f"\nspeeds {speeds}: staleness bound {plan.bound} (= {plan.bound // H}H), "
-          f"identity={plan.is_identity()}")
+          f"identity={all(seq == worker for seq, _b, worker, _s, _e in plan.entries)}")
     for seq, workers in sorted(owners.items()):
         print(f"  sequence {seq} computed by workers {workers}")
 

@@ -36,7 +36,7 @@ from numbers import Integral
 import numpy as np
 
 from .schedules import validate_shift
-from .sync import _row_zero, _simulate
+from .sync import _require_integer, _row_zero, _simulate
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,7 @@ class DelayModel:
             raise ValueError("tau must be nonnegative")
         if self.kind == "zero" and self.tau != 0:
             raise ValueError("zero-delay model must declare tau=0")
+        _require_integer("seed", self.seed, 0)
 
 
 Write = namedtuple("Write", "worker step wall lag")
@@ -283,9 +284,6 @@ class AssignmentPlan:
             for seq, block, _worker, _start, end in self.entries
         }
 
-    def is_identity(self):
-        return all(seq == worker for seq, _b, worker, _s, _e in self.entries)
-
 
 def load_balanced_assignment(speeds, H, n_blocks=4) -> AssignmentPlan:
     """Greedy work-conserving schedule of sequence blocks onto workers.
@@ -298,8 +296,8 @@ def load_balanced_assignment(speeds, H, n_blocks=4) -> AssignmentPlan:
     realized staleness of any replay of the plan.
     """
     speeds = tuple(float(s) for s in speeds)
-    if not speeds or any(s <= 0 for s in speeds):
-        raise ValueError("speeds must be positive")
+    if not speeds or not all(0.0 < s < float("inf") for s in speeds):
+        raise ValueError(f"speeds must be finite and positive, got {speeds}")
     if H < 1 or n_blocks < 1:
         raise ValueError("H and n_blocks must be >= 1")
     K = len(speeds)

@@ -509,8 +509,7 @@ def _drop_limits(measured, points, crossed):
 
     With (t*, i) the best point so far of run r's family, r is needed at
     step t while (t + 1, i_r) < (t*, i), that is while t < t* - 1 + [i_r <
-    i]; a family with no point at eps keeps its runs (limit +inf).  The
-    limits change only when a run crosses.
+    i]; a family with no point at eps keeps its runs (limit +inf).
     """
     best = {}
     reached = [(family, t_star, i) for family, lookup in measured.items()
@@ -527,23 +526,14 @@ def _drop_limits(measured, points, crossed):
 def _search_round(objective, f_star, K, H, b, eps, seed, step_cap, measured, points):
     """Measure `points`, (family, i) pairs, as one batch into `measured`.
 
-    A run is dropped once it reaches eps, and then it keeps its t*, or
-    once `_drop_limits` finds it no longer needed, and then it reads None.
-    The limits are recomputed only when a run crosses: crossing steps are
-    set once, so the count of crossed runs tells.
+    The loop stops a run where it reaches eps, which gives its t*, or at
+    its `_drop_limits` step, and then it reads None.
     """
     steps = [_family_steps(family, 2.0**i, objective.n) for family, i in points]
     config = _cell_config(objective, K, H, b, seed, step_cap, steps[0])
-    limits, crossings = None, -1
-
-    def keep(t, crossed):
-        nonlocal limits, crossings
-        if (now := int(np.count_nonzero(crossed >= 0))) != crossings:
-            limits, crossings = _drop_limits(measured, points, crossed), now
-        return t < limits
-
     result = _simulate(config, objective, [seed] * len(points), steps=steps,
-                       target=(eps, f_star), keep=keep)
+                       target=(eps, f_star),
+                       limits=lambda crossed: _drop_limits(measured, points, crossed))
     for (family, i), t_star in zip(points, result.crossed):
         measured[family][i] = int(t_star) if t_star >= 0 else None
 

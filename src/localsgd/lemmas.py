@@ -262,6 +262,7 @@ def check_recursion_lemma(a, mu, A, B, C, T, sequence_builder) -> CheckReport:
     """
     if A <= 0 or B < 0 or C < 0 or mu <= 0 or a <= 1:
         raise ValueError("require A > 0, B, C >= 0, mu > 0, a > 1")
+    sync._require_integer("T", T, 1)
     eta = 4.0 / (mu * (a + np.arange(T, dtype=np.float64)))
     a_seq, e_seq = sequence_builder(T, eta)
     a_seq = np.asarray(a_seq, dtype=np.float64)

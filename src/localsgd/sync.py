@@ -43,6 +43,12 @@ _BLOCK_ENTRIES = 1 << 15   # gathered entries of one block of gradient plans, at
 _DIVERGED = 1e100          # a run whose iterates reach this magnitude has diverged
 
 
+def _require_integer(name, value, least):
+    """Reject `value` unless it is an integer >= least; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass
 class RecordFlags:
     """What a run records, read by every engine entry point, sync or async,
@@ -78,11 +84,14 @@ class RunConfig:
     record: RecordFlags = field(default_factory=RecordFlags)
 
     def __post_init__(self):
-        if self.K < 1 or self.T < 1 or self.b < 1:
-            raise ValueError("require K >= 1, T >= 1, b >= 1")
+        for name in ("K", "T", "b"):
+            _require_integer(name, getattr(self, name), 1)
+        _require_integer("seed", self.seed, 0)
         if self.sync.T != self.T:
             raise ValueError("sync schedule horizon does not match T")
         self.x0 = np.asarray(self.x0, dtype=np.float64)
+        if self.x0.ndim != 1:
+            raise ValueError(f"x0 must be 1-D, got shape {self.x0.shape}")
 
 
 @dataclass
@@ -216,7 +225,7 @@ def _certified_by_any(Y, z, f_z, g_z, mu, eps, f_star):
 
 
 def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False,
-              target=None, keep=None, exchange=None):
+              target=None, limits=None, exchange=None):
     """The time-step loop behind every engine: sync, grid search and async.
 
     Advances S = len(seeds) runs of `config` together on iterates X of
@@ -225,32 +234,34 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
     stepsizes of config.steps.  A run whose iterates reach |x| >= 1e100 or
     turn non-finite, or one of whose function values is not finite, is
     marked diverged and frozen; only the (run, scheme) values that are not
-    finite read NaN.  `target` (eps, f_star) records each run's first
-    eps-accurate evaluation step.  Every evaluation takes one path: the
-    (run, scheme) points to evaluate go through one stacked pass, and the
-    others read +inf.  At t = 0 every average is xbar_0, which is evaluated
-    once for all of them.  A target-only run, one that does not record
-    function values, is screened: each (run, scheme) keeps an anchor z,
-    the last average evaluated exactly, with f(z) and grad f(z) from one
-    pass, and only the points that no convexity lower bound from their
-    run's four anchors certifies above eps (`_certified_by_any`) are
-    evaluated; each becomes its own new anchor.  Every crossing step is the
-    same as with all values evaluated; a skipped evaluation cannot see a
-    non-finite value, which the iterate guard keeps away, and a step whose
-    points are all skipped cannot cross, so it does no value arithmetic at
-    all.  points_evaluated and points_screened count the (run, scheme)
-    points of every evaluation step, a point with an exact value as
-    evaluated.  A target-only run reads nothing of the shifted output
-    average, so it does not keep one.
-    `keep(t, crossed)`, called after each evaluation at step t with the
-    crossing steps (-1 if none) of all S runs, returns a mask of the runs
-    still needed; the others are frozen too, so `crossed < 0` stops each
-    run where it reaches eps.  A frozen run keeps the iterates it froze at
-    as its final iterates and the output average of the steps it ran,
-    records NaN from then on and leaves the stack, so it costs no further
-    oracle work.  A diverged run's output average reads NaN.  The loop
-    ends once every run is frozen, which for S=1 is a single run's early
-    exit; eval_steps and f_by_scheme end there too.
+    finite read NaN.  `target` (eps, f_star) stops each run at its first
+    eps-accurate evaluation step, its `crossed` step.  Every evaluation
+    takes one path: the (run, scheme) points to evaluate go through one
+    stacked pass, and the others read +inf.  At t = 0 every average is
+    xbar_0, which is evaluated once for all of them.  A target-only run,
+    one that does not record function values, is screened: each (run,
+    scheme) keeps an anchor z, the last average evaluated exactly, with
+    f(z) and grad f(z) from one pass, and only the points that no
+    convexity lower bound from their run's four anchors certifies above
+    eps (`_certified_by_any`) are evaluated; each becomes its own new
+    anchor.  Every crossing step is the same as with all values evaluated;
+    a skipped evaluation cannot see a non-finite value, which the iterate
+    guard keeps away, and a step whose points are all skipped cannot
+    cross, so it does no value arithmetic at all.  points_evaluated and
+    points_screened count the (run, scheme) points of every evaluation
+    step, a point with an exact value as evaluated.  A target-only run
+    reads nothing of the shifted output average, so it does not keep one.
+    `limits(crossed)` maps the crossing steps (-1 if none) of all S runs
+    to the steps (S,) from which each run is no longer needed, and an
+    active run is frozen too at an evaluation step t >= its limit.  The
+    limits change only when a run crosses: the loop reads them before the
+    first evaluation and after each evaluation at which some run crossed.
+    A frozen run keeps the iterates it froze at as its final iterates and
+    the output average of the steps it ran, records NaN from then on and
+    leaves the stack, so it costs no further oracle work.  A diverged
+    run's output average reads NaN.  The loop ends once every run is
+    frozen, which for S=1 is a single run's early exit; eval_steps and
+    f_by_scheme end there too.
 
     At each sync index of config.sync the workers take their mean, which
     is xbar.  `exchange`, an async write-plan replay, replaces that:
@@ -277,6 +288,8 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
     """
     if not len(seeds):
         raise ValueError("need at least one seed")
+    for seed in seeds:
+        _require_integer("seed", seed, 0)
     if config.x0.shape[-1] != objective.d:
         raise ValueError("x0 dimension does not match the objective")
     if target is not None and not target[0] > 0.0:
@@ -332,6 +345,7 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
     eval_steps, comm_rounds, max_second_moment = [], 0, 0.0
     points_evaluated = points_screened = 0
     crossed, diverged = np.full(S, -1, dtype=np.int64), np.zeros(S, dtype=bool)
+    limit = np.full(S, np.inf) if limits is None else limits(crossed)
     chunks = _index_chunks(list(distinct), K, objective.n, config.b, T)
     chunk, chunk_start = next(chunks), 0
     # the gradient plans of the steps plan_start.. of the active rows; the
@@ -394,6 +408,7 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
 
     def observe(t, xbar):
         """Record step t; returns a mask of the active runs it froze."""
+        nonlocal limit
         if track_averages:
             average(xbar, t)
         if record.virtual:
@@ -409,13 +424,14 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
             checked = evaluate(t)
             if checked is not None:
                 f, bad = checked
-                out = bad
                 if target is not None:
-                    reached = f.min(axis=1) - target[1] <= target[0]
-                    hit = ~bad & (crossed[active] < 0) & reached
+                    hit = ~bad & (f.min(axis=1) - target[1] <= target[0])
                     crossed[active[hit]] = t
-            if keep is not None:
-                out = out | ~keep(t, crossed)[active]
+                    if limits is not None and hit.any():
+                        limit = limits(crossed)
+                # an active run that has crossed did so at this step
+                out = bad | (crossed[active] >= 0)
+            out = out | (t >= limit[active])
         diverged[active[bad]] = True
         return out
 
@@ -512,14 +528,13 @@ def run_local_sgd(config, objective, stop_when=None) -> RunTrace:
 
     Deterministic given config.seed.  Sampling is uniform over the n
     components with replacement, one independent substream per worker.
-    `stop_when`, an (eps, f_star) pair, ends the run early at the first
-    function-value evaluation where some tracked average is eps-accurate;
-    the reached step is stored as trace.t_star.  A run that diverges ends
-    at that step with trace.diverged set and its last finite iterates;
-    either way its per-step rows read NaN from there.
+    `stop_when`, an (eps, f_star) pair, is the loop's target: the run ends
+    at the first function-value evaluation where some tracked average is
+    eps-accurate, and the reached step is stored as trace.t_star.  A run
+    that diverges ends at that step with trace.diverged set and its last
+    finite iterates; either way its per-step rows read NaN from there.
     """
-    return _row_zero(_simulate(config, objective, [config.seed], target=stop_when,
-                               keep=lambda t, crossed: crossed < 0))
+    return _row_zero(_simulate(config, objective, [config.seed], target=stop_when))
 
 
 def run_minibatch_sgd(config, objective) -> np.ndarray:

@@ -218,6 +218,19 @@ def test_ensemble_staleness_is_the_measured_delay_of_the_plan(quad10, delay):
     assert run_local_sgd_ensemble(config, obj, [1, 2]).staleness == 0
 
 
+@pytest.mark.parametrize("speed", [np.nan, np.inf, 0.0, -1.0])
+def test_load_balancing_rejects_a_speed_that_is_not_finite_and_positive(quad10, speed):
+    # a NaN speed used to end in a KeyError, and an infinite one in a plan
+    # of zero-length blocks
+    message = r"^speeds must be finite and positive, got \(1\.0, "
+    with pytest.raises(ValueError, match=message):
+        load_balanced_assignment([1.0, speed], H=4)
+    counter = GradientCounter(quad10[0])
+    with pytest.raises(ValueError, match=message):
+        run_load_balanced(async_config(quad10, K=2, T=8, H=4, window=12), [1.0, speed], counter)
+    assert not counter.counts
+
+
 def test_heterogeneous_per_worker_schedules(quad10):
     obj, _, _ = quad10
     config = async_config(quad10, K=2, T=24, H=6, window=6, seed=12)
@@ -230,7 +243,7 @@ def test_heterogeneous_per_worker_schedules(quad10):
 
 def test_load_balancing_plans():
     plan = load_balanced_assignment([1.0, 1.0, 1.0], H=4, n_blocks=5)
-    assert plan.is_identity()
+    assert all(seq == worker for seq, _b, worker, _s, _e in plan.entries)
     assert plan.bound == 4
 
     plan21 = load_balanced_assignment([2.0, 1.0], H=4, n_blocks=6)
@@ -244,7 +257,7 @@ def test_load_balancing_plans():
     assert plan31.bound == 3 * 4
 
     single = load_balanced_assignment([1.0], H=2, n_blocks=3)
-    assert single.is_identity()
+    assert all(seq == worker for seq, _b, worker, _s, _e in single.entries)
 
     with pytest.raises(ValueError):
         load_balanced_assignment([1.0, -1.0], H=2)
@@ -428,7 +441,7 @@ def test_block_planned_replay_equals_the_full_scan(monkeypatch, logistic50):
     result = sync._simulate(config, logistic50, seeds,
                             exchange=_Replay(write_plan(K, T, schedules, delay), config.x0,
                                              len(seeds), K, T),
-                            keep=lambda t, crossed: t < np.array(stops))
+                            limits=lambda crossed: np.array(stops))
     for r, (seed, stop) in enumerate(zip(seeds, stops)):
         xbar, devs, *_ = full_scan_async(replace(config, seed=seed), schedules, delay,
                                          logistic50)
@@ -558,6 +571,14 @@ def test_delay_model_rejects_an_unknown_kind_or_a_tau_out_of_range(kind, tau, me
         DelayModel(kind, tau=tau)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+def test_delay_model_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    # a negative seed used to be accepted and to fail later in write_plan
+    with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {seed!r}$"):
+        DelayModel("random-bounded", tau=2, seed=seed)
+    assert DelayModel("random-bounded", tau=2, seed=np.int64(3)).seed == 3
+
+
 @pytest.mark.parametrize("kind", ["fixed", "random-bounded"])
 @pytest.mark.parametrize("tau", [2.5, 2.0, True, "2"])
 def test_delay_model_rejects_a_tau_that_is_not_an_integer(kind, tau):
@@ -656,8 +677,7 @@ def test_row_r_of_a_batch_is_the_one_seed_run(quad10, runner, scenario):
         batch = vars(run_async_ensemble(config, schedules, delay, obj, seeds))
         traces = [run_async_local_sgd(c, schedules, delay, obj)[0] for c in seeded]
     else:
-        batch = vars(_simulate(config, obj, seeds, target=target,
-                               keep=lambda t, crossed: crossed < 0))
+        batch = vars(_simulate(config, obj, seeds, target=target))
         traces = [run_local_sgd(c, obj, stop_when=target) for c in seeded]
     shapes = {"xbar": (T + 1, obj.d), "deviations": (T + 1,), "noise_sq": (T,),
               "iterates": (K, T + 1, obj.d), "output_average": (obj.d,)}

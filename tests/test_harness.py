@@ -514,6 +514,35 @@ def test_grid_rounds_screen_and_evaluate_the_same_points(monkeypatch, logistic50
         assert rounds == want
 
 
+def test_the_loop_reads_the_limits_only_where_a_run_crosses(logistic50):
+    # every round of one synth50 cell: `limits` is read once before the
+    # first evaluation and once at each evaluation step where some run
+    # crossed, each time with more runs crossed
+    f_star = reference_for(logistic50).f_star
+    K, H, eps, seed, cap = 4, 1, 0.05, 7, 50
+    measured = {family: {} for family in FAMILIES}
+    crossing_steps = []
+    while points := _next_points(measured, -4, 0):
+        steps = [_family_steps(family, 2.0**i, logistic50.n) for family, i in points]
+        config = RunConfig(K=K, T=cap, b=1, sync=regular_sync_schedule(cap, H),
+                           steps=steps[0], seed=seed, x0=np.zeros(logistic50.d),
+                           record=RecordFlags(virtual=False, f_values=False))
+        seen = []
+
+        def counted(crossed):
+            seen.append(int(np.count_nonzero(crossed >= 0)))
+            return _drop_limits(measured, points, crossed)
+        result = _simulate(config, logistic50, [seed] * len(points), steps=steps,
+                           target=(eps, f_star), limits=counted)
+        crossed = result.crossed[result.crossed >= 0]
+        assert len(seen) == 1 + len(set(crossed.tolist()))
+        assert seen[0] == 0 and seen == sorted(set(seen))
+        crossing_steps.append(len(set(crossed.tolist())))
+        for (family, i), t_star in zip(points, result.crossed):
+            measured[family][i] = int(t_star) if t_star >= 0 else None
+    assert max(crossing_steps) >= 2
+
+
 def test_replay_matches_the_sequential_search_on_random_tables():
     # the replay of a full table and the round-by-round search both give
     # the answer of the one-at-a-time search, and the rounds, which drop
@@ -593,8 +622,7 @@ def test_a_non_finite_value_freezes_only_its_own_run():
     # on to its own t*
     family, c, t_star = found
     steps = [ConstantStep(c=2.0**4), _family_steps(family, c, obj.n)]
-    result = _simulate(config, obj, [3, 3], steps=steps,
-                       target=(0.002, ref.f_star), keep=lambda t, crossed: crossed < 0)
+    result = _simulate(config, obj, [3, 3], steps=steps, target=(0.002, ref.f_star))
     assert result.diverged.tolist() == [True, False]
     assert result.crossed.tolist() == [-1, t_star]
 
@@ -682,7 +710,7 @@ def test_screened_search_rounds_equal_recorded_rounds(logistic50, K, H, eps, see
             runs.append(_simulate(
                 config, logistic50, [seed] * len(points), steps=steps,
                 target=(eps, f_star),
-                keep=lambda t, crossed: t < _drop_limits(measured, points, crossed)))
+                limits=lambda crossed: _drop_limits(measured, points, crossed)))
         screened, recorded = runs
         for name in ("crossed", "diverged", "final_iterates"):
             assert np.array_equal(getattr(screened, name), getattr(recorded, name))

@@ -415,6 +415,19 @@ def test_recursion_rejects_bad_arguments(overrides, message):
         check_recursion_lemma(**{**args, **overrides})
 
 
+@pytest.mark.parametrize("T", [0, -3, 2.5, True])
+def test_recursion_rejects_a_horizon_below_one_before_the_builder_runs(T):
+    # T = 0 used to call the builder before sum_of_weights raised
+    built = []
+
+    def builder(T, eta):
+        built.append(T)
+        return np.zeros(T + 1), np.zeros(T)
+    with pytest.raises(ValueError, match=f"^T must be an integer >= 1, got {T!r}$"):
+        check_recursion_lemma(a=17.0, mu=1.0, A=1.0, B=0.0, C=0.0, T=T, sequence_builder=builder)
+    assert built == []
+
+
 # --- asynchronous deviation ----------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from localsgd.averaging import SCHEMES, RunningAverage
 from localsgd.harness import reference_for
 from localsgd.schedules import ExperimentDecayStep
 from localsgd.sync import _certified_by_any, _certified_miss, _index_chunks, _simulate
-from oracles import ThresholdQuadratic, recorded_steps
+from oracles import GradientCounter, ThresholdQuadratic, recorded_steps
 
 
 def quad_config(quad10, K, T, H, b=1, seed=0, record=None, a_extra=0.0):
@@ -277,8 +278,7 @@ def test_per_run_stepsizes_match_single_runs_bitwise(logistic50):
                        steps=steps[0], seed=0, x0=np.zeros(d),
                        record=RecordFlags(virtual=False, deviations=False))
     for seeds in ([11] * len(steps), list(range(20, 20 + len(steps)))):
-        run = _simulate(config, logistic50, seeds, steps=steps,
-                        target=(eps, f_star), keep=lambda t, crossed: crossed < 0)
+        run = _simulate(config, logistic50, seeds, steps=steps, target=(eps, f_star))
         outcomes = set()
         for r, (schedule, seed) in enumerate(zip(steps, seeds)):
             single = run_local_sgd(
@@ -295,17 +295,31 @@ def test_per_run_stepsizes_match_single_runs_bitwise(logistic50):
             outcomes.add("diverged" if single.diverged
                          else "unreached" if single.t_star is None else "reached")
         assert outcomes == {"diverged", "unreached", "reached"}
-    # a run that `keep` drops at the first evaluation leaves the batch at
-    # x0; the runs after it in the stack are unchanged
-    full = _simulate(config, logistic50, seeds, steps=steps,
-                     target=(eps, f_star), keep=lambda t, crossed: crossed < 0)
-    kept = _simulate(config, logistic50, seeds, steps=steps,
-                     target=(eps, f_star),
-                     keep=lambda t, crossed: (np.arange(len(steps)) > 0) & (crossed < 0))
+    # a run whose limit is step 0 leaves the batch at x0; the runs after it
+    # in the stack are unchanged
+    full = _simulate(config, logistic50, seeds, steps=steps, target=(eps, f_star))
+    kept = _simulate(config, logistic50, seeds, steps=steps, target=(eps, f_star),
+                     limits=lambda crossed: np.where(np.arange(len(steps)) > 0, np.inf, 0))
     assert kept.crossed[0] == -1 and not kept.diverged[0]
     assert np.array_equal(kept.final_iterates[0], np.zeros((3, d)))
     for name in ("crossed", "diverged", "final_iterates"):
         assert np.array_equal(getattr(kept, name)[1:], getattr(full, name)[1:])
+
+
+def test_a_target_stops_each_run_where_it_first_reaches_eps(quad10):
+    # with a target and no limits, the loop stops every run at its own t*:
+    # its per-step rows read NaN after it, and t* is the one-seed run's
+    obj, ref, _ = quad10
+    config = quad_config(quad10, K=2, T=200, H=4, record=RecordFlags(deviations=True))
+    seeds, target = [0, 1, 2, 3, 4], (0.1, ref.f_star)
+    run = _simulate(config, obj, seeds, target=target)
+    assert run.crossed.tolist() == [14, 13, 13, 13, 14]
+    for r, seed in enumerate(seeds):
+        t_star = run.crossed[r]
+        assert t_star == run_local_sgd(replace(config, seed=seed), obj, stop_when=target).t_star
+        for row in (run.xbar[r], run.deviations[r]):
+            assert np.isfinite(row[:t_star + 1]).all()
+            assert np.isnan(row[t_star + 1:]).all()
 
 
 def test_repeated_seeds_match_single_runs_bitwise(logistic50):
@@ -319,8 +333,7 @@ def test_repeated_seeds_match_single_runs_bitwise(logistic50):
     config = RunConfig(K=3, T=120, b=2, sync=regular_sync_schedule(120, 4),
                        steps=steps[0], seed=0, x0=np.zeros(d),
                        record=RecordFlags(deviations=True))
-    run = _simulate(config, logistic50, seeds, steps=steps, target=target,
-                    keep=lambda t, crossed: crossed < 0)
+    run = _simulate(config, logistic50, seeds, steps=steps, target=target)
     assert run.diverged.tolist() == [True, False, False, False]
     assert run.crossed.tolist() == [-1, 118, -1, -1]
     # run 0 records the steps before its blow-up, run 1 the steps up to its
@@ -371,7 +384,7 @@ def test_block_planned_steps_equal_minibatch_gradients(monkeypatch, logistic50, 
                            seed=0, x0=np.zeros(objective.d),
                            record=RecordFlags(virtual=False, deviations=False))
         run = _simulate(config, objective, seeds, steps=steps,
-                        keep=lambda t, crossed: t < np.array(stops))
+                        limits=lambda crossed: np.array(stops))
         assert not run.diverged.any()
         for r, (seed, schedule, stop) in enumerate(zip(seeds, steps, stops)):
             want = _serial_iterates(config, objective, seed, schedule, stop)
@@ -527,7 +540,7 @@ def test_start_point_is_evaluated_once(monkeypatch, logistic50):
     target = (0.02, reference_for(logistic50).f_star)
     calls = _count_value_passes(monkeypatch, logistic50)
     run = _simulate(config, logistic50, list(range(6)), steps=steps,
-                    target=target, keep=lambda t, crossed: np.zeros(6, dtype=bool))
+                    target=target, limits=lambda crossed: np.zeros(6))
     assert list(run.eval_steps) == [0]
     assert calls == [("value_and_gradient_many", 1)]
     assert (run.points_evaluated, run.points_screened) == (24, 0)
@@ -566,8 +579,7 @@ def test_screening_counts_every_point_of_every_evaluation(logistic50):
                            record=RecordFlags(virtual=False, deviations=False,
                                               f_values=f_values))
         runs.append(_simulate(config, logistic50, [4] * len(steps),
-                              steps=steps, target=target,
-                              keep=lambda t, crossed: crossed < 0))
+                              steps=steps, target=target))
     screened, recorded = runs
     assert not screened.diverged.any()
     last = np.where(screened.crossed >= 0, screened.crossed, T)
@@ -646,6 +658,34 @@ def test_dimension_mismatch(quad10):
     config.x0 = np.zeros(3)
     with pytest.raises(ValueError, match="dimension"):
         run_local_sgd(config, obj)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    *[(field, value, f"{field} must be an integer >= 1, got {value!r}")
+      for field, value in (("K", 2.5), ("K", True), ("K", 0), ("T", np.float64(5.0)),
+                           ("b", 0), ("b", True))],
+    *[("seed", value, f"seed must be an integer >= 0, got {value!r}")
+      for value in (-1, 1.5, True)],
+    ("x0", np.zeros((2, 10)), "x0 must be 1-D, got shape (2, 10)"),
+])
+def test_run_config_rejects_a_count_a_seed_or_a_start_out_of_range(quad10, field, value,
+                                                                    message):
+    # each used to be accepted (K=True, T=5.0), to fail deep in a run (a
+    # fractional K, a negative seed, a (K, d) start), or to be rejected
+    # without naming its field
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(quad_config(quad10, K=2, T=5, H=1), **{field: value})
+
+
+@pytest.mark.parametrize("seeds", [[-1, 2], [3, 1.5], [True], [0, "1"]])
+def test_an_ensemble_rejects_a_seed_that_is_not_a_nonnegative_integer(quad10, seeds):
+    # before any oracle call, where it used to fail inside SeedSequence
+    counter = GradientCounter(quad10[0])
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0, got "):
+        run_local_sgd_ensemble(quad_config(quad10, K=2, T=5, H=1), counter, seeds)
+    assert not counter.counts
+    assert _simulate(quad_config(quad10, K=2, T=5, H=1), quad10[0],
+                     [np.int64(3), np.uint32(4)]).xbar.shape == (2, 6, 10)
 
 
 @pytest.mark.parametrize("f_every", [0, -3, 2.7, 2.0, True, "2"])
