@@ -31,7 +31,6 @@ from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain
-from numbers import Integral
 
 import numpy as np
 
@@ -50,10 +49,7 @@ class DelayModel:
     def __post_init__(self):
         if self.kind not in ("zero", "fixed", "random-bounded"):
             raise ValueError(f"unknown delay model {self.kind!r}")
-        if isinstance(self.tau, bool) or not isinstance(self.tau, Integral):
-            raise ValueError(f"tau must be an integer, got {self.tau!r}")
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
+        _require_integer("tau", self.tau, 0)
         if self.kind == "zero" and self.tau != 0:
             raise ValueError("zero-delay model must declare tau=0")
         _require_integer("seed", self.seed, 0)

@@ -68,7 +68,7 @@ class ConfigError(ValueError):
     """Invalid or missing experiment configuration; names the field."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetSpec:
     kind: str                      # "libsvm" | "quadratic"
     path: str | None = None
@@ -88,7 +88,7 @@ class DatasetSpec:
 _GRID_MIN, _GRID_MAX = -1074, 1023
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     dataset: DatasetSpec
     eps_list: list

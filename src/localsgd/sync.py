@@ -23,8 +23,9 @@ search runs it with one schedule per run, and runs that stop, diverge or
 are no longer needed leave the stack, so they cost nothing afterwards.
 Indices come from `_index_chunks`, which draws every worker substream in
 chunks of `_CHUNK_STEPS` steps, so memory does not grow with the horizon;
-runs that share a seed share one draw.  The gathers of the sampled
-gradients are planned from them for a block of steps at a time.
+runs that share a seed share one draw, and runs that share a schedule one
+evaluation of it.  The gathers of the sampled gradients are planned from
+them for a block of steps at a time.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .averaging import SCHEMES, ShiftedQuadraticAverage, recursion_weights
+from .averaging import SCHEMES, recursion_weights
 from .schedules import SyncSchedule, TheoremDecayStep, validate_shift
 
 _CHUNK_STEPS = 1024        # steps drawn from each worker substream at a time
@@ -49,7 +50,7 @@ def _require_integer(name, value, least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RecordFlags:
     """What a run records, read by every engine entry point, sync or async,
     single run or ensemble; a row left off reads None.  Only `virtual` and
@@ -66,13 +67,11 @@ class RecordFlags:
     f_every: int | None = None   # extra evaluation stride; default ceil(T/1000)
 
     def __post_init__(self):
-        f_every = self.f_every
-        if f_every is not None and (isinstance(f_every, bool) or not isinstance(f_every, Integral)
-                                    or f_every < 1):
-            raise ValueError(f"f_every must be None or an integer >= 1, got {f_every!r}")
+        if self.f_every is not None:
+            _require_integer("f_every", self.f_every, 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     K: int
     T: int
@@ -89,7 +88,7 @@ class RunConfig:
         _require_integer("seed", self.seed, 0)
         if self.sync.T != self.T:
             raise ValueError("sync schedule horizon does not match T")
-        self.x0 = np.asarray(self.x0, dtype=np.float64)
+        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=np.float64))
         if self.x0.ndim != 1:
             raise ValueError(f"x0 must be 1-D, got shape {self.x0.shape}")
 
@@ -186,6 +185,15 @@ def _worker_mean(X):
     return X[:, 0] if X.shape[1] == 1 else X.mean(axis=1)
 
 
+def _per_run(rows, index):
+    """rows[index], the row of each run.  A single row is broadcast over the
+    runs, not copied, so that scaling by it costs what scaling by a scalar
+    does."""
+    if len(rows) == 1:
+        return np.broadcast_to(rows[0], (len(index),) + rows.shape[1:])
+    return rows[index]
+
+
 def _certified_miss(f_z, slope, sq_dist, mu, eps, f_star):
     """Mask of the points y that convexity proves to be more than eps above f_star.
 
@@ -228,63 +236,58 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
               target=None, limits=None, exchange=None):
     """The time-step loop behind every engine: sync, grid search and async.
 
-    Advances S = len(seeds) runs of `config` together on iterates X of
-    shape (S, K, d) and records what `config.record` asks for, each row
-    with a leading run axis.  `steps`, one schedule per run, replaces the
-    stepsizes of config.steps.  A run whose iterates reach |x| >= 1e100 or
-    turn non-finite, or one of whose function values is not finite, is
-    marked diverged and frozen; only the (run, scheme) values that are not
-    finite read NaN.  `target` (eps, f_star) stops each run at its first
-    eps-accurate evaluation step, its `crossed` step.  Every evaluation
-    takes one path: the (run, scheme) points to evaluate go through one
-    stacked pass, and the others read +inf.  At t = 0 every average is
-    xbar_0, which is evaluated once for all of them.  A target-only run,
-    one that does not record function values, is screened: each (run,
-    scheme) keeps an anchor z, the last average evaluated exactly, with
-    f(z) and grad f(z) from one pass, and only the points that no
-    convexity lower bound from their run's four anchors certifies above
-    eps (`_certified_by_any`) are evaluated; each becomes its own new
-    anchor.  Every crossing step is the same as with all values evaluated;
-    a skipped evaluation cannot see a non-finite value, which the iterate
-    guard keeps away, and a step whose points are all skipped cannot
-    cross, so it does no value arithmetic at all.  points_evaluated and
-    points_screened count the (run, scheme) points of every evaluation
-    step, a point with an exact value as evaluated.  A target-only run
-    reads nothing of the shifted output average, so it does not keep one.
-    `limits(crossed)` maps the crossing steps (-1 if none) of all S runs
-    to the steps (S,) from which each run is no longer needed, and an
-    active run is frozen too at an evaluation step t >= its limit.  The
-    limits change only when a run crosses: the loop reads them before the
-    first evaluation and after each evaluation at which some run crossed.
-    A frozen run keeps the iterates it froze at as its final iterates and
-    the output average of the steps it ran, records NaN from then on and
-    leaves the stack, so it costs no further oracle work.  A diverged
-    run's output average reads NaN.  The loop ends once every run is
-    frozen, which for S=1 is a single run's early exit; eval_steps and
-    f_by_scheme end there too.
+    Advances S = len(seeds) runs of `config` on iterates (S, K, d) and
+    records what `config.record` asks for, each row with a leading run
+    axis.  `steps`, one schedule per run, replaces config.steps, and a
+    run's output average has its own schedule's shift.  At each sync index
+    the workers take their mean, xbar.  `exchange`, an async write-plan
+    replay, replaces that: exchange(t, X) updates the post-step iterates
+    in place after every step t, and xbar is the virtual sequence of all
+    updates.  Its caller checks the shift against H + tau.
 
-    At each sync index of config.sync the workers take their mean, which
-    is xbar.  `exchange`, an async write-plan replay, replaces that:
-    exchange(t, X) updates the post-step iterates (A, K, d) in place after
-    every step t, exchange.keep(mask) drops runs, and xbar is the virtual
-    sequence of all updates.  Its caller checks the shift against H + tau.
+    Each per-run quantity is one array of the table `runs`, over the
+    active runs in run order.  Every run leaves through `keep(stay)`, with
+    the iterates it froze at as its final iterates and the output average
+    of the steps it ran; it records NaN from then on and costs no further
+    oracle work.  A run leaves at T, or earlier:
+    - when it diverges: its iterates reach |x| >= 1e100 or turn
+      non-finite, or a function value is not finite.  Only the values not
+      finite read NaN, and so does its output average.
+    - at its `crossed` step, its first eps-accurate evaluation step, when
+      `target` (eps, f_star) is given.
+    - at an evaluation step t >= its limit.  `limits(crossed)` maps the
+      crossing steps (-1 if none) of all S runs to the steps (S,) from
+      which each is no longer needed; the loop reads it before the first
+      evaluation and after each evaluation at which some run crossed.
+    The loop ends when no run is left, which is a single run's early exit;
+    eval_steps and f_by_scheme end there too.
 
-    Work that depends only on the step or on the indices is done ahead,
-    for many steps at once.  The sampled gradients are planned
-    (`objective.sample_plans`) for a block of steps of the active (run,
-    worker) rows: a block is as long as the steps before it, so a run that
-    stops early wastes little of one, and it holds at most
-    `_BLOCK_ENTRIES` gathered entries, about as many steps as rows of
-    `objective.row_entries` entries fill; a drop re-plans the rest of the
-    block.  The four running averages are one (A, 4, d) array, updated
-    with the coefficients of `averaging.RECURSIONS` computed for
-    `_CHUNK_STEPS` steps at a time.
+    The averages are evaluated at every stride-th step and sync index: the
+    (run, scheme) points to evaluate in one stacked pass, the others
+    reading +inf.  At t = 0 every average is xbar_0, evaluated once.  A
+    target-only run, one that records no function values, keeps no output
+    average and is screened: only the points that no convexity lower bound
+    from their run's four anchors certifies above eps (`_certified_by_any`)
+    are evaluated, with their gradients, and become the anchors.  So every
+    crossing step is the same as with all values evaluated: a skipped
+    point cannot be non-finite, which the iterate guard keeps away, and a
+    step whose points are all skipped cannot cross, so it calls no value
+    oracle.  points_evaluated and points_screened count the (run, scheme)
+    points of every evaluation step, a point with an exact value as
+    evaluated.
 
-    Returns the `EnsembleResult` of the S runs, at least one.  Each row
-    it keeps, what config.record asks for and the output averages, is
-    allocated once, NaN, in its field's layout and written in place for
-    the active runs; a row not kept is None.  Run r's `RunTrace` is row r
-    of it, alone or in a batch.
+    Each chunk of `_CHUNK_STEPS` steps evaluates the stepsizes, the output
+    weights and the running averages' coefficients as arrays.  The
+    sampled gradients of the active rows are planned
+    (`objective.sample_plans`) for a block as long as the steps before it,
+    so a run that stops early wastes little of one, and of at most
+    `_BLOCK_ENTRIES` gathered entries; a run that leaves re-plans the rest
+    of the block.
+
+    Returns the `EnsembleResult` of the S runs, at least one.  Each row it
+    keeps, what config.record asks for and the output averages, is
+    allocated once, NaN, and written in place; a row not kept is None.
+    Run r's `RunTrace` is row r of it, alone or in a batch.
     """
     if not len(seeds):
         raise ValueError("need at least one seed")
@@ -297,38 +300,40 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
     if exchange is None:
         validate_shift(config.steps, objective.curvature(), config.sync.H)
 
-    S, K, T, record = len(seeds), config.K, config.T, config.record
-    X = np.tile(config.x0, (S, K, 1))
-    final_iterates = np.empty_like(X)
-    active = np.arange(S)         # the runs still in the stack, in run order
-    # one index draw per distinct seed; run r takes the draw owner[r]
-    distinct = {}
-    owner = np.array([distinct.setdefault(seed, len(distinct)) for seed in seeds])
-    if steps is None:
-        eta_of = config.steps.eta
-    else:
-        def eta_of(t):
-            return np.array([steps[r].eta(t) for r in active])[:, None, None]
-    shift = config.steps.a if isinstance(config.steps, TheoremDecayStep) else 1.0
+    S, K, T, d, record = len(seeds), config.K, config.T, objective.d, config.record
+    steps = [config.steps] * S if steps is None else steps
     stride = -(-T // 1000) if record.f_every is None else record.f_every
     screen = target is not None and not record.f_values
-    output_avg = None if screen else ShiftedQuadraticAverage(shift)
-    # the running averages (A, 4, d) of SCHEMES feed the function-value
-    # evaluations only; `weights` holds the coefficients of the steps from
-    # weights_start on
+    # the running averages of SCHEMES feed the function-value evaluations only
     track_averages = record.f_values or target is not None
-    Y, weights, weights_start = None, None, 0
     mu = objective.curvature()[0] if screen else 0.0
-    # z, f(z), grad f(z) per (active run, scheme) when screening; f(z) = NaN
-    # certifies nothing, so every point is evaluated until it has an anchor
-    d = objective.d
-    shape = (S, len(SCHEMES), d)
-    anchor = dict(z=np.zeros(shape), f=np.full(shape[:2], np.nan),
-                  g=np.zeros(shape)) if screen else {}
 
     def is_eval(t):
         """Whether step t evaluates the averages: every stride-th step and sync index."""
         return t % stride == 0 or config.sync.is_sync(t)
+
+    # the per-run table; one index draw per distinct seed, and run r takes
+    # the draw owner[r]; one evaluation per distinct schedule, and run r has
+    # the schedule schedule[r]
+    distinct, schedules = {}, {}
+    runs = {"run": np.arange(S),
+            "owner": np.array([distinct.setdefault(seed, len(distinct)) for seed in seeds]),
+            "schedule": np.array([schedules.setdefault(s, len(schedules)) for s in steps]),
+            "X": np.tile(config.x0, (S, K, 1))}
+    # a run's output average has the weights (a + t)^2 of its schedule's shift a
+    shifts = [float(s.a) if isinstance(s, TheoremDecayStep) else 1.0 for s in schedules]
+    runs["xbar"] = _worker_mean(runs["X"])
+    if screen:
+        # z, f(z), grad f(z) per (run, scheme); f(z) = NaN certifies
+        # nothing, so every point is evaluated until it has an anchor
+        runs["z"] = np.zeros((S, len(SCHEMES), d))
+        runs["f_z"] = np.full((S, len(SCHEMES)), np.nan)
+        runs["g_z"] = np.zeros((S, len(SCHEMES), d))
+    else:
+        # the weighted sum and the sum of weights of the output average;
+        # -0.0 is the identity of a float sum, so its first term is exact
+        runs["output_sum"] = np.full((S, d), -0.0)
+        runs["weight_sum"] = np.zeros(S)
 
     # every row kept, what config.record asks for and the output averages,
     # is allocated once in its EnsembleResult layout, NaN until its run
@@ -345,161 +350,145 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
     eval_steps, comm_rounds, max_second_moment = [], 0, 0.0
     points_evaluated = points_screened = 0
     crossed, diverged = np.full(S, -1, dtype=np.int64), np.zeros(S, dtype=bool)
+    final_iterates = np.empty((S, K, d))
     limit = np.full(S, np.inf) if limits is None else limits(crossed)
     chunks = _index_chunks(list(distinct), K, objective.n, config.b, T)
-    chunk, chunk_start = next(chunks), 0
-    # the gradient plans of the steps plan_start.. of the active rows; the
-    # block ends at plan_end, and None asks for the rest of it again
-    plans, plan_start, plan_end = None, 0, 0
+    # the gradient plans of the steps plan_start.. of the `planned` active
+    # runs' rows; the block ends at plan_end
+    plans, plan_start, plan_end, planned = None, 0, 0, S
 
-    def plan(t):
-        """Plan the sampled gradients of the active rows from step t to the block end."""
-        nonlocal chunk, chunk_start, plans, plan_start, plan_end
-        if t == plan_end:
-            if t == chunk_start + chunk.shape[2]:
-                chunk, chunk_start = next(chunks), t
-            per_step = len(active) * K * config.b * objective.row_entries
-            plan_end = min(chunk_start + chunk.shape[2],
-                           t + max(1, min(t, int(_BLOCK_ENTRIES // per_step))))
-        I = chunk[owner[active], :, t - chunk_start:plan_end - chunk_start]
-        plans = objective.sample_plans(np.moveaxis(I, 2, 0), _BLOCK_ENTRIES)
-        plan_start, plan_end = t, t + len(plans)
-
-    def average(xbar, t):
-        """Fold xbar_t into the running averages Y."""
-        nonlocal Y, weights, weights_start
-        if t == 0:
-            Y = np.repeat(xbar[:, None], len(SCHEMES), axis=1)
-            return
-        if weights is None or t - weights_start == weights.shape[1]:
-            weights_start = t
-            weights = recursion_weights(np.arange(t, min(t + _CHUNK_STEPS, T + 1)))[..., None]
-        x_num, x_den, y_num, y_den = weights[:, t - weights_start]
-        x = xbar[:, None]
-        Y = np.concatenate((x, x * x_num / x_den + Y[:, 1:] * y_num / y_den), axis=1)
-
-    def evaluate(t):
-        """f of the four running averages (A, 4) at step t; a point not evaluated reads +inf.
-
-        Returns f and a mask of the active runs with a NaN value, or None
-        when screening evaluates no point.
-        """
-        nonlocal points_evaluated, points_screened
-        if screen:
-            need = ~_certified_by_any(Y, anchor["z"], anchor["f"], anchor["g"], mu, *target)
-        else:
-            need = np.ones(Y.shape[:2], dtype=bool)
-        evaluated = int(np.count_nonzero(need))
-        points_evaluated += evaluated
-        points_screened += need.size - evaluated
-        if evaluated == 0:
-            return None
-        # at t = 0 every average is xbar_0, so its one value is every point's
-        points = Y[:1, 0] if t == 0 else Y[need]
-        f = np.full(need.shape, np.inf)
-        if screen:
-            f[need], anchor["g"][need] = objective.value_and_gradient_many(points)
-            anchor["z"][need], anchor["f"][need] = points, f[need]
-        else:
-            f[need] = objective.value_many(points)
-        if record.f_values:
-            f_rows[:, active, len(eval_steps) - 1] = f.T
-        return f, np.isnan(f).any(axis=1)
-
-    def observe(t, xbar):
-        """Record step t; returns a mask of the active runs it froze."""
-        nonlocal limit
-        if track_averages:
-            average(xbar, t)
-        if record.virtual:
-            rows["xbar"][active, t] = xbar
-        if record.deviations:
-            rows["deviations"][active, t] = np.mean(np.sum((X - xbar[:, None, :]) ** 2, axis=2),
-                                                    axis=1)
-        if record.iterates:
-            rows["iterates"][active, :, t] = X
-        out = bad = np.zeros(len(active), dtype=bool)
-        if track_averages and is_eval(t):
-            eval_steps.append(t)
-            checked = evaluate(t)
-            if checked is not None:
-                f, bad = checked
-                if target is not None:
-                    hit = ~bad & (f.min(axis=1) - target[1] <= target[0])
-                    crossed[active[hit]] = t
-                    if limits is not None and hit.any():
-                        limit = limits(crossed)
-                # an active run that has crossed did so at this step
-                out = bad | (crossed[active] >= 0)
-            out = out | (t >= limit[active])
-        diverged[active[bad]] = True
-        return out
-
-    def drop(out, X, *arrays):
-        """Freeze the active runs `out` (a mask) at their iterates in X and
-        the output averages of their steps so far.
-
-        Returns None once every run is frozen.  Otherwise drops them from
-        the stack and returns `arrays`, each a per-run array over the
-        active runs or a scalar, without them.
-        """
-        nonlocal active, Y, plans
-        final_iterates[active[out]] = X[out]
-        stay = ~out
-        if output_avg is not None and output_avg.weighted_sum is not None:
-            rows["output_average"][active[out]] = output_avg.value[out]
-            output_avg.weighted_sum = output_avg.weighted_sum[stay]
+    def keep(stay):
+        """Keep the runs of the stack where `stay` is True; the others leave
+        it with their iterates X as their final iterates and the output
+        average of their steps so far."""
+        leaving = runs["run"][~stay]
+        final_iterates[leaving] = runs["X"][~stay]
+        if not screen:
+            rows["output_average"][leaving] = (runs["output_sum"][~stay]
+                                               / runs["weight_sum"][~stay, None])
         if exchange is not None:
             exchange.keep(stay)
-        if out.all():
-            return None
-        active = active[stay]
-        plans = None
-        if Y is not None:
-            Y = Y[stay]
-        for key in anchor:
-            anchor[key] = anchor[key][stay]
-        return [a[stay] if isinstance(a, np.ndarray) else a for a in arrays]
+        for name, array in runs.items():
+            runs[name] = array[stay]
 
-    xbar = _worker_mean(X)
+    def evaluate(t):
+        """The mask of the points of the four running averages (A, 4) that
+        step t evaluates, and f at every point, where a point not evaluated
+        reads +inf; f is None when no point is evaluated."""
+        Y = runs["Y"]
+        if screen:
+            need = ~_certified_by_any(Y, runs["z"], runs["f_z"], runs["g_z"], mu, *target)
+        else:
+            need = np.ones(Y.shape[:2], dtype=bool)
+        if not need.any():
+            return need, None
+        f = np.full(need.shape, np.inf)
+        # at t = 0 every average is xbar_0, so its one value is every point's
+        points = Y[:1, 0] if t == 0 else Y[need]
+        if screen:
+            f[need], runs["g_z"][need] = objective.value_and_gradient_many(points)
+            runs["z"][need], runs["f_z"][need] = points, f[need]
+        else:
+            f[need] = objective.value_many(points)
+        return need, f
+
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T + 1):
-            newly = observe(t, xbar) | (t == T)  # every run leaves at T
-            if newly.any():
-                if (kept := drop(newly, X, X, xbar)) is None:
+            if t % _CHUNK_STEPS == 0:
+                # the stepsizes, output weights and averaging coefficients of
+                # the steps from t on, and their indices (None past the last step)
+                span = np.arange(t, min(t + _CHUNK_STEPS, T + 1))
+                runs["eta"] = _per_run(np.array([s.eta(span) for s in schedules]),
+                                       runs["schedule"])
+                if not screen:
+                    # (a + t)^2 by C pow, as the ** of a float is
+                    squares = [[(a + u) ** 2 for u in span.tolist()] for a in shifts]
+                    runs["output_weight"] = _per_run(np.array(squares), runs["schedule"])
+                if track_averages:
+                    weights = recursion_weights(span)[..., None]
+                chunk, chunk_start = next(chunks, None), t
+
+            active, xbar = runs["run"], runs["xbar"]
+            if track_averages and t == 0:
+                runs["Y"] = np.repeat(xbar[:, None], len(SCHEMES), axis=1)
+            elif track_averages:
+                x_num, x_den, y_num, y_den = weights[:, t - chunk_start]
+                x = xbar[:, None]
+                y = x * x_num / x_den + runs["Y"][:, 1:] * y_num / y_den
+                runs["Y"] = np.concatenate((x, y), axis=1)
+            if record.virtual:
+                rows["xbar"][active, t] = xbar
+            if record.deviations:
+                rows["deviations"][active, t] = np.mean(
+                    np.sum((runs["X"] - xbar[:, None, :]) ** 2, axis=2), axis=1)
+            if record.iterates:
+                rows["iterates"][active, :, t] = runs["X"]
+            leave = np.zeros(len(active), dtype=bool)
+            if track_averages and is_eval(t):
+                eval_steps.append(t)
+                need, f = evaluate(t)
+                evaluated = int(np.count_nonzero(need))
+                points_evaluated += evaluated
+                points_screened += need.size - evaluated
+                if f is not None:  # a step whose points are all skipped cannot cross
+                    if record.f_values:
+                        f_rows[:, active, len(eval_steps) - 1] = f.T
+                    bad = np.isnan(f).any(axis=1)
+                    diverged[active[bad]] = True
+                    if target is not None:
+                        hit = ~bad & (f.min(axis=1) - target[1] <= target[0])
+                        crossed[active[hit]] = t
+                        if limits is not None and hit.any():
+                            limit = limits(crossed)
+                    # an active run that has crossed did so at this step
+                    leave |= bad | (crossed[active] >= 0)
+                leave |= t >= limit[active]
+            leave |= t == T  # every run leaves at T
+            if leave.any():
+                keep(~leave)
+                if not len(runs["run"]):
                     break
-                X, xbar = kept
-            if plans is None or t == plan_end:
-                plan(t)
-            if output_avg is not None:
-                output_avg.update(xbar, t)
+
+            if t == plan_end or planned != len(runs["run"]):
+                # plan the sampled gradients of the stack from step t to the block end
+                if t == plan_end:
+                    per_step = len(runs["run"]) * K * config.b * objective.row_entries
+                    plan_end = min(chunk_start + chunk.shape[2],
+                                   t + max(1, min(t, int(_BLOCK_ENTRIES // per_step))))
+                I = chunk[runs["owner"], :, t - chunk_start:plan_end - chunk_start]
+                plans = objective.sample_plans(np.moveaxis(I, 2, 0), _BLOCK_ENTRIES)
+                plan_start, plan_end, planned = t, t + len(plans), len(runs["run"])
+            if not screen:
+                w = runs["output_weight"][:, t - chunk_start]
+                runs["weight_sum"] = runs["weight_sum"] + w
+                runs["output_sum"] = runs["output_sum"] + w[:, None] * runs["xbar"]
             if track_second_moment:
                 max_second_moment = max(max_second_moment,
-                                        float(objective.second_moment_many(X).max()))
-            G = objective.planned_gradient_many(X, plans[t - plan_start])
+                                        float(objective.second_moment_many(runs["X"]).max()))
+            runs["G"] = objective.planned_gradient_many(runs["X"], plans[t - plan_start])
             if record.noise_norms:
-                diff = G.mean(axis=1) - objective.gradient_many(X).mean(axis=1)
-                rows["noise_sq"][active, t] = np.sum(diff**2, axis=1)
-            eta = eta_of(t)
-            X_next = X - eta * G
+                diff = runs["G"].mean(axis=1) - objective.gradient_many(runs["X"]).mean(axis=1)
+                rows["noise_sq"][runs["run"], t] = np.sum(diff**2, axis=1)
+            runs["X_next"] = runs["X"] - runs["eta"][:, t - chunk_start, None, None] * runs["G"]
             # a run whose iterates blow up cannot recover; freeze it at its
             # last finite iterates before the objective evaluation overflows
-            if not np.max(np.abs(X_next)) < _DIVERGED:  # NaN fails too
-                blown = ~np.all(np.abs(X_next) < _DIVERGED, axis=(1, 2))
-                diverged[active[blown]] = True
-                if (kept := drop(blown, X, X_next, xbar, G, eta)) is None:
+            if not np.max(np.abs(runs["X_next"])) < _DIVERGED:  # NaN fails too
+                blown = ~np.all(np.abs(runs["X_next"]) < _DIVERGED, axis=(1, 2))
+                diverged[runs["run"][blown]] = True
+                keep(~blown)
+                if not len(runs["run"]):
                     break
-                X_next, xbar, G, eta = kept
+            X, G = runs.pop("X_next"), runs.pop("G")
             if exchange is not None:
-                xbar = xbar - eta * G.mean(axis=1)
-                exchange(t + 1, X_next)
+                runs["xbar"] = runs["xbar"] - runs["eta"][:, t - chunk_start, None] * G.mean(axis=1)
+                exchange(t + 1, X)
             else:
                 if config.sync.is_sync(t + 1):
                     if K > 1:
-                        X_next[:] = X_next.mean(axis=1, keepdims=True)
+                        X[:] = X.mean(axis=1, keepdims=True)
                     comm_rounds += 1
-                xbar = _worker_mean(X_next)
-            X = X_next
+                runs["xbar"] = _worker_mean(X)
+            runs["X"] = X
 
     if rows["output_average"] is not None:
         rows["output_average"][diverged] = np.nan

@@ -9,7 +9,8 @@ schedule of the load balancer and its staleness bound by scans over all
 pairs, the tightest step of the perturbed-step inequality by a loop over
 its checked steps, an objective that counts its oracle calls, a
 quadratic whose value overflows past a threshold, the gap of a sync
-index set, and the steps a run recorded in a per-step row.
+index set, the steps a run recorded in a per-step row, and seeded random
+engine configurations.
 """
 
 from collections import Counter
@@ -18,10 +19,18 @@ from math import sqrt
 import numpy as np
 
 from localsgd import (
+    ConstantStep,
+    DelayModel,
+    ExperimentDecayStep,
     ProblemConstants,
     QuadraticObjective,
+    RecordFlags,
     ReferenceSolution,
+    RunConfig,
+    TheoremDecayStep,
+    regular_sync_schedule,
     sum_of_weights,
+    theorem_steps,
 )
 
 
@@ -286,3 +295,62 @@ def gap(indices) -> int:
             raise ValueError("indices must be sorted ascending")
         widest = max(widest, cur - prev)
     return widest
+
+
+def random_cases(objectives, count, seed=0):
+    """`count` random engine configurations, drawn by one numpy generator
+    seeded with `seed`.
+
+    `objectives` maps a name to (objective, f_star).  A case is a dict of
+    the objective's name, a RunConfig, the seeds, one stepsize schedule
+    per seed, a delay model, an accuracy target (eps, f_star) and a row,
+    one of the seeds' positions.  K is
+    1-5, T 1-59, H 1-T and b 1-3; there are 1-4 seeds from 0-4, repeats
+    allowed.  Each record flag is on or off, f_every None or 1-(T+1), and
+    x0 zero or Gaussian.  The delay is zero, or fixed or random-bounded
+    with tau 0-3.  The schedules are of one family: the bounds' decaying
+    schedule with a shift 1-4 times its smallest valid one for H + tau, or
+    the constant or decaying experiment family at c = 2^i; they are one
+    schedule for all the seeds or one each.  eps is the gap f(x0) - f_star
+    times 2^-8 to 1.
+    """
+    rng = np.random.default_rng(seed)
+    names = sorted(objectives)
+    cases = []
+    for _ in range(count):
+        name = names[int(rng.integers(len(names)))]
+        objective, f_star = objectives[name]
+        K, T, b = (int(v) for v in rng.integers((1, 1, 1), (6, 60, 4)))
+        H = int(rng.integers(1, T + 1))
+        seeds = [int(s) for s in rng.integers(0, 5, size=int(rng.integers(1, 5)))]
+        kind = ("zero", "fixed", "random-bounded")[int(rng.integers(3))]
+        tau = 0 if kind == "zero" else int(rng.integers(0, 4))
+        delay = DelayModel(kind, tau=tau, seed=int(rng.integers(0, 100)))
+        family = int(rng.integers(3))
+        shared = bool(rng.integers(2))
+        schedules = []
+        for _seed in seeds[:1] if shared else seeds:
+            if family == 0:
+                smallest = theorem_steps(objective.curvature(), H + tau)
+                schedules.append(TheoremDecayStep(mu=smallest.mu,
+                                                  a=smallest.a * 2.0 ** rng.uniform(0, 2)))
+            elif family == 1:
+                schedules.append(ConstantStep(c=2.0 ** rng.uniform(-12, 2)))
+            else:
+                schedules.append(ExperimentDecayStep(c=2.0 ** rng.uniform(-14, 0),
+                                                     n=objective.n))
+        if shared:
+            schedules *= len(seeds)
+        flags = {name: bool(v) for name, v in zip(
+            ("virtual", "deviations", "f_values", "iterates", "noise_norms"),
+            rng.integers(0, 2, size=5))}
+        f_every = None if rng.integers(2) else int(rng.integers(1, T + 2))
+        record = RecordFlags(**flags, f_every=f_every)
+        x0 = rng.normal(size=objective.d) if rng.integers(2) else np.zeros(objective.d)
+        config = RunConfig(K=K, T=T, b=b, sync=regular_sync_schedule(T, H),
+                           steps=schedules[0], seed=seeds[0], x0=x0, record=record)
+        eps = float(objective.value(x0) - f_star) * 2.0 ** rng.uniform(-8, 0)
+        cases.append(dict(name=name, config=config, seeds=seeds, schedules=schedules,
+                          delay=delay, target=(eps, f_star),
+                          row=int(rng.integers(len(seeds)))))
+    return cases

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -563,7 +564,7 @@ def test_async_ensemble_result_equals_single_runs_bitwise(quad10):
 
 @pytest.mark.parametrize("kind, tau, message", [
     ("lagged", 1, "unknown delay model 'lagged'"),
-    ("fixed", -1, "tau must be nonnegative"),
+    ("fixed", -1, "tau must be an integer >= 0, got -1"),
     ("zero", 2, "zero-delay model must declare tau=0"),
 ])
 def test_delay_model_rejects_an_unknown_kind_or_a_tau_out_of_range(kind, tau, message):
@@ -583,7 +584,8 @@ def test_delay_model_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
 @pytest.mark.parametrize("tau", [2.5, 2.0, True, "2"])
 def test_delay_model_rejects_a_tau_that_is_not_an_integer(kind, tau):
     # a fractional tau would fail mid-run (fixed) or widen the shift check (random-bounded)
-    with pytest.raises(ValueError, match="tau must be an integer"):
+    message = f"tau must be an integer >= 0, got {tau!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         DelayModel(kind, tau=tau)
     assert DelayModel(kind, tau=np.int64(2)).tau == 2
 

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +38,7 @@ DATA = Path(__file__).parent / "data"
 
 def quad_spec(**overrides):
     spec = DatasetSpec(kind="quadratic", d=6, mu=1.0, L=4.0, n=32, noise=0.5, seed=7)
-    for key, value in overrides.items():
-        setattr(spec, key, value)
-    return spec
+    return replace(spec, **overrides)
 
 
 def small_config(tmp_path, **overrides):
@@ -869,9 +868,9 @@ def test_sweep_prefers_infrequent_sync_under_communication_cost(tmp_path):
 
 
 def test_verify_lemmas_entry_point(tmp_path):
-    config = small_config(tmp_path)
-    config.lemmas = {"runs": 120, "trials": 400, "K": 2, "H": 3, "T": 24,
-                     "b": 1, "tau": 1, "seed": 0}
+    config = replace(small_config(tmp_path),
+                     lemmas={"runs": 120, "trials": 400, "K": 2, "H": 3, "T": 24,
+                             "b": 1, "tau": 1, "seed": 0})
     reports = verify_lemmas(config)
     assert len(reports) == 5
     assert all(r.passed for r in reports)

@@ -122,10 +122,9 @@ def test_deviation_zero_at_sync_and_for_every_step_schedule(quad10):
 
 def test_deviation_bound_requires_decaying_steps(quad10):
     obj, _, const = quad10
-    config = theorem_config(obj, const, K=2, T=16, H=4)
     from localsgd import ConstantStep
 
-    config.steps = ConstantStep(c=0.001)
+    config = replace(theorem_config(obj, const, K=2, T=16, H=4), steps=ConstantStep(c=0.001))
     with pytest.raises(ValueError, match="decaying"):
         check_deviation_bound(config, obj, runs=100)
 
@@ -335,10 +334,9 @@ def test_tightest_step_takes_the_earliest_tie_and_fails_on_nan():
 def test_perturbed_inequality_rejects_large_steps(quad10):
     obj, ref, const = quad10
     config = theorem_config(obj, const, K=2, T=16, H=2)
-    big = RunConfig(**{**config.__dict__, "steps": None})
     from localsgd import ConstantStep
 
-    big.steps = ConstantStep(c=1.0)  # eta = 32 >> 1/(4L)
+    big = replace(config, steps=ConstantStep(c=1.0))  # eta = 32 >> 1/(4L)
     with pytest.raises(ValueError, match="stepsize too large"):
         check_perturbed_inequality(big, obj, ref, runs=100)
 

@@ -19,7 +19,7 @@ from localsgd import (
 )
 from localsgd import sync
 from localsgd.averaging import SCHEMES, RunningAverage
-from localsgd.harness import reference_for
+from localsgd.harness import DatasetSpec, ExperimentConfig, reference_for
 from localsgd.schedules import ExperimentDecayStep
 from localsgd.sync import _certified_by_any, _certified_miss, _index_chunks, _simulate
 from oracles import GradientCounter, ThresholdQuadratic, recorded_steps
@@ -654,8 +654,7 @@ def test_constant_step_runs_on_an_unregularized_objective(synth50):
 
 def test_dimension_mismatch(quad10):
     obj, _, _ = quad10
-    config = quad_config(quad10, K=1, T=4, H=1)
-    config.x0 = np.zeros(3)
+    config = replace(quad_config(quad10, K=1, T=4, H=1), x0=np.zeros(3))
     with pytest.raises(ValueError, match="dimension"):
         run_local_sgd(config, obj)
 
@@ -677,6 +676,24 @@ def test_run_config_rejects_a_count_a_seed_or_a_start_out_of_range(quad10, field
         replace(quad_config(quad10, K=2, T=5, H=1), **{field: value})
 
 
+def test_a_config_cannot_be_changed_after_its_checks(quad10):
+    # an assignment after construction used to bypass every check, such as
+    # x0's dimension or the lemma fixture's rules; `replace` runs them again
+    spec = DatasetSpec(kind="quadratic")
+    configs = {
+        "x0": quad_config(quad10, K=2, T=5, H=1),
+        "f_every": RecordFlags(),
+        "n": spec,
+        "lemmas": ExperimentConfig(dataset=spec, eps_list=[0.1], K_list=[1], H_list=[1],
+                                   b_list=[1]),
+    }
+    for name, config in configs.items():
+        before = getattr(config, name)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(config, name, None)
+        assert getattr(config, name) is before
+
+
 @pytest.mark.parametrize("seeds", [[-1, 2], [3, 1.5], [True], [0, "1"]])
 def test_an_ensemble_rejects_a_seed_that_is_not_a_nonnegative_integer(quad10, seeds):
     # before any oracle call, where it used to fail inside SeedSequence
@@ -691,7 +708,8 @@ def test_an_ensemble_rejects_a_seed_that_is_not_a_nonnegative_integer(quad10, se
 @pytest.mark.parametrize("f_every", [0, -3, 2.7, 2.0, True, "2"])
 def test_record_flags_reject_an_f_every_that_is_not_a_positive_integer(f_every):
     # no stride is rounded or clamped: 0 is not read as 1, nor 2.7 as 2
-    with pytest.raises(ValueError, match="f_every must be None or an integer >= 1"):
+    message = f"f_every must be an integer >= 1, got {f_every!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         RecordFlags(f_every=f_every)
     for ok in (None, 1, 7, np.int64(3)):
         assert RecordFlags(f_every=ok).f_every == ok
