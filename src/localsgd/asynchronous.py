@@ -35,7 +35,7 @@ from itertools import accumulate, chain
 import numpy as np
 
 from .schedules import validate_shift
-from .sync import _require_integer, _row_zero, _simulate
+from .sync import _require_integer, _row_zero, _simulate, _worker_mean
 
 
 @dataclass(frozen=True)
@@ -148,6 +148,12 @@ class _Replay:
     before the smallest prefix of the reads still to come are folded into
     one sum; a read adds the rest of its prefix, then its extras, to a copy
     of it.  So no read scans the whole log.
+
+    The virtual sequence xbar, x0 plus every update / K, is the mean over
+    the sequences of each one's iterate plus the blocks / K written that
+    its last read did not see.  It is read off the iterates at every step,
+    as the synchronous worker mean is, so its rounding error is that of
+    the iterates and the blocks in flight, not that of a running sum.
     """
 
     def __init__(self, log, x0, S, K, T):
@@ -168,12 +174,15 @@ class _Replay:
         self.runs = np.arange(S)                     # the runs still in the stack
         self.totals = np.zeros((S, len(x0)))         # each run's total, once it left
         self.rounds = np.zeros(K, dtype=np.int64)    # reads per sequence
+        self.unseen = np.zeros((S, K, len(x0)))      # the blocks / K each last read missed
 
     def __call__(self, t, X):
         for i, k in self.writes_at[t]:
             block = X[:, k] - self.base[:, k]
             self.total += block
             self.blocks[i] = block / self.K
+            # every sequence misses a write until a read of its own sees it
+            self.unseen += self.blocks[i][:, None]
         for r, fold in self.reads_at[t]:
             while self.folded < fold:
                 self.folded_sum += self.blocks.pop(self.folded)
@@ -186,6 +195,14 @@ class _Replay:
                 X[:, r.worker] = value
             self.base[:, r.worker] = X[:, r.worker]
             self.rounds[r.worker] += 1
+            # the writes it does not see are past its prefix, so none is folded
+            self.unseen[:, r.worker] = sum(
+                (block for i, block in self.blocks.items() if i >= r.prefix and i not in r.extras),
+                np.zeros_like(self.total))
+
+    def virtual(self, X):
+        """xbar (S, d) of the post-exchange iterates X, every update once."""
+        return _worker_mean(X + self.unseen)
 
     def keep(self, stay):
         """Keep only the runs of the stack where `stay` is True."""
@@ -194,6 +211,7 @@ class _Replay:
         self.base = self.base[stay]
         self.folded_sum = self.folded_sum[stay]
         self.blocks = {i: block[stay] for i, block in self.blocks.items()}
+        self.unseen = self.unseen[stay]
 
 
 def _replayed(config, per_worker_syncs, delay, objective, seeds, *,

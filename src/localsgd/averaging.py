@@ -67,7 +67,12 @@ class RunningAverage:
 
 
 class ShiftedQuadraticAverage:
-    """Weighted average with w_t = (a + t)^2 via explicit accumulators."""
+    """Weighted average with w_t = (a + t)^2 via explicit accumulators.
+
+    The reference for one stream: the time-step loop keeps the same two
+    accumulators for its whole stack of runs as arrays, with each run's
+    own shift, and the tests compare its output averages with this class.
+    """
 
     def __init__(self, shift):
         if shift < 1.0:

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field, replace
 from itertools import product
 from math import ceil, inf, isfinite, log2, sqrt
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -91,10 +92,10 @@ _GRID_MIN, _GRID_MAX = -1074, 1023
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: DatasetSpec
-    eps_list: list
-    K_list: list
-    H_list: list
-    b_list: list
+    eps_list: tuple                # each list is kept as a tuple
+    K_list: tuple
+    H_list: tuple
+    b_list: tuple
     rho: float = 25.0
     seed: int = 1
     epoch_cap: int = 200
@@ -102,13 +103,19 @@ class ExperimentConfig:
     i_max: int = 20
     out_dir: str = "results"
     svg: bool = True
-    lemmas: dict = field(default_factory=dict)  # lemma_suite keywords; the rest default
+    # lemma_suite keywords, the rest default; kept as a read-only mapping
+    lemmas: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name, values in (("eps", self.eps_list), ("K", self.K_list),
                              ("H", self.H_list), ("b", self.b_list)):
             if not values:
                 raise ConfigError(f"sweep list {name!r} must be nonempty")
+        # frozen all the way down, so that no list or keyword changed in
+        # place bypasses the checks below
+        for name in ("eps_list", "K_list", "H_list", "b_list"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "lemmas", MappingProxyType(dict(self.lemmas)))
         if not all(isfinite(e) and e > 0 for e in self.eps_list):
             raise ConfigError("eps values must be positive and finite")
         if any(v < 1 for v in self.K_list + self.H_list + self.b_list):

@@ -5,16 +5,12 @@ every H steps and at the horizon; its quality is measured by the gap, the
 largest distance between consecutive indices (with 0 prepended, since all
 workers start aligned).
 Stepsize schedules cover the decaying schedule required by the convergence
-bounds and the two families used in the experiments.  Each `eta(t)` takes
-a step index, or an int array of them, which gives the array of the same
-float64 values.
+bounds and the two families used in the experiments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -46,12 +42,6 @@ def regular_sync_schedule(T, H) -> SyncSchedule:
     return SyncSchedule(T=T, H=H)
 
 
-def _require_steps(t):
-    """Reject a negative step index, or an array of them that holds one."""
-    if (t < 0).any() if isinstance(t, np.ndarray) else t < 0:
-        raise ValueError("step index must be >= 0")
-
-
 @dataclass(frozen=True)
 class TheoremDecayStep:
     """eta_t = 4 / (mu (a + t)); the schedule the convergence bounds assume.
@@ -68,8 +58,9 @@ class TheoremDecayStep:
         if self.mu <= 0.0 or self.a <= 0.0:
             raise ValueError("mu and a must be positive")
 
-    def eta(self, t):
-        _require_steps(t)
+    def eta(self, t) -> float:
+        if t < 0:
+            raise ValueError("step index must be >= 0")
         return 4.0 / (self.mu * (self.a + t))
 
 
@@ -83,9 +74,10 @@ class ConstantStep:
         if self.c <= 0.0:
             raise ValueError("c must be positive")
 
-    def eta(self, t):
-        _require_steps(t)
-        return np.full(t.shape, 32.0 * self.c) if isinstance(t, np.ndarray) else 32.0 * self.c
+    def eta(self, t) -> float:
+        if t < 0:
+            raise ValueError("step index must be >= 0")
+        return 32.0 * self.c
 
 
 @dataclass(frozen=True)
@@ -99,10 +91,10 @@ class ExperimentDecayStep:
         if self.c <= 0.0 or self.n < 1:
             raise ValueError("c and n must be positive")
 
-    def eta(self, t):
-        _require_steps(t)
-        value = self.c * self.n / (t + 1)
-        return np.minimum(32.0, value) if isinstance(t, np.ndarray) else min(32.0, value)
+    def eta(self, t) -> float:
+        if t < 0:
+            raise ValueError("step index must be >= 0")
+        return min(32.0, self.c * self.n / (t + 1))
 
 
 def _shift_threshold(curvature, window) -> float:

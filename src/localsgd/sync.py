@@ -242,8 +242,9 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
     run's output average has its own schedule's shift.  At each sync index
     the workers take their mean, xbar.  `exchange`, an async write-plan
     replay, replaces that: exchange(t, X) updates the post-step iterates
-    in place after every step t, and xbar is the virtual sequence of all
-    updates.  Its caller checks the shift against H + tau.
+    in place after every step t, and xbar is exchange.virtual(X), the
+    virtual sequence of all updates.  Its caller checks the shift against
+    H + tau.
 
     Each per-run quantity is one array of the table `runs`, over the
     active runs in run order.  Every run leaves through `keep(stay)`, with
@@ -276,13 +277,13 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
     points of every evaluation step, a point with an exact value as
     evaluated.
 
-    Each chunk of `_CHUNK_STEPS` steps evaluates the stepsizes, the output
-    weights and the running averages' coefficients as arrays.  The
-    sampled gradients of the active rows are planned
-    (`objective.sample_plans`) for a block as long as the steps before it,
-    so a run that stops early wastes little of one, and of at most
-    `_BLOCK_ENTRIES` gathered entries; a run that leaves re-plans the rest
-    of the block.
+    Each chunk of `_CHUNK_STEPS` steps evaluates the stepsizes (each
+    distinct schedule's scalar eta(t) once per step), the output weights
+    and the running averages' coefficients as arrays.  The sampled
+    gradients of the active rows are planned (`objective.sample_plans`) for
+    a block as long as the steps before it, so a run that stops early
+    wastes little of one, and of at most `_BLOCK_ENTRIES` gathered entries;
+    a run that leaves re-plans the rest of the block.
 
     Returns the `EnsembleResult` of the S runs, at least one.  Each row it
     keeps, what config.record asks for and the output averages, is
@@ -398,8 +399,8 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
                 # the stepsizes, output weights and averaging coefficients of
                 # the steps from t on, and their indices (None past the last step)
                 span = np.arange(t, min(t + _CHUNK_STEPS, T + 1))
-                runs["eta"] = _per_run(np.array([s.eta(span) for s in schedules]),
-                                       runs["schedule"])
+                runs["eta"] = _per_run(np.array([[s.eta(u) for u in span.tolist()]
+                                                 for s in schedules]), runs["schedule"])
                 if not screen:
                     # (a + t)^2 by C pow, as the ** of a float is
                     squares = [[(a + u) ** 2 for u in span.tolist()] for a in shifts]
@@ -465,23 +466,23 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
             if track_second_moment:
                 max_second_moment = max(max_second_moment,
                                         float(objective.second_moment_many(runs["X"]).max()))
-            runs["G"] = objective.planned_gradient_many(runs["X"], plans[t - plan_start])
+            G = objective.planned_gradient_many(runs["X"], plans[t - plan_start])
             if record.noise_norms:
-                diff = runs["G"].mean(axis=1) - objective.gradient_many(runs["X"]).mean(axis=1)
+                diff = G.mean(axis=1) - objective.gradient_many(runs["X"]).mean(axis=1)
                 rows["noise_sq"][runs["run"], t] = np.sum(diff**2, axis=1)
-            runs["X_next"] = runs["X"] - runs["eta"][:, t - chunk_start, None, None] * runs["G"]
+            X = runs["X"] - runs["eta"][:, t - chunk_start, None, None] * G
             # a run whose iterates blow up cannot recover; freeze it at its
             # last finite iterates before the objective evaluation overflows
-            if not np.max(np.abs(runs["X_next"])) < _DIVERGED:  # NaN fails too
-                blown = ~np.all(np.abs(runs["X_next"]) < _DIVERGED, axis=(1, 2))
+            if not np.max(np.abs(X)) < _DIVERGED:  # NaN fails too
+                blown = ~np.all(np.abs(X) < _DIVERGED, axis=(1, 2))
                 diverged[runs["run"][blown]] = True
                 keep(~blown)
                 if not len(runs["run"]):
                     break
-            X, G = runs.pop("X_next"), runs.pop("G")
+                X = X[~blown]
             if exchange is not None:
-                runs["xbar"] = runs["xbar"] - runs["eta"][:, t - chunk_start, None] * G.mean(axis=1)
                 exchange(t + 1, X)
+                runs["xbar"] = exchange.virtual(X)
             else:
                 if config.sync.is_sync(t + 1):
                     if K > 1:

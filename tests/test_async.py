@@ -319,6 +319,8 @@ def full_scan_async(config, per_worker_syncs, delay, objective, wall_times=None)
     """The asynchronous engine as one scalar step loop whose reads scan the whole log.
 
     Every read sums x0 and the visible update blocks / K in write order.
+    xbar is the mean over the sequences of each one's iterate plus the
+    blocks / K that its last read did not see, added in write order.
     Returns xbar, deviations, final iterates, final aggregate, reads per
     worker and the visible ids of every read.
     """
@@ -330,6 +332,7 @@ def full_scan_async(config, per_worker_syncs, delay, objective, wall_times=None)
 
     X = np.tile(config.x0, (K, 1))
     base, xbar = X.copy(), config.x0.copy()
+    seen = [set() for _ in range(K)]  # the writes each sequence's last read saw
     xbars, devs = [xbar.copy()], [float(np.mean(np.sum((X - xbar) ** 2, axis=1)))]
     writes, reads, rounds = [], [], np.zeros(K, dtype=np.int64)
     indices = (chunk[:, :, i] for chunk in _index_chunks([config.seed], K, objective.n,
@@ -339,7 +342,6 @@ def full_scan_async(config, per_worker_syncs, delay, objective, wall_times=None)
         eta = config.steps.eta(t)
         grads = objective.minibatch_gradient_many(X, I[0])
         X -= eta * grads
-        xbar = xbar - eta * grads.mean(axis=0)
         syncing = [k for k in range(K) if per_worker_syncs[k].is_sync(t + 1)]
         for k in syncing:
             lag = (int(lag_rng.integers(0, delay.tau + 1))
@@ -358,6 +360,10 @@ def full_scan_async(config, per_worker_syncs, delay, objective, wall_times=None)
             base[k] = value.copy()
             rounds[k] += 1
             reads.append(tuple(visible))
+            seen[k] = set(visible)
+        unseen = [sum((block / K for i, (_, _, block) in enumerate(writes) if i not in ids),
+                      np.zeros_like(xbar)) for ids in seen]
+        xbar = (X + np.array(unseen)).mean(axis=0)
         xbars.append(xbar.copy())
         devs.append(float(np.mean(np.sum((X - xbar) ** 2, axis=1))))
     aggregate = config.x0 + sum(block for _, _, block in writes) / K

@@ -88,7 +88,7 @@ rho = 30
 dir = somewhere
 """)
     cfg = load_experiment_config(good)
-    assert cfg.eps_list == [0.1, 0.01]
+    assert cfg.eps_list == (0.1, 0.01)
     assert cfg.rho == 30.0
     assert cfg.dataset.d == 5
 

@@ -75,24 +75,6 @@ def test_stepsize_values():
             steps.eta(-1)
 
 
-def test_an_array_of_steps_gives_the_scalar_values_bitwise():
-    # the time-step loop evaluates each schedule once per chunk of steps as
-    # an array; a scalar step keeps its Python float
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        c = float(2.0 ** rng.uniform(-20, 5))
-        for steps in (TheoremDecayStep(mu=float(rng.uniform(1e-3, 10)),
-                                       a=float(rng.uniform(1, 1e4))),
-                      ConstantStep(c=c), ExperimentDecayStep(c=c, n=int(rng.integers(1, 10**5)))):
-            t = int(rng.integers(0, 10**5)) + np.arange(64)
-            values = steps.eta(t)
-            assert values.dtype == np.float64 and values.shape == t.shape
-            assert values.tobytes() == np.array([steps.eta(int(s)) for s in t]).tobytes()
-            assert type(steps.eta(int(t[0]))) is float
-            with pytest.raises(ValueError, match="^step index must be >= 0$"):
-                steps.eta(np.array([3, -1, 4]))
-
-
 def test_decay_halving_window():
     # with a >= H the stepsize never more than halves across H steps
     for a, H in ((16.0, 16), (40.0, 7), (100.0, 100)):

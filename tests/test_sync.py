@@ -692,6 +692,13 @@ def test_a_config_cannot_be_changed_after_its_checks(quad10):
         with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
             setattr(config, name, None)
         assert getattr(config, name) is before
+    # nor can the lemma keywords or a sweep list be changed in place
+    experiment = configs["lemmas"]
+    with pytest.raises(TypeError):
+        experiment.lemmas["runs"] = 1
+    with pytest.raises(TypeError):
+        experiment.K_list[0] = 0
+    assert experiment.lemmas == {} and experiment.K_list == (1,)
 
 
 @pytest.mark.parametrize("seeds", [[-1, 2], [3, 1.5], [True], [0, "1"]])
