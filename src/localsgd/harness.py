@@ -21,9 +21,10 @@ four tracked averages is eps-accurate), and emits
 The adaptive search of a cell (start at c = 1, 1/2, 2; move to the best
 point until its neighbours c/4, c/2, 2c, 4c are all measured) runs in
 rounds.  A round is one batched run, on the cell seed, of the points both
-families' searches visit next; a run leaves the batch once it is
-eps-accurate, diverges, or can no longer be its family's best point, and
-the search is replayed over the measured iteration counts.
+families' searches visit next and of speculative points they may visit
+later; a run leaves the batch once it is eps-accurate, diverges, or can
+no longer be its family's best point, and the search is replayed over
+the measured iteration counts.
 
 Runs are seeded and single-threaded per cell; cells are independent jobs
 executed by a worker pool bounded by the LOCALSGD_THREADS environment
@@ -53,7 +54,7 @@ from .objectives import (
     make_quadratic,
 )
 from .schedules import ConstantStep, ExperimentDecayStep, regular_sync_schedule
-from .sync import RecordFlags, RunConfig, _simulate, run_local_sgd
+from .sync import _ROUND_FLOATS, RecordFlags, RunConfig, _simulate, run_local_sgd
 from .theory import check_cost_ratio, speedup, step_cost
 
 RESULTS_HEADER = [
@@ -466,18 +467,22 @@ def grid_search_stepsize(objective, f_star, K, H, b, eps, seed, step_cap,
     The adaptive search of `replay_search` per family (failing to reach
     the accuracy counts as worse; equal counts resolve toward smaller c),
     then the choice between families of `replay_grid`.  The search runs
-    in rounds: each round is one batch of seeded runs on the cell seed,
-    one per point that either family's search visits next, and a run
-    leaves the batch once it is eps-accurate, diverges, or can no longer
-    be its family's best point.  Returns (family, c, iterations), with
-    (None, None, None) when no stepsize in the window reaches eps.  The
-    winner is measured again from scratch as a single run and must
-    reproduce its count.
+    in the rounds of `_search_rounds`: each round is one batch of seeded
+    runs on the cell seed, of the points that either family's search
+    visits next and of speculative points it may visit later, as many as
+    keep runs x K x d within `_ROUND_FLOATS`.  A run leaves the batch once
+    it is eps-accurate, diverges, or can no longer be its family's best
+    point.  Returns (family, c, iterations), with (None, None, None) when
+    no stepsize in the window reaches eps.  The winner is measured again
+    from scratch as a single run and must reproduce its count.
     """
-    measured = {family: {} for family in FAMILIES}
-    while points := _next_points(measured, i_min, i_max):
-        _search_round(objective, f_star, K, H, b, eps, seed, step_cap,
-                      measured, points)
+    def measure(points, limits):
+        steps = [_family_steps(family, 2.0**i, objective.n) for family, i in points]
+        config = _cell_config(objective, K, H, b, seed, step_cap, steps[0])
+        return _simulate(config, objective, [seed] * len(points), steps=steps,
+                         target=(eps, f_star), limits=limits).crossed
+
+    measured = _search_rounds(measure, i_min, i_max, _ROUND_FLOATS // (K * objective.d))
     family, c, t_star = replay_grid(measured, i_min, i_max)
     if family is None:
         return None, None, None
@@ -490,6 +495,70 @@ def grid_search_stepsize(objective, f_star, K, H, b, eps, seed, step_cap,
             f"grid-search winner did not reproduce: {t_star} vs {confirm}"
         )
     return family, c, t_star
+
+
+def _search_rounds(measure, i_min, i_max, max_runs):
+    """The t* tables, one per family, of the points both searches visit.
+
+    Each round calls `measure(points, limits)` once, which returns the
+    crossing step of each (family, i) point (-1 if none) and stops a run
+    at the step `limits(crossed)` gives it (`_simulate`'s rule).  A round
+    runs the points the searches visit next (the needed points) and, while
+    it has fewer than `max_runs` runs, the `_speculative_points`.  A
+    speculative outcome goes into a cache, and enters its family's table
+    only when the search visits that point; a round runs no point that is
+    measured or cached, so no point runs twice.
+
+    Every table entry is one that the one-point-at-a-time search could
+    read, so `replay_grid` gives its answer.  A speculative crossing never
+    drives a drop: `_drop_limits` reads the needed runs' crossings only,
+    with the speculative rows passed as -1, so every run's limit comes
+    from visited points alone.  A cached t* is the run's own t*, since
+    row r of a batch is its one-seed run.  A cached None is a run that
+    never reached eps, or one dropped by a visited point with a smaller
+    (t*, i); that point is in the table before the cached one enters it,
+    so by `_drop_limits`' invariant reading None for it changes nothing.
+    """
+    measured = {family: {} for family in FAMILIES}
+    cache = {family: {} for family in FAMILIES}
+    while needed := _next_points(measured, i_min, i_max):
+        if cached := [(family, i) for family, i in needed if i in cache[family]]:
+            for family, i in cached:  # the searches visit them now
+                measured[family][i] = cache[family].pop(i)
+            continue
+        points = needed + _speculative_points(measured, cache, needed, i_min, i_max)[
+            :max(0, max_runs - len(needed))]
+        spare = np.arange(len(points)) >= len(needed)
+        crossed = measure(points, lambda crossed: _drop_limits(
+            measured, points, np.where(spare, -1, crossed)))
+        for r, ((family, i), t_star) in enumerate(zip(points, crossed)):
+            (cache if spare[r] else measured)[family][i] = \
+                int(t_star) if t_star >= 0 else None
+    return measured
+
+
+def _speculative_points(measured, cache, needed, i_min, i_max):
+    """The points a round may run beside its `needed` ones, likeliest first.
+
+    Of each family with needed points: the unvisited, uncached points
+    within 2 of a needed one, which its search visits next if that point
+    becomes its best, and while no visited point of the family has
+    reached eps, the next two points of its outward scan.  Listed by
+    distance to a needed point, the scan points last, then nearest 0.
+    """
+    ranked = []
+    for f, family in enumerate(FAMILIES):
+        own = [i for fam, i in needed if fam == family]
+        if not own:
+            continue
+        taken = set(own) | measured[family].keys() | cache[family].keys()
+        near = {j: min(abs(j - k) for k in own) for i in own for j in range(i - 2, i + 3)
+                if i_min <= j <= i_max and j not in taken}
+        if all(t_star is None for t_star in measured[family].values()):
+            scan = [j for j in range(i_min, i_max + 1) if j not in taken and j not in near]
+            near.update({j: 3 for j in sorted(scan, key=lambda j: (abs(j), j))[:2]})
+        ranked += [((rank, abs(j), j, f), (family, j)) for j, rank in near.items()]
+    return [point for _, point in sorted(ranked)]
 
 
 def _next_points(measured, i_min, i_max):
@@ -528,21 +597,6 @@ def _drop_limits(measured, points, crossed):
     return np.array([np.inf if family not in best
                      else best[family][0] - 1 + (i < best[family][1])
                      for family, i in points], dtype=np.float64)
-
-
-def _search_round(objective, f_star, K, H, b, eps, seed, step_cap, measured, points):
-    """Measure `points`, (family, i) pairs, as one batch into `measured`.
-
-    The loop stops a run where it reaches eps, which gives its t*, or at
-    its `_drop_limits` step, and then it reads None.
-    """
-    steps = [_family_steps(family, 2.0**i, objective.n) for family, i in points]
-    config = _cell_config(objective, K, H, b, seed, step_cap, steps[0])
-    result = _simulate(config, objective, [seed] * len(points), steps=steps,
-                       target=(eps, f_star),
-                       limits=lambda crossed: _drop_limits(measured, points, crossed))
-    for (family, i), t_star in zip(points, result.crossed):
-        measured[family][i] = int(t_star) if t_star >= 0 else None
 
 
 @dataclass

@@ -324,12 +324,18 @@ class QuadraticObjective(_Oracles):
         return self.hess * X - self.b_mean
 
     def _sample_plans(self, I, max_entries):
-        # a step's plan is its index rows; each gathers a row of B, d entries
+        # a step's plan is B[I].mean(axis=-2), the mean of its sampled rows of
+        # B (d gathered entries each): summed in row order, as that mean sums
+        # them, one row of each sample at a time, without the (steps, P, b, d) gather
         steps = len(I) if max_entries is None else max(1, max_entries // (I[0].size * self.d))
-        return list(I[:steps])
+        plans = self.B[I[:steps, :, 0]]
+        for j in range(1, I.shape[-1]):
+            plans += self.B[I[:steps, :, j]]
+        plans /= I.shape[-1]
+        return list(plans)
 
-    def _planned_gradients(self, X, I):
-        return self.hess * X - self.B[I].mean(axis=-2)
+    def _planned_gradients(self, X, plan):
+        return self.hess * X - plan
 
     def _second_moments(self, X):
         return np.sum(self._gradients(X) ** 2, axis=-1) + self.sigma_sq

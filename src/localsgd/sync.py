@@ -41,6 +41,7 @@ from .schedules import SyncSchedule, TheoremDecayStep, validate_shift
 
 _CHUNK_STEPS = 1024        # steps drawn from each worker substream at a time
 _BLOCK_ENTRIES = 1 << 15   # gathered entries of one block of gradient plans, at most
+_ROUND_FLOATS = 1024       # iterate floats (runs x K x d) a grid-search round speculates up to
 _DIVERGED = 1e100          # a run whose iterates reach this magnitude has diverged
 
 

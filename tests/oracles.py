@@ -10,11 +10,11 @@ pairs, the tightest step of the perturbed-step inequality by a loop over
 its checked steps, an objective that counts its oracle calls, a
 quadratic whose value overflows past a threshold, the gap of a sync
 index set, the steps a run recorded in a per-step row, and seeded random
-engine configurations.
+engine configurations and grid-search cells.
 """
 
 from collections import Counter
-from math import sqrt
+from math import ceil, sqrt
 
 import numpy as np
 
@@ -354,3 +354,31 @@ def random_cases(objectives, count, seed=0):
                           delay=delay, target=(eps, f_star),
                           row=int(rng.integers(len(seeds)))))
     return cases
+
+
+def random_cells(objectives, count, seed=0):
+    """`count` random grid-search cells, drawn by one numpy generator
+    seeded with `seed`.
+
+    `objectives` maps a name to (objective, f_star).  A cell is a dict of
+    the objective's name and the arguments of `grid_search_stepsize`
+    after the objective: f_star, K 1-8, H 1-16, b 1-2, eps log-uniform in
+    1e-4..0.1, a cell seed 0-9999, a step cap of 1-5 epochs as a sweep
+    sets it (at least H), and a window i_min..i_max of two sorted draws
+    from -20..20.  Cells that no stepsize of their window makes
+    eps-accurate are kept.
+    """
+    rng = np.random.default_rng(seed)
+    names = sorted(objectives)
+    cells = []
+    for _ in range(count):
+        name = names[int(rng.integers(len(names)))]
+        objective, f_star = objectives[name]
+        K, H, b, epochs = (int(v) for v in rng.integers((1, 1, 1, 1), (9, 17, 3, 6)))
+        i_min, i_max = sorted(int(i) for i in rng.integers(-20, 21, size=2))
+        cells.append(dict(name=name, f_star=f_star, K=K, H=H, b=b,
+                          eps=float(10.0 ** rng.uniform(-4, -1)),
+                          seed=int(rng.integers(10_000)),
+                          step_cap=max(H, ceil(epochs * objective.n / (K * b))),
+                          i_min=i_min, i_max=i_max))
+    return cells

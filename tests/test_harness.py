@@ -28,10 +28,10 @@ from localsgd.harness import (
     run_experiment,
     verify_lemmas,
 )
-from localsgd.harness import _drop_limits, _family_steps, _next_points
+from localsgd.harness import _drop_limits, _family_steps, _next_points, _search_rounds
 from localsgd.schedules import ConstantStep, regular_sync_schedule
 from localsgd.sync import RecordFlags, RunConfig, _simulate, run_local_sgd
-from oracles import accelerated_reference, needed_by_comparison
+from oracles import accelerated_reference, needed_by_comparison, random_cells
 
 DATA = Path(__file__).parent / "data"
 
@@ -428,28 +428,33 @@ def test_replay_asks_for_the_points_it_visits_next():
         replay_grid({"decaying": lookup, "constant": {}}, -20, 20)
 
 
-def rounds_over_table(tables, i_min, i_max, horizon):
-    """The round-by-round search over known t*, evaluating at every step.
+def rounds_over_table(tables, i_min, i_max, horizon, max_runs):
+    """The rounds of `_search_rounds` over known t*, evaluating at every step.
 
-    A run is dropped, and reads None, from the step `_drop_limits` gives it.
-    Returns the answer and the points the rounds measured.
+    Its `measure` is a per-step model of the loop's rule: a run stops
+    where it reaches its t*, or from the step `limits` gives it, read
+    before the first step and at each step where some run crossed, and
+    then reads None.  Returns the answer and every point measured.
     """
-    measured = {family: {} for family in FAMILIES}
-    asked = []
-    while points := _next_points(measured, i_min, i_max):
-        asked += points
+    runs = []
+
+    def measure(points, limits):
+        runs.extend(points)
         truth = np.array([-1 if tables[f][i] is None else tables[f][i] for f, i in points])
         crossed = np.full(len(points), -1)
         frozen = np.zeros(len(points), dtype=bool)
+        limit = limits(crossed)
         for now in range(horizon + 1):
             hit = ~frozen & (truth == now)
             crossed[hit] = now
-            frozen |= hit | ~(now < _drop_limits(measured, points, crossed))
+            if hit.any():
+                limit = limits(crossed)
+            frozen |= hit | ~(now < limit)
             if frozen.all():
                 break
-        for (family, i), t_star in zip(points, crossed):
-            measured[family][i] = int(t_star) if t_star >= 0 else None
-    return replay_grid(measured, i_min, i_max), asked
+        return crossed
+    measured = _search_rounds(measure, i_min, i_max, max_runs)
+    return replay_grid(measured, i_min, i_max), runs
 
 
 def test_needed_drops_runs_that_cannot_be_the_best_point():
@@ -489,64 +494,93 @@ def test_drop_limits_equal_the_needed_comparison_on_random_tables():
             assert (t < limits).tolist() == expected.tolist()
 
 
-def test_grid_rounds_screen_and_evaluate_the_same_points(monkeypatch, logistic50):
-    # the counts and crossings of every round of three fixed cells, as the
-    # engine gave them before its per-step work was planned in blocks
-    expected = {
-        (1, 1): [(44, 956, [-1, 23, -1, -1]), (24, 172, [-1, 24]), (28, 124, [18, 18])],
-        (4, 1): [(51, 173, [-1, 12, 14, -1]), (28, 64, [10, -1, 5]), (19, 85, [-1, 9, -1])],
-        (4, 16): [(41, 335, [-1, 20, -1, -1]), (26, 146, [-1, 21]), (13, 35, [-1, 5])],
-    }
-    rounds = []
+def one_point_rounds(objective, K, H, eps, seed, cap, i_min, i_max):
+    """The grid search's rounds without speculative points, on the cell seed.
 
-    def counted(*args, **kwargs):
-        result = _simulate(*args, **kwargs)
-        rounds.append((result.points_evaluated, result.points_screened,
-                       result.crossed.tolist()))
-        return result
-    f_star = harness.reference_for(logistic50).f_star
-    monkeypatch.setattr(harness, "_simulate", counted)
-    for (K, H), want in expected.items():
-        rounds.clear()
-        step_cap = max(H, -(-2 * logistic50.n // K))
-        harness.grid_search_stepsize(logistic50, f_star, K, H, 1, 0.05, 7, step_cap, -4, 0)
-        assert rounds == want
-
-
-def test_the_loop_reads_the_limits_only_where_a_run_crosses(logistic50):
-    # every round of one synth50 cell: `limits` is read once before the
-    # first evaluation and once at each evaluation step where some run
-    # crossed, each time with more runs crossed
-    f_star = reference_for(logistic50).f_star
-    K, H, eps, seed, cap = 4, 1, 0.05, 7, 50
+    Each round runs the points `_next_points` gives through `_simulate`,
+    with `_drop_limits` as its limits.  Returns, per round, its
+    EnsembleResult and the number of runs crossed at each `limits` read.
+    """
+    f_star = reference_for(objective).f_star
     measured = {family: {} for family in FAMILIES}
-    crossing_steps = []
-    while points := _next_points(measured, -4, 0):
-        steps = [_family_steps(family, 2.0**i, logistic50.n) for family, i in points]
+    rounds = []
+    while points := _next_points(measured, i_min, i_max):
+        steps = [_family_steps(family, 2.0**i, objective.n) for family, i in points]
         config = RunConfig(K=K, T=cap, b=1, sync=regular_sync_schedule(cap, H),
-                           steps=steps[0], seed=seed, x0=np.zeros(logistic50.d),
+                           steps=steps[0], seed=seed, x0=np.zeros(objective.d),
                            record=RecordFlags(virtual=False, f_values=False))
         seen = []
 
         def counted(crossed):
             seen.append(int(np.count_nonzero(crossed >= 0)))
             return _drop_limits(measured, points, crossed)
-        result = _simulate(config, logistic50, [seed] * len(points), steps=steps,
+        result = _simulate(config, objective, [seed] * len(points), steps=steps,
                            target=(eps, f_star), limits=counted)
+        rounds.append((result, seen))
+        for (family, i), t_star in zip(points, result.crossed):
+            measured[family][i] = int(t_star) if t_star >= 0 else None
+    return rounds
+
+
+def test_grid_rounds_screen_and_evaluate_the_same_points(logistic50):
+    # the counts and crossings of every one-point-at-a-time round of three
+    # fixed cells, as the engine gave them before its per-step work was
+    # planned in blocks
+    expected = {
+        (1, 1): [(44, 956, [-1, 23, -1, -1]), (24, 172, [-1, 24]), (28, 124, [18, 18])],
+        (4, 1): [(51, 173, [-1, 12, 14, -1]), (28, 64, [10, -1, 5]), (19, 85, [-1, 9, -1])],
+        (4, 16): [(41, 335, [-1, 20, -1, -1]), (26, 146, [-1, 21]), (13, 35, [-1, 5])],
+    }
+    for (K, H), want in expected.items():
+        cap = max(H, -(-2 * logistic50.n // K))
+        rounds = one_point_rounds(logistic50, K, H, 0.05, 7, cap, -4, 0)
+        assert [(result.points_evaluated, result.points_screened, result.crossed.tolist())
+                for result, _ in rounds] == want
+
+
+def test_speculative_grid_rounds_of_three_cells(monkeypatch, logistic50):
+    # the rounds grid_search_stepsize runs on the cells above, speculative
+    # points included: (runs, points evaluated, points screened, crossings);
+    # each window of 10 points fits one round
+    expected = {
+        (1, 1): [(10, 108, 1432, [-1, 23, -1, -1, -1, 24, -1, 18, -1, 18])],
+        (4, 1): [(10, 104, 360, [-1, 12, 14, -1, 10, 5, 9, 9, -1, 9])],
+        (4, 16): [(10, 96, 640, [-1, 20, -1, -1, -1, 21, 9, 5, -1, 9])],
+    }
+    rounds = []
+
+    def counted(config, objective, seeds, **kwargs):
+        result = _simulate(config, objective, seeds, **kwargs)
+        rounds.append((len(seeds), result.points_evaluated, result.points_screened,
+                       result.crossed.tolist()))
+        return result
+    f_star = reference_for(logistic50).f_star
+    monkeypatch.setattr(harness, "_simulate", counted)
+    for (K, H), want in expected.items():
+        rounds.clear()
+        cap = max(H, -(-2 * logistic50.n // K))
+        grid_search_stepsize(logistic50, f_star, K, H, 1, 0.05, 7, cap, -4, 0)
+        assert rounds == want, (K, H)
+
+
+def test_the_loop_reads_the_limits_only_where_a_run_crosses(logistic50):
+    # every round of one synth50 cell: `limits` is read once before the
+    # first evaluation and once at each evaluation step where some run
+    # crossed, each time with more runs crossed
+    crossing_steps = []
+    for result, seen in one_point_rounds(logistic50, 4, 1, 0.05, 7, 50, -4, 0):
         crossed = result.crossed[result.crossed >= 0]
         assert len(seen) == 1 + len(set(crossed.tolist()))
         assert seen[0] == 0 and seen == sorted(set(seen))
         crossing_steps.append(len(set(crossed.tolist())))
-        for (family, i), t_star in zip(points, result.crossed):
-            measured[family][i] = int(t_star) if t_star >= 0 else None
     assert max(crossing_steps) >= 2
 
 
 def test_replay_matches_the_sequential_search_on_random_tables():
-    # the replay of a full table and the round-by-round search both give
-    # the answer of the one-at-a-time search, and the rounds, which drop
-    # runs that can no longer be their family's best point, measure each
-    # point that search measures exactly once
+    # the replay of a full table and the rounds of `_search_rounds`, with
+    # their speculative points, cache and drops, both give the answer of
+    # the one-at-a-time search; the rounds measure each point that search
+    # visits exactly once, as needed or as speculative, and no point twice
     rng = np.random.default_rng(0)
     for trial in range(300):
         i_min = int(rng.integers(-8, 3))
@@ -558,9 +592,13 @@ def test_replay_matches_the_sequential_search_on_random_tables():
         oracle = sequential_search(
             lambda family, i: visits.add((family, i)) or tables[family][i], i_min, i_max)
         assert replay_grid(tables, i_min, i_max) == oracle, trial
-        answer, asked = rounds_over_table(tables, i_min, i_max, 60)
+        max_runs = trial % 24
+        answer, runs = rounds_over_table(tables, i_min, i_max, 60, max_runs)
         assert answer == oracle, trial
-        assert sorted(asked) == sorted(visits), trial
+        assert len(set(runs)) == len(runs), trial
+        assert visits <= set(runs), trial
+        if max_runs == 0:  # no room to speculate: the rounds run the visits alone
+            assert set(runs) == visits, trial
 
 
 def test_grid_search_freezes_only_the_diverging_points(logistic50):
@@ -592,6 +630,34 @@ def test_grid_search_matches_the_one_point_at_a_time_search(logistic50, K, H, ep
     expected = sequential_search(
         lambda family, i: measure_iterations(*args, family, 2.0**i), i_min, i_max)
     assert grid_search_stepsize(*args, i_min=i_min, i_max=i_max) == expected
+
+
+RANDOM_CELLS = 10
+
+
+def grid_search_mismatches(objectives, count, seed=0):
+    """The `random_cells` whose grid search differs from the search that
+    measures one point at a time with `measure_iterations`, as (case,
+    found, expected)."""
+    mismatches = []
+    for case, cell in enumerate(random_cells(objectives, count, seed)):
+        args = (objectives[cell["name"]][0], *(cell[key] for key in (
+            "f_star", "K", "H", "b", "eps", "seed", "step_cap")))
+        window = cell["i_min"], cell["i_max"]
+        expected = sequential_search(
+            lambda family, i: measure_iterations(*args, family, 2.0**i), *window)
+        found = grid_search_stepsize(*args, *window)
+        if found != expected:
+            mismatches.append((case, found, expected))
+    return mismatches
+
+
+def test_grid_search_matches_the_sequential_search_on_random_cells(logistic50, quad10):
+    # synth50 and the d=10 quadratic, K 1-8, H 1-16, b 1-2, eps 1e-4..0.1,
+    # windows within -20..20 and caps of 1-5 epochs, unreachable cells too
+    objectives = {"synth50": (logistic50, reference_for(logistic50).f_star),
+                  "quad10": (quad10[0], quad10[1].f_star)}
+    assert grid_search_mismatches(objectives, RANDOM_CELLS) == []
 
 
 class OverflowingQuadratic(QuadraticObjective):

@@ -146,6 +146,23 @@ def test_single_point_oracles_are_rows_of_the_stacked_oracles(request, name, lea
             assert np.array_equal(per_component[j], singles[j][p])
 
 
+@pytest.mark.parametrize("b", range(1, 9))
+def test_quadratic_plans_hold_the_mean_of_the_sampled_rows_bitwise(b):
+    # rows spanning 1e-8..1e8, where the order of a sum shows in its bits
+    rng = np.random.default_rng(b)
+    hess = rng.uniform(1.0, 4.0, size=6)
+    obj = QuadraticObjective(hess, rng.standard_normal((40, 6))
+                             * 10.0 ** rng.integers(-8, 9, size=(40, 6)))
+    X = rng.standard_normal((5, 3, 6))
+    I = rng.integers(0, obj.n, size=(7, 5, 3, b))
+    plans = obj.sample_plans(I, max_entries=2 * 5 * 3 * b * 6)
+    assert len(plans) == 2
+    for s, plan in enumerate(plans):
+        want = hess * X - obj.B[I[s]].mean(axis=-2)
+        assert np.array_equal(obj.planned_gradient_many(X, plan), want)
+        assert np.array_equal(obj.minibatch_gradient_many(X, I[s]), want)
+
+
 def test_quadratic_value_at_the_minimizer_is_f_star_in_a_stack(quad10):
     obj, ref, _ = quad10
     stack = np.broadcast_to(ref.x_star, (2, 4, obj.d))
