@@ -24,11 +24,17 @@ rounds.  A round is one batched run, on the cell seed, of the points both
 families' searches visit next and of speculative points they may visit
 later; a run leaves the batch once it is eps-accurate, diverges, or can
 no longer be its family's best point, and the search is replayed over
-the measured iteration counts.
+the measured iteration counts.  The cells of one (eps, K, b, step cap),
+which differ in H only, are searched in lockstep: each round of the group
+is one batch of every cell's round, each run on its own cell's seed and
+sync period, and each cell's rounds and answer are those of its search
+alone.
 
-Runs are seeded and single-threaded per cell; cells are independent jobs
-executed by a worker pool bounded by the LOCALSGD_THREADS environment
-variable.  Output bytes depend only on the config.
+Runs are seeded and single-threaded.  With one worker, a job is one such
+group of cells; a pool of W workers, bounded by the LOCALSGD_THREADS
+environment variable, splits each group into min(W, cells) jobs, so that
+every group's work spreads over the whole pool.  Output bytes depend only
+on the config.
 """
 
 from __future__ import annotations
@@ -474,40 +480,67 @@ def grid_search_stepsize(objective, f_star, K, H, b, eps, seed, step_cap,
     it is eps-accurate, diverges, or can no longer be its family's best
     point.  Returns (family, c, iterations), with (None, None, None) when
     no stepsize in the window reaches eps.  The winner is measured again
-    from scratch as a single run and must reproduce its count.
+    from scratch as a single run and must reproduce its count.  This is
+    the one-cell case of `_search_cells`, and its answer is the same alone
+    or searched beside other cells.
     """
-    def measure(points, limits):
-        steps = [_family_steps(family, 2.0**i, objective.n) for family, i in points]
-        config = _cell_config(objective, K, H, b, seed, step_cap, steps[0])
-        return _simulate(config, objective, [seed] * len(points), steps=steps,
-                         target=(eps, f_star), limits=limits).crossed
-
-    measured = _search_rounds(measure, i_min, i_max, _ROUND_FLOATS // (K * objective.d))
-    family, c, t_star = replay_grid(measured, i_min, i_max)
-    if family is None:
-        return None, None, None
-
-    # guard against state leakage: the winner must reproduce from scratch
-    confirm = measure_iterations(objective, f_star, K, H, b, eps, seed,
-                                 step_cap, family, c)
-    if confirm != t_star:
-        raise RuntimeError(
-            f"grid-search winner did not reproduce: {t_star} vs {confirm}"
-        )
-    return family, c, t_star
+    return _search_cells(objective, f_star, K, b, eps, step_cap, [(H, seed)], i_min, i_max)[0]
 
 
-def _search_rounds(measure, i_min, i_max, max_runs):
-    """The t* tables, one per family, of the points both searches visit.
+def _search_cells(objective, f_star, K, b, eps, step_cap, cells,
+                 i_min=ExperimentConfig.i_min, i_max=ExperimentConfig.i_max):
+    """`grid_search_stepsize` of each (H, seed) of `cells`, which share
+    (eps, K, b, step_cap) and the window, searched in lockstep.
 
-    Each round calls `measure(points, limits)` once, which returns the
-    crossing step of each (family, i) point (-1 if none) and stops a run
-    at the step `limits(crossed)` gives it (`_simulate`'s rule).  A round
-    runs the points the searches visit next (the needed points) and, while
-    it has fewer than `max_runs` runs, the `_speculative_points`.  A
-    speculative outcome goes into a cache, and enters its family's table
-    only when the search visits that point; a round runs no point that is
-    measured or cached, so no point runs twice.
+    Each cell keeps its own tables, cache and `_ROUND_FLOATS` budget, so
+    its rounds, runs and answer are those of its search alone.  A round of
+    the group is one `_simulate` batch of the cells' round points, each
+    run on its cell's seed and sync period, and `limits` drops the runs of
+    each cell by that cell's tables alone.  Each winner is then confirmed
+    by its own from-scratch run.  Returns one (family, c, iterations) per
+    cell, in order.
+    """
+    syncs = [regular_sync_schedule(step_cap, H) for H, _ in cells]
+
+    def measure(batch, limits):
+        steps = [_family_steps(family, 2.0**i, objective.n) for _, (family, i) in batch]
+        config = _cell_config(objective, K, cells[0][0], b, cells[0][1], step_cap, steps[0])
+        return _simulate(config, objective, [cells[k][1] for k, _ in batch], steps=steps,
+                         syncs=[syncs[k] for k, _ in batch], target=(eps, f_star),
+                         limits=limits).crossed
+
+    tables = _search_rounds(measure, len(cells), i_min, i_max,
+                            _ROUND_FLOATS // (K * objective.d))
+    answers = []
+    for (H, seed), measured in zip(cells, tables):
+        family, c, t_star = replay_grid(measured, i_min, i_max)
+        if family is not None:
+            # guard against state leakage: the winner must reproduce from scratch
+            confirm = measure_iterations(objective, f_star, K, H, b, eps, seed,
+                                         step_cap, family, c)
+            if confirm != t_star:
+                raise RuntimeError(
+                    f"grid-search winner did not reproduce: {t_star} vs {confirm}"
+                )
+        answers.append((family, c, t_star))
+    return answers
+
+
+def _search_rounds(measure, searches, i_min, i_max, max_runs):
+    """The t* tables, one per family, of each of `searches` cell searches,
+    run in lockstep over the points both of its families' searches visit.
+
+    Each round calls `measure(batch, limits)` once, where `batch` lists
+    the (search, (family, i)) runs of every search still going, each
+    search's `_round_points` in turn.  It returns the crossing step of
+    each run (-1 if none) and stops a run at the step `limits(crossed)`
+    gives it (`_simulate`'s rule); each search's limits come from its own
+    tables and its slice of `crossed`.  A search's round runs the points
+    it visits next (the needed points) and, while it has fewer than
+    `max_runs` runs, its `_speculative_points`.  A speculative outcome
+    goes into the search's cache, and enters its family's table only when
+    the search visits that point; a round runs no point that is measured
+    or cached, so no point runs twice.
 
     Every table entry is one that the one-point-at-a-time search could
     read, so `replay_grid` gives its answer.  A speculative crossing never
@@ -519,8 +552,40 @@ def _search_rounds(measure, i_min, i_max, max_runs):
     (t*, i); that point is in the table before the cached one enters it,
     so by `_drop_limits`' invariant reading None for it changes nothing.
     """
-    measured = {family: {} for family in FAMILIES}
-    cache = {family: {} for family in FAMILIES}
+    measured = [{family: {} for family in FAMILIES} for _ in range(searches)]
+    cache = [{family: {} for family in FAMILIES} for _ in range(searches)]
+    while True:
+        # (search, points, speculative mask, first row) of each search still going
+        rounds, rows = [], 0
+        for k in range(searches):
+            points, spare = _round_points(measured[k], cache[k], i_min, i_max, max_runs)
+            if points:
+                rounds.append((k, points, spare, rows))
+                rows += len(points)
+        if not rounds:
+            return measured
+
+        def limits(crossed):
+            return np.concatenate([
+                _drop_limits(measured[k], points,
+                             np.where(spare, -1, crossed[start:start + len(points)]))
+                for k, points, spare, start in rounds])
+        crossed = measure([(k, point) for k, points, _, _ in rounds for point in points],
+                          limits)
+        for k, points, spare, start in rounds:
+            for r, (family, i) in enumerate(points):
+                t_star = crossed[start + r]
+                (cache if spare[r] else measured)[k][family][i] = \
+                    int(t_star) if t_star >= 0 else None
+
+
+def _round_points(measured, cache, i_min, i_max, max_runs):
+    """The next round of one search: its points, the needed ones first,
+    and the mask of its speculative ones; no points once it is done.
+
+    A needed point already in the cache runs nothing: it enters the
+    tables, as the search visits it, before the round is formed.
+    """
     while needed := _next_points(measured, i_min, i_max):
         if cached := [(family, i) for family, i in needed if i in cache[family]]:
             for family, i in cached:  # the searches visit them now
@@ -528,13 +593,8 @@ def _search_rounds(measure, i_min, i_max, max_runs):
             continue
         points = needed + _speculative_points(measured, cache, needed, i_min, i_max)[
             :max(0, max_runs - len(needed))]
-        spare = np.arange(len(points)) >= len(needed)
-        crossed = measure(points, lambda crossed: _drop_limits(
-            measured, points, np.where(spare, -1, crossed)))
-        for r, ((family, i), t_star) in enumerate(zip(points, crossed)):
-            (cache if spare[r] else measured)[family][i] = \
-                int(t_star) if t_star >= 0 else None
-    return measured
+        return points, np.arange(len(points)) >= len(needed)
+    return [], None
 
 
 def _speculative_points(measured, cache, needed, i_min, i_max):
@@ -657,19 +717,33 @@ def _set_pool_objective(objective):
     _pool_objective = objective
 
 
-def _sweep_cell(cell, objective=None):
-    """One sweep cell; top-level so worker pools can pickle it.
+def _sweep_job(job, objective=None):
+    """The answers of one pool job, a group of sweep cells searched
+    together; top-level so worker pools can pickle it.
 
-    `cell` is (f_star, eps, K, H, b, seed, step_cap, rho, i_min, i_max).
-    Without `objective`, the cell runs on the pool worker's objective.
+    `job` is the arguments of `_search_cells` after the objective.
+    Without `objective`, the job runs on the pool worker's objective.
     """
-    f_star, eps, K, H, b, seed, step_cap, rho, i_min, i_max = cell
-    family, c, t_star = grid_search_stepsize(
-        _pool_objective if objective is None else objective,
-        f_star, K, H, b, eps, seed, step_cap, i_min, i_max,
-    )
-    return ResultRow(K=K, H=H, b=b, eps=eps, family=family, c=c, iterations=t_star,
-                     rho=rho)
+    return _search_cells(_pool_objective if objective is None else objective, *job)
+
+
+def _pool_jobs(groups, workers):
+    """The (key, cells) `groups`, each split into min(workers, cells) jobs
+    of consecutive cells whose counts differ by at most one.
+
+    Cells differ in cost (a K = 1 cell runs K times the steps of a
+    K-worker one), and a whole group of costly cells can outlast the rest
+    of a pool's work: on a w8a-shaped sweep of five K groups, the K = 1
+    group took 37% of the serial time.  A group spread over every worker
+    keeps the pool as busy as one job per cell; one worker runs every
+    group whole.
+    """
+    jobs = []
+    for key, cells in groups:
+        parts = min(workers, len(cells))
+        bounds = [len(cells) * j // parts for j in range(parts + 1)]
+        jobs += [(key, cells[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    return jobs
 
 
 def _pool_size():
@@ -705,27 +779,42 @@ def _output_dir(config):
 def run_experiment(config: ExperimentConfig, out_dir=None):
     """Execute the full sweep; returns (rows, exit_code) and writes outputs.
 
-    Exit code 0 on success, 2 when some cells never reached their target
-    accuracy within the step cap (those rows are marked unreachable).
+    The cells of one (eps, K, b, step cap) are one group, searched in
+    lockstep by `_search_cells`.  With one worker each group is one job;
+    a pool of W workers splits each group into min(W, cells) jobs
+    (`_pool_jobs`).  A cell's answer does not depend on its job, so the
+    outputs do not depend on the pool size.  Exit code 0 on success, 2
+    when some cells never reached their target accuracy within the step
+    cap (those rows are marked unreachable).
     """
     config = with_output_dir(config, out_dir)
     objective, reference = build_problem(config.dataset)
     workers = _pool_size()
     out = _output_dir(config)
-    grid = product(config.eps_list, config.K_list, config.H_list, config.b_list)
-    cells = [
-        (reference.f_star, eps, K, H, b, _cell_seed(config.seed, index),
-         max(H, ceil(config.epoch_cap * objective.n / (K * b))),
-         config.rho, config.i_min, config.i_max)
-        for index, (eps, K, H, b) in enumerate(grid)
-    ]
+    grid = list(product(config.eps_list, config.K_list, config.H_list, config.b_list))
+    # the cells of one (K, b, eps, step cap) are searched together, in the
+    # order of their first cells; a cell of a group is (index, H, seed)
+    groups = {}
+    for index, (eps, K, H, b) in enumerate(grid):
+        step_cap = max(H, ceil(config.epoch_cap * objective.n / (K * b)))
+        groups.setdefault((K, b, eps, step_cap), []).append(
+            (index, H, _cell_seed(config.seed, index)))
+    split = _pool_jobs(groups.items(), workers)
+    jobs = [(reference.f_star, *key, [(H, seed) for _, H, seed in cells],
+             config.i_min, config.i_max) for key, cells in split]
 
-    if workers > 1 and len(cells) > 1:
+    if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_set_pool_objective,
                                  initargs=(objective,)) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
+            found = list(pool.map(_sweep_job, jobs))
     else:
-        rows = [_sweep_cell(cell, objective) for cell in cells]
+        found = [_sweep_job(job, objective) for job in jobs]
+    rows = [None] * len(grid)
+    for (_, cells), answers in zip(split, found):
+        for (index, _, _), (family, c, t_star) in zip(cells, answers):
+            eps, K, H, b = grid[index]
+            rows[index] = ResultRow(K=K, H=H, b=b, eps=eps, family=family, c=c,
+                                    iterations=t_star, rho=config.rho)
 
     baselines = {
         (row.b, row.eps): row.wallclock

@@ -18,7 +18,8 @@ class SyncSchedule:
     """Synchronization every H steps and at the horizon: {H, 2H, ...} union {T}.
 
     The gap of {0} union indices is H.  Membership is arithmetic, so a
-    schedule costs nothing to build at any horizon.
+    schedule costs nothing to build at any horizon, and `is_sync` reads an
+    integer array of steps elementwise.
     """
 
     T: int
@@ -28,8 +29,8 @@ class SyncSchedule:
         if self.H < 1 or self.H > self.T:
             raise ValueError("require 1 <= H <= T")
 
-    def is_sync(self, t) -> bool:
-        return 0 < t <= self.T and (t % self.H == 0 or t == self.T)
+    def is_sync(self, t):
+        return (0 < t) & (t <= self.T) & ((t % self.H == 0) | (t == self.T))
 
     @property
     def indices(self) -> tuple:

@@ -233,19 +233,24 @@ def _certified_by_any(Y, z, f_z, g_z, mu, eps, f_star):
                            np.vecdot(D, D), mu, eps, f_star).any(axis=2)
 
 
-def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False,
+def _simulate(config, objective, seeds, *, steps=None, syncs=None, track_second_moment=False,
               target=None, limits=None, exchange=None):
     """The time-step loop behind every engine: sync, grid search and async.
 
     Advances S = len(seeds) runs of `config` on iterates (S, K, d) and
     records what `config.record` asks for, each row with a leading run
     axis.  `steps`, one schedule per run, replaces config.steps, and a
-    run's output average has its own schedule's shift.  At each sync index
-    the workers take their mean, xbar.  `exchange`, an async write-plan
-    replay, replaces that: exchange(t, X) updates the post-step iterates
-    in place after every step t, and xbar is exchange.virtual(X), the
-    virtual sequence of all updates.  Its caller checks the shift against
-    H + tau.
+    run's output average has its own schedule's shift.  `syncs`, one
+    `SyncSchedule` per run with config's horizon T, replaces config.sync
+    in the same way.  At each of its sync indices a run's workers take
+    their mean, xbar; the runs that sync at a step do so in one masked
+    mean.  Per-run periods, more than one distinct schedule in `syncs`,
+    need record.f_values off, since eval_steps and f_by_scheme have one
+    layout for all runs, and no `exchange`.  `exchange`, an async
+    write-plan replay, replaces the worker mean: exchange(t, X) updates
+    the post-step iterates in place after every step t, and xbar is
+    exchange.virtual(X), the virtual sequence of all updates.  Its caller
+    checks the shift against H + tau.
 
     Each per-run quantity is one array of the table `runs`, over the
     active runs in run order.  Every run leaves through `keep(stay)`, with
@@ -264,9 +269,17 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
     The loop ends when no run is left, which is a single run's early exit;
     eval_steps and f_by_scheme end there too.
 
-    The averages are evaluated at every stride-th step and sync index: the
-    (run, scheme) points to evaluate in one stacked pass, the others
-    reading +inf.  At t = 0 every average is xbar_0, evaluated once.  A
+    A run's averages are evaluated at every stride-th step and at its
+    sync indices, and only the runs evaluating at a step are screened,
+    evaluated or left at their limit there: their (run, scheme) points to
+    evaluate in one stacked pass, the others reading +inf.  Each step
+    takes the same masked path with one period or several, and the
+    screening test runs over every active run, its answer kept for the
+    evaluating ones; with one period every mask is all true.  eval_steps
+    lists the steps at which some run evaluated, and comm_rounds counts
+    the steps after which some run took its worker mean; with one
+    period, these are every run's own up to where the loop ended.  At
+    t = 0 every average is xbar_0, evaluated once.  A
     target-only run, one that records no function values, keeps no output
     average and is screened: only the points that no convexity lower bound
     from their run's four anchors certifies above eps (`_certified_by_any`)
@@ -279,8 +292,9 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
     evaluated.
 
     Each chunk of `_CHUNK_STEPS` steps evaluates the stepsizes (each
-    distinct schedule's scalar eta(t) once per step), the output weights
-    and the running averages' coefficients as arrays.  The sampled
+    distinct schedule's scalar eta(t) once per step), the evaluation and
+    sync steps of each distinct sync schedule, the output weights and the
+    running averages' coefficients as arrays.  The sampled
     gradients of the active rows are planned (`objective.sample_plans`) for
     a block as long as the steps before it, so a run that stops early
     wastes little of one, and of at most `_BLOCK_ENTRIES` gathered entries;
@@ -299,28 +313,43 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
         raise ValueError("x0 dimension does not match the objective")
     if target is not None and not target[0] > 0.0:
         raise ValueError("target accuracy must be positive")
-    if exchange is None:
-        validate_shift(config.steps, objective.curvature(), config.sync.H)
-
     S, K, T, d, record = len(seeds), config.K, config.T, objective.d, config.record
     steps = [config.steps] * S if steps is None else steps
+    syncs = [config.sync] * S if syncs is None else syncs
+    if len(steps) != S:
+        raise ValueError(f"need one step schedule per seed, got {len(steps)} for {S} seeds")
+    if len(syncs) != S:
+        raise ValueError(f"need one sync schedule per seed, got {len(syncs)} for {S} seeds")
+    if any(sync.T != T for sync in syncs):
+        raise ValueError("sync schedule horizon does not match T")
+    per_run = len(set(syncs)) > 1
+    if per_run and record.f_values:
+        raise ValueError("per-run sync periods need record.f_values off: eval_steps and "
+                         "f_by_scheme have one layout for all runs")
+    if per_run and exchange is not None:
+        raise ValueError("per-run sync periods do not apply to an async exchange")
+    if exchange is None:
+        validate_shift(config.steps, objective.curvature(), max(sync.H for sync in syncs))
     stride = -(-T // 1000) if record.f_every is None else record.f_every
     screen = target is not None and not record.f_values
     # the running averages of SCHEMES feed the function-value evaluations only
     track_averages = record.f_values or target is not None
     mu = objective.curvature()[0] if screen else 0.0
 
-    def is_eval(t):
-        """Whether step t evaluates the averages: every stride-th step and sync index."""
-        return t % stride == 0 or config.sync.is_sync(t)
+    def is_eval(t, sync):
+        """Whether step t, or each of an array of steps, evaluates the
+        averages of a run synced by `sync`: every stride-th step and sync
+        index."""
+        return (t % stride == 0) | sync.is_sync(t)
 
     # the per-run table; one index draw per distinct seed, and run r takes
     # the draw owner[r]; one evaluation per distinct schedule, and run r has
-    # the schedule schedule[r]
-    distinct, schedules = {}, {}
+    # the stepsizes schedule[r] and the sync steps period[r]
+    distinct, schedules, periods = {}, {}, {}
     runs = {"run": np.arange(S),
             "owner": np.array([distinct.setdefault(seed, len(distinct)) for seed in seeds]),
             "schedule": np.array([schedules.setdefault(s, len(schedules)) for s in steps]),
+            "period": np.array([periods.setdefault(s, len(periods)) for s in syncs]),
             "X": np.tile(config.x0, (S, K, 1))}
     # a run's output average has the weights (a + t)^2 of its schedule's shift a
     shifts = [float(s.a) if isinstance(s, TheoremDecayStep) else 1.0 for s in schedules]
@@ -347,8 +376,9 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
                "output_average": (not screen, (S, d))}
     rows = {name: np.full(shape, np.nan) if asked else None
             for name, (asked, shape) in layouts.items()}
-    f_rows = np.full((len(SCHEMES), S, sum(map(is_eval, range(T + 1)))), np.nan) \
-        if record.f_values else None
+    # with f values recorded, every run has the one period syncs[0]
+    f_rows = np.full((len(SCHEMES), S, int(is_eval(np.arange(T + 1), syncs[0]).sum())),
+                     np.nan) if record.f_values else None
     eval_steps, comm_rounds, max_second_moment = [], 0, 0.0
     points_evaluated = points_screened = 0
     crossed, diverged = np.full(S, -1, dtype=np.int64), np.zeros(S, dtype=bool)
@@ -358,6 +388,9 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
     # the gradient plans of the steps plan_start.. of the `planned` active
     # runs' rows; the block ends at plan_end
     plans, plan_start, plan_end, planned = None, 0, 0, S
+    # the sync schedules of the active runs, and per step of the chunk
+    # whether some active run evaluates and syncs after it
+    present = evaluating = merging = None
 
     def keep(stay):
         """Keep the runs of the stack where `stay` is True; the others leave
@@ -372,16 +405,31 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
             exchange.keep(stay)
         for name, array in runs.items():
             runs[name] = array[stay]
+        schedule_steps()
 
-    def evaluate(t):
+    def schedule_steps(new_chunk=False):
+        """Keep, per step of the chunk, whether some active run evaluates
+        and whether some active run syncs after it; they change only with
+        the chunk and when the last run of a sync schedule leaves."""
+        nonlocal present, evaluating, merging
+        now = np.zeros(len(periods), dtype=bool)
+        now[runs["period"]] = True
+        if new_chunk or (now != present).any():
+            present = now
+            evaluating = evals[present].any(axis=0).tolist()
+            merging = merges[present].any(axis=0).tolist()
+
+    def evaluate(t, ev):
         """The mask of the points of the four running averages (A, 4) that
-        step t evaluates, and f at every point, where a point not evaluated
-        reads +inf; f is None when no point is evaluated."""
+        step t evaluates, of the runs where `ev` holds, and f at every
+        point, where a point not evaluated reads +inf; f is None when no
+        point is evaluated."""
         Y = runs["Y"]
         if screen:
             need = ~_certified_by_any(Y, runs["z"], runs["f_z"], runs["g_z"], mu, *target)
+            need &= ev[:, None]
         else:
-            need = np.ones(Y.shape[:2], dtype=bool)
+            need = ev[:, None].repeat(len(SCHEMES), axis=1)
         if not need.any():
             return need, None
         f = np.full(need.shape, np.inf)
@@ -408,6 +456,13 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
                     runs["output_weight"] = _per_run(np.array(squares), runs["schedule"])
                 if track_averages:
                     weights = recursion_weights(span)[..., None]
+                # whether each run evaluates at each step and syncs after
+                # it, by its sync schedule, and whether some active run does
+                evals = np.array([is_eval(span, s) for s in periods])
+                merges = np.array([s.is_sync(span + 1) for s in periods])
+                runs["evals"] = _per_run(evals, runs["period"])
+                runs["merges"] = _per_run(merges, runs["period"])
+                schedule_steps(new_chunk=True)
                 chunk, chunk_start = next(chunks, None), t
 
             active, xbar = runs["run"], runs["xbar"]
@@ -426,12 +481,13 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
             if record.iterates:
                 rows["iterates"][active, :, t] = runs["X"]
             leave = np.zeros(len(active), dtype=bool)
-            if track_averages and is_eval(t):
+            if track_averages and evaluating[t - chunk_start]:
+                ev = runs["evals"][:, t - chunk_start]  # the active runs evaluating at t
                 eval_steps.append(t)
-                need, f = evaluate(t)
+                need, f = evaluate(t, ev)
                 evaluated = int(np.count_nonzero(need))
                 points_evaluated += evaluated
-                points_screened += need.size - evaluated
+                points_screened += len(SCHEMES) * int(np.count_nonzero(ev)) - evaluated
                 if f is not None:  # a step whose points are all skipped cannot cross
                     if record.f_values:
                         f_rows[:, active, len(eval_steps) - 1] = f.T
@@ -444,7 +500,7 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
                             limit = limits(crossed)
                     # an active run that has crossed did so at this step
                     leave |= bad | (crossed[active] >= 0)
-                leave |= t >= limit[active]
+                leave |= ev & (t >= limit[active])
             leave |= t == T  # every run leaves at T
             if leave.any():
                 keep(~leave)
@@ -485,9 +541,10 @@ def _simulate(config, objective, seeds, *, steps=None, track_second_moment=False
                 exchange(t + 1, X)
                 runs["xbar"] = exchange.virtual(X)
             else:
-                if config.sync.is_sync(t + 1):
-                    if K > 1:
-                        X[:] = X.mean(axis=1, keepdims=True)
+                if merging[t - chunk_start]:
+                    if K > 1:  # the active runs that sync after step t
+                        np.copyto(X, X.mean(axis=1, keepdims=True),
+                                  where=runs["merges"][:, t - chunk_start, None, None])
                     comm_rounds += 1
                 runs["xbar"] = _worker_mean(X)
             runs["X"] = X

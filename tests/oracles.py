@@ -10,7 +10,7 @@ pairs, the tightest step of the perturbed-step inequality by a loop over
 its checked steps, an objective that counts its oracle calls, a
 quadratic whose value overflows past a threshold, the gap of a sync
 index set, the steps a run recorded in a per-step row, and seeded random
-engine configurations and grid-search cells.
+engine configurations, grid-search cells and groups of cells.
 """
 
 from collections import Counter
@@ -303,8 +303,10 @@ def random_cases(objectives, count, seed=0):
 
     `objectives` maps a name to (objective, f_star).  A case is a dict of
     the objective's name, a RunConfig, the seeds, one stepsize schedule
-    per seed, a delay model, an accuracy target (eps, f_star) and a row,
-    one of the seeds' positions.  K is
+    per seed, one regular sync schedule per seed (its period 1-T), a delay
+    model, an accuracy target (eps, f_star) and a row, one of the seeds'
+    positions.  The per-seed periods come from a second generator, seeded
+    with (seed, 1), so the other draws do not depend on them.  K is
     1-5, T 1-59, H 1-T and b 1-3; there are 1-4 seeds from 0-4, repeats
     allowed.  Each record flag is on or off, f_every None or 1-(T+1), and
     x0 zero or Gaussian.  The delay is zero, or fixed or random-bounded
@@ -314,7 +316,7 @@ def random_cases(objectives, count, seed=0):
     schedule for all the seeds or one each.  eps is the gap f(x0) - f_star
     times 2^-8 to 1.
     """
-    rng = np.random.default_rng(seed)
+    rng, period_rng = np.random.default_rng(seed), np.random.default_rng((seed, 1))
     names = sorted(objectives)
     cases = []
     for _ in range(count):
@@ -350,8 +352,10 @@ def random_cases(objectives, count, seed=0):
         config = RunConfig(K=K, T=T, b=b, sync=regular_sync_schedule(T, H),
                            steps=schedules[0], seed=seeds[0], x0=x0, record=record)
         eps = float(objective.value(x0) - f_star) * 2.0 ** rng.uniform(-8, 0)
+        syncs = [regular_sync_schedule(T, int(H))
+                 for H in period_rng.integers(1, T + 1, size=len(seeds))]
         cases.append(dict(name=name, config=config, seeds=seeds, schedules=schedules,
-                          delay=delay, target=(eps, f_star),
+                          syncs=syncs, delay=delay, target=(eps, f_star),
                           row=int(rng.integers(len(seeds)))))
     return cases
 
@@ -382,3 +386,30 @@ def random_cells(objectives, count, seed=0):
                           step_cap=max(H, ceil(epochs * objective.n / (K * b))),
                           i_min=i_min, i_max=i_max))
     return cells
+
+
+def random_groups(objectives, count, seed=0):
+    """`count` random groups of grid-search cells that a sweep searches
+    together, drawn by one numpy generator seeded with `seed`.
+
+    `objectives` maps a name to (objective, f_star).  A group is a dict of
+    the objective's name and the arguments of `harness._search_cells`
+    after the objective: f_star, K 1-8, b 1-2, eps log-uniform in
+    1e-4..0.1, a step cap of 1-5 epochs (at least every H), and 2-4 cells
+    (H, seed) with distinct H from 1-16 and distinct seeds from 0-9999.
+    The window is the default -20..20.
+    """
+    rng = np.random.default_rng(seed)
+    names = sorted(objectives)
+    groups = []
+    for _ in range(count):
+        name = names[int(rng.integers(len(names)))]
+        objective, f_star = objectives[name]
+        K, b, epochs, size = (int(v) for v in rng.integers((1, 1, 1, 2), (9, 3, 6, 5)))
+        Hs = [int(H) for H in rng.choice(np.arange(1, 17), size=size, replace=False)]
+        seeds = [int(s) for s in rng.choice(10_000, size=size, replace=False)]
+        groups.append(dict(name=name, f_star=f_star, K=K, b=b,
+                           eps=float(10.0 ** rng.uniform(-4, -1)),
+                           step_cap=max(*Hs, ceil(epochs * objective.n / (K * b))),
+                           cells=list(zip(Hs, seeds))))
+    return groups

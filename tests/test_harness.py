@@ -28,10 +28,17 @@ from localsgd.harness import (
     run_experiment,
     verify_lemmas,
 )
-from localsgd.harness import _drop_limits, _family_steps, _next_points, _search_rounds
+from localsgd.harness import (
+    _drop_limits,
+    _family_steps,
+    _next_points,
+    _pool_jobs,
+    _search_cells,
+    _search_rounds,
+)
 from localsgd.schedules import ConstantStep, regular_sync_schedule
 from localsgd.sync import RecordFlags, RunConfig, _simulate, run_local_sgd
-from oracles import accelerated_reference, needed_by_comparison, random_cells
+from oracles import accelerated_reference, needed_by_comparison, random_cells, random_groups
 
 DATA = Path(__file__).parent / "data"
 
@@ -428,21 +435,24 @@ def test_replay_asks_for_the_points_it_visits_next():
         replay_grid({"decaying": lookup, "constant": {}}, -20, 20)
 
 
-def rounds_over_table(tables, i_min, i_max, horizon, max_runs):
-    """The rounds of `_search_rounds` over known t*, evaluating at every step.
+def rounds_over_tables(tables, i_min, i_max, horizon, max_runs):
+    """The rounds of `_search_rounds` over known t*, evaluating at every
+    step: one search per table in `tables`, run in lockstep.
 
     Its `measure` is a per-step model of the loop's rule: a run stops
     where it reaches its t*, or from the step `limits` gives it, read
     before the first step and at each step where some run crossed, and
-    then reads None.  Returns the answer and every point measured.
+    then reads None.  Returns each search's answer and the (search,
+    point) runs measured.
     """
     runs = []
 
-    def measure(points, limits):
-        runs.extend(points)
-        truth = np.array([-1 if tables[f][i] is None else tables[f][i] for f, i in points])
-        crossed = np.full(len(points), -1)
-        frozen = np.zeros(len(points), dtype=bool)
+    def measure(batch, limits):
+        runs.extend(batch)
+        truth = np.array([-1 if tables[k][f][i] is None else tables[k][f][i]
+                          for k, (f, i) in batch])
+        crossed = np.full(len(batch), -1)
+        frozen = np.zeros(len(batch), dtype=bool)
         limit = limits(crossed)
         for now in range(horizon + 1):
             hit = ~frozen & (truth == now)
@@ -453,8 +463,8 @@ def rounds_over_table(tables, i_min, i_max, horizon, max_runs):
             if frozen.all():
                 break
         return crossed
-    measured = _search_rounds(measure, i_min, i_max, max_runs)
-    return replay_grid(measured, i_min, i_max), runs
+    measured = _search_rounds(measure, len(tables), i_min, i_max, max_runs)
+    return [replay_grid(table, i_min, i_max) for table in measured], runs
 
 
 def test_needed_drops_runs_that_cannot_be_the_best_point():
@@ -593,7 +603,8 @@ def test_replay_matches_the_sequential_search_on_random_tables():
             lambda family, i: visits.add((family, i)) or tables[family][i], i_min, i_max)
         assert replay_grid(tables, i_min, i_max) == oracle, trial
         max_runs = trial % 24
-        answer, runs = rounds_over_table(tables, i_min, i_max, 60, max_runs)
+        [answer], runs = rounds_over_tables([tables], i_min, i_max, 60, max_runs)
+        runs = [point for _, point in runs]
         assert answer == oracle, trial
         assert len(set(runs)) == len(runs), trial
         assert visits <= set(runs), trial
@@ -658,6 +669,60 @@ def test_grid_search_matches_the_sequential_search_on_random_cells(logistic50, q
     objectives = {"synth50": (logistic50, reference_for(logistic50).f_star),
                   "quad10": (quad10[0], quad10[1].f_star)}
     assert grid_search_mismatches(objectives, RANDOM_CELLS) == []
+
+
+def search_log(monkeypatch):
+    """Log the grid search's internals: each `_search_rounds` call's
+    tables and the rounds each of its searches ran in, and the runs of
+    its batches that diverged."""
+    log = {"tables": None, "rounds": None, "diverged": 0}
+    search_rounds, simulate = harness._search_rounds, harness._simulate
+
+    def logged_rounds(measure, searches, *args):
+        log["rounds"] = [0] * searches
+
+        def counted(batch, limits):
+            for k in {k for k, _ in batch}:
+                log["rounds"][k] += 1
+            return measure(batch, limits)
+        log["tables"] = search_rounds(counted, searches, *args)
+        return log["tables"]
+
+    def logged_simulate(*args, **kwargs):
+        result = simulate(*args, **kwargs)
+        log["diverged"] += int(np.count_nonzero(result.diverged))
+        return result
+    monkeypatch.setattr(harness, "_search_rounds", logged_rounds)
+    monkeypatch.setattr(harness, "_simulate", logged_simulate)
+    return log
+
+
+RANDOM_GROUPS = 6
+
+
+def test_grouped_search_matches_each_cell_searched_alone(monkeypatch, logistic50, quad10):
+    # groups of 2-4 cells of one (K, b, eps, step cap) with distinct H and
+    # seeds, default windows: each cell's answer, t* tables and number of
+    # rounds are those of its search alone.  The groups include
+    # multi-round searches, unreachable cells and diverging points
+    objectives = {"synth50": (logistic50, reference_for(logistic50).f_star),
+                  "quad10": (quad10[0], quad10[1].f_star)}
+    log = search_log(monkeypatch)
+    seen = {"multi-round": 0, "unreachable": 0, "diverged": 0}
+    for group in random_groups(objectives, RANDOM_GROUPS, seed=3):
+        objective = objectives[group["name"]][0]
+        f_star, K, b, eps, cap = (group[key] for key in ("f_star", "K", "b", "eps", "step_cap"))
+        log["diverged"] = 0
+        answers = _search_cells(objective, f_star, K, b, eps, cap, group["cells"])
+        tables, rounds = log["tables"], log["rounds"]
+        seen["diverged"] += log["diverged"] > 0
+        for k, (H, seed) in enumerate(group["cells"]):
+            alone = grid_search_stepsize(objective, f_star, K, H, b, eps, seed, cap)
+            assert answers[k] == alone, (group, k)
+            assert (log["tables"], log["rounds"]) == ([tables[k]], [rounds[k]]), (group, k)
+            seen["multi-round"] += rounds[k] > 1
+            seen["unreachable"] += alone[0] is None
+    assert all(seen.values()), seen
 
 
 class OverflowingQuadratic(QuadraticObjective):
@@ -824,18 +889,40 @@ def test_run_experiment_results_are_byte_stable(tmp_path):
     assert produced == (DATA / "quadratic_sweep_results.csv").read_bytes()
 
 
-def test_logistic_sweep_results_are_byte_stable(tmp_path):
+def test_logistic_sweep_results_are_byte_stable(tmp_path, monkeypatch):
     # results.csv of a default-window synth50 sweep recorded with the grid
     # search that ran one seeded run per grid point: t* of 43-290 steps,
-    # winners of both families, and diverging points at large c
+    # winners of both families, and diverging points at large c.  Its two
+    # groups, K = 1 and K = 4 of the cells H = 1, 8, run as one job each
+    # in-process and as single cells on a pool of two or four workers
     spec = DatasetSpec(kind="libsvm", path=str(DATA / "synth50.libsvm"))
-    config = ExperimentConfig(
-        dataset=spec, eps_list=[0.005], K_list=[1, 4], H_list=[1, 8],
-        b_list=[1], seed=5, out_dir=str(tmp_path / "out"), svg=False,
-    )
-    run_experiment(config)
-    produced = (Path(config.out_dir) / "results.csv").read_bytes()
-    assert produced == (DATA / "logistic_sweep_results.csv").read_bytes()
+    for threads in ("1", "2", "4"):
+        monkeypatch.setenv("LOCALSGD_THREADS", threads)
+        config = ExperimentConfig(
+            dataset=spec, eps_list=[0.005], K_list=[1, 4], H_list=[1, 8],
+            b_list=[1], seed=5, out_dir=str(tmp_path / threads), svg=False,
+        )
+        run_experiment(config)
+        produced = (Path(config.out_dir) / "results.csv").read_bytes()
+        assert produced == (DATA / "logistic_sweep_results.csv").read_bytes(), threads
+
+
+def test_pool_jobs_spread_each_group_over_the_workers():
+    groups = [("a", [1, 2, 3, 4, 5]), ("b", [6]), ("c", [7, 8])]
+    assert _pool_jobs(groups, 1) == groups
+    assert _pool_jobs(groups, 2) == [("a", [1, 2]), ("a", [3, 4, 5]), ("b", [6]),
+                                     ("c", [7]), ("c", [8])]
+    assert _pool_jobs(groups, 4) == [("a", [1]), ("a", [2]), ("a", [3]), ("a", [4, 5]),
+                                     ("b", [6]), ("c", [7]), ("c", [8])]
+    for workers in range(1, 9):
+        jobs = _pool_jobs(groups, workers)
+        # min(workers, cells) jobs of each group, of sizes within one of
+        # each other, and every cell once in its group's order
+        for key, cells in groups:
+            sizes = [len(part) for k, part in jobs if k == key]
+            assert len(sizes) == min(workers, len(cells)) and max(sizes) - min(sizes) <= 1
+        assert [cell for _, cells in jobs for cell in cells] == list(range(1, 9))
+        assert all(cell in dict(groups)[key] for key, cells in jobs for cell in cells)
 
 
 def test_lemma_checks_are_byte_stable(tmp_path):
@@ -1263,7 +1350,7 @@ def test_cli_out_under_a_regular_file_is_a_config_error(tmp_path, capsys, monkey
     def never(*args, **kwargs):
         raise AssertionError("ran before the output directory was made")
     monkeypatch.setattr(harness, "lemma_suite", never)
-    monkeypatch.setattr(harness, "_sweep_cell", never)
+    monkeypatch.setattr(harness, "_sweep_job", never)
     config = write_config(tmp_path, QUADRATIC_CONFIG)
     blocker = tmp_path / "file"
     blocker.write_text("", encoding="utf-8")

@@ -1,9 +1,10 @@
 """The engine's identities on seeded random configurations.
 
 Every engine runs on one time-step loop, `sync._simulate`, so these
-identities guard it: row r of a batch is its one-seed run, bitwise; a
-screened run stops where a recorded one does; zero-delay async follows
-sync; and every-step sync is mini-batch SGD with batch K*b.
+identities guard it: row r of a batch is its one-seed run, bitwise, also
+with a stepsize schedule and a sync period per run; a screened run stops
+where a recorded one does; zero-delay async follows sync; and every-step
+sync is mini-batch SGD with batch K*b.
 """
 
 from dataclasses import replace
@@ -31,8 +32,12 @@ ROWS = ("xbar", "deviations", "noise_sq", "iterates", "output_average", "final_i
         "final_aggregate")
 
 
-def same_run(batch, r, single):
-    """Whether row r of an EnsembleResult is the RunTrace `single`, bitwise."""
+def same_run(batch, r, single, per_run_periods=False):
+    """Whether row r of an EnsembleResult is the RunTrace `single`, bitwise.
+
+    With `per_run_periods`, the batch's eval_steps are the steps at which
+    any of its runs evaluated, so they need only hold the single run's.
+    """
     for name in ROWS:
         rows, row = getattr(batch, name), getattr(single, name)
         if (rows is None) != (row is None):
@@ -45,7 +50,10 @@ def same_run(batch, r, single):
         return False
     # the f values end where each loop did; the batch's row reads NaN after
     evals = len(single.eval_steps)
-    if not np.array_equal(batch.eval_steps[:evals], single.eval_steps):
+    if per_run_periods:
+        if not np.isin(single.eval_steps, batch.eval_steps).all():
+            return False
+    elif not np.array_equal(batch.eval_steps[:evals], single.eval_steps):
         return False
     if (batch.f_by_scheme is None) != (single.f_by_scheme is None):
         return False
@@ -97,6 +105,20 @@ def failed_identities(case, objective):
                       target=target)
     if not np.array_equal(other.crossed, batch.crossed):
         failed.append("screened t*")
+
+    # 1 and 3. a batch without recorded f values, with a schedule and a
+    # sync period per run: row r, with its crossing step, final iterates
+    # and output average (with no target), is its one-seed run under its
+    # own schedules
+    periods = case["syncs"]
+    unrecorded = replace(config, record=replace(config.record, f_values=False))
+    alone = replace(unrecorded, seed=seeds[r], steps=schedules[r], sync=periods[r])
+    for goal in (target, None):
+        mixed = _simulate(unrecorded, objective, seeds, steps=schedules, syncs=periods,
+                          target=goal)
+        if not same_run(mixed, r, run_local_sgd(alone, objective, stop_when=goal),
+                        per_run_periods=True):
+            failed.append("per-run period row" if goal is None else "per-run period target row")
 
     # 4. zero-delay async follows sync.  This and 5 add the same terms in
     # another order, so they agree to rounding of the iterates' size at each

@@ -720,3 +720,83 @@ def test_record_flags_reject_an_f_every_that_is_not_a_positive_integer(f_every):
         RecordFlags(f_every=f_every)
     for ok in (None, 1, 7, np.int64(3)):
         assert RecordFlags(f_every=ok).f_every == ok
+
+
+def test_per_run_periods_evaluate_sync_and_leave_at_their_own_steps(logistic50):
+    # runs with periods 1, 4 and 3 and an evaluation stride of 5: each is
+    # screened, evaluated and left at its limit only at its own steps
+    # (every 5th step and its sync indices), and each row is its one-seed
+    # run under its own sync schedule
+    T, d, limit = 40, logistic50.d, 7
+    f_star = reference_for(logistic50).f_star
+    syncs = [regular_sync_schedule(T, H) for H in (1, 4, 3)]
+    steps = [ConstantStep(c=2.0**i) for i in (-6, -6, -5)]
+    config = RunConfig(K=3, T=T, b=1, sync=syncs[0], steps=steps[0], seed=0,
+                       x0=np.zeros(d), record=RecordFlags(virtual=False, deviations=False,
+                                                          f_values=False, f_every=5))
+    seeds = [2, 5, 2]
+    mixed = _simulate(config, logistic50, seeds, steps=steps, syncs=syncs,
+                      target=(1e-9, f_star), limits=lambda crossed: np.full(3, limit))
+    # the first own evaluation step at or after the limit
+    assert not (mixed.crossed >= 0).any()
+    left = [min(t for t in range(limit, T + 1) if t % 5 == 0 or sync.is_sync(t))
+            for sync in syncs]
+    assert left == [7, 8, 9]
+    own = [sum(1 for t in range(stop + 1) if t % 5 == 0 or sync.is_sync(t))
+           for stop, sync in zip(left, syncs)]
+    assert mixed.points_evaluated + mixed.points_screened == 4 * sum(own)
+    assert mixed.eval_steps.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
+    for r, (seed, schedule, sync) in enumerate(zip(seeds, steps, syncs)):
+        alone = _simulate(replace(config, seed=seed, steps=schedule, sync=sync), logistic50,
+                          [seed], target=(1e-9, f_star),
+                          limits=lambda crossed: np.full(1, limit))
+        assert mixed.final_iterates[r].tobytes() == alone.final_iterates[0].tobytes()
+        assert len(alone.eval_steps) == own[r]
+
+
+def test_per_run_periods_count_the_steps_some_run_syncs_after(quad10):
+    # comm_rounds is the loop's count of steps after which some run took
+    # its worker mean; with one period it is every run's own count
+    T, record = 10, RecordFlags(virtual=False, f_values=False, iterates=True)
+    config = quad_config(quad10, K=2, T=T, H=2, record=record)
+    syncs = [regular_sync_schedule(T, 2), regular_sync_schedule(T, 5)]
+    mixed = _simulate(config, quad10[0], [0, 1], syncs=syncs)
+    assert mixed.comm_rounds == len({2, 4, 6, 8, 10} | {5, 10}) == 6
+    assert _simulate(config, quad10[0], [0, 1]).comm_rounds == 5
+    # the workers of each run agree exactly at its own sync indices only
+    for r, sync in enumerate(syncs):
+        agree = [t for t in range(1, T + 1)
+                 if np.array_equal(mixed.iterates[r, 0, t], mixed.iterates[r, 1, t])]
+        assert agree == list(sync.indices)
+    # a run that has left counts no more: the H = 1 run leaves at its limit,
+    # step 3, before its sync after it, and the H = 5 run goes on to T
+    config = quad_config(quad10, K=2, T=T, H=5,
+                         record=RecordFlags(virtual=False, f_values=False))
+    left = _simulate(config, quad10[0], [0, 1],
+                     syncs=[regular_sync_schedule(T, 1), regular_sync_schedule(T, 5)],
+                     target=(1e-300, quad10[1].f_star), limits=lambda crossed: np.array([3, T]))
+    assert left.crossed.tolist() == [-1, -1]
+    assert left.comm_rounds == len({1, 2, 3} | {5, 10}) == 5
+
+
+@pytest.mark.parametrize("case, message", [
+    ("steps", "need one step schedule per seed, got 1 for 2 seeds"),
+    ("count", "need one sync schedule per seed, got 1 for 2 seeds"),
+    ("horizon", "sync schedule horizon does not match T"),
+    ("f_values", "per-run sync periods need record.f_values off: eval_steps and "
+                 "f_by_scheme have one layout for all runs"),
+    ("exchange", "per-run sync periods do not apply to an async exchange"),
+])
+def test_per_run_periods_reject_what_they_do_not_support(quad10, case, message):
+    # each rule is checked before any oracle call
+    counter = GradientCounter(quad10[0])
+    T, off = 10, RecordFlags(virtual=False, f_values=False)
+    config = quad_config(quad10, K=2, T=T, H=2, record=RecordFlags() if case == "f_values"
+                         else off)
+    syncs = {"count": [regular_sync_schedule(T, 2)],
+             "horizon": [regular_sync_schedule(T, 2), regular_sync_schedule(T + 1, 2)]}.get(
+        case, [regular_sync_schedule(T, 2), regular_sync_schedule(T, 5)])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _simulate(config, counter, [0, 1], steps=[config.steps] if case == "steps" else None,
+                  syncs=syncs, exchange=object() if case == "exchange" else None)
+    assert not counter.counts
