@@ -28,7 +28,7 @@ the measured iteration counts.  The cells of one (eps, K, b, step cap),
 which differ in H only, are searched in lockstep: each round of the group
 is one batch of every cell's round, each run on its own cell's seed and
 sync period, and each cell's rounds and answer are those of its search
-alone.
+alone.  Its count is its winner's own run in a batch: no point runs twice.
 
 Runs are seeded and single-threaded.  With one worker, a job is one such
 group of cells; a pool of W workers, bounded by the LOCALSGD_THREADS
@@ -60,7 +60,7 @@ from .objectives import (
     make_quadratic,
 )
 from .schedules import ConstantStep, ExperimentDecayStep, regular_sync_schedule
-from .sync import _ROUND_FLOATS, RecordFlags, RunConfig, _simulate, run_local_sgd
+from .sync import RecordFlags, RunConfig, _require_integer, _simulate, run_local_sgd
 from .theory import check_cost_ratio, speedup, step_cost
 
 RESULTS_HEADER = [
@@ -94,6 +94,7 @@ class DatasetSpec:
 
 # every c = 2^i with i in this window of grid exponents is a positive finite float
 _GRID_MIN, _GRID_MAX = -1074, 1023
+_ROUND_FLOATS = 1024  # iterate floats (runs x K x d) a grid-search round speculates up to
 
 
 @dataclass(frozen=True)
@@ -114,14 +115,12 @@ class ExperimentConfig:
     lemmas: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, values in (("eps", self.eps_list), ("K", self.K_list),
-                             ("H", self.H_list), ("b", self.b_list)):
-            if not values:
-                raise ConfigError(f"sweep list {name!r} must be nonempty")
         # frozen all the way down, so that no list or keyword changed in
         # place bypasses the checks below
-        for name in ("eps_list", "K_list", "H_list", "b_list"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in ("eps", "K", "H", "b"):
+            if not (values := tuple(getattr(self, f"{name}_list"))):
+                raise ConfigError(f"sweep list {name!r} must be nonempty")
+            object.__setattr__(self, f"{name}_list", values)
         object.__setattr__(self, "lemmas", MappingProxyType(dict(self.lemmas)))
         if not all(isfinite(e) and e > 0 for e in self.eps_list):
             raise ConfigError("eps values must be positive and finite")
@@ -141,6 +140,16 @@ class ExperimentConfig:
             raise ConfigError(f"grid window [{self.i_min}, {self.i_max}] must lie within "
                               f"[{_GRID_MIN}, {_GRID_MAX}], where every c = 2^i is "
                               f"positive and finite")
+        # the one integer rule, after the range checks above keep their messages
+        integers = [(name, value, 1) for name, values in (
+            ("K", self.K_list), ("H", self.H_list), ("b", self.b_list)) for value in values]
+        integers += [("[run] seed", self.seed, 0), ("epoch_cap", self.epoch_cap, 1),
+                     ("i_min", self.i_min, _GRID_MIN), ("i_max", self.i_max, _GRID_MIN)]
+        try:
+            for name, value, least in integers:
+                _require_integer(name, value, least)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         try:
             validate_fixture({**LEMMA_DEFAULTS, **self.lemmas})
         except ValueError as exc:
@@ -400,12 +409,13 @@ def measure_iterations(objective, f_star, K, H, b, eps, seed, step_cap,
                        family, c):
     """Iterations until some tracked average is eps-accurate; None if never.
 
-    One seeded run, stopped at the first qualifying evaluation point
-    (function values are checked at every synchronization index plus a
-    fixed subsampling stride).  A run that diverges never qualifies.  The
-    run records no function values, so `sync._simulate` screens its
-    checks: one that convexity proves cannot reach eps is skipped, and t*
-    is the same as with every value computed.
+    One seeded run, the reference for a grid point's row of a search
+    batch, stopped at the first qualifying evaluation point (function
+    values are checked at every synchronization index plus a fixed
+    subsampling stride).  A run that diverges never qualifies.  The run
+    records no function values, so `sync._simulate` screens its checks:
+    one that convexity proves cannot reach eps is skipped, and t* is the
+    same as with every value computed.
     """
     config = _cell_config(objective, K, H, b, seed, step_cap,
                           _family_steps(family, c, objective.n))
@@ -479,10 +489,10 @@ def grid_search_stepsize(objective, f_star, K, H, b, eps, seed, step_cap,
     keep runs x K x d within `_ROUND_FLOATS`.  A run leaves the batch once
     it is eps-accurate, diverges, or can no longer be its family's best
     point.  Returns (family, c, iterations), with (None, None, None) when
-    no stepsize in the window reaches eps.  The winner is measured again
-    from scratch as a single run and must reproduce its count.  This is
-    the one-cell case of `_search_cells`, and its answer is the same alone
-    or searched beside other cells.
+    no stepsize in the window reaches eps; the iterations are the winner's
+    t* in its batch, which is its `measure_iterations` run.  This is the
+    one-cell case of `_search_cells`, and its answer is the same alone or
+    searched beside other cells.
     """
     return _search_cells(objective, f_star, K, b, eps, step_cap, [(H, seed)], i_min, i_max)[0]
 
@@ -496,9 +506,9 @@ def _search_cells(objective, f_star, K, b, eps, step_cap, cells,
     its rounds, runs and answer are those of its search alone.  A round of
     the group is one `_simulate` batch of the cells' round points, each
     run on its cell's seed and sync period, and `limits` drops the runs of
-    each cell by that cell's tables alone.  Each winner is then confirmed
-    by its own from-scratch run.  Returns one (family, c, iterations) per
-    cell, in order.
+    each cell by that cell's tables alone.  Returns one (family, c,
+    iterations) per cell, in order, `replay_grid` of its tables, whose
+    every t* is its point's own run in a batch: no point runs twice.
     """
     syncs = [regular_sync_schedule(step_cap, H) for H, _ in cells]
 
@@ -511,19 +521,7 @@ def _search_cells(objective, f_star, K, b, eps, step_cap, cells,
 
     tables = _search_rounds(measure, len(cells), i_min, i_max,
                             _ROUND_FLOATS // (K * objective.d))
-    answers = []
-    for (H, seed), measured in zip(cells, tables):
-        family, c, t_star = replay_grid(measured, i_min, i_max)
-        if family is not None:
-            # guard against state leakage: the winner must reproduce from scratch
-            confirm = measure_iterations(objective, f_star, K, H, b, eps, seed,
-                                         step_cap, family, c)
-            if confirm != t_star:
-                raise RuntimeError(
-                    f"grid-search winner did not reproduce: {t_star} vs {confirm}"
-                )
-        answers.append((family, c, t_star))
-    return answers
+    return [replay_grid(measured, i_min, i_max) for measured in tables]
 
 
 def _search_rounds(measure, searches, i_min, i_max, max_runs):

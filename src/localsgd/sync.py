@@ -41,7 +41,6 @@ from .schedules import SyncSchedule, TheoremDecayStep, validate_shift
 
 _CHUNK_STEPS = 1024        # steps drawn from each worker substream at a time
 _BLOCK_ENTRIES = 1 << 15   # gathered entries of one block of gradient plans, at most
-_ROUND_FLOATS = 1024       # iterate floats (runs x K x d) a grid-search round speculates up to
 _DIVERGED = 1e100          # a run whose iterates reach this magnitude has diverged
 
 
@@ -249,8 +248,9 @@ def _simulate(config, objective, seeds, *, steps=None, syncs=None, track_second_
     layout for all runs, and no `exchange`.  `exchange`, an async
     write-plan replay, replaces the worker mean: exchange(t, X) updates
     the post-step iterates in place after every step t, and xbar is
-    exchange.virtual(X), the virtual sequence of all updates.  Its caller
-    checks the shift against H + tau.
+    exchange.virtual(X), the virtual sequence of all updates.  The shift
+    of each schedule is checked against the period of its runs before any
+    oracle call, or by an exchange's caller against H + tau.
 
     Each per-run quantity is one array of the table `runs`, over the
     active runs in run order.  Every run leaves through `keep(stay)`, with
@@ -328,13 +328,14 @@ def _simulate(config, objective, seeds, *, steps=None, syncs=None, track_second_
                          "f_by_scheme have one layout for all runs")
     if per_run and exchange is not None:
         raise ValueError("per-run sync periods do not apply to an async exchange")
+    curvature = objective.curvature()
     if exchange is None:
-        validate_shift(config.steps, objective.curvature(), max(sync.H for sync in syncs))
+        for s, sync in dict.fromkeys(zip(steps, syncs)):
+            validate_shift(s, curvature, sync.H)
     stride = -(-T // 1000) if record.f_every is None else record.f_every
     screen = target is not None and not record.f_values
     # the running averages of SCHEMES feed the function-value evaluations only
     track_averages = record.f_values or target is not None
-    mu = objective.curvature()[0] if screen else 0.0
 
     def is_eval(t, sync):
         """Whether step t, or each of an array of steps, evaluates the
@@ -426,7 +427,7 @@ def _simulate(config, objective, seeds, *, steps=None, syncs=None, track_second_
         point is evaluated."""
         Y = runs["Y"]
         if screen:
-            need = ~_certified_by_any(Y, runs["z"], runs["f_z"], runs["g_z"], mu, *target)
+            need = ~_certified_by_any(Y, runs["z"], runs["f_z"], runs["g_z"], curvature[0], *target)
             need &= ev[:, None]
         else:
             need = ev[:, None].repeat(len(SCHEMES), axis=1)

@@ -156,7 +156,15 @@ def test_experiment_config_rejects_non_finite_values(tmp_path, field, overrides)
     ({"i_min": 3, "i_max": 2}, "grid window is empty (i_min > i_max)"),
     ({"seed": -1}, "[run] seed must be >= 0, got -1"),
     ({"out_dir": ""}, "[output] dir must not be empty"),
-], ids=["K", "H", "b", "epoch_cap", "grid", "seed", "out_dir"])
+    ({"K_list": [2.5]}, "K must be an integer >= 1, got 2.5"),
+    ({"H_list": [True]}, "H must be an integer >= 1, got True"),
+    ({"b_list": [1, 2.0]}, "b must be an integer >= 1, got 2.0"),
+    ({"seed": 1.5}, "[run] seed must be an integer >= 0, got 1.5"),
+    ({"epoch_cap": 1.5}, "epoch_cap must be an integer >= 1, got 1.5"),
+    ({"i_min": -2.5}, "i_min must be an integer >= -1074, got -2.5"),
+    ({"i_max": False}, "i_max must be an integer >= -1074, got False"),
+], ids=["K", "H", "b", "epoch_cap", "grid", "seed", "out_dir", "K-float", "H-bool",
+        "b-float", "seed-float", "epoch_cap-float", "i_min-float", "i_max-bool"])
 def test_experiment_config_rejects_values_out_of_range(tmp_path, overrides, error):
     with pytest.raises(ConfigError, match=f"^{re.escape(error)}$"):
         small_config(tmp_path, **overrides)
@@ -673,10 +681,11 @@ def test_grid_search_matches_the_sequential_search_on_random_cells(logistic50, q
 
 def search_log(monkeypatch):
     """Log the grid search's internals: each `_search_rounds` call's
-    tables and the rounds each of its searches ran in, and the runs of
-    its batches that diverged."""
-    log = {"tables": None, "rounds": None, "diverged": 0}
+    tables and the rounds each of its searches ran in, the runs of its
+    batches that diverged, and the points each search ran speculatively."""
+    log = {"tables": None, "rounds": None, "diverged": 0, "speculative": {}}
     search_rounds, simulate = harness._search_rounds, harness._simulate
+    round_points = harness._round_points
 
     def logged_rounds(measure, searches, *args):
         log["rounds"] = [0] * searches
@@ -692,8 +701,17 @@ def search_log(monkeypatch):
         result = simulate(*args, **kwargs)
         log["diverged"] += int(np.count_nonzero(result.diverged))
         return result
+
+    def logged_points(measured, *args):
+        # a search's tables are one object for its whole run, so they name it
+        points, spare = round_points(measured, *args)
+        if points:
+            log["speculative"].setdefault(id(measured), set()).update(
+                point for point, speculative in zip(points, spare) if speculative)
+        return points, spare
     monkeypatch.setattr(harness, "_search_rounds", logged_rounds)
     monkeypatch.setattr(harness, "_simulate", logged_simulate)
+    monkeypatch.setattr(harness, "_round_points", logged_points)
     return log
 
 
@@ -703,20 +721,28 @@ RANDOM_GROUPS = 6
 def test_grouped_search_matches_each_cell_searched_alone(monkeypatch, logistic50, quad10):
     # groups of 2-4 cells of one (K, b, eps, step cap) with distinct H and
     # seeds, default windows: each cell's answer, t* tables and number of
-    # rounds are those of its search alone.  The groups include
-    # multi-round searches, unreachable cells and diverging points
+    # rounds are those of its search alone, and each reachable cell's t*,
+    # read off its batch, is its winner's from-scratch run.  The groups
+    # include multi-round searches, unreachable cells, diverging points
+    # and winners whose t* a speculative run measured
     objectives = {"synth50": (logistic50, reference_for(logistic50).f_star),
                   "quad10": (quad10[0], quad10[1].f_star)}
     log = search_log(monkeypatch)
-    seen = {"multi-round": 0, "unreachable": 0, "diverged": 0}
+    seen = {"multi-round": 0, "unreachable": 0, "diverged": 0, "speculative winner": 0}
     for group in random_groups(objectives, RANDOM_GROUPS, seed=3):
         objective = objectives[group["name"]][0]
         f_star, K, b, eps, cap = (group[key] for key in ("f_star", "K", "b", "eps", "step_cap"))
-        log["diverged"] = 0
+        log["diverged"], log["speculative"] = 0, {}
         answers = _search_cells(objective, f_star, K, b, eps, cap, group["cells"])
-        tables, rounds = log["tables"], log["rounds"]
+        tables, rounds, speculative = log["tables"], log["rounds"], log["speculative"]
         seen["diverged"] += log["diverged"] > 0
         for k, (H, seed) in enumerate(group["cells"]):
+            family, c, t_star = answers[k]
+            if family is not None:
+                assert t_star == measure_iterations(objective, f_star, K, H, b, eps, seed,
+                                                    cap, family, c), (group, k)
+                seen["speculative winner"] += (
+                    (family, int(np.log2(c))) in speculative[id(tables[k])])
             alone = grid_search_stepsize(objective, f_star, K, H, b, eps, seed, cap)
             assert answers[k] == alone, (group, k)
             assert (log["tables"], log["rounds"]) == ([tables[k]], [rounds[k]]), (group, k)
@@ -896,6 +922,12 @@ def test_logistic_sweep_results_are_byte_stable(tmp_path, monkeypatch):
     # groups, K = 1 and K = 4 of the cells H = 1, 8, run as one job each
     # in-process and as single cells on a pool of two or four workers
     spec = DatasetSpec(kind="libsvm", path=str(DATA / "synth50.libsvm"))
+
+    def second_run(*args, **kwargs):
+        raise AssertionError("a sweep ran a grid point a second time")
+    # every row is read off its search's batches: no grid point runs twice
+    monkeypatch.setattr(harness, "measure_iterations", second_run)
+    monkeypatch.setattr(harness, "run_local_sgd", second_run)
     for threads in ("1", "2", "4"):
         monkeypatch.setenv("LOCALSGD_THREADS", threads)
         config = ExperimentConfig(

@@ -786,6 +786,7 @@ def test_per_run_periods_count_the_steps_some_run_syncs_after(quad10):
     ("f_values", "per-run sync periods need record.f_values off: eval_steps and "
                  "f_by_scheme have one layout for all runs"),
     ("exchange", "per-run sync periods do not apply to an async exchange"),
+    ("shift", "shift a=1.5 must exceed max(16*kappa, window)=64.0 (kappa=4.0, window=5)"),
 ])
 def test_per_run_periods_reject_what_they_do_not_support(quad10, case, message):
     # each rule is checked before any oracle call
@@ -796,7 +797,13 @@ def test_per_run_periods_reject_what_they_do_not_support(quad10, case, message):
     syncs = {"count": [regular_sync_schedule(T, 2)],
              "horizon": [regular_sync_schedule(T, 2), regular_sync_schedule(T + 1, 2)]}.get(
         case, [regular_sync_schedule(T, 2), regular_sync_schedule(T, 5)])
+    # the shift of a schedule a run uses is checked against that run's period
+    bad = TheoremDecayStep(mu=1.0, a=1.5)
+    steps = {"steps": [config.steps], "shift": [config.steps, bad]}.get(case)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        _simulate(config, counter, [0, 1], steps=[config.steps] if case == "steps" else None,
-                  syncs=syncs, exchange=object() if case == "exchange" else None)
+        _simulate(config, counter, [0, 1], steps=steps, syncs=syncs,
+                  exchange=object() if case == "exchange" else None)
     assert not counter.counts
+    if case == "shift":  # and a config.steps that no run uses is not
+        _simulate(replace(config, steps=bad), quad10[0], [0, 1],
+                  steps=[config.steps] * 2, syncs=syncs)
