@@ -34,8 +34,8 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .schedules import validate_shift
-from .sync import _require_integer, _row_zero, _simulate, _worker_mean
+from .schedules import _require_integer, _require_real, validate_shift
+from .sync import _row_zero, _simulate, _worker_mean
 
 
 @dataclass(frozen=True)
@@ -309,11 +309,12 @@ def load_balanced_assignment(speeds, H, n_blocks=4) -> AssignmentPlan:
     pick up lagging sequences, and the returned bound certifies the
     realized staleness of any replay of the plan.
     """
+    speeds = tuple(speeds)
+    for speed in speeds:
+        _require_real("speed", speed, positive=True)
+    for name, value in (("the number of speeds", len(speeds)), ("H", H), ("n_blocks", n_blocks)):
+        _require_integer(name, value, 1)
     speeds = tuple(float(s) for s in speeds)
-    if not speeds or not all(0.0 < s < float("inf") for s in speeds):
-        raise ValueError(f"speeds must be finite and positive, got {speeds}")
-    if H < 1 or n_blocks < 1:
-        raise ValueError("H and n_blocks must be >= 1")
     K = len(speeds)
 
     worker_free = [0.0] * K

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .schedules import _require_real
+
 SCHEMES = ("last", "uniform", "linear", "quadratic")
 
 # The recursions of the averaging schemes after the first: at step t >= 1,
@@ -75,8 +77,7 @@ class ShiftedQuadraticAverage:
     """
 
     def __init__(self, shift):
-        if shift < 1.0:
-            raise ValueError("shift must be >= 1")
+        _require_real("shift", shift, 1)
         self.shift = float(shift)
         self.t = -1
         self.weight_sum = 0.0
@@ -107,9 +108,7 @@ def sum_of_weights(a, T) -> float:
     S_T = (T/6) (2T^2 + 6aT - 3T + 6a^2 - 6a + 1), which is >= T^3 / 3 for
     a >= 1.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if a < 1.0:
-        raise ValueError("shift must be >= 1")
+    _require_real("T", T, 1)
+    _require_real("shift", a, 1)
     T = float(T)
     return (T / 6.0) * (2.0 * T * T + 6.0 * a * T - 3.0 * T + 6.0 * a * a - 6.0 * a + 1.0)

@@ -51,7 +51,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .data import parse_libsvm
+from .data import LibsvmFormatError, parse_libsvm
 from .lemmas import LEMMA_DEFAULTS, LEMMA_HEADER, lemma_suite, validate_fixture
 from .objectives import (
     LogisticObjective,
@@ -59,8 +59,9 @@ from .objectives import (
     ReferenceSolution,
     make_quadratic,
 )
-from .schedules import ConstantStep, ExperimentDecayStep, regular_sync_schedule
-from .sync import RecordFlags, RunConfig, _require_integer, _simulate, run_local_sgd
+from .schedules import (ConstantStep, ExperimentDecayStep, _require_integer, _require_real,
+                        regular_sync_schedule)
+from .sync import RecordFlags, RunConfig, _simulate, run_local_sgd
 from .theory import check_cost_ratio, speedup, step_cost
 
 RESULTS_HEADER = [
@@ -122,32 +123,23 @@ class ExperimentConfig:
                 raise ConfigError(f"sweep list {name!r} must be nonempty")
             object.__setattr__(self, f"{name}_list", values)
         object.__setattr__(self, "lemmas", MappingProxyType(dict(self.lemmas)))
-        if not all(isfinite(e) and e > 0 for e in self.eps_list):
-            raise ConfigError("eps values must be positive and finite")
-        if any(v < 1 for v in self.K_list + self.H_list + self.b_list):
-            raise ConfigError("K, H and b values must be >= 1")
         try:
+            for eps in self.eps_list:
+                _require_real("eps", eps, positive=True)
+            for name in ("K", "H", "b"):
+                for value in getattr(self, f"{name}_list"):
+                    _require_integer(name, value, 1)
             check_cost_ratio(self.rho)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-        if self.seed < 0:
-            raise ConfigError(f"[run] seed must be >= 0, got {self.seed}")
-        if self.epoch_cap < 1:
-            raise ConfigError("epoch_cap must be >= 1")
-        if self.i_min > self.i_max:
-            raise ConfigError("grid window is empty (i_min > i_max)")
-        if self.i_min < _GRID_MIN or self.i_max > _GRID_MAX:
-            raise ConfigError(f"grid window [{self.i_min}, {self.i_max}] must lie within "
-                              f"[{_GRID_MIN}, {_GRID_MAX}], where every c = 2^i is "
-                              f"positive and finite")
-        # the one integer rule, after the range checks above keep their messages
-        integers = [(name, value, 1) for name, values in (
-            ("K", self.K_list), ("H", self.H_list), ("b", self.b_list)) for value in values]
-        integers += [("[run] seed", self.seed, 0), ("epoch_cap", self.epoch_cap, 1),
-                     ("i_min", self.i_min, _GRID_MIN), ("i_max", self.i_max, _GRID_MIN)]
-        try:
-            for name, value, least in integers:
-                _require_integer(name, value, least)
+            _require_integer("[run] seed", self.seed, 0)
+            _require_integer("epoch_cap", self.epoch_cap, 1)
+            if self.i_min > self.i_max:
+                raise ValueError("grid window is empty (i_min > i_max)")
+            if self.i_min < _GRID_MIN or self.i_max > _GRID_MAX:
+                raise ValueError(f"grid window [{self.i_min}, {self.i_max}] must lie within "
+                                 f"[{_GRID_MIN}, {_GRID_MAX}], where every c = 2^i is "
+                                 f"positive and finite")
+            for name in ("i_min", "i_max"):  # integers too, after the window's messages
+                _require_integer(name, getattr(self, name), _GRID_MIN)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         try:
@@ -258,14 +250,11 @@ def load_experiment_config(path) -> ExperimentConfig:
     if "dataset" not in parser:
         raise ConfigError("missing [dataset] section")
     dataset = values.pop("dataset")
-    kind = dataset.get("kind", "")
-    if kind not in _DATASET_KEYS:
-        raise ConfigError(f"dataset.kind must be libsvm or quadratic, got {kind!r}")
+    # `build_problem` checks the kind and the path, as it does for the API
+    kind = dataset.setdefault("kind", "")
     for key in parser["dataset"]:
-        if key not in _DATASET_KEYS[kind]:
+        if kind in _DATASET_KEYS and key not in _DATASET_KEYS[kind]:
             raise ConfigError(f"key {key!r} in [dataset] does not apply to kind {kind}")
-    if kind == "libsvm" and not dataset.get("path"):
-        raise ConfigError("dataset.path is required for libsvm datasets")
     if "sweep" not in parser:
         raise ConfigError("missing [sweep] section")
     for key in ("eps", "K", "H", "b"):
@@ -282,24 +271,26 @@ def build_problem(spec: DatasetSpec):
     The reference solution is analytic for quadratics and computed by a
     truncated Newton-CG solve (Hessian-vector products only, O(n + d)
     memory) for logistic datasets unless the config pins f_star directly.
-    A value the objective or the reference solve rejects, and a tolerance
-    the solve cannot reach, raise a ConfigError naming [dataset], and so
-    does a dataset file that cannot be read as UTF-8 text.
+    An unknown kind, a libsvm spec without a path, a value the objective or
+    the reference solve rejects, a tolerance the solve cannot reach and a
+    dataset file that cannot be read or parsed raise a ConfigError.
     """
-    if spec.kind == "libsvm":
-        try:
-            with open(spec.path, "r", encoding="utf-8") as fh:
-                dataset = parse_libsvm(fh, declared_dimension=spec.dimension)
-        except OSError as exc:  # a missing file, a directory, no permission
-            raise ConfigError(str(exc)) from None
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"dataset {spec.path!r} is not UTF-8 text: {exc}") from None
+    if spec.kind not in _DATASET_KEYS:
+        raise ConfigError(f"dataset.kind must be libsvm or quadratic, got {spec.kind!r}")
+    if spec.kind == "libsvm" and not spec.path:
+        raise ConfigError("dataset.path is required for libsvm datasets")
     try:
+        if spec.f_star is not None:
+            _require_real("f_star", spec.f_star)
         if spec.kind == "quadratic":
             objective, reference, _ = make_quadratic(
                 spec.d, spec.mu, spec.L, spec.n, spec.noise, spec.seed
             )
         else:
+            if spec.dimension is not None:
+                _require_integer("dimension", spec.dimension, 1)
+            with open(spec.path, "r", encoding="utf-8") as fh:
+                dataset = parse_libsvm(fh, declared_dimension=spec.dimension)
             objective, reference = LogisticObjective(dataset, lam=spec.lam), None
         if spec.f_star is not None:
             x_ref = reference.x_star if reference is not None else np.zeros(objective.d)
@@ -307,6 +298,10 @@ def build_problem(spec: DatasetSpec):
                                           provenance="numeric")
         elif reference is None:
             reference = reference_for(objective, tolerance=spec.fstar_tolerance)
+    except (OSError, LibsvmFormatError) as exc:  # a missing file, a directory, a bad line
+        raise ConfigError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"dataset {spec.path!r} is not UTF-8 text: {exc}") from None
     except (ValueError, RuntimeError) as exc:
         raise ConfigError(f"bad value in [dataset]: {exc}")
     return objective, reference
@@ -332,8 +327,7 @@ def reference_for(objective, tolerance=DatasetSpec.fstar_tolerance) -> Reference
     iterate sits at the rounding floor and the solve raises instead of
     spinning.
     """
-    if not (isfinite(tolerance) and tolerance > 0.0):
-        raise ValueError(f"reference tolerance must be finite and positive, got {tolerance}")
+    _require_real("reference tolerance", tolerance, positive=True)
     if isinstance(objective, QuadraticObjective):
         return objective.reference_solution()
     if objective.lam <= 0.0:

@@ -33,7 +33,7 @@ from . import sync
 from .asynchronous import (DelayModel, measured_delay,  # noqa: F401
                            run_async_ensemble, run_async_local_sgd)
 from .averaging import sum_of_weights
-from .schedules import TheoremDecayStep, regular_sync_schedule, theorem_steps
+from .schedules import TheoremDecayStep, _require_integer, regular_sync_schedule, theorem_steps
 from .sync import RecordFlags, RunConfig, run_local_sgd_ensemble
 
 _PERTURBED_POINTS = 64  # steps the perturbed-step check tests, evenly spaced
@@ -86,8 +86,7 @@ class CheckReport:
 
 def _run_seeds(seed, count):
     """Deterministic per-run integer seeds derived from a master seed, two or more."""
-    if count < 2:
-        raise ValueError(f"runs must be >= 2, got {count}")
+    _require_integer("runs", count, 2)
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)]
 
 
@@ -101,8 +100,7 @@ def check_variance_reduction(objective, states, trials, seed=0) -> CheckReport:
     reported, since the aggregate noise of independent draws is the sum of
     the per-worker variances.
     """
-    if trials < 100:
-        raise ValueError("need at least 100 resampling trials")
+    _require_integer("trials", trials, 100)
     states = [np.asarray(x, dtype=np.float64) for x in states]
     K = len(states)
     rng = np.random.default_rng(seed)
@@ -262,7 +260,7 @@ def check_recursion_lemma(a, mu, A, B, C, T, sequence_builder) -> CheckReport:
     """
     if A <= 0 or B < 0 or C < 0 or mu <= 0 or a <= 1:
         raise ValueError("require A > 0, B, C >= 0, mu > 0, a > 1")
-    sync._require_integer("T", T, 1)
+    _require_integer("T", T, 1)
     eta = 4.0 / (mu * (a + np.arange(T, dtype=np.float64)))
     a_seq, e_seq = sequence_builder(T, eta)
     a_seq = np.asarray(a_seq, dtype=np.float64)
@@ -339,12 +337,9 @@ def check_async_deviation(config, delay, objective, runs, seed=0) -> CheckReport
 
 def validate_fixture(params):
     """Raise ValueError unless the lemma_suite parameters `params` are in range."""
-    for key, low in (("runs", 2), ("trials", 100), ("K", 1), ("H", 1), ("T", 1),
-                     ("b", 1), ("tau", 0), ("seed", 0)):
-        if params[key] < low:
-            raise ValueError(f"{key} must be >= {low}, got {params[key]}")
-    if params["H"] > params["T"]:
-        raise ValueError("H must be <= T")
+    for key, low in (("runs", 2), ("trials", 100), ("K", 1), ("b", 1), ("tau", 0), ("seed", 0)):
+        _require_integer(key, params[key], low)
+    regular_sync_schedule(params["T"], params["H"])  # T and H integers >= 1, H <= T
 
 
 def lemma_suite(objective, reference, *, runs=1000, trials=4000, K=4, H=4, T=64, b=1,

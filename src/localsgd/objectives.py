@@ -17,12 +17,12 @@ which makes it the fixture of choice for verifying bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite
 
 import numpy as np
 from scipy.special import expit
 
 from .data import Dataset
+from .schedules import _require_integer, _require_real
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,12 @@ class ProblemConstants:
     G_sq: float
 
     def __post_init__(self):
-        if not (self.mu > 0.0):
-            raise ValueError("strong convexity constant must be positive")
+        _require_real("mu", self.mu, positive=True)
+        _require_real("L", self.L)
         if self.L < self.mu:
             raise ValueError("smoothness constant must be >= strong convexity")
-        if self.sigma_sq < 0.0 or self.G_sq < 0.0:
-            raise ValueError("noise bounds must be nonnegative")
+        _require_real("sigma_sq", self.sigma_sq, 0)
+        _require_real("G_sq", self.G_sq, 0)
 
     @property
     def kappa(self) -> float:
@@ -171,9 +171,9 @@ class LogisticObjective(_Oracles):
 
     def __init__(self, dataset: Dataset, lam=None):
         self.dataset = dataset
+        if lam is not None:
+            _require_real("regularization", lam, 0)
         self.lam = 1.0 / dataset.n if lam is None else float(lam)
-        if not (isfinite(self.lam) and self.lam >= 0.0):
-            raise ValueError(f"regularization must be finite and nonnegative, got {self.lam}")
         self.n = dataset.n
         self.d = dataset.d
         self._A = dataset.features
@@ -371,12 +371,13 @@ def make_quadratic(d, mu, L, n, noise, seed):
     exact constants (G_sq reported at the minimizer, where the second
     moment equals the variance).
     """
-    if not (0.0 < mu <= L < inf):
+    _require_real("mu", mu, positive=True)
+    _require_real("L", L)
+    if L < mu:
         raise ValueError("require finite 0 < mu <= L")
-    if not (0.0 <= noise < inf):
-        raise ValueError(f"noise must be finite and nonnegative, got {noise}")
-    if d < 1 or n < 1:
-        raise ValueError("require d >= 1 and n >= 1")
+    _require_real("noise", noise, 0)
+    for name, value, least in (("d", d, 1), ("n", n, 1), ("seed", seed, 0)):
+        _require_integer(name, value, least)
     if d == 1 and mu != L:
         raise ValueError("a one-dimensional spectrum cannot attain both mu and L")
     if n == 1 and noise != 0.0:

@@ -6,11 +6,31 @@ largest distance between consecutive indices (with 0 prepended, since all
 workers start aligned).
 Stepsize schedules cover the decaying schedule required by the convergence
 bounds and the two families used in the experiments.
+
+The package's two rules on numbers, `_require_integer` and `_require_real`,
+are stated here, in the one module that imports nothing from the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf, isfinite
+from numbers import Integral, Real
+
+
+def _require_integer(name, value, least):
+    """Reject `value` unless it is an integer >= least; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _require_real(name, value, least=-inf, positive=False):
+    """Reject `value` unless it is a finite real >= least, > 0 if `positive`; a bool is not one."""
+    if (isinstance(value, bool) or not isinstance(value, Real) or not isfinite(value)
+            or value < least or positive and value <= 0):
+        bound = (" and positive" if positive else "" if least == -inf
+                 else " and nonnegative" if least == 0 else f" and >= {least}")
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -26,8 +46,10 @@ class SyncSchedule:
     H: int
 
     def __post_init__(self):
-        if self.H < 1 or self.H > self.T:
-            raise ValueError("require 1 <= H <= T")
+        _require_integer("T", self.T, 1)
+        _require_integer("H", self.H, 1)
+        if self.H > self.T:
+            raise ValueError("H must be <= T")
 
     def is_sync(self, t):
         return (0 < t) & (t <= self.T) & ((t % self.H == 0) | (t == self.T))
@@ -56,8 +78,8 @@ class TheoremDecayStep:
     a: float
 
     def __post_init__(self):
-        if self.mu <= 0.0 or self.a <= 0.0:
-            raise ValueError("mu and a must be positive")
+        _require_real("mu", self.mu, positive=True)
+        _require_real("a", self.a, positive=True)
 
     def eta(self, t) -> float:
         if t < 0:
@@ -72,8 +94,7 @@ class ConstantStep:
     c: float
 
     def __post_init__(self):
-        if self.c <= 0.0:
-            raise ValueError("c must be positive")
+        _require_real("c", self.c, positive=True)
 
     def eta(self, t) -> float:
         if t < 0:
@@ -89,8 +110,8 @@ class ExperimentDecayStep:
     n: int
 
     def __post_init__(self):
-        if self.c <= 0.0 or self.n < 1:
-            raise ValueError("c and n must be positive")
+        _require_real("c", self.c, positive=True)
+        _require_integer("n", self.n, 1)
 
     def eta(self, t) -> float:
         if t < 0:

@@ -32,22 +32,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
 from .averaging import SCHEMES, recursion_weights
-from .schedules import SyncSchedule, TheoremDecayStep, validate_shift
+from .schedules import (SyncSchedule, TheoremDecayStep, _require_integer, _require_real,
+                        validate_shift)
 
 _CHUNK_STEPS = 1024        # steps drawn from each worker substream at a time
 _BLOCK_ENTRIES = 1 << 15   # gathered entries of one block of gradient plans, at most
 _DIVERGED = 1e100          # a run whose iterates reach this magnitude has diverged
-
-
-def _require_integer(name, value, least):
-    """Reject `value` unless it is an integer >= least; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -83,9 +77,8 @@ class RunConfig:
     record: RecordFlags = field(default_factory=RecordFlags)
 
     def __post_init__(self):
-        for name in ("K", "T", "b"):
-            _require_integer(name, getattr(self, name), 1)
-        _require_integer("seed", self.seed, 0)
+        for name, least in (("K", 1), ("T", 1), ("b", 1), ("seed", 0)):
+            _require_integer(name, getattr(self, name), least)
         if self.sync.T != self.T:
             raise ValueError("sync schedule horizon does not match T")
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=np.float64))
@@ -311,8 +304,9 @@ def _simulate(config, objective, seeds, *, steps=None, syncs=None, track_second_
         _require_integer("seed", seed, 0)
     if config.x0.shape[-1] != objective.d:
         raise ValueError("x0 dimension does not match the objective")
-    if target is not None and not target[0] > 0.0:
-        raise ValueError("target accuracy must be positive")
+    if target is not None:
+        _require_real("target accuracy", target[0], positive=True)
+        _require_real("target f_star", target[1])
     S, K, T, d, record = len(seeds), config.K, config.T, objective.d, config.record
     steps = [config.steps] * S if steps is None else steps
     syncs = [config.sync] * S if syncs is None else syncs

@@ -10,16 +10,15 @@ gradient-computation times per exchanged vector.
 
 from __future__ import annotations
 
-from math import isfinite, sqrt
+from math import sqrt
 
 from .averaging import sum_of_weights
-from .schedules import TheoremDecayStep, validate_shift
+from .schedules import TheoremDecayStep, _require_real, validate_shift
 
 
 def _check_positive(**kwargs):
     for name, value in kwargs.items():
-        if not (isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+        _require_real(name, value, positive=True)
 
 
 def theorem1_bound(constants, K, T, H, b, a, r0) -> float:
@@ -34,10 +33,7 @@ def theorem1_bound(constants, K, T, H, b, a, r0) -> float:
     a > max(16 kappa, H).  A mini-batch of size b scales the variance term
     by 1/b.
     """
-    _check_positive(K=K, T=T, H=H, b=b)
-    if r0 < 0:
-        raise ValueError("r0 must be nonnegative")
-    return _suboptimality_bound(constants, K, T, b, a, r0, 256.0, H)
+    return _suboptimality_bound(constants, K, T, H, b, a, r0, 256.0, H)
 
 
 def theorem2_bound(constants, K, T, H, tau, b, a, r0) -> float:
@@ -47,17 +43,17 @@ def theorem2_bound(constants, K, T, H, tau, b, a, r0) -> float:
     768 T G^2 (H + tau)^2 L / (mu^2 S_T) and the shift must satisfy
     a > max(16 kappa, H + tau).
     """
-    _check_positive(K=K, T=T, H=H, b=b)
-    if r0 < 0 or tau < 0:
-        raise ValueError("r0 and tau must be nonnegative")
-    return _suboptimality_bound(constants, K, T, b, a, r0, 768.0, H + tau)
+    _require_real("tau", tau, 0)
+    return _suboptimality_bound(constants, K, T, H, b, a, r0, 768.0, H + tau)
 
 
-def _suboptimality_bound(constants, K, T, b, a, r0, drift_constant, window):
+def _suboptimality_bound(constants, K, T, H, b, a, r0, drift_constant, window):
     """Bias + variance + drift, the drift being
     drift_constant T G^2 window^2 L / (mu^2 S_T); requires
     a > max(16 kappa, window).
     """
+    _check_positive(K=K, T=T, H=H, b=b)
+    _require_real("r0", r0, 0)
     validate_shift(TheoremDecayStep(mu=constants.mu, a=a), (constants.mu, constants.L),
                    window)
     S_T = sum_of_weights(a, T)
@@ -117,8 +113,7 @@ def step_cost(K, H, rho) -> float:
 
 def check_cost_ratio(rho) -> None:
     """Reject a cost ratio rho (gradient times per exchanged vector) unless finite and >= 1."""
-    if not (isfinite(rho) and rho >= 1):
-        raise ValueError(f"cost ratio rho must be finite and >= 1, got {rho}")
+    _require_real("cost ratio rho", rho, 1)
 
 
 def speedup(K, H, eps, rho) -> float:
@@ -134,6 +129,5 @@ def speedup(K, H, eps, rho) -> float:
     """
     _check_positive(K=K, H=H)
     check_cost_ratio(rho)
-    if not (isfinite(eps) and eps >= 0.0):
-        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
+    _require_real("eps", eps, 0)
     return K * _accuracy_factor(eps, H, 1) / (_accuracy_factor(eps, H, K) * step_cost(K, H, rho))

@@ -241,7 +241,8 @@ def perturbed_by_loop(result, objective, reference, steps, points, mu, L):
 
 
 class GradientCounter:
-    """An objective that counts the calls to its value and gradient oracles.
+    """An objective that counts the calls to its value, gradient, variance and
+    second-moment oracles.
 
     `counts` maps each oracle name to its calls, and `calls` is the
     number of gradient oracle calls.
@@ -257,7 +258,7 @@ class GradientCounter:
 
     def __getattr__(self, name):
         attr = getattr(self.objective, name)
-        if "gradient" not in name and "value" not in name:
+        if not any(kind in name for kind in ("gradient", "value", "variance", "moment")):
             return attr
 
         def counted(*args, **kwargs):

@@ -219,11 +219,11 @@ def test_ensemble_staleness_is_the_measured_delay_of_the_plan(quad10, delay):
     assert run_local_sgd_ensemble(config, obj, [1, 2]).staleness == 0
 
 
-@pytest.mark.parametrize("speed", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("speed", [np.nan, np.inf, 0.0, -1.0, True])
 def test_load_balancing_rejects_a_speed_that_is_not_finite_and_positive(quad10, speed):
     # a NaN speed used to end in a KeyError, and an infinite one in a plan
-    # of zero-length blocks
-    message = r"^speeds must be finite and positive, got \(1\.0, "
+    # of zero-length blocks; a bool is not a number
+    message = f"^speed must be finite and positive, got {speed!r}$"
     with pytest.raises(ValueError, match=message):
         load_balanced_assignment([1.0, speed], H=4)
     counter = GradientCounter(quad10[0])
@@ -262,9 +262,16 @@ def test_load_balancing_plans():
 
     with pytest.raises(ValueError):
         load_balanced_assignment([1.0, -1.0], H=2)
-    for H, n_blocks in ((0, 2), (2, 0)):
-        with pytest.raises(ValueError, match="^H and n_blocks must be >= 1$"):
+    for H, n_blocks, message in ((0, 2, "H must be an integer >= 1, got 0"),
+                                 (2, 0, "n_blocks must be an integer >= 1, got 0"),
+                                 (2.5, 2, "H must be an integer >= 1, got 2.5"),
+                                 (True, 2, "H must be an integer >= 1, got True"),
+                                 (2, 2.0, "n_blocks must be an integer >= 1, got 2.0"),
+                                 (2, float("inf"), "n_blocks must be an integer >= 1, got inf")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             load_balanced_assignment([1.0, 1.0], H=H, n_blocks=n_blocks)
+    with pytest.raises(ValueError, match="^the number of speeds must be an integer >= 1, got 0$"):
+        load_balanced_assignment([], H=2)
 
 
 def test_load_balancing_bound_equals_the_scan_over_all_blocks():

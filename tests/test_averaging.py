@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -100,8 +102,10 @@ def test_out_of_order_updates_rejected():
 def test_averages_reject_an_unknown_scheme_and_a_shift_below_one():
     with pytest.raises(ValueError, match="^unknown averaging scheme 'median'$"):
         RunningAverage("median")
-    with pytest.raises(ValueError, match="^shift must be >= 1$"):
-        ShiftedQuadraticAverage(0.5)
+    for shift in (0.5, float("nan"), float("inf"), True):
+        message = f"shift must be finite and >= 1, got {shift!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ShiftedQuadraticAverage(shift)
 
 
 def test_sum_of_weights_examples():
@@ -155,3 +159,11 @@ def test_sum_of_weights_validation():
         sum_of_weights(0.5, 10)
     with pytest.raises(ValueError):
         sum_of_weights(2.0, 0)
+    # T is real here, but a bool is not a number, nor NaN or inf a finite one
+    for a, T, message in ((2.0, True, "T must be finite and >= 1, got True"),
+                          (2.0, float("inf"), "T must be finite and >= 1, got inf"),
+                          (2.0, float("nan"), "T must be finite and >= 1, got nan"),
+                          (float("nan"), 10, "shift must be finite and >= 1, got nan"),
+                          (True, 10, "shift must be finite and >= 1, got True")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sum_of_weights(a, T)

@@ -183,3 +183,27 @@ def test_no_module_raises_or_catches_a_floating_point_error():
     found = {path.name: list(_floating_point_errors(path))
              for path in sorted((REPO_ROOT / "src" / "localsgd").glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# the two rules on numbers, whose messages only `schedules.py` may format
+NUMBER_RULES = ("must be an integer >=", "must be finite")
+
+
+def _number_rule_messages(path):
+    """(line, text) of each string piece of a raised message that states a number rule."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            for piece in ast.walk(node.exc):
+                if isinstance(piece, ast.Constant) and isinstance(piece.value, str) and any(
+                        rule in piece.value for rule in NUMBER_RULES):
+                    yield piece.lineno, piece.value
+
+
+def test_only_schedules_states_the_integer_and_the_real_number_rule():
+    # every other door calls `_require_integer` or `_require_real`, so no
+    # weaker copy of either rule can let a bad value through
+    found = {path.name: list(_number_rule_messages(path))
+             for path in sorted((REPO_ROOT / "src" / "localsgd").glob("*.py"))}
+    assert list(found["schedules.py"])
+    assert {name: lines for name, lines in found.items()
+            if lines and name != "schedules.py"} == {}

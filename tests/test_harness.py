@@ -101,12 +101,17 @@ dir = somewhere
 
     with pytest.raises(ConfigError, match="dataset"):
         load_experiment_config(write_config(tmp_path, "[sweep]\neps = 1\nK = 1\nH = 1\nb = 1\n"))
-    with pytest.raises(ConfigError, match="kind"):
-        load_experiment_config(write_config(tmp_path, "[dataset]\nkind = bogus\n\n[sweep]\neps = 1\nK = 1\nH = 1\nb = 1\n"))
+    # the kind and the path are checked where a spec built in Python is checked too
+    bogus = load_experiment_config(write_config(
+        tmp_path, "[dataset]\nkind = bogus\n\n[sweep]\neps = 1\nK = 1\nH = 1\nb = 1\n"))
+    with pytest.raises(ConfigError, match="^dataset.kind must be libsvm or quadratic, got 'bogus"):
+        build_problem(bogus.dataset)
     with pytest.raises(ConfigError, match="sweep.K"):
         load_experiment_config(write_config(tmp_path, "[dataset]\nkind = quadratic\n\n[sweep]\neps = 1\nH = 1\nb = 1\n"))
-    with pytest.raises(ConfigError, match="path"):
-        load_experiment_config(write_config(tmp_path, "[dataset]\nkind = libsvm\n\n[sweep]\neps = 1\nK = 1\nH = 1\nb = 1\n"))
+    no_path = load_experiment_config(write_config(
+        tmp_path, "[dataset]\nkind = libsvm\n\n[sweep]\neps = 1\nK = 1\nH = 1\nb = 1\n"))
+    with pytest.raises(ConfigError, match="^dataset.path is required for libsvm datasets$"):
+        build_problem(no_path.dataset)
     with pytest.raises(ConfigError):
         load_experiment_config(tmp_path / "missing.ini")
 
@@ -149,12 +154,12 @@ def test_experiment_config_rejects_non_finite_values(tmp_path, field, overrides)
 
 
 @pytest.mark.parametrize("overrides, error", [
-    ({"K_list": [1, 0]}, "K, H and b values must be >= 1"),
-    ({"H_list": [0]}, "K, H and b values must be >= 1"),
-    ({"b_list": [0]}, "K, H and b values must be >= 1"),
-    ({"epoch_cap": 0}, "epoch_cap must be >= 1"),
+    ({"K_list": [1, 0]}, "K must be an integer >= 1, got 0"),
+    ({"H_list": [0]}, "H must be an integer >= 1, got 0"),
+    ({"b_list": [0]}, "b must be an integer >= 1, got 0"),
+    ({"epoch_cap": 0}, "epoch_cap must be an integer >= 1, got 0"),
     ({"i_min": 3, "i_max": 2}, "grid window is empty (i_min > i_max)"),
-    ({"seed": -1}, "[run] seed must be >= 0, got -1"),
+    ({"seed": -1}, "[run] seed must be an integer >= 0, got -1"),
     ({"out_dir": ""}, "[output] dir must not be empty"),
     ({"K_list": [2.5]}, "K must be an integer >= 1, got 2.5"),
     ({"H_list": [True]}, "H must be an integer >= 1, got True"),
@@ -163,11 +168,52 @@ def test_experiment_config_rejects_non_finite_values(tmp_path, field, overrides)
     ({"epoch_cap": 1.5}, "epoch_cap must be an integer >= 1, got 1.5"),
     ({"i_min": -2.5}, "i_min must be an integer >= -1074, got -2.5"),
     ({"i_max": False}, "i_max must be an integer >= -1074, got False"),
+    ({"eps_list": [True]}, "eps must be finite and positive, got True"),
+    ({"rho": True}, "cost ratio rho must be finite and >= 1, got True"),
+    ({"K_list": ["2"]}, "K must be an integer >= 1, got '2'"),
+    ({"eps_list": ["0.1"]}, "eps must be finite and positive, got '0.1'"),
 ], ids=["K", "H", "b", "epoch_cap", "grid", "seed", "out_dir", "K-float", "H-bool",
-        "b-float", "seed-float", "epoch_cap-float", "i_min-float", "i_max-bool"])
+        "b-float", "seed-float", "epoch_cap-float", "i_min-float", "i_max-bool", "eps-bool",
+        "rho-bool", "K-text", "eps-text"])
 def test_experiment_config_rejects_values_out_of_range(tmp_path, overrides, error):
     with pytest.raises(ConfigError, match=f"^{re.escape(error)}$"):
         small_config(tmp_path, **overrides)
+
+
+SYNTH50 = str(DATA / "synth50.libsvm")
+
+
+@pytest.mark.parametrize("command", [run_experiment, verify_lemmas])
+@pytest.mark.parametrize("overrides, error", [
+    ({"dataset": DatasetSpec(kind="libsvm", path=SYNTH50, fstar_tolerance=True)},
+     "bad value in [dataset]: reference tolerance must be finite and positive, got True"),
+    ({"dataset": DatasetSpec(kind="libsvm", path=SYNTH50, lam=True)},
+     "bad value in [dataset]: regularization must be finite and nonnegative, got True"),
+    ({"dataset": quad_spec(d=2.5)}, "bad value in [dataset]: d must be an integer >= 1, got 2.5"),
+    ({"dataset": quad_spec(n=True)},
+     "bad value in [dataset]: n must be an integer >= 1, got True"),
+    ({"dataset": quad_spec(seed=1.5)},
+     "bad value in [dataset]: seed must be an integer >= 0, got 1.5"),
+    ({"lemmas": {"runs": 2.5}}, "lemmas.runs must be an integer >= 2, got 2.5"),
+    ({"dataset": quad_spec(kind="bogus")},
+     "dataset.kind must be libsvm or quadratic, got 'bogus'"),
+    ({"dataset": DatasetSpec(kind="libsvm")}, "dataset.path is required for libsvm datasets"),
+    ({"dataset": quad_spec(f_star=float("nan"))},
+     "bad value in [dataset]: f_star must be finite, got nan"),
+    ({"dataset": DatasetSpec(kind="libsvm", path=SYNTH50, f_star="0.5")},
+     "bad value in [dataset]: f_star must be finite, got '0.5'"),
+    ({"dataset": DatasetSpec(kind="libsvm", path=SYNTH50, dimension=300.0)},
+     "bad value in [dataset]: dimension must be an integer >= 1, got 300.0"),
+    ({"dataset": DatasetSpec(kind="libsvm", path=SYNTH50, dimension=2.5)},
+     "bad value in [dataset]: dimension must be an integer >= 1, got 2.5"),
+], ids=["fstar_tolerance-bool", "lam-bool", "d-float", "n-bool", "seed-float",
+        "lemmas-runs-float", "kind", "no-path", "f_star-nan", "f_star-text", "dimension-float",
+        "dimension-fraction"])
+def test_a_bad_value_is_a_config_error_before_any_directory(tmp_path, command, overrides,
+                                                            error):
+    with pytest.raises(ConfigError, match=f"^{re.escape(error)}$"):
+        command(small_config(tmp_path, **overrides))
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("i_min, i_max, accepted", [
@@ -1327,8 +1373,8 @@ def test_config_reader_rejects_a_bad_value_or_a_missing_sweep(tmp_path, body, er
 
 @pytest.mark.parametrize("command", ["run", "verify-lemmas"])
 @pytest.mark.parametrize("extra, args, error", [
-    ("[run]\nseed = -1\n", [], "[run] seed must be >= 0, got -1"),
-    ("[lemmas]\nseed = -1\n", [], "lemmas.seed must be >= 0, got -1"),
+    ("[run]\nseed = -1\n", [], "[run] seed must be an integer >= 0, got -1"),
+    ("[lemmas]\nseed = -1\n", [], "lemmas.seed must be an integer >= 0, got -1"),
     ("[output]\ndir =\n", [], "[output] dir must not be empty"),
     ("", ["--out", ""], "[output] dir must not be empty"),
 ], ids=["run-seed", "lemmas-seed", "empty-dir", "empty-out"])

@@ -96,6 +96,8 @@ def test_variance_reduction_rejects_few_trials(quad10):
     obj, _, _ = quad10
     with pytest.raises(ValueError, match="100"):
         check_variance_reduction(obj, [np.zeros(obj.d)], trials=50)
+    with pytest.raises(ValueError, match="^trials must be an integer >= 100, got 150.5$"):
+        check_variance_reduction(obj, [np.zeros(obj.d)], trials=150.5)
 
 
 # --- synchronous deviation ----------------------------------------------
@@ -142,7 +144,7 @@ def test_statistical_checks_need_two_runs_before_any_oracle_call(quad10, check, 
            "perturbed-step": lambda: check_perturbed_inequality(config, counter, ref, runs),
            "async-deviation": lambda: check_async_deviation(
                config, DelayModel("fixed", tau=2), counter, runs)}[check]
-    with pytest.raises(ValueError, match=f"runs must be >= 2, got {runs}"):
+    with pytest.raises(ValueError, match=f"^runs must be an integer >= 2, got {runs}$"):
         run()
     assert not counter.counts
 
@@ -572,11 +574,16 @@ FIXTURE_LOWEST = {"runs": 2, "trials": 100, "K": 1, "H": 4, "T": 4, "b": 1, "tau
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("runs", 1, "runs must be >= 2, got 1"), ("trials", 99, "trials must be >= 100, got 99"),
-    ("K", 0, "K must be >= 1, got 0"), ("H", 0, "H must be >= 1, got 0"),
-    ("T", 0, "T must be >= 1, got 0"), ("b", 0, "b must be >= 1, got 0"),
-    ("tau", -1, "tau must be >= 0, got -1"), ("seed", -1, "seed must be >= 0, got -1"),
+    ("runs", 1, "runs must be an integer >= 2, got 1"),
+    ("trials", 99, "trials must be an integer >= 100, got 99"),
+    ("K", 0, "K must be an integer >= 1, got 0"), ("H", 0, "H must be an integer >= 1, got 0"),
+    ("T", 0, "T must be an integer >= 1, got 0"), ("b", 0, "b must be an integer >= 1, got 0"),
+    ("tau", -1, "tau must be an integer >= 0, got -1"),
+    ("seed", -1, "seed must be an integer >= 0, got -1"),
     ("H", 5, "H must be <= T"),
+    ("runs", 2.5, "runs must be an integer >= 2, got 2.5"),
+    ("K", True, "K must be an integer >= 1, got True"),
+    ("seed", 1.5, "seed must be an integer >= 0, got 1.5"),
 ])
 def test_lemma_suite_rejects_an_out_of_range_parameter_before_any_gradient(quad10, field,
                                                                            value, message):
@@ -584,7 +591,7 @@ def test_lemma_suite_rejects_an_out_of_range_parameter_before_any_gradient(quad1
     counter = GradientCounter(obj)
     with pytest.raises(ValueError, match=f"^{message}$"):
         lemma_suite(counter, ref, **{**FIXTURE_LOWEST, field: value})
-    assert counter.calls == 0
+    assert not counter.counts
 
 
 def test_lemma_suite_accepts_the_lowest_parameters(quad10):

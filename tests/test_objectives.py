@@ -70,7 +70,7 @@ def test_hessian_product_is_symmetric_and_matches_gradient_differences(logistic5
         assert np.linalg.norm(fd - Hv) <= 1e-7 * np.linalg.norm(Hv)
 
 
-@pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf"), True, "0.1"])
 def test_logistic_rejects_a_bad_lambda(synth50, lam):
     with pytest.raises(ValueError, match="regularization"):
         LogisticObjective(synth50, lam=lam)
@@ -262,6 +262,16 @@ def test_make_quadratic_rejects_bad_args():
         make_quadratic(d=1, mu=1.0, L=2.0, n=4, noise=0.0, seed=0)
     with pytest.raises(ValueError):
         make_quadratic(d=2, mu=1.0, L=2.0, n=1, noise=0.5, seed=0)
+    # a count is an integer, and a bool is not one
+    for bad, message in (({"d": 2.5}, "d must be an integer >= 1, got 2.5"),
+                         ({"d": True, "L": 1.0}, "d must be an integer >= 1, got True"),
+                         ({"n": True}, "n must be an integer >= 1, got True"),
+                         ({"n": 8.0}, "n must be an integer >= 1, got 8.0"),
+                         ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+                         ({"mu": True}, "mu must be finite and positive, got True")):
+        args = {"d": 2, "mu": 1.0, "L": 2.0, "n": 8, "noise": 0.0, "seed": 0, **bad}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_quadratic(**args)
 
 
 def test_estimate_constants_noiseless_quadratic():
@@ -335,9 +345,15 @@ def test_problem_constants_validation():
         ProblemConstants(L=1.0, mu=2.0, sigma_sq=0.0, G_sq=0.0)
     with pytest.raises(ValueError):
         ProblemConstants(L=1.0, mu=0.0, sigma_sq=0.0, G_sq=0.0)
-    for sigma_sq, G_sq in ((-1.0, 0.0), (0.0, -1.0)):
-        with pytest.raises(ValueError, match="^noise bounds must be nonnegative$"):
-            ProblemConstants(L=1.0, mu=1.0, sigma_sq=sigma_sq, G_sq=G_sq)
+    for bad, message in (({"sigma_sq": -1.0}, "sigma_sq must be finite and nonnegative, got -1.0"),
+                         ({"G_sq": -1.0}, "G_sq must be finite and nonnegative, got -1.0"),
+                         ({"sigma_sq": np.nan}, "sigma_sq must be finite and nonnegative, got nan"),
+                         ({"G_sq": np.inf}, "G_sq must be finite and nonnegative, got inf"),
+                         ({"L": np.inf}, "L must be finite, got inf"),
+                         ({"mu": np.nan}, "mu must be finite and positive, got nan"),
+                         ({"mu": True}, "mu must be finite and positive, got True")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ProblemConstants(**{"L": 1.0, "mu": 1.0, "sigma_sq": 0.0, "G_sq": 0.0, **bad})
     const = ProblemConstants(L=4.0, mu=1.0, sigma_sq=1.0, G_sq=2.0)
     assert const.kappa == 4.0
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,13 @@ def test_regular_schedule_examples():
         regular_sync_schedule(10, 0)
     with pytest.raises(ValueError):
         regular_sync_schedule(10, 11)
+    # a count is an integer, and a bool is not one
+    for T, H, message in ((10, 2.5, "H must be an integer >= 1, got 2.5"),
+                          (10, True, "H must be an integer >= 1, got True"),
+                          (10.0, 2, "T must be an integer >= 1, got 10.0"),
+                          (float("inf"), 2, "T must be an integer >= 1, got inf")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            regular_sync_schedule(T, H)
 
 
 def test_regular_schedule_gap_bound():
@@ -66,9 +75,22 @@ def test_stepsize_values():
         TheoremDecayStep(mu=-1.0, a=32.0)
     with pytest.raises(ValueError):
         ConstantStep(c=0.0)
-    for c, n in ((0.0, 100), (1.0, 0)):
-        with pytest.raises(ValueError, match="^c and n must be positive$"):
+    for c, n, message in ((0.0, 100, "c must be finite and positive, got 0.0"),
+                          (1.0, 0, "n must be an integer >= 1, got 0"),
+                          (1, 2.5, "n must be an integer >= 1, got 2.5"),
+                          (1, True, "n must be an integer >= 1, got True"),
+                          (float("nan"), 100, "c must be finite and positive, got nan"),
+                          (True, 100, "c must be finite and positive, got True")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ExperimentDecayStep(c=c, n=n)
+    for c in (float("nan"), float("inf"), True, "0.25"):
+        message = f"c must be finite and positive, got {c!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ConstantStep(c=c)
+    for mu, a, name in ((float("nan"), 32.0, "mu"), (1.0, float("inf"), "a"),
+                        (True, 32.0, "mu")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got "):
+            TheoremDecayStep(mu=mu, a=a)
     for steps in (TheoremDecayStep(mu=1.0, a=32.0), ConstantStep(c=0.25),
                   ExperimentDecayStep(c=1.0, n=100)):
         with pytest.raises(ValueError, match="^step index must be >= 0$"):

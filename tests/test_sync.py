@@ -178,6 +178,15 @@ def test_iterations_to_accuracy_scans_recorded_steps(quad10):
 
     with pytest.raises(ValueError):
         run_local_sgd(config, obj, stop_when=(0.0, ref.f_star))
+    # a target that is not a pair of finite numbers is rejected before any oracle call
+    counter = GradientCounter(obj)
+    for target, message in (((0.1, np.nan), "target f_star must be finite, got nan"),
+                            ((0.1, True), "target f_star must be finite, got True"),
+                            ((np.inf, ref.f_star),
+                             "target accuracy must be finite and positive, got inf")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_local_sgd(config, counter, stop_when=target)
+    assert not counter.counts
 
 
 def test_ensemble_matches_scalar_engine(quad10):

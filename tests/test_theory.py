@@ -65,11 +65,25 @@ def test_theorem1_bound_precondition_errors():
         theorem1_bound(const, K=1, T=10, H=1, b=1, a=32.0, r0=1.0)
     with pytest.raises(ValueError, match="positive"):
         theorem1_bound(const, K=0, T=10, H=1, b=1, a=33.0, r0=1.0)
-    with pytest.raises(ValueError, match="^r0 must be nonnegative$"):
+    with pytest.raises(ValueError, match="^r0 must be finite and nonnegative, got -1.0$"):
         theorem1_bound(const, K=1, T=10, H=1, b=1, a=33.0, r0=-1.0)
-    for r0, tau in ((-1.0, 0), (1.0, -1)):
-        with pytest.raises(ValueError, match="^r0 and tau must be nonnegative$"):
+    for r0, tau, message in ((-1.0, 0, "r0 must be finite and nonnegative, got -1.0"),
+                             (1.0, -1, "tau must be finite and nonnegative, got -1")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             theorem2_bound(const, K=1, T=10, H=1, tau=tau, b=1, a=33.0, r0=r0)
+    # K, T, H and b are real here, but a bool is not a number
+    for bad, message in (({"K": True}, "K must be finite and positive, got True"),
+                         ({"H": True}, "H must be finite and positive, got True"),
+                         ({"r0": float("nan")}, "r0 must be finite and nonnegative, got nan"),
+                         ({"r0": float("inf")}, "r0 must be finite and nonnegative, got inf")):
+        args = {"K": 1, "T": 10, "H": 1, "b": 1, "a": 33.0, "r0": 1.0, **bad}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            theorem1_bound(const, **args)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            theorem2_bound(const, tau=0, **args)
+    for tau in (True, float("nan")):
+        with pytest.raises(ValueError, match=f"^tau must be finite and nonnegative, got {tau}$"):
+            theorem2_bound(const, K=1, T=10, H=1, tau=tau, b=1, a=33.0, r0=1.0)
 
 
 def test_theorem2_reduces_to_theorem1():
@@ -185,9 +199,17 @@ def test_speedup_and_estimate_equal_their_written_out_formulas_bitwise():
                     assert iterations_estimate(eps, H, K) == accuracy_k / (K * eps)
 
 
-@pytest.mark.parametrize("rho", [0.5, 0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("rho", [0.5, 0.0, -1.0, float("nan"), float("inf"), True])
 def test_speedup_takes_the_config_rule_for_rho(rho):
     # one rule for rho, finite and >= 1, in the model and in a config
     with pytest.raises(ValueError, match="cost ratio rho must be finite and >= 1"):
         speedup(2, 1, 0.1, rho)
     assert speedup(2, 1, 0.1, 1.0) > 0.0
+
+
+def test_speedup_takes_no_bool_for_a_number():
+    for args, message in (((2, 1, True, 25.0), "eps must be finite and nonnegative, got True"),
+                          ((True, 1, 0.1, 25.0), "K must be finite and positive, got True"),
+                          ((2, True, 0.1, 25.0), "H must be finite and positive, got True")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            speedup(*args)
