@@ -18,17 +18,18 @@ four tracked averages is eps-accurate), and emits
     speedup.svg          optional hand-rolled line charts (one panel per
                          eps, speedup vs K, one polyline per H)
 
-The adaptive search of a cell (start at c = 1, 1/2, 2; move to the best
-point until its neighbours c/4, c/2, 2c, 4c are all measured) runs in
-rounds.  A round is one batched run, on the cell seed, of the points both
-families' searches visit next and of speculative points they may visit
-later; a run leaves the batch once it is eps-accurate, diverges, or can
-no longer be its family's best point, and the search is replayed over
-the measured iteration counts.  The cells of one (eps, K, b, step cap),
-which differ in H only, are searched in lockstep: each round of the group
-is one batch of every cell's round, each run on its own cell's seed and
-sync period, and each cell's rounds and answer are those of its search
-alone.  Its count is its winner's own run in a batch: no point runs twice.
+The adaptive search of a cell, one `_CellSearch` object (start at c = 1,
+1/2, 2; move to the best point until its neighbours c/4, c/2, 2c, 4c are
+all measured), runs in rounds.  A round is one batched run, on the cell
+seed, of the points both families' searches visit next and of speculative
+points they may visit later; a run leaves the batch once it is
+eps-accurate, diverges, or can no longer be its family's best point, and
+the search is replayed over the measured iteration counts.  The cells of
+one (eps, K, b, step cap), which differ in H only, are searched in
+lockstep: each round of the group is one batch of every cell's round,
+each run on its own cell's seed and sync period, and each cell's rounds
+and answer are those of its search alone.  Its count is its winner's own
+run in a batch: no point runs twice.
 
 Runs are seeded and single-threaded.  With one worker, a job is one such
 group of cells; a pool of W workers, bounded by the LOCALSGD_THREADS
@@ -46,6 +47,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product
 from math import ceil, inf, isfinite, log2, sqrt
+from numbers import Integral
 from pathlib import Path
 from types import MappingProxyType
 
@@ -132,12 +134,14 @@ class ExperimentConfig:
             check_cost_ratio(self.rho)
             _require_integer("[run] seed", self.seed, 0)
             _require_integer("epoch_cap", self.epoch_cap, 1)
-            if self.i_min > self.i_max:
-                raise ValueError("grid window is empty (i_min > i_max)")
-            if self.i_min < _GRID_MIN or self.i_max > _GRID_MAX:
-                raise ValueError(f"grid window [{self.i_min}, {self.i_max}] must lie within "
-                                 f"[{_GRID_MIN}, {_GRID_MAX}], where every c = 2^i is "
-                                 f"positive and finite")
+            # integer bounds get the window's messages first, any other the integer rule's
+            if all(isinstance(getattr(self, name), Integral) for name in ("i_min", "i_max")):
+                if self.i_min > self.i_max:
+                    raise ValueError("grid window is empty (i_min > i_max)")
+                if self.i_min < _GRID_MIN or self.i_max > _GRID_MAX:
+                    raise ValueError(f"grid window [{self.i_min}, {self.i_max}] must lie "
+                                     f"within [{_GRID_MIN}, {_GRID_MAX}], where every c = 2^i "
+                                     f"is positive and finite")
             for name in ("i_min", "i_max"):  # integers too, after the window's messages
                 _require_integer(name, getattr(self, name), _GRID_MIN)
         except ValueError as exc:
@@ -476,17 +480,17 @@ def grid_search_stepsize(objective, f_star, K, H, b, eps, seed, step_cap,
 
     The adaptive search of `replay_search` per family (failing to reach
     the accuracy counts as worse; equal counts resolve toward smaller c),
-    then the choice between families of `replay_grid`.  The search runs
-    in the rounds of `_search_rounds`: each round is one batch of seeded
-    runs on the cell seed, of the points that either family's search
-    visits next and of speculative points it may visit later, as many as
-    keep runs x K x d within `_ROUND_FLOATS`.  A run leaves the batch once
-    it is eps-accurate, diverges, or can no longer be its family's best
-    point.  Returns (family, c, iterations), with (None, None, None) when
-    no stepsize in the window reaches eps; the iterations are the winner's
-    t* in its batch, which is its `measure_iterations` run.  This is the
-    one-cell case of `_search_cells`, and its answer is the same alone or
-    searched beside other cells.
+    then the choice between families of `replay_grid`.  The search is one
+    `_CellSearch`, run in the rounds of `_search_rounds`: each round is one
+    batch of seeded runs on the cell seed, of the points that either
+    family's search visits next and of speculative points it may visit
+    later, as many as keep runs x K x d within `_ROUND_FLOATS`.  A run
+    leaves the batch once it is eps-accurate, diverges, or can no longer be
+    its family's best point.  Returns (family, c, iterations), with (None,
+    None, None) when no stepsize in the window reaches eps; the iterations
+    are the winner's t* in its batch, which is its `measure_iterations`
+    run.  This is the one-cell case of `_search_cells`, and its answer is
+    the same alone or searched beside other cells.
     """
     return _search_cells(objective, f_star, K, b, eps, step_cap, [(H, seed)], i_min, i_max)[0]
 
@@ -496,13 +500,14 @@ def _search_cells(objective, f_star, K, b, eps, step_cap, cells,
     """`grid_search_stepsize` of each (H, seed) of `cells`, which share
     (eps, K, b, step_cap) and the window, searched in lockstep.
 
-    Each cell keeps its own tables, cache and `_ROUND_FLOATS` budget, so
-    its rounds, runs and answer are those of its search alone.  A round of
-    the group is one `_simulate` batch of the cells' round points, each
-    run on its cell's seed and sync period, and `limits` drops the runs of
-    each cell by that cell's tables alone.  Returns one (family, c,
-    iterations) per cell, in order, `replay_grid` of its tables, whose
-    every t* is its point's own run in a batch: no point runs twice.
+    Each cell is one `_CellSearch`, with its own tables, cache and
+    `_ROUND_FLOATS` budget, so its rounds, runs and answer are those of its
+    search alone.  A round of the group is one `_simulate` batch of the
+    cells' round points, each run on its cell's seed and sync period, and
+    `limits` drops the runs of each cell by that cell's tables alone.
+    Returns one (family, c, iterations) per cell, in order, `replay_grid`
+    of its tables, whose every t* is its point's own run in a batch: no
+    point runs twice.
     """
     syncs = [regular_sync_schedule(step_cap, H) for H, _ in cells]
 
@@ -513,26 +518,45 @@ def _search_cells(objective, f_star, K, b, eps, step_cap, cells,
                          syncs=[syncs[k] for k, _ in batch], target=(eps, f_star),
                          limits=limits).crossed
 
-    tables = _search_rounds(measure, len(cells), i_min, i_max,
-                            _ROUND_FLOATS // (K * objective.d))
-    return [replay_grid(measured, i_min, i_max) for measured in tables]
+    searches = [_CellSearch(i_min, i_max, _ROUND_FLOATS // (K * objective.d)) for _ in cells]
+    _search_rounds(measure, searches)
+    return [replay_grid(search.measured, i_min, i_max) for search in searches]
 
 
-def _search_rounds(measure, searches, i_min, i_max, max_runs):
-    """The t* tables, one per family, of each of `searches` cell searches,
-    run in lockstep over the points both of its families' searches visit.
+def _search_rounds(measure, searches):
+    """Run the `_CellSearch` objects `searches` in lockstep until each is done.
 
     Each round calls `measure(batch, limits)` once, where `batch` lists
-    the (search, (family, i)) runs of every search still going, each
-    search's `_round_points` in turn.  It returns the crossing step of
-    each run (-1 if none) and stops a run at the step `limits(crossed)`
-    gives it (`_simulate`'s rule); each search's limits come from its own
-    tables and its slice of `crossed`.  A search's round runs the points
-    it visits next (the needed points) and, while it has fewer than
-    `max_runs` runs, its `_speculative_points`.  A speculative outcome
-    goes into the search's cache, and enters its family's table only when
-    the search visits that point; a round runs no point that is measured
-    or cached, so no point runs twice.
+    the (k, (family, i)) runs of each search k's `next_round` in turn.  It
+    returns the crossing step of each run (-1 if none) and stops a run at
+    the step `limits(crossed)` gives it (`_simulate`'s rule); each search
+    reads its own slice of `crossed` in `limits` and then in `record`.
+    """
+    while going := [(k, search) for k, search in enumerate(searches) if search.next_round()]:
+        ends = np.cumsum([len(search.points) for _, search in going])[:-1]
+
+        def limits(crossed):
+            return np.concatenate([search.limits(part)
+                                   for (_, search), part in zip(going, np.split(crossed, ends))])
+        crossed = measure([(k, point) for k, search in going for point in search.points],
+                          limits)
+        for (_, search), part in zip(going, np.split(crossed, ends)):
+            search.record(part)
+
+
+@dataclass
+class _CellSearch:
+    """The grid search of one cell: a t* table per family (`measured`), a
+    cache of speculative outcomes, the window, the round budget, and the
+    current round's (family, i) `points` with their speculative mask
+    (`spare`).  Two searches are equal when all of these are.
+
+    A round runs the points the search visits next (the needed points)
+    and, while it has fewer than `max_runs` runs, speculative points it
+    may visit later.  A speculative outcome goes into the cache, and
+    enters its family's table only when the search visits that point; a
+    round runs no point that is measured or cached, so no point runs
+    twice.
 
     Every table entry is one that the one-point-at-a-time search could
     read, so `replay_grid` gives its answer.  A speculative crossing never
@@ -544,83 +568,58 @@ def _search_rounds(measure, searches, i_min, i_max, max_runs):
     (t*, i); that point is in the table before the cached one enters it,
     so by `_drop_limits`' invariant reading None for it changes nothing.
     """
-    measured = [{family: {} for family in FAMILIES} for _ in range(searches)]
-    cache = [{family: {} for family in FAMILIES} for _ in range(searches)]
-    while True:
-        # (search, points, speculative mask, first row) of each search still going
-        rounds, rows = [], 0
-        for k in range(searches):
-            points, spare = _round_points(measured[k], cache[k], i_min, i_max, max_runs)
-            if points:
-                rounds.append((k, points, spare, rows))
-                rows += len(points)
-        if not rounds:
-            return measured
+    i_min: int
+    i_max: int
+    max_runs: int
+    measured: dict = field(init=False, default_factory=lambda: {f: {} for f in FAMILIES})
+    cache: dict = field(init=False, default_factory=lambda: {f: {} for f in FAMILIES})
+    points: list = field(init=False, default_factory=list)
+    spare: list = field(init=False, default_factory=list)
 
-        def limits(crossed):
-            return np.concatenate([
-                _drop_limits(measured[k], points,
-                             np.where(spare, -1, crossed[start:start + len(points)]))
-                for k, points, spare, start in rounds])
-        crossed = measure([(k, point) for k, points, _, _ in rounds for point in points],
-                          limits)
-        for k, points, spare, start in rounds:
-            for r, (family, i) in enumerate(points):
-                t_star = crossed[start + r]
-                (cache if spare[r] else measured)[k][family][i] = \
-                    int(t_star) if t_star >= 0 else None
-
-
-def _round_points(measured, cache, i_min, i_max, max_runs):
-    """The next round of one search: its points, the needed ones first,
-    and the mask of its speculative ones; no points once it is done.
-
-    A needed point already in the cache runs nothing: it enters the
-    tables, as the search visits it, before the round is formed.
-    """
-    while needed := _next_points(measured, i_min, i_max):
-        if cached := [(family, i) for family, i in needed if i in cache[family]]:
+    def next_round(self):
+        """The points of the next round, the needed ones first; none once the
+        search is done.  A needed point already in the cache runs nothing: it
+        enters the tables, as the search visits it, before the round is formed.
+        """
+        lo, hi = self.i_min, self.i_max
+        while True:
+            needed = []  # the (family, i) points both families' searches visit next
+            for family, lookup in self.measured.items():
+                if isinstance(outcome := replay_search(lookup, lo, hi), set):
+                    needed += [(family, i) for i in sorted(outcome)]
+            cached = [(family, i) for family, i in needed if i in self.cache[family]]
+            if not cached:
+                break
             for family, i in cached:  # the searches visit them now
-                measured[family][i] = cache[family].pop(i)
-            continue
-        points = needed + _speculative_points(measured, cache, needed, i_min, i_max)[
-            :max(0, max_runs - len(needed))]
-        return points, np.arange(len(points)) >= len(needed)
-    return [], None
+                self.measured[family][i] = self.cache[family].pop(i)
+        # The points the round may run beside its needed ones, likeliest first.  Of each
+        # family with needed points: the unvisited, uncached points within 2 of a needed
+        # one, which its search visits next if that point becomes its best, and while no
+        # visited point of the family has reached eps, the next two points of its outward
+        # scan.  Listed by distance to a needed point, the scan points last, then nearest 0.
+        ranked = []
+        for f, family in enumerate(FAMILIES):
+            own = [i for fam, i in needed if fam == family]
+            taken = set(own) | self.measured[family].keys() | self.cache[family].keys()
+            near = {j: min(abs(j - k) for k in own) for i in own for j in range(i - 2, i + 3)
+                    if lo <= j <= hi and j not in taken}
+            if own and all(t_star is None for t_star in self.measured[family].values()):
+                scan = [j for j in range(lo, hi + 1) if j not in taken and j not in near]
+                near.update({j: 3 for j in sorted(scan, key=lambda j: (abs(j), j))[:2]})
+            ranked += [((rank, abs(j), j, f), (family, j)) for j, rank in near.items()]
+        speculative = [point for _, point in sorted(ranked)]
+        self.points = needed + speculative[:max(0, self.max_runs - len(needed))]
+        self.spare = [r >= len(needed) for r in range(len(self.points))]
+        return self.points
 
+    def limits(self, crossed):
+        """`_drop_limits` of the round's runs, the speculative rows read as -1."""
+        return _drop_limits(self.measured, self.points, np.where(self.spare, -1, crossed))
 
-def _speculative_points(measured, cache, needed, i_min, i_max):
-    """The points a round may run beside its `needed` ones, likeliest first.
-
-    Of each family with needed points: the unvisited, uncached points
-    within 2 of a needed one, which its search visits next if that point
-    becomes its best, and while no visited point of the family has
-    reached eps, the next two points of its outward scan.  Listed by
-    distance to a needed point, the scan points last, then nearest 0.
-    """
-    ranked = []
-    for f, family in enumerate(FAMILIES):
-        own = [i for fam, i in needed if fam == family]
-        if not own:
-            continue
-        taken = set(own) | measured[family].keys() | cache[family].keys()
-        near = {j: min(abs(j - k) for k in own) for i in own for j in range(i - 2, i + 3)
-                if i_min <= j <= i_max and j not in taken}
-        if all(t_star is None for t_star in measured[family].values()):
-            scan = [j for j in range(i_min, i_max + 1) if j not in taken and j not in near]
-            near.update({j: 3 for j in sorted(scan, key=lambda j: (abs(j), j))[:2]})
-        ranked += [((rank, abs(j), j, f), (family, j)) for j, rank in near.items()]
-    return [point for _, point in sorted(ranked)]
-
-
-def _next_points(measured, i_min, i_max):
-    """The (family, i) points both families' searches visit next."""
-    points = []
-    for family, lookup in measured.items():
-        outcome = replay_search(lookup, i_min, i_max)
-        if isinstance(outcome, set):
-            points += [(family, i) for i in sorted(outcome)]
-    return points
+    def record(self, crossed):
+        """Write the round's t* (-1 if none) to the tables, speculative ones to the cache."""
+        for (family, i), spare, t in zip(self.points, self.spare, crossed):
+            (self.cache if spare else self.measured)[family][i] = int(t) if t >= 0 else None
 
 
 def _drop_limits(measured, points, crossed):

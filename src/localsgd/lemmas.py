@@ -87,6 +87,7 @@ class CheckReport:
 def _run_seeds(seed, count):
     """Deterministic per-run integer seeds derived from a master seed, two or more."""
     _require_integer("runs", count, 2)
+    _require_integer("seed", seed, 0)
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)]
 
 
@@ -101,6 +102,7 @@ def check_variance_reduction(objective, states, trials, seed=0) -> CheckReport:
     the per-worker variances.
     """
     _require_integer("trials", trials, 100)
+    _require_integer("seed", seed, 0)
     states = [np.asarray(x, dtype=np.float64) for x in states]
     K = len(states)
     rng = np.random.default_rng(seed)

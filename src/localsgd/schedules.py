@@ -14,8 +14,9 @@ are stated here, in the one module that imports nothing from the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite
+from math import inf
 from numbers import Integral, Real
+from sys import float_info
 
 
 def _require_integer(name, value, least):
@@ -25,8 +26,9 @@ def _require_integer(name, value, least):
 
 
 def _require_real(name, value, least=-inf, positive=False):
-    """Reject `value` unless it is a finite real >= least, > 0 if `positive`; a bool is not one."""
-    if (isinstance(value, bool) or not isinstance(value, Real) or not isfinite(value)
+    """Reject `value` unless it is a finite real >= least, > 0 if `positive`; a bool is not one,
+    and an int beyond the float range is not finite."""
+    if (isinstance(value, bool) or not isinstance(value, Real) or not abs(value) <= float_info.max
             or value < least or positive and value <= 0):
         bound = (" and positive" if positive else "" if least == -inf
                  else " and nonnegative" if least == 0 else f" and >= {least}")

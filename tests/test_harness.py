@@ -29,9 +29,9 @@ from localsgd.harness import (
     verify_lemmas,
 )
 from localsgd.harness import (
+    _CellSearch,
     _drop_limits,
     _family_steps,
-    _next_points,
     _pool_jobs,
     _search_cells,
     _search_rounds,
@@ -172,9 +172,15 @@ def test_experiment_config_rejects_non_finite_values(tmp_path, field, overrides)
     ({"rho": True}, "cost ratio rho must be finite and >= 1, got True"),
     ({"K_list": ["2"]}, "K must be an integer >= 1, got '2'"),
     ({"eps_list": ["0.1"]}, "eps must be finite and positive, got '0.1'"),
+    ({"i_min": "a"}, "i_min must be an integer >= -1074, got 'a'"),
+    ({"i_max": None}, "i_max must be an integer >= -1074, got None"),
+    ({"i_min": "z", "i_max": "a"}, "i_min must be an integer >= -1074, got 'z'"),
+    ({"eps_list": [0.1, 10**400]}, f"eps must be finite and positive, got {10**400}"),
+    ({"rho": 10**400}, f"cost ratio rho must be finite and >= 1, got {10**400}"),
 ], ids=["K", "H", "b", "epoch_cap", "grid", "seed", "out_dir", "K-float", "H-bool",
         "b-float", "seed-float", "epoch_cap-float", "i_min-float", "i_max-bool", "eps-bool",
-        "rho-bool", "K-text", "eps-text"])
+        "rho-bool", "K-text", "eps-text", "i_min-text", "i_max-none", "grid-text",
+        "eps-huge-int", "rho-huge-int"])
 def test_experiment_config_rejects_values_out_of_range(tmp_path, overrides, error):
     with pytest.raises(ConfigError, match=f"^{re.escape(error)}$"):
         small_config(tmp_path, **overrides)
@@ -517,8 +523,9 @@ def rounds_over_tables(tables, i_min, i_max, horizon, max_runs):
             if frozen.all():
                 break
         return crossed
-    measured = _search_rounds(measure, len(tables), i_min, i_max, max_runs)
-    return [replay_grid(table, i_min, i_max) for table in measured], runs
+    searches = [_CellSearch(i_min, i_max, max_runs) for _ in tables]
+    _search_rounds(measure, searches)
+    return [replay_grid(search.measured, i_min, i_max) for search in searches], runs
 
 
 def test_needed_drops_runs_that_cannot_be_the_best_point():
@@ -558,17 +565,56 @@ def test_drop_limits_equal_the_needed_comparison_on_random_tables():
             assert (t < limits).tolist() == expected.tolist()
 
 
+def test_cell_search_keeps_speculative_crossings_out_of_drops_and_tables():
+    # the first round on the window [-4, 4] with room for 8 runs: the six
+    # needed points of both families, then the two likeliest speculative ones
+    search = _CellSearch(-4, 4, 8)
+    needed = [(family, i) for family in FAMILIES for i in (-1, 0, 1)]
+    assert search.next_round() == needed + [("decaying", -2), ("constant", -2)]
+    assert search.spare == [False] * 6 + [True] * 2
+    # the speculative decaying -2 crosses first, at step 3: read as -1, it
+    # drops no needed run, where read as a crossing it would end decaying's
+    early = np.array([-1, -1, -1, -1, -1, -1, 3, -1])
+    assert np.isinf(search.limits(early)).all()
+    assert _drop_limits(search.measured, search.points, early)[:3].tolist() == [2, 2, 2]
+    # a needed crossing, decaying 0 at step 10, drops decaying's runs
+    assert search.limits(np.array([-1, 10, -1, -1, -1, -1, 3, -1])).tolist() == \
+        [10, 9, 9, np.inf, np.inf, np.inf, 10, np.inf]
+    # needed outcomes go to the tables, speculative ones to the cache
+    search.record(np.array([-1, 10, 12, -1, -1, 20, 3, -1]))
+    assert search.measured == {"decaying": {-1: None, 0: 10, 1: 12},
+                               "constant": {-1: None, 0: None, 1: 20}}
+    assert search.cache == {"decaying": {-2: 3}, "constant": {-2: None}}
+    # decaying visits -2 next: its cached t* enters the table and does not run
+    points = search.next_round()
+    assert search.measured["decaying"][-2] == 3 and search.cache["decaying"] == {}
+    assert ("decaying", -2) not in points and points[0] == ("decaying", 2)
+
+
+def test_cell_search_visits_a_cached_point_without_running_it():
+    # decaying is decided at -1; constant's last visit, 1, waits in the cache
+    search = _CellSearch(-1, 1, 4)
+    search.measured = {"decaying": {-1: 4, 0: 5, 1: 6}, "constant": {-1: None, 0: None}}
+    search.cache = {"decaying": {}, "constant": {1: None}}
+    _search_rounds(lambda batch, limits: pytest.fail(f"ran {batch}"), [search])
+    assert search.measured["constant"] == {-1: None, 0: None, 1: None}
+    assert search.cache == {"decaying": {}, "constant": {}}
+    # both families are done: the search has no round left
+    assert search.next_round() == [] and search.spare == []
+    assert replay_grid(search.measured, -1, 1) == ("decaying", 0.5, 4)
+
+
 def one_point_rounds(objective, K, H, eps, seed, cap, i_min, i_max):
     """The grid search's rounds without speculative points, on the cell seed.
 
-    Each round runs the points `_next_points` gives through `_simulate`,
-    with `_drop_limits` as its limits.  Returns, per round, its
+    Each round runs the points of a `_CellSearch` with no room to speculate
+    through `_simulate`, with its `limits`.  Returns, per round, its
     EnsembleResult and the number of runs crossed at each `limits` read.
     """
     f_star = reference_for(objective).f_star
-    measured = {family: {} for family in FAMILIES}
+    search = _CellSearch(i_min, i_max, 0)
     rounds = []
-    while points := _next_points(measured, i_min, i_max):
+    while points := search.next_round():
         steps = [_family_steps(family, 2.0**i, objective.n) for family, i in points]
         config = RunConfig(K=K, T=cap, b=1, sync=regular_sync_schedule(cap, H),
                            steps=steps[0], seed=seed, x0=np.zeros(objective.d),
@@ -577,12 +623,11 @@ def one_point_rounds(objective, K, H, eps, seed, cap, i_min, i_max):
 
         def counted(crossed):
             seen.append(int(np.count_nonzero(crossed >= 0)))
-            return _drop_limits(measured, points, crossed)
+            return search.limits(crossed)
         result = _simulate(config, objective, [seed] * len(points), steps=steps,
                            target=(eps, f_star), limits=counted)
         rounds.append((result, seen))
-        for (family, i), t_star in zip(points, result.crossed):
-            measured[family][i] = int(t_star) if t_star >= 0 else None
+        search.record(result.crossed)
     return rounds
 
 
@@ -727,37 +772,31 @@ def test_grid_search_matches_the_sequential_search_on_random_cells(logistic50, q
 
 def search_log(monkeypatch):
     """Log the grid search's internals: each `_search_rounds` call's
-    tables and the rounds each of its searches ran in, the runs of its
-    batches that diverged, and the points each search ran speculatively."""
+    `_CellSearch` objects (as "tables": two are equal when their tables,
+    caches and rounds are) and the rounds each ran in, the runs of its
+    batches that diverged, and the points each search ran speculatively,
+    keyed by the id of its object."""
     log = {"tables": None, "rounds": None, "diverged": 0, "speculative": {}}
     search_rounds, simulate = harness._search_rounds, harness._simulate
-    round_points = harness._round_points
 
-    def logged_rounds(measure, searches, *args):
-        log["rounds"] = [0] * searches
+    def logged_rounds(measure, searches):
+        log["tables"], log["rounds"] = searches, [0] * len(searches)
 
         def counted(batch, limits):
             for k in {k for k, _ in batch}:
                 log["rounds"][k] += 1
+                log["speculative"].setdefault(id(searches[k]), set()).update(
+                    point for point, spare in zip(searches[k].points, searches[k].spare)
+                    if spare)
             return measure(batch, limits)
-        log["tables"] = search_rounds(counted, searches, *args)
-        return log["tables"]
+        return search_rounds(counted, searches)
 
     def logged_simulate(*args, **kwargs):
         result = simulate(*args, **kwargs)
         log["diverged"] += int(np.count_nonzero(result.diverged))
         return result
-
-    def logged_points(measured, *args):
-        # a search's tables are one object for its whole run, so they name it
-        points, spare = round_points(measured, *args)
-        if points:
-            log["speculative"].setdefault(id(measured), set()).update(
-                point for point, speculative in zip(points, spare) if speculative)
-        return points, spare
     monkeypatch.setattr(harness, "_search_rounds", logged_rounds)
     monkeypatch.setattr(harness, "_simulate", logged_simulate)
-    monkeypatch.setattr(harness, "_round_points", logged_points)
     return log
 
 
@@ -899,9 +938,9 @@ def test_screened_search_rounds_equal_recorded_rounds(logistic50, K, H, eps, see
     # run's final iterates are those of its drop step) and the same winner
     f_star = reference_for(logistic50).f_star
     i_min, i_max, cap = -8, 4, 400
-    measured = {family: {} for family in FAMILIES}
+    search = _CellSearch(i_min, i_max, 0)
     screened_points = 0
-    while points := _next_points(measured, i_min, i_max):
+    while points := search.next_round():
         steps = [_family_steps(family, 2.0**i, logistic50.n) for family, i in points]
         runs = []
         for f_values in (False, True):
@@ -911,18 +950,16 @@ def test_screened_search_rounds_equal_recorded_rounds(logistic50, K, H, eps, see
                                record=record)
             runs.append(_simulate(
                 config, logistic50, [seed] * len(points), steps=steps,
-                target=(eps, f_star),
-                limits=lambda crossed: _drop_limits(measured, points, crossed)))
+                target=(eps, f_star), limits=search.limits))
         screened, recorded = runs
         for name in ("crossed", "diverged", "final_iterates"):
             assert np.array_equal(getattr(screened, name), getattr(recorded, name))
         screened_points += screened.points_screened
-        for (family, i), t_star in zip(points, screened.crossed):
-            measured[family][i] = int(t_star) if t_star >= 0 else None
+        search.record(screened.crossed)
     assert screened_points > 0
     winner = grid_search_stepsize(logistic50, f_star, K, H, 1, eps, seed, cap,
                                   i_min=i_min, i_max=i_max)
-    assert replay_grid(measured, i_min, i_max) == winner
+    assert replay_grid(search.measured, i_min, i_max) == winner
 
 
 def test_run_experiment_outputs(tmp_path):

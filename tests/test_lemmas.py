@@ -149,6 +149,28 @@ def test_statistical_checks_need_two_runs_before_any_oracle_call(quad10, check, 
     assert not counter.counts
 
 
+@pytest.mark.parametrize("seed", [1.5, True, -1])
+@pytest.mark.parametrize("check", ["variance-reduction", "deviation-bound", "perturbed-step",
+                                   "async-deviation"])
+def test_statistical_checks_take_the_seed_through_the_integer_rule(quad10, check, seed):
+    # each check, called directly, rejects a seed that is not an integer
+    # >= 0 before any oracle call, as lemma_suite's fixture rule does
+    obj, ref, const = quad10
+    counter = GradientCounter(obj)
+    config = theorem_config(obj, const, K=2, T=16, H=4, window=6)
+    run = {"variance-reduction": lambda: check_variance_reduction(
+               counter, [np.zeros(obj.d)] * 2, trials=100, seed=seed),
+           "deviation-bound": lambda: check_deviation_bound(config, counter, 2, seed=seed),
+           "perturbed-step": lambda: check_perturbed_inequality(config, counter, ref, 2,
+                                                                seed=seed),
+           "async-deviation": lambda: check_async_deviation(
+               config, DelayModel("fixed", tau=2), counter, 2, seed=seed)}[check]
+    message = f"seed must be an integer >= 0, got {seed!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run()
+    assert not counter.counts
+
+
 # --- perturbed step inequality ------------------------------------------
 
 

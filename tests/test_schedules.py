@@ -80,15 +80,17 @@ def test_stepsize_values():
                           (1, 2.5, "n must be an integer >= 1, got 2.5"),
                           (1, True, "n must be an integer >= 1, got True"),
                           (float("nan"), 100, "c must be finite and positive, got nan"),
-                          (True, 100, "c must be finite and positive, got True")):
+                          (True, 100, "c must be finite and positive, got True"),
+                          (10**400, 100, f"c must be finite and positive, got {10**400}")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ExperimentDecayStep(c=c, n=n)
-    for c in (float("nan"), float("inf"), True, "0.25"):
+    # an int beyond the float range is not finite either
+    for c in (float("nan"), float("inf"), True, "0.25", 10**400, -10**400):
         message = f"c must be finite and positive, got {c!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ConstantStep(c=c)
     for mu, a, name in ((float("nan"), 32.0, "mu"), (1.0, float("inf"), "a"),
-                        (True, 32.0, "mu")):
+                        (True, 32.0, "mu"), (1.0, 10**400, "a")):
         with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got "):
             TheoremDecayStep(mu=mu, a=a)
     for steps in (TheoremDecayStep(mu=1.0, a=32.0), ConstantStep(c=0.25),

@@ -210,6 +210,8 @@ def test_speedup_takes_the_config_rule_for_rho(rho):
 def test_speedup_takes_no_bool_for_a_number():
     for args, message in (((2, 1, True, 25.0), "eps must be finite and nonnegative, got True"),
                           ((True, 1, 0.1, 25.0), "K must be finite and positive, got True"),
-                          ((2, True, 0.1, 25.0), "H must be finite and positive, got True")):
+                          ((2, True, 0.1, 25.0), "H must be finite and positive, got True"),
+                          ((2, 1, 0.1, 10**400),
+                           f"cost ratio rho must be finite and >= 1, got {10**400}")):
         with pytest.raises(ValueError, match=f"^{message}$"):
             speedup(*args)
