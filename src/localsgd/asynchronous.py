@@ -154,6 +154,8 @@ class _Replay:
     its last read did not see.  It is read off the iterates at every step,
     as the synchronous worker mean is, so its rounding error is that of
     the iterates and the blocks in flight, not that of a running sum.
+    A read's value is not: a block X - base formed as the iterates fall
+    from a large base keeps its rounding, summed from x0 or the last read.
     """
 
     def __init__(self, log, x0, S, K, T):
@@ -170,17 +172,12 @@ class _Replay:
         self.folded_sum = np.tile(x0, (S, 1))        # x0 plus the folded blocks / K
         self.folded = 0
         self.blocks = {}                             # id -> block / K, unfolded writes
-        self.total = np.zeros((S, len(x0)))          # sum of every block written
-        self.runs = np.arange(S)                     # the runs still in the stack
-        self.totals = np.zeros((S, len(x0)))         # each run's total, once it left
         self.rounds = np.zeros(K, dtype=np.int64)    # reads per sequence
         self.unseen = np.zeros((S, K, len(x0)))      # the blocks / K each last read missed
 
     def __call__(self, t, X):
         for i, k in self.writes_at[t]:
-            block = X[:, k] - self.base[:, k]
-            self.total += block
-            self.blocks[i] = block / self.K
+            self.blocks[i] = (X[:, k] - self.base[:, k]) / self.K
             # every sequence misses a write until a read of its own sees it
             self.unseen += self.blocks[i][:, None]
         for r, fold in self.reads_at[t]:
@@ -198,7 +195,7 @@ class _Replay:
             # the writes it does not see are past its prefix, so none is folded
             self.unseen[:, r.worker] = sum(
                 (block for i, block in self.blocks.items() if i >= r.prefix and i not in r.extras),
-                np.zeros_like(self.total))
+                np.zeros_like(self.folded_sum))
 
     def virtual(self, X):
         """xbar (S, d) of the post-exchange iterates X, every update once."""
@@ -206,8 +203,6 @@ class _Replay:
 
     def keep(self, stay):
         """Keep only the runs of the stack where `stay` is True."""
-        self.totals[self.runs[~stay]] = self.total[~stay]
-        self.runs, self.total = self.runs[stay], self.total[stay]
         self.base = self.base[stay]
         self.folded_sum = self.folded_sum[stay]
         self.blocks = {i: block[stay] for i, block in self.blocks.items()}
@@ -223,9 +218,9 @@ def _replayed(config, per_worker_syncs, delay, objective, seeds, *,
     the longest sync interval plus tau, then the plan's realized staleness
     against tau: `declared_tau`, or the delay model's.  The runs record
     what `config.record` asks for, and their xbar is the virtual sequence
-    of all updates.  Returns the loop's `EnsembleResult`, with the plan's
-    `staleness`, the reads per sequence as `comm_rounds` and each run's
-    shared aggregate as `final_aggregate`, and the plan.
+    of all updates, whose xbar[T] is the shared aggregate.  Returns the
+    loop's `EnsembleResult`, with the plan's `staleness` and the reads per
+    sequence as `comm_rounds`, and the plan.
     """
     log = write_plan(config.K, config.T, per_worker_syncs, delay, wall_times)
     tau = delay.tau if declared_tau is None else int(declared_tau)
@@ -240,16 +235,15 @@ def _replayed(config, per_worker_syncs, delay, objective, seeds, *,
     replay = _Replay(log, config.x0, len(seeds), config.K, config.T)
     result = _simulate(config, objective, seeds, exchange=replay,
                        track_second_moment=track_second_moment)
-    return replace(result, staleness=staleness, comm_rounds=replay.rounds,
-                   final_aggregate=config.x0 + replay.totals / config.K), log
+    return replace(result, staleness=staleness, comm_rounds=replay.rounds), log
 
 
 def run_async_local_sgd(config, per_worker_syncs, delay, objective):
     """Simulate asynchronous local SGD; returns (RunTrace, WriteLog).
 
     The run records what `config.record` asks for; its trace's
-    `comm_rounds` counts each sequence's reads, and `final_aggregate` is
-    the shared aggregate.  `per_worker_syncs` gives each sequence its own
+    `comm_rounds` counts each sequence's reads, and its xbar[T] is the
+    shared aggregate.  `per_worker_syncs` gives each sequence its own
     synchronization schedule (each must end at the horizon T).  The
     realized staleness of the write plan is checked against the delay
     model's tau before any gradient work; a violation aborts with a
@@ -268,8 +262,8 @@ def run_async_ensemble(config, per_worker_syncs, delay, objective, seeds, *,
 
     Run r records what `config.record` asks for and agrees bitwise with
     `run_async_local_sgd` at seed seeds[r].  Returns the `EnsembleResult`
-    of `_replayed`: the output average of the virtual sequence, the
-    plan's `staleness` and each run's `final_aggregate`.
+    of `_replayed`: the output average of the virtual sequence and the
+    plan's `staleness`.
     """
     return _replayed(config, per_worker_syncs, delay, objective, seeds,
                      track_second_moment=track_second_moment)[0]

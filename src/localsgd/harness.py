@@ -34,8 +34,8 @@ run in a batch: no point runs twice.
 Runs are seeded and single-threaded.  With one worker, a job is one such
 group of cells; a pool of W workers, bounded by the LOCALSGD_THREADS
 environment variable, splits each group into min(W, cells) jobs, so that
-every group's work spreads over the whole pool.  Output bytes depend only
-on the config.
+every group's work spreads over the whole pool, and opens no more worker
+processes than there are jobs.  Output bytes depend only on the config.
 """
 
 from __future__ import annotations
@@ -146,12 +146,16 @@ class ExperimentConfig:
                 _require_integer(name, getattr(self, name), _GRID_MIN)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if unknown := [key for key in self.lemmas if key not in LEMMA_DEFAULTS]:
+            raise ConfigError(f"unknown key {unknown[0]!r} in [lemmas]")
         try:
             validate_fixture({**LEMMA_DEFAULTS, **self.lemmas})
         except ValueError as exc:
             raise ConfigError(f"lemmas.{exc}")
         if not self.out_dir:
             raise ConfigError("[output] dir must not be empty")
+        if not isinstance(self.svg, bool):
+            raise ConfigError(f"[output] svg must be a bool, got {self.svg!r}")
 
 
 def _parse_list(raw, cast, field_name):
@@ -773,10 +777,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
     The cells of one (eps, K, b, step cap) are one group, searched in
     lockstep by `_search_cells`.  With one worker each group is one job;
     a pool of W workers splits each group into min(W, cells) jobs
-    (`_pool_jobs`).  A cell's answer does not depend on its job, so the
-    outputs do not depend on the pool size.  Exit code 0 on success, 2
-    when some cells never reached their target accuracy within the step
-    cap (those rows are marked unreachable).
+    (`_pool_jobs`) and opens min(W, jobs) processes.  A cell's answer
+    does not depend on its job, nor the outputs on the pool size.  Exit
+    code 0 on success, 2 when some cells never reached their target
+    accuracy within the step cap (those rows are marked unreachable).
     """
     config = with_output_dir(config, out_dir)
     objective, reference = build_problem(config.dataset)
@@ -794,8 +798,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
     jobs = [(reference.f_star, *key, [(H, seed) for _, H, seed in cells],
              config.i_min, config.i_max) for key, cells in split]
 
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_set_pool_objective,
+    if (pool_size := min(workers, len(jobs))) > 1:
+        with ProcessPoolExecutor(max_workers=pool_size, initializer=_set_pool_objective,
                                  initargs=(objective,)) as pool:
             found = list(pool.map(_sweep_job, jobs))
     else:

@@ -33,7 +33,8 @@ from . import sync
 from .asynchronous import (DelayModel, measured_delay,  # noqa: F401
                            run_async_ensemble, run_async_local_sgd)
 from .averaging import sum_of_weights
-from .schedules import TheoremDecayStep, _require_integer, regular_sync_schedule, theorem_steps
+from .schedules import (TheoremDecayStep, _require_integer, _require_real, regular_sync_schedule,
+                        theorem_steps)
 from .sync import RecordFlags, RunConfig, run_local_sgd_ensemble
 
 _PERTURBED_POINTS = 64  # steps the perturbed-step check tests, evenly spaced
@@ -260,6 +261,8 @@ def check_recursion_lemma(a, mu, A, B, C, T, sequence_builder) -> CheckReport:
 
     for the quadratic weights w_t = (a + t)^2.
     """
+    for name, value in (("a", a), ("mu", mu), ("A", A), ("B", B), ("C", C)):
+        _require_real(name, value)
     if A <= 0 or B < 0 or C < 0 or mu <= 0 or a <= 1:
         raise ValueError("require A > 0, B, C >= 0, mu > 0, a > 1")
     _require_integer("T", T, 1)

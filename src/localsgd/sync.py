@@ -109,7 +109,6 @@ class RunTrace:
     final_iterates: np.ndarray       # (K, d)
     t_star: int | None               # set when an accuracy target stopped the run
     diverged: bool                   # iterates left the representable range
-    final_aggregate: np.ndarray | None = None  # (d,) async shared aggregate; None for sync
 
 
 @dataclass
@@ -140,7 +139,6 @@ class EnsembleResult:
     comm_rounds: int | np.ndarray    # sync rounds; async: (K,) reads per sequence
     points_evaluated: int            # (run, scheme) points of evaluation steps with an exact value
     points_screened: int             # (run, scheme) points of evaluation steps certified above eps
-    final_aggregate: np.ndarray | None = None  # (S, d) async shared aggregate; None for sync
     staleness: int = 0               # realized staleness of the async write plan
 
     @cached_property
@@ -558,7 +556,7 @@ def _row_zero(result):
     """Run 0 of an `EnsembleResult`: the `RunTrace` of every single run, sync or async."""
     rows = {name: None if (row := getattr(result, name)) is None else row[0]
             for name in ("xbar", "deviations", "noise_sq", "iterates", "output_average",
-                         "final_iterates", "final_aggregate")}
+                         "final_iterates")}
     crossed, f = int(result.crossed[0]), result.f_by_scheme
     return RunTrace(
         **rows, f_by_scheme=None if f is None else {scheme: row[0] for scheme, row in f.items()},

@@ -151,11 +151,11 @@ def test_visibility_sets_are_monotone(quad10):
 def test_aggregate_equals_virtual_sequence_at_horizon(quad10):
     obj, _, _ = quad10
     config = async_config(quad10, K=4, T=48, H=6, window=12, seed=9)
-    schedules = [config.sync] * 4
-    trace, _ = run_async_local_sgd(
-        config, schedules, DelayModel("random-bounded", tau=6, seed=2), obj
-    )
-    assert np.max(np.abs(trace.final_aggregate - trace.xbar[-1])) <= 1e-10
+    schedules, delay = [config.sync] * 4, DelayModel("random-bounded", tau=6, seed=2)
+    trace, _ = run_async_local_sgd(config, schedules, delay, obj)
+    # every sequence writes and reads at T, so xbar[T] is the shared aggregate
+    aggregate = full_scan_async(config, schedules, delay, obj)[3]
+    assert np.max(np.abs(aggregate - trace.xbar[-1])) <= 1e-10
 
 
 def test_declared_bound_violation_aborts(quad10):
@@ -313,7 +313,9 @@ def test_load_balanced_run_realized_delay(quad10):
     trace, log, plan_used = run_load_balanced(config, [2.0, 1.0], obj)
     assert plan_used.bound <= 3 * H
     assert measured_delay(log) <= 3 * H
-    assert np.max(np.abs(trace.final_aggregate - trace.xbar[-1])) <= 1e-10
+    aggregate = full_scan_async(config, [config.sync] * 2, DelayModel("zero"), obj,
+                                plan_used.wall_times())[3]
+    assert np.max(np.abs(aggregate - trace.xbar[-1])) <= 1e-10
 
     with pytest.raises(ValueError, match="^load-balanced runs need T divisible by H$"):
         run_load_balanced(replace(config, T=22, sync=regular_sync_schedule(22, H)),
@@ -429,12 +431,10 @@ def test_batched_replay_equals_single_runs_bitwise(quad10, K, per_worker_H, dela
         moments.append(alone.max_second_moment)
         # the folded sum, the rest of the prefix and the extras add in the
         # full scan's order
-        xbar, devs, final, aggregate, rounds, reads = full_scan_async(
+        xbar, devs, final, _, rounds, reads = full_scan_async(
             replace(config, seed=seed), schedules, delay, obj, wall_times)
         for got, want in ((single.xbar, xbar), (single.deviations, devs),
-                          (single.final_iterates, final),
-                          (single.final_aggregate, aggregate),
-                          (single.comm_rounds, rounds)):
+                          (single.final_iterates, final), (single.comm_rounds, rounds)):
             assert np.array_equal(got, want)
         assert [visible_ids(read) for read in log.reads] == reads
     assert batch.max_second_moment == max(moments)
@@ -702,11 +702,6 @@ def test_row_r_of_a_batch_is_the_one_seed_run(quad10, runner, scenario):
         assert batch["crossed"][r] == (-1 if single.t_star is None else single.t_star)
         assert single.final_iterates.shape == (K, obj.d)
         assert np.array_equal(batch["final_iterates"][r], single.final_iterates)
-        if runner == "async":  # the shared aggregate as the run left the stack
-            assert single.final_aggregate.shape == (obj.d,)
-            assert np.array_equal(batch["final_aggregate"][r], single.final_aggregate)
-        else:
-            assert batch["final_aggregate"] is None and single.final_aggregate is None
         for name, shape in shapes.items():
             assert getattr(single, name).shape == shape, name
             assert batch[name].shape == (len(seeds),) + shape, name

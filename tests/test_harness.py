@@ -177,10 +177,12 @@ def test_experiment_config_rejects_non_finite_values(tmp_path, field, overrides)
     ({"i_min": "z", "i_max": "a"}, "i_min must be an integer >= -1074, got 'z'"),
     ({"eps_list": [0.1, 10**400]}, f"eps must be finite and positive, got {10**400}"),
     ({"rho": 10**400}, f"cost ratio rho must be finite and >= 1, got {10**400}"),
+    ({"svg": "no"}, "[output] svg must be a bool, got 'no'"),
+    ({"svg": 1}, "[output] svg must be a bool, got 1"),
 ], ids=["K", "H", "b", "epoch_cap", "grid", "seed", "out_dir", "K-float", "H-bool",
         "b-float", "seed-float", "epoch_cap-float", "i_min-float", "i_max-bool", "eps-bool",
         "rho-bool", "K-text", "eps-text", "i_min-text", "i_max-none", "grid-text",
-        "eps-huge-int", "rho-huge-int"])
+        "eps-huge-int", "rho-huge-int", "svg-text", "svg-int"])
 def test_experiment_config_rejects_values_out_of_range(tmp_path, overrides, error):
     with pytest.raises(ConfigError, match=f"^{re.escape(error)}$"):
         small_config(tmp_path, **overrides)
@@ -201,6 +203,7 @@ SYNTH50 = str(DATA / "synth50.libsvm")
     ({"dataset": quad_spec(seed=1.5)},
      "bad value in [dataset]: seed must be an integer >= 0, got 1.5"),
     ({"lemmas": {"runs": 2.5}}, "lemmas.runs must be an integer >= 2, got 2.5"),
+    ({"lemmas": {"bogus": 1}}, "unknown key 'bogus' in [lemmas]"),
     ({"dataset": quad_spec(kind="bogus")},
      "dataset.kind must be libsvm or quadratic, got 'bogus'"),
     ({"dataset": DatasetSpec(kind="libsvm")}, "dataset.path is required for libsvm datasets"),
@@ -213,7 +216,7 @@ SYNTH50 = str(DATA / "synth50.libsvm")
     ({"dataset": DatasetSpec(kind="libsvm", path=SYNTH50, dimension=2.5)},
      "bad value in [dataset]: dimension must be an integer >= 1, got 2.5"),
 ], ids=["fstar_tolerance-bool", "lam-bool", "d-float", "n-bool", "seed-float",
-        "lemmas-runs-float", "kind", "no-path", "f_star-nan", "f_star-text", "dimension-float",
+        "lemmas-runs-float", "lemmas-unknown-key", "kind", "no-path", "f_star-nan", "f_star-text", "dimension-float",
         "dimension-fraction"])
 def test_a_bad_value_is_a_config_error_before_any_directory(tmp_path, command, overrides,
                                                             error):
@@ -1074,6 +1077,33 @@ def test_run_experiment_unreachable_rows(tmp_path):
     with open(Path(config.out_dir) / "results.csv") as fh:
         body = list(csv.reader(fh))[1:]
     assert body[0][4] == "unreachable"
+
+
+def test_sweep_pool_has_no_more_workers_than_jobs(tmp_path, monkeypatch):
+    # a fake pool records its size and runs the jobs here: no process starts
+    opened = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer, initargs):
+            opened.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(harness, "_pool_objective", None)
+    monkeypatch.setenv("LOCALSGD_THREADS", "64")
+    # two (K, b, eps) groups of two H cells each: four jobs
+    rows, code = run_experiment(small_config(tmp_path, svg=False))
+    assert opened == [4]
+    assert code == 0 and len(rows) == 4
 
 
 def test_parallel_pool_matches_serial(tmp_path):

@@ -7,7 +7,7 @@ where a recorded one does; zero-delay async follows sync; and every-step
 sync is mini-batch SGD with batch K*b.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,12 +24,13 @@ from localsgd import (
 from localsgd.asynchronous import run_async_ensemble
 from localsgd.averaging import SCHEMES
 from localsgd.harness import reference_for
-from localsgd.sync import _simulate
+from localsgd.sync import RunTrace, _simulate
 from oracles import random_cases, recorded_steps
 
 CASES = 100
-ROWS = ("xbar", "deviations", "noise_sq", "iterates", "output_average", "final_iterates",
-        "final_aggregate")
+# every per-run array of a RunTrace; the batch shares its eval_steps, compared on their own
+ROWS = tuple(f.name for f in fields(RunTrace)
+             if "np.ndarray" in f.type and f.name != "eval_steps")
 
 
 def same_run(batch, r, single, per_run_periods=False):

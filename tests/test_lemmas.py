@@ -437,6 +437,18 @@ def test_recursion_rejects_bad_arguments(overrides, message):
         check_recursion_lemma(**{**args, **overrides})
 
 
+@pytest.mark.parametrize("name, value", [
+    ("mu", float("nan")), ("A", float("nan")), ("B", float("inf")), ("C", float("nan")),
+    ("a", float("nan")), ("a", float("inf")), ("mu", True), ("A", "1"),
+])
+def test_recursion_applies_the_real_number_rule_before_the_builder_runs(name, value):
+    def builder(T, eta):
+        raise AssertionError("the builder ran")
+    args = dict(a=17.0, mu=1.0, A=1.0, B=0.0, C=0.0, T=10, sequence_builder=builder)
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {re.escape(repr(value))}$"):
+        check_recursion_lemma(**{**args, name: value})
+
+
 @pytest.mark.parametrize("T", [0, -3, 2.5, True])
 def test_recursion_rejects_a_horizon_below_one_before_the_builder_runs(T):
     # T = 0 used to call the builder before sum_of_weights raised
