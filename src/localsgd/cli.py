@@ -1,24 +1,27 @@
 """Command-line entry points, each a thin call into the harness.
 
     localsgd run <config> [--out DIR]       run the configured sweep
-    localsgd verify-lemmas <config>         run the inequality checks
+    localsgd verify-lemmas <config> [--out DIR]
+                                            run the inequality checks
     localsgd theory --K .. --H .. --eps .. --rho ..
                                             print the speedup model as CSV,
                                             the rows of speedup_theory.csv
     localsgd fstar <dataset> [--lambda ..]  reference optimum of a LIBSVM
                                             dataset, from build_problem
 
-Exit codes: 0 success, 1 configuration error, 2 when a sweep contains
-unreachable-accuracy rows (or an inequality check failed).
+`--out` sets the config's [output] dir, checked as that key is.  Exit
+codes: 0 success, 1 configuration error (a `ConfigError`, the one error
+the harness raises at its boundary, printed as one `config error:` line),
+2 when a sweep contains unreachable-accuracy rows (or an inequality
+check failed).
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import sys
+from dataclasses import replace
 
-from .data import LibsvmFormatError
 from .harness import (
     THEORY_HEADER,
     ConfigError,
@@ -31,7 +34,6 @@ from .harness import (
     run_experiment,
     theory_rows,
     verify_lemmas,
-    with_output_dir,
 )
 
 
@@ -67,8 +69,14 @@ def build_parser():
     return parser
 
 
+def _config(args):
+    """The config file's settings, with `--out`, when given, as its [output] dir."""
+    config = load_experiment_config(args.config)
+    return config if args.out is None else replace(config, out_dir=args.out)
+
+
 def cmd_run(args):
-    config = with_output_dir(load_experiment_config(args.config), args.out)
+    config = _config(args)
     rows, code = run_experiment(config)
     unreachable = sum(1 for row in rows if row.iterations is None)
     print(f"wrote {len(rows)} rows to {config.out_dir}/results.csv"
@@ -77,7 +85,7 @@ def cmd_run(args):
 
 
 def cmd_verify_lemmas(args):
-    config = with_output_dir(load_experiment_config(args.config), args.out)
+    config = _config(args)
     reports = verify_lemmas(config)
     for report in reports:
         print(report)
@@ -116,7 +124,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, FileNotFoundError, LibsvmFormatError, configparser.Error) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

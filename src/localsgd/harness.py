@@ -31,6 +31,10 @@ each run on its own cell's seed and sync period, and each cell's rounds
 and answer are those of its search alone.  Its count is its winner's own
 run in a batch: no point runs twice.
 
+The config is the one input of `run_experiment` and `verify_lemmas`,
+and its `out_dir` the one place they write.  Every error of a config,
+its file, its dataset or its output directory is a one-line ConfigError.
+
 Runs are seeded and single-threaded.  With one worker, a job is one such
 group of cells; a pool of W workers, bounded by the LOCALSGD_THREADS
 environment variable, splits each group into min(W, cells) jobs, so that
@@ -44,7 +48,7 @@ import configparser
 import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 from math import ceil, inf, isfinite, log2, sqrt
 from numbers import Integral
@@ -61,8 +65,8 @@ from .objectives import (
     ReferenceSolution,
     make_quadratic,
 )
-from .schedules import (ConstantStep, ExperimentDecayStep, _require_integer, _require_real,
-                        regular_sync_schedule)
+from .schedules import (ConstantStep, ExperimentDecayStep, _require_bool, _require_integer,
+                        _require_real, regular_sync_schedule)
 from .sync import RecordFlags, RunConfig, _simulate, run_local_sgd
 from .theory import check_cost_ratio, speedup, step_cost
 
@@ -154,8 +158,10 @@ class ExperimentConfig:
             raise ConfigError(f"lemmas.{exc}")
         if not self.out_dir:
             raise ConfigError("[output] dir must not be empty")
-        if not isinstance(self.svg, bool):
-            raise ConfigError(f"[output] svg must be a bool, got {self.svg!r}")
+        try:
+            _require_bool("[output] svg", self.svg)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def _parse_list(raw, cast, field_name):
@@ -229,16 +235,19 @@ def load_experiment_config(path) -> ExperimentConfig:
     """Parse the INI experiment config; raises ConfigError with the field.
 
     A section or key that `_KEYS` lacks is an error, [DEFAULT] included,
-    and so is a [dataset] key that its kind does not read.
+    and so is a [dataset] key that its kind does not read.  So is a file
+    configparser rejects, in one line, and a `%` in a value is literal.
     """
     # no section is special, so [DEFAULT] is checked like any other
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
-                                       default_section="")
+                                       default_section="", interpolation=None)
     try:
-        if not parser.read(path, encoding="utf-8"):
+        if not parser.read(os.fspath(path), encoding="utf-8"):  # messages name a Path as a str
             raise ConfigError(f"cannot read config file {path}")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {str(path)!r} is not UTF-8 text: {exc}") from None
+    except configparser.Error as exc:
+        raise ConfigError(" ".join(line.strip() for line in str(exc).splitlines())) from None
 
     values = {section: {} for section, _ in _KEYS}
     for section in parser.sections():
@@ -395,7 +404,9 @@ def _newton_cg(hess, g, residual_tol):
 def _family_steps(family, c, n):
     if family == "decaying":
         return ExperimentDecayStep(c=c, n=n)
-    return ConstantStep(c=c)
+    if family == "constant":
+        return ConstantStep(c=c)
+    raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
 
 
 def _cell_config(objective, K, H, b, seed, step_cap, steps):
@@ -751,12 +762,6 @@ def _pool_size():
     return min(os.cpu_count() or 1, 4)
 
 
-def with_output_dir(config, out_dir):
-    """`config` with `out_dir`, unless None, as its [output] dir and checked as that key
-    is: the one rule for where `run_experiment` and `verify_lemmas` write."""
-    return config if out_dir is None else replace(config, out_dir=str(out_dir))
-
-
 def _output_dir(config):
     """Create the config's output directory; one that cannot be made is a ConfigError.
 
@@ -771,7 +776,7 @@ def _output_dir(config):
     return out
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None):
+def run_experiment(config: ExperimentConfig):
     """Execute the full sweep; returns (rows, exit_code) and writes outputs.
 
     The cells of one (eps, K, b, step cap) are one group, searched in
@@ -782,7 +787,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
     code 0 on success, 2 when some cells never reached their target
     accuracy within the step cap (those rows are marked unreachable).
     """
-    config = with_output_dir(config, out_dir)
     objective, reference = build_problem(config.dataset)
     workers = _pool_size()
     out = _output_dir(config)
@@ -918,15 +922,19 @@ def write_speedup_svg(path, rows, baselines, config):
 # -- lemma verification entry point ------------------------------------------
 
 
-def verify_lemmas(config: ExperimentConfig, out_dir=None):
+def verify_lemmas(config: ExperimentConfig):
     """Run the five inequality checks of `lemmas.lemma_suite` on the configured fixture.
 
     Returns the list of CheckReports and writes lemma_checks.csv; check
     parameters come from the [lemmas] section (with defaults matching the
-    standard fixtures).
+    standard fixtures).  The checks' theorem schedules need mu > 0; an
+    objective without it is a ConfigError before any directory is made.
     """
-    config = with_output_dir(config, out_dir)
     objective, reference = build_problem(config.dataset)
+    try:
+        _require_real("mu", objective.curvature()[0], positive=True)
+    except ValueError as exc:
+        raise ConfigError(f"verify-lemmas needs a strongly convex objective: {exc}") from None
     out = _output_dir(config)
     reports = lemma_suite(objective, reference, **config.lemmas)
     _write_csv(out / "lemma_checks.csv", LEMMA_HEADER,

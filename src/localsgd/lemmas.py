@@ -358,22 +358,25 @@ def lemma_suite(objective, reference, *, runs=1000, trials=4000, K=4, H=4, T=64,
     synchronization (horizon max(2H, 8)), so the states are distinct when
     H > 1.  The recursion takes A = 1/2, B = sigma^2 / K and
     C = 8 G^2 H^2 L.  Returns the five CheckReports.  Parameters out of
-    range (`validate_fixture`) raise ValueError before any run.
+    range (`validate_fixture`) and an objective with mu = 0 raise
+    ValueError before any oracle call.
     """
     validate_fixture(dict(runs=runs, trials=trials, K=K, H=H, T=T, b=b, tau=tau, seed=seed))
     mu, L = objective.curvature()
+    # both schedules first, so that a mu that is not positive fails before any oracle call
+    sync_steps, async_steps = theorem_steps((mu, L), H), theorem_steps((mu, L), H + tau)
     x0 = np.zeros(objective.d)
     B = objective.variance_at(x0) / K
     C = 8.0 * objective.second_moment_at(x0) * H**2 * L
 
-    def config(window):
+    def config(steps):
         return RunConfig(
             K=K, T=T, b=b, sync=regular_sync_schedule(T, H),
-            steps=theorem_steps((mu, L), window), seed=seed, x0=x0,
+            steps=steps, seed=seed, x0=x0,
             record=RecordFlags(virtual=False, f_values=False),
         )
 
-    synchronous = config(H)
+    synchronous = config(sync_steps)
     warm_T = max(2 * H, 8)
     warm = sync.run_local_sgd(replace(synchronous, T=warm_T, sync=regular_sync_schedule(warm_T, H),
                                       record=RecordFlags(iterates=True, f_values=False)),
@@ -385,7 +388,7 @@ def lemma_suite(objective, reference, *, runs=1000, trials=4000, K=4, H=4, T=64,
         check_perturbed_inequality(synchronous, objective, reference, runs, seed=seed),
         check_recursion_lemma(a=synchronous.steps.a, mu=mu, A=0.5, B=B, C=C, T=T,
                               sequence_builder=make_equality_builder(mu, 0.5, B, C)),
-        check_async_deviation(config(H + tau), DelayModel("fixed", tau=tau, seed=seed),
+        check_async_deviation(config(async_steps), DelayModel("fixed", tau=tau, seed=seed),
                               objective, runs, seed=seed),
     ]
 

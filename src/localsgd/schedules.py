@@ -7,8 +7,9 @@ workers start aligned).
 Stepsize schedules cover the decaying schedule required by the convergence
 bounds and the two families used in the experiments.
 
-The package's two rules on numbers, `_require_integer` and `_require_real`,
-are stated here, in the one module that imports nothing from the package.
+The package's rules on values, `_require_integer` and `_require_real` on
+numbers and `_require_bool` on switches, are stated here, in the one
+module that imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ def _require_real(name, value, least=-inf, positive=False):
         bound = (" and positive" if positive else "" if least == -inf
                  else " and nonnegative" if least == 0 else f" and >= {least}")
         raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+
+
+def _require_bool(name, value):
+    """Reject `value` unless it is a bool; no other value is read by its truthiness."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -122,7 +129,8 @@ class ExperimentDecayStep:
 
 
 def _shift_threshold(curvature, window) -> float:
-    """max{16 kappa, window}, kappa = L / mu from `curvature`, the pair (mu, L)."""
+    """max{16 kappa, window}, kappa = L / mu from `curvature`, the pair (mu, L), mu > 0."""
+    _require_real("mu", curvature[0], positive=True)
     return max(16.0 * (curvature[1] / curvature[0]), float(window))
 
 
@@ -131,8 +139,8 @@ def validate_shift(steps, curvature, window) -> None:
 
     Only a TheoremDecayStep has one, and only for it is kappa = L / mu
     formed from `curvature`, the pair (mu, L); an unregularized objective
-    has mu = 0.  `window` is H for synchronous runs and H + tau when reads
-    may be delayed by up to tau steps.
+    has mu = 0, which is a ValueError.  `window` is H for synchronous runs
+    and H + tau when reads may be delayed by up to tau steps.
     """
     if isinstance(steps, TheoremDecayStep):
         threshold = _shift_threshold(curvature, window)

@@ -36,8 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from .averaging import SCHEMES, recursion_weights
-from .schedules import (SyncSchedule, TheoremDecayStep, _require_integer, _require_real,
-                        validate_shift)
+from .schedules import (SyncSchedule, TheoremDecayStep, _require_bool, _require_integer,
+                        _require_real, validate_shift)
 
 _CHUNK_STEPS = 1024        # steps drawn from each worker substream at a time
 _BLOCK_ENTRIES = 1 << 15   # gathered entries of one block of gradient plans, at most
@@ -61,6 +61,8 @@ class RecordFlags:
     f_every: int | None = None   # extra evaluation stride; default ceil(T/1000)
 
     def __post_init__(self):
+        for name in ("virtual", "deviations", "f_values", "iterates", "noise_norms"):
+            _require_bool(name, getattr(self, name))
         if self.f_every is not None:
             _require_integer("f_every", self.f_every, 1)
 

@@ -2,7 +2,8 @@
 
 Neither runs in this suite, so a public name they need, or a parameter
 they pass, could be removed without any other test failing.  Conversely,
-every name the package exports needs a caller outside the tests.
+every name the package exports needs a caller outside the tests, and
+every public oracle method a reader.
 """
 
 import ast
@@ -185,24 +186,53 @@ def test_no_module_raises_or_catches_a_floating_point_error():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
-# the two rules on numbers, whose messages only `schedules.py` may format
-NUMBER_RULES = ("must be an integer >=", "must be finite")
+# public oracle methods that no code outside the tests reads, each with the reason it stays
+TEST_ONLY_METHODS = {
+    "component_value": "f_i at one point, the tests' reference for the stacked value passes; "
+                       "the benchmark's tracer wraps it by name (ROADMAP item 11)",
+    "component_gradient": "grad f_i at one point, the tests' reference for the stacked "
+                          "gradients; the benchmark's tracer wraps it by name (ROADMAP item 11)",
+}
 
 
-def _number_rule_messages(path):
-    """(line, text) of each string piece of a raised message that states a number rule."""
+def _attribute_reads(path):
+    """Every attribute name `path` reads, as `obj.value` in `obj.value(x)`; a name in a
+    string, as the benchmark's tracer lists the methods it wraps, is not a read."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_oracle_method_has_a_reader_outside_the_tests():
+    # the package's modules, the demos and the benchmark
+    from localsgd import LogisticObjective, QuadraticObjective
+
+    methods = {name for cls in (LogisticObjective, QuadraticObjective)
+               for name, _ in inspect.getmembers(cls, inspect.isfunction)
+               if not name.startswith("_")}
+    read = set().union(*map(_attribute_reads,
+                            sorted((REPO_ROOT / "src" / "localsgd").glob("*.py")) + CALLERS))
+    assert set(TEST_ONLY_METHODS) <= methods
+    assert sorted(methods - read) == sorted(TEST_ONLY_METHODS)
+
+
+# the package's rules on values, whose messages only `schedules.py` may format
+VALUE_RULES = ("must be an integer >=", "must be finite", "must be a bool")
+
+
+def _value_rule_messages(path):
+    """(line, text) of each string piece of a raised message that states a value rule."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Raise) and node.exc is not None:
             for piece in ast.walk(node.exc):
                 if isinstance(piece, ast.Constant) and isinstance(piece.value, str) and any(
-                        rule in piece.value for rule in NUMBER_RULES):
+                        rule in piece.value for rule in VALUE_RULES):
                     yield piece.lineno, piece.value
 
 
 def test_only_schedules_states_the_integer_and_the_real_number_rule():
-    # every other door calls `_require_integer` or `_require_real`, so no
-    # weaker copy of either rule can let a bad value through
-    found = {path.name: list(_number_rule_messages(path))
+    # every other door calls `_require_integer`, `_require_real` or
+    # `_require_bool`, so no weaker copy of a rule can let a bad value through
+    found = {path.name: list(_value_rule_messages(path))
              for path in sorted((REPO_ROOT / "src" / "localsgd").glob("*.py"))}
     assert list(found["schedules.py"])
     assert {name: lines for name, lines in found.items()

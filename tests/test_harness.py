@@ -38,7 +38,8 @@ from localsgd.harness import (
 )
 from localsgd.schedules import ConstantStep, regular_sync_schedule
 from localsgd.sync import RecordFlags, RunConfig, _simulate, run_local_sgd
-from oracles import accelerated_reference, needed_by_comparison, random_cells, random_groups
+from oracles import (GradientCounter, accelerated_reference, needed_by_comparison, random_cells,
+                     random_groups)
 
 DATA = Path(__file__).parent / "data"
 
@@ -871,6 +872,17 @@ def test_a_non_finite_value_freezes_only_its_own_run():
     assert result.crossed.tolist() == [-1, t_star]
 
 
+@pytest.mark.parametrize("family", ["bogus", "Decaying"])
+def test_measure_iterations_rejects_an_unknown_family(quad10, family):
+    # a family that is not "decaying" is not the constant one by default
+    obj, ref, _ = quad10
+    counter = GradientCounter(obj)
+    message = f"family must be one of ('decaying', 'constant'), got {family!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        measure_iterations(counter, ref.f_star, 1, 1, 1, 0.05, 0, 200, family, 0.125)
+    assert not counter.counts
+
+
 def recorded_t_star(objective, f_star, K, H, b, eps, seed, step_cap, family, c):
     """t* of `measure_iterations`' run, with every function value recorded."""
     config = RunConfig(K=K, T=step_cap, b=b, sync=regular_sync_schedule(step_cap, H),
@@ -1050,7 +1062,7 @@ def test_lemma_checks_are_byte_stable(tmp_path):
     spec = DatasetSpec(kind="libsvm", path=str(DATA / "synth50.libsvm"))
     config = ExperimentConfig(dataset=spec, eps_list=[0.005], K_list=[1], H_list=[1],
                               b_list=[1], lemmas={"runs": 32, "T": 32, "seed": 0})
-    verify_lemmas(config, out_dir=tmp_path)
+    verify_lemmas(replace(config, out_dir=str(tmp_path)))
     produced = (tmp_path / "lemma_checks.csv").read_bytes()
     assert produced == (DATA / "lemma_checks_synth50.csv").read_bytes()
 
@@ -1175,8 +1187,8 @@ def test_verify_lemmas_entry_point(tmp_path):
     lines = (Path(config.out_dir) / "lemma_checks.csv").read_text().splitlines()
     assert lines[0] == "check,trials,statistic,bound,margin,stderr,passed"
     assert len(lines) == 6
-    # explicit output override wins over the config's directory
-    verify_lemmas(config, out_dir=str(tmp_path / "elsewhere"))
+    # the config's directory, replaced, is where the checks write
+    verify_lemmas(replace(config, out_dir=str(tmp_path / "elsewhere")))
     assert (tmp_path / "elsewhere" / "lemma_checks.csv").exists()
 
 
@@ -1485,6 +1497,60 @@ def test_cli_reports_a_config_file_that_is_not_utf8(tmp_path, capsys):
         f"config error: config file {str(path)!r} is not UTF-8 text: 'utf-8' codec "
         f"can't decode byte 0xe9 in position 32: invalid continuation byte\n"))
     assert sorted(tmp_path.iterdir()) == before
+
+
+# synth50 without regularization (mu = 0), its optimum pinned so that no solve runs
+UNREGULARIZED_CONFIG = (f"[dataset]\nkind = libsvm\npath = {DATA / 'synth50.libsvm'}\n"
+                        "lambda = 0\nfstar = 0.3\n\n[sweep]\neps = 0.3\nK = 1\nH = 1\nb = 1\n\n"
+                        "[run]\nepoch_cap = 2\n")
+
+
+@pytest.mark.parametrize("command, body, args, error, read", [
+    ("run", "seed = 1\n" + QUADRATIC_CONFIG, [], "File contains no section headers. ", True),
+    ("run", QUADRATIC_CONFIG + "[run]\nseed\n", [], "Source contains parsing errors: ", True),
+    ("run", QUADRATIC_CONFIG + "[dataset]\nd = 3\n", [], "section 'dataset' already exists",
+     True),
+    ("run", QUADRATIC_CONFIG + "K = 2\n", [], "option 'k' in section 'sweep' already exists",
+     True),
+    ("verify-lemmas", UNREGULARIZED_CONFIG, [], "mu must be finite and positive, got 0.0", False),
+    ("run", QUADRATIC_CONFIG, ["--out", ""], "[output] dir must not be empty", False),
+], ids=["key-before-section", "no-equals", "repeated-section", "repeated-key", "zero-mu",
+        "empty-out"])
+def test_cli_error_is_one_line_and_leaves_no_path(tmp_path, capsys, monkeypatch, command, body,
+                                                  args, error, read):
+    # every config the CLI rejects: exit 1, nothing on stdout, one
+    # `config error:` line on stderr and no path made; a file that
+    # configparser rejects (`read`) is the config reader's own ConfigError
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, body)
+    before = sorted(tmp_path.iterdir())
+    assert main([command, str(config), *args]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: ") and err.count("\n") == 1
+    assert error in err and err.endswith("\n")
+    assert sorted(tmp_path.iterdir()) == before
+    if read:
+        with pytest.raises(ConfigError) as raised:
+            load_experiment_config(config)
+        assert err == f"config error: {raised.value}\n"
+
+
+def test_cli_runs_the_sweep_of_a_config_that_verify_lemmas_rejects(tmp_path, capsys,
+                                                                   monkeypatch):
+    # only the lemma checks' theorem schedules need mu > 0
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, UNREGULARIZED_CONFIG + "\n[output]\nsvg = no\n")
+    assert main(["run", str(config)]) == 0
+    assert capsys.readouterr() == ("wrote 1 rows to results/results.csv\n", "")
+
+
+def test_a_percent_sign_in_a_config_value_is_literal(tmp_path, capsys, monkeypatch):
+    # the reader does no interpolation, so a `%` needs no escape
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, QUADRATIC_CONFIG + "[output]\ndir = out%20\nsvg = no\n")
+    assert main(["run", str(config)]) == 0
+    assert capsys.readouterr() == ("wrote 1 rows to out%20/results.csv\n", "")
+    assert (tmp_path / "out%20" / "results.csv").is_file()
 
 
 @pytest.mark.parametrize("command", ["run", "verify-lemmas"])

@@ -5,12 +5,20 @@ import pytest
 
 from localsgd import (
     ConstantStep,
+    DelayModel,
     ExperimentDecayStep,
+    LogisticObjective,
+    ReferenceSolution,
+    RunConfig,
     TheoremDecayStep,
+    lemma_suite,
     regular_sync_schedule,
+    run_async_local_sgd,
+    run_local_sgd,
+    theorem_steps,
 )
 from localsgd.schedules import validate_shift
-from oracles import gap
+from oracles import GradientCounter, gap
 
 
 def test_gap_examples():
@@ -123,3 +131,23 @@ def test_validate_shift():
         validate_shift(sched, (1.0, 4.0), window=65)
     # schedules without a shift pass trivially, without forming kappa
     validate_shift(ConstantStep(c=1.0), (0.0, 1e9), window=10**9)
+
+
+def test_a_theorem_schedule_needs_a_positive_mu(synth50):
+    # kappa = L / mu has no value on an unregularized objective (mu = 0):
+    # every door that forms it applies the real-number rule to mu before
+    # any oracle call, where it used to divide by zero
+    counter = GradientCounter(LogisticObjective(synth50, lam=0.0))
+    curvature, x0 = counter.curvature(), np.zeros(synth50.d)
+    config = RunConfig(K=2, T=8, b=1, sync=regular_sync_schedule(8, 2),
+                       steps=TheoremDecayStep(mu=0.01, a=1000.0), seed=0, x0=x0)
+    reference = ReferenceSolution(x_star=x0, f_star=0.3, provenance="numeric")
+    for call in (lambda: theorem_steps(curvature, 4),
+                 lambda: validate_shift(config.steps, curvature, 2),
+                 lambda: run_local_sgd(config, counter),
+                 lambda: run_async_local_sgd(config, [config.sync] * 2, DelayModel("zero"),
+                                             counter),
+                 lambda: lemma_suite(counter, reference, runs=8, trials=100, T=16)):
+        with pytest.raises(ValueError, match="^mu must be finite and positive, got 0.0$"):
+            call()
+    assert not counter.counts

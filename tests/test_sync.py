@@ -731,6 +731,18 @@ def test_record_flags_reject_an_f_every_that_is_not_a_positive_integer(f_every):
         assert RecordFlags(f_every=ok).f_every == ok
 
 
+@pytest.mark.parametrize("name", ["virtual", "deviations", "f_values", "iterates",
+                                  "noise_norms"])
+def test_record_flags_take_only_a_bool_as_a_switch(name):
+    # no switch is read by its truthiness: "yes", 0 and None are errors
+    for value in ("yes", 0, 1, None, np.True_):
+        message = f"{name} must be a bool, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RecordFlags(**{name: value})
+    for value in (True, False):
+        assert getattr(RecordFlags(**{name: value}), name) is value
+
+
 def test_per_run_periods_evaluate_sync_and_leave_at_their_own_steps(logistic50):
     # runs with periods 1, 4 and 3 and an evaluation stride of 5: each is
     # screened, evaluated and left at its limit only at its own steps
