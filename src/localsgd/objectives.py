@@ -16,6 +16,7 @@ which makes it the fixture of choice for verifying bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,7 +110,18 @@ class _Oracles:
         return self._values(X), self._gradients(X)
 
     def minibatch_gradient_many(self, X, I) -> np.ndarray:
-        """Vectorized mini-batch means: X (..., d), I (..., b) -> (..., d)."""
+        """Vectorized mini-batch means: X (..., d), I (..., b) -> (..., d).
+
+        An index outside [0, n) is an IndexError and a batch without an
+        index a ValueError; the engine's own draws, which are in range,
+        take `sample_plans` without this check.
+        """
+        I = np.asarray(I)
+        if not I.size:
+            raise ValueError("a mini-batch needs at least one component index")
+        bad = I[(I < 0) | (I >= self.n)]
+        if bad.size:
+            self._check_index(int(bad[0]))
         return self.planned_gradient_many(X, self.sample_plans(I[None])[0])
 
     def sample_plans(self, I, max_entries=None) -> list:
@@ -131,6 +143,14 @@ class _Oracles:
         self._check_dim(X)
         return self._second_moments(X.reshape(-1, self.d)).reshape(X.shape[:-1])
 
+    def second_moment_max(self, X, floor) -> float:
+        """max(floor, the largest second_moment_many(X)) of a stack X (..., d).
+
+        A NaN moment makes the largest one NaN, which leaves `floor`, as
+        Python's max(floor, nan) does.
+        """
+        return max(floor, float(self.second_moment_many(X).max()))
+
     def value(self, x) -> float:
         return float(self.value_many(x[None])[0])
 
@@ -142,7 +162,6 @@ class _Oracles:
         return self.minibatch_gradient_many(x[None], np.asarray(idx).reshape(1, -1))[0]
 
     def component_gradient(self, x, i) -> np.ndarray:
-        self._check_index(i)
         return self.minibatch_gradient_many(x[None], np.array([[i]]))[0]
 
     def component_gradients_at(self, x, idx) -> np.ndarray:
@@ -295,11 +314,15 @@ class LogisticObjective(_Oracles):
 class QuadraticObjective(_Oracles):
     """Synthetic quadratic with shared diagonal Hessian and noisy linear terms.
 
-    f_i(x) = (1/2) x^T diag(h) x - b_i^T x.  The component gradients differ
-    from the mean only through b_i, so the gradient variance is the same at
-    every point and is known exactly; it is exactly 0 when all b_i are
-    equal.  Per-point dot products go through np.vecdot, whose rounding of
-    a row does not depend on how many rows the stack has.
+    f_i(x) = (1/2) x^T diag(h) x - b_i^T x, with finite h > 0 and finite
+    b_i.  The component gradients differ from the mean only through b_i,
+    so the gradient variance is the same at every point and is known
+    exactly; it is exactly 0 when all b_i are equal.  The sums over the d
+    coordinates of a point are np.sum(..., axis=-1) (the quadratic term
+    of a value and the second moments) and np.vecdot (the linear term of
+    a value), whose rounding of a row does not depend on how many rows
+    the stack has.  The gradient passes multiply and subtract h and the
+    mean linear term as contiguous (P, d) rows, one loop over the stack.
     """
 
     lam = 0.0
@@ -312,33 +335,94 @@ class QuadraticObjective(_Oracles):
         self.row_entries = self.d
         if self.B.shape[1] != self.d:
             raise ValueError("linear terms do not match Hessian dimension")
+        # the first entry that is not finite (or not positive), if any
+        for name, values, positive in (("Hessian diagonal entry", self.hess, True),
+                                       ("linear term entry", self.B, False)):
+            bad = values[~np.isfinite(values) | (positive & (values <= 0))]
+            if bad.size:
+                _require_real(name, float(bad[0]), positive=positive)
         # the mean of equal rows can round away from the row itself
         self.b_mean = self.B[0] if (self.B == self.B[0]).all() else self.B.mean(axis=0)
         deltas = self.B - self.b_mean
         self.sigma_sq = float(np.mean(np.sum(deltas**2, axis=1)))
+        self._tiles = (np.empty((0, self.d)), np.empty((0, self.d)))
+        self._ones = np.ones(self.d)
+
+    def _rows(self, P):
+        """h and the mean linear term as P contiguous rows each: slices of
+        buffers that only grow, so no pass tiles them again."""
+        hess, b_mean = self._tiles
+        if len(hess) < P:
+            hess, b_mean = self._tiles = (np.tile(self.hess, (P, 1)),
+                                          np.tile(self.b_mean, (P, 1)))
+        return hess[:P], b_mean[:P]
 
     def _values(self, X):
         return 0.5 * np.sum(X * self.hess * X, axis=-1) - np.vecdot(X, self.b_mean)
 
     def _gradients(self, X):
-        return self.hess * X - self.b_mean
+        hess, b_mean = self._rows(len(X))
+        G = X * hess
+        G -= b_mean
+        return G
 
     def _sample_plans(self, I, max_entries):
         # a step's plan is B[I].mean(axis=-2), the mean of its sampled rows of
         # B (d gathered entries each): summed in row order, as that mean sums
         # them, one row of each sample at a time, without the (steps, P, b, d) gather
         steps = len(I) if max_entries is None else max(1, max_entries // (I[0].size * self.d))
-        plans = self.B[I[:steps, :, 0]]
+        plans = np.take(self.B, I[:steps, :, 0], axis=0)
         for j in range(1, I.shape[-1]):
-            plans += self.B[I[:steps, :, j]]
+            plans += np.take(self.B, I[:steps, :, j], axis=0)
         plans /= I.shape[-1]
         return list(plans)
 
     def _planned_gradients(self, X, plan):
-        return self.hess * X - plan
+        G = X * self._rows(len(X))[0]
+        G -= plan
+        return G
 
     def _second_moments(self, X):
         return np.sum(self._gradients(X) ** 2, axis=-1) + self.sigma_sq
+
+    def second_moment_max(self, X, floor) -> float:
+        """`_Oracles.second_moment_max`, bitwise, summing exactly only the
+        rows whose moment may exceed `floor`.
+
+        A row's moment is M = fl(s + sigma_sq), where s is np.sum of its
+        squared gradient entries p_1..p_d, floats >= 0.  One gemv pass sums
+        the same p_j into A.  Let P be their real sum and u = 2^-53.  A
+        float sum of d nonnegative terms in any order is within
+        g = (d-1)u / (1 - (d-1)u) of P relative (a rounded addition errs by
+        at most u relative, also in gradual underflow), unless it
+        overflows to inf; so A >= (1 - g) P, and s <= (1 + g) P, whose
+        partial sums are then bounded too.  The screen computes
+        tau = nextafter(fl(fl(floor - sigma_sq) k), -inf) with k = 1 - 8du,
+        exact for d <= 2^49, and sums a row exactly unless A <= tau:
+        - tau < 0 passes no row, and a NaN A (a NaN p_j) passes none.
+        - Else floor - sigma_sq >= 0, and tau <= (floor - sigma_sq) k (1+u)^2:
+          the subtraction errs by at most u relative, and the product by u
+          relative or, below the normal range, by at most half the spacing
+          that nextafter takes back.
+        - So A <= tau gives s + sigma_sq <= (floor - sigma_sq) k (1+u)^2
+          (1+g)/(1-g) + sigma_sq <= floor, since (1+g)/(1-g) = 1/(1 - 2(d-1)u)
+          and k (1+u)^2 <= 1 - (8d - 3)u <= 1 - 2(d-1)u.  Rounding is
+          monotone and floor is a float, so M <= floor.
+        Every row left out is thus finite and at most floor, and
+        max(floor, max M) is max(floor, the max of the rows summed), or
+        floor when none is.  A NaN row is summed, so it leaves floor here as
+        there.  At floor = inf, tau is the largest float and passes every
+        finite row.
+        """
+        self._check_dim(X)
+        squares = self._gradients(X.reshape(-1, self.d))
+        np.square(squares, out=squares)  # the p_j of M, the same floats
+        bound = math.nextafter((floor - self.sigma_sq) * (1.0 - 8 * self.d * 2.0**-53), -math.inf)
+        approx = squares @ self._ones
+        if approx.max() <= bound:  # a NaN row fails too
+            return floor
+        rows = squares[~(approx <= bound)]
+        return max(floor, float((np.sum(rows, axis=-1) + self.sigma_sq).max()))
 
     def component_value(self, x, i) -> float:
         self._check_dim(x)

@@ -174,8 +174,9 @@ def _index_chunks(seeds, K, n, b, T):
 
 
 def _worker_mean(X):
-    """Mean over the worker axis of (S, K, d); a single worker is its own mean."""
-    return X[:, 0] if X.shape[1] == 1 else X.mean(axis=1)
+    """Mean over the worker axis of (S, K, d), as np.mean sums and divides
+    it; a single worker is its own mean."""
+    return X[:, 0] if X.shape[1] == 1 else X.sum(axis=1) / X.shape[1]
 
 
 def _per_run(rows, index):
@@ -283,6 +284,13 @@ def _simulate(config, objective, seeds, *, steps=None, syncs=None, track_second_
     oracle.  points_evaluated and points_screened count the (run, scheme)
     points of every evaluation step, a point with an exact value as
     evaluated.
+
+    `track_second_moment` keeps the largest E_i ||grad f_i||^2 at the
+    iterates of the active runs before each step, through
+    `objective.second_moment_max`: a screen may skip the exact sums of
+    the rows it proves to be at most the running max (the quadratic's
+    does, and the max at x0 usually bounds every later row), and the
+    result is bitwise the exact max.
 
     Each chunk of `_CHUNK_STEPS` steps evaluates the stepsizes (each
     distinct schedule's scalar eta(t) once per step), the evaluation and
@@ -508,7 +516,8 @@ def _simulate(config, objective, seeds, *, steps=None, syncs=None, track_second_
                     per_step = len(runs["run"]) * K * config.b * objective.row_entries
                     plan_end = min(chunk_start + chunk.shape[2],
                                    t + max(1, min(t, int(_BLOCK_ENTRIES // per_step))))
-                I = chunk[runs["owner"], :, t - chunk_start:plan_end - chunk_start]
+                I = np.take(chunk[:, :, t - chunk_start:plan_end - chunk_start], runs["owner"],
+                            axis=0)
                 plans = objective.sample_plans(np.moveaxis(I, 2, 0), _BLOCK_ENTRIES)
                 plan_start, plan_end, planned = t, t + len(plans), len(runs["run"])
             if not screen:
@@ -516,16 +525,17 @@ def _simulate(config, objective, seeds, *, steps=None, syncs=None, track_second_
                 runs["weight_sum"] = runs["weight_sum"] + w
                 runs["output_sum"] = runs["output_sum"] + w[:, None] * runs["xbar"]
             if track_second_moment:
-                max_second_moment = max(max_second_moment,
-                                        float(objective.second_moment_many(runs["X"]).max()))
+                max_second_moment = objective.second_moment_max(runs["X"], max_second_moment)
             G = objective.planned_gradient_many(runs["X"], plans[t - plan_start])
             if record.noise_norms:
                 diff = G.mean(axis=1) - objective.gradient_many(runs["X"]).mean(axis=1)
                 rows["noise_sq"][runs["run"], t] = np.sum(diff**2, axis=1)
-            X = runs["X"] - runs["eta"][:, t - chunk_start, None, None] * G
+            # the step X - eta G, written over G
+            G *= runs["eta"][:, t - chunk_start, None, None]
+            X = np.subtract(runs["X"], G, out=G)
             # a run whose iterates blow up cannot recover; freeze it at its
             # last finite iterates before the objective evaluation overflows
-            if not np.max(np.abs(X)) < _DIVERGED:  # NaN fails too
+            if not (X.max() < _DIVERGED and -_DIVERGED < X.min()):  # NaN fails too
                 blown = ~np.all(np.abs(X) < _DIVERGED, axis=(1, 2))
                 diverged[runs["run"][blown]] = True
                 keep(~blown)

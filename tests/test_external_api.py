@@ -9,6 +9,7 @@ every public oracle method a reader.
 import ast
 import importlib
 import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -237,3 +238,22 @@ def test_only_schedules_states_the_integer_and_the_real_number_rule():
     assert list(found["schedules.py"])
     assert {name: lines for name, lines in found.items()
             if lines and name != "schedules.py"} == {}
+
+
+# numpy functions the package calls that an older numpy lacks, with the
+# release that added each
+NUMPY_SINCE = {"vecdot": (2, 0)}
+
+
+def test_the_declared_numpy_floor_has_every_numpy_function_the_package_calls():
+    # an older numpy imports the package and fails at the first call; the
+    # floor is read from the text, as Python 3.10 has no tomllib
+    text = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = tuple(int(part) for part in re.search(r'"numpy>=(\d+)\.(\d+)', text).groups())
+    called = {node.attr for path in (REPO_ROOT / "src" / "localsgd").glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "np"}
+    assert "vecdot" in called
+    assert {name: since for name, since in NUMPY_SINCE.items()
+            if name in called and floor < since} == {}

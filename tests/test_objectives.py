@@ -11,6 +11,7 @@ from localsgd import (
     make_quadratic,
     parse_libsvm,
 )
+from localsgd.objectives import _Oracles
 from oracles import estimate_constants, example
 
 
@@ -163,6 +164,30 @@ def test_quadratic_plans_hold_the_mean_of_the_sampled_rows_bitwise(b):
         assert np.array_equal(obj.minibatch_gradient_many(X, I[s]), want)
 
 
+@pytest.mark.parametrize("d", [1, 10, 300])
+def test_screened_second_moment_max_is_the_exact_max_at_its_boundary(d):
+    # entries spanning 1e-4..1e4, where the order of a sum shows in its
+    # bits; floors a few ulps either side of every row's moment, tied rows,
+    # a row that overflows to inf and a NaN row
+    rng = np.random.default_rng(d)
+    obj = QuadraticObjective(rng.uniform(1.0, 4.0, size=d),
+                             rng.standard_normal((5, d)) * 10.0 ** rng.integers(-4, 5, size=(5, d)))
+    X = rng.standard_normal((4, 3, d)) * 10.0 ** rng.integers(-4, 5, size=(4, 3, d))
+    X[2, 1] = X[0, 0]
+    exact = _Oracles.second_moment_max
+    moments = obj.second_moment_many(X)
+    floors = [0.0, math.inf, 2.0 * float(moments.max())] + [
+        float(m) * (1.0 + k * 2.0**-52) for m in moments.ravel() for k in range(-4, 5)]
+    for floor in floors:
+        assert obj.second_moment_max(X, floor) == exact(obj, X, floor)
+    assert obj.second_moment_max(X, float(moments.max())) == float(moments.max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, fill in ((X[1, 2], 1e200), (X[3, 0], np.nan)):
+            row[0] = fill
+            for floor in floors:
+                assert obj.second_moment_max(X, floor) == exact(obj, X, floor)
+
+
 def test_quadratic_value_at_the_minimizer_is_f_star_in_a_stack(quad10):
     obj, ref, _ = quad10
     stack = np.broadcast_to(ref.x_star, (2, 4, obj.d))
@@ -185,6 +210,42 @@ def test_quadratic_dimension_and_index_errors(quad10):
             obj.component_value(np.zeros(obj.d), i)
     with pytest.raises(ValueError, match="^linear terms do not match Hessian dimension$"):
         QuadraticObjective(np.ones(3), np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("name", ["logistic50", "quad10"])
+def test_mini_batch_doors_reject_a_bad_index_and_an_empty_batch(request, name):
+    # unchecked, the quadratic wraps -1 to component n-1 and the logistic
+    # raises numpy's own errors; the engine's sample_plans path has no door
+    obj = _objective(request, name)
+    x = np.zeros(obj.d)
+    for i in (-1, obj.n, -obj.n - 1):
+        message = f"^component index {i} out of range \\[0, {obj.n}\\)$"
+        for call in (lambda: obj.minibatch_gradient(x, [0, i]),
+                     lambda: obj.component_gradients_at(x, [i, 0]),
+                     lambda: obj.component_gradient(x, i),
+                     lambda: obj.minibatch_gradient_many(np.zeros((2, obj.d)), [[0], [i]])):
+            with pytest.raises(IndexError, match=message):
+                call()
+    for call in (lambda: obj.minibatch_gradient(x, []),
+                 lambda: obj.component_gradients_at(x, []),
+                 lambda: obj.minibatch_gradient_many(np.zeros((2, obj.d)), np.zeros((2, 0), int))):
+        with pytest.raises(ValueError, match="^a mini-batch needs at least one component index$"):
+            call()
+
+
+@pytest.mark.parametrize("hess, linear, message", [
+    ([float("nan"), 1.0], [[0.0, 0.0]], "Hessian diagonal entry must be finite and positive, got nan"),
+    ([-1.0, 1.0], [[0.0, 0.0]], "Hessian diagonal entry must be finite and positive, got -1.0"),
+    ([1.0, 0.0], [[0.0, 0.0]], "Hessian diagonal entry must be finite and positive, got 0.0"),
+    ([1.0, float("inf")], [[0.0, 0.0]],
+     "Hessian diagonal entry must be finite and positive, got inf"),
+    ([1.0, 1.0], [[0.0, 1.0], [float("inf"), 0.0]], "linear term entry must be finite, got inf"),
+    ([1.0, 1.0], [[0.0, float("nan")]], "linear term entry must be finite, got nan"),
+])
+def test_quadratic_rejects_a_non_finite_or_non_positive_entry(hess, linear, message):
+    # unchecked, these give NaN curvature, mu = -1 or a NaN sigma_sq
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        QuadraticObjective(hess, linear)
 
 
 @pytest.mark.parametrize("name", ["logistic50", "quad10"])

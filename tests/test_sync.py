@@ -6,6 +6,7 @@ import pytest
 
 from localsgd import (
     ConstantStep,
+    DelayModel,
     LogisticObjective,
     QuadraticObjective,
     RecordFlags,
@@ -18,6 +19,7 @@ from localsgd import (
     theorem_steps,
 )
 from localsgd import sync
+from localsgd.asynchronous import run_async_ensemble
 from localsgd.averaging import SCHEMES, RunningAverage
 from localsgd.harness import DatasetSpec, ExperimentConfig, reference_for
 from localsgd.schedules import ExperimentDecayStep
@@ -209,6 +211,49 @@ def test_ensemble_matches_scalar_engine(quad10):
         assert np.array_equal(ensemble.deviations[r], single.deviations)
         assert np.array_equal(ensemble.output_average[r], single.output_average)
         assert np.allclose(ensemble.noise_sq[r], single.noise_sq, atol=1e-15)
+
+
+def _tracked_ensemble(engine, objective, c, x0, seeds, K=3, T=24, H=4):
+    """An ensemble that tracks G^2 and records its iterates, and the max of
+    second_moment_many over the iterates the loop tracks: steps t < T, up
+    to where a run froze (NaN after it), and at least 0.0."""
+    config = RunConfig(K=K, T=T, b=2, sync=regular_sync_schedule(T, H), steps=ConstantStep(c=c),
+                       seed=0, x0=x0, record=RecordFlags(virtual=False, f_values=False,
+                                                         iterates=True))
+    if engine == "sync":
+        result = run_local_sgd_ensemble(config, objective, seeds, track_second_moment=True)
+    else:
+        result = run_async_ensemble(config, [config.sync] * K, DelayModel("fixed", tau=2),
+                                    objective, seeds, track_second_moment=True)
+    with np.errstate(over="ignore"):
+        moments = objective.second_moment_many(result.iterates[:, :, :T])
+    return result, moments, max(0.0, float(np.nanmax(moments)))
+
+
+@pytest.mark.parametrize("engine", ["sync", "async"])
+@pytest.mark.parametrize("name, c, late", [("quad10", 2.0**-7, False), ("quad10", 0.6 / 32, True),
+                                           ("logistic50", 2.0**-4, False)],
+                         ids=["quad10-decreasing", "quad10-overshooting", "logistic50"])
+def test_tracked_second_moment_is_the_max_over_the_iterates(request, engine, name, c, late):
+    # seeds 3 and 3 tie their rows at every step, and all rows tie at x0;
+    # at eta = 32c = 0.6 > 2 / L the quadratic's moment grows, so its max is late
+    objective = request.getfixturevalue(name)
+    objective = objective[0] if name == "quad10" else objective
+    x0 = np.linspace(-1.0, 1.0, objective.d)
+    result, moments, want = _tracked_ensemble(engine, objective, c, x0, [3, 8, 3, 5])
+    assert result.max_second_moment == want
+    assert not result.diverged.any()
+    assert (moments[:, :, 0].max() < want) == late
+
+
+@pytest.mark.parametrize("engine", ["sync", "async"])
+def test_tracked_second_moment_reads_a_row_that_overflows(engine):
+    # G^2 overflows at x0 while the iterate is finite; the step then
+    # diverges, and the run freezes
+    objective = QuadraticObjective([1e200, 1.0], [[0.0, 1.0], [2.0, -1.0]])
+    result, moments, want = _tracked_ensemble(engine, objective, 2.0**-6, np.ones(2), [4, 9])
+    assert want == np.inf and result.max_second_moment == np.inf
+    assert result.diverged.all()
 
 
 def test_ensemble_matches_scalar_engine_on_logistic(logistic50):
