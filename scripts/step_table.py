@@ -8,8 +8,10 @@ steps with sync period H = 4, b = 1, the theorem schedule and nothing
 recorded, and reports the best of 2 wall times divided by T, in µs per
 step: once as is and once with `track_second_moment`.  The objectives are
 quad10 (d = 10, kappa = 4, n = 64, unit noise) and synth50, the logistic
-fixture under tests/data.  A run of the whole table takes about half a
-minute on one core.
+fixture under tests/data.  The `draws` table times `sync._index_chunks`
+alone, the index draw of every (run, worker) substream, in µs per stream:
+S seeds, K workers, T steps, b = 1 and n = 64, best of 3.  A run of both
+tables takes about half a minute on one core.
 """
 
 import json
@@ -22,11 +24,12 @@ import numpy as np
 
 from localsgd import (LogisticObjective, RecordFlags, RunConfig, make_quadratic, parse_libsvm,
                       regular_sync_schedule, theorem_steps)
-from localsgd.sync import _simulate
+from localsgd.sync import _index_chunks, _simulate
 
 SYNTH50 = Path(__file__).resolve().parent.parent / "tests" / "data" / "synth50.libsvm"
 T, H, REPEATS = 2000, 4, 2
 KS, SS = (1, 4), (1, 16, 64, 256)
+DRAW_SS, DRAW_KS, DRAW_TS, DRAW_N, DRAW_REPEATS = (1, 100, 1000), (1, 4, 8), (64, 1000), 64, 3
 
 
 def objectives():
@@ -48,6 +51,16 @@ def us_per_step(objective, K, S, track):
     return round(best / T * 1e6, 2)
 
 
+def us_per_stream(S, K, T):
+    best = float("inf")
+    for _ in range(DRAW_REPEATS):
+        start = time.perf_counter()
+        for _chunk in _index_chunks(list(range(S)), K, DRAW_N, 1, T):
+            pass
+        best = min(best, time.perf_counter() - start)
+    return round(best / (S * K) * 1e6, 2)
+
+
 def main():
     rows = [{"objective": name, "K": K, "S": S,
              "us_per_step": us_per_step(objective, K, S, False),
@@ -57,7 +70,11 @@ def main():
                "record": "RecordFlags(virtual=False, f_values=False)", "best_of": REPEATS}
     machine = {"python": platform.python_version(), "numpy": np.__version__,
                "processor": platform.processor() or platform.machine()}
-    json.dump({"setting": setting, "machine": machine, "rows": rows}, sys.stdout, indent=1)
+    draws = [{"S": S, "K": K, "T": T, "us_per_stream": us_per_stream(S, K, T)}
+             for S in DRAW_SS for K in DRAW_KS for T in DRAW_TS]
+    setting["draws"] = {"n": DRAW_N, "b": 1, "seeds": "range(S)", "best_of": DRAW_REPEATS}
+    json.dump({"setting": setting, "machine": machine, "rows": rows, "draws": draws},
+              sys.stdout, indent=1)
     print()
 
 

@@ -418,6 +418,8 @@ class QuadraticObjective(_Oracles):
         squares = self._gradients(X.reshape(-1, self.d))
         np.square(squares, out=squares)  # the p_j of M, the same floats
         bound = math.nextafter((floor - self.sigma_sq) * (1.0 - 8 * self.d * 2.0**-53), -math.inf)
+        if bound < 0:  # passes no row, as at a tracker's first call, floor 0.0
+            return max(floor, float((np.sum(squares, axis=-1) + self.sigma_sq).max()))
         approx = squares @ self._ones
         if approx.max() <= bound:  # a NaN row fails too
             return floor

@@ -24,8 +24,10 @@ are no longer needed leave the stack, so they cost nothing afterwards.
 Indices come from `_index_chunks`, which draws every worker substream in
 chunks of `_CHUNK_STEPS` steps, so memory does not grow with the horizon;
 runs that share a seed share one draw, and runs that share a schedule one
-evaluation of it.  The gathers of the sampled gradients are planned from
-them for a block of steps at a time.
+evaluation of it.  One bit generator draws every substream in turn, from
+its state by one vectorized pass of numpy's seeding, so chunks equal one
+draw; the gathers of the sampled gradients are planned from them for a
+block of steps at a time.
 """
 
 from __future__ import annotations
@@ -42,6 +44,11 @@ from .schedules import (SyncSchedule, TheoremDecayStep, _require_bool, _require_
 _CHUNK_STEPS = 1024        # steps drawn from each worker substream at a time
 _BLOCK_ENTRIES = 1 << 15   # gathered entries of one block of gradient plans, at most
 _DIVERGED = 1e100          # a run whose iterates reach this magnitude has diverged
+_SPAWNED_STREAMS = 8       # a draw of more streams than this hashes their states in one pass
+# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _PCG_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -155,21 +162,74 @@ def _spawn_worker_rngs(seed, K):
             for s in np.random.SeedSequence(seed).spawn(K)]
 
 
+def _hashmix(words, const, mult, rows):
+    """SeedSequence's hash of `words` into `rows` rows from constant `const`, and the next one."""
+    consts = [const]
+    for _ in range(rows):
+        consts.append(consts[-1] * mult & _MASK32)
+    column = np.array(consts, dtype=np.uint32).reshape((-1,) + (1,) * (words.ndim - 1))
+    words = (words ^ column[:-1]) * column[1:]
+    words ^= words >> 16
+    return words, consts[-1]
+
+
+def _stream_states(seeds, K):
+    """`_spawn_worker_rngs(seed, K)[k].bit_generator.state` for each seed and
+    k < K, run-major; past `_SPAWNED_STREAMS`, numpy's SeedSequence hash (of
+    the seed's 32-bit words, low first, zero-padded to 4, then k) and PCG64
+    seeding, fixed by its compatibility policy, run on arrays per word count."""
+    if len(seeds) * K <= _SPAWNED_STREAMS:
+        return [rng.bit_generator.state for seed in seeds for rng in _spawn_worker_rngs(seed, K)]
+    lengths = np.array([max(4, -(-int(seed).bit_length() // 32)) for seed in seeds])
+    initstate, initseq = np.empty((2, len(seeds), K), dtype=object)
+    for length in set(lengths.tolist()):
+        rows = np.flatnonzero(lengths == length)
+        words = [np.array([[int(seeds[r]) >> 32 * j & _MASK32] for r in rows], dtype=np.uint32)
+                 for j in range(length)] + [np.arange(K, dtype=np.uint32)[None]]
+        # mix_entropy: hash the first 4 words into the pool (4, seeds, K),
+        # mix each pool word into the other 3, then each later word into all
+        pool, const = _hashmix(np.stack(words[:4]), _INIT_A, _MULT_A, 4)
+        for src in range(4):
+            dst = [i for i in range(4) if i != src]
+            hashed, const = _hashmix(pool[src:src + 1], const, _MULT_A, 3)
+            mixed = _MIX_L * pool[dst] - _MIX_R * hashed
+            pool[dst] = mixed ^ mixed >> 16
+        for word in words[4:]:
+            hashed, const = _hashmix(word[None], const, _MULT_A, 4)
+            mixed = _MIX_L * pool - _MIX_R * hashed
+            pool = mixed ^ mixed >> 16
+        # generate_state(4, uint64): 8 words hashed from the pool in turn, a
+        # uint64 per (low, high) pair, and initstate, initseq 2 of those each
+        halves, _ = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _INIT_B, _MULT_B, 8)
+        halves = halves.astype(np.uint64)
+        quads = (halves[0::2] | halves[1::2] << 32).astype(object)
+        initstate[rows] = quads[0] << 64 | quads[1]
+        initseq[rows] = quads[2] << 64 | quads[3]
+    # srandom: inc = 2 initseq + 1, and the state 0 stepped, plus initstate, stepped
+    inc = (initseq << 1 | 1) & _MASK128
+    state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+    return [{"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+             "state": {"state": s, "inc": i}} for s, i in zip(state.flat, inc.flat)]
+
+
 def _index_chunks(seeds, K, n, b, T):
     """Component indices (S, K, steps, b) of S seeded runs, for the steps t < T
     in chunks of `_CHUNK_STEPS` steps.
 
-    Worker k of run r draws from the k-th substream spawned from seeds[r].
-    Chunked draws from a PCG64 stream equal one draw of all T steps, so
-    the indices do not depend on the chunk size.
+    Worker k of run r draws the k-th substream spawned from seeds[r], by one
+    PCG64 set to each stream's saved state in turn, buffered 32-bit half and
+    all, so chunked draws equal one draw and do not depend on the chunk size.
     """
-    rngs = [_spawn_worker_rngs(seed, K) for seed in seeds]
+    states = _stream_states(seeds, K)
+    gen = np.random.Generator(np.random.PCG64(0))
     for start in range(0, T, _CHUNK_STEPS):
         steps = min(_CHUNK_STEPS, T - start)
         chunk = np.empty((len(seeds), K, steps, b), dtype=np.int64)
-        for r, workers in enumerate(rngs):
-            for k, rng in enumerate(workers):
-                chunk[r, k] = rng.integers(0, n, size=(steps, b))
+        for j, stream in enumerate(chunk.reshape(-1, steps, b)):
+            gen.bit_generator.state = states[j]
+            stream[:] = gen.integers(0, n, size=(steps, b))
+            if start + steps < T:
+                states[j] = gen.bit_generator.state
         yield chunk
 
 

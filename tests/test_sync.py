@@ -409,6 +409,28 @@ def test_repeated_seeds_match_single_runs_bitwise(logistic50):
         assert np.array_equal(run.final_iterates[r], single.final_iterates)
 
 
+@pytest.mark.parametrize("chunk_steps", [None, 7, 16], ids=["default", "chunk-7", "chunk-16"])
+def test_index_chunks_equal_the_spawned_generators_draws(monkeypatch, chunk_steps):
+    # seeds of one to five 32-bit words, a numpy integer and a repeated
+    # seed, hashed in one pass at every K, and two seeds, which K <= 4
+    # spawns; T*b odd, so a chunk of 7 steps leaves a buffered 32-bit half
+    # for the next; 3*2^30 rejects ~25% of Lemire's draws, 2^32 takes every
+    # 32-bit word as is and 2^32+1 the 64-bit path
+    if chunk_steps is not None:
+        monkeypatch.setattr(sync, "_CHUNK_STEPS", chunk_steps)
+    panel = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96 + 3, 2**130 + 7, np.uint32(5), 1]
+    T = 23
+    for seeds in (panel, panel[4:6]):
+        for n in (1, 2, 50, 64, 3 * 2**30, 2**32, 2**32 + 1):
+            for K in range(1, 10):
+                for b in (1, 2, 3):
+                    got = np.concatenate(list(_index_chunks(seeds, K, n, b, T)), axis=2)
+                    want = [[rng.integers(0, n, size=(T, b))
+                             for rng in sync._spawn_worker_rngs(s, K)] for s in seeds]
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, np.array(want)), (len(seeds), n, K, b)
+
+
 def _serial_iterates(config, objective, seed, schedule, stop):
     """A run's iterates after `stop` steps, one minibatch_gradient_many call per step."""
     X = np.tile(config.x0, (config.K, 1))
