@@ -3,15 +3,16 @@
 
     PYTHONPATH=src python3 scripts/step_table.py > table.json
 
-Each cell runs `sync._simulate` on S seeded runs of K workers for T = 2000
-steps with sync period H = 4, b = 1, the theorem schedule and nothing
-recorded, and reports the best of 2 wall times divided by T, in µs per
-step: once as is and once with `track_second_moment`.  The objectives are
-quad10 (d = 10, kappa = 4, n = 64, unit noise) and synth50, the logistic
-fixture under tests/data.  The `draws` table times `sync._index_chunks`
-alone, the index draw of every (run, worker) substream, in µs per stream:
-S seeds, K workers, T steps, b = 1 and n = 64, best of 3.  A run of both
-tables takes about half a minute on one core.
+Each cell runs `sync._simulate` on a batch of S runs, seeds 0 to S-1, of
+K workers for T = 2000 steps with sync period H = 4, b = 1, the theorem
+schedule and nothing recorded, and reports the best of 2 wall times
+divided by T, in µs per step: once as is and once with
+`track_second_moment`.  The objectives are quad10 (d = 10, kappa = 4,
+n = 64, unit noise) and synth50, the logistic fixture under tests/data.
+The `draws` table times `sync._index_chunks` alone, the index draw of
+every (run, worker) substream, in µs per stream: S seeds, K workers, T
+steps, b = 1 and n = 64, best of 3.  A run of both tables takes about
+half a minute on one core.
 """
 
 import json
@@ -40,13 +41,14 @@ def objectives():
 
 
 def us_per_step(objective, K, S, track):
-    config = RunConfig(K=K, T=T, b=1, sync=regular_sync_schedule(T, H),
-                       steps=theorem_steps(objective.curvature(), H), seed=0,
-                       x0=np.zeros(objective.d), record=RecordFlags(virtual=False, f_values=False))
+    runs = [RunConfig(K=K, T=T, b=1, sync=regular_sync_schedule(T, H),
+                      steps=theorem_steps(objective.curvature(), H), seed=seed,
+                      x0=np.zeros(objective.d), record=RecordFlags(virtual=False, f_values=False))
+            for seed in range(S)]
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        _simulate(config, objective, list(range(S)), track_second_moment=track)
+        _simulate(runs, objective, track_second_moment=track)
         best = min(best, time.perf_counter() - start)
     return round(best / T * 1e6, 2)
 

@@ -233,8 +233,8 @@ def _replayed(config, per_worker_syncs, delay, objective, seeds, *,
             f"{staleness} > tau={tau}"
         )
     replay = _Replay(log, config.x0, len(seeds), config.K, config.T)
-    result = _simulate(config, objective, seeds, exchange=replay,
-                       track_second_moment=track_second_moment)
+    result = _simulate([replace(config, seed=seed) for seed in seeds], objective,
+                       exchange=replay, track_second_moment=track_second_moment)
     return replace(result, staleness=staleness, comm_rounds=replay.rounds), log
 
 

@@ -48,7 +48,7 @@ import configparser
 import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 from math import ceil, inf, isfinite, log2, sqrt
 from numbers import Integral
@@ -104,6 +104,18 @@ _GRID_MIN, _GRID_MAX = -1074, 1023
 _ROUND_FLOATS = 1024  # iterate floats (runs x K x d) a grid-search round speculates up to
 
 
+def _check_window(i_min, i_max):
+    # integer bounds get the window's messages first, any other the integer rule's
+    if isinstance(i_min, Integral) and isinstance(i_max, Integral):
+        if i_min > i_max:
+            raise ValueError("grid window is empty (i_min > i_max)")
+        if i_min < _GRID_MIN or i_max > _GRID_MAX:
+            raise ValueError(f"grid window [{i_min}, {i_max}] must lie within [{_GRID_MIN}, "
+                             f"{_GRID_MAX}], where every c = 2^i is positive and finite")
+    _require_integer("i_min", i_min, _GRID_MIN)  # integers too, after the window's messages
+    _require_integer("i_max", i_max, _GRID_MIN)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: DatasetSpec
@@ -138,16 +150,7 @@ class ExperimentConfig:
             check_cost_ratio(self.rho)
             _require_integer("[run] seed", self.seed, 0)
             _require_integer("epoch_cap", self.epoch_cap, 1)
-            # integer bounds get the window's messages first, any other the integer rule's
-            if all(isinstance(getattr(self, name), Integral) for name in ("i_min", "i_max")):
-                if self.i_min > self.i_max:
-                    raise ValueError("grid window is empty (i_min > i_max)")
-                if self.i_min < _GRID_MIN or self.i_max > _GRID_MAX:
-                    raise ValueError(f"grid window [{self.i_min}, {self.i_max}] must lie "
-                                     f"within [{_GRID_MIN}, {_GRID_MAX}], where every c = 2^i "
-                                     f"is positive and finite")
-            for name in ("i_min", "i_max"):  # integers too, after the window's messages
-                _require_integer(name, getattr(self, name), _GRID_MIN)
+            _check_window(self.i_min, self.i_max)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if unknown := [key for key in self.lemmas if key not in LEMMA_DEFAULTS]:
@@ -505,8 +508,9 @@ def grid_search_stepsize(objective, f_star, K, H, b, eps, seed, step_cap,
     None, None) when no stepsize in the window reaches eps; the iterations
     are the winner's t* in its batch, which is its `measure_iterations`
     run.  This is the one-cell case of `_search_cells`, and its answer is
-    the same alone or searched beside other cells.
+    the same alone or searched beside other cells.  Its window takes the config's rules.
     """
+    _check_window(i_min, i_max)
     return _search_cells(objective, f_star, K, b, eps, step_cap, [(H, seed)], i_min, i_max)[0]
 
 
@@ -518,20 +522,18 @@ def _search_cells(objective, f_star, K, b, eps, step_cap, cells,
     Each cell is one `_CellSearch`, with its own tables, cache and
     `_ROUND_FLOATS` budget, so its rounds, runs and answer are those of its
     search alone.  A round of the group is one `_simulate` batch of the
-    cells' round points, each run on its cell's seed and sync period, and
+    cells' round points, each run its point's `measure_iterations` run, and
     `limits` drops the runs of each cell by that cell's tables alone.
     Returns one (family, c, iterations) per cell, in order, `replay_grid`
-    of its tables, whose every t* is its point's own run in a batch: no
-    point runs twice.
+    of its tables, whose every t* is read off a batch: no point runs twice.
     """
-    syncs = [regular_sync_schedule(step_cap, H) for H, _ in cells]
+    # each cell's config, built once; a point's run is it with the point's stepsizes
+    configs = [_cell_config(objective, K, H, b, seed, step_cap, None) for H, seed in cells]
 
     def measure(batch, limits):
-        steps = [_family_steps(family, 2.0**i, objective.n) for _, (family, i) in batch]
-        config = _cell_config(objective, K, cells[0][0], b, cells[0][1], step_cap, steps[0])
-        return _simulate(config, objective, [cells[k][1] for k, _ in batch], steps=steps,
-                         syncs=[syncs[k] for k, _ in batch], target=(eps, f_star),
-                         limits=limits).crossed
+        runs = [replace(configs[k], steps=_family_steps(family, 2.0**i, objective.n))
+                for k, (family, i) in batch]
+        return _simulate(runs, objective, target=(eps, f_star), limits=limits).crossed
 
     searches = [_CellSearch(i_min, i_max, _ROUND_FLOATS // (K * objective.d)) for _ in cells]
     _search_rounds(measure, searches)

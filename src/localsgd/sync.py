@@ -14,25 +14,25 @@ mean of the worker iterates, which evolves exactly like SGD driven by the
 aggregate gradient), the four running averages of that sequence, and the
 mean squared deviation of workers from it.
 
-One time-step loop, `_simulate`, advances S seeded runs at once on
-iterates of shape (S, K, d) with one batched oracle call per step;
-`run_local_sgd` is its S=1 case and `run_local_sgd_ensemble` its S-run
-case, so a single run and the matching row of an ensemble agree bitwise.
+One time-step loop, `_simulate`, advances a batch of runs, one `RunConfig`
+each, at once on iterates (S, K, d) with one batched oracle call per step;
+`run_local_sgd` is a batch of one run and `run_local_sgd_ensemble` one of
+a run per seed, so a single run and its row of a batch agree bitwise.
 Asynchronous runs replay their write plan on it.  The stepsize grid
-search runs it with one schedule per run, and runs that stop, diverge or
-are no longer needed leave the stack, so they cost nothing afterwards.
-Indices come from `_index_chunks`, which draws every worker substream in
-chunks of `_CHUNK_STEPS` steps, so memory does not grow with the horizon;
-runs that share a seed share one draw, and runs that share a schedule one
-evaluation of it.  One bit generator draws every substream in turn, from
-its state by one vectorized pass of numpy's seeding, so chunks equal one
-draw; the gathers of the sampled gradients are planned from them for a
-block of steps at a time.
+search runs a schedule per run, and runs that stop, diverge or are no
+longer needed leave the stack, so they cost nothing afterwards.  Indices
+come from `_index_chunks`, which draws every worker substream in chunks
+of `_CHUNK_STEPS` steps, so memory does not grow with the horizon; runs
+that share a seed share one draw, and runs that share a schedule one
+evaluation of it.  Past a few substreams, one bit generator draws them in
+turn, from states set by one vectorized pass of numpy's seeding, so
+chunks equal one draw; the gathers of the sampled gradients are planned
+from them for a block of steps at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -122,10 +122,10 @@ class RunTrace:
 
 @dataclass
 class EnsembleResult:
-    """What the time-step loop, `_simulate`, records for S seeded runs of one
-    configuration, for every engine; its counters cover the whole loop.
+    """What the time-step loop, `_simulate`, records for a batch of S runs,
+    for every engine; its counters cover the whole loop.
 
-    Row r of each row that `config.record` asks for is run r's `RunTrace`
+    Row r of each row that the runs' record asks for is run r's `RunTrace`
     field, and a row not recorded reads None.  Every per-step row has its
     full length, while eval_steps and f_by_scheme end where the loop did,
     so run r's f values are the first len(trace.eval_steps) of its row.
@@ -175,11 +175,9 @@ def _hashmix(words, const, mult, rows):
 
 def _stream_states(seeds, K):
     """`_spawn_worker_rngs(seed, K)[k].bit_generator.state` for each seed and
-    k < K, run-major; past `_SPAWNED_STREAMS`, numpy's SeedSequence hash (of
-    the seed's 32-bit words, low first, zero-padded to 4, then k) and PCG64
-    seeding, fixed by its compatibility policy, run on arrays per word count."""
-    if len(seeds) * K <= _SPAWNED_STREAMS:
-        return [rng.bit_generator.state for seed in seeds for rng in _spawn_worker_rngs(seed, K)]
+    k < K, run-major: numpy's SeedSequence hash (of the seed's 32-bit words,
+    low first, zero-padded to 4, then k) and PCG64 seeding, fixed by its
+    compatibility policy, run on arrays per word count."""
     lengths = np.array([max(4, -(-int(seed).bit_length() // 32)) for seed in seeds])
     initstate, initseq = np.empty((2, len(seeds), K), dtype=object)
     for length in set(lengths.tolist()):
@@ -216,20 +214,25 @@ def _index_chunks(seeds, K, n, b, T):
     """Component indices (S, K, steps, b) of S seeded runs, for the steps t < T
     in chunks of `_CHUNK_STEPS` steps.
 
-    Worker k of run r draws the k-th substream spawned from seeds[r], by one
-    PCG64 set to each stream's saved state in turn, buffered 32-bit half and
-    all, so chunked draws equal one draw and do not depend on the chunk size.
+    Worker k of run r draws the k-th substream spawned from seeds[r]: from
+    numpy's spawned generators up to `_SPAWNED_STREAMS` streams, and past
+    that from one PCG64 set to each stream's saved state in turn, buffered
+    32-bit half and all; so chunked draws equal one draw of any chunk size.
     """
-    states = _stream_states(seeds, K)
-    gen = np.random.Generator(np.random.PCG64(0))
+    if len(seeds) * K <= _SPAWNED_STREAMS:
+        gens, states = [rng for seed in seeds for rng in _spawn_worker_rngs(seed, K)], None
+    else:
+        states = _stream_states(seeds, K)
+        gens = [np.random.Generator(np.random.PCG64(0))] * len(states)
     for start in range(0, T, _CHUNK_STEPS):
         steps = min(_CHUNK_STEPS, T - start)
         chunk = np.empty((len(seeds), K, steps, b), dtype=np.int64)
         for j, stream in enumerate(chunk.reshape(-1, steps, b)):
-            gen.bit_generator.state = states[j]
-            stream[:] = gen.integers(0, n, size=(steps, b))
-            if start + steps < T:
-                states[j] = gen.bit_generator.state
+            if states:
+                gens[j].bit_generator.state = states[j]
+            stream[:] = gens[j].integers(0, n, size=(steps, b))
+            if states and start + steps < T:
+                states[j] = gens[j].bit_generator.state
         yield chunk
 
 
@@ -286,27 +289,25 @@ def _certified_by_any(Y, z, f_z, g_z, mu, eps, f_star):
                            np.vecdot(D, D), mu, eps, f_star).any(axis=2)
 
 
-def _simulate(config, objective, seeds, *, steps=None, syncs=None, track_second_moment=False,
-              target=None, limits=None, exchange=None):
+def _simulate(runs, objective, *, track_second_moment=False, target=None, limits=None,
+              exchange=None):
     """The time-step loop behind every engine: sync, grid search and async.
 
-    Advances S = len(seeds) runs of `config` on iterates (S, K, d) and
-    records what `config.record` asks for, each row with a leading run
-    axis.  `steps`, one schedule per run, replaces config.steps, and a
-    run's output average has its own schedule's shift.  `syncs`, one
-    `SyncSchedule` per run with config's horizon T, replaces config.sync
-    in the same way.  At each of its sync indices a run's workers take
-    their mean, xbar; the runs that sync at a step do so in one masked
-    mean.  Per-run periods, more than one distinct schedule in `syncs`,
-    need record.f_values off, since eval_steps and f_by_scheme have one
-    layout for all runs, and no `exchange`.  `exchange`, an async
-    write-plan replay, replaces the worker mean: exchange(t, X) updates
-    the post-step iterates in place after every step t, and xbar is
-    exchange.virtual(X), the virtual sequence of all updates.  The shift
-    of each schedule is checked against the period of its runs before any
+    Advances the S = len(runs) runs, one `RunConfig` each, on iterates
+    (S, K, d) and records what their record asks for, each row with a
+    leading run axis: row r is the one run of runs[r].  The runs share K,
+    T, b, x0 and record; each has its own seed, stepsizes (and output
+    average shift) and sync schedule, at whose indices its workers take
+    their mean, xbar, in one masked mean with the runs that sync there.
+    Per-run periods need record.f_values off, since eval_steps and
+    f_by_scheme have one layout for all runs, and no `exchange`, an async
+    write-plan replay that replaces the worker mean: exchange(t, X)
+    updates the post-step iterates in place after every step t, and xbar
+    is exchange.virtual(X), the virtual sequence of all updates.  Each
+    schedule's shift is checked against its runs' period before any
     oracle call, or by an exchange's caller against H + tau.
 
-    Each per-run quantity is one array of the table `runs`, over the
+    Each per-run quantity is one array of the table `stack`, over the
     active runs in run order.  Every run leaves through `keep(stay)`, with
     the iterates it froze at as its final iterates and the output average
     of the steps it ran; it records NaN from then on and costs no further
@@ -333,11 +334,11 @@ def _simulate(config, objective, seeds, *, steps=None, syncs=None, track_second_
     lists the steps at which some run evaluated, and comm_rounds counts
     the steps after which some run took its worker mean; with one
     period, these are every run's own up to where the loop ended.  At
-    t = 0 every average is xbar_0, evaluated once.  A
-    target-only run, one that records no function values, keeps no output
-    average and is screened: only the points that no convexity lower bound
-    from their run's four anchors certifies above eps (`_certified_by_any`)
-    are evaluated, with their gradients, and become the anchors.  So every
+    t = 0 every average is xbar_0, evaluated once.  A target-only run,
+    one that records no function values, keeps no output average and is
+    screened: only the points that no convexity lower bound from their
+    run's four anchors certifies above eps (`_certified_by_any`) are
+    evaluated, with their gradients, and become the anchors.  So every
     crossing step is the same as with all values evaluated: a skipped
     point cannot be non-finite, which the iterate guard keeps away, and a
     step whose points are all skipped cannot cross, so it calls no value
@@ -362,29 +363,23 @@ def _simulate(config, objective, seeds, *, steps=None, syncs=None, track_second_
     a run that leaves re-plans the rest of the block.
 
     Returns the `EnsembleResult` of the S runs, at least one.  Each row it
-    keeps, what config.record asks for and the output averages, is
-    allocated once, NaN, and written in place; a row not kept is None.
-    Run r's `RunTrace` is row r of it, alone or in a batch.
+    keeps, what the record asks for and the output averages, is allocated
+    once, NaN, and written in place; a row not kept is None.
     """
-    if not len(seeds):
+    if not len(runs):
         raise ValueError("need at least one seed")
-    for seed in seeds:
-        _require_integer("seed", seed, 0)
+    config = runs[0]  # its K, T, b, x0 and record are every run's
+    shared = (config.K, config.T, config.b, config.record, config.x0.shape, config.x0.tobytes())
+    if any((run.K, run.T, run.b, run.record, run.x0.shape, run.x0.tobytes()) != shared
+           for run in runs):
+        raise ValueError("the runs of a batch must share K, T, b, x0 and record")
     if config.x0.shape[-1] != objective.d:
         raise ValueError("x0 dimension does not match the objective")
     if target is not None:
         _require_real("target accuracy", target[0], positive=True)
         _require_real("target f_star", target[1])
-    S, K, T, d, record = len(seeds), config.K, config.T, objective.d, config.record
-    steps = [config.steps] * S if steps is None else steps
-    syncs = [config.sync] * S if syncs is None else syncs
-    if len(steps) != S:
-        raise ValueError(f"need one step schedule per seed, got {len(steps)} for {S} seeds")
-    if len(syncs) != S:
-        raise ValueError(f"need one sync schedule per seed, got {len(syncs)} for {S} seeds")
-    if any(sync.T != T for sync in syncs):
-        raise ValueError("sync schedule horizon does not match T")
-    per_run = len(set(syncs)) > 1
+    S, K, T, d, record = len(runs), config.K, config.T, objective.d, config.record
+    per_run = len({run.sync for run in runs}) > 1
     if per_run and record.f_values:
         raise ValueError("per-run sync periods need record.f_values off: eval_steps and "
                          "f_by_scheme have one layout for all runs")
@@ -392,7 +387,7 @@ def _simulate(config, objective, seeds, *, steps=None, syncs=None, track_second_
         raise ValueError("per-run sync periods do not apply to an async exchange")
     curvature = objective.curvature()
     if exchange is None:
-        for s, sync in dict.fromkeys(zip(steps, syncs)):
+        for s, sync in dict.fromkeys((run.steps, run.sync) for run in runs):
             validate_shift(s, curvature, sync.H)
     stride = -(-T // 1000) if record.f_every is None else record.f_every
     screen = target is not None and not record.f_values
@@ -405,29 +400,30 @@ def _simulate(config, objective, seeds, *, steps=None, syncs=None, track_second_
         index."""
         return (t % stride == 0) | sync.is_sync(t)
 
-    # the per-run table; one index draw per distinct seed, and run r takes
-    # the draw owner[r]; one evaluation per distinct schedule, and run r has
-    # the stepsizes schedule[r] and the sync steps period[r]
+    # the per-run table of the stack; one index draw per distinct seed, and
+    # run r takes the draw owner[r]; one evaluation per distinct schedule,
+    # and run r has the stepsizes schedule[r] and the sync steps period[r]
     distinct, schedules, periods = {}, {}, {}
-    runs = {"run": np.arange(S),
-            "owner": np.array([distinct.setdefault(seed, len(distinct)) for seed in seeds]),
-            "schedule": np.array([schedules.setdefault(s, len(schedules)) for s in steps]),
-            "period": np.array([periods.setdefault(s, len(periods)) for s in syncs]),
-            "X": np.tile(config.x0, (S, K, 1))}
+    stack = {"run": np.arange(S),
+             "owner": np.array([distinct.setdefault(run.seed, len(distinct)) for run in runs]),
+             "schedule": np.array([schedules.setdefault(run.steps, len(schedules))
+                                   for run in runs]),
+             "period": np.array([periods.setdefault(run.sync, len(periods)) for run in runs]),
+             "X": np.tile(config.x0, (S, K, 1))}
     # a run's output average has the weights (a + t)^2 of its schedule's shift a
     shifts = [float(s.a) if isinstance(s, TheoremDecayStep) else 1.0 for s in schedules]
-    runs["xbar"] = _worker_mean(runs["X"])
+    stack["xbar"] = _worker_mean(stack["X"])
     if screen:
         # z, f(z), grad f(z) per (run, scheme); f(z) = NaN certifies
         # nothing, so every point is evaluated until it has an anchor
-        runs["z"] = np.zeros((S, len(SCHEMES), d))
-        runs["f_z"] = np.full((S, len(SCHEMES)), np.nan)
-        runs["g_z"] = np.zeros((S, len(SCHEMES), d))
+        stack["z"] = np.zeros((S, len(SCHEMES), d))
+        stack["f_z"] = np.full((S, len(SCHEMES)), np.nan)
+        stack["g_z"] = np.zeros((S, len(SCHEMES), d))
     else:
         # the weighted sum and the sum of weights of the output average;
         # -0.0 is the identity of a float sum, so its first term is exact
-        runs["output_sum"] = np.full((S, d), -0.0)
-        runs["weight_sum"] = np.zeros(S)
+        stack["output_sum"] = np.full((S, d), -0.0)
+        stack["weight_sum"] = np.zeros(S)
 
     # every row kept, what config.record asks for and the output averages,
     # is allocated once in its EnsembleResult layout, NaN until its run
@@ -439,8 +435,8 @@ def _simulate(config, objective, seeds, *, steps=None, syncs=None, track_second_
                "output_average": (not screen, (S, d))}
     rows = {name: np.full(shape, np.nan) if asked else None
             for name, (asked, shape) in layouts.items()}
-    # with f values recorded, every run has the one period syncs[0]
-    f_rows = np.full((len(SCHEMES), S, int(is_eval(np.arange(T + 1), syncs[0]).sum())),
+    # with f values recorded, every run has the one period config.sync
+    f_rows = np.full((len(SCHEMES), S, int(is_eval(np.arange(T + 1), config.sync).sum())),
                      np.nan) if record.f_values else None
     eval_steps, comm_rounds, max_second_moment = [], 0, 0.0
     points_evaluated = points_screened = 0
@@ -459,15 +455,15 @@ def _simulate(config, objective, seeds, *, steps=None, syncs=None, track_second_
         """Keep the runs of the stack where `stay` is True; the others leave
         it with their iterates X as their final iterates and the output
         average of their steps so far."""
-        leaving = runs["run"][~stay]
-        final_iterates[leaving] = runs["X"][~stay]
+        leaving = stack["run"][~stay]
+        final_iterates[leaving] = stack["X"][~stay]
         if not screen:
-            rows["output_average"][leaving] = (runs["output_sum"][~stay]
-                                               / runs["weight_sum"][~stay, None])
+            rows["output_average"][leaving] = (stack["output_sum"][~stay]
+                                               / stack["weight_sum"][~stay, None])
         if exchange is not None:
             exchange.keep(stay)
-        for name, array in runs.items():
-            runs[name] = array[stay]
+        for name, array in stack.items():
+            stack[name] = array[stay]
         schedule_steps()
 
     def schedule_steps(new_chunk=False):
@@ -476,7 +472,7 @@ def _simulate(config, objective, seeds, *, steps=None, syncs=None, track_second_
         the chunk and when the last run of a sync schedule leaves."""
         nonlocal present, evaluating, merging
         now = np.zeros(len(periods), dtype=bool)
-        now[runs["period"]] = True
+        now[stack["period"]] = True
         if new_chunk or (now != present).any():
             present = now
             evaluating = evals[present].any(axis=0).tolist()
@@ -487,9 +483,10 @@ def _simulate(config, objective, seeds, *, steps=None, syncs=None, track_second_
         step t evaluates, of the runs where `ev` holds, and f at every
         point, where a point not evaluated reads +inf; f is None when no
         point is evaluated."""
-        Y = runs["Y"]
+        Y = stack["Y"]
         if screen:
-            need = ~_certified_by_any(Y, runs["z"], runs["f_z"], runs["g_z"], curvature[0], *target)
+            need = ~_certified_by_any(Y, stack["z"], stack["f_z"], stack["g_z"], curvature[0],
+                                      *target)
             need &= ev[:, None]
         else:
             need = ev[:, None].repeat(len(SCHEMES), axis=1)
@@ -499,8 +496,8 @@ def _simulate(config, objective, seeds, *, steps=None, syncs=None, track_second_
         # at t = 0 every average is xbar_0, so its one value is every point's
         points = Y[:1, 0] if t == 0 else Y[need]
         if screen:
-            f[need], runs["g_z"][need] = objective.value_and_gradient_many(points)
-            runs["z"][need], runs["f_z"][need] = points, f[need]
+            f[need], stack["g_z"][need] = objective.value_and_gradient_many(points)
+            stack["z"][need], stack["f_z"][need] = points, f[need]
         else:
             f[need] = objective.value_many(points)
         return need, f
@@ -511,41 +508,41 @@ def _simulate(config, objective, seeds, *, steps=None, syncs=None, track_second_
                 # the stepsizes, output weights and averaging coefficients of
                 # the steps from t on, and their indices (None past the last step)
                 span = np.arange(t, min(t + _CHUNK_STEPS, T + 1))
-                runs["eta"] = _per_run(np.array([[s.eta(u) for u in span.tolist()]
-                                                 for s in schedules]), runs["schedule"])
+                stack["eta"] = _per_run(np.array([[s.eta(u) for u in span.tolist()]
+                                                  for s in schedules]), stack["schedule"])
                 if not screen:
                     # (a + t)^2 by C pow, as the ** of a float is
                     squares = [[(a + u) ** 2 for u in span.tolist()] for a in shifts]
-                    runs["output_weight"] = _per_run(np.array(squares), runs["schedule"])
+                    stack["output_weight"] = _per_run(np.array(squares), stack["schedule"])
                 if track_averages:
                     weights = recursion_weights(span)[..., None]
                 # whether each run evaluates at each step and syncs after
                 # it, by its sync schedule, and whether some active run does
                 evals = np.array([is_eval(span, s) for s in periods])
                 merges = np.array([s.is_sync(span + 1) for s in periods])
-                runs["evals"] = _per_run(evals, runs["period"])
-                runs["merges"] = _per_run(merges, runs["period"])
+                stack["evals"] = _per_run(evals, stack["period"])
+                stack["merges"] = _per_run(merges, stack["period"])
                 schedule_steps(new_chunk=True)
                 chunk, chunk_start = next(chunks, None), t
 
-            active, xbar = runs["run"], runs["xbar"]
+            active, xbar = stack["run"], stack["xbar"]
             if track_averages and t == 0:
-                runs["Y"] = np.repeat(xbar[:, None], len(SCHEMES), axis=1)
+                stack["Y"] = np.repeat(xbar[:, None], len(SCHEMES), axis=1)
             elif track_averages:
                 x_num, x_den, y_num, y_den = weights[:, t - chunk_start]
                 x = xbar[:, None]
-                y = x * x_num / x_den + runs["Y"][:, 1:] * y_num / y_den
-                runs["Y"] = np.concatenate((x, y), axis=1)
+                y = x * x_num / x_den + stack["Y"][:, 1:] * y_num / y_den
+                stack["Y"] = np.concatenate((x, y), axis=1)
             if record.virtual:
                 rows["xbar"][active, t] = xbar
             if record.deviations:
                 rows["deviations"][active, t] = np.mean(
-                    np.sum((runs["X"] - xbar[:, None, :]) ** 2, axis=2), axis=1)
+                    np.sum((stack["X"] - xbar[:, None, :]) ** 2, axis=2), axis=1)
             if record.iterates:
-                rows["iterates"][active, :, t] = runs["X"]
+                rows["iterates"][active, :, t] = stack["X"]
             leave = np.zeros(len(active), dtype=bool)
             if track_averages and evaluating[t - chunk_start]:
-                ev = runs["evals"][:, t - chunk_start]  # the active runs evaluating at t
+                ev = stack["evals"][:, t - chunk_start]  # the active runs evaluating at t
                 eval_steps.append(t)
                 need, f = evaluate(t, ev)
                 evaluated = int(np.count_nonzero(need))
@@ -567,52 +564,52 @@ def _simulate(config, objective, seeds, *, steps=None, syncs=None, track_second_
             leave |= t == T  # every run leaves at T
             if leave.any():
                 keep(~leave)
-                if not len(runs["run"]):
+                if not len(stack["run"]):
                     break
 
-            if t == plan_end or planned != len(runs["run"]):
+            if t == plan_end or planned != len(stack["run"]):
                 # plan the sampled gradients of the stack from step t to the block end
                 if t == plan_end:
-                    per_step = len(runs["run"]) * K * config.b * objective.row_entries
+                    per_step = len(stack["run"]) * K * config.b * objective.row_entries
                     plan_end = min(chunk_start + chunk.shape[2],
                                    t + max(1, min(t, int(_BLOCK_ENTRIES // per_step))))
-                I = np.take(chunk[:, :, t - chunk_start:plan_end - chunk_start], runs["owner"],
+                I = np.take(chunk[:, :, t - chunk_start:plan_end - chunk_start], stack["owner"],
                             axis=0)
                 plans = objective.sample_plans(np.moveaxis(I, 2, 0), _BLOCK_ENTRIES)
-                plan_start, plan_end, planned = t, t + len(plans), len(runs["run"])
+                plan_start, plan_end, planned = t, t + len(plans), len(stack["run"])
             if not screen:
-                w = runs["output_weight"][:, t - chunk_start]
-                runs["weight_sum"] = runs["weight_sum"] + w
-                runs["output_sum"] = runs["output_sum"] + w[:, None] * runs["xbar"]
+                w = stack["output_weight"][:, t - chunk_start]
+                stack["weight_sum"] = stack["weight_sum"] + w
+                stack["output_sum"] = stack["output_sum"] + w[:, None] * stack["xbar"]
             if track_second_moment:
-                max_second_moment = objective.second_moment_max(runs["X"], max_second_moment)
-            G = objective.planned_gradient_many(runs["X"], plans[t - plan_start])
+                max_second_moment = objective.second_moment_max(stack["X"], max_second_moment)
+            G = objective.planned_gradient_many(stack["X"], plans[t - plan_start])
             if record.noise_norms:
-                diff = G.mean(axis=1) - objective.gradient_many(runs["X"]).mean(axis=1)
-                rows["noise_sq"][runs["run"], t] = np.sum(diff**2, axis=1)
+                diff = G.mean(axis=1) - objective.gradient_many(stack["X"]).mean(axis=1)
+                rows["noise_sq"][stack["run"], t] = np.sum(diff**2, axis=1)
             # the step X - eta G, written over G
-            G *= runs["eta"][:, t - chunk_start, None, None]
-            X = np.subtract(runs["X"], G, out=G)
+            G *= stack["eta"][:, t - chunk_start, None, None]
+            X = np.subtract(stack["X"], G, out=G)
             # a run whose iterates blow up cannot recover; freeze it at its
             # last finite iterates before the objective evaluation overflows
             if not (X.max() < _DIVERGED and -_DIVERGED < X.min()):  # NaN fails too
                 blown = ~np.all(np.abs(X) < _DIVERGED, axis=(1, 2))
-                diverged[runs["run"][blown]] = True
+                diverged[stack["run"][blown]] = True
                 keep(~blown)
-                if not len(runs["run"]):
+                if not len(stack["run"]):
                     break
                 X = X[~blown]
             if exchange is not None:
                 exchange(t + 1, X)
-                runs["xbar"] = exchange.virtual(X)
+                stack["xbar"] = exchange.virtual(X)
             else:
                 if merging[t - chunk_start]:
                     if K > 1:  # the active runs that sync after step t
                         np.copyto(X, X.mean(axis=1, keepdims=True),
-                                  where=runs["merges"][:, t - chunk_start, None, None])
+                                  where=stack["merges"][:, t - chunk_start, None, None])
                     comm_rounds += 1
-                runs["xbar"] = _worker_mean(X)
-            runs["X"] = X
+                stack["xbar"] = _worker_mean(X)
+            stack["X"] = X
 
     if rows["output_average"] is not None:
         rows["output_average"][diverged] = np.nan
@@ -647,7 +644,7 @@ def run_local_sgd(config, objective, stop_when=None) -> RunTrace:
     that diverges ends at that step with trace.diverged set and its last
     finite iterates; either way its per-step rows read NaN from there.
     """
-    return _row_zero(_simulate(config, objective, [config.seed], target=stop_when))
+    return _row_zero(_simulate([config], objective, target=stop_when))
 
 
 def run_minibatch_sgd(config, objective) -> np.ndarray:
@@ -674,9 +671,9 @@ def run_minibatch_sgd(config, objective) -> np.ndarray:
 def run_local_sgd_ensemble(config, objective, seeds, *, track_second_moment=False):
     """Run one configuration under many seeds, vectorized across runs.
 
-    Run r is the `run_local_sgd` run with seed=seeds[r], advanced by the
-    same loop: it records what `config.record` asks for, and its rows
-    agree bitwise with the single run's trace.  `track_second_moment`
-    adds the largest E_i ||grad f_i||^2 at any iterate.
+    Run r is the `run_local_sgd` run of replace(config, seed=seeds[r]), a
+    row of one `_simulate` batch, and agrees bitwise with its trace.
+    `track_second_moment` adds the largest E_i ||grad f_i||^2 at any iterate.
     """
-    return _simulate(config, objective, seeds, track_second_moment=track_second_moment)
+    return _simulate([replace(config, seed=seed) for seed in seeds], objective,
+                     track_second_moment=track_second_moment)

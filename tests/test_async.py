@@ -452,7 +452,7 @@ def test_block_planned_replay_equals_the_full_scan(monkeypatch, logistic50):
     seeds, stops = [5, 6, 5, 8], [6, 40, 19, 11]
     config = RunConfig(K=K, T=T, b=b, sync=schedules[1], steps=ConstantStep(c=2.0**-5),
                        seed=0, x0=np.zeros(logistic50.d), record=RecordFlags(deviations=True))
-    result = sync._simulate(config, logistic50, seeds,
+    result = sync._simulate([replace(config, seed=seed) for seed in seeds], logistic50,
                             exchange=_Replay(write_plan(K, T, schedules, delay), config.x0,
                                              len(seeds), K, T),
                             limits=lambda crossed: np.array(stops))
@@ -692,7 +692,7 @@ def test_row_r_of_a_batch_is_the_one_seed_run(quad10, runner, scenario):
         batch = vars(run_async_ensemble(config, schedules, delay, obj, seeds))
         traces = [run_async_local_sgd(c, schedules, delay, obj)[0] for c in seeded]
     else:
-        batch = vars(_simulate(config, obj, seeds, target=target))
+        batch = vars(_simulate(seeded, obj, target=target))
         traces = [run_local_sgd(c, obj, stop_when=target) for c in seeded]
     shapes = {"xbar": (T + 1, obj.d), "deviations": (T + 1,), "noise_sq": (T,),
               "iterates": (K, T + 1, obj.d), "output_average": (obj.d,)}

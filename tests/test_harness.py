@@ -30,6 +30,7 @@ from localsgd.harness import (
 )
 from localsgd.harness import (
     _CellSearch,
+    _cell_config,
     _drop_limits,
     _family_steps,
     _pool_jobs,
@@ -237,6 +238,21 @@ def test_grid_window_keeps_every_stepsize_positive_and_finite(tmp_path, i_min, i
     else:
         with pytest.raises(ConfigError, match="grid window"):
             small_config(tmp_path, i_min=i_min, i_max=i_max)
+
+
+@pytest.mark.parametrize("i_min, i_max", [(1, 0), (0.5, 20), (-2000, 20), (-20, 1024),
+                                          (-20, True)],
+                         ids=["empty", "i_min-float", "below", "above", "i_max-bool"])
+def test_grid_search_rejects_the_windows_the_config_rejects(tmp_path, quad10, i_min, i_max):
+    # with the config's own message and before any run: an empty window is
+    # not an unreachable cell, and no c = 2^i outside the floats is tried
+    with pytest.raises(ConfigError) as rejected:
+        small_config(tmp_path, i_min=i_min, i_max=i_max)
+    obj, ref, _ = quad10
+    counter = GradientCounter(obj)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(rejected.value))}$"):
+        grid_search_stepsize(counter, ref.f_star, 2, 2, 1, 0.05, 3, 50, i_min=i_min, i_max=i_max)
+    assert not counter.counts
 
 
 def test_config_without_optional_sections_takes_the_dataclass_defaults(tmp_path):
@@ -619,17 +635,17 @@ def one_point_rounds(objective, K, H, eps, seed, cap, i_min, i_max):
     search = _CellSearch(i_min, i_max, 0)
     rounds = []
     while points := search.next_round():
-        steps = [_family_steps(family, 2.0**i, objective.n) for family, i in points]
-        config = RunConfig(K=K, T=cap, b=1, sync=regular_sync_schedule(cap, H),
-                           steps=steps[0], seed=seed, x0=np.zeros(objective.d),
-                           record=RecordFlags(virtual=False, f_values=False))
+        runs = [RunConfig(K=K, T=cap, b=1, sync=regular_sync_schedule(cap, H),
+                          steps=_family_steps(family, 2.0**i, objective.n), seed=seed,
+                          x0=np.zeros(objective.d),
+                          record=RecordFlags(virtual=False, f_values=False))
+                for family, i in points]
         seen = []
 
         def counted(crossed):
             seen.append(int(np.count_nonzero(crossed >= 0)))
             return search.limits(crossed)
-        result = _simulate(config, objective, [seed] * len(points), steps=steps,
-                           target=(eps, f_star), limits=counted)
+        result = _simulate(runs, objective, target=(eps, f_star), limits=counted)
         rounds.append((result, seen))
         search.record(result.crossed)
     return rounds
@@ -662,9 +678,9 @@ def test_speculative_grid_rounds_of_three_cells(monkeypatch, logistic50):
     }
     rounds = []
 
-    def counted(config, objective, seeds, **kwargs):
-        result = _simulate(config, objective, seeds, **kwargs)
-        rounds.append((len(seeds), result.points_evaluated, result.points_screened,
+    def counted(runs, objective, **kwargs):
+        result = _simulate(runs, objective, **kwargs)
+        rounds.append((len(runs), result.points_evaluated, result.points_screened,
                        result.crossed.tolist()))
         return result
     f_star = reference_for(logistic50).f_star
@@ -674,6 +690,45 @@ def test_speculative_grid_rounds_of_three_cells(monkeypatch, logistic50):
         cap = max(H, -(-2 * logistic50.n // K))
         grid_search_stepsize(logistic50, f_star, K, H, 1, 0.05, 7, cap, -4, 0)
         assert rounds == want, (K, H)
+
+
+def test_each_batch_run_is_its_points_measure_iterations_run(monkeypatch, logistic50):
+    # every run of every round, of a two-round search and of a group of two
+    # cells with their own H and seed, is the config `measure_iterations`
+    # runs for its (H, seed, family, c), so its t* is that run's t*
+    f_star = reference_for(logistic50).f_star
+    search_rounds, simulate = harness._search_rounds, harness._simulate
+    batches, rounds = [], []
+
+    def logged_rounds(measure, searches):
+        def logged(batch, limits):
+            batches.append(batch)
+            return measure(batch, limits)
+        return search_rounds(logged, searches)
+
+    def logged_simulate(runs, objective, **kwargs):
+        rounds.append(runs)
+        return simulate(runs, objective, **kwargs)
+    monkeypatch.setattr(harness, "_search_rounds", logged_rounds)
+    monkeypatch.setattr(harness, "_simulate", logged_simulate)
+    for K, cells, cap in ((1, [(1, 7)], 100), (2, [(4, 3), (16, 8)], 64)):
+        batches.clear()
+        rounds.clear()
+        if len(cells) == 1:
+            [(H, seed)] = cells
+            grid_search_stepsize(logistic50, f_star, K, H, 1, 0.05, seed, cap)
+        else:
+            _search_cells(logistic50, f_star, K, 1, 0.05, cap, cells)
+        assert len(rounds) == len(batches) > 1
+        for batch, runs in zip(batches, rounds):
+            assert len(runs) == len(batch)
+            for (k, (family, i)), run in zip(batch, runs):
+                H, seed = cells[k]
+                want = _cell_config(logistic50, K, H, 1, seed, cap,
+                                    _family_steps(family, 2.0**i, logistic50.n))
+                for name in ("K", "T", "b", "seed", "steps", "sync", "record"):
+                    assert getattr(run, name) == getattr(want, name), name
+                assert np.array_equal(run.x0, want.x0)
 
 
 def test_the_loop_reads_the_limits_only_where_a_run_crosses(logistic50):
@@ -866,8 +921,8 @@ def test_a_non_finite_value_freezes_only_its_own_run():
     # in one batch, the run whose value raises diverges and the winner goes
     # on to its own t*
     family, c, t_star = found
-    steps = [ConstantStep(c=2.0**4), _family_steps(family, c, obj.n)]
-    result = _simulate(config, obj, [3, 3], steps=steps, target=(0.002, ref.f_star))
+    runs = [config, replace(config, steps=_family_steps(family, c, obj.n))]
+    result = _simulate(runs, obj, target=(0.002, ref.f_star))
     assert result.diverged.tolist() == [True, False]
     assert result.crossed.tolist() == [-1, t_star]
 
@@ -960,12 +1015,11 @@ def test_screened_search_rounds_equal_recorded_rounds(logistic50, K, H, eps, see
         runs = []
         for f_values in (False, True):
             record = RecordFlags(virtual=False, deviations=False, f_values=f_values)
-            config = RunConfig(K=K, T=cap, b=1, sync=regular_sync_schedule(cap, H),
-                               steps=steps[0], seed=seed, x0=np.zeros(logistic50.d),
-                               record=record)
-            runs.append(_simulate(
-                config, logistic50, [seed] * len(points), steps=steps,
-                target=(eps, f_star), limits=search.limits))
+            batch = [RunConfig(K=K, T=cap, b=1, sync=regular_sync_schedule(cap, H), steps=s,
+                               seed=seed, x0=np.zeros(logistic50.d), record=record)
+                     for s in steps]
+            runs.append(_simulate(batch, logistic50, target=(eps, f_star),
+                                  limits=search.limits))
         screened, recorded = runs
         for name in ("crossed", "diverged", "final_iterates"):
             assert np.array_equal(getattr(screened, name), getattr(recorded, name))

@@ -94,16 +94,15 @@ def failed_identities(case, objective):
 
     # 1 and 3. a target batch with a schedule per run: row r, with its
     # crossing step, is the single run
-    batch = _simulate(config, objective, seeds, steps=schedules, target=target)
-    if not same_run(batch, r, run_local_sgd(replace(seeded, steps=schedules[r]), objective,
-                                            stop_when=target)):
+    runs = [replace(config, seed=seed, steps=s) for seed, s in zip(seeds, schedules)]
+    batch = _simulate(runs, objective, target=target)
+    if not same_run(batch, r, run_local_sgd(runs[r], objective, stop_when=target)):
         failed.append("target batch row")
 
     # 2. a screened t* is the t* with every value recorded: the same batch,
     # screened if it recorded the f values and recorded if it did not
     flipped = replace(config.record, f_values=not config.record.f_values)
-    other = _simulate(replace(config, record=flipped), objective, seeds, steps=schedules,
-                      target=target)
+    other = _simulate([replace(run, record=flipped) for run in runs], objective, target=target)
     if not np.array_equal(other.crossed, batch.crossed):
         failed.append("screened t*")
 
@@ -111,13 +110,12 @@ def failed_identities(case, objective):
     # sync period per run: row r, with its crossing step, final iterates
     # and output average (with no target), is its one-seed run under its
     # own schedules
-    periods = case["syncs"]
-    unrecorded = replace(config, record=replace(config.record, f_values=False))
-    alone = replace(unrecorded, seed=seeds[r], steps=schedules[r], sync=periods[r])
+    unrecorded = replace(config.record, f_values=False)
+    periodic = [replace(run, record=unrecorded, sync=sync)
+                for run, sync in zip(runs, case["syncs"])]
     for goal in (target, None):
-        mixed = _simulate(unrecorded, objective, seeds, steps=schedules, syncs=periods,
-                          target=goal)
-        if not same_run(mixed, r, run_local_sgd(alone, objective, stop_when=goal),
+        mixed = _simulate(periodic, objective, target=goal)
+        if not same_run(mixed, r, run_local_sgd(periodic[r], objective, stop_when=goal),
                         per_run_periods=True):
             failed.append("per-run period row" if goal is None else "per-run period target row")
 

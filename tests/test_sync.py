@@ -332,7 +332,8 @@ def test_per_run_stepsizes_match_single_runs_bitwise(logistic50):
                        steps=steps[0], seed=0, x0=np.zeros(d),
                        record=RecordFlags(virtual=False, deviations=False))
     for seeds in ([11] * len(steps), list(range(20, 20 + len(steps)))):
-        run = _simulate(config, logistic50, seeds, steps=steps, target=(eps, f_star))
+        runs = [replace(config, seed=seed, steps=s) for seed, s in zip(seeds, steps)]
+        run = _simulate(runs, logistic50, target=(eps, f_star))
         outcomes = set()
         for r, (schedule, seed) in enumerate(zip(steps, seeds)):
             single = run_local_sgd(
@@ -351,8 +352,8 @@ def test_per_run_stepsizes_match_single_runs_bitwise(logistic50):
         assert outcomes == {"diverged", "unreached", "reached"}
     # a run whose limit is step 0 leaves the batch at x0; the runs after it
     # in the stack are unchanged
-    full = _simulate(config, logistic50, seeds, steps=steps, target=(eps, f_star))
-    kept = _simulate(config, logistic50, seeds, steps=steps, target=(eps, f_star),
+    full = _simulate(runs, logistic50, target=(eps, f_star))
+    kept = _simulate(runs, logistic50, target=(eps, f_star),
                      limits=lambda crossed: np.where(np.arange(len(steps)) > 0, np.inf, 0))
     assert kept.crossed[0] == -1 and not kept.diverged[0]
     assert np.array_equal(kept.final_iterates[0], np.zeros((3, d)))
@@ -366,7 +367,7 @@ def test_a_target_stops_each_run_where_it_first_reaches_eps(quad10):
     obj, ref, _ = quad10
     config = quad_config(quad10, K=2, T=200, H=4, record=RecordFlags(deviations=True))
     seeds, target = [0, 1, 2, 3, 4], (0.1, ref.f_star)
-    run = _simulate(config, obj, seeds, target=target)
+    run = _simulate([replace(config, seed=seed) for seed in seeds], obj, target=target)
     assert run.crossed.tolist() == [14, 13, 13, 13, 14]
     for r, seed in enumerate(seeds):
         t_star = run.crossed[r]
@@ -387,7 +388,8 @@ def test_repeated_seeds_match_single_runs_bitwise(logistic50):
     config = RunConfig(K=3, T=120, b=2, sync=regular_sync_schedule(120, 4),
                        steps=steps[0], seed=0, x0=np.zeros(d),
                        record=RecordFlags(deviations=True))
-    run = _simulate(config, logistic50, seeds, steps=steps, target=target)
+    run = _simulate([replace(config, seed=seed, steps=s) for seed, s in zip(seeds, steps)],
+                    logistic50, target=target)
     assert run.diverged.tolist() == [True, False, False, False]
     assert run.crossed.tolist() == [-1, 118, -1, -1]
     # run 0 records the steps before its blow-up, run 1 the steps up to its
@@ -459,8 +461,8 @@ def test_block_planned_steps_equal_minibatch_gradients(monkeypatch, logistic50, 
         config = RunConfig(K=K, T=T, b=b, sync=regular_sync_schedule(T, 3), steps=steps[0],
                            seed=0, x0=np.zeros(objective.d),
                            record=RecordFlags(virtual=False, deviations=False))
-        run = _simulate(config, objective, seeds, steps=steps,
-                        limits=lambda crossed: np.array(stops))
+        run = _simulate([replace(config, seed=seed, steps=s) for seed, s in zip(seeds, steps)],
+                        objective, limits=lambda crossed: np.array(stops))
         assert not run.diverged.any()
         for r, (seed, schedule, stop) in enumerate(zip(seeds, steps, stops)):
             want = _serial_iterates(config, objective, seed, schedule, stop)
@@ -486,7 +488,7 @@ def test_blocks_hold_at_most_their_cap_of_entries(monkeypatch, logistic50, row_e
     config = RunConfig(K=4, T=T, b=3, sync=regular_sync_schedule(T, 4),
                        steps=ConstantStep(c=2.0**-5), seed=0, x0=np.zeros(logistic50.d),
                        record=RecordFlags(virtual=False, deviations=False, f_values=False))
-    _simulate(config, logistic50, [1, 2])
+    _simulate([replace(config, seed=1), replace(config, seed=2)], logistic50)
     assert sum(planned for _, planned, _, _ in blocks) == T
     start = 0
     for asked, planned, cap, entries in blocks:
@@ -615,8 +617,8 @@ def test_start_point_is_evaluated_once(monkeypatch, logistic50):
                                           f_values=False))
     target = (0.02, reference_for(logistic50).f_star)
     calls = _count_value_passes(monkeypatch, logistic50)
-    run = _simulate(config, logistic50, list(range(6)), steps=steps,
-                    target=target, limits=lambda crossed: np.zeros(6))
+    run = _simulate([replace(config, seed=seed, steps=s) for seed, s in enumerate(steps)],
+                    logistic50, target=target, limits=lambda crossed: np.zeros(6))
     assert list(run.eval_steps) == [0]
     assert calls == [("value_and_gradient_many", 1)]
     assert (run.points_evaluated, run.points_screened) == (24, 0)
@@ -632,7 +634,7 @@ def test_recorded_values_at_the_start_equal_the_value_at_x0(monkeypatch, logisti
                            steps=ConstantStep(c=2.0**-4), seed=0, x0=x0,
                            record=RecordFlags(virtual=False, deviations=False))
         calls = _count_value_passes(monkeypatch, objective)
-        run = _simulate(config, objective, list(range(6)))
+        run = _simulate([replace(config, seed=seed) for seed in range(6)], objective)
         assert calls[0] == ("value_many", 1)
         f0 = np.stack([run.f_by_scheme[kind][:, 0] for kind in SCHEMES], axis=1)
         assert f0.shape == (6, 4)
@@ -654,8 +656,8 @@ def test_screening_counts_every_point_of_every_evaluation(logistic50):
                            steps=steps[0], seed=0, x0=np.zeros(d),
                            record=RecordFlags(virtual=False, deviations=False,
                                               f_values=f_values))
-        runs.append(_simulate(config, logistic50, [4] * len(steps),
-                              steps=steps, target=target))
+        runs.append(_simulate([replace(config, seed=4, steps=s) for s in steps], logistic50,
+                              target=target))
     screened, recorded = runs
     assert not screened.diverged.any()
     last = np.where(screened.crossed >= 0, screened.crossed, T)
@@ -784,8 +786,8 @@ def test_an_ensemble_rejects_a_seed_that_is_not_a_nonnegative_integer(quad10, se
     with pytest.raises(ValueError, match="^seed must be an integer >= 0, got "):
         run_local_sgd_ensemble(quad_config(quad10, K=2, T=5, H=1), counter, seeds)
     assert not counter.counts
-    assert _simulate(quad_config(quad10, K=2, T=5, H=1), quad10[0],
-                     [np.int64(3), np.uint32(4)]).xbar.shape == (2, 6, 10)
+    assert run_local_sgd_ensemble(quad_config(quad10, K=2, T=5, H=1), quad10[0],
+                                  [np.int64(3), np.uint32(4)]).xbar.shape == (2, 6, 10)
 
 
 @pytest.mark.parametrize("f_every", [0, -3, 2.7, 2.0, True, "2"])
@@ -823,8 +825,10 @@ def test_per_run_periods_evaluate_sync_and_leave_at_their_own_steps(logistic50):
                        x0=np.zeros(d), record=RecordFlags(virtual=False, deviations=False,
                                                           f_values=False, f_every=5))
     seeds = [2, 5, 2]
-    mixed = _simulate(config, logistic50, seeds, steps=steps, syncs=syncs,
-                      target=(1e-9, f_star), limits=lambda crossed: np.full(3, limit))
+    runs = [replace(config, seed=seed, steps=schedule, sync=sync)
+            for seed, schedule, sync in zip(seeds, steps, syncs)]
+    mixed = _simulate(runs, logistic50, target=(1e-9, f_star),
+                      limits=lambda crossed: np.full(3, limit))
     # the first own evaluation step at or after the limit
     assert not (mixed.crossed >= 0).any()
     left = [min(t for t in range(limit, T + 1) if t % 5 == 0 or sync.is_sync(t))
@@ -834,9 +838,8 @@ def test_per_run_periods_evaluate_sync_and_leave_at_their_own_steps(logistic50):
            for stop, sync in zip(left, syncs)]
     assert mixed.points_evaluated + mixed.points_screened == 4 * sum(own)
     assert mixed.eval_steps.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
-    for r, (seed, schedule, sync) in enumerate(zip(seeds, steps, syncs)):
-        alone = _simulate(replace(config, seed=seed, steps=schedule, sync=sync), logistic50,
-                          [seed], target=(1e-9, f_star),
+    for r, run in enumerate(runs):
+        alone = _simulate([run], logistic50, target=(1e-9, f_star),
                           limits=lambda crossed: np.full(1, limit))
         assert mixed.final_iterates[r].tobytes() == alone.final_iterates[0].tobytes()
         assert len(alone.eval_steps) == own[r]
@@ -848,9 +851,10 @@ def test_per_run_periods_count_the_steps_some_run_syncs_after(quad10):
     T, record = 10, RecordFlags(virtual=False, f_values=False, iterates=True)
     config = quad_config(quad10, K=2, T=T, H=2, record=record)
     syncs = [regular_sync_schedule(T, 2), regular_sync_schedule(T, 5)]
-    mixed = _simulate(config, quad10[0], [0, 1], syncs=syncs)
+    mixed = _simulate([replace(config, seed=r, sync=sync) for r, sync in enumerate(syncs)],
+                      quad10[0])
     assert mixed.comm_rounds == len({2, 4, 6, 8, 10} | {5, 10}) == 6
-    assert _simulate(config, quad10[0], [0, 1]).comm_rounds == 5
+    assert run_local_sgd_ensemble(config, quad10[0], [0, 1]).comm_rounds == 5
     # the workers of each run agree exactly at its own sync indices only
     for r, sync in enumerate(syncs):
         agree = [t for t in range(1, T + 1)
@@ -860,38 +864,41 @@ def test_per_run_periods_count_the_steps_some_run_syncs_after(quad10):
     # step 3, before its sync after it, and the H = 5 run goes on to T
     config = quad_config(quad10, K=2, T=T, H=5,
                          record=RecordFlags(virtual=False, f_values=False))
-    left = _simulate(config, quad10[0], [0, 1],
-                     syncs=[regular_sync_schedule(T, 1), regular_sync_schedule(T, 5)],
+    left = _simulate([replace(config, seed=r, sync=regular_sync_schedule(T, H))
+                      for r, H in enumerate((1, 5))], quad10[0],
                      target=(1e-300, quad10[1].f_star), limits=lambda crossed: np.array([3, T]))
     assert left.crossed.tolist() == [-1, -1]
     assert left.comm_rounds == len({1, 2, 3} | {5, 10}) == 5
 
 
+BATCH_RULE = "the runs of a batch must share K, T, b, x0 and record"
+
+
 @pytest.mark.parametrize("case, message", [
-    ("steps", "need one step schedule per seed, got 1 for 2 seeds"),
-    ("count", "need one sync schedule per seed, got 1 for 2 seeds"),
-    ("horizon", "sync schedule horizon does not match T"),
+    ("K", BATCH_RULE),
+    ("T", BATCH_RULE),
+    ("b", BATCH_RULE),
+    ("x0", BATCH_RULE),
+    ("record", BATCH_RULE),
     ("f_values", "per-run sync periods need record.f_values off: eval_steps and "
                  "f_by_scheme have one layout for all runs"),
     ("exchange", "per-run sync periods do not apply to an async exchange"),
     ("shift", "shift a=1.5 must exceed max(16*kappa, window)=64.0 (kappa=4.0, window=5)"),
 ])
 def test_per_run_periods_reject_what_they_do_not_support(quad10, case, message):
-    # each rule is checked before any oracle call
+    # each rule is checked before any oracle call: a batch of two runs with
+    # the periods 2 and 5, whose second run differs from the first in one
+    # field the runs of a batch share, or, with the shift of a schedule
+    # checked against its run's period, has a shift too small for its own
     counter = GradientCounter(quad10[0])
     T, off = 10, RecordFlags(virtual=False, f_values=False)
     config = quad_config(quad10, K=2, T=T, H=2, record=RecordFlags() if case == "f_values"
                          else off)
-    syncs = {"count": [regular_sync_schedule(T, 2)],
-             "horizon": [regular_sync_schedule(T, 2), regular_sync_schedule(T + 1, 2)]}.get(
-        case, [regular_sync_schedule(T, 2), regular_sync_schedule(T, 5)])
-    # the shift of a schedule a run uses is checked against that run's period
-    bad = TheoremDecayStep(mu=1.0, a=1.5)
-    steps = {"steps": [config.steps], "shift": [config.steps, bad]}.get(case)
+    second = {"K": {"K": 3}, "T": {"T": T + 1, "sync": regular_sync_schedule(T + 1, 5)},
+              "b": {"b": 2}, "x0": {"x0": np.ones(quad10[0].d)},
+              "record": {"record": replace(off, deviations=True)},
+              "shift": {"steps": TheoremDecayStep(mu=1.0, a=1.5)}}.get(case, {})
+    runs = [config, replace(config, **{"seed": 1, "sync": regular_sync_schedule(T, 5), **second})]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        _simulate(config, counter, [0, 1], steps=steps, syncs=syncs,
-                  exchange=object() if case == "exchange" else None)
+        _simulate(runs, counter, exchange=object() if case == "exchange" else None)
     assert not counter.counts
-    if case == "shift":  # and a config.steps that no run uses is not
-        _simulate(replace(config, steps=bad), quad10[0], [0, 1],
-                  steps=[config.steps] * 2, syncs=syncs)
