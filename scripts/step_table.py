@@ -12,7 +12,7 @@ n = 64, unit noise) and synth50, the logistic fixture under tests/data.
 The `draws` table times `sync._index_chunks` alone, the index draw of
 every (run, worker) substream, in µs per stream: S seeds, K workers, T
 steps, b = 1 and n = 64, best of 3.  A run of both tables takes about
-half a minute on one core.
+two minutes on one core.
 """
 
 import json
@@ -29,7 +29,7 @@ from localsgd.sync import _index_chunks, _simulate
 
 SYNTH50 = Path(__file__).resolve().parent.parent / "tests" / "data" / "synth50.libsvm"
 T, H, REPEATS = 2000, 4, 2
-KS, SS = (1, 4), (1, 16, 64, 256)
+KS, SS = (1, 4, 8, 16), (1, 16, 64, 256)
 DRAW_SS, DRAW_KS, DRAW_TS, DRAW_N, DRAW_REPEATS = (1, 100, 1000), (1, 4, 8), (64, 1000), 64, 3
 
 

@@ -156,6 +156,7 @@ class _Replay:
     the iterates and the blocks in flight, not that of a running sum.
     A read's value is not: a block X - base formed as the iterates fall
     from a large base keeps its rounding, summed from x0 or the last read.
+    X, `base` and `unseen` are worker-major (K, S, d): sequence k's runs are X[k].
     """
 
     def __init__(self, log, x0, S, K, T):
@@ -168,18 +169,18 @@ class _Replay:
         folds = list(accumulate(reversed([r.prefix for r in log.reads]), min))[::-1]
         for r, fold in zip(log.reads, folds):
             self.reads_at[r.step].append((r, fold))
-        self.base = np.tile(x0, (S, K, 1))           # the value each sequence last read
+        self.base = np.tile(x0, (K, S, 1))           # the value each sequence last read
         self.folded_sum = np.tile(x0, (S, 1))        # x0 plus the folded blocks / K
         self.folded = 0
         self.blocks = {}                             # id -> block / K, unfolded writes
         self.rounds = np.zeros(K, dtype=np.int64)    # reads per sequence
-        self.unseen = np.zeros((S, K, len(x0)))      # the blocks / K each last read missed
+        self.unseen = np.zeros((K, S, len(x0)))      # the blocks / K each last read missed
 
     def __call__(self, t, X):
         for i, k in self.writes_at[t]:
-            self.blocks[i] = (X[:, k] - self.base[:, k]) / self.K
+            self.blocks[i] = (X[k] - self.base[k]) / self.K
             # every sequence misses a write until a read of its own sees it
-            self.unseen += self.blocks[i][:, None]
+            self.unseen += self.blocks[i]
         for r, fold in self.reads_at[t]:
             while self.folded < fold:
                 self.folded_sum += self.blocks.pop(self.folded)
@@ -189,24 +190,24 @@ class _Replay:
                 value = self.folded_sum.copy()
                 for i in chain(range(self.folded, r.prefix), r.extras):
                     value += self.blocks[i]
-                X[:, r.worker] = value
-            self.base[:, r.worker] = X[:, r.worker]
+                X[r.worker] = value
+            self.base[r.worker] = X[r.worker]
             self.rounds[r.worker] += 1
             # the writes it does not see are past its prefix, so none is folded
-            self.unseen[:, r.worker] = sum(
+            self.unseen[r.worker] = sum(
                 (block for i, block in self.blocks.items() if i >= r.prefix and i not in r.extras),
                 np.zeros_like(self.folded_sum))
 
     def virtual(self, X):
-        """xbar (S, d) of the post-exchange iterates X, every update once."""
+        """xbar (S, d) of the post-exchange iterates X (K, S, d), every update once."""
         return _worker_mean(X + self.unseen)
 
     def keep(self, stay):
         """Keep only the runs of the stack where `stay` is True."""
-        self.base = self.base[stay]
+        self.base = self.base.compress(stay, axis=1)
         self.folded_sum = self.folded_sum[stay]
         self.blocks = {i: block[stay] for i, block in self.blocks.items()}
-        self.unseen = self.unseen[stay]
+        self.unseen = self.unseen.compress(stay, axis=1)
 
 
 def _replayed(config, per_worker_syncs, delay, objective, seeds, *,

@@ -22,6 +22,8 @@ from sys import float_info
 
 def _require_integer(name, value, least):
     """Reject `value` unless it is an integer >= least; a bool is not one."""
+    if type(value) is int and value >= least:  # the common case, without the ABC checks
+        return
     if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 

@@ -15,9 +15,11 @@ aggregate gradient), the four running averages of that sequence, and the
 mean squared deviation of workers from it.
 
 One time-step loop, `_simulate`, advances a batch of runs, one `RunConfig`
-each, at once on iterates (S, K, d) with one batched oracle call per step;
-`run_local_sgd` is a batch of one run and `run_local_sgd_ensemble` one of
-a run per seed, so a single run and its row of a batch agree bitwise.
+each, at once on worker-major iterates (K, S, d), each worker's runs one
+contiguous slab (see `_worker_mean`), with one batched oracle call per
+step; the rows it records stay run-major.  `run_local_sgd` is a batch of
+one run and `run_local_sgd_ensemble` one of a run per seed, so a single
+run and its row of a batch agree bitwise.
 Asynchronous runs replay their write plan on it.  The stepsize grid
 search runs a schedule per run, and runs that stop, diverge or are no
 longer needed leave the stack, so they cost nothing afterwards.  Indices
@@ -237,9 +239,17 @@ def _index_chunks(seeds, K, n, b, T):
 
 
 def _worker_mean(X):
-    """Mean over the worker axis of (S, K, d), as np.mean sums and divides
-    it; a single worker is its own mean."""
-    return X[:, 0] if X.shape[1] == 1 else X.sum(axis=1) / X.shape[1]
+    """Mean (S, d) over the workers of (K, S, d), bitwise np.mean over axis 1
+    of the run-major (S, K, d): summing axis 0 adds the contiguous (S, d)
+    slabs in worker order, as numpy adds the K rows wherever its inner loop
+    runs over d, which it does for d >= 2.  At d = 1 the K axis is the
+    contiguous one, which numpy sums pairwise, another order from K = 8 on;
+    so d = 1 sums an (S, K) copy.  A single worker is its own mean."""
+    if len(X) == 1:
+        return X[0]
+    if X.shape[2] == 1:
+        return np.ascontiguousarray(X[:, :, 0].T).sum(axis=1)[:, None] / len(X)
+    return X.sum(axis=0) / len(X)
 
 
 def _per_run(rows, index):
@@ -294,8 +304,9 @@ def _simulate(runs, objective, *, track_second_moment=False, target=None, limits
     """The time-step loop behind every engine: sync, grid search and async.
 
     Advances the S = len(runs) runs, one `RunConfig` each, on iterates
-    (S, K, d) and records what their record asks for, each row with a
-    leading run axis: row r is the one run of runs[r].  The runs share K,
+    (K, S, d), worker-major, and records what their record asks for, each
+    row with a leading run axis: row r is the one run of runs[r], and the
+    worker rows (S, K, ...) are transposed on write.  The runs share K,
     T, b, x0 and record; each has its own seed, stepsizes (and output
     average shift) and sync schedule, at whose indices its workers take
     their mean, xbar, in one masked mean with the runs that sync there.
@@ -308,7 +319,8 @@ def _simulate(runs, objective, *, track_second_moment=False, target=None, limits
     oracle call, or by an exchange's caller against H + tau.
 
     Each per-run quantity is one array of the table `stack`, over the
-    active runs in run order.  Every run leaves through `keep(stay)`, with
+    active runs in run order (axis 1 of X, whose flat (K S, d) rows the
+    gradient plans follow).  Every run leaves through `keep(stay)`, with
     the iterates it froze at as its final iterates and the output average
     of the steps it ran; it records NaN from then on and costs no further
     oracle work.  A run leaves at T, or earlier:
@@ -367,7 +379,7 @@ def _simulate(runs, objective, *, track_second_moment=False, target=None, limits
     once, NaN, and written in place; a row not kept is None.
     """
     if not len(runs):
-        raise ValueError("need at least one seed")
+        raise ValueError("need at least one run")
     config = runs[0]  # its K, T, b, x0 and record are every run's
     shared = (config.K, config.T, config.b, config.record, config.x0.shape, config.x0.tobytes())
     if any((run.K, run.T, run.b, run.record, run.x0.shape, run.x0.tobytes()) != shared
@@ -409,7 +421,7 @@ def _simulate(runs, objective, *, track_second_moment=False, target=None, limits
              "schedule": np.array([schedules.setdefault(run.steps, len(schedules))
                                    for run in runs]),
              "period": np.array([periods.setdefault(run.sync, len(periods)) for run in runs]),
-             "X": np.tile(config.x0, (S, K, 1))}
+             "X": np.tile(config.x0, (K, S, 1))}
     # a run's output average has the weights (a + t)^2 of its schedule's shift a
     shifts = [float(s.a) if isinstance(s, TheoremDecayStep) else 1.0 for s in schedules]
     stack["xbar"] = _worker_mean(stack["X"])
@@ -456,14 +468,14 @@ def _simulate(runs, objective, *, track_second_moment=False, target=None, limits
         it with their iterates X as their final iterates and the output
         average of their steps so far."""
         leaving = stack["run"][~stay]
-        final_iterates[leaving] = stack["X"][~stay]
+        final_iterates[leaving] = stack["X"][:, ~stay].swapaxes(0, 1)
         if not screen:
             rows["output_average"][leaving] = (stack["output_sum"][~stay]
                                                / stack["weight_sum"][~stay, None])
         if exchange is not None:
             exchange.keep(stay)
         for name, array in stack.items():
-            stack[name] = array[stay]
+            stack[name] = array.compress(stay, axis=1) if name == "X" else array[stay]
         schedule_steps()
 
     def schedule_steps(new_chunk=False):
@@ -536,10 +548,10 @@ def _simulate(runs, objective, *, track_second_moment=False, target=None, limits
             if record.virtual:
                 rows["xbar"][active, t] = xbar
             if record.deviations:
-                rows["deviations"][active, t] = np.mean(
-                    np.sum((stack["X"] - xbar[:, None, :]) ** 2, axis=2), axis=1)
+                rows["deviations"][active, t] = _worker_mean(
+                    np.sum((stack["X"] - xbar) ** 2, axis=2, keepdims=True))[:, 0]
             if record.iterates:
-                rows["iterates"][active, :, t] = stack["X"]
+                rows["iterates"][active, :, t] = stack["X"].swapaxes(0, 1)
             leave = np.zeros(len(active), dtype=bool)
             if track_averages and evaluating[t - chunk_start]:
                 ev = stack["evals"][:, t - chunk_start]  # the active runs evaluating at t
@@ -568,14 +580,15 @@ def _simulate(runs, objective, *, track_second_moment=False, target=None, limits
                     break
 
             if t == plan_end or planned != len(stack["run"]):
-                # plan the sampled gradients of the stack from step t to the block end
+                # plan the sampled gradients of the stack from step t to the
+                # block end, as (steps, K, runs, b): plan row p is row p of X
                 if t == plan_end:
                     per_step = len(stack["run"]) * K * config.b * objective.row_entries
                     plan_end = min(chunk_start + chunk.shape[2],
                                    t + max(1, min(t, int(_BLOCK_ENTRIES // per_step))))
                 I = np.take(chunk[:, :, t - chunk_start:plan_end - chunk_start], stack["owner"],
                             axis=0)
-                plans = objective.sample_plans(np.moveaxis(I, 2, 0), _BLOCK_ENTRIES)
+                plans = objective.sample_plans(I.transpose(2, 1, 0, 3), _BLOCK_ENTRIES)
                 plan_start, plan_end, planned = t, t + len(plans), len(stack["run"])
             if not screen:
                 w = stack["output_weight"][:, t - chunk_start]
@@ -585,28 +598,28 @@ def _simulate(runs, objective, *, track_second_moment=False, target=None, limits
                 max_second_moment = objective.second_moment_max(stack["X"], max_second_moment)
             G = objective.planned_gradient_many(stack["X"], plans[t - plan_start])
             if record.noise_norms:
-                diff = G.mean(axis=1) - objective.gradient_many(stack["X"]).mean(axis=1)
+                diff = _worker_mean(G) - _worker_mean(objective.gradient_many(stack["X"]))
                 rows["noise_sq"][stack["run"], t] = np.sum(diff**2, axis=1)
             # the step X - eta G, written over G
-            G *= stack["eta"][:, t - chunk_start, None, None]
+            G *= stack["eta"][:, t - chunk_start, None]
             X = np.subtract(stack["X"], G, out=G)
             # a run whose iterates blow up cannot recover; freeze it at its
             # last finite iterates before the objective evaluation overflows
             if not (X.max() < _DIVERGED and -_DIVERGED < X.min()):  # NaN fails too
-                blown = ~np.all(np.abs(X) < _DIVERGED, axis=(1, 2))
+                blown = ~np.all(np.abs(X) < _DIVERGED, axis=(0, 2))
                 diverged[stack["run"][blown]] = True
                 keep(~blown)
                 if not len(stack["run"]):
                     break
-                X = X[~blown]
+                X = X.compress(~blown, axis=1)
             if exchange is not None:
                 exchange(t + 1, X)
                 stack["xbar"] = exchange.virtual(X)
             else:
                 if merging[t - chunk_start]:
                     if K > 1:  # the active runs that sync after step t
-                        np.copyto(X, X.mean(axis=1, keepdims=True),
-                                  where=stack["merges"][:, t - chunk_start, None, None])
+                        np.copyto(X, _worker_mean(X),
+                                  where=stack["merges"][None, :, t - chunk_start, None])
                     comm_rounds += 1
                 stack["xbar"] = _worker_mean(X)
             stack["X"] = X

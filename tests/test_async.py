@@ -539,7 +539,7 @@ def test_an_ensemble_of_no_runs_is_rejected_before_any_oracle_call(quad10):
     for run in (lambda: run_local_sgd_ensemble(config, counter, []),
                 lambda: run_async_ensemble(config, [config.sync] * 2, DelayModel("fixed", tau=2),
                                            counter, [])):
-        with pytest.raises(ValueError, match="at least one seed"):
+        with pytest.raises(ValueError, match="at least one run"):
             run()
     assert not counter.counts
 

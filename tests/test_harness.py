@@ -1058,13 +1058,16 @@ def test_run_experiment_outputs(tmp_path):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
-def test_run_experiment_results_are_byte_stable(tmp_path):
+def test_run_experiment_results_are_byte_stable(tmp_path, monkeypatch):
     # results.csv of this sweep as recorded before the scalar and ensemble
-    # engines were merged into one loop; it must stay byte for byte
-    config = small_config(tmp_path, svg=False)
-    run_experiment(config)
-    produced = (Path(config.out_dir) / "results.csv").read_bytes()
-    assert produced == (DATA / "quadratic_sweep_results.csv").read_bytes()
+    # engines were merged into one loop; it must stay byte for byte, in
+    # process and on a pool of two or four workers
+    for threads in ("1", "2", "4"):
+        monkeypatch.setenv("LOCALSGD_THREADS", threads)
+        config = small_config(tmp_path / threads, svg=False)
+        run_experiment(config)
+        produced = (Path(config.out_dir) / "results.csv").read_bytes()
+        assert produced == (DATA / "quadratic_sweep_results.csv").read_bytes(), threads
 
 
 def test_logistic_sweep_results_are_byte_stable(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import re
+from numbers import Integral
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from localsgd import (
     run_local_sgd,
     theorem_steps,
 )
-from localsgd.schedules import validate_shift
+from localsgd.schedules import _require_integer, validate_shift
 from oracles import GradientCounter, gap
 
 
@@ -151,3 +152,22 @@ def test_a_theorem_schedule_needs_a_positive_mu(synth50):
         with pytest.raises(ValueError, match="^mu must be finite and positive, got 0.0$"):
             call()
     assert not counter.counts
+
+
+def test_require_integer_keeps_its_verdicts_and_messages():
+    # the exact-int fast path against the rule as written without it: an
+    # Integral that is not a bool and is >= least passes, and every other
+    # value raises the one message
+    class Count(int):
+        pass
+
+    values = [0, 1, 2, -1, 2**70, -2**70, True, False, np.int64(2), np.int64(-1),
+              np.uint32(2), np.uint32(0), Count(2), Count(-1), 2.0, 1.5, "2", None]
+    for least in (0, 1, 3):
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+                message = f"n must be an integer >= {least}, got {value!r}"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    _require_integer("n", value, least)
+            else:
+                assert _require_integer("n", value, least) is None

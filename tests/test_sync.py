@@ -1,3 +1,4 @@
+import hashlib
 import re
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from localsgd import (
     RecordFlags,
     RunConfig,
     TheoremDecayStep,
+    make_quadratic,
     regular_sync_schedule,
     run_local_sgd,
     run_local_sgd_ensemble,
@@ -23,7 +25,8 @@ from localsgd.asynchronous import run_async_ensemble
 from localsgd.averaging import SCHEMES, RunningAverage
 from localsgd.harness import DatasetSpec, ExperimentConfig, reference_for
 from localsgd.schedules import ExperimentDecayStep
-from localsgd.sync import _certified_by_any, _certified_miss, _index_chunks, _simulate
+from localsgd.sync import (_certified_by_any, _certified_miss, _index_chunks, _simulate,
+                           _worker_mean)
 from oracles import GradientCounter, ThresholdQuadratic, recorded_steps
 
 
@@ -902,3 +905,55 @@ def test_per_run_periods_reject_what_they_do_not_support(quad10, case, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _simulate(runs, counter, exchange=object() if case == "exchange" else None)
     assert not counter.counts
+
+
+@pytest.mark.parametrize("d", [1, 2, 10])
+@pytest.mark.parametrize("K", [1, 2, 7, 8, 9, 16])
+def test_worker_major_reductions_equal_the_run_major_formulas(d, K):
+    # the engine's reductions over the workers of its (K, S, d) stack, as
+    # written in `_simulate`, against the run-major (S, K, d) formulas they
+    # replaced, bitwise: the worker mean, the masked merge, deviations and
+    # noise_sq.  Run 1 is all -0.0 and run 3 holds inf, -inf and NaN;
+    # S = 1 takes each run alone
+    rng = np.random.default_rng(100 * K + d)
+    pool = rng.standard_normal((3, 5, K, d)) * np.exp(rng.uniform(-20, 20, (3, 5, K, d)))
+    pool[:, 1] = -0.0
+    pool[0, 3, 0, 0], pool[1, 3, -1, -1], pool[2, 3, K // 2, d // 2] = np.inf, -np.inf, np.nan
+    mask = np.array([True, False, True, True, False])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for runs in [[r] for r in range(5)] + [list(range(5))]:
+            X, G, F = (np.array(a[runs]) for a in pool)
+            W, GW, FW = (np.ascontiguousarray(a.swapaxes(0, 1)) for a in (X, G, F))
+            xbar = X[:, 0] if K == 1 else X.sum(axis=1) / K
+            assert _worker_mean(W).tobytes() == xbar.tobytes()
+            deviations = np.mean(np.sum((X - xbar[:, None, :]) ** 2, axis=2), axis=1)
+            assert _worker_mean(np.sum((W - xbar) ** 2, axis=2, keepdims=True))[:, 0].tobytes() \
+                == deviations.tobytes()
+            noise_sq = np.sum((G.mean(axis=1) - F.mean(axis=1)) ** 2, axis=1)
+            assert np.sum((_worker_mean(GW) - _worker_mean(FW)) ** 2, axis=1).tobytes() \
+                == noise_sq.tobytes()
+            if K > 1:
+                np.copyto(X, X.mean(axis=1, keepdims=True), where=mask[runs, None, None])
+                np.copyto(W, _worker_mean(W), where=mask[None, runs, None])
+                assert W.tobytes() == np.ascontiguousarray(X.swapaxes(0, 1)).tobytes()
+
+
+@pytest.mark.parametrize("K, expected", [
+    (8, "f30fe27ca888a2c33b3b47a12cb03ee395861365eceb6680f2e64d82b7dd5498"),
+    (16, "de7955cb866967f05272580e84617e6e2f81ab731b2f444ee6040b9af21020d0"),
+])
+def test_one_dimensional_ensembles_keep_their_bytes(K, expected):
+    # at d = 1 and K >= 8 numpy sums a contiguous worker axis pairwise, so
+    # the worker mean keeps the run-major order there; these digests were
+    # recorded with the run-major (S, K, d) stack
+    obj = make_quadratic(d=1, mu=1.0, L=1.0, n=64, noise=1.0, seed=3)[0]
+    T, H = 48, 4
+    config = RunConfig(K=K, T=T, b=2, sync=regular_sync_schedule(T, H),
+                       steps=theorem_steps(obj.curvature(), H), seed=0, x0=np.full(1, 0.5),
+                       record=RecordFlags(deviations=True, noise_norms=True, iterates=True))
+    result = run_local_sgd_ensemble(config, obj, list(range(5)))
+    digest = hashlib.sha256()
+    for row in (result.xbar, result.deviations, result.noise_sq, result.iterates,
+                result.final_iterates, result.output_average, *result.f_by_scheme.values()):
+        digest.update(row.tobytes())
+    assert digest.hexdigest() == expected
