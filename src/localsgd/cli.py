@@ -95,6 +95,9 @@ def cmd_verify_lemmas(args):
 def cmd_theory(args):
     grid = (_parse_list(args.eps, float, "--eps"), _parse_list(args.K, int, "--K"),
             _parse_list(args.H, int, "--H"))
+    for flag, values in zip(("--eps", "--K", "--H"), grid):
+        if not values:
+            raise ConfigError(f"list {flag!r} must be nonempty")
     try:
         # every row is computed, so every value checked, before any is printed
         rows = theory_rows(*grid, args.rho)

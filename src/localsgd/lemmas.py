@@ -106,6 +106,7 @@ def check_variance_reduction(objective, states, trials, seed=0) -> CheckReport:
     _require_integer("seed", seed, 0)
     states = [np.asarray(x, dtype=np.float64) for x in states]
     K = len(states)
+    _require_integer("the number of worker states", K, 1)
     rng = np.random.default_rng(seed)
 
     variances = [objective.variance_at(x) for x in states]

@@ -27,9 +27,10 @@ come from `_index_chunks`, which draws every worker substream in chunks
 of `_CHUNK_STEPS` steps, so memory does not grow with the horizon; runs
 that share a seed share one draw, and runs that share a schedule one
 evaluation of it.  Past a few substreams, one bit generator draws them in
-turn, from states set by one vectorized pass of numpy's seeding, so
-chunks equal one draw; the gathers of the sampled gradients are planned
-from them for a block of steps at a time.
+turn, from states set by one vectorized pass of numpy's seeding of seeds
+below 2^128 (a batch with a larger seed is spawned), so chunks equal one
+draw; the gathers of the sampled gradients are planned from them for a
+block of steps at a time.
 """
 
 from __future__ import annotations
@@ -176,35 +177,30 @@ def _hashmix(words, const, mult, rows):
 
 
 def _stream_states(seeds, K):
-    """`_spawn_worker_rngs(seed, K)[k].bit_generator.state` for each seed and
-    k < K, run-major: numpy's SeedSequence hash (of the seed's 32-bit words,
-    low first, zero-padded to 4, then k) and PCG64 seeding, fixed by its
-    compatibility policy, run on arrays per word count."""
-    lengths = np.array([max(4, -(-int(seed).bit_length() // 32)) for seed in seeds])
-    initstate, initseq = np.empty((2, len(seeds), K), dtype=object)
-    for length in set(lengths.tolist()):
-        rows = np.flatnonzero(lengths == length)
-        words = [np.array([[int(seeds[r]) >> 32 * j & _MASK32] for r in rows], dtype=np.uint32)
-                 for j in range(length)] + [np.arange(K, dtype=np.uint32)[None]]
-        # mix_entropy: hash the first 4 words into the pool (4, seeds, K),
-        # mix each pool word into the other 3, then each later word into all
-        pool, const = _hashmix(np.stack(words[:4]), _INIT_A, _MULT_A, 4)
-        for src in range(4):
-            dst = [i for i in range(4) if i != src]
-            hashed, const = _hashmix(pool[src:src + 1], const, _MULT_A, 3)
-            mixed = _MIX_L * pool[dst] - _MIX_R * hashed
-            pool[dst] = mixed ^ mixed >> 16
-        for word in words[4:]:
-            hashed, const = _hashmix(word[None], const, _MULT_A, 4)
-            mixed = _MIX_L * pool - _MIX_R * hashed
-            pool = mixed ^ mixed >> 16
-        # generate_state(4, uint64): 8 words hashed from the pool in turn, a
-        # uint64 per (low, high) pair, and initstate, initseq 2 of those each
-        halves, _ = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _INIT_B, _MULT_B, 8)
-        halves = halves.astype(np.uint64)
-        quads = (halves[0::2] | halves[1::2] << 32).astype(object)
-        initstate[rows] = quads[0] << 64 | quads[1]
-        initseq[rows] = quads[2] << 64 | quads[3]
+    """`_spawn_worker_rngs(seed, K)[k].bit_generator.state` for each seed below
+    2^128 and k < K, run-major: numpy's SeedSequence hash (of the seed's four
+    32-bit words, low first, zero-padded, then k) and PCG64 seeding, fixed by
+    its compatibility policy, run on arrays in one pass."""
+    words = np.array([[int(seed) >> 32 * j & _MASK32 for seed in seeds] for j in range(4)],
+                     dtype=np.uint32)[:, :, None]
+    # mix_entropy: hash the 4 seed words into the pool (4, seeds, 1), mix
+    # each pool word into the other 3, then the spawn word k into all 4
+    pool, const = _hashmix(words, _INIT_A, _MULT_A, 4)
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        hashed, const = _hashmix(pool[src:src + 1], const, _MULT_A, 3)
+        mixed = _MIX_L * pool[dst] - _MIX_R * hashed
+        pool[dst] = mixed ^ mixed >> 16
+    hashed, _ = _hashmix(np.arange(K, dtype=np.uint32)[None, None], const, _MULT_A, 4)
+    mixed = _MIX_L * pool - _MIX_R * hashed
+    pool = mixed ^ mixed >> 16
+    # generate_state(4, uint64): 8 words hashed from the pool in turn, a
+    # uint64 per (low, high) pair, and initstate, initseq 2 of those each
+    halves, _ = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _INIT_B, _MULT_B, 8)
+    halves = halves.astype(np.uint64)
+    quads = (halves[0::2] | halves[1::2] << 32).astype(object)
+    initstate = quads[0] << 64 | quads[1]
+    initseq = quads[2] << 64 | quads[3]
     # srandom: inc = 2 initseq + 1, and the state 0 stepped, plus initstate, stepped
     inc = (initseq << 1 | 1) & _MASK128
     state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
@@ -217,11 +213,13 @@ def _index_chunks(seeds, K, n, b, T):
     in chunks of `_CHUNK_STEPS` steps.
 
     Worker k of run r draws the k-th substream spawned from seeds[r]: from
-    numpy's spawned generators up to `_SPAWNED_STREAMS` streams, and past
-    that from one PCG64 set to each stream's saved state in turn, buffered
-    32-bit half and all; so chunked draws equal one draw of any chunk size.
+    numpy's spawned generators up to `_SPAWNED_STREAMS` streams or when a
+    seed is 2^128 or more (only a direct caller can pass one; numpy then
+    spawns every stream, ~12 µs each), and otherwise from one PCG64 set to
+    each stream's `_stream_states` state in turn, buffered 32-bit half and
+    all; so chunked draws equal one draw of any chunk size.
     """
-    if len(seeds) * K <= _SPAWNED_STREAMS:
+    if len(seeds) * K <= _SPAWNED_STREAMS or any(int(seed) >> 128 for seed in seeds):
         gens, states = [rng for seed in seeds for rng in _spawn_worker_rngs(seed, K)], None
     else:
         states = _stream_states(seeds, K)

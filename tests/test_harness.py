@@ -1324,7 +1324,8 @@ svg = false
                                   "unreachable-tolerance", "theory-K", "theory-eps",
                                   "theory-rho-nan", "theory-rho-inf", "theory-rho-half",
                                   "theory-eps-nan",
-                                  "theory-eps-inf", "theory-K-overflow", "theory-K-text"])
+                                  "theory-eps-inf", "theory-K-overflow", "theory-K-text",
+                                  "theory-K-empty", "theory-H-empty", "theory-eps-empty"])
 def test_cli_bad_input_is_a_config_error(tmp_path, capsys, case):
     bad_data = tmp_path / "bad.libsvm"
     bad_data.write_text("+1 1:1\n+1 oops\n", encoding="utf-8")
@@ -1367,6 +1368,10 @@ dir = {tmp_path / 'out'}
         # an int too large for a float raises OverflowError, not ValueError
         "theory-K-overflow": ["theory", "--K", "9" * 401, "--H", "1", "--eps", "0.1"],
         "theory-K-text": ["theory", "--K", "abc", "--H", "1", "--eps", "0.1"],
+        # an empty list, as a config's [sweep] rejects it
+        "theory-K-empty": ["theory", "--K", "", "--H", "1", "--eps", "0.1"],
+        "theory-H-empty": ["theory", "--K", "2", "--H", " , ", "--eps", "0.1"],
+        "theory-eps-empty": ["theory", "--K", "2", "--H", "1", "--eps", ""],
     }[case]
     assert main(argv) == 1
     out, err = capsys.readouterr()
@@ -1374,6 +1379,9 @@ dir = {tmp_path / 'out'}
     assert err.startswith("config error: ") and "Traceback" not in err
     if case == "theory-K-text":
         assert err == "config error: cannot parse list '--K': 'abc'\n"
+    elif case.endswith("-empty"):
+        flag = case[len("theory-"):-len("-empty")]
+        assert err == f"config error: list '--{flag}' must be nonempty\n"
     elif case.startswith("theory"):
         assert err.startswith("config error: bad theory argument: ")
 

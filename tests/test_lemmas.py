@@ -100,6 +100,16 @@ def test_variance_reduction_rejects_few_trials(quad10):
         check_variance_reduction(obj, [np.zeros(obj.d)], trials=150.5)
 
 
+def test_variance_reduction_rejects_no_states(quad10):
+    # an empty list of worker states is rejected before any oracle call
+    obj, _, _ = quad10
+    counter = GradientCounter(obj)
+    message = "the number of worker states must be an integer >= 1, got 0"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_variance_reduction(counter, [], 100)
+    assert not counter.counts
+
+
 # --- synchronous deviation ----------------------------------------------
 
 

@@ -40,6 +40,19 @@ def quad_config(quad10, K, T, H, b=1, seed=0, record=None, a_extra=0.0):
     )
 
 
+def count_stream_state_passes(monkeypatch):
+    """A list that gets the K of every `sync._stream_states` call from now on."""
+    passes = []
+    stream_states = sync._stream_states
+
+    def counted(seeds, K):
+        passes.append(K)
+        return stream_states(seeds, K)
+
+    monkeypatch.setattr(sync, "_stream_states", counted)
+    return passes
+
+
 def test_single_worker_matches_serial_sgd(quad10):
     obj, _, _ = quad10
     config = quad_config(quad10, K=1, T=40, H=5, seed=13)
@@ -56,12 +69,18 @@ def test_single_worker_matches_serial_sgd(quad10):
     assert np.array_equal(trace.xbar, np.asarray(path))
 
 
-def test_every_step_sync_equals_coupled_minibatch(quad10):
+def test_every_step_sync_equals_coupled_minibatch(monkeypatch, quad10):
+    # at K = 9 the run draws more than `_SPAWNED_STREAMS` streams, from the
+    # states of `_stream_states`, and the baseline from numpy's spawned
+    # generators: the pass is checked against its independent reference
+    passes = count_stream_state_passes(monkeypatch)
     obj, _, _ = quad10
-    for K, b in ((2, 1), (4, 2)):
+    for K, b in ((2, 1), (4, 2), (9, 1), (9, 2)):
+        passes.clear()
         config = quad_config(quad10, K=K, T=50, H=1, b=b, seed=99)
         trace = run_local_sgd(config, obj)
         baseline = run_minibatch_sgd(config, obj)
+        assert passes == ([K] if K > sync._SPAWNED_STREAMS else [])
         assert np.max(np.abs(trace.xbar - baseline)) <= 1e-12
     with pytest.raises(ValueError, match="^x0 dimension does not match the objective$"):
         run_minibatch_sgd(replace(config, x0=np.zeros(obj.d + 1)), obj)
@@ -417,23 +436,32 @@ def test_repeated_seeds_match_single_runs_bitwise(logistic50):
 @pytest.mark.parametrize("chunk_steps", [None, 7, 16], ids=["default", "chunk-7", "chunk-16"])
 def test_index_chunks_equal_the_spawned_generators_draws(monkeypatch, chunk_steps):
     # seeds of one to five 32-bit words, a numpy integer and a repeated
-    # seed, hashed in one pass at every K, and two seeds, which K <= 4
-    # spawns; T*b odd, so a chunk of 7 steps leaves a buffered 32-bit half
-    # for the next; 3*2^30 rejects ~25% of Lemire's draws, 2^32 takes every
-    # 32-bit word as is and 2^32+1 the 64-bit path
+    # seed.  A batch of more than 8 streams whose seeds are all below 2^128
+    # is hashed in one pass; the whole panel, which holds 2^128 and 2^130+7,
+    # is spawned at every K, as are two seeds at K <= 4.  T*b odd, so a
+    # chunk of 7 steps leaves a buffered 32-bit half for the next; 3*2^30
+    # rejects ~25% of Lemire's draws, 2^32 takes every 32-bit word as is
+    # and 2^32+1 the 64-bit path
     if chunk_steps is not None:
         monkeypatch.setattr(sync, "_CHUNK_STEPS", chunk_steps)
-    panel = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96 + 3, 2**130 + 7, np.uint32(5), 1]
+    passes = count_stream_state_passes(monkeypatch)
+    panel = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96 + 3, 2**128 - 1, 2**128, 2**130 + 7,
+             np.uint32(5), 1]
+    below = [seed for seed in panel if int(seed) < 2**128]
     T = 23
-    for seeds in (panel, panel[4:6]):
+    for seeds in (panel, below, panel[4:6]):
         for n in (1, 2, 50, 64, 3 * 2**30, 2**32, 2**32 + 1):
             for K in range(1, 10):
                 for b in (1, 2, 3):
+                    passes.clear()
                     got = np.concatenate(list(_index_chunks(seeds, K, n, b, T)), axis=2)
                     want = [[rng.integers(0, n, size=(T, b))
                              for rng in sync._spawn_worker_rngs(s, K)] for s in seeds]
                     assert got.dtype == np.int64
                     assert np.array_equal(got, np.array(want)), (len(seeds), n, K, b)
+                    hashed = (len(seeds) * K > sync._SPAWNED_STREAMS
+                              and max(map(int, seeds)) < 2**128)
+                    assert passes == ([K] if hashed else []), (len(seeds), K)
 
 
 def _serial_iterates(config, objective, seed, schedule, stop):
