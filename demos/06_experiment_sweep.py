@@ -34,14 +34,11 @@ config = ExperimentConfig(
 rows, exit_code = run_experiment(config)
 print(f"sweep finished (exit code {exit_code}); outputs in {OUT}\n")
 
-baseline = {(r.b, r.eps): r.wallclock for r in rows if r.K == 1 and r.H == 1}
 print(f"{'K':>3} {'H':>3} {'steps':>6} {'family':>10} {'c':>10} "
       f"{'rounds':>7} {'speedup':>8}")
 for row in rows:
-    base = baseline.get((row.b, row.eps))
-    measured = base / row.wallclock if row.wallclock else float("nan")
     print(f"{row.K:>3} {row.H:>3} {row.iterations:>6} {row.family:>10} "
-          f"{row.c:>10.5f} {row.comm_rounds:>7} {measured:>8.3f}")
+          f"{row.c:>10.5f} {row.comm_rounds:>7} {row.speedup:>8.3f}")
 
 print("\nwith communication 25x as expensive as a gradient step, the")
 print("communication-heavy H=1 columns lose badly once K > 1.")

@@ -288,9 +288,9 @@ def load_experiment_config(path) -> ExperimentConfig:
 def build_problem(spec: DatasetSpec):
     """Materialize (objective, reference) for a dataset spec.
 
-    The reference solution is analytic for quadratics and computed by a
-    truncated Newton-CG solve (Hessian-vector products only, O(n + d)
-    memory) for logistic datasets unless the config pins f_star directly.
+    The reference is `reference_for` of the objective (analytic for
+    quadratics, a truncated Newton-CG solve for logistic datasets), or
+    for a pinned f_star a "pinned" one without a minimizer (x_star None).
     An unknown kind, a libsvm spec without a path, a value the objective or
     the reference solve rejects, a tolerance the solve cannot reach and a
     dataset file that cannot be read or parsed raise a ConfigError.
@@ -303,21 +303,17 @@ def build_problem(spec: DatasetSpec):
         if spec.f_star is not None:
             _require_real("f_star", spec.f_star)
         if spec.kind == "quadratic":
-            objective, reference, _ = make_quadratic(
-                spec.d, spec.mu, spec.L, spec.n, spec.noise, spec.seed
-            )
+            objective = make_quadratic(spec.d, spec.mu, spec.L, spec.n, spec.noise, spec.seed)[0]
         else:
             if spec.dimension is not None:
                 _require_integer("dimension", spec.dimension, 1)
             with open(spec.path, "r", encoding="utf-8") as fh:
                 dataset = parse_libsvm(fh, declared_dimension=spec.dimension)
-            objective, reference = LogisticObjective(dataset, lam=spec.lam), None
-        if spec.f_star is not None:
-            x_ref = reference.x_star if reference is not None else np.zeros(objective.d)
-            reference = ReferenceSolution(x_star=x_ref, f_star=spec.f_star,
-                                          provenance="numeric")
-        elif reference is None:
+            objective = LogisticObjective(dataset, lam=spec.lam)
+        if spec.f_star is None:
             reference = reference_for(objective, tolerance=spec.fstar_tolerance)
+        else:  # a sweep reads f* alone; no minimizer is known
+            reference = ReferenceSolution(x_star=None, f_star=spec.f_star, provenance="pinned")
     except (OSError, LibsvmFormatError) as exc:  # a missing file, a directory, a bad line
         raise ConfigError(str(exc)) from None
     except UnicodeDecodeError as exc:
@@ -677,6 +673,7 @@ class ResultRow:
     c: float | None
     iterations: int | None
     rho: float
+    speedup: float | None = None  # set by `run_experiment`, as in results.csv
 
     @property
     def grad_evals(self):
@@ -692,15 +689,7 @@ class ResultRow:
             return None
         return self.iterations * step_cost(self.K, self.H, self.rho)
 
-    def measured_speedup(self, baseline_wallclock):
-        """baseline_wallclock / wallclock, inf at a zero wall clock; None
-        when either is missing."""
-        if self.wallclock is None or baseline_wallclock is None:
-            return None
-        return baseline_wallclock / self.wallclock if self.wallclock > 0 else inf
-
-    def csv_fields(self, baseline_wallclock):
-        measured = self.measured_speedup(baseline_wallclock)
+    def csv_fields(self):
         return [
             str(self.K), str(self.H), str(self.b), repr(self.eps),
             self.family or "unreachable",
@@ -709,7 +698,7 @@ class ResultRow:
             "" if self.grad_evals is None else str(self.grad_evals),
             "" if self.comm_rounds is None else str(self.comm_rounds),
             "" if self.wallclock is None else repr(self.wallclock),
-            "" if measured is None else repr(measured),
+            "" if self.speedup is None else repr(self.speedup),
         ]
 
 
@@ -785,8 +774,9 @@ def run_experiment(config: ExperimentConfig):
     lockstep by `_search_cells`.  With one worker each group is one job;
     a pool of W workers splits each group into min(W, cells) jobs
     (`_pool_jobs`) and opens min(W, jobs) processes.  A cell's answer
-    does not depend on its job, nor the outputs on the pool size.  Exit
-    code 0 on success, 2 when some cells never reached their target
+    does not depend on its job, nor the outputs on the pool size.  It
+    sets each row's `speedup` once, which results.csv and speedup.svg read.
+    Exit code 0 on success, 2 when some cells never reached their target
     accuracy within the step cap (those rows are marked unreachable).
     """
     objective, reference = build_problem(config.dataset)
@@ -817,18 +807,23 @@ def run_experiment(config: ExperimentConfig):
             rows[index] = ResultRow(K=K, H=H, b=b, eps=eps, family=family, c=c,
                                     iterations=t_star, rho=config.rho)
 
+    # a row's speedup is the wall clock of the K=1, H=1 row of its (b, eps) over
+    # its own: inf at a zero wall clock, None when either side is missing
     baselines = {
         (row.b, row.eps): row.wallclock
         for row in rows
         if row.K == 1 and row.H == 1 and row.wallclock is not None
     }
-    _write_csv(out / "results.csv", RESULTS_HEADER,
-               [row.csv_fields(baselines.get((row.b, row.eps))) for row in rows])
+    for row in rows:
+        base = baselines.get((row.b, row.eps))
+        if base is not None and row.wallclock is not None:
+            row.speedup = base / row.wallclock if row.wallclock > 0 else inf
+    _write_csv(out / "results.csv", RESULTS_HEADER, [row.csv_fields() for row in rows])
     _write_csv(out / "speedup_theory.csv", THEORY_HEADER,
                theory_rows(config.eps_list, config.K_list, config.H_list, config.rho))
 
     if config.svg:
-        write_speedup_svg(out / "speedup.svg", rows, baselines, config)
+        write_speedup_svg(out / "speedup.svg", rows, config)
 
     exit_code = 2 if any(row.iterations is None for row in rows) else 0
     return rows, exit_code
@@ -853,8 +848,8 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f")
 
 
-def write_speedup_svg(path, rows, baselines, config):
-    """Line charts of measured speedup vs K (log-2 axis), one panel per eps."""
+def write_speedup_svg(path, rows, config):
+    """Line charts of the rows' `speedup` vs K (log-2 axis), one panel per eps."""
     panel_w, panel_h = 360, 280
     margin = 56
     n_panels = len(config.eps_list)
@@ -871,10 +866,9 @@ def write_speedup_svg(path, rows, baselines, config):
         y0 = margin
         series = {}
         for row in rows:
-            measured = row.measured_speedup(baselines.get((row.b, row.eps)))
             # a row at a zero wall clock, whose speedup is inf, has no point
-            if row.eps == eps and measured is not None and isfinite(measured):
-                series.setdefault(row.H, []).append((row.K, measured))
+            if row.eps == eps and row.speedup is not None and isfinite(row.speedup):
+                series.setdefault(row.H, []).append((row.K, row.speedup))
         ks = sorted({k for pts in series.values() for k, _ in pts}) or [1]
         top = max((s for pts in series.values() for _, s in pts), default=1.0)
         top = max(top, 1.0) * 1.1
@@ -929,14 +923,17 @@ def verify_lemmas(config: ExperimentConfig):
 
     Returns the list of CheckReports and writes lemma_checks.csv; check
     parameters come from the [lemmas] section (with defaults matching the
-    standard fixtures).  The checks' theorem schedules need mu > 0; an
-    objective without it is a ConfigError before any directory is made.
+    standard fixtures).  The theorem schedules need mu > 0 and the perturbed
+    step x*; a config without mu > 0 or with a pinned fstar, which has no x*,
+    is a ConfigError before any directory is made.
     """
     objective, reference = build_problem(config.dataset)
     try:
         _require_real("mu", objective.curvature()[0], positive=True)
     except ValueError as exc:
         raise ConfigError(f"verify-lemmas needs a strongly convex objective: {exc}") from None
+    if reference.x_star is None:
+        raise ConfigError("verify-lemmas needs the minimizer x*, which a pinned fstar lacks")
     out = _output_dir(config)
     reports = lemma_suite(objective, reference, **config.lemmas)
     _write_csv(out / "lemma_checks.csv", LEMMA_HEADER,

@@ -211,8 +211,10 @@ def check_perturbed_inequality(config, objective, reference, runs, seed=0) -> Ch
     records.  From xbar it computes ||xbar_t - x*||^2 at the checked steps
     t and t + 1, and f(xbar_t) in one stacked pass, so a run reads NaN
     from where it froze and a point whose value is not finite reads NaN on
-    its own.
+    its own.  A reference without x* (a pinned f*) raises before any run.
     """
+    if reference.x_star is None:
+        raise ValueError("the perturbed-step check needs x*, which a pinned f* lacks")
     mu, L = objective.curvature()
     if config.steps.eta(0) > 1.0 / (4.0 * L):
         raise ValueError("stepsize too large: eta_0 must be <= 1/(4L)")

@@ -55,11 +55,11 @@ class ProblemConstants:
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """Minimizer x_star and optimal value f_star, analytic or numeric."""
+    """Minimizer x_star (None for a pinned f_star) and optimal value f_star."""
 
-    x_star: np.ndarray
+    x_star: np.ndarray | None
     f_star: float
-    provenance: str  # "analytic" | "numeric"
+    provenance: str  # "analytic" | "numeric" | "pinned"
 
 
 class _Oracles:

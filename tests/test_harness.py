@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from math import inf
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,22 @@ def write_config(tmp_path, body):
     path = tmp_path / "exp.ini"
     path.write_text(body, encoding="utf-8")
     return path
+
+
+def assert_speedup_fields(rows, path):
+    """Each row's `speedup` is its results.csv field: the wall clock of the
+    K=1, H=1 row of its (b, eps) over its own, inf at a zero wall clock and
+    None (an empty field) when either side is missing."""
+    with open(path, newline="") as fh:
+        fields = [record["speedup"] for record in csv.DictReader(fh)]
+    assert len(fields) == len(rows)
+    for row, field in zip(rows, fields):
+        assert field == ("" if row.speedup is None else repr(row.speedup))
+        base = [r.wallclock for r in rows if (r.K, r.H, r.b, r.eps) == (1, 1, row.b, row.eps)]
+        if row.wallclock is None or not base or base[0] is None:
+            assert row.speedup is None
+        else:
+            assert row.speedup == (base[0] / row.wallclock if row.wallclock > 0 else inf)
 
 
 def test_config_parse_and_errors(tmp_path):
@@ -197,6 +214,8 @@ SYNTH50 = str(DATA / "synth50.libsvm")
 @pytest.mark.parametrize("overrides, error", [
     ({"dataset": DatasetSpec(kind="libsvm", path=SYNTH50, fstar_tolerance=True)},
      "bad value in [dataset]: reference tolerance must be finite and positive, got True"),
+    ({"dataset": quad_spec(fstar_tolerance=0.0)},
+     "bad value in [dataset]: reference tolerance must be finite and positive, got 0.0"),
     ({"dataset": DatasetSpec(kind="libsvm", path=SYNTH50, lam=True)},
      "bad value in [dataset]: regularization must be finite and nonnegative, got True"),
     ({"dataset": quad_spec(d=2.5)}, "bad value in [dataset]: d must be an integer >= 1, got 2.5"),
@@ -217,9 +236,9 @@ SYNTH50 = str(DATA / "synth50.libsvm")
      "bad value in [dataset]: dimension must be an integer >= 1, got 300.0"),
     ({"dataset": DatasetSpec(kind="libsvm", path=SYNTH50, dimension=2.5)},
      "bad value in [dataset]: dimension must be an integer >= 1, got 2.5"),
-], ids=["fstar_tolerance-bool", "lam-bool", "d-float", "n-bool", "seed-float",
-        "lemmas-runs-float", "lemmas-unknown-key", "kind", "no-path", "f_star-nan", "f_star-text", "dimension-float",
-        "dimension-fraction"])
+], ids=["fstar_tolerance-bool", "quadratic-fstar_tolerance-zero", "lam-bool", "d-float",
+        "n-bool", "seed-float", "lemmas-runs-float", "lemmas-unknown-key", "kind", "no-path",
+        "f_star-nan", "f_star-text", "dimension-float", "dimension-fraction"])
 def test_a_bad_value_is_a_config_error_before_any_directory(tmp_path, command, overrides,
                                                             error):
     with pytest.raises(ConfigError, match=f"^{re.escape(error)}$"):
@@ -1065,9 +1084,24 @@ def test_run_experiment_results_are_byte_stable(tmp_path, monkeypatch):
     for threads in ("1", "2", "4"):
         monkeypatch.setenv("LOCALSGD_THREADS", threads)
         config = small_config(tmp_path / threads, svg=False)
-        run_experiment(config)
+        rows, _ = run_experiment(config)
         produced = (Path(config.out_dir) / "results.csv").read_bytes()
         assert produced == (DATA / "quadratic_sweep_results.csv").read_bytes(), threads
+        assert_speedup_fields(rows, Path(config.out_dir) / "results.csv")
+
+
+def test_a_sweep_at_zero_wall_clock_reads_inf_and_draws_no_point(tmp_path):
+    # every cell is eps-accurate at x0 = 0 (t* = 0), so every wall clock is
+    # zero, every speedup inf, and speedup.svg has no point to draw
+    objective, reference = build_problem(quad_spec())
+    eps = 2.0 * (objective.value(np.zeros(objective.d)) - reference.f_star) + 1.0
+    config = small_config(tmp_path, eps_list=[eps])
+    rows, code = run_experiment(config)
+    assert code == 0
+    assert all(row.iterations == 0 and row.speedup == inf for row in rows)
+    assert_speedup_fields(rows, Path(config.out_dir) / "results.csv")
+    svg = (Path(config.out_dir) / "speedup.svg").read_text(encoding="utf-8")
+    assert svg.startswith("<svg") and "<polyline" not in svg
 
 
 def test_logistic_sweep_results_are_byte_stable(tmp_path, monkeypatch):
@@ -1089,9 +1123,10 @@ def test_logistic_sweep_results_are_byte_stable(tmp_path, monkeypatch):
             dataset=spec, eps_list=[0.005], K_list=[1, 4], H_list=[1, 8],
             b_list=[1], seed=5, out_dir=str(tmp_path / threads), svg=False,
         )
-        run_experiment(config)
+        rows, _ = run_experiment(config)
         produced = (Path(config.out_dir) / "results.csv").read_bytes()
         assert produced == (DATA / "logistic_sweep_results.csv").read_bytes(), threads
+        assert_speedup_fields(rows, Path(config.out_dir) / "results.csv")
 
 
 def test_pool_jobs_spread_each_group_over_the_workers():
@@ -1198,6 +1233,12 @@ def test_build_problem_pins_fstar():
     spec = quad_spec(f_star=-1.25)
     _, reference = build_problem(spec)
     assert reference.f_star == -1.25
+
+
+def test_a_pinned_fstar_has_no_minimizer():
+    # a sweep reads f* alone; no x* is made up for a pinned one
+    _, reference = build_problem(quad_spec(f_star=-1.25))
+    assert reference.x_star is None and reference.provenance == "pinned"
 
 
 def test_result_row_cost_accounting(tmp_path):
@@ -1568,6 +1609,11 @@ def test_cli_reports_a_config_file_that_is_not_utf8(tmp_path, capsys):
 UNREGULARIZED_CONFIG = (f"[dataset]\nkind = libsvm\npath = {DATA / 'synth50.libsvm'}\n"
                         "lambda = 0\nfstar = 0.3\n\n[sweep]\neps = 0.3\nK = 1\nH = 1\nb = 1\n\n"
                         "[run]\nepoch_cap = 2\n")
+# synth50 with fstar pinned to the value `localsgd fstar` prints for it; with no
+# minimizer to read, the perturbed-step check used to run against x* = 0 and fail
+PINNED_CONFIG = (f"[dataset]\nkind = libsvm\npath = {DATA / 'synth50.libsvm'}\nlambda = auto\n"
+                 "fstar = 0.4410334335022455\n\n[sweep]\neps = 0.005\nK = 1\nH = 1\nb = 1\n\n"
+                 "[lemmas]\nruns = 32\nT = 32\n")
 
 
 @pytest.mark.parametrize("command, body, args, error, read", [
@@ -1578,9 +1624,11 @@ UNREGULARIZED_CONFIG = (f"[dataset]\nkind = libsvm\npath = {DATA / 'synth50.libs
     ("run", QUADRATIC_CONFIG + "K = 2\n", [], "option 'k' in section 'sweep' already exists",
      True),
     ("verify-lemmas", UNREGULARIZED_CONFIG, [], "mu must be finite and positive, got 0.0", False),
+    ("verify-lemmas", PINNED_CONFIG, [],
+     "verify-lemmas needs the minimizer x*, which a pinned fstar lacks", False),
     ("run", QUADRATIC_CONFIG, ["--out", ""], "[output] dir must not be empty", False),
 ], ids=["key-before-section", "no-equals", "repeated-section", "repeated-key", "zero-mu",
-        "empty-out"])
+        "pinned-fstar", "empty-out"])
 def test_cli_error_is_one_line_and_leaves_no_path(tmp_path, capsys, monkeypatch, command, body,
                                                   args, error, read):
     # every config the CLI rejects: exit 1, nothing on stdout, one

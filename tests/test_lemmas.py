@@ -10,6 +10,7 @@ from localsgd import (
     DelayModel,
     ProblemConstants,
     RecordFlags,
+    ReferenceSolution,
     RunConfig,
     check_async_deviation,
     check_deviation_bound,
@@ -363,6 +364,17 @@ def test_tightest_step_takes_the_earliest_tie_and_fails_on_nan():
     assert step == 3 and np.isnan(mean)
     report = CheckReport("deviation-bound", 2, mean, 2.0, 0.0, worst_step=step)
     assert not report.passed
+
+
+def test_perturbed_inequality_needs_a_minimizer_before_any_oracle_call(quad10):
+    # a pinned f* comes without x*, which the check compares every xbar_t to
+    obj, ref, const = quad10
+    counter = GradientCounter(obj)
+    config = theorem_config(obj, const, K=2, T=16, H=2)
+    pinned = ReferenceSolution(x_star=None, f_star=ref.f_star, provenance="pinned")
+    with pytest.raises(ValueError, match=r"^the perturbed-step check needs x\*"):
+        check_perturbed_inequality(config, counter, pinned, runs=100)
+    assert not counter.counts
 
 
 def test_perturbed_inequality_rejects_large_steps(quad10):

@@ -99,6 +99,31 @@ def test_quadratic_virtual_average_does_not_depend_on_sync_period(quad10):
         assert (trace.deviations.max() > 0.0) == (H > 1)
 
 
+def test_quadratic_output_gap_depends_on_workers_and_batch_only_through_their_product(quad10):
+    # the paper's linear speedup "in the number of workers and mini-batch
+    # size": on quad10 the virtual average is the mini-batch path of K*b
+    # indices per step (above), so at fixed H the output gaps of the cells
+    # (K, b) with K*b = 8 share one law.  Each cell has its own seeds, since
+    # worker k's stream of a seed does not depend on K; |z| <= 4 and the
+    # seeds were fixed before the first run.
+    obj, ref, const = quad10
+    T, H, runs = 1000, 4, 400
+    gaps = []
+    for j, (K, b) in enumerate([(8, 1), (4, 2), (2, 4), (1, 8)]):
+        config = RunConfig(
+            K=K, T=T, b=b, sync=regular_sync_schedule(T, H),
+            steps=theorem_steps((const.mu, const.L), H), seed=0, x0=np.zeros(obj.d),
+            record=RecordFlags(virtual=False, f_values=False),
+        )
+        seeds = range(runs * j, runs * (j + 1))
+        gaps.append(run_local_sgd_ensemble(config, obj, seeds).f_output - ref.f_star)
+    for i in range(len(gaps)):
+        for j in range(i + 1, len(gaps)):
+            stderr = np.sqrt(gaps[i].var(ddof=1) / runs + gaps[j].var(ddof=1) / runs)
+            z = (gaps[i].mean() - gaps[j].mean()) / stderr
+            assert abs(z) <= 4.0, (i, j, z)
+
+
 def test_two_worker_hand_example():
     # f_i(x) = x^2/2 on one component: step from 2 with eta=1 lands at 0
     obj = QuadraticObjective([1.0], [[0.0]])
